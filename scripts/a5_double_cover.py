@@ -1,4 +1,4 @@
-"""Extract the nontrivial order-240 tier by hand: read the double cover
+"""Extract the nontrivial order-120 tier by hand: read the double cover
 of the order-60 simple group back as a central extension, transport its
 cocycle onto the catalog copy of the quotient, and compare the twisted
 carrier against the direct product.

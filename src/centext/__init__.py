@@ -7,8 +7,8 @@ from .catalog import (alternating_group, catalog_names, get_group,
 from .cocycles import (Cocycle2, CocycleSpace, apply_coboundary,
                        are_cohomologous, cocycle_inv, cocycle_mul,
                        compute_cocycle_space, coboundary_from, is_cocycle,
-                       is_symmetric, make_cocycle, sim_is_trivial,
-                       trivial_cocycle)
+                       is_symmetric, make_cocycle, pullback, pushforward,
+                       sim_is_trivial, trivial_cocycle)
 from .errors import (ConditionsFailed, DimensionMismatch,
                      GroupMismatch, GroupValidationError,
                      HypothesisNotVerified, NonAbelianUnsupported,
@@ -18,7 +18,8 @@ from .errors import (ConditionsFailed, DimensionMismatch,
 from .extensions import (ExtensionGroup, HomConditionReport, HomMatrix,
                          build_extension, central_quotient_data,
                          check_hom_conditions, decompose_hom,
-                         equivalence_isomorphism, is_abelian_extension,
+                         equivalence_isomorphism, hom_condition_failures,
+                         is_abelian_extension,
                          is_homomorphism_direct, preserves_kernel_setwise,
                          preserves_section_setwise, reconstruct_hom)
 from .groups import (DEFAULT_LIMITS, FiniteGroup, GroupMap, SearchLimits,
@@ -27,13 +28,12 @@ from .groups import (DEFAULT_LIMITS, FiniteGroup, GroupMap, SearchLimits,
                      enumerate_homs, enumerate_isomorphisms,
                      is_purely_nonabelian, is_simple, validate_group)
 from .isotest import (CERTIFICATE_KINDS, IsoCertificate,
-                      build_purely_nonabelian_iso, direct_to_lower,
-                      direct_to_upper, g1_isomorphic_necessary,
+                      build_purely_nonabelian_iso, g1_isomorphic_necessary,
                       g1g2_isomorphic, g2_isomorphic_equal_order,
                       g2_isomorphic_necessary, lower_b2trivial,
                       lower_isomorphic, lower_necessary, lower_sufficient,
                       lower_to_direct, oracle_iso_survey,
                       simple_quotient_check, upper_isomorphic,
-                      upper_to_direct, verify_theorems)
+                      verify_theorems)
 
 __version__ = "0.1.0"

@@ -28,6 +28,8 @@ from .cocycles import (
     are_cohomologous,
     compute_cocycle_space,
     make_cocycle,
+    pullback,
+    pushforward,
     sim_is_trivial,
     trivial_cocycle,
 )
@@ -51,8 +53,6 @@ from .groups import (
     enumerate_isomorphisms,
 )
 from .isotest import (
-    _pull,
-    _push,
     g1_isomorphic_necessary,
     g1g2_isomorphic,
     g2_isomorphic_equal_order,
@@ -295,7 +295,7 @@ def cmd_iso(args) -> int:
 
 
 def _slow_checks(limits) -> dict:
-    """The order-240 tier: both cohomology classes over the simple
+    """The order-120 tier: both cohomology classes over the simple
     order-60 quotient, realized concretely and separated."""
     big = special_linear_2_5()
     kernel, quotient, eps, _ = central_quotient_data(
@@ -304,7 +304,7 @@ def _slow_checks(limits) -> dict:
     psi = brute_force_isomorphism(a5, quotient, limits=limits)
     z2 = get_group("Z2")
     chi = brute_force_isomorphism(kernel, z2, limits=limits)
-    transported = _push(chi, _pull(eps, psi))
+    transported = pushforward(chi, pullback(eps, psi))
     triv = trivial_cocycle(z2, a5)
     direct = build_extension(triv)
     twisted = build_extension(transported)
@@ -342,7 +342,7 @@ def cmd_verify(args) -> int:
         report["slow_checks"] = slow
         if not slow["all_passed"]:
             report["discrepancies"].append(
-                {"check": "slow_order_240_tier", "detail": slow})
+                {"check": "slow_order_120_tier", "detail": slow})
     report["discrepancy_count"] = len(report["discrepancies"])
     _emit(report, args.output)
     return 1 if report["discrepancies"] else 0
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=16,
                    help="skip pairs whose carrier exceeds this order")
     p.add_argument("--slow", action="store_true",
-                   help="add the order-240 double-cover checks")
+                   help="add the order-120 double-cover checks")
     _add_output(p)
     p.set_defaults(func=cmd_verify)
 

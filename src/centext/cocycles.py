@@ -256,6 +256,19 @@ def is_epsilon_endomorphism(chi: GroupMap, e: Cocycle2) -> bool:
                for x in range(g1.order) for v in values)
 
 
+def pushforward(chi: GroupMap, e: Cocycle2) -> Cocycle2:
+    """chi . e: the table values move to chi's codomain."""
+    return Cocycle2(g1=chi.cod, g2=e.g2, table=tuple(
+        tuple(chi.images[v] for v in row) for row in e.table))
+
+
+def pullback(e: Cocycle2, rho: GroupMap) -> Cocycle2:
+    """e . (rho x rho): both point arguments routed through rho."""
+    im, n = rho.images, rho.dom.order
+    return Cocycle2(g1=e.g1, g2=rho.dom, table=tuple(
+        tuple(e.table[im[y]][im[yp]] for yp in range(n)) for y in range(n)))
+
+
 def cocycle_compose_checks(sigma: GroupMap, delta: GroupMap, e: Cocycle2):
     """Build sigma.e, delta.e and e.(delta x delta), verifying the
     composition hypotheses and that each output is again a cocycle.
@@ -274,13 +287,9 @@ def cocycle_compose_checks(sigma: GroupMap, delta: GroupMap, e: Cocycle2):
     if not delta.is_homomorphism():
         raise PreconditionViolated("delta is not a homomorphism")
 
-    sigma_e = Cocycle2(g1=g1, g2=g2, table=tuple(
-        tuple(sigma.images[v] for v in row) for row in e.table))
-    delta_e = Cocycle2(g1=g2, g2=g2, table=tuple(
-        tuple(delta.images[v] for v in row) for row in e.table))
-    e_dd = Cocycle2(g1=g1, g2=g1, table=tuple(
-        tuple(e.table[delta.images[x]][delta.images[xp]]
-              for xp in range(g1.order)) for x in range(g1.order)))
+    sigma_e = pushforward(sigma, e)
+    delta_e = pushforward(delta, e)
+    e_dd = pullback(e, delta)
     for out, label in ((sigma_e, "sigma.e"), (delta_e, "delta.e"),
                        (e_dd, "e.(delta x delta)")):
         ok, witness = is_cocycle(out.g1, out.g2, out.table)

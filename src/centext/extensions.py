@@ -20,6 +20,7 @@ from .cocycles import (
     sim_is_trivial,
 )
 from .errors import (
+    ConditionsFailed,
     GroupMismatch,
     HypothesisNotVerified,
     NotAbelianCoefficients,
@@ -40,6 +41,7 @@ __all__ = [
     "ExtensionGroup", "build_extension", "is_abelian_extension",
     "HomMatrix", "decompose_hom", "reconstruct_hom",
     "is_homomorphism_direct", "HomConditionReport", "check_hom_conditions",
+    "hom_condition_failures",
     "equivalence_isomorphism", "preserves_kernel_setwise",
     "preserves_section_setwise", "is_epsilon_endomorphism",
     "central_quotient_data",
@@ -141,7 +143,9 @@ def equivalence_isomorphism(source: ExtensionGroup,
         x, y = divmod(i, n2)
         images.append(g1.table[x][t.images[y]] * n2 + y)
     phi = GroupMap(dom=source.group, cod=target.group, images=tuple(images))
-    assert phi.is_homomorphism() and phi.is_bijective()
+    if not (phi.is_homomorphism() and phi.is_bijective()):
+        raise ConditionsFailed(
+            "the coboundary witness does not give an isomorphism")
     return phi
 
 
@@ -359,6 +363,72 @@ def _require_sim_trivial(g2: FiniteGroup, assume: bool,
             "homomorphisms; pass the assume flag to proceed")
 
 
+def hom_condition_failures(m: HomMatrix):
+    """Evaluate the four conditions of HomConditionReport on m, whose
+    carriers sit over one group pair, writing sigma, eta, delta, rho
+    for phi11, phi12, phi21, phi22.
+
+    Yields (condition, reason, witness) once for each failing condition,
+    in the order 1, 3, 2, 4; the witness has the shape of the matching
+    report field.  Evaluation is lazy, so a caller that stops at the
+    first failure pays for nothing after it.
+    """
+    src, tgt = m.source, m.target
+    g1, g2 = src.g1, src.g2
+    n1, n2 = g1.order, g2.order
+    e1, e2 = src.cocycle.table, tgt.cocycle.table
+    inv1 = g1.inverses
+    sigma, delta, rho = m.phi11.images, m.phi21.images, m.phi22.images
+
+    if not m.phi21.is_homomorphism():
+        yield (1, "delta is not a homomorphism",
+               ("phi21_not_homomorphism", None))
+    elif not m.phi22.is_homomorphism():
+        yield (1, "section component is not an endomorphism",
+               ("phi22_not_endomorphism", None))
+    elif not is_epsilon_endomorphism(m.phi11, src.cocycle):
+        yield (1, "kernel component is not compatible with cocycle-value "
+                  "products", ("phi11_not_cocycle_endomorphism", None))
+    else:
+        im22 = sorted(set(rho))
+        bad = next(((x, u) for x in range(1, n1) for u in im22
+                    if g2.table[delta[x]][u] != g2.table[u][delta[x]]),
+                   None)
+        if bad is not None:
+            yield (1, "delta image does not commute with the rho image",
+                   ("phi21_not_centralizing", bad))
+
+    bad = next(((y, yp) for y in range(1, n2) for yp in range(1, n2)
+                if delta[e1[y][yp]] != 0), None)
+    if bad is not None:
+        yield (3, "delta does not kill the source cocycle values",
+               ("value_survives", bad))
+    else:
+        psi11 = coboundary_from(m.phi11).table
+        bad = next(((x, xp) for x in range(n1) for xp in range(n1)
+                    if inv1[e2[delta[x]][delta[xp]]] != psi11[x][xp]), None)
+        if bad is not None:
+            yield (3, "target cocycle times sigma's coboundary does not "
+                      "vanish on the delta image",
+                   ("coboundary_mismatch", bad))
+
+    mul_t, pair = tgt.group.table, tgt.index_of_pair
+    bad = next(((y, x) for y in range(1, n2) for x in range(1, n1)
+                if mul_t[pair(0, rho[y])][pair(0, delta[x])]
+                != mul_t[pair(0, delta[x])][pair(0, rho[y])]), None)
+    if bad is not None:
+        yield (2, "delta image does not commute with the section copy in "
+                  "the target carrier", bad)
+
+    psi12 = coboundary_from(m.phi12).table
+    bad = next(((y, yp) for y in range(n2) for yp in range(n2)
+                if g1.table[sigma[e1[y][yp]]][inv1[e2[rho[y]][rho[yp]]]]
+                != psi12[y][yp]), None)
+    if bad is not None:
+        yield (4, "sigma does not transport the source cocycle onto the "
+                  "pulled-back target cocycle times eta's coboundary", bad)
+
+
 def check_hom_conditions(m: HomMatrix, assume_sim_trivial: bool = False,
                          limits: SearchLimits = DEFAULT_LIMITS
                          ) -> HomConditionReport:
@@ -370,79 +440,11 @@ def check_hom_conditions(m: HomMatrix, assume_sim_trivial: bool = False,
     if src.g1 != tgt.g1 or src.g2 != tgt.g2:
         raise GroupMismatch("both carriers must sit over the same pair")
     _require_sim_trivial(src.g2, assume_sim_trivial, limits)
-    g1, g2 = src.g1, src.g2
-    e1, e2 = src.cocycle.table, tgt.cocycle.table
-    inv1 = g1.inverses
-
-    # 1. phi21 a homomorphism into the centralizer of the phi22 image,
-    #    phi22 an endomorphism, phi11 compatible with e1-value products
-    cond1, w1 = True, None
-    if not m.phi21.is_homomorphism():
-        cond1, w1 = False, ("phi21_not_homomorphism", None)
-    elif not m.phi22.is_homomorphism():
-        cond1, w1 = False, ("phi22_not_endomorphism", None)
-    elif not is_epsilon_endomorphism(m.phi11, src.cocycle):
-        cond1, w1 = False, ("phi11_not_cocycle_endomorphism", None)
-    else:
-        im22 = sorted(set(m.phi22.images))
-        for x in range(1, g1.order):
-            v = m.phi21.images[x]
-            bad = next((u for u in im22
-                        if g2.table[v][u] != g2.table[u][v]), None)
-            if bad is not None:
-                cond1, w1 = False, ("phi21_not_centralizing", (x, bad))
-                break
-
-    # 2. section images commute inside the target carrier
-    cond2, w2 = True, None
-    mul_t = tgt.group.table
-    for y in range(1, g2.order):
-        a = tgt.index_of_pair(0, m.phi22.images[y])
-        for x in range(1, g1.order):
-            b = tgt.index_of_pair(0, m.phi21.images[x])
-            if mul_t[a][b] != mul_t[b][a]:
-                cond2, w2 = False, (y, x)
-                break
-        if not cond2:
-            break
-
-    # 3. source cocycle values die under phi21, and the inverted target
-    #    cocycle through phi21 is the coboundary of phi11
-    psi11 = coboundary_from(m.phi11)
-    cond3, w3 = True, None
-    for y in range(1, g2.order):
-        for yp in range(1, g2.order):
-            if m.phi21.images[e1[y][yp]] != 0:
-                cond3, w3 = False, ("value_survives", (y, yp))
-                break
-        if not cond3:
-            break
-    if cond3:
-        for x in range(g1.order):
-            for xp in range(g1.order):
-                lhs = inv1[e2[m.phi21.images[x]][m.phi21.images[xp]]]
-                if lhs != psi11.table[x][xp]:
-                    cond3, w3 = False, ("coboundary_mismatch", (x, xp))
-                    break
-            if not cond3:
-                break
-
-    # 4. phi11.e1 - e2.(phi22 x phi22) equals the coboundary of phi12
-    psi12 = coboundary_from(m.phi12)
-    cond4, w4 = True, None
-    for y in range(g2.order):
-        for yp in range(g2.order):
-            lhs = g1.table[m.phi11.images[e1[y][yp]]][
-                inv1[e2[m.phi22.images[y]][m.phi22.images[yp]]]]
-            if lhs != psi12.table[y][yp]:
-                cond4, w4 = False, (y, yp)
-                break
-        if not cond4:
-            break
-
+    found = {c: witness for c, _, witness in hom_condition_failures(m)}
     return HomConditionReport(
-        component_morphisms=cond1, morphism_witness=w1,
-        images_commute_in_carrier=cond2, commute_witness=w2,
-        kernel_coboundary_equation=cond3, kernel_witness=w3,
-        section_coboundary_equation=cond4, section_witness=w4,
-        psi_phi11=psi11, psi_phi12=psi12)
+        component_morphisms=1 not in found, morphism_witness=found.get(1),
+        images_commute_in_carrier=2 not in found, commute_witness=found.get(2),
+        kernel_coboundary_equation=3 not in found, kernel_witness=found.get(3),
+        section_coboundary_equation=4 not in found,
+        section_witness=found.get(4),
+        psi_phi11=coboundary_from(m.phi11), psi_phi12=coboundary_from(m.phi12))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -246,11 +247,25 @@ class TestIso:
 
 class TestVerify:
     def test_default_catalog_clean(self, capsys):
-        code, payload, _ = run_cli(["verify"], capsys)
+        code = main(["verify"])
+        out = capsys.readouterr().out
+        payload = json.loads(out)
         assert code == 0
         assert payload["checked_class_pairs"] == 81
         assert payload["discrepancy_count"] == 0
         assert payload["skipped_pairs"] == []
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bc5129a6350c5a991cacd7b7e4808508d2c571c7427f67dd7036c43d9c741071")
+
+    def test_unverified_hypothesis_failures_are_observations(self, capsys):
+        code, payload, _ = run_cli(
+            ["verify", "Z2:D4", "--max-order", "24"], capsys)
+        assert code == 0
+        assert payload["discrepancy_count"] == 0
+        observed = [(o["check"], o["detail"]["error"])
+                    for o in payload["logged_observations"]]
+        assert observed == [("g1_necessary_failed",
+                             "section component is not an endomorphism")] * 64
 
     def test_zero_bound_is_an_empty_run(self, capsys):
         code, payload, _ = run_cli(["verify", "--max-order", "0"], capsys)

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
+
+import centext
 
 from centext.catalog import get_group, identify_group
 from centext.cocycles import (
@@ -38,20 +44,18 @@ from centext.groups import (
 from centext.isotest import (
     IsoCertificate,
     build_purely_nonabelian_iso,
-    direct_to_lower,
-    direct_to_upper,
     g1_isomorphic_necessary,
     g1g2_isomorphic,
     g2_isomorphic_equal_order,
     g2_isomorphic_necessary,
     lower_b2trivial,
+    lower_isomorphic,
     lower_necessary,
     lower_sufficient,
     lower_to_direct,
     oracle_iso_survey,
     simple_quotient_check,
     upper_isomorphic,
-    upper_to_direct,
     verify_theorems,
 )
 
@@ -101,6 +105,38 @@ class TestCertificate:
         assert preserves_kernel_setwise(z2k4[2], z2k4[3], phi)
 
 
+    def test_bogus_certificate_rejected_under_optimization(self):
+        # identity components between distinct classes, with no coboundary
+        # witness: the assembled map is no homomorphism.  The check must
+        # stand under -O, which the script's "assert False" line confirms
+        # is in effect.
+        script = "\n".join([
+            "import sys",
+            "from centext import (ConditionsFailed, IsoCertificate,",
+            "                     build_extension, compute_cocycle_space,",
+            "                     get_group)",
+            "from centext.groups import identity_map",
+            "assert False",
+            "z2, k4 = get_group('Z2'), get_group('K4')",
+            "reps = compute_cocycle_space(z2, k4).class_representatives",
+            "cert = IsoCertificate(kind='upper',",
+            "                      source=build_extension(reps[0]),",
+            "                      target=build_extension(reps[7]),",
+            "                      sigma=identity_map(z2),",
+            "                      rho=identity_map(k4))",
+            "try:",
+            "    cert.materialize()",
+            "except ConditionsFailed:",
+            "    sys.exit(0)",
+            "sys.exit(1)",
+        ])
+        src_dir = os.path.dirname(os.path.dirname(centext.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": src_dir},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestUpperIsomorphic:
     def test_matches_oracle_on_every_class_pair(self, z2z2, z3z3, z2k4):
         for exts in (z2z2, z3z3, z2k4):
@@ -129,14 +165,17 @@ class TestUpperIsomorphic:
 
     def test_direct_product_reachable_only_from_the_trivial_class(self, z2k4):
         triv = trivial_cocycle(get_group("Z2"), get_group("K4"))
+        direct = build_extension(triv)
         for k, e in enumerate(z2k4):
             expected = are_cohomologous(triv, e.cocycle) is not None
-            assert (upper_to_direct(e) is not None) == expected
-            assert (direct_to_upper(e) is not None) == expected
+            assert (upper_isomorphic(e, direct) is not None) == expected
+            assert (upper_isomorphic(direct, e) is not None) == expected
             assert expected == (k == 0)
 
     def test_upper_to_direct_certificate_lands_on_the_direct_product(self, z2z2):
-        cert = upper_to_direct(z2z2[0])
+        z2 = get_group("Z2")
+        cert = upper_isomorphic(z2z2[0],
+                                build_extension(trivial_cocycle(z2, z2)))
         assert cert is not None
         assert cert.target.cocycle.is_trivial()
         assert cert.rho.images == tuple(range(2))
@@ -203,9 +242,11 @@ class TestLowerNecessarySufficient:
             assert v == oracle_iso_survey(e, z2k4[0])["lower"]
 
     def test_direct_to_lower_hits_only_vanishing_tables(self, z2k4):
-        assert direct_to_lower(z2k4[0]) is not None
+        direct = build_extension(
+            trivial_cocycle(get_group("Z2"), get_group("K4")))
+        assert lower_isomorphic(direct, z2k4[0]) is not None
         for e in z2k4[1:]:
-            assert direct_to_lower(e) is None
+            assert lower_isomorphic(direct, e) is None
 
 
 class TestLowerB2Trivial:
@@ -449,6 +490,16 @@ class TestG1Isomorphic:
             g1_isomorphic_necessary(e, e, swap)
         cert = g1_isomorphic_necessary(e, e, swap, assume_sim_trivial=True)
         assert cert.kind == "g1"
+
+    def test_failed_condition_raises_a_typed_error(self):
+        # over D4 the quotient hypothesis fails, and asserting it anyway
+        # lets the component check reach a rho that is no endomorphism
+        e = class_extensions("Z2", "D4")[1]
+        phi = next(phi for phi in enumerate_isomorphisms(e.group, e.group)
+                   if decompose_hom(e, e, phi).phi11.is_trivial())
+        with pytest.raises(ConditionsFailed,
+                           match="section component is not an endomorphism"):
+            g1_isomorphic_necessary(e, e, phi, assume_sim_trivial=True)
 
     def test_rejects_nontrivial_kernel_component_and_non_isos(self, z2z2):
         e = z2z2[0]
