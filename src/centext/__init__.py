@@ -11,10 +11,9 @@ from .cocycles import (Cocycle2, CocycleSpace, apply_coboundary,
                        sim_is_trivial, trivial_cocycle)
 from .errors import (ConditionsFailed, DimensionMismatch,
                      GroupMismatch, GroupValidationError,
-                     HypothesisNotVerified, NonAbelianUnsupported,
-                     NotAbelian, NotG1Iso, NotG2Iso, NotLowerIso,
-                     NotNormalized, PreconditionViolated,
-                     SizeLimitExceeded)
+                     HypothesisNotVerified, NotAbelian, NotG1Iso,
+                     NotG2Iso, NotLowerIso, NotNormalized,
+                     PreconditionViolated, SizeLimitExceeded)
 from .extensions import (ExtensionGroup, HomConditionReport, HomMatrix,
                          build_extension, central_quotient_data,
                          check_hom_conditions, decompose_hom,

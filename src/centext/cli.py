@@ -6,9 +6,10 @@ product), iso (decide one isomorphism kind, with certificate), verify
 
 Exit codes: 0 success (for iso: isomorphic in the requested kind),
 1 negative verdict (for verify: discrepancies found), 2 validation
-error, 3 size limit exceeded, 4 a decision needed the quotient
-coboundary-triviality hypothesis and it was neither verifiable nor
-asserted with --assume-sim-trivial.
+error, 3 size limit exceeded, 4 a lower negative cannot be settled:
+the quotient coboundary-triviality hypothesis fails for the quotient,
+the exhaustive search that would replace it exceeds the size limits,
+and --assume-sim-trivial was not given.
 
 Group arguments are catalog names or paths to JSON files holding
 {"table": [[...]], "name": optional}.  Extension files hold {"g1", "g2",
@@ -35,7 +36,6 @@ from .cocycles import (
 )
 from .errors import (
     HypothesisNotVerified,
-    NonAbelianUnsupported,
     SizeLimitExceeded,
 )
 from .extensions import (
@@ -50,7 +50,6 @@ from .groups import (
     SearchLimits,
     brute_force_isomorphism,
     center,
-    enumerate_isomorphisms,
 )
 from .isotest import (
     g1_isomorphic_necessary,
@@ -130,14 +129,6 @@ def _limits(args) -> SearchLimits:
     return SearchLimits(max_order=args.max_order)
 
 
-def _sim_status(g2, limits):
-    """True / False when decidable, None when out of reach."""
-    try:
-        return sim_is_trivial(g2, limits)
-    except (NonAbelianUnsupported, SizeLimitExceeded):
-        return None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -196,10 +187,10 @@ def _decide_iso(mode, e1, e2, assume, limits):
 
     plain, upper, g2 and g1g2 need no hypothesis.  lower decides the
     positive side by component search (unconditionally sound); its
-    negative is settled by the hypothesis when verified or asserted, and
-    by exhaustive carrier search otherwise.  g1 decides by exhaustive
-    search with the kernel-component constraint as a post-filter, and
-    extracts the structured certificate when the hypothesis allows.
+    negative is settled by the hypothesis when it holds or is asserted,
+    and by exhaustive carrier search otherwise.  g1 decides by exhaustive
+    search with the kernel-component constraint, and extracts the
+    structured certificate when the hypothesis allows.
     """
     notes = []
     if mode == "plain":
@@ -216,8 +207,7 @@ def _decide_iso(mode, e1, e2, assume, limits):
         cert = lower_isomorphic(e1, e2, limits)
         if cert is not None:
             return True, cert.to_dict(), notes
-        sim = _sim_status(e1.g2, limits)
-        if sim is True:
+        if sim_is_trivial(e1.g2):
             notes.append("negative settled by the component search; the "
                          "quotient hypothesis is verified")
             return False, None, notes
@@ -226,49 +216,50 @@ def _decide_iso(mode, e1, e2, assume, limits):
                          "hypothesis")
             return False, None, notes
         try:
-            for phi in enumerate_isomorphisms(e1.group, e2.group, limits):
-                if preserves_section_setwise(e1, e2, phi):
-                    notes.append(
-                        "found by exhaustive search although the component "
-                        "search came up empty; the quotient hypothesis "
-                        "fails for this pair")
-                    return True, {"kind": "lower",
-                                  "phi": list(phi.images)}, notes
-            notes.append("negative settled by exhaustive search")
-            return False, None, notes
+            phi = brute_force_isomorphism(
+                e1.group, e2.group, limits=limits,
+                constraint=lambda m: preserves_section_setwise(e1, e2, m))
         except SizeLimitExceeded as exc:
             raise HypothesisNotVerified(
-                "undecidable: the component search found nothing, its "
-                "completeness needs the quotient hypothesis (not "
-                "verifiable here), and exhaustive search exceeds the "
-                "size limits; pass --assume-sim-trivial to accept the "
-                "structured negative") from exc
+                "the component search found nothing, its completeness "
+                "needs the quotient hypothesis, which fails for this "
+                "quotient, and exhaustive search exceeds the size limits; "
+                "pass --assume-sim-trivial to accept the structured "
+                "negative") from exc
+        if phi is None:
+            notes.append("negative settled by exhaustive search")
+            return False, None, notes
+        notes.append("found by exhaustive search although the component "
+                     "search came up empty; the quotient hypothesis "
+                     "fails for this pair")
+        return True, {"kind": "lower", "phi": list(phi.images)}, notes
 
     if mode == "g2":
         g1, g2 = e1.g1, e1.g2
         if g1.is_abelian and g2.is_abelian and g1.order == g2.order:
             cert = g2_isomorphic_equal_order(e1, e2, limits)
             return cert is not None, cert.to_dict() if cert else None, notes
-        for phi in enumerate_isomorphisms(e1.group, e2.group, limits):
-            if decompose_hom(e1, e2, phi).phi22.is_trivial():
-                cert = g2_isomorphic_necessary(e1, e2, phi, limits)
-                return True, cert.to_dict(), notes
-        return False, None, notes
+        phi = brute_force_isomorphism(
+            e1.group, e2.group, limits=limits,
+            constraint=lambda m: decompose_hom(e1, e2, m).phi22.is_trivial())
+        if phi is None:
+            return False, None, notes
+        return True, g2_isomorphic_necessary(e1, e2, phi).to_dict(), notes
 
     if mode == "g1":
-        for phi in enumerate_isomorphisms(e1.group, e2.group, limits):
-            if decompose_hom(e1, e2, phi).phi11.is_trivial():
-                sim = _sim_status(e1.g2, limits)
-                if sim is True or assume:
-                    cert = g1_isomorphic_necessary(
-                        e1, e2, phi, assume_sim_trivial=assume, limits=limits)
-                    return True, cert.to_dict(), notes
-                notes.append(
-                    "certificate left as the raw map: component "
-                    "verification needs the quotient hypothesis "
-                    "(pass --assume-sim-trivial)")
-                return True, {"kind": "g1", "phi": list(phi.images)}, notes
-        return False, None, notes
+        phi = brute_force_isomorphism(
+            e1.group, e2.group, limits=limits,
+            constraint=lambda m: decompose_hom(e1, e2, m).phi11.is_trivial())
+        if phi is None:
+            return False, None, notes
+        if assume or sim_is_trivial(e1.g2):
+            cert = g1_isomorphic_necessary(e1, e2, phi,
+                                           assume_sim_trivial=assume)
+            return True, cert.to_dict(), notes
+        notes.append("certificate left as the raw map: component "
+                     "verification needs the quotient hypothesis "
+                     "(pass --assume-sim-trivial)")
+        return True, {"kind": "g1", "phi": list(phi.images)}, notes
 
     if mode == "g1g2":
         cert = g1g2_isomorphic(e1, e2, limits)
@@ -411,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ext1", help="extension JSON file")
     p.add_argument("ext2", help="extension JSON file")
     p.add_argument("--assume-sim-trivial", action="store_true",
-                   help="assert the quotient coboundary-triviality "
-                        "hypothesis where it cannot be verified")
+                   help="accept structured negatives as if the quotient "
+                        "coboundary-triviality hypothesis held")
     _add_output(p)
     _add_max_order(p)
     p.set_defaults(func=cmd_iso)

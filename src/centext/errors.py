@@ -55,12 +55,8 @@ class PreconditionViolated(ValueError):
 
 
 class HypothesisNotVerified(RuntimeError):
-    """A criterion needs coboundary-triviality of the carrier that could
-    not be verified and was not explicitly assumed."""
-
-
-class NonAbelianUnsupported(NotImplementedError):
-    """Requested computation is only implemented for abelian kernels."""
+    """A criterion needs coboundary-triviality of the quotient, which
+    fails for the given quotient and was not explicitly assumed."""
 
 
 class NotLowerIso(ValueError):

@@ -24,14 +24,10 @@ from .errors import (
     GroupMismatch,
     HypothesisNotVerified,
     NotAbelianCoefficients,
-    NonAbelianUnsupported,
-    SizeLimitExceeded,
 )
 from .groups import (
-    DEFAULT_LIMITS,
     FiniteGroup,
     GroupMap,
-    SearchLimits,
     Subgroup,
     subgroup_closure,
     validate_group,
@@ -346,17 +342,8 @@ class HomConditionReport:
         return all(self.conditions)
 
 
-def _require_sim_trivial(g2: FiniteGroup, assume: bool,
-                         limits: SearchLimits):
-    if assume:
-        return
-    try:
-        ok = sim_is_trivial(g2, limits)
-    except (NonAbelianUnsupported, SizeLimitExceeded) as exc:
-        raise HypothesisNotVerified(
-            "coboundary-triviality of the quotient could not be decided; "
-            "pass the assume flag to proceed") from exc
-    if not ok:
+def _require_sim_trivial(g2: FiniteGroup, assume: bool):
+    if not (assume or sim_is_trivial(g2)):
         raise HypothesisNotVerified(
             "the quotient has nontrivial self-coboundaries, so the "
             "component conditions are not known to characterize "
@@ -429,17 +416,16 @@ def hom_condition_failures(m: HomMatrix):
                   "pulled-back target cocycle times eta's coboundary", bad)
 
 
-def check_hom_conditions(m: HomMatrix, assume_sim_trivial: bool = False,
-                         limits: SearchLimits = DEFAULT_LIMITS
+def check_hom_conditions(m: HomMatrix, assume_sim_trivial: bool = False
                          ) -> HomConditionReport:
     """Evaluate the four conditions on a component matrix that
     characterize homomorphisms between the two carriers (under the
-    quotient coboundary-triviality hypothesis, which is verified or must
-    be assumed)."""
+    quotient coboundary-triviality hypothesis, which is decided by
+    sim_is_trivial unless assumed)."""
     src, tgt = m.source, m.target
     if src.g1 != tgt.g1 or src.g2 != tgt.g2:
         raise GroupMismatch("both carriers must sit over the same pair")
-    _require_sim_trivial(src.g2, assume_sim_trivial, limits)
+    _require_sim_trivial(src.g2, assume_sim_trivial)
     found = {c: witness for c, _, witness in hom_condition_failures(m)}
     return HomConditionReport(
         component_morphisms=1 not in found, morphism_witness=found.get(1),

@@ -420,6 +420,11 @@ class GroupMap:
         return self.images[a]
 
     def is_homomorphism(self) -> bool:
+        return self._is_homomorphism
+
+    @cached_property
+    def _is_homomorphism(self) -> bool:
+        # the map is immutable, so one full scan answers every later call
         n = self.dom.order
         t, s = self.dom.table, self.cod.table
         im = self.images

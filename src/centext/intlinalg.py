@@ -145,7 +145,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
     Pivot choice is the smallest nonzero absolute value, ties broken
     row-major, so the reduction (and therefore every downstream fixture)
-    is deterministic.  The recomposition u*a*v == s is asserted before
+    is deterministic.  The recomposition u*a*v == s is checked before
     returning.
     """
     nr, nc = a.rows, a.cols
@@ -272,7 +272,8 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         s=IntMatrix.from_rows(s), u=IntMatrix.from_rows(u),
         v=IntMatrix.from_rows(v),
         u_inv=IntMatrix.from_rows(ui), v_inv=IntMatrix.from_rows(vi))
-    assert mat_mul(mat_mul(res.u, a), res.v).data == res.s.data
+    if mat_mul(mat_mul(res.u, a), res.v).data != res.s.data:
+        raise AssertionError("u * a * v does not recompose to s")
     return res
 
 
@@ -539,7 +540,8 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
             diff = [a + (1 if i == j else 0) - b
                     for i, (a, b) in enumerate(zip(vx, vy))]
             rel.add(diff)
-    assert rel.index_in_ambient() == g.order
+    if rel.index_in_ambient() != g.order:
+        raise AssertionError("relation lattice index differs from |g|")
 
     rmat = IntMatrix.from_rows(rel.hnf_rows())
     snf = smith_normal_form(rmat)
@@ -577,7 +579,8 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
             rem //= factors[pos]
         images.append(element_from_digits(digits))
     to_group = GroupMap(dom=coord_group, cod=g, images=tuple(images))
-    assert to_group.is_bijective() and to_group.is_homomorphism()
+    if not (to_group.is_bijective() and to_group.is_homomorphism()):
+        raise AssertionError("coordinate map is not an isomorphism")
     return AbelianPresentation(group=g, invariant_factors=factors,
                                coord_group=coord_group, to_group=to_group,
                                to_coords=to_group.inverse())

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .errors import (
     ConditionsFailed,
     GroupMismatch,
-    NonAbelianUnsupported,
     NotG1Iso,
     NotG2Iso,
     NotLowerIso,
@@ -131,27 +130,29 @@ class IsoCertificate:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
     def components(self) -> HomMatrix:
+        """The four component maps.  A component the kind fixes as
+        trivial, or one left unset, is the trivial map, built only then."""
         src, tgt = self.source, self.target
-        triv11 = trivial_map(src.g1, tgt.g1)
-        triv12 = trivial_map(src.g2, tgt.g1)
-        triv21 = trivial_map(src.g1, tgt.g2)
-        triv22 = trivial_map(src.g2, tgt.g2)
         if self.kind == "upper":
-            phi12 = self.t_witness.t if self.t_witness is not None else triv12
-            parts = (self.sigma, phi12, triv21, self.rho)
+            t = self.t_witness.t if self.t_witness is not None else None
+            parts = (self.sigma, t, None, self.rho)
         elif self.kind == "lower":
-            parts = (self.sigma, triv12, self.delta or triv21, self.rho)
+            parts = (self.sigma, None, self.delta, self.rho)
         elif self.kind == "g2":
-            parts = (self.sigma, self.eta, self.delta, triv22)
+            parts = (self.sigma, self.eta, self.delta, None)
         elif self.kind == "g1":
-            parts = (triv11, self.eta, self.delta, self.rho)
+            parts = (None, self.eta, self.delta, self.rho)
         elif self.kind == "g1g2":
-            parts = (triv11, self.eta, self.delta, triv22)
+            parts = (None, self.eta, self.delta, None)
         else:
-            parts = (self.sigma, self.eta or triv12, self.delta or triv21,
-                     self.rho)
-        return HomMatrix(source=src, target=tgt, phi11=parts[0],
-                         phi12=parts[1], phi21=parts[2], phi22=parts[3])
+            parts = (self.sigma, self.eta, self.delta, self.rho)
+        slots = ((src.g1, tgt.g1), (src.g2, tgt.g1), (src.g1, tgt.g2),
+                 (src.g2, tgt.g2))
+        phi11, phi12, phi21, phi22 = (
+            trivial_map(*slot) if part is None else part
+            for part, slot in zip(parts, slots))
+        return HomMatrix(source=src, target=tgt, phi11=phi11, phi12=phi12,
+                         phi21=phi21, phi22=phi22)
 
     def materialize(self) -> GroupMap:
         """The carrier map; raises ConditionsFailed unless it is an
@@ -206,9 +207,10 @@ def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     g1, g2 = src.g1, src.g2
     triv = trivial_cocycle(g1, g2)
     inv2 = cocycle_inv(tgt.cocycle)
+    autos2 = enumerate_automorphisms(g2, limits)
     for sigma in enumerate_automorphisms(g1, limits):
         pushed = pushforward(sigma, src.cocycle)
-        for rho in enumerate_automorphisms(g2, limits):
+        for rho in autos2:
             w = are_cohomologous(triv, cocycle_mul(pushed,
                                                    pullback(inv2, rho)))
             if w is not None:
@@ -237,8 +239,8 @@ def _lower_problem(cert: IsoCertificate) -> str | None:
     return _first_failure(cert.components())
 
 
-def lower_necessary(e1, e2, phi: GroupMap, assume_sim_trivial: bool = False,
-                    limits: SearchLimits = DEFAULT_LIMITS) -> IsoCertificate:
+def lower_necessary(e1, e2, phi: GroupMap,
+                    assume_sim_trivial: bool = False) -> IsoCertificate:
     """Extract and verify the certificate that must exist behind any
     section-preserving isomorphism (quotient coboundary-triviality
     hypothesis required).
@@ -254,7 +256,7 @@ def lower_necessary(e1, e2, phi: GroupMap, assume_sim_trivial: bool = False,
         raise NotLowerIso("phi is not an isomorphism of the carriers")
     if not preserves_section_setwise(src, tgt, phi):
         raise NotLowerIso("phi does not map the section copy onto itself")
-    _require_sim_trivial(src.g2, assume_sim_trivial, limits)
+    _require_sim_trivial(src.g2, assume_sim_trivial)
     m = decompose_hom(src, tgt, phi)
     if not m.phi12.is_trivial():
         raise ConditionsFailed("section-preserving map leaked a component")
@@ -266,8 +268,7 @@ def lower_necessary(e1, e2, phi: GroupMap, assume_sim_trivial: bool = False,
     return cert
 
 
-def lower_sufficient(cert: IsoCertificate,
-                     limits: SearchLimits = DEFAULT_LIMITS) -> GroupMap:
+def lower_sufficient(cert: IsoCertificate) -> GroupMap:
     """Materialize a section-preserving isomorphism from certificate
     fields satisfying the finite converse conditions.
 
@@ -295,8 +296,9 @@ def lower_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     _same_pair(src, tgt)
     g1, g2 = src.g1, src.g2
     homs21 = enumerate_homs(g1, g2, limits)
+    autos2 = enumerate_automorphisms(g2, limits)
     for sigma in enumerate_automorphisms(g1, limits):
-        for rho in enumerate_automorphisms(g2, limits):
+        for rho in autos2:
             for delta in homs21:
                 cert = IsoCertificate(kind="lower", source=src, target=tgt,
                                       sigma=sigma, rho=rho, delta=delta)
@@ -324,13 +326,13 @@ def lower_b2trivial(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     src, tgt = _as_extension(e1), _as_extension(e2)
     _same_pair(src, tgt)
     g1, g2 = src.g1, src.g2
-    space = compute_cocycle_space(g1, g1, limits)
-    if space.b2_order != 1:
+    if not sim_is_trivial(g1):
         raise PreconditionViolated(
             "kernel group has nontrivial self-coboundaries")
     t1, t2 = src.cocycle.table, tgt.cocycle.table
+    autos2 = enumerate_automorphisms(g2, limits)
     for sigma in enumerate_automorphisms(g1, limits):
-        for rho in enumerate_automorphisms(g2, limits):
+        for rho in autos2:
             if all(t2[rho.images[y]][rho.images[yp]]
                    == sigma.images[t1[y][yp]]
                    for y in range(g2.order) for yp in range(g2.order)):
@@ -369,8 +371,7 @@ def simple_quotient_check(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
 
 
 def build_purely_nonabelian_iso(sigma: GroupMap, eta: GroupMap,
-                                delta: GroupMap, rho: GroupMap, e1, e2,
-                                limits: SearchLimits = DEFAULT_LIMITS
+                                delta: GroupMap, rho: GroupMap, e1, e2
                                 ) -> GroupMap:
     """Assemble an isomorphism from the four component maps when the
     quotient is purely non-abelian.
@@ -412,9 +413,7 @@ def build_purely_nonabelian_iso(sigma: GroupMap, eta: GroupMap,
 # one trivial diagonal component
 
 
-def g2_isomorphic_necessary(e1, e2, phi: GroupMap,
-                            limits: SearchLimits = DEFAULT_LIMITS
-                            ) -> IsoCertificate:
+def g2_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     """Extract and verify the certificate behind an isomorphism whose
     section-to-section component is trivial.
 
@@ -464,8 +463,7 @@ def g2_isomorphic_equal_order(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
 
 
 def g1_isomorphic_necessary(e1, e2, phi: GroupMap,
-                            assume_sim_trivial: bool = False,
-                            limits: SearchLimits = DEFAULT_LIMITS
+                            assume_sim_trivial: bool = False
                             ) -> IsoCertificate:
     """Extract and verify the certificate behind an isomorphism whose
     kernel-to-kernel component is trivial (quotient coboundary-
@@ -481,7 +479,7 @@ def g1_isomorphic_necessary(e1, e2, phi: GroupMap,
     m = decompose_hom(src, tgt, phi)
     if not m.phi11.is_trivial():
         raise NotG1Iso("phi has a nontrivial kernel-to-kernel component")
-    _require_sim_trivial(src.g2, assume_sim_trivial, limits)
+    _require_sim_trivial(src.g2, assume_sim_trivial)
     n1 = src.g1.order
     _require(m, (len(set(m.phi21.images)) == n1, "delta is not injective"),
              (set(m.phi12.images) == set(range(n1)), "eta is not surjective"),
@@ -540,12 +538,6 @@ def oracle_iso_survey(src: ExtensionGroup, tgt: ExtensionGroup,
     return verdicts
 
 
-def _iter_constrained(src, tgt, predicate, limits):
-    for phi in enumerate_isomorphisms(src.group, tgt.group, limits):
-        if predicate(src, tgt, phi):
-            yield phi
-
-
 def verify_theorems(pairs=None, max_order: int = 16,
                     limits: SearchLimits = DEFAULT_LIMITS) -> dict:
     """Cross-validate every structured criterion against brute-force
@@ -554,8 +546,8 @@ def verify_theorems(pairs=None, max_order: int = 16,
 
     Statements proved without the quotient coboundary-triviality
     hypothesis are flagged as discrepancies when violated; the
-    hypothesis-dependent ones are flagged only where the hypothesis is
-    verified, and logged as observations elsewhere.  The report is
+    hypothesis-dependent ones are flagged where sim_is_trivial says the
+    hypothesis holds, and logged as observations elsewhere.  The report is
     machine-readable and the discrepancy list must come back empty.
     """
     from .catalog import get_group
@@ -589,11 +581,9 @@ def verify_theorems(pairs=None, max_order: int = 16,
                 limit=max_order, needed=order)
         space = compute_cocycle_space(g1, g2, limits)
         exts = [build_extension(rep) for rep in space.class_representatives]
-        try:
-            sim_ok = sim_is_trivial(g2, limits)
-        except (NonAbelianUnsupported, SizeLimitExceeded):
-            sim_ok = None
-        b2_kernel_trivial = compute_cocycle_space(g1, g1, limits).b2_order == 1
+        sim_ok = sim_is_trivial(g2)
+        settle = flag if sim_ok else observe
+        b2_kernel_trivial = sim_is_trivial(g1)
         pair_entry = {"g1": g1.name or f"order{g1.order}",
                       "g2": g2.name or f"order{g2.order}",
                       "class_count": len(exts),
@@ -656,13 +646,8 @@ def verify_theorems(pairs=None, max_order: int = 16,
                             flag(record, "lower_certificate_vs_oracle", {})
                     elif oracle["lower"]:
                         # completeness of the search needs the hypothesis
-                        if sim_ok:
-                            flag(record, "lower_oracle_without_certificate",
-                                 {})
-                        else:
-                            observe(record,
-                                    "lower_oracle_without_certificate",
-                                    {"sim_trivial": sim_ok})
+                        settle(record, "lower_oracle_without_certificate",
+                               {} if sim_ok else {"sim_trivial": False})
 
                 triple_cert = lower_isomorphic(src, tgt, limits)
                 record["criteria"]["lower_triple_search"] = (
@@ -670,27 +655,22 @@ def verify_theorems(pairs=None, max_order: int = 16,
                 if triple_cert is not None and not oracle["lower"]:
                     flag(record, "lower_triple_vs_oracle", {})
                 elif triple_cert is None and oracle["lower"]:
-                    if sim_ok:
-                        flag(record, "lower_oracle_without_triple", {})
-                    else:
-                        observe(record, "lower_oracle_without_triple",
-                                {"sim_trivial": sim_ok})
+                    settle(record, "lower_oracle_without_triple",
+                           {} if sim_ok else {"sim_trivial": False})
 
-                for phi in _iter_constrained(src, tgt,
-                                             preserves_section_setwise,
-                                             limits):
+                # every isomorphism, decomposed once, for the extractors
+                isos = [(phi, decompose_hom(src, tgt, phi)) for phi in
+                        enumerate_isomorphisms(src.group, tgt.group, limits)]
+                for phi, _ in isos:
+                    if not preserves_section_setwise(src, tgt, phi):
+                        continue
                     try:
                         lc = lower_necessary(src, tgt, phi,
-                                             assume_sim_trivial=not sim_ok,
-                                             limits=limits)
-                        lower_sufficient(lc, limits)
+                                             assume_sim_trivial=not sim_ok)
+                        lower_sufficient(lc)
                     except ConditionsFailed as exc:
-                        if sim_ok:
-                            flag(record, "lower_necessary_failed",
-                                 {"error": str(exc)})
-                        else:
-                            observe(record, "lower_necessary_failed",
-                                    {"error": str(exc)})
+                        settle(record, "lower_necessary_failed",
+                               {"error": str(exc)})
 
                 # trivial diagonal components
                 if equal_order_abelian:
@@ -713,34 +693,25 @@ def verify_theorems(pairs=None, max_order: int = 16,
                          {"criterion": g1g2cert is not None,
                           "oracle": oracle["g1g2"]})
 
-                def phi22_trivial(s, t, phi):
-                    return decompose_hom(s, t, phi).phi22.is_trivial()
-
-                for phi in _iter_constrained(src, tgt, phi22_trivial,
-                                             limits):
+                for phi, m in isos:
+                    if not m.phi22.is_trivial():
+                        continue
                     try:
-                        g2_isomorphic_necessary(src, tgt, phi, limits)
+                        g2_isomorphic_necessary(src, tgt, phi)
                     except ConditionsFailed as exc:
                         # stated without the hypothesis; log, do not flag
                         observe(record, "g2_necessary_failed",
                                 {"error": str(exc)})
 
-                def phi11_trivial(s, t, phi):
-                    return decompose_hom(s, t, phi).phi11.is_trivial()
-
-                for phi in _iter_constrained(src, tgt, phi11_trivial,
-                                             limits):
+                for phi, m in isos:
+                    if not m.phi11.is_trivial():
+                        continue
                     try:
                         g1_isomorphic_necessary(
-                            src, tgt, phi, assume_sim_trivial=not sim_ok,
-                            limits=limits)
+                            src, tgt, phi, assume_sim_trivial=not sim_ok)
                     except ConditionsFailed as exc:
-                        if sim_ok:
-                            flag(record, "g1_necessary_failed",
-                                 {"error": str(exc)})
-                        else:
-                            observe(record, "g1_necessary_failed",
-                                    {"error": str(exc)})
+                        settle(record, "g1_necessary_failed",
+                               {"error": str(exc)})
 
                 pair_entry["records"].append(record)
         report["pairs"].append(pair_entry)

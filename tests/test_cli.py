@@ -133,6 +133,8 @@ def ext_files(tmp_path):
         "zb": write_ext(tmp_path, "zb.json", "Z2", "K4", class_index=5),
         "s30": write_ext(tmp_path, "s30.json", "Z2", "S3", class_index=0),
         "s31": write_ext(tmp_path, "s31.json", "Z2", "S3", class_index=1),
+        "d40": write_ext(tmp_path, "d40.json", "Z2", "D4", class_index=0),
+        "d41": write_ext(tmp_path, "d41.json", "Z2", "D4", class_index=1),
     }
 
 
@@ -199,7 +201,9 @@ class TestIso:
         assert code == 1
 
     def test_undecidable_lower_exits_four(self, ext_files, capsys):
-        argv = ["iso", "lower", ext_files["s30"], ext_files["s31"],
+        # the D4 quotient has a nontrivial center, so the hypothesis
+        # fails, and the order-16 carriers exceed the search bound
+        argv = ["iso", "lower", ext_files["d40"], ext_files["d41"],
                 "--max-order", "8"]
         code, _, err = run_cli(argv, capsys)
         assert code == 4
@@ -213,9 +217,17 @@ class TestIso:
                                                               ext_files,
                                                               capsys):
         code, payload, _ = run_cli(
-            ["iso", "lower", ext_files["s30"], ext_files["s31"]], capsys)
+            ["iso", "lower", ext_files["d40"], ext_files["d41"]], capsys)
         assert code == 1
-        assert any("exhaustive" in n for n in payload["notes"])
+        assert payload["notes"] == ["negative settled by exhaustive search"]
+
+    def test_centerless_quotient_settles_lower_without_search(
+            self, ext_files, capsys):
+        code, payload, _ = run_cli(
+            ["iso", "lower", ext_files["s30"], ext_files["s31"],
+             "--max-order", "8"], capsys)
+        assert code == 1
+        assert any("verified" in n for n in payload["notes"])
 
     def test_mismatched_pairs_exit_two(self, ext_files, capsys):
         code, _, err = run_cli(
@@ -266,6 +278,14 @@ class TestVerify:
                     for o in payload["logged_observations"]]
         assert observed == [("g1_necessary_failed",
                              "section component is not an endomorphism")] * 64
+
+    def test_centerless_quotients_are_decided(self, capsys):
+        code, payload, _ = run_cli(
+            ["verify", "Z2:S3", "Z3:S3", "--max-order", "18"], capsys)
+        assert code == 0
+        assert payload["discrepancy_count"] == 0
+        assert [p["sim_trivial"] for p in payload["pairs"]] == [True, True]
+        assert payload["skipped_pairs"] == []
 
     def test_zero_bound_is_an_empty_run(self, capsys):
         code, payload, _ = run_cli(["verify", "--max-order", "0"], capsys)

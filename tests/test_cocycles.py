@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centext.catalog import get_group
+from centext.catalog import catalog_names, get_group
 from centext.cocycles import (
     CocycleSpace,
     Cocycle2,
@@ -28,7 +28,6 @@ from centext.errors import (
     GroupMismatch,
     NotAbelianCoefficients,
     NotNormalized,
-    NonAbelianUnsupported,
     PreconditionViolated,
     SizeLimitExceeded,
 )
@@ -312,6 +311,26 @@ class TestExhaustiveLarger:
         assert space.h2_invariant_factors == (2,) * 6
 
 
+def sim_trivial_by_scan(g2):
+    """Independent oracle for sim_is_trivial: search every normalized
+    t: g2 -> g2 for a coboundary that is nontrivial, central-valued and
+    a cocycle over g2 itself."""
+    n = g2.order
+    mul, inv = g2.table, g2.inverses
+    central = {z for z in range(n)
+               if all(mul[z][x] == mul[x][z] for x in range(n))}
+    for images in itertools.product(range(n), repeat=n - 1):
+        t = (0,) + images
+        tab = tuple(tuple(mul[mul[t[g]][inv[t[mul[h][g]]]]][t[h]]
+                          for g in range(n)) for h in range(n))
+        if all(v == 0 for row in tab for v in row):
+            continue
+        if all(v in central for row in tab for v in row) and is_cocycle(
+                g2, g2, tab)[0]:
+            return False
+    return True
+
+
 class TestSimTriviality:
     def test_small_abelian(self):
         assert sim_is_trivial(get_group("Z1"))
@@ -320,9 +339,20 @@ class TestSimTriviality:
         assert not sim_is_trivial(get_group("Z4"))
         assert not sim_is_trivial(get_group("K4"))
 
-    def test_nonabelian_unsupported(self):
-        with pytest.raises(NonAbelianUnsupported):
-            sim_is_trivial(get_group("S3"))
+    def test_kernel_side_matches_the_coboundary_count(self):
+        # for abelian g, B^2(g, g) = 1 exactly when sim_is_trivial(g)
+        for name in ("Z1", "Z2", "Z3", "Z4", "Z5", "K4"):
+            g = get_group(name)
+            assert sim_is_trivial(g) == (
+                compute_cocycle_space(g, g).b2_order == 1), name
+
+    def test_closed_form_matches_exhaustive_scan(self):
+        groups = [g for g in map(get_group, catalog_names()) if g.order <= 8]
+        assert len(groups) == 14
+        for g in groups:
+            assert sim_is_trivial(g) == sim_trivial_by_scan(g), g.name
+        assert sim_is_trivial(get_group("S3"))
+        assert not sim_is_trivial(get_group("D4"))
 
 
 class TestEpsilonEndomorphism:

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -135,6 +136,19 @@ class TestCertificate:
                               env={**os.environ, "PYTHONPATH": src_dir},
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements, so no check may be one
+    pkg_dir = os.path.dirname(centext.__file__)
+    found = []
+    for name in sorted(os.listdir(pkg_dir)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg_dir, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 class TestUpperIsomorphic:
