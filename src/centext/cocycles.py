@@ -7,15 +7,17 @@ space computations (the general table type also carries the
 g2-coefficient cocycles used by composition lemmas, where no group
 structure on the value set is needed beyond the identity check).
 
-The space computation never enumerates candidate tables: it splits g1
-into invariant-factor coordinates and solves one integer congruence
-system per coordinate, so Z^2, B^2 and H^2 come out of lattice indices
-and one Smith normal form.
+The space computation enumerates neither candidate tables nor B^2: it
+splits g1 into invariant-factor coordinates and, for each factor d,
+keeps Z^2 and B^2 as echelon lattices mod d.  H^2 comes from a small
+Smith normal form of the relations among the Z^2 rows mod B^2, and
+each class representative from one greedy pass against B^2's rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,12 +37,12 @@ from .groups import (
     GroupMap,
     SearchLimits,
     center,
+    generating_sequence,
 )
 from .intlinalg import (
     IntLattice,
     IntMatrix,
     abelian_invariants,
-    express_in_hnf,
     smith_normal_form,
     solve_linear_mod,
 )
@@ -205,17 +207,8 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     diff = [[g1.table[e2.table[h][g]][g1.inverses[e1.table[h][g]]]
              for g in range(n2)] for h in range(n2)]
     # psi_t(h,g) = t(g) - t(hg) + t(h) must equal diff, coordinatewise
-    rows = []
     pairs = [(h, g) for h in range(1, n2) for g in range(1, n2)]
-    for h, g in pairs:
-        row = [0] * (n2 - 1)
-        hg = g2.table[h][g]
-        row[g - 1] += 1
-        row[h - 1] += 1
-        if hg != 0:
-            row[hg - 1] -= 1
-        rows.append(row)
-    a = IntMatrix.from_rows(rows)
+    a = _coboundary_matrix(g2)
 
     t_coords = [[0] * len(pres.invariant_factors) for _ in range(n2)]
     for ci, d in enumerate(pres.invariant_factors):
@@ -348,59 +341,142 @@ class CocycleSpace:
 
 
 @lru_cache(maxsize=None)
-def _constraint_matrix(g2: FiniteGroup):
-    """Integer coefficient matrix of the cocycle identity over the
-    nonidentity pairs of g2 (triples touching the identity are vacuous)."""
+def _cocycle_columns(g2: FiniteGroup):
+    """The cocycle identity over g2 as a sparse integer system: the
+    nonidentity pairs (h, g), which are the unknowns, and for each of
+    them its column {equation: coefficient}.
+
+    The equations are e(h,g) + e(hg,k) - e(g,k) - e(h,gk) = 0 for
+    nonidentity h, k and g in generating_sequence(g2) only (triples
+    touching the identity are vacuous for normalized tables).  That
+    loses nothing, by Light's associativity argument: on g1 x g2 put
+    (a, h)(b, k) = (a + b + e(h, k), hk), which is associative exactly
+    when e satisfies the identity for all triples.  The middles m with
+    (xm)y = x(my) for all x, y are closed under the product: for two
+    of them, (x(m m'))y = ((xm)m')y = (xm)(m'y) = x(m(m'y)) =
+    x((m m')y).  Normalization makes every (a, 1) such a middle, the
+    equations above make every (0, g) with g a generator one, and
+    products of these give all of g1 x g2 because g2 is finite.
+    """
     n2 = g2.order
     pairs = [(h, g) for h in range(1, n2) for g in range(1, n2)]
-    index = {p: i for i, p in enumerate(pairs)}
-    rows = []
+    columns = [{} for _ in pairs]
+    neq = 0
     for h in range(1, n2):
-        for g in range(1, n2):
+        for g in generating_sequence(g2):
             hg = g2.table[h][g]
             for k in range(1, n2):
                 gk = g2.table[g][k]
-                coeff = {}
-                for pair, sign in (((h, g), 1), ((hg, k), 1),
-                                   ((g, k), -1), ((h, gk), -1)):
-                    if 0 in pair:
-                        continue
-                    coeff[pair] = coeff.get(pair, 0) + sign
-                row = [0] * len(pairs)
-                for pair, cval in coeff.items():
-                    row[index[pair]] = cval
-                rows.append(row)
-    return pairs, IntMatrix.from_rows(rows)
+                for (x, y), sign in (((h, g), 1), ((hg, k), 1),
+                                     ((g, k), -1), ((h, gk), -1)):
+                    if x and y:
+                        col = columns[(x - 1) * (n2 - 1) + y - 1]
+                        col[neq] = col.get(neq, 0) + sign
+                neq += 1
+    return pairs, neq, columns
 
 
-def _coboundary_generators(g2: FiniteGroup, pairs):
-    """Image of the unit delta-map at each nonidentity point under the
-    coboundary map, as integer vectors over the pair coordinates."""
+@lru_cache(maxsize=None)
+def _coboundary_matrix(g2: FiniteGroup) -> IntMatrix:
+    """The coboundary map t -> psi_t on normalized maps: one row per
+    nonidentity pair (h, g), one column per nonidentity point w, so
+    column w is the coboundary of the unit map at w."""
     n2 = g2.order
-    out = []
-    for w in range(1, n2):
-        vec = [0] * len(pairs)
-        for i, (h, g) in enumerate(pairs):
-            hg = g2.table[h][g]
-            val = (1 if g == w else 0) - (1 if hg == w else 0) \
-                + (1 if h == w else 0)
-            vec[i] = val
-        out.append(vec)
-    return out
+    return IntMatrix.from_rows(
+        [[(g == w) - (g2.table[h][g] == w) + (h == w) for w in range(1, n2)]
+         for h in range(1, n2) for g in range(1, n2)])
 
 
-def _lattice_from_rows(ncols, rows):
-    lat = IntLattice(ncols)
-    for r in rows:
-        lat.add(r)
-    return lat
+@dataclass(frozen=True)
+class _Coordinate:
+    """Z^2, B^2 and the H^2 classes of one invariant factor d of g1,
+    as lattices mod d over the pair slots."""
+
+    d: int
+    z: IntLattice
+    b: IntLattice
+    z_order: int
+    b_order: int
+    factors: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
+    pairs, neq, columns = _cocycle_columns(g2)
+    npairs = len(pairs)
+    # Z^2: the rows of the echelon form of [A^T | I] whose A part
+    # vanishes carry the kernel of A in their I part
+    system = IntLattice(neq + npairs, d)
+    for j, col in enumerate(columns):
+        row = [0] * (neq + npairs)
+        for eq, coeff in col.items():
+            row[eq] = coeff
+        row[neq + j] = 1
+        system.add(row)
+    z = system.tail(neq)
+    b = IntLattice(npairs, d)
+    for vec in _coboundary_matrix(g2).transpose().data:
+        b.add(vec)
+    z_order = d ** npairs // z.index_in_ambient()
+    b_order = d ** npairs // b.index_in_ambient()
+
+    # H^2 = Z^2 / B^2 is generated by the residues of the Z^2 rows mod
+    # B^2; its relations are the vectors c with sum c_i res_i in B^2
+    residues = [res for res in (b.reduce(z.pivot_rows[p])
+                                for p in sorted(z.pivot_rows)) if any(res)]
+    k = len(residues)
+    rel = IntLattice(npairs + k, d)
+    for row in b.pivot_rows.values():
+        rel.add(row + [0] * k)
+    for i, res in enumerate(residues):
+        rel.add(res + [int(j == i) for j in range(k)])
+    quot = rel.tail(npairs)
+    if quot.index_in_ambient() != z_order // b_order:
+        raise AssertionError("|H^2| disagrees with |Z^2| / |B^2|")
+    diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
+
+    # one vector per class: the box of the relation lattice's pivots
+    classes = []
+    for coeffs in itertools.product(*(range(quot.pivot(j)) for j in range(k))):
+        vec = [0] * npairs
+        for c, res in zip(coeffs, residues):
+            vec = [(x + c * y) % d for x, y in zip(vec, res)]
+        classes.append(tuple(vec))
+    return _Coordinate(d=d, z=z, b=b, z_order=z_order, b_order=b_order,
+                       factors=tuple(x for x in diag if x > 1),
+                       classes=tuple(classes))
+
+
+def _least_in_coset(coords, vecs, element_of, npairs):
+    """Element indices, slot by slot, of the lex-least table in the coset
+    of the coordinate vectors vecs mod B^2.
+
+    In a full-rank triangular basis, the coset members that agree on
+    the slots before i differ at slot i by exactly the multiples of
+    B^2's pivot there, and the freedom left lies in the rows below i;
+    so each slot takes its least element index among those admissible
+    coordinate tuples, fixed by adding that multiple of row i."""
+    vecs = [list(v) for v in vecs]
+    values = []
+    for i in range(npairs):
+        best = min(itertools.product(*(
+            range(v[i] % c.b.pivot(i), c.d, c.b.pivot(i))
+            for c, v in zip(coords, vecs))), key=element_of)
+        for c, v, x in zip(coords, vecs, best):
+            if x != v[i]:
+                q = (x - v[i]) // c.b.pivot(i)
+                row = c.b.pivot_rows[i]
+                v[i:] = [(a + q * r) % c.d for a, r in zip(v[i:], row[i:])]
+        values.append(element_of(best))
+    return values
 
 
 @lru_cache(maxsize=None)
 def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup,
                           limits: SearchLimits = DEFAULT_LIMITS) -> CocycleSpace:
-    """Z^2, B^2, H^2 with class representatives, via one congruence
-    solve per invariant factor of g1."""
+    """Z^2, B^2, H^2 with class representatives, via lattices mod each
+    invariant factor of g1."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
@@ -419,153 +495,57 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup,
             limit=limits.max_cocycle_unknowns, needed=npairs)
 
     pres = abelian_invariants(g1)
-    pairs, amat = _constraint_matrix(g2)
-    cob_gens = _coboundary_generators(g2, pairs)
+    pairs = _cocycle_columns(g2)[0]
+    coords = [_solve_coordinate(g2, d) for d in pres.invariant_factors]
 
-    per_coord = []
-    solved = {}
-    for d in pres.invariant_factors:
-        if d in solved:
-            per_coord.append(solved[d])
-            continue
-        res = solve_linear_mod(amat, [d] * amat.rows, [0] * amat.rows)
-        z_rows = [list(r) for r in res.kernel]
-        z_lat = _lattice_from_rows(npairs, z_rows)
-        z_count = d ** npairs // z_lat.index_in_ambient()
-
-        b_lat = IntLattice(npairs)
-        for vec in cob_gens:
-            b_lat.add(vec)
-        for i in range(npairs):
-            unit = [0] * npairs
-            unit[i] = d
-            b_lat.add(unit)
-        b_count = d ** npairs // b_lat.index_in_ambient()
-
-        z_hnf = z_lat.hnf_rows()
-        b_hnf = b_lat.hnf_rows()
-        xrows = []
-        for row in b_hnf:
-            coeffs = express_in_hnf(z_hnf, row)
-            if coeffs is None:
-                raise AssertionError("coboundary outside the cocycle lattice")
-            xrows.append(coeffs)
-        snf = smith_normal_form(IntMatrix.from_rows(xrows))
-        diag = snf.s.diagonal
-        if not all(x > 0 for x in diag):
-            raise AssertionError("B^2 has infinite index in Z^2")
-        factors = tuple(x for x in diag if x > 1)
-        h_count = 1
-        for x in diag:
-            h_count *= x
-        if h_count != z_count // b_count:
-            raise AssertionError("|H^2| disagrees with |Z^2| / |B^2|")
-
-        # coset representatives of the quotient: digit tuples m against
-        # the SNF diagonal, pulled back through v_inv and the Z^2 basis
-        reps = []
-        for m in itertools.product(*(range(x) for x in diag)):
-            coeff = [0] * len(diag)
-            for i, mi in enumerate(m):
-                if mi == 0:
-                    continue
-                for j in range(len(diag)):
-                    coeff[j] += mi * snf.v_inv.data[i][j]
-            vec = [0] * npairs
-            for cj, zrow in zip(coeff, z_hnf):
-                if cj:
-                    vec = [a + cj * b for a, b in zip(vec, zrow)]
-            reps.append(tuple(v % d for v in vec))
-
-        # every element of B^2 mod d, for lex-minimizing coset members
-        b_elems = {(0,) * npairs}
-        frontier = [(0,) * npairs]
-        while frontier:
-            cur = frontier.pop()
-            for genvec in cob_gens:
-                nxt = tuple((a + b) % d for a, b in zip(cur, genvec))
-                if nxt not in b_elems:
-                    b_elems.add(nxt)
-                    frontier.append(nxt)
-        if len(b_elems) != b_count:
-            raise AssertionError("enumerated B^2 disagrees with its index")
-
-        entry = {
-            "d": d, "z_count": z_count, "b_count": b_count,
-            "factors": factors, "reps": reps, "b_elems": sorted(b_elems),
-            "z_hnf": z_hnf,
-        }
-        solved[d] = entry
-        per_coord.append(entry)
-
-    def table_from_coordvecs(vecs):
+    def table_from_values(values):
         tab = [[0] * n2 for _ in range(n2)]
-        for i, (h, g) in enumerate(pairs):
-            coords = tuple(vec[i] for vec in vecs)
-            tab[h][g] = pres.element_of(coords)
+        for (h, g), x in zip(pairs, values):
+            tab[h][g] = x
         return tuple(tuple(r) for r in tab)
 
-    z2_order = 1
-    b2_order = 1
-    for pc in per_coord:
-        z2_order *= pc["z_count"]
-        b2_order *= pc["b_count"]
-
-    # combined invariant factors: merge the per-coordinate chains
-    all_factors = []
-    for pc in per_coord:
-        all_factors.extend(pc["factors"])
-    h2_factors = _merge_invariant_factors(all_factors)
-
     # one representative per combined class, lex-least table in its coset
-    rep_tables = []
-    for choice in itertools.product(*(range(len(pc["reps"]))
-                                      for pc in per_coord)):
-        base = [pc["reps"][ci] for pc, ci in zip(per_coord, choice)]
-        best = None
-        for shift in itertools.product(*(pc["b_elems"] for pc in per_coord)):
-            vecs = [tuple((a + s) % pc["d"] for a, s in zip(vec, sh))
-                    for pc, vec, sh in zip(per_coord, base, shift)]
-            tab = table_from_coordvecs(vecs)
-            if best is None or tab < best:
-                best = tab
-        rep_tables.append(best)
-    rep_tables.sort()
+    rep_tables = sorted(
+        table_from_values(_least_in_coset(coords, vecs, pres.element_of,
+                                          npairs))
+        for vecs in itertools.product(*(c.classes for c in coords)))
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
         raise AssertionError("the trivial class is not listed first")
     class_reps = tuple(Cocycle2(g1=g1, g2=g2, table=t) for t in rep_tables)
 
     z2_gens = []
     seen = set()
-    for ci, pc in enumerate(per_coord):
-        for row in pc["z_hnf"]:
-            vecs = [(0,) * npairs] * len(per_coord)
-            vecs[ci] = tuple(v % pc["d"] for v in row)
-            tab = table_from_coordvecs(vecs)
-            if any(v != 0 for r in tab for v in r) and tab not in seen:
+    for ci, c in enumerate(coords):
+        for row in c.z.hnf_rows():
+            digits = [(0,) * npairs] * len(coords)
+            digits[ci] = [v % c.d for v in row]
+            if not any(digits[ci]):
+                continue
+            tab = table_from_values(
+                pres.element_of(t) for t in zip(*digits))
+            if tab not in seen:
                 seen.add(tab)
                 z2_gens.append(Cocycle2(g1=g1, g2=g2, table=tab))
 
     b2_gens = []
     seen = set()
-    for ci, pc in enumerate(per_coord):
+    for ci in range(len(coords)):
+        unit = pres.element_of(tuple(int(j == ci) for j in range(len(coords))))
         for w in range(1, n2):
             # delta sending w to the ci-th coordinate unit, 0 elsewhere
-            unit = [0] * len(per_coord)
-            unit[ci] = 1
-            images = [0] * n2
-            images[w] = pres.element_of(tuple(unit))
-            delta = GroupMap(dom=g2, cod=g1, images=tuple(images))
-            psi = coboundary_from(delta)
+            psi = coboundary_from(GroupMap(dom=g2, cod=g1, images=tuple(
+                unit if y == w else 0 for y in range(n2))))
             if not psi.is_trivial() and psi.table not in seen:
                 seen.add(psi.table)
                 b2_gens.append(psi)
 
     return CocycleSpace(g1=g1, g2=g2, z2_generators=tuple(z2_gens),
                         b2_generators=tuple(b2_gens),
-                        h2_invariant_factors=h2_factors,
+                        h2_invariant_factors=_merge_invariant_factors(
+                            [f for c in coords for f in c.factors]),
                         class_representatives=class_reps,
-                        z2_order=z2_order, b2_order=b2_order)
+                        z2_order=math.prod(c.z_order for c in coords),
+                        b2_order=math.prod(c.b_order for c in coords))
 
 
 def _merge_invariant_factors(factors) -> tuple[int, ...]:

@@ -1,10 +1,10 @@
 """Exact integer linear algebra for finite abelian groups.
 
 Smith normal form with tracked unimodular transforms (and their
-inverses), a row-style Hermite lattice accumulator, linear congruence
-systems with per-row moduli, and invariant-factor decompositions of
-abelian Cayley tables.  Everything runs over unbounded Python integers;
-no floating point anywhere.
+inverses), an echelon lattice accumulator modulo an integer (Howell
+form), linear congruence systems with per-row moduli, and
+invariant-factor decompositions of abelian Cayley tables.  Everything
+runs over unbounded Python integers; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -278,108 +278,114 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
 
 # ---------------------------------------------------------------------------
-# row-lattice accumulator
+# lattices modulo an integer
 
 
 class IntLattice:
-    """Sublattice of Z^n maintained as xgcd-reduced rows keyed by pivot
-    column.  add() keeps the row set in echelon form, so membership and
-    Hermite normal form are cheap afterwards."""
+    """The sublattice of Z^n spanned by the added rows together with
+    modulus * Z^n, kept as one echelon row per pivot column.
 
-    def __init__(self, ncols: int):
+    Stored entries are reduced into [0, modulus) and every stored pivot
+    is a proper divisor of the modulus; a column without a stored row
+    has the implicit pivot row modulus * e_j.  Together these rows form
+    a triangular basis of the lattice, so (Howell's property) the rows
+    with pivot column >= k span exactly the lattice vectors that vanish
+    before column k, and reduce() returns a canonical coset
+    representative.
+    """
+
+    def __init__(self, ncols: int, modulus: int):
+        if modulus <= 0:
+            raise ValueError("the modulus must be positive")
         self.ncols = ncols
+        self.modulus = modulus
         self.pivot_rows: dict[int, list[int]] = {}
-
-    def _reduce(self, vec):
-        """Reduce vec against the current rows; returns the (possibly
-        nonzero) remainder without inserting it."""
-        v = list(vec)
-        for p in sorted(self.pivot_rows):
-            if v[p] == 0:
-                continue
-            r = self.pivot_rows[p]
-            q = v[p] // r[p]
-            if q:
-                v = [a - q * b for a, b in zip(v, r)]
-        return v
 
     def add(self, vec) -> bool:
         """Insert vec; True iff the lattice grew."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length mismatch")
-        v = list(vec)
+        m = self.modulus
+        v = [x % m for x in vec]
         grew = False
+        p = 0
         while True:
-            p = next((i for i, x in enumerate(v) if x != 0), None)
+            p = next((i for i in range(p, self.ncols) if v[i]), None)
             if p is None:
                 return grew
             r = self.pivot_rows.get(p)
             if r is None:
-                if v[p] < 0:
-                    v = [-x for x in v]
-                self.pivot_rows[p] = v
-                return True
+                r = [0] * self.ncols
+                r[p] = m
             a, b = r[p], v[p]
             if b % a == 0:
                 q = b // a
-                v = [x - q * y for x, y in zip(v, r)]
-            else:
-                g, p_, q_ = xgcd(a, b)
-                new_r = [p_ * x + q_ * y for x, y in zip(r, v)]
-                new_v = [(a // g) * y - (b // g) * x for x, y in zip(r, v)]
-                self.pivot_rows[p] = new_r
-                v = new_v
-                grew = True
+                v[p:] = [(x - q * y) % m for x, y in zip(v[p:], r[p:])]
+                continue
+            g, s, t = xgcd(a, b)
+            # (r, v) <- (s*r + t*v, (a/g)*v - (b/g)*r): unimodular, and the
+            # new v vanishes at p; rows to the right keep modulus * e_j
+            # in their span, so reducing mod m loses nothing
+            new_r = r[:p] + [(s * x + t * y) % m for x, y in zip(r[p:], v[p:])]
+            v[p:] = [((a // g) * y - (b // g) * x) % m
+                     for x, y in zip(r[p:], v[p:])]
+            self.pivot_rows[p] = new_r
+            grew = True
 
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self._reduce(vec))
+    def tail(self, k: int) -> "IntLattice":
+        """The lattice vectors that vanish before column k, cut down to
+        the columns from k on: by Howell's property, the rows with
+        pivot column >= k."""
+        out = IntLattice(self.ncols - k, self.modulus)
+        out.pivot_rows = {p - k: r[k:] for p, r in self.pivot_rows.items()
+                          if p >= k}
+        return out
 
-    def rank(self) -> int:
-        return len(self.pivot_rows)
+    def pivot(self, j: int) -> int:
+        """The pivot of column j: its stored row's, else the modulus."""
+        r = self.pivot_rows.get(j)
+        return self.modulus if r is None else r[j]
+
+    def reduce(self, vec) -> list[int]:
+        """The canonical representative of vec's coset: entry j lands in
+        [0, pivot(j)), eliminating left to right."""
+        m = self.modulus
+        v = [x % m for x in vec]
+        for j in range(self.ncols):
+            r = self.pivot_rows.get(j)
+            if r is not None and v[j] >= r[j]:
+                q = v[j] // r[j]
+                v[j:] = [(x - q * y) % m for x, y in zip(v[j:], r[j:])]
+        return v
 
     def hnf_rows(self) -> list[list[int]]:
-        """Hermite form: positive pivots, entries above each pivot reduced
-        into [0, pivot), rows ordered by pivot column."""
-        pivots = sorted(self.pivot_rows)
-        rows = [list(self.pivot_rows[p]) for p in pivots]
-        for k in range(len(rows) - 1, -1, -1):
-            p = pivots[k]
+        """The triangular basis, one row per column (modulus * e_j where
+        nothing is stored), reduced right to left: from the last column
+        back, each entry above a pivot is brought into [0, pivot) by
+        subtracting that pivot's row.  Later steps change entries
+        already reduced, so an entry right of a row's pivot can leave
+        [0, pivot) and be negative."""
+        m = self.modulus
+        rows = []
+        for j in range(self.ncols):
+            r = self.pivot_rows.get(j)
+            if r is None:
+                r = [0] * self.ncols
+                r[j] = m
+            rows.append(list(r))
+        for k in range(self.ncols - 1, -1, -1):
             for i in range(k):
-                q = rows[i][p] // rows[k][p]
+                q = rows[i][k] // rows[k][k]
                 if q:
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[k])]
         return rows
 
     def index_in_ambient(self) -> int:
-        """[Z^n : L] when L has full rank, else 0."""
-        if len(self.pivot_rows) < self.ncols:
-            return 0
-        out = 1
+        """[Z^n : L], the product of the pivots."""
+        out = self.modulus ** (self.ncols - len(self.pivot_rows))
         for p, r in self.pivot_rows.items():
-            out *= abs(r[p])
+            out *= r[p]
         return out
-
-
-def express_in_hnf(hnf: list[list[int]], vec) -> list[int] | None:
-    """Coefficients writing vec as an integer combination of the given
-    Hermite-form rows, or None when vec is outside their span."""
-    v = list(vec)
-    coeffs = [0] * len(hnf)
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in hnf]
-    for k, row in enumerate(hnf):
-        p = pivots[k]
-        for i in range(p):
-            if v[i] != 0:
-                return None
-        if v[p] % row[p] != 0:
-            return None
-        q = v[p] // row[p]
-        coeffs[k] = q
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    if any(x != 0 for x in v):
-        return None
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +398,10 @@ class ModSolveResult:
 
     modulus is the lcm M of the row moduli; solutions are meaningful
     mod M and the kernel lattice always contains M*Z^cols.  particular
-    is None when the system is inconsistent; kernel rows are a
-    Hermite-reduced generating set of the homogeneous solution lattice.
+    is None when the system is inconsistent.  kernel is a triangular
+    basis of the homogeneous solution lattice, one row per column as
+    IntLattice.hnf_rows gives it: pivots divide M, but entries right of
+    a pivot can lie outside [0, pivot) and be negative.
     """
 
     modulus: int
@@ -404,10 +412,10 @@ class ModSolveResult:
 def solve_linear_mod(a: IntMatrix, moduli, b) -> ModSolveResult:
     """Solve A x = b with row i taken mod moduli[i].
 
-    The rows are rescaled to a common modulus M, pre-reduced through a
-    Hermite accumulator (together with the rows M*e_j, so the system
-    shrinks to at most cols+1 independent congruences), and the reduced
-    square system is finished by Smith normal form.
+    The rows are rescaled to a common modulus M and pre-reduced in an
+    IntLattice mod M, so the system shrinks to at most cols+1
+    independent congruences, and the reduced square system is finished
+    by Smith normal form.
     """
     if len(moduli) != a.rows or len(b) != a.rows:
         raise DimensionMismatch("moduli and rhs must match row count")
@@ -420,26 +428,20 @@ def solve_linear_mod(a: IntMatrix, moduli, b) -> ModSolveResult:
         bigm = bigm // g * m
 
     c = a.cols
-    lat = IntLattice(c + 1)
-    for j in range(c + 1):
-        row = [0] * (c + 1)
-        row[j] = bigm
-        lat.add(row)
+    lat = IntLattice(c + 1, bigm)
     for i in range(a.rows):
         scale = bigm // moduli[i]
         lat.add([scale * x for x in a.data[i]] + [scale * b[i]])
 
     hnf = lat.hnf_rows()
-    # bigm * e_j rows guarantee a pivot in every column
-    rhs_pivot = hnf[-1][c]
-    consistent = rhs_pivot == bigm
+    consistent = lat.pivot(c) == bigm
 
     bmat = IntMatrix.from_rows([row[:c] for row in hnf[:c]])
     rhs = [row[c] for row in hnf[:c]]
     snf = smith_normal_form(bmat)
     diag = snf.s.diagonal
 
-    kernel_lat = IntLattice(c)
+    kernel_lat = IntLattice(c, bigm)
     vt = snf.v.transpose().data
     for j in range(c):
         g, _, _ = xgcd(diag[j], bigm)
@@ -532,7 +534,7 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
                 vecs[y] = tuple(vy)
                 frontier.append(y)
 
-    rel = IntLattice(k)
+    rel = IntLattice(k, g.order)
     for x, vx in vecs.items():
         for j, gen in enumerate(gens):
             y = g.table[x][gen]

@@ -517,24 +517,31 @@ def oracle_iso_survey(src: ExtensionGroup, tgt: ExtensionGroup,
     """Ground truth by exhaustive search: which structured kinds of
     isomorphism exist between the two carriers.  Constraints are applied
     as post-filters on fully enumerated isomorphisms."""
+    return _survey(src, tgt, _decomposed_isomorphisms(src, tgt, limits))
+
+
+def _decomposed_isomorphisms(src, tgt, limits):
+    """Every carrier isomorphism, with its component matrix."""
+    return [(phi, decompose_hom(src, tgt, phi))
+            for phi in enumerate_isomorphisms(src.group, tgt.group, limits)]
+
+
+def _survey(src, tgt, isos) -> dict:
     verdicts = {"plain": False, "upper": False, "lower": False,
                 "g1": False, "g2": False, "g1g2": False}
-    count = 0
-    for phi in enumerate_isomorphisms(src.group, tgt.group, limits):
-        count += 1
+    for phi, m in isos:
         verdicts["plain"] = True
         if preserves_kernel_setwise(src, tgt, phi):
             verdicts["upper"] = True
         if preserves_section_setwise(src, tgt, phi):
             verdicts["lower"] = True
-        m = decompose_hom(src, tgt, phi)
         if m.phi11.is_trivial():
             verdicts["g1"] = True
         if m.phi22.is_trivial():
             verdicts["g2"] = True
         if m.phi11.is_trivial() and m.phi22.is_trivial():
             verdicts["g1g2"] = True
-    verdicts["isomorphism_count"] = count
+    verdicts["isomorphism_count"] = len(isos)
     return verdicts
 
 
@@ -600,7 +607,10 @@ def verify_theorems(pairs=None, max_order: int = 16,
                           "classes": [i, j],
                           "oracle": None, "criteria": {},
                           "certificates": {}, "discrepancies": []}
-                oracle = oracle_iso_survey(src, tgt, limits)
+                # every isomorphism, decomposed once, for the oracle and
+                # the extractors
+                isos = _decomposed_isomorphisms(src, tgt, limits)
+                oracle = _survey(src, tgt, isos)
                 record["oracle"] = oracle
 
                 wit = are_cohomologous(tgt.cocycle, src.cocycle)
@@ -658,9 +668,6 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     settle(record, "lower_oracle_without_triple",
                            {} if sim_ok else {"sim_trivial": False})
 
-                # every isomorphism, decomposed once, for the extractors
-                isos = [(phi, decompose_hom(src, tgt, phi)) for phi in
-                        enumerate_isomorphisms(src.group, tgt.group, limits)]
                 for phi, _ in isos:
                     if not preserves_section_setwise(src, tgt, phi):
                         continue

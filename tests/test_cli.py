@@ -183,6 +183,20 @@ class TestIso:
         assert "phi" in payload["certificate"]
         assert any("hypothesis" in n for n in payload["notes"])
 
+    def test_g1_asserted_hypothesis_keeps_the_positive_verdict(
+            self, ext_files, capsys):
+        # over D4 the hypothesis fails, so asserting it lets the component
+        # check fail; the isomorphism found stands as the raw map
+        code, payload, _ = run_cli(
+            ["iso", "g1", ext_files["d41"], ext_files["d41"],
+             "--assume-sim-trivial"], capsys)
+        assert code == 0
+        assert payload["verdict"] is True
+        assert payload["certificate"]["kind"] == "g1"
+        assert "phi" in payload["certificate"]
+        assert any("section component is not an endomorphism" in n
+                   for n in payload["notes"])
+
     def test_g2_equal_order_and_injectivity_obstruction(self, ext_files,
                                                         capsys):
         code, payload, _ = run_cli(

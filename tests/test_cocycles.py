@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -32,6 +34,7 @@ from centext.errors import (
     SizeLimitExceeded,
 )
 from centext.groups import FiniteGroup, GroupMap, SearchLimits
+from centext.intlinalg import IntMatrix, abelian_invariants, solve_linear_mod
 
 
 def brute_space(g1, g2):
@@ -309,6 +312,149 @@ class TestExhaustiveLarger:
         assert space.b2_order == 4
         assert space.h2_order == 64
         assert space.h2_invariant_factors == (2,) * 6
+
+
+def span_mod(gens, d, n):
+    """Every vector of (Z/d)^n in the span of gens."""
+    span = {(0,) * n}
+    for g in gens:
+        g = tuple(x % d for x in g)
+        if g in span:
+            continue
+        multiples = [(0,) * n]
+        while True:
+            y = tuple((a + b) % d for a, b in zip(multiples[-1], g))
+            if y == multiples[0]:
+                break
+            multiples.append(y)
+        span = {tuple((a + b) % d for a, b in zip(x, m))
+                for x in span for m in multiples}
+    return span
+
+
+def old_path_space(g1, g2):
+    """The earlier cohomology path, as an oracle: per invariant factor d
+    of g1, Z^2 from solve_linear_mod on the cocycle identity over every
+    triple and B^2 by enumerating the span of the unit coboundaries;
+    then each class's lex-least member by enumerating B^2 on it (the
+    cosets come from sweeping Z^2 in order, where the earlier path took
+    them from a Smith form).  Returns the Z^2, B^2 and H^2 orders and
+    the representatives as pair-slot tuples."""
+    n2 = g2.order
+    pairs = [(h, g) for h in range(1, n2) for g in range(1, n2)]
+    index = {p: i for i, p in enumerate(pairs)}
+    rows = []
+    for h, g, k in itertools.product(range(1, n2), repeat=3):
+        row = [0] * len(pairs)
+        hg, gk = g2.table[h][g], g2.table[g][k]
+        for pair, sign in (((h, g), 1), ((hg, k), 1), ((g, k), -1),
+                           ((h, gk), -1)):
+            if 0 not in pair:
+                row[index[pair]] += sign
+        rows.append(row)
+    amat = IntMatrix.from_rows(rows)
+    # the coboundary of the map sending w to 1 and everything else to 0
+    b_gens = [[(g == w) - (g2.table[h][g] == w) + (h == w) for h, g in pairs]
+              for w in range(1, n2)]
+    pres = abelian_invariants(g1)
+    z_per, b_per = [], []
+    for d in pres.invariant_factors:
+        res = solve_linear_mod(amat, [d] * amat.rows, [0] * amat.rows)
+        z_per.append(span_mod(res.kernel, d, len(pairs)))
+        b_per.append(span_mod(b_gens, d, len(pairs)))
+    element = {c: pres.element_of(c) for c in itertools.product(
+        *(range(d) for d in pres.invariant_factors))}
+
+    def tables(per):
+        return {tuple(element[t] for t in zip(*vecs))
+                for vecs in itertools.product(*per)}
+
+    z2, b2 = tables(z_per), tables(b_per)
+    mul = g1.table
+    seen, reps = set(), []
+    for z in sorted(z2):
+        if z in seen:
+            continue
+        reps.append(z)
+        seen |= {tuple(mul[x][y] for x, y in zip(z, b)) for b in b2}
+    return len(z2), len(b2), len(reps), reps
+
+
+def relabelled(g, perm):
+    """g with each element x renamed perm[x]."""
+    table = [[0] * g.order for _ in range(g.order)]
+    for x in range(g.order):
+        for y in range(g.order):
+            table[perm[x]][perm[y]] = perm[g.table[x][y]]
+    return FiniteGroup(order=g.order, table=tuple(map(tuple, table)))
+
+
+# Z2xZ4* is Z2xZ4 relabelled so that the element index is monotone in
+# no invariant-factor coordinate
+OLD_PATH_PAIRS = [("Z2", "D4"), ("Z3", "S3"), ("Z4", "Q8"), ("Z8", "Z4"),
+                  ("Z6", "S3"), ("K4", "S3"), ("Z2xZ2xZ2", "K4"),
+                  ("Z2xZ4", "K4"), ("Z2xZ4*", "K4")]
+
+# sha256 of the are_cohomologous witnesses between each representative
+# and its product with each of the first three B^2 generators; the
+# witnesses reach certificate bytes
+WITNESS_DIGESTS = {
+    ("Z4", "K4"): "e089ed50585f65149a6b7b11d2cc5c24de7f51a58ca2c9c495d0b3c0e4ed702a",
+    ("Z4", "Z4"): "afa6b3b6e4778ead536fe9f90ee9a58e394f95bba7e366ac20501cfcd24bb622",
+    ("K4", "K4"): "32e34631b567e95259317f0651abcb480cc8e74da7fe9c465a4f0c7cbbb11009",
+    ("Z6", "S3"): "d5b376220657cbe6af1b32912cb65c75cef2f9643a3bccd03e6a4be2cb6a0a7e",
+    ("Z4", "D4"): "5fa95e81698b021464fb83f4ca8cec18340d196ade4a9653c6c7577198fc9a05",
+    ("Z2xZ4", "Z4"): "35e9df15d8e0fdc0966e63a710c77257d1926dc8cbaa1596a78abe5d673365eb",
+    ("Z8", "Z4"): "550084f2ba15da415a2804980bb7e475c99dc115dc567d1e68f2ddafa7b8d982",
+    ("Z2", "D4"): "5fa95e81698b021464fb83f4ca8cec18340d196ade4a9653c6c7577198fc9a05",
+}
+
+
+class TestModularPath:
+    @pytest.mark.parametrize("name1,name2", OLD_PATH_PAIRS)
+    def test_matches_the_old_path(self, name1, name2):
+        g1 = (relabelled(get_group("Z2xZ4"), (0, 5, 3, 6, 1, 7, 2, 4))
+              if name1 == "Z2xZ4*" else get_group(name1))
+        g2 = get_group(name2)
+        z2, b2, h2, reps = old_path_space(g1, g2)
+        space = compute_cocycle_space(g1, g2)
+        assert (space.z2_order, space.b2_order, space.h2_order) == (z2, b2, h2)
+        n2 = g2.order
+        assert [tuple(c.table[h][g] for h in range(1, n2)
+                      for g in range(1, n2))
+                for c in space.class_representatives] == reps
+
+    @pytest.mark.parametrize("name1,name2",
+                             [("Z2", "A4"), ("Z2", "D5"), ("Z6", "S3")])
+    def test_z2_generators_are_cocycles(self, name1, name2):
+        space = compute_cocycle_space(get_group(name1), get_group(name2))
+        assert space.z2_generators
+        for c in space.z2_generators:
+            assert is_cocycle(space.g1, space.g2, c.table)[0]
+
+    @pytest.mark.parametrize("pair", sorted(WITNESS_DIGESTS), ids=":".join)
+    def test_cohomology_witnesses_pinned(self, pair):
+        space = compute_cocycle_space(*map(get_group, pair))
+        rows = []
+        for i, rep in enumerate(space.class_representatives):
+            for j, b in enumerate(space.b2_generators[:3]):
+                w = are_cohomologous(rep, cocycle_mul(rep, b))
+                rows.append([i, j, list(w.t.images)])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == WITNESS_DIGESTS[pair]
+
+    # H^2(G, A) = Hom(M(G), A) + Ext(G^ab, A), with the Schur
+    # multipliers M(S4) = M(A4) = Z2, M(D5) = 0, M(Z2xZ4) = Z2
+    @pytest.mark.parametrize("name1,name2,factors", [
+        ("Z2", "S4", (2, 2)),        # Hom(Z2, Z2) + Ext(Z2, Z2)
+        ("Z3", "A4", (3,)),          # Hom(Z2, Z3) = 0, Ext(Z3, Z3)
+        ("Z5", "D5", ()),            # Ext(Z2, Z5) = 0
+        ("Z2", "Z2xZ4", (2, 2, 2)),  # Hom(Z2, Z2) + Ext(Z2xZ4, Z2)
+    ])
+    def test_reach(self, name1, name2, factors):
+        space = compute_cocycle_space(get_group(name1), get_group(name2))
+        assert space.h2_invariant_factors == factors
+        assert space.z2_order == space.b2_order * space.h2_order
 
 
 def sim_trivial_by_scan(g2):

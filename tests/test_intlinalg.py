@@ -17,7 +17,6 @@ from centext.intlinalg import (
     IntMatrix,
     abelian_invariants,
     determinant,
-    express_in_hnf,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -110,7 +109,7 @@ class TestSmithNormalForm:
 
 class TestIntLattice:
     def test_index(self):
-        lat = IntLattice(2)
+        lat = IntLattice(2, 4)
         lat.add([2, 0])
         lat.add([0, 2])
         assert lat.index_in_ambient() == 4
@@ -118,37 +117,87 @@ class TestIntLattice:
         assert lat.index_in_ambient() == 2
 
     def test_contains(self):
-        lat = IntLattice(3)
+        lat = IntLattice(3, 60)
         lat.add([1, 2, 3])
         lat.add([0, 4, 2])
-        assert lat.contains([1, 6, 5])
-        assert not lat.contains([0, 2, 1])
+        assert lat.reduce([1, 6, 5]) == [0, 0, 0]
+        assert lat.reduce([0, 2, 1]) != [0, 0, 0]
 
     def test_rank_deficient_index_zero(self):
-        lat = IntLattice(2)
+        # rows that leave a column unspanned: that column keeps the
+        # implicit pivot row modulus * e_j, so the index stays finite
+        lat = IntLattice(2, 9)
         lat.add([3, 6])
-        assert lat.index_in_ambient() == 0
+        assert lat.pivot(0) == 3
+        assert lat.pivot(1) == 9
+        assert lat.index_in_ambient() == 27
 
     def test_hnf_normalization(self):
-        lat = IntLattice(2)
+        lat = IntLattice(2, 6)
         lat.add([2, 7])
         lat.add([0, 3])
         rows = lat.hnf_rows()
         assert rows == [[2, 1], [0, 3]]
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_index_and_membership_match_brute_force(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        m = data.draw(st.integers(min_value=1, max_value=6))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(min_value=-7, max_value=7),
+                     min_size=n, max_size=n), max_size=4))
+        lat = IntLattice(n, m)
+        for row in rows:
+            lat.add(row)
+        # the span of the rows in (Z/m)^n, by closure under addition
+        span = {(0,) * n}
+        frontier = [(0,) * n]
+        while frontier:
+            x = frontier.pop()
+            for row in rows:
+                y = tuple((a + b) % m for a, b in zip(x, row))
+                if y not in span:
+                    span.add(y)
+                    frontier.append(y)
+        assert lat.index_in_ambient() == m ** n // len(span)
+        residues = set()
+        for vec in itertools.product(range(m), repeat=n):
+            res = lat.reduce(vec)
+            assert all(0 <= x < lat.pivot(j) for j, x in enumerate(res))
+            assert (not any(res)) == (vec in span)
+            assert tuple((a - b) % m for a, b in zip(vec, res)) in span
+            residues.add(tuple(res))
+        assert len(residues) == lat.index_in_ambient()
+
+
     def test_express_in_hnf(self):
-        lat = IntLattice(3)
+        lat = IntLattice(3, 30)
         for vec in ([2, 1, 0], [0, 3, 1], [0, 0, 5]):
             lat.add(vec)
         hnf = lat.hnf_rows()
         combo = [2 * a - b + 3 * c for a, b, c in zip(*hnf)]
-        coeffs = express_in_hnf(hnf, combo)
+        coeffs = _express_in_triangular(hnf, combo)
         assert coeffs is not None
         rebuilt = [0, 0, 0]
         for q, row in zip(coeffs, hnf):
             rebuilt = [r + q * x for r, x in zip(rebuilt, row)]
         assert rebuilt == combo
-        assert express_in_hnf(hnf, [1, 0, 0]) is None
+        assert _express_in_triangular(hnf, [1, 0, 0]) is None
+
+
+def _express_in_triangular(rows, vec):
+    """Coefficients writing vec in the triangular basis rows (row j has
+    its pivot in column j), or None when vec is outside their span."""
+    v = list(vec)
+    coeffs = []
+    for j, row in enumerate(rows):
+        if v[j] % row[j]:
+            return None
+        q = v[j] // row[j]
+        coeffs.append(q)
+        v = [a - q * b for a, b in zip(v, row)]
+    return coeffs
 
 
 class TestSolveLinearMod:
