@@ -53,6 +53,7 @@ from .groups import (
     center,
 )
 from .isotest import (
+    DEFAULT_VERIFY_PAIRS,
     g1_isomorphic_necessary,
     g1g2_isomorphic,
     g2_isomorphic_equal_order,
@@ -65,7 +66,6 @@ from .isotest import (
 __all__ = ["main", "entry", "build_parser"]
 
 ISO_MODES = ("plain", "upper", "lower", "g1", "g2", "g1g2")
-DEFAULT_VERIFY_PAIRS = ("Z2:Z2", "Z2:Z4", "Z2:K4", "Z3:Z3")
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def _slow_checks(limits) -> dict:
 
 
 def cmd_verify(args) -> int:
-    specs = args.pairs if args.pairs else list(DEFAULT_VERIFY_PAIRS)
+    specs = args.pairs or [":".join(p) for p in DEFAULT_VERIFY_PAIRS]
     pairs, skipped = [], []
     for spec in specs:
         if ":" not in spec:
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-validation harness")
     p.add_argument("pairs", nargs="*",
-                   help="pairs like Z2:K4 (default: the standard four)")
+                   help="pairs like Z2:K4 (default: the standard seven)")
     p.add_argument("--max-order", type=int, default=16,
                    help="skip pairs whose carrier exceeds this order")
     p.add_argument("--slow", action="store_true",

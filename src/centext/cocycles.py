@@ -12,6 +12,9 @@ splits g1 into invariant-factor coordinates and, for each factor d,
 keeps Z^2 and B^2 as echelon lattices mod d.  H^2 comes from a small
 Smith normal form of the relations among the Z^2 rows mod B^2, and
 each class representative from one greedy pass against B^2's rows.
+The coboundary test works the same way: the coboundary map of g2 is
+eliminated once per factor d, and an are_cohomologous call costs, per
+factor, one reduction and one pass over the pairs of g2.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .intlinalg import (
     IntLattice,
     IntMatrix,
     abelian_invariants,
+    mat_vec,
     smith_normal_form,
-    solve_linear_mod,
 )
 
 
@@ -190,9 +193,35 @@ class CoboundaryWitness:
 def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     """A witness t with e2 = psi_t * e1, or None.
 
-    Solved as a linear congruence system for the values of t at the
-    nonidentity points of g2, one invariant-factor coordinate of g1 at
-    a time."""
+    psi_t(h, g) = t(g) - t(hg) + t(h) is linear in the values of t at
+    the nonidentity points of g2: per invariant factor d of g1 the test
+    asks for x with A x = b mod d, where A is _coboundary_matrix(g2) and
+    b holds the coordinate of e2 - e1 at each nonidentity pair.  Each
+    coordinate is answered by _coboundary_solver(g2, d), built once:
+
+    - The rows of A that grew its row lattice mod d, added in order,
+      span that lattice, so A has the same kernel mod d as these kept
+      rows A_S.  Reducing [b_S | 0] against the echelon form of the rows
+      [A_S e_w | e_w] leaves [0 | y] exactly when A_S x = b_S is
+      solvable; the lattice vector taken off is then [b_S | -y], so
+      x0 = -y solves it.  If A x = b has a solution x1, then x0 - x1 is
+      in the common kernel and x0 solves it too; so the answer is None
+      unless x0 passes every equation of A x = b.
+    - The witness is the particular solution that solve_linear_mod(A,
+      [d] * rows, b) returns, unchanged.  That solve eliminates the rows
+      [a_i | b_i]; their first columns go through the same steps as A's
+      rows alone, so its square part is H, the triangular basis of A's
+      rows mod d, with u H v = s its Smith form, and call its last
+      column r.  Every vector of that lattice has last entry equal to
+      (first part) . x0 mod d, because b_i = a_i . x0 mod d; so r = H x0
+      and u r = s v^-1 x0 mod d.  Its particular is v z with z_j =
+      (u r)_j / g * (s_j / g)^-1 mod d/g, g = gcd(s_j, d), which is
+      z_j = (v^-1 x0)_j mod d/g.  Another solution x0 + k has
+      s v^-1 k = u H k = 0 mod d, so (v^-1 k)_j = 0 mod d/g: the result
+      does not depend on which solution the reduction finds.
+
+    The map is checked against e1 and e2 before it is returned.
+    """
     _same_groups(e1, e2)
     g1, g2 = e1.g1, e1.g2
     if not g1.is_abelian:
@@ -203,26 +232,83 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
             return CoboundaryWitness(t=GroupMap(dom=g2, cod=g1,
                                                 images=(0,) * n2))
         return None
-    pres = abelian_invariants(g1)
-    diff = [[g1.table[e2.table[h][g]][g1.inverses[e1.table[h][g]]]
-             for g in range(n2)] for h in range(n2)]
-    # psi_t(h,g) = t(g) - t(hg) + t(h) must equal diff, coordinatewise
-    pairs = [(h, g) for h in range(1, n2) for g in range(1, n2)]
-    a = _coboundary_matrix(g2)
+    pres, coords = _coefficient_coordinates(g1)
+    mul, inv = g1.table, g1.inverses
+    diff = [coords[mul[v2][inv[v1]]]
+            for r1, r2 in zip(e1.table[1:], e2.table[1:])
+            for v1, v2 in zip(r1[1:], r2[1:])]
 
-    t_coords = [[0] * len(pres.invariant_factors) for _ in range(n2)]
+    per_factor = []
     for ci, d in enumerate(pres.invariant_factors):
-        b = [pres.coords_of(diff[h][g])[ci] for h, g in pairs]
-        res = solve_linear_mod(a, [d] * len(pairs), b)
-        if res.particular is None:
+        x = _coboundary_solver(g2, d).preimage([c[ci] for c in diff])
+        if x is None:
             return None
-        for y in range(1, n2):
-            t_coords[y][ci] = res.particular[y - 1] % d
-    images = tuple(pres.element_of(tuple(c)) for c in t_coords)
+        per_factor.append(x)
+    images = (0,) + tuple(pres.element_of(c) for c in zip(*per_factor))
     t = GroupMap(dom=g2, cod=g1, images=images)
     if apply_coboundary(t, e1).table != e2.table:
         raise ConditionsFailed("the solved map is not a coboundary witness")
     return CoboundaryWitness(t=t)
+
+
+@lru_cache(maxsize=None)
+def _coefficient_coordinates(g1: FiniteGroup):
+    """abelian_invariants(g1) and the coordinate tuple of each element."""
+    pres = abelian_invariants(g1)
+    return pres, tuple(pres.coords_of(x) for x in range(g1.order))
+
+
+@dataclass(frozen=True)
+class _CoboundarySolver:
+    """A = _coboundary_matrix(g2) mod d, eliminated for every right-hand
+    side (see are_cohomologous): kept indexes the rows A_S that span A's
+    row lattice, columns is the echelon form of the rows [A_S e_w | e_w],
+    and v, v_inv and moduli[j] = d / gcd(s_j, d) come from the Smith form
+    u H v = s of the triangular basis H of that lattice."""
+
+    d: int
+    table: tuple[tuple[int, ...], ...]
+    kept: tuple[int, ...]
+    columns: IntLattice
+    v: IntMatrix
+    v_inv: IntMatrix
+    moduli: tuple[int, ...]
+
+    def preimage(self, b) -> tuple[int, ...] | None:
+        """solve_linear_mod(A, [d] * rows, b).particular: None when
+        A x = b has no solution mod d."""
+        d, k = self.d, len(self.kept)
+        red = self.columns.reduce([b[i] for i in self.kept]
+                                  + [0] * self.v.rows)
+        if any(red[:k]):
+            return None
+        x0 = [0] + [-y for y in red[k:]]
+        # b at pair (h, g) must be x0(g) - x0(hg) + x0(h)
+        n = len(self.table)
+        for h in range(1, n):
+            row, xh, base = self.table[h], x0[h], (h - 1) * (n - 1) - 1
+            if any((x0[g] - x0[row[g]] + xh - b[base + g]) % d
+                   for g in range(1, n)):
+                return None
+        w = mat_vec(self.v_inv, x0[1:])
+        return tuple(x % d for x in mat_vec(
+            self.v, [wj % mj for wj, mj in zip(w, self.moduli)]))
+
+
+@lru_cache(maxsize=None)
+def _coboundary_solver(g2: FiniteGroup, d: int) -> _CoboundarySolver:
+    a = _coboundary_matrix(g2)
+    rows = IntLattice(a.cols, d)
+    kept = tuple(i for i, row in enumerate(a.data) if rows.add(row))
+    columns = IntLattice(len(kept) + a.cols, d)
+    for w in range(a.cols):
+        columns.add([a.data[i][w] for i in kept]
+                    + [int(j == w) for j in range(a.cols)])
+    snf = smith_normal_form(IntMatrix.from_rows(rows.hnf_rows()))
+    return _CoboundarySolver(
+        d=d, table=g2.table, kept=kept, columns=columns, v=snf.v,
+        v_inv=snf.v_inv,
+        moduli=tuple(d // math.gcd(s, d) for s in snf.s.diagonal))
 
 
 def apply_coboundary(t: GroupMap, e: Cocycle2) -> Cocycle2:

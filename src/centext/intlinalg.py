@@ -10,7 +10,7 @@ runs over unbounded Python integers; no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatch, NotAbelian
 from .groups import FiniteGroup, GroupMap, cyclic_group, generating_sequence
@@ -416,6 +416,11 @@ def solve_linear_mod(a: IntMatrix, moduli, b) -> ModSolveResult:
     IntLattice mod M, so the system shrinks to at most cols+1
     independent congruences, and the reduced square system is finished
     by Smith normal form.
+
+    The library no longer calls this: cocycles.are_cohomologous
+    eliminates the coboundary map once and reaches the same particular
+    solution by reduction.  It stays as the reference the tests compare
+    those witnesses against.
     """
     if len(moduli) != a.rows or len(b) != a.rows:
         raise DimensionMismatch("moduli and rhs must match row count")
@@ -505,9 +510,14 @@ class AbelianPresentation:
         return self.to_group.images[idx]
 
 
+@lru_cache(maxsize=None)
 def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
     """Invariant factors d_1 | d_2 | ... with an explicit coordinate
-    isomorphism, via the Smith form of a generator relation lattice."""
+    isomorphism, via the Smith form of a generator relation lattice.
+
+    Memoized per group (groups compare by table), so the cohomology
+    space and the coboundary test of one coefficient group share one
+    presentation."""
     if not g.is_abelian:
         raise NotAbelian("invariant factors require an abelian group")
     if g.order == 1:

@@ -72,10 +72,16 @@ __all__ = [
     "oracle_iso_survey",
     "verify_theorems",
     "CERTIFICATE_KINDS",
+    "DEFAULT_VERIFY_PAIRS",
 ]
 
 CERTIFICATE_KINDS = ("upper", "lower", "g1", "g2", "g1g2",
                      "purely_nonabelian")
+
+# the catalog pairs verify_theorems sweeps when given none
+DEFAULT_VERIFY_PAIRS = (("Z2", "Z2"), ("Z2", "Z4"), ("Z2", "K4"),
+                        ("Z3", "Z3"), ("Z2", "S3"), ("Z2", "D4"),
+                        ("Z2", "Q8"))
 
 
 def _as_extension(e) -> ExtensionGroup:
@@ -559,7 +565,7 @@ def verify_theorems(pairs=None, max_order: int = 16,
     """
     from .catalog import get_group
     if pairs is None:
-        pairs = (("Z2", "Z2"), ("Z2", "Z4"), ("Z2", "K4"), ("Z3", "Z3"))
+        pairs = DEFAULT_VERIFY_PAIRS
     norm = []
     for a, b in pairs:
         g1 = get_group(a) if isinstance(a, str) else a

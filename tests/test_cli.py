@@ -277,9 +277,17 @@ class TestVerify:
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert code == 0
-        assert payload["checked_class_pairs"] == 81
+        assert payload["checked_class_pairs"] == 165
         assert payload["discrepancy_count"] == 0
         assert payload["skipped_pairs"] == []
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1b7d4bf929892a63456d8e1aea2694fb5ea3687f642481cc014a34101e1fc2d5")
+
+    def test_abelian_quotient_sweep_pinned(self, capsys):
+        code = main(["verify", "Z2:Z2", "Z2:Z4", "Z2:K4", "Z3:Z3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out)["checked_class_pairs"] == 81
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "bc5129a6350c5a991cacd7b7e4808508d2c571c7427f67dd7036c43d9c741071")
 
@@ -305,7 +313,7 @@ class TestVerify:
         code, payload, _ = run_cli(["verify", "--max-order", "0"], capsys)
         assert code == 0
         assert payload["checked_class_pairs"] == 0
-        assert len(payload["skipped_pairs"]) == 4
+        assert len(payload["skipped_pairs"]) == 7
 
     def test_single_pair_selection(self, capsys):
         code, payload, _ = run_cli(["verify", "Z2:K4"], capsys)

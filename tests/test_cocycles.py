@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centext.catalog import catalog_names, get_group
+from centext.catalog import catalog_names, get_group, special_linear_2_5
 from centext.cocycles import (
     CocycleSpace,
     Cocycle2,
@@ -21,10 +21,12 @@ from centext.cocycles import (
     is_epsilon_endomorphism,
     is_symmetric,
     make_cocycle,
+    pullback,
+    pushforward,
     sim_is_trivial,
     trivial_cocycle,
 )
-from centext.cocycles import _merge_invariant_factors
+from centext.cocycles import _coboundary_matrix, _merge_invariant_factors
 from centext.errors import (
     DimensionMismatch,
     GroupMismatch,
@@ -33,7 +35,15 @@ from centext.errors import (
     PreconditionViolated,
     SizeLimitExceeded,
 )
-from centext.groups import FiniteGroup, GroupMap, SearchLimits
+from centext.extensions import central_quotient_data
+from centext.groups import (
+    FiniteGroup,
+    GroupMap,
+    SearchLimits,
+    brute_force_isomorphism,
+    center,
+    enumerate_automorphisms,
+)
 from centext.intlinalg import IntMatrix, abelian_invariants, solve_linear_mod
 
 
@@ -455,6 +465,84 @@ class TestModularPath:
         space = compute_cocycle_space(get_group(name1), get_group(name2))
         assert space.h2_invariant_factors == factors
         assert space.z2_order == space.b2_order * space.h2_order
+
+
+def solve_linear_mod_witness(e1, e2):
+    """The earlier are_cohomologous, as the witness oracle: per
+    invariant factor d of g1, a fresh solve_linear_mod of the coboundary
+    system against e2 - e1.  The images of the witness t, or None."""
+    g1, g2 = e1.g1, e1.g2
+    n2 = g2.order
+    pres = abelian_invariants(g1)
+    pairs = [(h, g) for h in range(1, n2) for g in range(1, n2)]
+    diff = {(h, g): g1.table[e2.table[h][g]][g1.inverses[e1.table[h][g]]]
+            for h, g in pairs}
+    a = _coboundary_matrix(g2)
+    t_coords = [[0] * len(pres.invariant_factors) for _ in range(n2)]
+    for ci, d in enumerate(pres.invariant_factors):
+        b = [pres.coords_of(diff[p])[ci] for p in pairs]
+        res = solve_linear_mod(a, [d] * len(pairs), b)
+        if res.particular is None:
+            return None
+        for y in range(1, n2):
+            t_coords[y][ci] = res.particular[y - 1] % d
+    return tuple(pres.element_of(tuple(c)) for c in t_coords)
+
+
+def assert_same_witness(e1, e2):
+    w = are_cohomologous(e1, e2)
+    assert (None if w is None else w.t.images) == \
+        solve_linear_mod_witness(e1, e2)
+    return w
+
+
+# d = 4 and d = 6 factors, and coefficients with two invariant factors
+WITNESS_ORACLE_PAIRS = [("Z2", "K4"), ("Z4", "K4"), ("Z2", "D4"),
+                        ("Z2", "Q8"), ("Z3", "Z3"), ("Z4", "D4"),
+                        ("Z6", "S3"), ("K4", "S3"), ("Z2xZ4", "K4")]
+
+
+class TestWitnessOracle:
+    @pytest.mark.parametrize("pair", WITNESS_ORACLE_PAIRS, ids=":".join)
+    def test_class_pairs_and_coboundary_shifts(self, pair):
+        space = compute_cocycle_space(*map(get_group, pair))
+        reps = space.class_representatives
+        for e1, e2 in itertools.product(reps, repeat=2):
+            w = assert_same_witness(e1, e2)
+            assert (w is not None) == (e1 is e2)
+        for rep in reps:
+            for b in space.b2_generators:
+                assert assert_same_witness(rep, cocycle_mul(rep, b))
+
+    @pytest.mark.parametrize("pair", [("Z4", "K4"), ("Z2", "D4")],
+                             ids=":".join)
+    def test_upper_differences(self, pair):
+        # the cocycles upper_isomorphic tests against the trivial one
+        g1, g2 = map(get_group, pair)
+        reps = compute_cocycle_space(g1, g2).class_representatives
+        triv = trivial_cocycle(g1, g2)
+        autos2 = enumerate_automorphisms(g2)
+        hits = 0
+        for e1, e2 in itertools.islice(itertools.product(reps, repeat=2), 8):
+            inv2 = cocycle_inv(e2)
+            for sigma in enumerate_automorphisms(g1):
+                pushed = pushforward(sigma, e1)
+                for rho in autos2:
+                    w = assert_same_witness(
+                        triv, cocycle_mul(pushed, pullback(inv2, rho)))
+                    hits += w is not None
+        assert hits
+
+    def test_order_120_pair(self):
+        big = special_linear_2_5()
+        kernel, quotient, eps, _ = central_quotient_data(
+            big, sorted(center(big).members))
+        a5, z2 = get_group("A5"), get_group("Z2")
+        transported = pushforward(
+            brute_force_isomorphism(kernel, z2),
+            pullback(eps, brute_force_isomorphism(a5, quotient)))
+        assert assert_same_witness(trivial_cocycle(z2, a5),
+                                   transported) is None
 
 
 def sim_trivial_by_scan(g2):

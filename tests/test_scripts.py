@@ -1,0 +1,21 @@
+"""The runnable experiments in scripts/ finish cleanly."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import centext
+
+SRC_DIR = os.path.dirname(os.path.dirname(centext.__file__))
+SCRIPTS_DIR = os.path.join(os.path.dirname(SRC_DIR), "scripts")
+
+
+@pytest.mark.parametrize("script", ["a5_double_cover.py",
+                                    "classify_order8.py"])
+def test_script_exits_zero(script):
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS_DIR, script)],
+                          env={**os.environ, "PYTHONPATH": SRC_DIR},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
