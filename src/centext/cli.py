@@ -100,8 +100,10 @@ def _load_extension(path, limits):
     g1 = _load_group(d["g1"])
     g2 = _load_group(d["g2"])
     if "class_index" in d:
+        k = d["class_index"]
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"{path}: class_index {k!r} is not an integer")
         space = compute_cocycle_space(g1, g2, limits)
-        k = int(d["class_index"])
         if not 0 <= k < len(space.class_representatives):
             raise ValueError(
                 f"{path}: class_index {k} out of range "

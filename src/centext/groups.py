@@ -6,16 +6,22 @@ Conventions used throughout the package:
   * maps between groups are stored as full image arrays and are
     normalized (they send 0 to 0).
 
-Enumeration of homomorphisms and isomorphisms is generator-based
-backtracking with closure propagation, so the homomorphism property is
-re-verified on every pair of elements before a map is emitted.
+Tables and maps are checked along generators.  Each group carries one
+greedy generating sequence (FiniteGroup.generators), and a property of
+all products x*y is tested on the products x*s with s a generator only,
+with the proof that this suffices in the docstring of each check:
+validate_group (Light's associativity test), GroupMap.is_homomorphism,
+and the homomorphism enumeration, which extends partial images along
+the Cayley graph of the generators chosen so far.  A full scan runs only
+after a generator check has failed, to name the first witness.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -34,7 +40,9 @@ class SearchLimits:
     """Budgets for the backtracking searches and linear solves.
 
     max_order caps the carrier size accepted by the oracle searches,
-    max_search_nodes caps partial-image assignments during backtracking,
+    max_search_nodes caps image assignments during backtracking: one per
+    generator image tried and one per image that choice forces along
+    the Cayley graph of the generators;
     max_cocycle_unknowns caps the dimension of cocycle linear systems.
     """
 
@@ -75,6 +83,20 @@ class FiniteGroup:
         for a in range(self.order):
             out[a] = self.table[a].index(0)
         return tuple(out)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The greedy generating sequence: repeatedly adjoin the least
+        element outside the closure of the sequence so far.  The closure
+        is taken under the product in both orders, so it assumes no
+        associativity (validate_group relies on that); for a group it is
+        the subgroup generated."""
+        gens, generated = [], {0}
+        for x in range(self.order):
+            if x not in generated:
+                gens.append(x)
+                generated = subgroup_closure(self, gens)
+        return tuple(gens)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -129,9 +151,20 @@ class FiniteGroup:
 def validate_group(table, name: str | None = None) -> FiniteGroup:
     """Check the four Cayley-table axioms and wrap the table.
 
-    Raises, in this order of precedence, ValueError for malformed input,
-    NoIdentityAtZero, NotLatinSquare, NonAssociative.  Each error message
-    carries the first witness found (row-major scan order).
+    Raises, in this order of precedence, ValueError for malformed input
+    (including entries that are not int, or are bool), NoIdentityAtZero,
+    NotLatinSquare, NonAssociative.  Each error message carries the first
+    witness found (row-major scan order).
+
+    Associativity is decided by Light's test (Clifford & Preston, The
+    Algebraic Theory of Semigroups I, 1961, section 1.2).  The middles m
+    with (xm)y = x(my) for all x, y are closed under the product: for two
+    of them, (x(m m'))y = ((xm)m')y = (xm)(m'y) = x(m(m'y)) =
+    x((m m')y).  The identity is such a middle, so once every element of
+    a set S is one, so is everything the products of S reach.  S is
+    FiniteGroup.generators, whose closure assumes no associativity; so
+    n * |S| row comparisons replace the n^3 triples.  Only when a generator fails
+    does the row-major scan run, to name the first failing triple.
     """
     n = len(table)
     if n == 0:
@@ -142,7 +175,9 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
         if len(row) != n:
             raise ValueError(f"row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"entry [{a}][{b}] = {v!r} is not an integer")
+            if not 0 <= v < n:
                 raise ValueError(f"entry [{a}][{b}] = {v!r} out of range")
         rows.append(row)
     tab = tuple(rows)
@@ -172,6 +207,17 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
                         f"column {b} repeats {v} at rows {seen[v]} and {a}")
                 seen[v] = a
 
+    group = FiniteGroup(order=n, table=tab, name=name)
+    for s in group.generators:
+        # x*(s*y) for every y at once: row x read in the order of row s
+        through_s = itemgetter(*tab[s])
+        if any(tab[row[s]] != through_s(row) for row in tab):
+            _raise_first_nonassociative(tab)
+    return group
+
+
+def _raise_first_nonassociative(tab):
+    n = len(tab)
     for a in range(n):
         for b in range(n):
             ab = tab[a][b]
@@ -180,8 +226,7 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
                     raise NonAssociative(
                         f"({a}*{b})*{c} = {tab[ab][c]} but "
                         f"{a}*({b}*{c}) = {tab[a][tab[b][c]]}")
-
-    return FiniteGroup(order=n, table=tab, name=name)
+    raise AssertionError("a generator failed Light's test but no triple did")
 
 
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
@@ -424,12 +469,16 @@ class GroupMap:
 
     @cached_property
     def _is_homomorphism(self) -> bool:
-        # the map is immutable, so one full scan answers every later call
-        n = self.dom.order
+        """f(a*s) = f(a)*f(s) for every a and every generator s of the
+        domain.  The s that pass for every a are closed under the
+        product: f(a(st)) = f((as)t) = f(as)f(t) = f(a)f(s)f(t) =
+        f(a)f(st).  They include the identity, as f is normalized, so
+        they are the whole domain and f is a homomorphism.  The map is
+        immutable, so one check answers every later call."""
         t, s = self.dom.table, self.cod.table
         im = self.images
-        return all(im[t[a][b]] == s[im[a]][im[b]]
-                   for a in range(n) for b in range(n))
+        return all(im[row[g]] == s[im[a]][im[g]]
+                   for g in self.dom.generators for a, row in enumerate(t))
 
     def is_bijective(self) -> bool:
         return (self.dom.order == self.cod.order
@@ -478,24 +527,26 @@ def compose_maps(outer: GroupMap, inner: GroupMap) -> GroupMap:
 
 def generating_sequence(g: FiniteGroup) -> list[int]:
     """Greedy generating sequence: repeatedly adjoin the least element
-    outside the subgroup generated so far."""
-    gens = []
-    generated = frozenset({0})
-    while len(generated) < g.order:
-        nxt = min(x for x in range(g.order) if x not in generated)
-        gens.append(nxt)
-        generated = subgroup_closure(g, gens)
-    return gens
+    outside the subgroup generated so far (FiniteGroup.generators)."""
+    return list(g.generators)
 
 
 class _MapSearch:
     """Backtracking core shared by the hom/iso enumerators.
 
-    Images of a greedy generating sequence are chosen in ascending order;
-    after each choice the partial map is closed under products, checking
-    consistency (and injectivity, for isomorphism searches) as it goes.
-    Because the closure revisits every pair of defined elements, any
-    fully defined map it emits is a verified homomorphism.
+    Images of a greedy generating sequence are chosen in ascending order.
+    The images live on the subgroup H generated by the generators
+    assigned so far.  A choice f(g) = v sets or checks f(x*s) = f(x)*f(s)
+    along the Cayley graph: for x in H and s = g, and for each newly
+    reached x and every assigned s (with injectivity on each new image,
+    for isomorphism searches); the old edges were checked at earlier
+    layers.  By induction on word length, f(x*w) = f(x)*f(w) then holds
+    on the new subgroup, so a choice is accepted exactly when the
+    partial map extends to a homomorphism (injective, if asked) of it,
+    which is when closing the images under every pair of known elements
+    finds no conflict.  So the maps emitted, their order and the pruning
+    are those of that pair closure, and every map emitted is a verified
+    homomorphism.
     """
 
     def __init__(self, dom, cod, injective, limits):
@@ -503,7 +554,8 @@ class _MapSearch:
         self.cod = cod
         self.injective = injective
         self.limits = limits
-        self.gens = generating_sequence(dom)
+        self.gens = dom.generators
+        self.assigned = []
         self.nodes = 0
 
     def _candidates(self, gen):
@@ -533,6 +585,7 @@ class _MapSearch:
             # already forced by closure of earlier generators
             yield from self._assign(layer + 1, images, known, used)
             return
+        self.assigned.append(gen)
         for k in self._candidates(gen):
             if self.injective and used[k]:
                 continue
@@ -540,6 +593,7 @@ class _MapSearch:
             if self._define(gen, k, images, known, used, trail):
                 yield from self._assign(layer + 1, images, known, used)
             self._undo(images, known, used, trail)
+        self.assigned.pop()
 
     def _define(self, x, v, images, known, used, trail):
         self.nodes += 1
@@ -548,29 +602,33 @@ class _MapSearch:
                 "map search exceeded node budget",
                 limit=self.limits.max_search_nodes, needed=self.nodes)
         images[x] = v
+        old = len(known)
         known.append(x)
         trail.append(x)
         if self.injective:
             used[v] = True
-        queue = [x]
-        while queue:
-            a = queue.pop()
-            for b in list(known):
-                for p, q in ((a, b), (b, a)):
-                    r = self.dom.table[p][q]
-                    w = self.cod.table[images[p]][images[q]]
-                    if images[r] == -1:
-                        if self.injective and used[w]:
-                            return False
-                        self.nodes += 1
-                        images[r] = w
-                        known.append(r)
-                        trail.append(r)
-                        if self.injective:
-                            used[w] = True
-                        queue.append(r)
-                    elif images[r] != w:
+        dt, ct = self.dom.table, self.cod.table
+        gens, only_x = self.assigned, (x,)
+        # known[:old] is H; known grows by the elements newly reached
+        i = 0
+        while i < len(known):
+            a = known[i]
+            row, fa = dt[a], ct[images[a]]
+            for s in (gens if i >= old else only_x):
+                r = row[s]
+                w = fa[images[s]]
+                if images[r] == -1:
+                    if self.injective and used[w]:
                         return False
+                    self.nodes += 1
+                    images[r] = w
+                    known.append(r)
+                    trail.append(r)
+                    if self.injective:
+                        used[w] = True
+                elif images[r] != w:
+                    return False
+            i += 1
         return True
 
     def _undo(self, images, known, used, trail):
@@ -615,7 +673,14 @@ def enumerate_isomorphisms(g: FiniteGroup, h: FiniteGroup,
 
 def enumerate_automorphisms(g: FiniteGroup,
                             limits: SearchLimits = DEFAULT_LIMITS) -> list[GroupMap]:
-    return enumerate_isomorphisms(g, g, limits=limits)
+    """enumerate_isomorphisms(g, g), searched once per group and limits;
+    every call returns a fresh list."""
+    return list(_automorphisms(g, limits))
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(g: FiniteGroup, limits: SearchLimits) -> tuple[GroupMap, ...]:
+    return tuple(enumerate_isomorphisms(g, g, limits=limits))
 
 
 def brute_force_isomorphism(g: FiniteGroup, h: FiniteGroup,

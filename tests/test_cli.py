@@ -270,6 +270,20 @@ class TestIso:
             ["iso", "plain", str(neither), str(neither)], capsys)
         assert code == 2
 
+    def test_non_integer_cocycle_entry_exits_two(self, tmp_path, capsys):
+        # truncating 1.7 would give 1, a valid Z2:Z2 cocycle
+        path = write_ext(tmp_path, "e.json", "Z2", "Z2",
+                         cocycle_table=[[0, 0], [0, 1.7]])
+        code, _, err = run_cli(["iso", "plain", path, path], capsys)
+        assert code == 2 and "not an integer" in err
+
+    def test_non_integer_class_index_exits_two(self, tmp_path, capsys):
+        for index in (1.7, True, "1"):
+            path = write_ext(tmp_path, "e.json", "Z2", "Z2",
+                             class_index=index)
+            code, _, err = run_cli(["iso", "plain", path, path], capsys)
+            assert code == 2 and "not an integer" in err
+
 
 class TestVerify:
     def test_default_catalog_clean(self, capsys):

@@ -35,7 +35,11 @@ from centext.errors import (
     PreconditionViolated,
     SizeLimitExceeded,
 )
-from centext.extensions import central_quotient_data
+from centext.extensions import (
+    build_extension,
+    central_quotient_data,
+    is_homomorphism_direct,
+)
 from centext.groups import (
     FiniteGroup,
     GroupMap,
@@ -43,6 +47,8 @@ from centext.groups import (
     brute_force_isomorphism,
     center,
     enumerate_automorphisms,
+    enumerate_homs,
+    enumerate_isomorphisms,
 )
 from centext.intlinalg import IntMatrix, abelian_invariants, solve_linear_mod
 
@@ -130,6 +136,13 @@ class TestCocycleBasics:
         with pytest.raises(ValueError):
             make_cocycle(g1, g2, ((0, 0, 0), (0, 1, 0), (0, 0, 0)))
 
+    def test_make_cocycle_rejects_non_integers(self):
+        # truncating 1.7 would give 1, a valid Z2:Z2 cocycle
+        g = get_group("Z2")
+        for bad in (1.7, True, "1"):
+            with pytest.raises(ValueError, match="not an integer"):
+                make_cocycle(g, g, [[0, 0], [0, bad]])
+
     def test_value_range_checked(self):
         g1, g2 = get_group("Z2"), get_group("Z2")
         with pytest.raises(ValueError):
@@ -144,6 +157,111 @@ class TestCocycleBasics:
                 prod = cocycle_mul(a, b)
                 assert is_cocycle(g1, g2, prod.table)[0]
             assert cocycle_mul(a, cocycle_inv(a)).is_trivial()
+
+
+def is_cocycle_by_full_scan(g1, g2, table):
+    """Reference for is_cocycle: the identity on every triple."""
+    n2 = g2.order
+    for y in range(n2):
+        if table[y][0] != 0 or table[0][y] != 0:
+            return False, ("normalization", y)
+    mul = g1.table
+    for h in range(1, n2):
+        for g in range(1, n2):
+            hg = g2.table[h][g]
+            for k in range(1, n2):
+                gk = g2.table[g][k]
+                if mul[table[h][g]][table[hg][k]] != \
+                        mul[table[g][k]][table[h][gk]]:
+                    return False, ("identity", (h, g, k))
+    return True, None
+
+
+def is_homomorphism_direct_by_full_scan(source, target, phi):
+    """Reference for is_homomorphism_direct: both families on every
+    kernel and section factor."""
+    g1, g2 = source.g1, source.g2
+    e1, n2 = source.cocycle.table, g2.order
+    mul_t = target.group.table
+    for x in range(g1.order):
+        for y in range(n2):
+            left = phi(x * n2 + y)
+            for xp in range(g1.order):
+                if mul_t[left][phi(xp * n2)] != \
+                        phi(g1.table[x][xp] * n2 + y):
+                    return False, ("kernel_factor", (x, y, xp))
+            for yp in range(n2):
+                if mul_t[left][phi(yp)] != phi(
+                        g1.table[x][e1[y][yp]] * n2 + g2.table[y][yp]):
+                    return False, ("section_factor", (x, y, yp))
+    return True, None
+
+
+GENERATOR_CHECK_PAIRS = [("Z2", "Z2"), ("Z2", "K4"), ("Z4", "K4"),
+                         ("Z2", "D4"), ("Z2", "Q8"), ("Z3", "S3"),
+                         ("Z2", "Z2xZ2xZ2"), ("Z3", "Z3")]
+
+
+def perturbed(table, data, n1):
+    """table with one entry set to a drawn value, or unchanged."""
+    tab = [list(r) for r in table]
+    if data.draw(st.booleans()):
+        n2 = len(tab)
+        h = data.draw(st.integers(0, n2 - 1))
+        g = data.draw(st.integers(0, n2 - 1))
+        tab[h][g] = data.draw(st.integers(0, n1 - 1))
+    return tuple(tuple(r) for r in tab)
+
+
+class TestGeneratorChecks:
+    """is_cocycle and is_homomorphism_direct test generators only and
+    rescan on failure; answers and witnesses equal the full scans."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_perturbed_cocycles_match_the_full_scan(self, data):
+        g1, g2 = (get_group(n) for n in
+                  data.draw(st.sampled_from(GENERATOR_CHECK_PAIRS)))
+        space = compute_cocycle_space(g1, g2)
+        base = data.draw(st.sampled_from(space.class_representatives
+                                         + space.z2_generators))
+        table = perturbed(base.table, data, g1.order)
+        assert is_cocycle(g1, g2, table) == \
+            is_cocycle_by_full_scan(g1, g2, table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_nonabelian_values_match_the_full_scan(self, data):
+        # values pushed into a non-abelian group: they commute until a
+        # perturbation brings in one that does not
+        g1 = get_group(data.draw(st.sampled_from(["Z2", "Z3"])))
+        g2 = get_group(data.draw(st.sampled_from(["K4", "S3", "Z2xZ4"])))
+        target = get_group(data.draw(st.sampled_from(["S3", "D4", "Q8"])))
+        rep = data.draw(st.sampled_from(
+            compute_cocycle_space(g1, g2).class_representatives))
+        delta = data.draw(st.sampled_from(enumerate_homs(g1, target)))
+        table = perturbed(pushforward(delta, rep).table, data, target.order)
+        assert is_cocycle(target, g2, table) == \
+            is_cocycle_by_full_scan(target, g2, table)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_perturbed_carrier_maps_match_the_full_scan(self, data):
+        g1, g2 = (get_group(n) for n in
+                  data.draw(st.sampled_from(GENERATOR_CHECK_PAIRS)))
+        reps = compute_cocycle_space(g1, g2).class_representatives
+        src = build_extension(data.draw(st.sampled_from(reps)))
+        tgt = build_extension(data.draw(st.sampled_from(reps)))
+        maps = enumerate_isomorphisms(src.group, tgt.group) or \
+            [GroupMap(dom=src.group, cod=tgt.group,
+                      images=(0,) * src.group.order)]
+        images = list(data.draw(st.sampled_from(maps)).images)
+        if data.draw(st.booleans()):
+            x = data.draw(st.integers(1, len(images) - 1))
+            images[x] = data.draw(st.integers(0, tgt.group.order - 1))
+        phi = GroupMap(dom=src.group, cod=tgt.group, images=tuple(images))
+        assert is_homomorphism_direct(src, tgt, phi) == \
+            is_homomorphism_direct_by_full_scan(src, tgt, phi)
 
 
 class TestCoboundaries:

@@ -9,8 +9,9 @@ derived subgroups.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from centext.catalog import get_group
+from centext.catalog import catalog_names, get_group, special_linear_2_5
 from centext.errors import (
     DimensionMismatch,
     NoIdentityAtZero,
@@ -20,6 +21,7 @@ from centext.errors import (
     SizeLimitExceeded,
 )
 from centext.groups import (
+    DEFAULT_LIMITS,
     GroupMap,
     SearchLimits,
     Subgroup,
@@ -43,6 +45,7 @@ from centext.groups import (
     trivial_map,
     validate_group,
 )
+from centext.groups import _MapSearch
 
 # order-5 loop: Latin with identity row/column but (1*1)*2 != 1*(1*2)
 NONASSOC5 = [
@@ -52,6 +55,132 @@ NONASSOC5 = [
     [3, 4, 1, 2, 0],
     [4, 2, 0, 1, 3],
 ]
+
+
+def validate_by_full_scan(table):
+    """Reference for validate_group: the same checks, with associativity
+    tested on every triple in row-major order."""
+    n = len(table)
+    if n == 0:
+        raise ValueError("empty table")
+    for a, row in enumerate(table):
+        if len(row) != n:
+            raise ValueError(f"row {a} has length {len(row)}, expected {n}")
+        for b, v in enumerate(row):
+            if not 0 <= v < n:
+                raise ValueError(f"entry [{a}][{b}] = {v!r} out of range")
+    for b in range(n):
+        if table[0][b] != b:
+            raise NoIdentityAtZero(f"0*{b} = {table[0][b]}, expected {b}")
+    for a in range(n):
+        if table[a][0] != a:
+            raise NoIdentityAtZero(f"{a}*0 = {table[a][0]}, expected {a}")
+    for a in range(n):
+        seen = {}
+        for b, v in enumerate(table[a]):
+            if v in seen:
+                raise NotLatinSquare(
+                    f"row {a} repeats {v} at columns {seen[v]} and {b}")
+            seen[v] = b
+    for b in range(n):
+        seen = {}
+        for a in range(n):
+            v = table[a][b]
+            if v in seen:
+                raise NotLatinSquare(
+                    f"column {b} repeats {v} at rows {seen[v]} and {a}")
+            seen[v] = a
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise NonAssociative(
+                        f"({a}*{b})*{c} = {table[ab][c]} but "
+                        f"{a}*({b}*{c}) = {table[a][table[b][c]]}")
+
+
+def outcome(check, *args):
+    """The error type and message a check raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def is_homomorphism_by_full_scan(m):
+    t, s, im = m.dom.table, m.cod.table, m.images
+    return all(im[t[a][b]] == s[im[a]][im[b]]
+               for a in range(m.dom.order) for b in range(m.dom.order))
+
+
+class PairClosureSearch(_MapSearch):
+    """Reference for _MapSearch: after each choice, close the partial
+    image under the products of every pair of known elements."""
+
+    def _define(self, x, v, images, known, used, trail):
+        self.nodes += 1
+        if self.nodes > self.limits.max_search_nodes:
+            raise SizeLimitExceeded("map search exceeded node budget")
+        images[x] = v
+        known.append(x)
+        trail.append(x)
+        if self.injective:
+            used[v] = True
+        queue = [x]
+        while queue:
+            a = queue.pop()
+            for b in list(known):
+                for p, q in ((a, b), (b, a)):
+                    r = self.dom.table[p][q]
+                    w = self.cod.table[images[p]][images[q]]
+                    if images[r] == -1:
+                        if self.injective and used[w]:
+                            return False
+                        self.nodes += 1
+                        images[r] = w
+                        known.append(r)
+                        trail.append(r)
+                        if self.injective:
+                            used[w] = True
+                        queue.append(r)
+                    elif images[r] != w:
+                        return False
+        return True
+
+
+def search_images(search_class, dom, cod, injective):
+    """Image arrays in the order the search emits them."""
+    return [m.images for m in
+            search_class(dom, cod, injective, DEFAULT_LIMITS).run()]
+
+
+SMALL = [name for name in catalog_names() if get_group(name).order <= 12]
+
+
+def relabelled_table(g, perm):
+    """g's table with element x renamed perm[x]."""
+    out = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            out[perm[a]][perm[b]] = perm[g.table[a][b]]
+    return out
+
+
+def intercalates(table):
+    """Rows a < b and columns c < d whose four entries form a 2x2 Latin
+    subsquare; swapping within it keeps the table Latin."""
+    n = len(table)
+    where = [{v: c for c, v in enumerate(row)} for row in table]
+    out = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                d = where[a][table[b][c]]
+                if d > c and table[b][d] == table[a][c]:
+                    out.append((a, b, c, d))
+    return out
 
 
 def naive_maps(h, k):
@@ -98,6 +227,42 @@ class TestValidateGroup:
         for name in ("Z4", "K4", "S3", "D4", "Q8", "A4"):
             g = get_group(name)
             assert validate_group([list(r) for r in g.table]).order == g.order
+
+    def test_bool_entries_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            validate_group([[0, True], [True, 0]])
+        with pytest.raises(ValueError, match="not an integer"):
+            validate_group([[0, 1], [1, 0.0]])
+
+    def test_nonassociative_witness_is_the_first_triple(self):
+        with pytest.raises(NonAssociative) as exc:
+            validate_group(NONASSOC5)
+        assert outcome(validate_by_full_scan, NONASSOC5) == (
+            NonAssociative, str(exc.value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_relabelled_and_swapped_tables_match_the_full_scan(self, data):
+        g = get_group(data.draw(st.sampled_from(SMALL)))
+        perm = [0] + data.draw(st.permutations(range(1, g.order)))
+        table = relabelled_table(g, perm)
+        for _ in range(data.draw(st.integers(0, 2))):
+            found = intercalates(table)
+            if not found:
+                break
+            a, b, c, d = data.draw(st.sampled_from(found))
+            table[a][c], table[a][d] = table[a][d], table[a][c]
+            table[b][c], table[b][d] = table[b][d], table[b][c]
+        assert outcome(validate_group, table) == \
+            outcome(validate_by_full_scan, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_random_tables_match_the_full_scan(self, table):
+        assert outcome(validate_group, table) == \
+            outcome(validate_by_full_scan, table)
 
     def test_single_entry_mutations_rejected(self):
         # flipping any one entry must trip the identity check (row/col 0)
@@ -216,6 +381,30 @@ class TestGroupMap:
         for m in enumerate_automorphisms(g):
             assert compose_maps(m, m.inverse()).images == identity_map(g).images
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_is_homomorphism_matches_the_full_scan(self, data):
+        dom = get_group(data.draw(st.sampled_from(SMALL)))
+        cod = get_group(data.draw(st.sampled_from(SMALL)))
+        homs = enumerate_homs(dom, cod)
+        images = list(data.draw(st.sampled_from(homs)).images)
+        if dom.order > 1 and data.draw(st.booleans()):
+            x = data.draw(st.integers(1, dom.order - 1))
+            images[x] = data.draw(st.integers(0, cod.order - 1))
+        m = GroupMap(dom=dom, cod=cod, images=tuple(images))
+        assert m.is_homomorphism() == is_homomorphism_by_full_scan(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_images_match_the_full_scan(self, data):
+        dom = get_group(data.draw(st.sampled_from(SMALL)))
+        cod = get_group(data.draw(st.sampled_from(SMALL)))
+        rest = data.draw(st.lists(st.integers(0, cod.order - 1),
+                                  min_size=dom.order - 1,
+                                  max_size=dom.order - 1))
+        m = GroupMap(dom=dom, cod=cod, images=(0, *rest))
+        assert m.is_homomorphism() == is_homomorphism_by_full_scan(m)
+
     def test_kernel_image(self):
         z4, z2 = get_group("Z4"), get_group("Z2")
         proj = GroupMap(dom=z4, cod=z2, images=(0, 1, 0, 1))
@@ -270,6 +459,56 @@ class TestEnumeration:
             for m in enumerate_automorphisms(g):
                 assert {m(x) for x in zc} == zc
                 assert {m(x) for x in dc} == dc
+
+
+class TestPairClosureOracle:
+    """The Cayley-graph search emits the maps of the pair closure, in
+    the same order; sorted, these are the enumerators' lists."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_self_maps_of_every_catalog_group(self, name):
+        g = get_group(name)
+        for injective in (True, False):
+            if not injective and g.order > 24:
+                continue
+            want = search_images(PairClosureSearch, g, g, injective)
+            assert search_images(_MapSearch, g, g, injective) == want
+        assert [m.images for m in enumerate_automorphisms(g)] == \
+            sorted(search_images(PairClosureSearch, g, g, True))
+
+    def test_homs_and_isomorphisms_between_small_groups(self):
+        names = [n for n in SMALL if get_group(n).order <= 8]
+        for a in names:
+            for b in names:
+                h, k = get_group(a), get_group(b)
+                homs = search_images(PairClosureSearch, h, k, False)
+                assert search_images(_MapSearch, h, k, False) == homs
+                assert [m.images for m in enumerate_homs(h, k)] == \
+                    sorted(homs)
+                isos = enumerate_isomorphisms(h, k)
+                if isos:
+                    assert [m.images for m in isos] == sorted(
+                        search_images(PairClosureSearch, h, k, True))
+
+    def test_homs_into_a5(self):
+        a5 = get_group("A5")
+        for name in ("Z2", "K4", "S3", "D5", "A4"):
+            h = get_group(name)
+            assert search_images(_MapSearch, h, a5, False) == \
+                search_images(PairClosureSearch, h, a5, False)
+
+    def test_automorphisms_of_sl25(self):
+        g = special_linear_2_5()
+        want = search_images(PairClosureSearch, g, g, True)
+        assert search_images(_MapSearch, g, g, True) == want
+        assert [m.images for m in enumerate_automorphisms(g)] == sorted(want)
+
+    def test_automorphism_lists_are_fresh(self):
+        g = get_group("Q8")
+        first = enumerate_automorphisms(g)
+        first.clear()
+        again = enumerate_automorphisms(g)
+        assert len(again) == 24 and again is not enumerate_automorphisms(g)
 
 
 class TestOracle:
