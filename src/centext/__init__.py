@@ -31,8 +31,7 @@ from .isotest import (CERTIFICATE_KINDS, IsoCertificate,
                       g1g2_isomorphic, g2_isomorphic_equal_order,
                       g2_isomorphic_necessary, lower_b2trivial,
                       lower_isomorphic, lower_necessary, lower_sufficient,
-                      lower_to_direct, oracle_iso_survey,
-                      simple_quotient_check, upper_isomorphic,
-                      verify_theorems)
+                      oracle_iso_survey, simple_quotient_check,
+                      upper_isomorphic, verify_theorems)
 
 __version__ = "0.1.0"

@@ -7,9 +7,9 @@ product), iso (decide one isomorphism kind, with certificate), verify
 Exit codes: 0 success (for iso: isomorphic in the requested kind),
 1 negative verdict (for verify: discrepancies found), 2 validation
 error, 3 size limit exceeded, 4 a lower negative cannot be settled:
-the quotient coboundary-triviality hypothesis fails for the quotient,
-the exhaustive search that would replace it exceeds the size limits,
-and --assume-sim-trivial was not given.
+the component search found nothing, the quotient coboundary-triviality
+hypothesis that would make it complete fails for the quotient, and the
+exhaustive search that would replace it exceeds the size limits.
 
 Group arguments are catalog names or paths to JSON files holding
 {"table": [[...]], "name": optional}.  Extension files hold {"g1", "g2",
@@ -34,11 +34,7 @@ from .cocycles import (
     sim_is_trivial,
     trivial_cocycle,
 )
-from .errors import (
-    ConditionsFailed,
-    HypothesisNotVerified,
-    SizeLimitExceeded,
-)
+from .errors import HypothesisNotVerified, SizeLimitExceeded
 from .extensions import (
     build_extension,
     central_quotient_data,
@@ -126,21 +122,14 @@ def _emit(payload, output):
         sys.stdout.write(text)
 
 
-def _limits(args) -> SearchLimits:
-    if getattr(args, "max_order", None) is None:
-        return DEFAULT_LIMITS
-    return SearchLimits(max_order=args.max_order)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_cohomology(args) -> int:
-    limits = _limits(args)
     g1 = _load_group(args.g1)
     g2 = _load_group(args.g2)
-    space = compute_cocycle_space(g1, g2, limits)
+    space = compute_cocycle_space(g1, g2)
     payload = {
         "g1": g1.to_dict(),
         "g2": g2.to_dict(),
@@ -158,14 +147,13 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    limits = _limits(args)
     g1 = _load_group(args.g1)
     g2 = _load_group(args.g2)
     if (args.cocycle is None) == (args.class_index is None):
         raise ValueError(
             "pass exactly one of a cocycle file or --class-index")
     if args.class_index is not None:
-        space = compute_cocycle_space(g1, g2, limits)
+        space = compute_cocycle_space(g1, g2)
         if not 0 <= args.class_index < len(space.class_representatives):
             raise ValueError(
                 f"class index {args.class_index} out of range "
@@ -185,15 +173,17 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def _decide_iso(mode, e1, e2, assume, limits):
+def _decide_iso(mode, e1, e2, limits):
     """Verdict, certificate dict or None, notes.
 
     plain, upper, g2 and g1g2 need no hypothesis.  lower decides the
     positive side by component search (unconditionally sound); its
-    negative is settled by the hypothesis when it holds or is asserted,
-    and by exhaustive carrier search otherwise.  g1 decides by exhaustive
-    search with the kernel-component constraint, and extracts the
-    structured certificate when the hypothesis allows.
+    negative is settled by the quotient hypothesis when sim_is_trivial
+    proves it, and by exhaustive carrier search otherwise, which raises
+    HypothesisNotVerified when it exceeds the limits.  g1 decides by
+    exhaustive search with the kernel-component constraint, and returns
+    the structured certificate when its conditions verify, else the raw
+    map with a note naming the failed condition.
     """
     notes = []
     if mode == "plain":
@@ -214,10 +204,6 @@ def _decide_iso(mode, e1, e2, assume, limits):
             notes.append("negative settled by the component search; the "
                          "quotient hypothesis is verified")
             return False, None, notes
-        if assume:
-            notes.append("negative rests on the asserted quotient "
-                         "hypothesis")
-            return False, None, notes
         try:
             phi = brute_force_isomorphism(
                 e1.group, e2.group, limits=limits,
@@ -226,9 +212,8 @@ def _decide_iso(mode, e1, e2, assume, limits):
             raise HypothesisNotVerified(
                 "the component search found nothing, its completeness "
                 "needs the quotient hypothesis, which fails for this "
-                "quotient, and exhaustive search exceeds the size limits; "
-                "pass --assume-sim-trivial to accept the structured "
-                "negative") from exc
+                "quotient, and exhaustive search exceeds the size "
+                "limits") from exc
         if phi is None:
             notes.append("negative settled by exhaustive search")
             return False, None, notes
@@ -255,22 +240,13 @@ def _decide_iso(mode, e1, e2, assume, limits):
             constraint=lambda m: decompose_hom(e1, e2, m).phi11.is_trivial())
         if phi is None:
             return False, None, notes
-        verified = sim_is_trivial(e1.g2)
-        if assume or verified:
-            try:
-                cert = g1_isomorphic_necessary(e1, e2, phi,
-                                               assume_sim_trivial=assume)
-            except ConditionsFailed as exc:
-                if verified:
-                    raise
-                notes.append(f"certificate left as the raw map: {exc}; the "
-                             "asserted quotient hypothesis fails here")
-                return True, {"kind": "g1", "phi": list(phi.images)}, notes
-            return True, cert.to_dict(), notes
-        notes.append("certificate left as the raw map: component "
-                     "verification needs the quotient hypothesis "
-                     "(pass --assume-sim-trivial)")
-        return True, {"kind": "g1", "phi": list(phi.images)}, notes
+        try:
+            cert = g1_isomorphic_necessary(e1, e2, phi)
+        except HypothesisNotVerified as exc:
+            notes.append(f"certificate left as the raw map: {exc}; the "
+                         "quotient hypothesis fails here")
+            return True, {"kind": "g1", "phi": list(phi.images)}, notes
+        return True, cert.to_dict(), notes
 
     if mode == "g1g2":
         cert = g1g2_isomorphic(e1, e2, limits)
@@ -280,15 +256,14 @@ def _decide_iso(mode, e1, e2, assume, limits):
 
 
 def cmd_iso(args) -> int:
-    limits = _limits(args)
+    limits = (DEFAULT_LIMITS if args.max_order is None
+              else SearchLimits(max_order=args.max_order))
     e1 = _load_extension(args.ext1, limits)
     e2 = _load_extension(args.ext2, limits)
-    verdict, certificate, notes = _decide_iso(
-        args.mode, e1, e2, args.assume_sim_trivial, limits)
+    verdict, certificate, notes = _decide_iso(args.mode, e1, e2, limits)
     payload = {
         "mode": args.mode,
         "verdict": verdict,
-        "assumed_sim_trivial": bool(args.assume_sim_trivial),
         "certificate": certificate,
         "notes": notes,
     }
@@ -376,11 +351,6 @@ def _add_output(p):
     p.add_argument("--output", help="write the JSON here instead of stdout")
 
 
-def _add_max_order(p, default=None):
-    p.add_argument("--max-order", type=int, default=default,
-                   help="carrier order bound for searches")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="centext",
@@ -394,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g1", help="coefficient group (catalog name or file)")
     p.add_argument("g2", help="base group (catalog name or file)")
     _add_output(p)
-    _add_max_order(p)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("extend", help="build the twisted product")
@@ -405,18 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-index", type=int, default=None,
                    help="use this cohomology class representative instead")
     _add_output(p)
-    _add_max_order(p)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("iso", help="decide one isomorphism kind")
     p.add_argument("mode", choices=ISO_MODES)
     p.add_argument("ext1", help="extension JSON file")
     p.add_argument("ext2", help="extension JSON file")
-    p.add_argument("--assume-sim-trivial", action="store_true",
-                   help="accept structured negatives as if the quotient "
-                        "coboundary-triviality hypothesis held")
     _add_output(p)
-    _add_max_order(p)
+    p.add_argument("--max-order", type=int, default=None,
+                   help="carrier order bound for searches")
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("verify", help="cross-validation harness")

@@ -40,7 +40,6 @@ from .groups import (
     GroupMap,
     SearchLimits,
     center,
-    generating_sequence,
 )
 from .intlinalg import (
     IntLattice,
@@ -103,7 +102,7 @@ def is_cocycle(g1: FiniteGroup, g2: FiniteGroup, table):
     When the values commute pairwise (always, for abelian g1) they lie
     in an abelian subgroup of g1, and the _cocycle_columns proof shows
     that the identity for every middle g follows from the identity for
-    g in generating_sequence(g2); so only those middles are tested.
+    g in g2.generators; so only those middles are tested.
     Only when one fails, or when two values do not commute, does the
     scan over all triples run, which names the first failing triple in
     row-major order.
@@ -196,17 +195,18 @@ def coboundary_from(delta: GroupMap) -> Cocycle2:
         raise NotAbelian("coboundaries are built over abelian coefficients")
     if delta.images[0] != 0:
         raise NotNormalized("delta must send the identity to the identity")
-    mul, inv = g1.table, g1.inverses
-    n2 = g2.order
-    table = []
-    for h in range(n2):
-        row = []
-        for g in range(n2):
-            hg = g2.table[h][g]
-            row.append(mul[mul[delta.images[g]][inv[delta.images[hg]]]]
-                       [delta.images[h]])
-        table.append(tuple(row))
-    return Cocycle2(g1=g1, g2=g2, table=tuple(table))
+    return Cocycle2(g1=g1, g2=g2, table=_coboundary_table(delta))
+
+
+def _coboundary_table(delta: GroupMap) -> tuple[tuple[int, ...], ...]:
+    """The bare table of coboundary_from(delta), without its checks or
+    the Cocycle2 wrapper, for callers that only read its entries."""
+    g2, g1 = delta.dom, delta.cod
+    mul, inv, images = g1.table, g1.inverses, delta.images
+    return tuple(
+        tuple(mul[mul[images[g]][inv[images[g2.table[h][g]]]]][images[h]]
+              for g in range(g2.order))
+        for h in range(g2.order))
 
 
 @dataclass(frozen=True)
@@ -459,7 +459,7 @@ def _cocycle_columns(g2: FiniteGroup):
     them its column {equation: coefficient}.
 
     The equations are e(h,g) + e(hg,k) - e(g,k) - e(h,gk) = 0 for
-    nonidentity h, k and g in generating_sequence(g2) only (triples
+    nonidentity h, k and g in g2.generators only (triples
     touching the identity are vacuous for normalized tables).  That
     loses nothing, by Light's associativity argument: on g1 x g2 put
     (a, h)(b, k) = (a + b + e(h, k), hk), which is associative exactly
@@ -475,7 +475,7 @@ def _cocycle_columns(g2: FiniteGroup):
     columns = [{} for _ in pairs]
     neq = 0
     for h in range(1, n2):
-        for g in generating_sequence(g2):
+        for g in g2.generators:
             hg = g2.table[h][g]
             for k in range(1, n2):
                 gk = g2.table[g][k]

@@ -55,8 +55,10 @@ class PreconditionViolated(ValueError):
 
 
 class HypothesisNotVerified(RuntimeError):
-    """A criterion needs coboundary-triviality of the quotient, which
-    fails for the given quotient and was not explicitly assumed."""
+    """A verdict rests on coboundary-triviality of the quotient, which
+    sim_is_trivial shows fails for the given quotient: a necessary
+    condition failed where the statement is not proved, or a negative
+    could not be settled by other means."""
 
 
 class NotLowerIso(ValueError):

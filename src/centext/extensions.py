@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 from .cocycles import (
     Cocycle2,
+    _coboundary_table,
     are_cohomologous,
     coboundary_from,
     is_cocycle,
     is_epsilon_endomorphism,
-    sim_is_trivial,
 )
 from .errors import (
     ConditionsFailed,
     GroupMismatch,
-    HypothesisNotVerified,
     NotAbelianCoefficients,
 )
 from .groups import (
@@ -287,8 +286,8 @@ def is_homomorphism_direct(source: ExtensionGroup, target: ExtensionGroup,
     Both families read phi(a t) = phi(a) phi(t) for every a, with t =
     (x', 1) or (1, y').  The t that pass for every a are closed under
     the product, as in GroupMap.is_homomorphism, and include the
-    identity; (x', 1) for x' in generating_sequence(g1) and (1, y') for
-    y' in generating_sequence(g2) generate the carrier.  So the families
+    identity; (x', 1) for x' in g1.generators and (1, y') for y' in
+    g2.generators generate the carrier.  So the families
     are tested on those x' and y' only, and the scan over all of them
     runs only after a failure, to name the first failing triple.
     """
@@ -361,14 +360,6 @@ class HomConditionReport:
         return all(self.conditions)
 
 
-def _require_sim_trivial(g2: FiniteGroup, assume: bool):
-    if not (assume or sim_is_trivial(g2)):
-        raise HypothesisNotVerified(
-            "the quotient has nontrivial self-coboundaries, so the "
-            "component conditions are not known to characterize "
-            "homomorphisms; pass the assume flag to proceed")
-
-
 def hom_condition_failures(m: HomMatrix):
     """Evaluate the four conditions of HomConditionReport on m, whose
     carriers sit over one group pair, writing sigma, eta, delta, rho
@@ -410,7 +401,7 @@ def hom_condition_failures(m: HomMatrix):
         yield (3, "delta does not kill the source cocycle values",
                ("value_survives", bad))
     else:
-        psi11 = coboundary_from(m.phi11).table
+        psi11 = _coboundary_table(m.phi11)
         bad = next(((x, xp) for x in range(n1) for xp in range(n1)
                     if inv1[e2[delta[x]][delta[xp]]] != psi11[x][xp]), None)
         if bad is not None:
@@ -426,7 +417,7 @@ def hom_condition_failures(m: HomMatrix):
         yield (2, "delta image does not commute with the section copy in "
                   "the target carrier", bad)
 
-    psi12 = coboundary_from(m.phi12).table
+    psi12 = _coboundary_table(m.phi12)
     bad = next(((y, yp) for y in range(n2) for yp in range(n2)
                 if g1.table[sigma[e1[y][yp]]][inv1[e2[rho[y]][rho[yp]]]]
                 != psi12[y][yp]), None)
@@ -435,16 +426,17 @@ def hom_condition_failures(m: HomMatrix):
                   "pulled-back target cocycle times eta's coboundary", bad)
 
 
-def check_hom_conditions(m: HomMatrix, assume_sim_trivial: bool = False
-                         ) -> HomConditionReport:
-    """Evaluate the four conditions on a component matrix that
-    characterize homomorphisms between the two carriers (under the
-    quotient coboundary-triviality hypothesis, which is decided by
-    sim_is_trivial unless assumed)."""
+def check_hom_conditions(m: HomMatrix) -> HomConditionReport:
+    """Evaluate the four conditions on a component matrix, and report.
+
+    When all four hold, the reconstructed map is a homomorphism between
+    the two carriers, for any quotient.  A failed condition rules a
+    homomorphism out only under the quotient coboundary-triviality
+    hypothesis (sim_is_trivial of the quotient); the report does not
+    decide it."""
     src, tgt = m.source, m.target
     if src.g1 != tgt.g1 or src.g2 != tgt.g2:
         raise GroupMismatch("both carriers must sit over the same pair")
-    _require_sim_trivial(src.g2, assume_sim_trivial)
     found = {c: witness for c, _, witness in hom_condition_failures(m)}
     return HomConditionReport(
         component_morphisms=1 not in found, morphism_witness=found.get(1),

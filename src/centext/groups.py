@@ -525,12 +525,6 @@ def compose_maps(outer: GroupMap, inner: GroupMap) -> GroupMap:
 # backtracking searches
 
 
-def generating_sequence(g: FiniteGroup) -> list[int]:
-    """Greedy generating sequence: repeatedly adjoin the least element
-    outside the subgroup generated so far (FiniteGroup.generators)."""
-    return list(g.generators)
-
-
 class _MapSearch:
     """Backtracking core shared by the hom/iso enumerators.
 

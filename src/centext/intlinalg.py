@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatch, NotAbelian
-from .groups import FiniteGroup, GroupMap, cyclic_group, generating_sequence
+from .groups import FiniteGroup, GroupMap, cyclic_group
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -528,7 +528,7 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
                                    coord_group=triv, to_group=ident,
                                    to_coords=back)
 
-    gens = generating_sequence(g)
+    gens = g.generators
     k = len(gens)
     # exponent vector for each element, found by breadth-first products
     vecs = {0: tuple([0] * k)}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import (
     ConditionsFailed,
     GroupMismatch,
+    HypothesisNotVerified,
     NotG1Iso,
     NotG2Iso,
     NotLowerIso,
@@ -45,7 +46,6 @@ from .cocycles import (
 from .extensions import (
     ExtensionGroup,
     HomMatrix,
-    _require_sim_trivial,
     build_extension,
     decompose_hom,
     hom_condition_failures,
@@ -61,7 +61,6 @@ __all__ = [
     "lower_necessary",
     "lower_sufficient",
     "lower_isomorphic",
-    "lower_to_direct",
     "lower_b2trivial",
     "simple_quotient_check",
     "build_purely_nonabelian_iso",
@@ -101,14 +100,22 @@ def _first_failure(m: HomMatrix) -> str | None:
                 None)
 
 
-def _require(m: HomMatrix, *own):
-    """Raise ConditionsFailed naming the first failing component
-    condition on m, else the first of the (holds, reason) pairs in own
-    that does not hold."""
+def _falsified(g2) -> type:
+    """The error for a failed condition of a necessity statement that
+    rests on the quotient hypothesis: ConditionsFailed when
+    sim_is_trivial(g2) holds, since the failure falsifies the
+    statement, else HypothesisNotVerified."""
+    return ConditionsFailed if sim_is_trivial(g2) else HypothesisNotVerified
+
+
+def _require(m: HomMatrix, *own, error=ConditionsFailed):
+    """Raise error naming the first failing component condition on m,
+    else the first of the (holds, reason) pairs in own that does not
+    hold."""
     reason = _first_failure(m) or next(
         (reason for holds, reason in own if not holds), None)
     if reason is not None:
-        raise ConditionsFailed(reason)
+        raise error(reason)
 
 
 @dataclass(frozen=True)
@@ -245,15 +252,16 @@ def _lower_problem(cert: IsoCertificate) -> str | None:
     return _first_failure(cert.components())
 
 
-def lower_necessary(e1, e2, phi: GroupMap,
-                    assume_sim_trivial: bool = False) -> IsoCertificate:
+def lower_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     """Extract and verify the certificate that must exist behind any
-    section-preserving isomorphism (quotient coboundary-triviality
-    hypothesis required).
+    section-preserving isomorphism, a statement that rests on the
+    quotient coboundary-triviality hypothesis.
 
-    Raises NotLowerIso when phi is not a section-preserving isomorphism;
-    a verification failure after that raises ConditionsFailed, since it
-    would falsify the statement being implemented.
+    Raises NotLowerIso when phi is not a section-preserving isomorphism.
+    A failed condition after that raises ConditionsFailed when
+    sim_is_trivial holds for the quotient, since it would falsify the
+    statement, and HypothesisNotVerified with the same message when the
+    hypothesis fails.
     """
     src, tgt = _as_extension(e1), _as_extension(e2)
     _same_pair(src, tgt)
@@ -262,7 +270,6 @@ def lower_necessary(e1, e2, phi: GroupMap,
         raise NotLowerIso("phi is not an isomorphism of the carriers")
     if not preserves_section_setwise(src, tgt, phi):
         raise NotLowerIso("phi does not map the section copy onto itself")
-    _require_sim_trivial(src.g2, assume_sim_trivial)
     m = decompose_hom(src, tgt, phi)
     if not m.phi12.is_trivial():
         raise ConditionsFailed("section-preserving map leaked a component")
@@ -270,7 +277,7 @@ def lower_necessary(e1, e2, phi: GroupMap,
                           sigma=m.phi11, rho=m.phi22, delta=m.phi21)
     problem = _lower_problem(cert)
     if problem is not None:
-        raise ConditionsFailed(problem)
+        raise _falsified(src.g2)(problem)
     return cert
 
 
@@ -312,16 +319,6 @@ def lower_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
                     cert.materialize()
                     return cert
     return None
-
-
-def lower_to_direct(e) -> bool:
-    """Whether the extension is section-preservingly isomorphic to the
-    untwisted product: exactly when the cocycle is trivial.  Any such
-    isomorphism forces the cocycle into the kernel of an injective
-    component, so nothing short of triviality survives; the property
-    tests confirm this against constrained brute-force search."""
-    cocycle = e.cocycle if isinstance(e, ExtensionGroup) else e
-    return cocycle.is_trivial()
 
 
 def lower_b2trivial(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
@@ -468,15 +465,14 @@ def g2_isomorphic_equal_order(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     return None
 
 
-def g1_isomorphic_necessary(e1, e2, phi: GroupMap,
-                            assume_sim_trivial: bool = False
-                            ) -> IsoCertificate:
+def g1_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     """Extract and verify the certificate behind an isomorphism whose
-    kernel-to-kernel component is trivial (quotient coboundary-
-    triviality hypothesis required): the source cocycle vanishes, the
-    target cocycle dies on the delta image, and the pulled-back inverse
-    target cocycle is eta's coboundary.  Verification failures raise
-    ConditionsFailed."""
+    kernel-to-kernel component is trivial: the source cocycle vanishes,
+    the target cocycle dies on the delta image, and the pulled-back
+    inverse target cocycle is eta's coboundary.  The statement rests on
+    the quotient coboundary-triviality hypothesis, so a failed condition
+    raises ConditionsFailed when sim_is_trivial holds for the quotient
+    and HypothesisNotVerified with the same message when it fails."""
     src, tgt = _as_extension(e1), _as_extension(e2)
     _same_pair(src, tgt)
     ok, _ = is_homomorphism_direct(src, tgt, phi)
@@ -485,11 +481,11 @@ def g1_isomorphic_necessary(e1, e2, phi: GroupMap,
     m = decompose_hom(src, tgt, phi)
     if not m.phi11.is_trivial():
         raise NotG1Iso("phi has a nontrivial kernel-to-kernel component")
-    _require_sim_trivial(src.g2, assume_sim_trivial)
     n1 = src.g1.order
     _require(m, (len(set(m.phi21.images)) == n1, "delta is not injective"),
              (set(m.phi12.images) == set(range(n1)), "eta is not surjective"),
-             (src.cocycle.is_trivial(), "source cocycle did not vanish"))
+             (src.cocycle.is_trivial(), "source cocycle did not vanish"),
+             error=_falsified(src.g2))
     return IsoCertificate(kind="g1", source=src, target=tgt, rho=m.phi22,
                           eta=m.phi12, delta=m.phi21)
 
@@ -560,8 +556,10 @@ def verify_theorems(pairs=None, max_order: int = 16,
     Statements proved without the quotient coboundary-triviality
     hypothesis are flagged as discrepancies when violated; the
     hypothesis-dependent ones are flagged where sim_is_trivial says the
-    hypothesis holds, and logged as observations elsewhere.  The report is
-    machine-readable and the discrepancy list must come back empty.
+    hypothesis holds (the extractors raise ConditionsFailed there), and
+    logged as observations elsewhere (they raise HypothesisNotVerified).
+    The report is machine-readable and the discrepancy list must come
+    back empty.
     """
     from .catalog import get_group
     if pairs is None:
@@ -641,13 +639,16 @@ def verify_theorems(pairs=None, max_order: int = 16,
 
                 # section-preserving side
                 # representative 0 is the trivial class, and lower
-                # isomorphism is symmetric
+                # isomorphism is symmetric; a class is lower isomorphic
+                # to the direct product exactly when its cocycle is
+                # trivial, since such a map forces the cocycle into the
+                # kernel of an injective component
                 for end, other, check in (
                         (j, src, "lower_to_direct_vs_oracle"),
                         (i, tgt, "direct_to_lower_vs_oracle")):
                     if end != 0:
                         continue
-                    claim = lower_to_direct(other)
+                    claim = other.cocycle.is_trivial()
                     if claim != oracle["lower"]:
                         flag(record, check, {"criterion": claim,
                                              "oracle": oracle["lower"]})
@@ -678,12 +679,13 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     if not preserves_section_setwise(src, tgt, phi):
                         continue
                     try:
-                        lc = lower_necessary(src, tgt, phi,
-                                             assume_sim_trivial=not sim_ok)
-                        lower_sufficient(lc)
+                        lower_sufficient(lower_necessary(src, tgt, phi))
                     except ConditionsFailed as exc:
-                        settle(record, "lower_necessary_failed",
-                               {"error": str(exc)})
+                        flag(record, "lower_necessary_failed",
+                             {"error": str(exc)})
+                    except HypothesisNotVerified as exc:
+                        observe(record, "lower_necessary_failed",
+                                {"error": str(exc)})
 
                 # trivial diagonal components
                 if equal_order_abelian:
@@ -720,11 +722,13 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     if not m.phi11.is_trivial():
                         continue
                     try:
-                        g1_isomorphic_necessary(
-                            src, tgt, phi, assume_sim_trivial=not sim_ok)
+                        g1_isomorphic_necessary(src, tgt, phi)
                     except ConditionsFailed as exc:
-                        settle(record, "g1_necessary_failed",
-                               {"error": str(exc)})
+                        flag(record, "g1_necessary_failed",
+                             {"error": str(exc)})
+                    except HypothesisNotVerified as exc:
+                        observe(record, "g1_necessary_failed",
+                                {"error": str(exc)})
 
                 pair_entry["records"].append(record)
         report["pairs"].append(pair_entry)

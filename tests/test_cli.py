@@ -174,28 +174,31 @@ class TestIso:
         assert payload["certificate"]["kind"] == "g1"
         assert payload["certificate"]["delta"] == [0, 1]
 
-    def test_g1_raw_certificate_when_hypothesis_unverified(self, tmp_path,
+    def test_g1_raw_certificate_when_hypothesis_unverified(self, ext_files,
                                                            capsys):
-        path = write_ext(tmp_path, "z3.json", "Z3", "Z3", class_index=0)
-        code, payload, _ = run_cli(["iso", "g1", path, path], capsys)
-        assert code == 0
-        assert payload["certificate"]["kind"] == "g1"
-        assert "phi" in payload["certificate"]
-        assert any("hypothesis" in n for n in payload["notes"])
-
-    def test_g1_asserted_hypothesis_keeps_the_positive_verdict(
-            self, ext_files, capsys):
-        # over D4 the hypothesis fails, so asserting it lets the component
-        # check fail; the isomorphism found stands as the raw map
+        # over D4 the hypothesis fails and a component condition fails
+        # with it; the isomorphism found stands as the raw map
         code, payload, _ = run_cli(
-            ["iso", "g1", ext_files["d41"], ext_files["d41"],
-             "--assume-sim-trivial"], capsys)
+            ["iso", "g1", ext_files["d41"], ext_files["d41"]], capsys)
         assert code == 0
         assert payload["verdict"] is True
         assert payload["certificate"]["kind"] == "g1"
         assert "phi" in payload["certificate"]
-        assert any("section component is not an endomorphism" in n
-                   for n in payload["notes"])
+        assert payload["notes"] == [
+            "certificate left as the raw map: section component is not an "
+            "endomorphism; the quotient hypothesis fails here"]
+
+    def test_g1_structured_certificate_when_conditions_verify(self, tmp_path,
+                                                              capsys):
+        # the Z3 quotient fails the hypothesis, but the conditions hold
+        path = write_ext(tmp_path, "z3.json", "Z3", "Z3", class_index=0)
+        code, payload, _ = run_cli(["iso", "g1", path, path], capsys)
+        assert code == 0
+        assert payload["certificate"]["kind"] == "g1"
+        assert payload["certificate"]["delta"] == [0, 1, 2]
+        assert "phi" not in payload["certificate"]
+        assert payload["notes"] == []
+        assert "assumed_sim_trivial" not in payload
 
     def test_g2_equal_order_and_injectivity_obstruction(self, ext_files,
                                                         capsys):
@@ -219,13 +222,10 @@ class TestIso:
         # fails, and the order-16 carriers exceed the search bound
         argv = ["iso", "lower", ext_files["d40"], ext_files["d41"],
                 "--max-order", "8"]
-        code, _, err = run_cli(argv, capsys)
-        assert code == 4
-        assert "assume-sim-trivial" in err
-        code, payload, _ = run_cli(argv + ["--assume-sim-trivial"], capsys)
-        assert code == 1
-        assert payload["assumed_sim_trivial"] is True
-        assert any("asserted" in n for n in payload["notes"])
+        code, payload, err = run_cli(argv, capsys)
+        assert code == 4 and payload is None
+        assert "exhaustive search exceeds the size limits" in err
+        assert "assume" not in err
 
     def test_unverified_lower_falls_back_to_exhaustive_search(self,
                                                               ext_files,
@@ -372,6 +372,19 @@ class TestCatalog:
     def test_show_unknown_group(self, capsys):
         code, _, err = run_cli(["catalog", "show", "M11"], capsys)
         assert code == 2 and "M11" in err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["cohomology", "Z2", "D4", "--max-order", "1"],
+        ["extend", "Z2", "K4", "--class-index", "7", "--max-order", "1"],
+        ["iso", "lower", "a.json", "b.json", "--assume-sim-trivial"],
+    ])
+    def test_retired_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEntryPoint:
