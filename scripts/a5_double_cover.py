@@ -17,8 +17,7 @@ from centext.extensions import build_extension, central_quotient_data
 from centext.groups import SearchLimits, brute_force_isomorphism, center
 from centext.isotest import simple_quotient_check
 
-LIMITS = SearchLimits(max_order=256, max_search_nodes=50_000_000,
-                      max_cocycle_unknowns=8192)
+LIMITS = SearchLimits(max_order=256, max_search_nodes=50_000_000)
 
 
 def involutions(g):

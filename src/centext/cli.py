@@ -6,7 +6,8 @@ product), iso (decide one isomorphism kind, with certificate), verify
 
 Exit codes: 0 success (for iso: isomorphic in the requested kind),
 1 negative verdict (for verify: discrepancies found), 2 validation
-error, 3 size limit exceeded, 4 a lower negative cannot be settled:
+error, 3 a map-search size limit exceeded (never for cohomology, which
+runs no search), 4 a lower negative cannot be settled:
 the component search found nothing, the quotient coboundary-triviality
 hypothesis that would make it complete fails for the quotient, and the
 exhaustive search that would replace it exceeds the size limits.
@@ -86,7 +87,7 @@ def _load_group(spec) -> FiniteGroup:
             f"{spec!r} is neither a catalog name nor an existing file")
 
 
-def _load_extension(path, limits):
+def _load_extension(path):
     d = _read_json(path)
     if not isinstance(d, dict):
         raise ValueError(f"{path}: extension file must be a JSON object")
@@ -99,7 +100,7 @@ def _load_extension(path, limits):
         k = d["class_index"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"{path}: class_index {k!r} is not an integer")
-        space = compute_cocycle_space(g1, g2, limits)
+        space = compute_cocycle_space(g1, g2)
         if not 0 <= k < len(space.class_representatives):
             raise ValueError(
                 f"{path}: class_index {k} out of range "
@@ -258,8 +259,8 @@ def _decide_iso(mode, e1, e2, limits):
 def cmd_iso(args) -> int:
     limits = (DEFAULT_LIMITS if args.max_order is None
               else SearchLimits(max_order=args.max_order))
-    e1 = _load_extension(args.ext1, limits)
-    e2 = _load_extension(args.ext2, limits)
+    e1 = _load_extension(args.ext1)
+    e2 = _load_extension(args.ext2)
     verdict, certificate, notes = _decide_iso(args.mode, e1, e2, limits)
     payload = {
         "mode": args.mode,

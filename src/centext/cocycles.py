@@ -9,12 +9,14 @@ structure on the value set is needed beyond the identity check).
 
 The space computation enumerates neither candidate tables nor B^2: it
 splits g1 into invariant-factor coordinates and, for each factor d,
-keeps Z^2 and B^2 as echelon lattices mod d.  H^2 comes from a small
-Smith normal form of the relations among the Z^2 rows mod B^2, and
-each class representative from one greedy pass against B^2's rows.
-The coboundary test works the same way: the coboundary map of g2 is
-eliminated once per factor d, and an are_cohomologous call costs, per
-factor, one reduction and one pass over the pairs of g2.
+solves the cocycle identity mod d in generator columns, k(n-1)
+unknowns for k generators of a quotient of order n, and keeps B^2 as
+an echelon lattice over the pair slots.  H^2 comes from a small Smith
+normal form of the relations among the Z^2 rows mod B^2, and each
+class representative from one greedy pass against B^2's rows.  The
+coboundary test eliminates the coboundary map of g2 once per factor d
+by the same routine, _row_space, and an are_cohomologous call costs,
+per factor, one reduction and one pass over the pairs of g2.
 """
 
 from __future__ import annotations
@@ -32,15 +34,8 @@ from .errors import (
     NotAbelianCoefficients,
     NotNormalized,
     PreconditionViolated,
-    SizeLimitExceeded,
 )
-from .groups import (
-    DEFAULT_LIMITS,
-    FiniteGroup,
-    GroupMap,
-    SearchLimits,
-    center,
-)
+from .groups import FiniteGroup, GroupMap, center
 from .intlinalg import (
     IntLattice,
     IntMatrix,
@@ -101,8 +96,8 @@ def is_cocycle(g1: FiniteGroup, g2: FiniteGroup, table):
 
     When the values commute pairwise (always, for abelian g1) they lie
     in an abelian subgroup of g1, and the _cocycle_columns proof shows
-    that the identity for every middle g follows from the identity for
-    g in g2.generators; so only those middles are tested.
+    that the identity for every last argument k follows from the
+    identity for k in g2.generators; so only those are tested.
     Only when one fails, or when two values do not commute, does the
     scan over all triples run, which names the first failing triple in
     row-major order.
@@ -128,13 +123,13 @@ def is_cocycle(g1: FiniteGroup, g2: FiniteGroup, table):
     return (True, None) if bad is None else (False, ("identity", bad))
 
 
-def _identity_failure(mul, g2, table, middles):
-    """The first (h, g, k), g among middles, where the identity fails."""
+def _identity_failure(mul, g2, table, lasts):
+    """The first (h, g, k), k among lasts, where the identity fails."""
     n2 = g2.order
     for h in range(1, n2):
-        for g in middles:
+        for g in range(1, n2):
             hg = g2.table[h][g]
-            for k in range(1, n2):
+            for k in lasts:
                 gk = g2.table[g][k]
                 lhs = mul[table[h][g]][table[hg][k]]
                 rhs = mul[table[g][k]][table[h][gk]]
@@ -324,17 +319,29 @@ class _CoboundarySolver:
 @lru_cache(maxsize=None)
 def _coboundary_solver(g2: FiniteGroup, d: int) -> _CoboundarySolver:
     a = _coboundary_matrix(g2)
-    rows = IntLattice(a.cols, d)
-    kept = tuple(i for i, row in enumerate(a.data) if rows.add(row))
-    columns = IntLattice(len(kept) + a.cols, d)
-    for w in range(a.cols):
-        columns.add([a.data[i][w] for i in kept]
-                    + [int(j == w) for j in range(a.cols)])
+    rows, kept, columns = _row_space(a.data, a.cols, d)
     snf = smith_normal_form(IntMatrix.from_rows(rows.hnf_rows()))
     return _CoboundarySolver(
         d=d, table=g2.table, kept=kept, columns=columns, v=snf.v,
         v_inv=snf.v_inv,
         moduli=tuple(d // math.gcd(s, d) for s in snf.s.diagonal))
+
+
+def _row_space(rows, ncols, d):
+    """Eliminate the dense rows R mod d: the echelon lattice of R's rows,
+    the indexes S of the rows that grew it, added in order, and the
+    echelon form of the rows [R_S e_w | e_w], one per column w.  R_S
+    spans R's row lattice, so it has R's kernel mod d, which is
+    columns.tail(len(S)).  A chain of submodules of (Z/d)^ncols has at
+    most ncols * Omega(d) steps (prime factors with multiplicity), so
+    no row is wider than (1 + Omega(d)) * ncols."""
+    lattice = IntLattice(ncols, d)
+    kept = [(i, row) for i, row in enumerate(rows) if lattice.add(row)]
+    columns = IntLattice(len(kept) + ncols, d)
+    for w in range(ncols):
+        columns.add([row[w] for _, row in kept]
+                    + [int(j == w) for j in range(ncols)])
+    return lattice, tuple(i for i, _ in kept), columns
 
 
 def apply_coboundary(t: GroupMap, e: Cocycle2) -> Cocycle2:
@@ -454,38 +461,65 @@ class CocycleSpace:
 
 @lru_cache(maxsize=None)
 def _cocycle_columns(g2: FiniteGroup):
-    """The cocycle identity over g2 as a sparse integer system: the
-    nonidentity pairs (h, g), which are the unknowns, and for each of
-    them its column {equation: coefficient}.
+    """The cocycle identity over g2 in generator columns.  A normalized
+    cocycle is fixed by its k(n-1) values u(x, s_i) = e(x, s_i), x != 1
+    and s_i in g2.generators, at index (x - 1) k + i.  Returns the
+    linear form {unknown: coefficient} of each nonidentity pair slot
+    (h, g), in row-major order, the number of unknowns, and the
+    equations among them as sparse rows.
 
-    The equations are e(h,g) + e(hg,k) - e(g,k) - e(h,gk) = 0 for
-    nonidentity h, k and g in g2.generators only (triples
-    touching the identity are vacuous for normalized tables).  That
-    loses nothing, by Light's associativity argument: on g1 x g2 put
-    (a, h)(b, k) = (a + b + e(h, k), hk), which is associative exactly
-    when e satisfies the identity for all triples.  The middles m with
-    (xm)y = x(my) for all x, y are closed under the product: for two
-    of them, (x(m m'))y = ((xm)m')y = (xm)(m'y) = x(m(m'y)) =
-    x((m m')y).  Normalization makes every (a, 1) such a middle, the
-    equations above make every (0, g) with g a generator one, and
-    products of these give all of g1 x g2 because g2 is finite.
+    A breadth-first tree of the right Cayley graph reaches each y != 1
+    by edges y -> ys.  Along a tree edge (y, s) the identity at
+    (x, y, s), e(x, ys) = e(x, y) + e(xy, s) - e(y, s), writes column ys
+    through column y and the generator column s; column 1 is zero, and
+    so is every form at x = 1.  Each other edge (y, s) gives that
+    identity as one equation per x != 1.  So the solutions are exactly
+    the normalized tables that satisfy the identity for every last
+    argument in g2.generators, and by Light's argument on the last
+    factor these are all the cocycles.  On g1 x g2 put (a, h)(b, k) =
+    (a + b + e(h, k), hk), associative exactly when e is a cocycle.
+    The z with (xy)z = x(yz) for all x, y are closed under the product:
+    (xy)(z z') = ((xy)z)z' = (x(yz))z' = x((yz)z') = x(y(z z')), each
+    step one of the two hypotheses.  Normalization makes every (a, 1)
+    such a z, the equations every (0, s) with s a generator, and their
+    products give all of g1 x g2 as g2 is finite.  This needs only
+    that the values commute, so it holds in the abelian subgroup of g1
+    that they generate.
     """
-    n2 = g2.order
-    pairs = [(h, g) for h in range(1, n2) for g in range(1, n2)]
-    columns = [{} for _ in pairs]
-    neq = 0
-    for h in range(1, n2):
-        for g in g2.generators:
-            hg = g2.table[h][g]
-            for k in range(1, n2):
-                gk = g2.table[g][k]
-                for (x, y), sign in (((h, g), 1), ((hg, k), 1),
-                                     ((g, k), -1), ((h, gk), -1)):
-                    if x and y:
-                        col = columns[(x - 1) * (n2 - 1) + y - 1]
-                        col[neq] = col.get(neq, 0) + sign
-                neq += 1
-    return pairs, neq, columns
+    n2, gens, mul = g2.order, g2.generators, g2.table
+    k = len(gens)
+    cols = [None] * n2
+    cols[0] = [{}] * n2
+    for i, s in enumerate(gens):
+        cols[s] = [{}] + [{(x - 1) * k + i: 1} for x in range(1, n2)]
+    rows = []
+    queue = list(gens)
+    for y in queue:
+        col_y = cols[y]
+        for s in gens:
+            col_s = cols[s]
+            form = [_combine((1, col_y[x]), (1, col_s[mul[x][y]]),
+                             (-1, col_s[y])) for x in range(n2)]
+            ys = mul[y][s]
+            if cols[ys] is None:
+                cols[ys] = form
+                queue.append(ys)
+                continue
+            for x in range(1, n2):
+                row = _combine((1, form[x]), (-1, cols[ys][x]))
+                if row:
+                    rows.append(row)
+    forms = [cols[g][h] for h in range(1, n2) for g in range(1, n2)]
+    return forms, k * (n2 - 1), rows
+
+
+def _combine(*terms):
+    """The sparse linear form sum(sign * form) over (sign, form) terms."""
+    out = {}
+    for sign, form in terms:
+        for u, v in form.items():
+            out[u] = out.get(u, 0) + sign * v
+    return {u: v for u, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -502,10 +536,11 @@ def _coboundary_matrix(g2: FiniteGroup) -> IntMatrix:
 @dataclass(frozen=True)
 class _Coordinate:
     """Z^2, B^2 and the H^2 classes of one invariant factor d of g1,
-    as lattices mod d over the pair slots."""
+    mod d over the pair slots: z spans Z^2, b is B^2's echelon
+    lattice."""
 
     d: int
-    z: IntLattice
+    z: tuple[tuple[int, ...], ...]
     b: IntLattice
     z_order: int
     b_order: int
@@ -515,28 +550,26 @@ class _Coordinate:
 
 @lru_cache(maxsize=None)
 def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
-    pairs, neq, columns = _cocycle_columns(g2)
-    npairs = len(pairs)
-    # Z^2: the rows of the echelon form of [A^T | I] whose A part
-    # vanishes carry the kernel of A in their I part
-    system = IntLattice(neq + npairs, d)
-    for j, col in enumerate(columns):
-        row = [0] * (neq + npairs)
-        for eq, coeff in col.items():
-            row[eq] = coeff
-        row[neq + j] = 1
-        system.add(row)
-    z = system.tail(neq)
+    forms, nunknowns, equations = _cocycle_columns(g2)
+    npairs = len(forms)
+    # Z^2 in generator columns is the kernel of the equations, and the
+    # forms expand each kernel vector to its cocycle's pair slots
+    _, kept, columns = _row_space(
+        ([eq.get(u, 0) for u in range(nunknowns)] for eq in equations),
+        nunknowns, d)
+    kernel = columns.tail(len(kept))
+    z = tuple(tuple(sum(c * row[u] for u, c in form.items()) % d
+                    for form in forms)
+              for _, row in sorted(kernel.pivot_rows.items()))
     b = IntLattice(npairs, d)
     for vec in _coboundary_matrix(g2).transpose().data:
         b.add(vec)
-    z_order = d ** npairs // z.index_in_ambient()
+    z_order = d ** nunknowns // kernel.index_in_ambient()
     b_order = d ** npairs // b.index_in_ambient()
 
     # H^2 = Z^2 / B^2 is generated by the residues of the Z^2 rows mod
     # B^2; its relations are the vectors c with sum c_i res_i in B^2
-    residues = [res for res in (b.reduce(z.pivot_rows[p])
-                                for p in sorted(z.pivot_rows)) if any(res)]
+    residues = [res for res in map(b.reduce, z) if any(res)]
     k = len(residues)
     rel = IntLattice(npairs + k, d)
     for row in b.pivot_rows.values():
@@ -585,36 +618,21 @@ def _least_in_coset(coords, vecs, element_of, npairs):
 
 
 @lru_cache(maxsize=None)
-def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup,
-                          limits: SearchLimits = DEFAULT_LIMITS) -> CocycleSpace:
+def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     """Z^2, B^2, H^2 with class representatives, via lattices mod each
     invariant factor of g1."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
-    if g1.order == 1 or g2.order == 1:
-        triv = trivial_cocycle(g1, g2)
-        return CocycleSpace(g1=g1, g2=g2, z2_generators=(), b2_generators=(),
-                            h2_invariant_factors=(),
-                            class_representatives=(triv,),
-                            z2_order=1, b2_order=1)
-
     n2 = g2.order
     npairs = (n2 - 1) ** 2
-    if npairs > limits.max_cocycle_unknowns:
-        raise SizeLimitExceeded(
-            f"cocycle system has {npairs} unknowns per coordinate",
-            limit=limits.max_cocycle_unknowns, needed=npairs)
-
     pres = abelian_invariants(g1)
-    pairs = _cocycle_columns(g2)[0]
     coords = [_solve_coordinate(g2, d) for d in pres.invariant_factors]
 
     def table_from_values(values):
-        tab = [[0] * n2 for _ in range(n2)]
-        for (h, g), x in zip(pairs, values):
-            tab[h][g] = x
-        return tuple(tuple(r) for r in tab)
+        it = iter(values)
+        return tuple(tuple(next(it) if h and g else 0 for g in range(n2))
+                     for h in range(n2))
 
     # one representative per combined class, lex-least table in its coset
     rep_tables = sorted(
@@ -628,11 +646,9 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup,
     z2_gens = []
     seen = set()
     for ci, c in enumerate(coords):
-        for row in c.z.hnf_rows():
+        for row in c.z:
             digits = [(0,) * npairs] * len(coords)
-            digits[ci] = [v % c.d for v in row]
-            if not any(digits[ci]):
-                continue
+            digits[ci] = row
             tab = table_from_values(
                 pres.element_of(t) for t in zip(*digits))
             if tab not in seen:

@@ -28,7 +28,6 @@ from .errors import (
     GroupMismatch,
     NoIdentityAtZero,
     NonAssociative,
-    NotAbelian,
     NotLatinSquare,
     NotNormalized,
     SizeLimitExceeded,
@@ -37,18 +36,16 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Budgets for the backtracking searches and linear solves.
+    """Budgets for the backtracking searches.
 
     max_order caps the carrier size accepted by the oracle searches,
     max_search_nodes caps image assignments during backtracking: one per
     generator image tried and one per image that choice forces along
-    the Cayley graph of the generators;
-    max_cocycle_unknowns caps the dimension of cocycle linear systems.
+    the Cayley graph of the generators.  Cohomology takes no budget.
     """
 
     max_order: int = 128
     max_search_nodes: int = 2_000_000
-    max_cocycle_unknowns: int = 2048
 
 
 DEFAULT_LIMITS = SearchLimits()
@@ -66,12 +63,6 @@ class FiniteGroup:
     order: int
     table: tuple[tuple[int, ...], ...]
     name: str | None = field(default=None, compare=False)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
 
     def conj(self, a: int, b: int) -> int:
         """a*b*a^-1."""
@@ -129,9 +120,6 @@ class FiniteGroup:
         for _ in range(k):
             x = self.table[x][a]
         return x
-
-    def elements(self):
-        return range(self.order)
 
     def to_dict(self) -> dict:
         d = {"order": self.order, "table": [list(row) for row in self.table]}

@@ -61,14 +61,6 @@ class IntMatrix:
     def zeros(r: int, c: int) -> "IntMatrix":
         return IntMatrix(rows=r, cols=c, data=tuple((0,) * c for _ in range(r)))
 
-    @property
-    def entries(self) -> tuple[int, ...]:
-        """Row-major flat view."""
-        return tuple(v for row in self.data for v in row)
-
-    def at(self, i: int, j: int) -> int:
-        return self.data[i][j]
-
     def to_lists(self):
         return [list(row) for row in self.data]
 

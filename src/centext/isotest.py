@@ -590,7 +590,7 @@ def verify_theorems(pairs=None, max_order: int = 16,
             raise SizeLimitExceeded(
                 f"carrier order {order} above the verification bound",
                 limit=max_order, needed=order)
-        space = compute_cocycle_space(g1, g2, limits)
+        space = compute_cocycle_space(g1, g2)
         exts = [build_extension(rep) for rep in space.class_representatives]
         sim_ok = sim_is_trivial(g2)
         settle = flag if sim_ok else observe

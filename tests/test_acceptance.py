@@ -57,8 +57,7 @@ from centext.isotest import (
     upper_isomorphic,
 )
 
-BIG = SearchLimits(max_order=256, max_search_nodes=50_000_000,
-                   max_cocycle_unknowns=8192)
+BIG = SearchLimits(max_order=256, max_search_nodes=50_000_000)
 
 
 def _finish(tag, t0, budget, detail):
@@ -369,6 +368,9 @@ def test_07_simple_quotient_tier_on_the_double_cover():
     e_triv = trivial_cocycle(z2, a5)
 
     assert are_cohomologous(e_triv, e_non) is None
+    space = compute_cocycle_space(z2, a5)
+    assert space.h2_invariant_factors == (2,)
+    assert are_cohomologous(space.class_representatives[1], e_non)
     e0, e1 = build_extension(e_triv), build_extension(e_non)
     assert e0.group.order_profile != e1.group.order_profile
     assert brute_force_isomorphism(e0.group, e1.group, limits=BIG) is None

@@ -58,10 +58,10 @@ class TestCohomology:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_size_limit_exit(self, capsys):
-        code, payload, err = run_cli(["cohomology", "Z2", "A5"], capsys)
-        assert code == 3 and payload is None
-        assert "error" in err
+    def test_order_60_simple_quotient(self, capsys):
+        code, payload, _ = run_cli(["cohomology", "Z2", "A5"], capsys)
+        assert code == 0
+        assert payload["h2_invariant_factors"] == [2]
 
     def test_unknown_group_exit(self, capsys):
         code, _, err = run_cli(["cohomology", "Z2", "NoSuchGroup"], capsys)

@@ -26,14 +26,17 @@ from centext.cocycles import (
     sim_is_trivial,
     trivial_cocycle,
 )
-from centext.cocycles import _coboundary_matrix, _merge_invariant_factors
+from centext.cocycles import (
+    _coboundary_matrix,
+    _merge_invariant_factors,
+    _solve_coordinate,
+)
 from centext.errors import (
     DimensionMismatch,
     GroupMismatch,
     NotAbelianCoefficients,
     NotNormalized,
     PreconditionViolated,
-    SizeLimitExceeded,
 )
 from centext.extensions import (
     build_extension,
@@ -43,14 +46,18 @@ from centext.extensions import (
 from centext.groups import (
     FiniteGroup,
     GroupMap,
-    SearchLimits,
     brute_force_isomorphism,
     center,
     enumerate_automorphisms,
     enumerate_homs,
     enumerate_isomorphisms,
 )
-from centext.intlinalg import IntMatrix, abelian_invariants, solve_linear_mod
+from centext.intlinalg import (
+    IntLattice,
+    IntMatrix,
+    abelian_invariants,
+    solve_linear_mod,
+)
 
 
 def brute_space(g1, g2):
@@ -410,12 +417,6 @@ class TestComputeSpace:
         with pytest.raises(NotAbelianCoefficients):
             compute_cocycle_space(get_group("S3"), get_group("Z2"))
 
-    def test_size_limit(self):
-        tight = SearchLimits(max_cocycle_unknowns=8)
-        with pytest.raises(SizeLimitExceeded):
-            compute_cocycle_space(get_group("Z2"), get_group("K4"),
-                                  tight)
-
     def test_space_is_cached(self):
         a = compute_cocycle_space(get_group("Z2"), get_group("K4"))
         b = compute_cocycle_space(get_group("Z2"), get_group("K4"))
@@ -583,6 +584,61 @@ class TestModularPath:
         space = compute_cocycle_space(get_group(name1), get_group(name2))
         assert space.h2_invariant_factors == factors
         assert space.z2_order == space.b2_order * space.h2_order
+
+
+def pair_slot_cocycles(g2, d):
+    """The earlier Z^2 solve, as an oracle: one unknown per nonidentity
+    pair slot (h, g), the identity at every (h, g, k) with g in
+    g2.generators, and the kernel mod d read off the echelon form of
+    [A^T | I], where the rows whose A part vanishes carry it."""
+    n2 = g2.order
+    npairs = (n2 - 1) ** 2
+    columns = [{} for _ in range(npairs)]
+    neq = 0
+    for h in range(1, n2):
+        for g in g2.generators:
+            hg = g2.table[h][g]
+            for k in range(1, n2):
+                gk = g2.table[g][k]
+                for (x, y), sign in (((h, g), 1), ((hg, k), 1),
+                                     ((g, k), -1), ((h, gk), -1)):
+                    if x and y:
+                        col = columns[(x - 1) * (n2 - 1) + y - 1]
+                        col[neq] = col.get(neq, 0) + sign
+                neq += 1
+    system = IntLattice(neq + npairs, d)
+    for j, col in enumerate(columns):
+        row = [0] * (neq + npairs)
+        for eq, coeff in col.items():
+            row[eq] = coeff
+        row[neq + j] = 1
+        system.add(row)
+    return system.tail(neq)
+
+
+def contains(lattice, other):
+    return all(not any(lattice.reduce(row))
+               for row in other.pivot_rows.values())
+
+
+SMALL_QUOTIENTS = [name for name in catalog_names()
+                   if get_group(name).order <= 12]
+
+
+class TestPairSlotOracle:
+    @pytest.mark.parametrize("name", SMALL_QUOTIENTS)
+    def test_same_cocycle_lattice(self, name):
+        g2 = get_group(name)
+        npairs = (g2.order - 1) ** 2
+        for d in (2, 3, 4, 6):
+            expected = pair_slot_cocycles(g2, d)
+            coord = _solve_coordinate(g2, d)
+            got = IntLattice(npairs, d)
+            for vec in coord.z:
+                got.add(vec)
+            assert got.index_in_ambient() == expected.index_in_ambient()
+            assert contains(got, expected) and contains(expected, got)
+            assert coord.z_order * expected.index_in_ambient() == d ** npairs
 
 
 def solve_linear_mod_witness(e1, e2):

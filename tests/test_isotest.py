@@ -11,6 +11,7 @@ from centext.catalog import get_group, identify_group
 from centext.cocycles import (
     apply_coboundary,
     are_cohomologous,
+    coboundary_from,
     compute_cocycle_space,
     make_cocycle,
     sim_is_trivial,
@@ -219,6 +220,26 @@ class TestLowerNecessarySufficient:
         assert cert.sigma.images == (0, 2, 1)
         assert cert.delta.is_trivial()
         assert lower_sufficient(cert).images == phi.images
+
+    def test_hypothesis_gate_fires_on_a_lower_isomorphism(self):
+        # the lower statement needs the quotient hypothesis: over D4 (where
+        # it fails) a section-preserving automorphism of a coboundary's
+        # carrier has a section component that is no endomorphism, while
+        # the triple search still finds a certificate for the pair
+        d4, z2 = get_group("D4"), get_group("Z2")
+        e = build_extension(coboundary_from(
+            GroupMap(dom=d4, cod=z2, images=(0, 1, 0, 0, 0, 1, 0, 0))))
+        phi = GroupMap(dom=e.group, cod=e.group, images=(
+            0, 1, 2, 7, 4, 5, 6, 3, 12, 13, 14, 11, 8, 9, 10, 15))
+        assert phi.is_bijective() and phi.is_homomorphism()
+        assert preserves_section_setwise(e, e, phi)
+        assert not sim_is_trivial(d4)
+        with pytest.raises(HypothesisNotVerified,
+                           match="section component is not an endomorphism"):
+            lower_necessary(e, e, phi)
+        cert = lower_isomorphic(e, e)
+        assert cert is not None and cert.kind == "lower"
+        cert.materialize()
 
     def test_rejects_non_isomorphisms_and_section_movers(self, z2z2):
         e = z2z2[0]
