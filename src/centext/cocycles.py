@@ -253,23 +253,33 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
             return CoboundaryWitness(t=GroupMap(dom=g2, cod=g1,
                                                 images=(0,) * n2))
         return None
-    pres, coords = _coefficient_coordinates(g1)
     mul, inv = g1.table, g1.inverses
-    diff = [coords[mul[v2][inv[v1]]]
-            for r1, r2 in zip(e1.table[1:], e2.table[1:])
-            for v1, v2 in zip(r1[1:], r2[1:])]
+    per_factor = _coboundary_preimages(g1, g2, [
+        mul[v2][inv[v1]] for r1, r2 in zip(e1.table[1:], e2.table[1:])
+        for v1, v2 in zip(r1[1:], r2[1:])])
+    if per_factor is None:
+        return None
+    pres, _ = _coefficient_coordinates(g1)
+    images = (0,) + tuple(pres.element_of(c) for c in zip(*per_factor))
+    t = GroupMap(dom=g2, cod=g1, images=images)
+    if apply_coboundary(t, e1).table != e2.table:
+        raise ConditionsFailed("the solved map is not a coboundary witness")
+    return CoboundaryWitness(t=t)
 
+
+def _coboundary_preimages(g1: FiniteGroup, g2: FiniteGroup, diff):
+    """Per invariant factor d of g1, the preimage mod d that
+    _coboundary_solver(g2, d) finds for diff, the values of e2 - e1 at
+    the nonidentity pairs in row-major order; None if one has none."""
+    pres, coords = _coefficient_coordinates(g1)
+    diff = [coords[v] for v in diff]
     per_factor = []
     for ci, d in enumerate(pres.invariant_factors):
         x = _coboundary_solver(g2, d).preimage([c[ci] for c in diff])
         if x is None:
             return None
         per_factor.append(x)
-    images = (0,) + tuple(pres.element_of(c) for c in zip(*per_factor))
-    t = GroupMap(dom=g2, cod=g1, images=images)
-    if apply_coboundary(t, e1).table != e2.table:
-        raise ConditionsFailed("the solved map is not a coboundary witness")
-    return CoboundaryWitness(t=t)
+    return per_factor
 
 
 @lru_cache(maxsize=None)
@@ -677,31 +687,12 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
 
 
 def _merge_invariant_factors(factors) -> tuple[int, ...]:
-    """Recombine a multiset of cyclic orders into a divisibility chain."""
-    ppowers = {}
-    for f in factors:
-        n = f
-        p = 2
-        while p * p <= n:
-            e = 0
-            while n % p == 0:
-                e += 1
-                n //= p
-            if e:
-                ppowers.setdefault(p, []).append(e)
-            p += 1
-        if n > 1:
-            ppowers.setdefault(n, []).append(1)
-    if not ppowers:
-        return ()
-    height = max(len(v) for v in ppowers.values())
-    chain = [1] * height
-    for p, exps in ppowers.items():
-        exps = sorted(exps, reverse=True)
-        for i, e in enumerate(exps):
-            chain[i] *= p ** e
-    chain.reverse()
-    return tuple(c for c in chain if c > 1)
+    """Recombine a multiset of cyclic orders into a divisibility chain:
+    the invariant factors of the diagonal matrix they form."""
+    diag = smith_normal_form(IntMatrix.from_rows(
+        [[f * (i == j) for j in range(len(factors))]
+         for i, f in enumerate(factors)])).s.diagonal
+    return tuple(x for x in diag if x > 1)
 
 
 def sim_is_trivial(g2: FiniteGroup) -> bool:

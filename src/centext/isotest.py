@@ -3,10 +3,12 @@ between central extensions over a fixed group pair.
 
 Kinds covered: kernel-preserving ("upper"), section-preserving ("lower"),
 the families with one trivial diagonal component ("g1", "g2", "g1g2"),
-and the builder for purely non-abelian quotients.  Every positive answer
-carries component maps that materialize, through the carrier product
-formula, into a map the direct checks verify.  A harness cross-validates
-each criterion against brute-force isomorphism search on a small catalog.
+and the builder for purely non-abelian quotients.  The upper and lower
+searches test automorphism pairs on the cocycle tables alone.  Every
+positive answer carries component maps that materialize, through the
+carrier product formula, into a map the direct checks verify.  A
+harness cross-validates each criterion against brute-force isomorphism
+search on a small catalog.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,6 @@ from .groups import (
     GroupMap,
     SearchLimits,
     enumerate_automorphisms,
-    enumerate_homs,
     enumerate_isomorphisms,
     is_purely_nonabelian,
     is_simple,
@@ -34,6 +35,7 @@ from .groups import (
 )
 from .cocycles import (
     CoboundaryWitness,
+    _coboundary_preimages,
     are_cohomologous,
     cocycle_inv,
     cocycle_mul,
@@ -214,23 +216,32 @@ def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     group, rho of the section group) makes
     (sigma . e1) * inverse(e2 . (rho x rho)) a coboundary.  The search
     runs sigma-major in enumeration order and returns the first hit.
+    Each pair gets the coboundary test of are_cohomologous on the values
+    of that product, read off the two tables; the hit alone is built as
+    a cocycle and goes through are_cohomologous for its checked witness.
     """
     src, tgt = _as_extension(e1), _as_extension(e2)
     _same_pair(src, tgt)
     g1, g2 = src.g1, src.g2
-    triv = trivial_cocycle(g1, g2)
-    inv2 = cocycle_inv(tgt.cocycle)
+    t1, t2, inv = src.cocycle.table, tgt.cocycle.table, g1.inverses
+    pairs = [(y, yp) for y in range(1, g2.order) for yp in range(1, g2.order)]
     autos2 = enumerate_automorphisms(g2, limits)
     for sigma in enumerate_automorphisms(g1, limits):
-        pushed = pushforward(sigma, src.cocycle)
+        # the row of g1's table that multiplies by (sigma . e1)(y, y')
+        pushed = [g1.table[sigma.images[t1[y][yp]]] for y, yp in pairs]
         for rho in autos2:
-            w = are_cohomologous(triv, cocycle_mul(pushed,
-                                                   pullback(inv2, rho)))
-            if w is not None:
-                cert = IsoCertificate(kind="upper", source=src, target=tgt,
-                                      sigma=sigma, rho=rho, t_witness=w)
-                cert.materialize()
-                return cert
+            r = rho.images
+            if _coboundary_preimages(g1, g2, [
+                    row[inv[t2[r[y]][r[yp]]]]
+                    for row, (y, yp) in zip(pushed, pairs)]) is None:
+                continue
+            w = are_cohomologous(trivial_cocycle(g1, g2), cocycle_mul(
+                pushforward(sigma, src.cocycle),
+                pullback(cocycle_inv(tgt.cocycle), rho)))
+            cert = IsoCertificate(kind="upper", source=src, target=tgt,
+                                  sigma=sigma, rho=rho, t_witness=w)
+            cert.materialize()
+            return cert
     return None
 
 
@@ -295,56 +306,53 @@ def lower_sufficient(cert: IsoCertificate) -> GroupMap:
 
 
 def lower_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
-    """Structured search for a section-preserving isomorphism: try every
-    component triple (sigma, rho, delta) against the converse
-    conditions, sigma-major in enumeration order.
+    """Structured search for a section-preserving isomorphism: the first
+    automorphism pair (sigma, rho), sigma-major in enumeration order,
+    with sigma . e1 = e2 . (rho x rho), certified with the trivial delta.
 
-    A hit is unconditionally correct, since the converse direction holds
-    for any quotient and the assembled map is bijective whenever sigma
-    and rho are.  An exhausted search settles the negative only when the
-    quotient coboundary-triviality hypothesis holds; completeness of the
-    component decomposition rests on it.
+    That is the first hit of the search over all triples (sigma, rho,
+    delta), delta in Hom(G1, G2) in lexicographic order, against the
+    converse conditions with eta trivial, which then split.  On delta
+    alone: delta(G1) is central, as it centralizes rho(G2) = G2; delta
+    kills e1's values; e2 vanishes on delta(G1)^2, as sigma's coboundary
+    is zero; delta(G1) commutes with the section copy in the target
+    carrier.  On (sigma, rho) alone: the transport equation, as eta's
+    coboundary is zero.  The trivial delta passes the former and is the
+    least element of enumerate_homs, so Hom(G1, G2) is not searched.
+
+    A hit is correct for any quotient, since the converse direction holds
+    and the assembled map is bijective when sigma and rho are.  An
+    exhausted search settles the negative only under the quotient
+    coboundary-triviality hypothesis, on which completeness rests.
     """
     src, tgt = _as_extension(e1), _as_extension(e2)
     _same_pair(src, tgt)
     g1, g2 = src.g1, src.g2
-    homs21 = enumerate_homs(g1, g2, limits)
-    autos2 = enumerate_automorphisms(g2, limits)
-    for sigma in enumerate_automorphisms(g1, limits):
-        for rho in autos2:
-            for delta in homs21:
-                cert = IsoCertificate(kind="lower", source=src, target=tgt,
-                                      sigma=sigma, rho=rho, delta=delta)
-                if _lower_problem(cert) is None:
-                    cert.materialize()
-                    return cert
-    return None
-
-
-def lower_b2trivial(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
-    """Section-preserving comparison when the kernel group has no
-    nontrivial self-coboundaries: search automorphism pairs for an exact
-    transport equation e2 . (rho x rho) = sigma . e1 and certify the
-    map (sigma(x), rho(y))."""
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
-    g1, g2 = src.g1, src.g2
-    if not sim_is_trivial(g1):
-        raise PreconditionViolated(
-            "kernel group has nontrivial self-coboundaries")
     t1, t2 = src.cocycle.table, tgt.cocycle.table
+    pairs = [(y, yp) for y in range(1, g2.order) for yp in range(1, g2.order)]
     autos2 = enumerate_automorphisms(g2, limits)
     for sigma in enumerate_automorphisms(g1, limits):
+        pushed = [sigma.images[t1[y][yp]] for y, yp in pairs]
         for rho in autos2:
-            if all(t2[rho.images[y]][rho.images[yp]]
-                   == sigma.images[t1[y][yp]]
-                   for y in range(g2.order) for yp in range(g2.order)):
+            r = rho.images
+            if all(t2[r[y]][r[yp]] == v for v, (y, yp) in zip(pushed, pairs)):
                 cert = IsoCertificate(kind="lower", source=src, target=tgt,
                                       sigma=sigma, rho=rho,
                                       delta=trivial_map(g1, g2))
                 cert.materialize()
                 return cert
     return None
+
+
+def lower_b2trivial(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
+    """lower_isomorphic behind the precondition sim_is_trivial(g1), else
+    PreconditionViolated; it certifies the map (sigma(x), rho(y))."""
+    src, tgt = _as_extension(e1), _as_extension(e2)
+    _same_pair(src, tgt)
+    if not sim_is_trivial(src.g1):
+        raise PreconditionViolated(
+            "kernel group has nontrivial self-coboundaries")
+    return lower_isomorphic(src, tgt, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +665,7 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     record["criteria"]["lower_b2trivial"] = (
                         lower_cert is not None)
                     if lower_cert is not None:
-                        record["certificates"]["lower"] = (
-                            lower_cert.to_dict())
+                        record["certificates"]["lower"] = lower_cert.to_dict()
                         if not oracle["lower"]:
                             flag(record, "lower_certificate_vs_oracle", {})
                     elif oracle["lower"]:
@@ -666,7 +673,9 @@ def verify_theorems(pairs=None, max_order: int = 16,
                         settle(record, "lower_oracle_without_certificate",
                                {} if sim_ok else {"sim_trivial": False})
 
-                triple_cert = lower_isomorphic(src, tgt, limits)
+                # lower_b2trivial is lower_isomorphic behind a precondition
+                triple_cert = (lower_cert if b2_kernel_trivial
+                               else lower_isomorphic(src, tgt, limits))
                 record["criteria"]["lower_triple_search"] = (
                     triple_cert is not None)
                 if triple_cert is not None and not oracle["lower"]:
