@@ -29,8 +29,8 @@ from .groups import (DEFAULT_LIMITS, FiniteGroup, GroupMap, SearchLimits,
 from .isotest import (CERTIFICATE_KINDS, IsoCertificate,
                       build_purely_nonabelian_iso, g1_isomorphic_necessary,
                       g1g2_isomorphic, g2_isomorphic_equal_order,
-                      g2_isomorphic_necessary, lower_b2trivial,
-                      lower_isomorphic, lower_necessary, lower_sufficient,
+                      g2_isomorphic_necessary, lower_isomorphic,
+                      lower_necessary, lower_sufficient,
                       oracle_iso_survey, simple_quotient_check,
                       upper_isomorphic, verify_theorems)
 

@@ -78,6 +78,9 @@ def _load_group(spec) -> FiniteGroup:
     """A group from a catalog name, a JSON file path, or an inline dict."""
     if isinstance(spec, dict):
         return FiniteGroup.from_dict(spec)
+    if not isinstance(spec, str):
+        raise ValueError(f"group {spec!r} is neither a name, a path nor "
+                         "an object")
     try:
         return get_group(spec)
     except KeyError:
@@ -100,18 +103,23 @@ def _load_extension(path):
         k = d["class_index"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"{path}: class_index {k!r} is not an integer")
-        space = compute_cocycle_space(g1, g2)
-        if not 0 <= k < len(space.class_representatives):
-            raise ValueError(
-                f"{path}: class_index {k} out of range "
-                f"(the pair has {len(space.class_representatives)} classes)")
-        cocycle = space.class_representatives[k]
+        cocycle = _class_representative(g1, g2, k, f"{path}: class_index")
     elif "cocycle_table" in d:
         cocycle = make_cocycle(g1, g2, d["cocycle_table"])
     else:
         raise ValueError(
             f"{path}: need either 'cocycle_table' or 'class_index'")
     return build_extension(cocycle)
+
+
+def _class_representative(g1, g2, k, label):
+    """Representative k of H^2(g2, g1); ValueError, prefixed by label,
+    when k is out of range."""
+    reps = compute_cocycle_space(g1, g2).class_representatives
+    if not 0 <= k < len(reps):
+        raise ValueError(f"{label} {k} out of range "
+                         f"(the pair has {len(reps)} classes)")
+    return reps[k]
 
 
 def _emit(payload, output):
@@ -154,12 +162,8 @@ def cmd_extend(args) -> int:
         raise ValueError(
             "pass exactly one of a cocycle file or --class-index")
     if args.class_index is not None:
-        space = compute_cocycle_space(g1, g2)
-        if not 0 <= args.class_index < len(space.class_representatives):
-            raise ValueError(
-                f"class index {args.class_index} out of range "
-                f"({len(space.class_representatives)} classes)")
-        cocycle = space.class_representatives[args.class_index]
+        cocycle = _class_representative(g1, g2, args.class_index,
+                                        "class index")
     else:
         d = _read_json(args.cocycle)
         table = d["table"] if isinstance(d, dict) else d

@@ -16,7 +16,9 @@ normal form of the relations among the Z^2 rows mod B^2, and each
 class representative from one greedy pass against B^2's rows.  The
 coboundary test eliminates the coboundary map of g2 once per factor d
 by the same routine, _row_space, and an are_cohomologous call costs,
-per factor, one reduction and one pass over the pairs of g2.
+per factor, one reduction and one pass over the pairs of g2; its
+witness is the lex-least map in its coset of Hom(g2, g1), found by the
+same greedy pass against the kernel of that map.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .intlinalg import (
     IntLattice,
     IntMatrix,
     abelian_invariants,
-    mat_vec,
     smith_normal_form,
 )
 
@@ -212,7 +213,7 @@ class CoboundaryWitness:
 
 
 def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
-    """A witness t with e2 = psi_t * e1, or None.
+    """The lex-least witness t with e2 = psi_t * e1, or None.
 
     psi_t(h, g) = t(g) - t(hg) + t(h) is linear in the values of t at
     the nonidentity points of g2: per invariant factor d of g1 the test
@@ -228,18 +229,11 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
       x0 = -y solves it.  If A x = b has a solution x1, then x0 - x1 is
       in the common kernel and x0 solves it too; so the answer is None
       unless x0 passes every equation of A x = b.
-    - The witness is the particular solution that solve_linear_mod(A,
-      [d] * rows, b) returns, unchanged.  That solve eliminates the rows
-      [a_i | b_i]; their first columns go through the same steps as A's
-      rows alone, so its square part is H, the triangular basis of A's
-      rows mod d, with u H v = s its Smith form, and call its last
-      column r.  Every vector of that lattice has last entry equal to
-      (first part) . x0 mod d, because b_i = a_i . x0 mod d; so r = H x0
-      and u r = s v^-1 x0 mod d.  Its particular is v z with z_j =
-      (u r)_j / g * (s_j / g)^-1 mod d/g, g = gcd(s_j, d), which is
-      z_j = (v^-1 x0)_j mod d/g.  Another solution x0 + k has
-      s v^-1 k = u H k = 0 mod d, so (v^-1 k)_j = 0 mod d/g: the result
-      does not depend on which solution the reduction finds.
+    - psi_t vanishes exactly when t is a homomorphism, so the witnesses
+      are the coset x0 + Hom(g2, g1), per factor x0 + ker A mod d.  That
+      kernel is kept in Howell form, so the coset has one least image
+      array (t(1), ..., t(n-1)) in element indices, whichever x0 the
+      reduction finds, and _least_in_coset reads it off slot by slot.
 
     The map is checked against e1 and e2 before it is returned.
     """
@@ -260,7 +254,10 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     if per_factor is None:
         return None
     pres, _ = _coefficient_coordinates(g1)
-    images = (0,) + tuple(pres.element_of(c) for c in zip(*per_factor))
+    kernels = [_coboundary_solver(g2, d).kernel
+               for d in pres.invariant_factors]
+    images = (0,) + tuple(_least_in_coset(kernels, per_factor,
+                                          pres.element_of, n2 - 1))
     t = GroupMap(dom=g2, cod=g1, images=images)
     if apply_coboundary(t, e1).table != e2.table:
         raise ConditionsFailed("the solved map is not a coboundary witness")
@@ -294,64 +291,55 @@ class _CoboundarySolver:
     """A = _coboundary_matrix(g2) mod d, eliminated for every right-hand
     side (see are_cohomologous): kept indexes the rows A_S that span A's
     row lattice, columns is the echelon form of the rows [A_S e_w | e_w],
-    and v, v_inv and moduli[j] = d / gcd(s_j, d) come from the Smith form
-    u H v = s of the triangular basis H of that lattice."""
+    and kernel = columns.tail(len(kept)) is A's kernel mod d, the
+    homomorphisms g2 -> Z/d at the nonidentity points."""
 
     d: int
     table: tuple[tuple[int, ...], ...]
     kept: tuple[int, ...]
     columns: IntLattice
-    v: IntMatrix
-    v_inv: IntMatrix
-    moduli: tuple[int, ...]
+    kernel: IntLattice
 
     def preimage(self, b) -> tuple[int, ...] | None:
-        """solve_linear_mod(A, [d] * rows, b).particular: None when
-        A x = b has no solution mod d."""
-        d, k = self.d, len(self.kept)
-        red = self.columns.reduce([b[i] for i in self.kept]
-                                  + [0] * self.v.rows)
+        """Some x in [0, d) with A x = b mod d, or None when there is
+        none."""
+        d, k, n = self.d, len(self.kept), len(self.table)
+        red = self.columns.reduce([b[i] for i in self.kept] + [0] * (n - 1))
         if any(red[:k]):
             return None
-        x0 = [0] + [-y for y in red[k:]]
+        x0 = [0] + [-y % d for y in red[k:]]
         # b at pair (h, g) must be x0(g) - x0(hg) + x0(h)
-        n = len(self.table)
         for h in range(1, n):
             row, xh, base = self.table[h], x0[h], (h - 1) * (n - 1) - 1
             if any((x0[g] - x0[row[g]] + xh - b[base + g]) % d
                    for g in range(1, n)):
                 return None
-        w = mat_vec(self.v_inv, x0[1:])
-        return tuple(x % d for x in mat_vec(
-            self.v, [wj % mj for wj, mj in zip(w, self.moduli)]))
+        return tuple(x0[1:])
 
 
 @lru_cache(maxsize=None)
 def _coboundary_solver(g2: FiniteGroup, d: int) -> _CoboundarySolver:
     a = _coboundary_matrix(g2)
-    rows, kept, columns = _row_space(a.data, a.cols, d)
-    snf = smith_normal_form(IntMatrix.from_rows(rows.hnf_rows()))
-    return _CoboundarySolver(
-        d=d, table=g2.table, kept=kept, columns=columns, v=snf.v,
-        v_inv=snf.v_inv,
-        moduli=tuple(d // math.gcd(s, d) for s in snf.s.diagonal))
+    kept, columns = _row_space(a.data, a.cols, d)
+    return _CoboundarySolver(d=d, table=g2.table, kept=kept, columns=columns,
+                             kernel=columns.tail(len(kept)))
 
 
 def _row_space(rows, ncols, d):
-    """Eliminate the dense rows R mod d: the echelon lattice of R's rows,
-    the indexes S of the rows that grew it, added in order, and the
-    echelon form of the rows [R_S e_w | e_w], one per column w.  R_S
-    spans R's row lattice, so it has R's kernel mod d, which is
-    columns.tail(len(S)).  A chain of submodules of (Z/d)^ncols has at
-    most ncols * Omega(d) steps (prime factors with multiplicity), so
-    no row is wider than (1 + Omega(d)) * ncols."""
+    """Eliminate the dense rows R mod d: the indexes S of the rows that
+    grew R's row lattice, added in order, and the echelon form of the
+    rows [R_S e_w | e_w], one per column w.  R_S spans R's row lattice,
+    so it has R's kernel mod d, which is columns.tail(len(S)).  A chain
+    of submodules of (Z/d)^ncols has at most ncols * Omega(d) steps
+    (prime factors with multiplicity), so no row is wider than
+    (1 + Omega(d)) * ncols."""
     lattice = IntLattice(ncols, d)
     kept = [(i, row) for i, row in enumerate(rows) if lattice.add(row)]
     columns = IntLattice(len(kept) + ncols, d)
     for w in range(ncols):
         columns.add([row[w] for _, row in kept]
                     + [int(j == w) for j in range(ncols)])
-    return lattice, tuple(i for i, _ in kept), columns
+    return tuple(i for i, _ in kept), columns
 
 
 def apply_coboundary(t: GroupMap, e: Cocycle2) -> Cocycle2:
@@ -564,7 +552,7 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     npairs = len(forms)
     # Z^2 in generator columns is the kernel of the equations, and the
     # forms expand each kernel vector to its cocycle's pair slots
-    _, kept, columns = _row_space(
+    kept, columns = _row_space(
         ([eq.get(u, 0) for u in range(nunknowns)] for eq in equations),
         nunknowns, d)
     kernel = columns.tail(len(kept))
@@ -603,26 +591,33 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
                        classes=tuple(classes))
 
 
-def _least_in_coset(coords, vecs, element_of, npairs):
-    """Element indices, slot by slot, of the lex-least table in the coset
-    of the coordinate vectors vecs mod B^2.
+def _least_in_coset(lattices, vecs, element_of, nslots):
+    """Element indices, slot by slot, of the lex-least member of the
+    coset of vecs mod the lattices: one coordinate vector and one
+    IntLattice per invariant factor, mod that lattice's modulus.
 
-    In a full-rank triangular basis, the coset members that agree on
-    the slots before i differ at slot i by exactly the multiples of
-    B^2's pivot there, and the freedom left lies in the rows below i;
-    so each slot takes its least element index among those admissible
-    coordinate tuples, fixed by adding that multiple of row i."""
+    In a Howell basis, the coset members that agree on the slots before
+    i differ at slot i by exactly the multiples of the lattice's pivot
+    there, and the freedom left lies in the rows below i; so each slot
+    takes its least element index among those admissible coordinate
+    tuples, fixed by adding that multiple of row i.  A slot where no
+    lattice stores a row has every pivot equal to its modulus and one
+    admissible tuple, read directly."""
     vecs = [list(v) for v in vecs]
     values = []
-    for i in range(npairs):
+    for i in range(nslots):
+        if not any(i in lat.pivot_rows for lat in lattices):
+            values.append(element_of([v[i] for v in vecs]))
+            continue
         best = min(itertools.product(*(
-            range(v[i] % c.b.pivot(i), c.d, c.b.pivot(i))
-            for c, v in zip(coords, vecs))), key=element_of)
-        for c, v, x in zip(coords, vecs, best):
+            range(v[i] % lat.pivot(i), lat.modulus, lat.pivot(i))
+            for lat, v in zip(lattices, vecs))), key=element_of)
+        for lat, v, x in zip(lattices, vecs, best):
             if x != v[i]:
-                q = (x - v[i]) // c.b.pivot(i)
-                row = c.b.pivot_rows[i]
-                v[i:] = [(a + q * r) % c.d for a, r in zip(v[i:], row[i:])]
+                q = (x - v[i]) // lat.pivot(i)
+                row = lat.pivot_rows[i]
+                v[i:] = [(a + q * r) % lat.modulus
+                         for a, r in zip(v[i:], row[i:])]
         values.append(element_of(best))
     return values
 
@@ -646,8 +641,8 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
 
     # one representative per combined class, lex-least table in its coset
     rep_tables = sorted(
-        table_from_values(_least_in_coset(coords, vecs, pres.element_of,
-                                          npairs))
+        table_from_values(_least_in_coset([c.b for c in coords], vecs,
+                                          pres.element_of, npairs))
         for vecs in itertools.product(*(c.classes for c in coords)))
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
         raise AssertionError("the trivial class is not listed first")

@@ -1,7 +1,7 @@
 """Exact integer linear algebra for finite abelian groups.
 
-Smith normal form with tracked unimodular transforms (and their
-inverses), an echelon lattice accumulator modulo an integer (Howell
+Smith normal form with tracked unimodular transforms (and the inverse
+of the column transform), an echelon lattice accumulator modulo an integer (Howell
 form), linear congruence systems with per-row moduli, and
 invariant-factor decompositions of abelian Cayley tables.  Everything
 runs over unbounded Python integers; no floating point anywhere.
@@ -123,12 +123,11 @@ def determinant(a: IntMatrix) -> int:
 @dataclass(frozen=True)
 class SNFResult:
     """u * a * v = s with u, v unimodular and s diagonal with a
-    divisibility chain.  u_inv and v_inv undo the transforms."""
+    divisibility chain.  v_inv undoes the column transform."""
 
     s: IntMatrix
     u: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
     v_inv: IntMatrix
 
 
@@ -143,15 +142,12 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     nr, nc = a.rows, a.cols
     s = a.to_lists()
     u = IntMatrix.identity(nr).to_lists()
-    ui = IntMatrix.identity(nr).to_lists()
     v = IntMatrix.identity(nc).to_lists()
     vi = IntMatrix.identity(nc).to_lists()
 
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in s:
@@ -166,12 +162,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
                       [x * a_ + y * b_ for a_, b_ in zip(s[i], s[j])])
         u[i], u[j] = ([p * a_ + q * b_ for a_, b_ in zip(u[i], u[j])],
                       [x * a_ + y * b_ for a_, b_ in zip(u[i], u[j])])
-        # inverse of [[p,q],[x,y]] is d*[[y,-q],[-x,p]] applied to columns
-        d = p * y - q * x
-        for r in ui:
-            ci, cj = r[i], r[j]
-            r[i] = d * (y * ci - x * cj)
-            r[j] = d * (-q * ci + p * cj)
 
     def col_combine(i, j, p, q, x, y):
         for r in s:
@@ -180,6 +170,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         for r in v:
             ci, cj = r[i], r[j]
             r[i], r[j] = p * ci + q * cj, x * ci + y * cj
+        # inverse of [[p,q],[x,y]] is d*[[y,-q],[-x,p]] applied to rows
         d = p * y - q * x
         vi[i], vi[j] = ([d * (y * a_ - x * b_) for a_, b_ in zip(vi[i], vi[j])],
                         [d * (-q * a_ + p * b_) for a_, b_ in zip(vi[i], vi[j])])
@@ -188,8 +179,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         # row i += q * row j
         s[i] = [a_ + q * b_ for a_, b_ in zip(s[i], s[j])]
         u[i] = [a_ + q * b_ for a_, b_ in zip(u[i], u[j])]
-        for r in ui:
-            r[j] -= q * r[i]
 
     def col_addmul(j, i, q):
         # col j += q * col i
@@ -202,8 +191,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     def row_negate(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
 
     t = 0
     while t < min(nr, nc):
@@ -262,8 +249,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
     res = SNFResult(
         s=IntMatrix.from_rows(s), u=IntMatrix.from_rows(u),
-        v=IntMatrix.from_rows(v),
-        u_inv=IntMatrix.from_rows(ui), v_inv=IntMatrix.from_rows(vi))
+        v=IntMatrix.from_rows(v), v_inv=IntMatrix.from_rows(vi))
     if mat_mul(mat_mul(res.u, a), res.v).data != res.s.data:
         raise AssertionError("u * a * v does not recompose to s")
     return res
@@ -409,10 +395,11 @@ def solve_linear_mod(a: IntMatrix, moduli, b) -> ModSolveResult:
     independent congruences, and the reduced square system is finished
     by Smith normal form.
 
-    The library no longer calls this: cocycles.are_cohomologous
-    eliminates the coboundary map once and reaches the same particular
-    solution by reduction.  It stays as the reference the tests compare
-    those witnesses against.
+    The library does not call this: cocycles.are_cohomologous decides
+    solvability by reduction against a lattice built once per quotient.
+    It stays as an independent reference: the tests check that
+    solvability, and Z^2, against it, and the benchmark still traces it
+    as a layer of its own.
     """
     if len(moduli) != a.rows or len(b) != a.rows:
         raise DimensionMismatch("moduli and rhs must match row count")

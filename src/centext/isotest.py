@@ -63,7 +63,6 @@ __all__ = [
     "lower_necessary",
     "lower_sufficient",
     "lower_isomorphic",
-    "lower_b2trivial",
     "simple_quotient_check",
     "build_purely_nonabelian_iso",
     "g2_isomorphic_necessary",
@@ -344,17 +343,6 @@ def lower_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     return None
 
 
-def lower_b2trivial(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
-    """lower_isomorphic behind the precondition sim_is_trivial(g1), else
-    PreconditionViolated; it certifies the map (sigma(x), rho(y))."""
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
-    if not sim_is_trivial(src.g1):
-        raise PreconditionViolated(
-            "kernel group has nontrivial self-coboundaries")
-    return lower_isomorphic(src, tgt, limits)
-
-
 # ---------------------------------------------------------------------------
 # structural consequences for special quotients
 
@@ -602,12 +590,10 @@ def verify_theorems(pairs=None, max_order: int = 16,
         exts = [build_extension(rep) for rep in space.class_representatives]
         sim_ok = sim_is_trivial(g2)
         settle = flag if sim_ok else observe
-        b2_kernel_trivial = sim_is_trivial(g1)
         pair_entry = {"g1": g1.name or f"order{g1.order}",
                       "g2": g2.name or f"order{g2.order}",
                       "class_count": len(exts),
                       "sim_trivial": sim_ok,
-                      "kernel_b2_trivial": b2_kernel_trivial,
                       "records": []}
         equal_order_abelian = (g1.is_abelian and g2.is_abelian
                                and g1.order == g2.order)
@@ -660,28 +646,15 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     if claim != oracle["lower"]:
                         flag(record, check, {"criterion": claim,
                                              "oracle": oracle["lower"]})
-                if b2_kernel_trivial:
-                    lower_cert = lower_b2trivial(src, tgt, limits)
-                    record["criteria"]["lower_b2trivial"] = (
-                        lower_cert is not None)
-                    if lower_cert is not None:
-                        record["certificates"]["lower"] = lower_cert.to_dict()
-                        if not oracle["lower"]:
-                            flag(record, "lower_certificate_vs_oracle", {})
-                    elif oracle["lower"]:
-                        # completeness of the search needs the hypothesis
-                        settle(record, "lower_oracle_without_certificate",
-                               {} if sim_ok else {"sim_trivial": False})
-
-                # lower_b2trivial is lower_isomorphic behind a precondition
-                triple_cert = (lower_cert if b2_kernel_trivial
-                               else lower_isomorphic(src, tgt, limits))
-                record["criteria"]["lower_triple_search"] = (
-                    triple_cert is not None)
-                if triple_cert is not None and not oracle["lower"]:
-                    flag(record, "lower_triple_vs_oracle", {})
-                elif triple_cert is None and oracle["lower"]:
-                    settle(record, "lower_oracle_without_triple",
+                lower_cert = lower_isomorphic(src, tgt, limits)
+                record["criteria"]["lower"] = lower_cert is not None
+                if lower_cert is not None:
+                    record["certificates"]["lower"] = lower_cert.to_dict()
+                    if not oracle["lower"]:
+                        flag(record, "lower_certificate_vs_oracle", {})
+                elif oracle["lower"]:
+                    # completeness of the search needs the hypothesis
+                    settle(record, "lower_oracle_without_certificate",
                            {} if sim_ok else {"sim_trivial": False})
 
                 for phi, _ in isos:

@@ -284,6 +284,17 @@ class TestIso:
             code, _, err = run_cli(["iso", "plain", path, path], capsys)
             assert code == 2 and "not an integer" in err
 
+    @pytest.mark.parametrize("spec", [0, 2, True, 1.5, ["x"]])
+    def test_non_string_group_spec_exits_two(self, spec, tmp_path, capsys):
+        # an int reaching open() would be taken as a file descriptor
+        for fields in ({"g1": spec, "g2": "Z2"}, {"g1": "Z2", "g2": spec}):
+            path = tmp_path / "e.json"
+            path.write_text(json.dumps({**fields, "class_index": 0}))
+            code, payload, err = run_cli(
+                ["iso", "plain", str(path), str(path)], capsys)
+            assert code == 2 and payload is None
+            assert "neither a name, a path nor an object" in err
+
 
 class TestVerify:
     def test_default_catalog_clean(self, capsys):
@@ -295,7 +306,7 @@ class TestVerify:
         assert payload["discrepancy_count"] == 0
         assert payload["skipped_pairs"] == []
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "1b7d4bf929892a63456d8e1aea2694fb5ea3687f642481cc014a34101e1fc2d5")
+            "8cbd5360d06dffa964759fc52566e05dcbaa4f71e015a2dd4a3e051a4d64d90e")
 
     def test_abelian_quotient_sweep_pinned(self, capsys):
         code = main(["verify", "Z2:Z2", "Z2:Z4", "Z2:K4", "Z3:Z3"])
@@ -303,7 +314,7 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["checked_class_pairs"] == 81
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "bc5129a6350c5a991cacd7b7e4808508d2c571c7427f67dd7036c43d9c741071")
+            "2dc610f69a063dc33314a73a6397536ab499e6d02e9f5960ecee2b96d6f2807f")
 
     def test_unverified_hypothesis_failures_are_observations(self, capsys):
         code, payload, _ = run_cli(

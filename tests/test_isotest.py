@@ -51,7 +51,6 @@ from centext.isotest import (
     g1g2_isomorphic,
     g2_isomorphic_equal_order,
     g2_isomorphic_necessary,
-    lower_b2trivial,
     lower_isomorphic,
     lower_necessary,
     lower_sufficient,
@@ -284,20 +283,16 @@ class TestLowerNecessarySufficient:
             assert lower_isomorphic(direct, e) is None
 
 
-class TestLowerB2Trivial:
-    def test_rejects_kernels_with_nontrivial_self_coboundaries(self, z3z3):
-        with pytest.raises(PreconditionViolated):
-            lower_b2trivial(z3z3[0], z3z3[0])
-
+class TestLowerIsomorphic:
     def test_matches_oracle_for_order_two_kernels(self, z2z2, z2k4):
         for exts in (z2z2, z2k4):
             for a in exts:
                 for b in exts:
-                    cert = lower_b2trivial(a, b)
+                    cert = lower_isomorphic(a, b)
                     assert (cert is not None) == oracle_iso_survey(a, b)["lower"]
 
     def test_certificate_is_section_preserving(self, z2k4):
-        cert = lower_b2trivial(z2k4[2], z2k4[3])
+        cert = lower_isomorphic(z2k4[2], z2k4[3])
         assert cert is not None
         phi = cert.materialize()
         assert preserves_section_setwise(z2k4[2], z2k4[3], phi)
@@ -305,7 +300,7 @@ class TestLowerB2Trivial:
     def test_isomorphic_pair_without_section_preserving_map(self, z2k4):
         # classes 1 and 5 share the carrier type but no lower isomorphism
         assert identify_group(z2k4[1].group) == identify_group(z2k4[5].group)
-        assert lower_b2trivial(z2k4[1], z2k4[5]) is None
+        assert lower_isomorphic(z2k4[1], z2k4[5]) is None
         survey = oracle_iso_survey(z2k4[1], z2k4[5])
         assert survey["plain"] and survey["upper"] and not survey["lower"]
 
