@@ -7,18 +7,19 @@ space computations (the general table type also carries the
 g2-coefficient cocycles used by composition lemmas, where no group
 structure on the value set is needed beyond the identity check).
 
-The space computation enumerates neither candidate tables nor B^2: it
-splits g1 into invariant-factor coordinates and, for each factor d,
-solves the cocycle identity mod d in generator columns, k(n-1)
-unknowns for k generators of a quotient of order n, and keeps B^2 as
-an echelon lattice over the pair slots.  H^2 comes from a small Smith
-normal form of the relations among the Z^2 rows mod B^2, and each
-class representative from one greedy pass against B^2's rows.  The
-coboundary test eliminates the coboundary map of g2 once per factor d
-by the same routine, _row_space, and an are_cohomologous call costs,
-per factor, one reduction and one pass over the pairs of g2; its
-witness is the lex-least map in its coset of Hom(g2, g1), found by the
-same greedy pass against the kernel of that map.
+Everything linear runs mod each invariant factor d of g1, in the
+k(n-1) generator columns e(x, s), x != 1 and s among the k generators
+of a quotient of order n, which fix a cocycle (the _cocycle_columns
+proof).  Z^2 is the kernel of the cocycle identity there.  One lattice
+per (g2, d), _coboundary_lattice, holds the unit coboundaries with
+their coefficients: its head is B^2 in columns, whose Howell basis
+reduces a cocycle to a canonical key of its class, and its tail is
+Hom(g2, Z/d).  H^2 is a small Smith normal form of the relations among
+the Z^2 rows mod that head.  are_cohomologous reduces e2 - e1 once per
+factor and reads a witness off the tail.  Pair slots (h, g) appear
+only in written-out tables: the lex-least representatives and
+witnesses come from one greedy pass against B^2 over the pair slots,
+built only for more than one class, or against Hom.
 """
 
 from __future__ import annotations
@@ -140,8 +141,11 @@ def _identity_failure(mul, g2, table, lasts):
 
 
 def make_cocycle(g1: FiniteGroup, g2: FiniteGroup, table) -> Cocycle2:
-    """Validate an untrusted table and wrap it.  Entries must be int (not
-    bool); nothing is coerced."""
+    """Validate an untrusted table, a list of rows of int (not bool)
+    entries, and wrap it; nothing is coerced."""
+    if not isinstance(table, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in table):
+        raise ValueError("a cocycle table must be a list of rows")
     tab = tuple(tuple(row) for row in table)
     for y, row in enumerate(tab):
         for yp, v in enumerate(row):
@@ -215,27 +219,19 @@ class CoboundaryWitness:
 def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     """The lex-least witness t with e2 = psi_t * e1, or None.
 
-    psi_t(h, g) = t(g) - t(hg) + t(h) is linear in the values of t at
-    the nonidentity points of g2: per invariant factor d of g1 the test
-    asks for x with A x = b mod d, where A is _coboundary_matrix(g2) and
-    b holds the coordinate of e2 - e1 at each nonidentity pair.  Each
-    coordinate is answered by _coboundary_solver(g2, d), built once:
-
-    - The rows of A that grew its row lattice mod d, added in order,
-      span that lattice, so A has the same kernel mod d as these kept
-      rows A_S.  Reducing [b_S | 0] against the echelon form of the rows
-      [A_S e_w | e_w] leaves [0 | y] exactly when A_S x = b_S is
-      solvable; the lattice vector taken off is then [b_S | -y], so
-      x0 = -y solves it.  If A x = b has a solution x1, then x0 - x1 is
-      in the common kernel and x0 solves it too; so the answer is None
-      unless x0 passes every equation of A x = b.
-    - psi_t vanishes exactly when t is a homomorphism, so the witnesses
-      are the coset x0 + Hom(g2, g1), per factor x0 + ker A mod d.  That
-      kernel is kept in Howell form, so the coset has one least image
-      array (t(1), ..., t(n-1)) in element indices, whichever x0 the
-      reduction finds, and _least_in_coset reads it off slot by slot.
-
-    The map is checked against e1 and e2 before it is returned.
+    psi_t(h, g) = t(g) - t(hg) + t(h) is linear in t, so per invariant
+    factor d of g1 the question is whether the coordinate b of e2 - e1
+    is psi_x for some x mod d.  Reducing [b | 0], b at the generator
+    columns, against _coboundary_lattice(g2, d) takes off some
+    [psi_c | c] and leaves [b - psi_c | -c]: the head vanishes exactly
+    when b lies in B^2 in columns, and then x0 = -tail has psi_x0 = b
+    there, hence everywhere, as both are cocycles; every pair is still
+    checked, since Cocycle2 does not check the identity.  The witnesses
+    form x0 + Hom(g2, Z/d), Hom being the tail in Howell form, so
+    _least_in_coset reads off the one least image array (t(1), ...,
+    t(n-1)) in element indices, whichever x0 was found; with no row in
+    any tail, x0 is the only witness.  The map is checked against e1
+    and e2 before it is returned.
     """
     _same_groups(e1, e2)
     g1, g2 = e1.g1, e1.g2
@@ -248,35 +244,31 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
                                                 images=(0,) * n2))
         return None
     mul, inv = g1.table, g1.inverses
-    per_factor = _coboundary_preimages(g1, g2, [
-        mul[v2][inv[v1]] for r1, r2 in zip(e1.table[1:], e2.table[1:])
-        for v1, v2 in zip(r1[1:], r2[1:])])
-    if per_factor is None:
-        return None
-    pres, _ = _coefficient_coordinates(g1)
-    kernels = [_coboundary_solver(g2, d).kernel
-               for d in pres.invariant_factors]
-    images = (0,) + tuple(_least_in_coset(kernels, per_factor,
-                                          pres.element_of, n2 - 1))
-    t = GroupMap(dom=g2, cod=g1, images=images)
+    pres, coords = _coefficient_coordinates(g1)
+    diff = [[coords[mul[v2][inv[v1]]] for v1, v2 in zip(r1, r2)]
+            for r1, r2 in zip(e1.table, e2.table)]
+    columns = [(x, s) for x in range(1, n2) for s in g2.generators]
+    solutions, kernels = [], []
+    for ci, d in enumerate(pres.invariant_factors):
+        lattice = _coboundary_lattice(g2, d)
+        red = lattice.reduce([diff[x][s][ci] for x, s in columns]
+                             + [0] * (n2 - 1))
+        if any(red[:len(columns)]):
+            return None
+        x0 = [0] + [-y % d for y in red[len(columns):]]
+        # b at pair (h, g) must be x0(g) - x0(hg) + x0(h)
+        if any((x0[g] - x0[hg] + x0[h] - diff[h][g][ci]) % d
+               for h in range(1, n2) for g, hg in enumerate(g2.table[h])):
+            return None
+        solutions.append(x0[1:])
+        kernels.append(lattice.tail(len(columns)))
+    images = (_least_in_coset(kernels, solutions, pres.element_of, n2 - 1)
+              if any(k.pivot_rows for k in kernels)
+              else [pres.element_of(c) for c in zip(*solutions)])
+    t = GroupMap(dom=g2, cod=g1, images=(0,) + tuple(images))
     if apply_coboundary(t, e1).table != e2.table:
         raise ConditionsFailed("the solved map is not a coboundary witness")
     return CoboundaryWitness(t=t)
-
-
-def _coboundary_preimages(g1: FiniteGroup, g2: FiniteGroup, diff):
-    """Per invariant factor d of g1, the preimage mod d that
-    _coboundary_solver(g2, d) finds for diff, the values of e2 - e1 at
-    the nonidentity pairs in row-major order; None if one has none."""
-    pres, coords = _coefficient_coordinates(g1)
-    diff = [coords[v] for v in diff]
-    per_factor = []
-    for ci, d in enumerate(pres.invariant_factors):
-        x = _coboundary_solver(g2, d).preimage([c[ci] for c in diff])
-        if x is None:
-            return None
-        per_factor.append(x)
-    return per_factor
 
 
 @lru_cache(maxsize=None)
@@ -286,43 +278,42 @@ def _coefficient_coordinates(g1: FiniteGroup):
     return pres, tuple(pres.coords_of(x) for x in range(g1.order))
 
 
-@dataclass(frozen=True)
-class _CoboundarySolver:
-    """A = _coboundary_matrix(g2) mod d, eliminated for every right-hand
-    side (see are_cohomologous): kept indexes the rows A_S that span A's
-    row lattice, columns is the echelon form of the rows [A_S e_w | e_w],
-    and kernel = columns.tail(len(kept)) is A's kernel mod d, the
-    homomorphisms g2 -> Z/d at the nonidentity points."""
-
-    d: int
-    table: tuple[tuple[int, ...], ...]
-    kept: tuple[int, ...]
-    columns: IntLattice
-    kernel: IntLattice
-
-    def preimage(self, b) -> tuple[int, ...] | None:
-        """Some x in [0, d) with A x = b mod d, or None when there is
-        none."""
-        d, k, n = self.d, len(self.kept), len(self.table)
-        red = self.columns.reduce([b[i] for i in self.kept] + [0] * (n - 1))
-        if any(red[:k]):
-            return None
-        x0 = [0] + [-y % d for y in red[k:]]
-        # b at pair (h, g) must be x0(g) - x0(hg) + x0(h)
-        for h in range(1, n):
-            row, xh, base = self.table[h], x0[h], (h - 1) * (n - 1) - 1
-            if any((x0[g] - x0[row[g]] + xh - b[base + g]) % d
-                   for g in range(1, n)):
-                return None
-        return tuple(x0[1:])
-
-
 @lru_cache(maxsize=None)
-def _coboundary_solver(g2: FiniteGroup, d: int) -> _CoboundarySolver:
-    a = _coboundary_matrix(g2)
-    kept, columns = _row_space(a.data, a.cols, d)
-    return _CoboundarySolver(d=d, table=g2.table, kept=kept, columns=columns,
-                             kernel=columns.tail(len(kept)))
+def _coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
+    """The coboundaries mod d in generator columns: the echelon form of
+    one row [psi_w | e_w] per unit map w != 1, with the head
+    psi_w(x, s) = [s = w] - [xs = w] + [x = w] at the column
+    (x - 1) k + i of _cocycle_columns, s the i-th generator, and the
+    tail e_w over the nonidentity points.  Its vectors are [psi_c | c]
+    up to multiples of d, so its head (IntLattice.head) is B^2 in
+    columns, which is B^2 as a cocycle is fixed by its generator
+    columns; and by Howell's property its tail spans the c with psi_c
+    zero on the columns, hence everywhere: Hom(g2, Z/d).
+    """
+    n2, gens, mul = g2.order, g2.generators, g2.table
+    lattice = IntLattice(len(gens) * (n2 - 1) + n2 - 1, d)
+    for w in range(1, n2):
+        lattice.add([(s == w) - (mul[x][s] == w) + (x == w)
+                     for x in range(1, n2) for s in gens]
+                    + [int(y == w) for y in range(1, n2)])
+    return lattice
+
+
+def _class_key(g1: FiniteGroup, g2: FiniteGroup):
+    """The key of a cocycle's values at the generator columns, in
+    _cocycle_columns order, that two cocycles share exactly when they
+    are cohomologous: per invariant factor, the coordinates reduced
+    against the Howell basis of B^2 in columns, one per coset."""
+    pres, coords = _coefficient_coordinates(g1)
+    m = len(g2.generators) * (g2.order - 1)
+    heads = [_coboundary_lattice(g2, d).head(m)
+             for d in pres.invariant_factors]
+
+    def key(values):
+        vecs = [coords[v] for v in values]
+        return tuple(tuple(head.reduce([c[ci] for c in vecs]))
+                     for ci, head in enumerate(heads))
+    return key
 
 
 def _row_space(rows, ncols, d):
@@ -520,26 +511,12 @@ def _combine(*terms):
     return {u: v for u, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
-def _coboundary_matrix(g2: FiniteGroup) -> IntMatrix:
-    """The coboundary map t -> psi_t on normalized maps: one row per
-    nonidentity pair (h, g), one column per nonidentity point w, so
-    column w is the coboundary of the unit map at w."""
-    n2 = g2.order
-    return IntMatrix.from_rows(
-        [[(g == w) - (g2.table[h][g] == w) + (h == w) for w in range(1, n2)]
-         for h in range(1, n2) for g in range(1, n2)])
-
-
 @dataclass(frozen=True)
 class _Coordinate:
-    """Z^2, B^2 and the H^2 classes of one invariant factor d of g1,
-    mod d over the pair slots: z spans Z^2, b is B^2's echelon
-    lattice."""
+    """Z^2 and the H^2 classes of one invariant factor d of g1 over the
+    pair slots: z spans Z^2, and classes holds one member of each."""
 
-    d: int
     z: tuple[tuple[int, ...], ...]
-    b: IntLattice
     z_order: int
     b_order: int
     factors: tuple[int, ...]
@@ -549,44 +526,45 @@ class _Coordinate:
 @lru_cache(maxsize=None)
 def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     forms, nunknowns, equations = _cocycle_columns(g2)
-    npairs = len(forms)
-    # Z^2 in generator columns is the kernel of the equations, and the
-    # forms expand each kernel vector to its cocycle's pair slots
+    # in generator columns Z^2 is the kernel of the equations and B^2 the
+    # head of the coboundary lattice; the forms expand them to pair slots
     kept, columns = _row_space(
         ([eq.get(u, 0) for u in range(nunknowns)] for eq in equations),
         nunknowns, d)
     kernel = columns.tail(len(kept))
-    z = tuple(tuple(sum(c * row[u] for u, c in form.items()) % d
-                    for form in forms)
-              for _, row in sorted(kernel.pivot_rows.items()))
-    b = IntLattice(npairs, d)
-    for vec in _coboundary_matrix(g2).transpose().data:
-        b.add(vec)
+    z = [row for _, row in sorted(kernel.pivot_rows.items())]
+    b = _coboundary_lattice(g2, d).head(nunknowns)
     z_order = d ** nunknowns // kernel.index_in_ambient()
-    b_order = d ** npairs // b.index_in_ambient()
+    b_order = d ** nunknowns // b.index_in_ambient()
+
+    def expand(vec):
+        return tuple(sum(c * vec[u] for u, c in form.items()) % d
+                     for form in forms)
 
     # H^2 = Z^2 / B^2 is generated by the residues of the Z^2 rows mod
     # B^2; its relations are the vectors c with sum c_i res_i in B^2
     residues = [res for res in map(b.reduce, z) if any(res)]
     k = len(residues)
-    rel = IntLattice(npairs + k, d)
+    rel = IntLattice(nunknowns + k, d)
     for row in b.pivot_rows.values():
         rel.add(row + [0] * k)
     for i, res in enumerate(residues):
         rel.add(res + [int(j == i) for j in range(k)])
-    quot = rel.tail(npairs)
+    quot = rel.tail(nunknowns)
     if quot.index_in_ambient() != z_order // b_order:
         raise AssertionError("|H^2| disagrees with |Z^2| / |B^2|")
     diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
 
     # one vector per class: the box of the relation lattice's pivots
+    residues = [expand(res) for res in residues]
     classes = []
     for coeffs in itertools.product(*(range(quot.pivot(j)) for j in range(k))):
-        vec = [0] * npairs
+        vec = [0] * len(forms)
         for c, res in zip(coeffs, residues):
             vec = [(x + c * y) % d for x, y in zip(vec, res)]
         classes.append(tuple(vec))
-    return _Coordinate(d=d, z=z, b=b, z_order=z_order, b_order=b_order,
+    return _Coordinate(z=tuple(map(expand, z)), z_order=z_order,
+                       b_order=b_order,
                        factors=tuple(x for x in diag if x > 1),
                        classes=tuple(classes))
 
@@ -639,11 +617,19 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
         return tuple(tuple(next(it) if h and g else 0 for g in range(n2))
                      for h in range(n2))
 
-    # one representative per combined class, lex-least table in its coset
-    rep_tables = sorted(
-        table_from_values(_least_in_coset([c.b for c in coords], vecs,
-                                          pres.element_of, npairs))
-        for vecs in itertools.product(*(c.classes for c in coords)))
+    # per class the lex-least table in its coset of B^2 over the pair
+    # slots, spanned by the unit coboundaries; one class is B^2 itself
+    classes = list(itertools.product(*(c.classes for c in coords)))
+    rep_tables = [trivial_cocycle(g1, g2).table]
+    if len(classes) > 1:
+        b2 = [IntLattice(npairs, d) for d in pres.invariant_factors]
+        for lattice, w in itertools.product(b2, range(1, n2)):
+            lattice.add([(g == w) - (g2.table[h][g] == w) + (h == w)
+                         for h in range(1, n2) for g in range(1, n2)])
+        rep_tables = sorted(
+            table_from_values(_least_in_coset(b2, vecs, pres.element_of,
+                                              npairs))
+            for vecs in classes)
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
         raise AssertionError("the trivial class is not listed first")
     class_reps = tuple(Cocycle2(g1=g1, g2=g2, table=t) for t in rep_tables)

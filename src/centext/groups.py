@@ -140,9 +140,9 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
     """Check the four Cayley-table axioms and wrap the table.
 
     Raises, in this order of precedence, ValueError for malformed input
-    (including entries that are not int, or are bool), NoIdentityAtZero,
-    NotLatinSquare, NonAssociative.  Each error message carries the first
-    witness found (row-major scan order).
+    (including rows that are not lists, and entries that are not int or
+    are bool), NoIdentityAtZero, NotLatinSquare, NonAssociative.  Each
+    error message carries the first witness found (row-major scan order).
 
     Associativity is decided by Light's test (Clifford & Preston, The
     Algebraic Theory of Semigroups I, 1961, section 1.2).  The middles m
@@ -154,6 +154,9 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
     n * |S| row comparisons replace the n^3 triples.  Only when a generator fails
     does the row-major scan run, to name the first failing triple.
     """
+    if not isinstance(table, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in table):
+        raise ValueError("a group table must be a list of rows")
     n = len(table)
     if n == 0:
         raise ValueError("empty table")

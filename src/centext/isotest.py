@@ -4,7 +4,8 @@ between central extensions over a fixed group pair.
 Kinds covered: kernel-preserving ("upper"), section-preserving ("lower"),
 the families with one trivial diagonal component ("g1", "g2", "g1g2"),
 and the builder for purely non-abelian quotients.  The upper and lower
-searches test automorphism pairs on the cocycle tables alone.  Every
+searches key each automorphism once by its cocycle's generator columns,
+then look each sigma up among the rho.  Every
 positive answer carries component maps that materialize, through the
 carrier product formula, into a map the direct checks verify.  A
 harness cross-validates each criterion against brute-force isomorphism
@@ -35,10 +36,9 @@ from .groups import (
 )
 from .cocycles import (
     CoboundaryWitness,
-    _coboundary_preimages,
+    _class_key,
     are_cohomologous,
     cocycle_inv,
-    cocycle_mul,
     compute_cocycle_space,
     pullback,
     pushforward,
@@ -207,41 +207,58 @@ class IsoCertificate:
 # kernel-preserving ("upper") isomorphisms
 
 
+def _automorphism_pair_search(kind, e1, e2, limits):
+    """The certificate of the first (sigma, rho), sigma-major in
+    enumeration order, where sigma . e1 and e2 . (rho x rho) share a key
+    of their values at the generator columns (x, s), x != 1 and s in
+    g2.generators: the values for "lower", cocycles._class_key for
+    "upper".  Each rho is keyed once, in order and only as far as some
+    sigma needs, keeping the first rho per key, so each lookup finds the
+    first rho that matches: |Aut(G1)| + |Aut(G2)| keys at most."""
+    src, tgt = _as_extension(e1), _as_extension(e2)
+    _same_pair(src, tgt)
+    g1, g2 = src.g1, src.g2
+    t1, t2 = src.cocycle.table, tgt.cocycle.table
+    key = _class_key(g1, g2) if kind == "upper" else tuple
+    columns = [(x, s) for x in range(1, g2.order) for s in g2.generators]
+    rhos = iter(enumerate_automorphisms(g2, limits))
+    first = {}
+    for sigma in enumerate_automorphisms(g1, limits):
+        want = key([sigma.images[t1[x][s]] for x, s in columns])
+        while want not in first and (rho := next(rhos, None)) is not None:
+            r = rho.images
+            first.setdefault(key([t2[r[x]][r[s]] for x, s in columns]), rho)
+        rho = first.get(want)
+        if rho is None:
+            continue
+        w = delta = None
+        if kind == "upper":
+            w = are_cohomologous(pullback(tgt.cocycle, rho),
+                                 pushforward(sigma, src.cocycle))
+        else:
+            delta = trivial_map(g1, g2)
+        cert = IsoCertificate(kind=kind, source=src, target=tgt, sigma=sigma,
+                              rho=rho, delta=delta, t_witness=w)
+        cert.materialize()
+        return cert
+    return None
+
+
 def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     """Search for a kernel-preserving isomorphism between the two
     extensions.
 
     The criterion: some pair of automorphisms (sigma of the kernel
-    group, rho of the section group) makes
-    (sigma . e1) * inverse(e2 . (rho x rho)) a coboundary.  The search
-    runs sigma-major in enumeration order and returns the first hit.
-    Each pair gets the coboundary test of are_cohomologous on the values
-    of that product, read off the two tables; the hit alone is built as
-    a cocycle and goes through are_cohomologous for its checked witness.
+    group, rho of the section group) puts sigma . e1 and
+    e2 . (rho x rho) in one class of H^2.  The first pair, sigma-major
+    in enumeration order, comes from _automorphism_pair_search, with
+    the generator-column coordinates reduced against B^2 in columns per
+    invariant factor as key: a Howell basis reduces each coset to one
+    representative, and a cocycle is fixed by its generator columns, so
+    equal keys mean cohomologous cocycles.  are_cohomologous gives the
+    hit its checked witness.
     """
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
-    g1, g2 = src.g1, src.g2
-    t1, t2, inv = src.cocycle.table, tgt.cocycle.table, g1.inverses
-    pairs = [(y, yp) for y in range(1, g2.order) for yp in range(1, g2.order)]
-    autos2 = enumerate_automorphisms(g2, limits)
-    for sigma in enumerate_automorphisms(g1, limits):
-        # the row of g1's table that multiplies by (sigma . e1)(y, y')
-        pushed = [g1.table[sigma.images[t1[y][yp]]] for y, yp in pairs]
-        for rho in autos2:
-            r = rho.images
-            if _coboundary_preimages(g1, g2, [
-                    row[inv[t2[r[y]][r[yp]]]]
-                    for row, (y, yp) in zip(pushed, pairs)]) is None:
-                continue
-            w = are_cohomologous(trivial_cocycle(g1, g2), cocycle_mul(
-                pushforward(sigma, src.cocycle),
-                pullback(cocycle_inv(tgt.cocycle), rho)))
-            cert = IsoCertificate(kind="upper", source=src, target=tgt,
-                                  sigma=sigma, rho=rho, t_witness=w)
-            cert.materialize()
-            return cert
-    return None
+    return _automorphism_pair_search("upper", e1, e2, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -318,29 +335,15 @@ def lower_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     carrier.  On (sigma, rho) alone: the transport equation, as eta's
     coboundary is zero.  The trivial delta passes the former and is the
     least element of enumerate_homs, so Hom(G1, G2) is not searched.
+    _automorphism_pair_search keys each side by its generator columns:
+    a cocycle is fixed by them, so equal columns mean equal tables.
 
     A hit is correct for any quotient, since the converse direction holds
     and the assembled map is bijective when sigma and rho are.  An
     exhausted search settles the negative only under the quotient
     coboundary-triviality hypothesis, on which completeness rests.
     """
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
-    g1, g2 = src.g1, src.g2
-    t1, t2 = src.cocycle.table, tgt.cocycle.table
-    pairs = [(y, yp) for y in range(1, g2.order) for yp in range(1, g2.order)]
-    autos2 = enumerate_automorphisms(g2, limits)
-    for sigma in enumerate_automorphisms(g1, limits):
-        pushed = [sigma.images[t1[y][yp]] for y, yp in pairs]
-        for rho in autos2:
-            r = rho.images
-            if all(t2[r[y]][r[yp]] == v for v, (y, yp) in zip(pushed, pairs)):
-                cert = IsoCertificate(kind="lower", source=src, target=tgt,
-                                      sigma=sigma, rho=rho,
-                                      delta=trivial_map(g1, g2))
-                cert.materialize()
-                return cert
-    return None
+    return _automorphism_pair_search("lower", e1, e2, limits)
 
 
 # ---------------------------------------------------------------------------

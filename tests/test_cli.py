@@ -115,6 +115,15 @@ class TestExtend:
             ["extend", "Z2", "Z2", "--class-index", "9"], capsys)
         assert code == 2 and "out of range" in err
 
+    @pytest.mark.parametrize("table", [7, [[0, 0], 7]])
+    def test_non_list_cocycle_file_exits_two(self, table, tmp_path, capsys):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(table))
+        code, payload, err = run_cli(
+            ["extend", "Z2", "Z2", str(cfile)], capsys)
+        assert code == 2 and payload is None
+        assert "list of rows" in err
+
     def test_invalid_cocycle_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps([[0, 0], [0, 7]]))
@@ -276,6 +285,22 @@ class TestIso:
                          cocycle_table=[[0, 0], [0, 1.7]])
         code, _, err = run_cli(["iso", "plain", path, path], capsys)
         assert code == 2 and "not an integer" in err
+
+    @pytest.mark.parametrize("table", [5, [[0, 0], 5], "ab"])
+    def test_non_list_cocycle_table_exits_two(self, table, tmp_path, capsys):
+        path = write_ext(tmp_path, "e.json", "Z2", "Z2", cocycle_table=table)
+        code, payload, err = run_cli(["iso", "plain", path, path], capsys)
+        assert code == 2 and payload is None
+        assert "list of rows" in err
+
+    def test_non_list_group_table_exits_two(self, tmp_path, capsys):
+        gfile = tmp_path / "g.json"
+        for table in (5, [[0, 1], 1]):
+            gfile.write_text(json.dumps({"table": table}))
+            code, payload, err = run_cli(
+                ["cohomology", "Z2", str(gfile)], capsys)
+            assert code == 2 and payload is None
+            assert "list of rows" in err
 
     def test_non_integer_class_index_exits_two(self, tmp_path, capsys):
         for index in (1.7, True, "1"):

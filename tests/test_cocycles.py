@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -27,7 +28,6 @@ from centext.cocycles import (
     trivial_cocycle,
 )
 from centext.cocycles import (
-    _coboundary_matrix,
     _merge_invariant_factors,
     _solve_coordinate,
 )
@@ -48,6 +48,7 @@ from centext.groups import (
     GroupMap,
     brute_force_isomorphism,
     center,
+    direct_product,
     enumerate_automorphisms,
     enumerate_homs,
     enumerate_isomorphisms,
@@ -94,8 +95,20 @@ def brute_space(g1, g2):
     return cocycles, coboundaries, classes
 
 
+def group_named(name):
+    """The catalog group, else the direct product of the catalog groups
+    that the x-separated parts of name give, as for Z2xZ6."""
+    try:
+        return get_group(name)
+    except KeyError:
+        return functools.reduce(direct_product,
+                                map(get_group, name.split("x")))
+
+
+# Z2xZ6 has the invariant factors (2, 6): over Z3 the d = 2 factor has
+# one class and the d = 6 factor three
 QUICK_PAIRS = [("Z2", "Z2"), ("Z2", "Z3"), ("Z2", "Z4"),
-               ("Z3", "Z3"), ("Z2", "K4")]
+               ("Z3", "Z3"), ("Z2", "K4"), ("Z2xZ6", "Z3")]
 
 
 class TestCocycleBasics:
@@ -357,7 +370,7 @@ class TestComputeSpace:
 
     @pytest.mark.parametrize("name1,name2", QUICK_PAIRS)
     def test_exhaustive_agreement(self, name1, name2):
-        g1, g2 = get_group(name1), get_group(name2)
+        g1, g2 = group_named(name1), group_named(name2)
         cocycles, coboundaries, classes = brute_space(g1, g2)
         space = compute_cocycle_space(g1, g2)
         assert space.z2_order == len(cocycles)
@@ -617,6 +630,16 @@ def pair_slot_cocycles(g2, d):
     return system.tail(neq)
 
 
+def coboundary_matrix(g2):
+    """The earlier coboundary map t -> psi_t on normalized maps: one row
+    per nonidentity pair (h, g), one column per nonidentity point w, so
+    column w is the coboundary of the unit map at w."""
+    n2 = g2.order
+    return IntMatrix.from_rows(
+        [[(g == w) - (g2.table[h][g] == w) + (h == w) for w in range(1, n2)]
+         for h in range(1, n2) for g in range(1, n2)])
+
+
 def contains(lattice, other):
     return all(not any(lattice.reduce(row))
                for row in other.pivot_rows.values())
@@ -640,6 +663,12 @@ class TestPairSlotOracle:
             assert got.index_in_ambient() == expected.index_in_ambient()
             assert contains(got, expected) and contains(expected, got)
             assert coord.z_order * expected.index_in_ambient() == d ** npairs
+            # B^2 over the pair slots, spanned by the columns of the
+            # coboundary matrix, against B^2 in generator columns
+            b2 = IntLattice(npairs, d)
+            for vec in coboundary_matrix(g2).transpose().data:
+                b2.add(vec)
+            assert coord.b_order * b2.index_in_ambient() == d ** npairs
 
 
 def solve_linear_mod_witness(e1, e2):
@@ -652,7 +681,7 @@ def solve_linear_mod_witness(e1, e2):
     pairs = [(h, g) for h in range(1, n2) for g in range(1, n2)]
     diff = {(h, g): g1.table[e2.table[h][g]][g1.inverses[e1.table[h][g]]]
             for h, g in pairs}
-    a = _coboundary_matrix(g2)
+    a = coboundary_matrix(g2)
     t_coords = [[0] * len(pres.invariant_factors) for _ in range(n2)]
     for ci, d in enumerate(pres.invariant_factors):
         b = [pres.coords_of(diff[p])[ci] for p in pairs]

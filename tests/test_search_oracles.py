@@ -2,6 +2,7 @@
 ones: every certificate, witness included, must be the one the slow
 search returns."""
 
+import functools
 import itertools
 import json
 import os
@@ -20,7 +21,11 @@ from centext.cocycles import (
     trivial_cocycle,
 )
 from centext.extensions import build_extension
-from centext.groups import enumerate_automorphisms, enumerate_homs
+from centext.groups import (
+    direct_product,
+    enumerate_automorphisms,
+    enumerate_homs,
+)
 from centext.isotest import (
     IsoCertificate,
     _lower_problem,
@@ -75,8 +80,18 @@ def as_dict(cert):
     return None if cert is None else cert.to_dict()
 
 
+def group_named(name):
+    """The catalog group, else the direct product of the catalog groups
+    that the x-separated parts of name give, as for Z2xZ6."""
+    try:
+        return get_group(name)
+    except KeyError:
+        return functools.reduce(direct_product,
+                                map(get_group, name.split("x")))
+
+
 def class_extensions(pair):
-    space = compute_cocycle_space(*map(get_group, pair))
+    space = compute_cocycle_space(*map(group_named, pair))
     return [build_extension(rep) for rep in space.class_representatives]
 
 
@@ -89,6 +104,8 @@ ORACLE_PAIRS = [
     and 1 < get_group(b).order
     and get_group(a).order * get_group(b).order <= 16]
 SAMPLED = {("Z2", "Z2xZ2xZ2"): 80, ("K4", "K4"): 60}
+# invariant factors (2, 6), one class for d = 2 and three for d = 6
+SEARCH_PAIRS = ORACLE_PAIRS + [("Z2xZ6", "Z3")]
 
 
 def oracle_class_pairs(pair):
@@ -107,7 +124,7 @@ def test_oracle_pairs_cover_the_small_catalog():
         assert len(enumerate_automorphisms(get_group(pair[0]))) == 2
 
 
-@pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
+@pytest.mark.parametrize("pair", SEARCH_PAIRS, ids=":".join)
 def test_lower_certificates_equal_the_triple_search(pair):
     hits = 0
     for src, tgt in oracle_class_pairs(pair):
@@ -117,7 +134,7 @@ def test_lower_certificates_equal_the_triple_search(pair):
     assert hits
 
 
-@pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
+@pytest.mark.parametrize("pair", SEARCH_PAIRS, ids=":".join)
 def test_upper_certificates_equal_the_table_search(pair):
     hits = 0
     for src, tgt in oracle_class_pairs(pair):
