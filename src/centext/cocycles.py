@@ -16,10 +16,9 @@ their coefficients: its head is B^2 in columns, whose Howell basis
 reduces a cocycle to a canonical key of its class, and its tail is
 Hom(g2, Z/d).  H^2 is a small Smith normal form of the relations among
 the Z^2 rows mod that head.  are_cohomologous reduces e2 - e1 once per
-factor and reads a witness off the tail.  Pair slots (h, g) appear
-only in written-out tables: the lex-least representatives and
-witnesses come from one greedy pass against B^2 over the pair slots,
-built only for more than one class, or against Hom.
+factor and reads a witness off the tail.  Pair slots (h, g) appear only
+in written-out tables: the lex-least representatives and witnesses come
+from one greedy pass against Hom, or against B^2 over the pair slots.
 """
 
 from __future__ import annotations
@@ -229,9 +228,8 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     checked, since Cocycle2 does not check the identity.  The witnesses
     form x0 + Hom(g2, Z/d), Hom being the tail in Howell form, so
     _least_in_coset reads off the one least image array (t(1), ...,
-    t(n-1)) in element indices, whichever x0 was found; with no row in
-    any tail, x0 is the only witness.  The map is checked against e1
-    and e2 before it is returned.
+    t(n-1)) in element indices, whichever x0 was found.  The map is
+    checked against e1 and e2 before it is returned.
     """
     _same_groups(e1, e2)
     g1, g2 = e1.g1, e1.g2
@@ -247,7 +245,7 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     pres, coords = _coefficient_coordinates(g1)
     diff = [[coords[mul[v2][inv[v1]]] for v1, v2 in zip(r1, r2)]
             for r1, r2 in zip(e1.table, e2.table)]
-    columns = [(x, s) for x in range(1, n2) for s in g2.generators]
+    columns = _generator_columns(g2)
     solutions, kernels = [], []
     for ci, d in enumerate(pres.invariant_factors):
         lattice = _coboundary_lattice(g2, d)
@@ -262,9 +260,7 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
             return None
         solutions.append(x0[1:])
         kernels.append(lattice.tail(len(columns)))
-    images = (_least_in_coset(kernels, solutions, pres.element_of, n2 - 1)
-              if any(k.pivot_rows for k in kernels)
-              else [pres.element_of(c) for c in zip(*solutions)])
+    images = _least_in_coset(kernels, solutions, pres.element_of, n2 - 1)
     t = GroupMap(dom=g2, cod=g1, images=(0,) + tuple(images))
     if apply_coboundary(t, e1).table != e2.table:
         raise ConditionsFailed("the solved map is not a coboundary witness")
@@ -279,41 +275,65 @@ def _coefficient_coordinates(g1: FiniteGroup):
 
 
 @lru_cache(maxsize=None)
+def _generator_columns(g2: FiniteGroup):
+    """The pairs (x, s), x != 1 and s in g2.generators, x-major: the
+    k(n-1) generator columns, in the order of _cocycle_columns."""
+    return tuple((x, s) for x in range(1, g2.order) for s in g2.generators)
+
+
+def _unit_coboundary(g2: FiniteGroup, w: int, slots):
+    """psi_w(h, g) = [g = w] - [hg = w] + [h = w] over the slots (h, g):
+    the coboundary of the map sending w to 1 and the rest to 0."""
+    return [(g == w) - (g2.table[h][g] == w) + (h == w) for h, g in slots]
+
+
+@lru_cache(maxsize=None)
 def _coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
     """The coboundaries mod d in generator columns: the echelon form of
-    one row [psi_w | e_w] per unit map w != 1, with the head
-    psi_w(x, s) = [s = w] - [xs = w] + [x = w] at the column
-    (x - 1) k + i of _cocycle_columns, s the i-th generator, and the
-    tail e_w over the nonidentity points.  Its vectors are [psi_c | c]
-    up to multiples of d, so its head (IntLattice.head) is B^2 in
-    columns, which is B^2 as a cocycle is fixed by its generator
-    columns; and by Howell's property its tail spans the c with psi_c
-    zero on the columns, hence everywhere: Hom(g2, Z/d).
+    one row [psi_w | e_w] per unit map w != 1, with the head psi_w at
+    the generator columns and the tail e_w over the nonidentity points.
+    Its vectors are [psi_c | c] up to multiples of d, so its head
+    (IntLattice.head) is B^2 in columns, which is B^2 as a cocycle is
+    fixed by its generator columns; and by Howell's property its tail
+    spans the c with psi_c zero on the columns, hence everywhere:
+    Hom(g2, Z/d).
     """
-    n2, gens, mul = g2.order, g2.generators, g2.table
-    lattice = IntLattice(len(gens) * (n2 - 1) + n2 - 1, d)
+    n2, columns = g2.order, _generator_columns(g2)
+    lattice = IntLattice(len(columns) + n2 - 1, d)
     for w in range(1, n2):
-        lattice.add([(s == w) - (mul[x][s] == w) + (x == w)
-                     for x in range(1, n2) for s in gens]
+        lattice.add(_unit_coboundary(g2, w, columns)
                     + [int(y == w) for y in range(1, n2)])
     return lattice
 
 
+def _column_values(g1: FiniteGroup, g2: FiniteGroup):
+    """push(table, sigma), the values of sigma . e at the generator
+    columns, and pull(table, rho), those of e . (rho x rho), for image
+    arrays sigma, rho: equal keys mean equal cocycles."""
+    columns = _generator_columns(g2)
+
+    def push(table, sigma):
+        return tuple([sigma[table[x][s]] for x, s in columns])
+
+    def pull(table, rho):
+        return tuple([table[rho[x]][rho[s]] for x, s in columns])
+    return push, pull
+
+
 def _class_key(g1: FiniteGroup, g2: FiniteGroup):
-    """The key of a cocycle's values at the generator columns, in
-    _cocycle_columns order, that two cocycles share exactly when they
-    are cohomologous: per invariant factor, the coordinates reduced
-    against the Howell basis of B^2 in columns, one per coset."""
+    """The keys of _column_values reduced, per invariant factor, against
+    the Howell basis of B^2 in columns, one per coset: two cocycles
+    share a key exactly when they are cohomologous."""
     pres, coords = _coefficient_coordinates(g1)
-    m = len(g2.generators) * (g2.order - 1)
-    heads = [_coboundary_lattice(g2, d).head(m)
+    push, pull = _column_values(g1, g2)
+    heads = [_coboundary_lattice(g2, d).head(len(_generator_columns(g2)))
              for d in pres.invariant_factors]
 
-    def key(values):
-        vecs = [coords[v] for v in values]
-        return tuple(tuple(head.reduce([c[ci] for c in vecs]))
-                     for ci, head in enumerate(heads))
-    return key
+    def reduce(values):
+        vecs = zip(*[coords[v] for v in values])
+        return tuple(tuple(h.reduce(vec)) for h, vec in zip(heads, vecs))
+    return (lambda table, sigma: reduce(push(table, sigma)),
+            lambda table, rho: reduce(pull(table, rho)))
 
 
 def _row_space(rows, ncols, d):
@@ -623,9 +643,9 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     rep_tables = [trivial_cocycle(g1, g2).table]
     if len(classes) > 1:
         b2 = [IntLattice(npairs, d) for d in pres.invariant_factors]
+        slots = list(itertools.product(range(1, n2), repeat=2))
         for lattice, w in itertools.product(b2, range(1, n2)):
-            lattice.add([(g == w) - (g2.table[h][g] == w) + (h == w)
-                         for h in range(1, n2) for g in range(1, n2)])
+            lattice.add(_unit_coboundary(g2, w, slots))
         rep_tables = sorted(
             table_from_values(_least_in_coset(b2, vecs, pres.element_of,
                                               npairs))
@@ -634,32 +654,25 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
         raise AssertionError("the trivial class is not listed first")
     class_reps = tuple(Cocycle2(g1=g1, g2=g2, table=t) for t in rep_tables)
 
-    z2_gens = []
-    seen = set()
-    for ci, c in enumerate(coords):
-        for row in c.z:
-            digits = [(0,) * npairs] * len(coords)
-            digits[ci] = row
-            tab = table_from_values(
-                pres.element_of(t) for t in zip(*digits))
-            if tab not in seen:
-                seen.add(tab)
-                z2_gens.append(Cocycle2(g1=g1, g2=g2, table=tab))
+    def distinct(tables):
+        return tuple(Cocycle2(g1=g1, g2=g2, table=t)
+                     for t in dict.fromkeys(tables) if any(map(any, t)))
 
-    b2_gens = []
-    seen = set()
-    for ci in range(len(coords)):
-        unit = pres.element_of(tuple(int(j == ci) for j in range(len(coords))))
-        for w in range(1, n2):
-            # delta sending w to the ci-th coordinate unit, 0 elsewhere
-            psi = coboundary_from(GroupMap(dom=g2, cod=g1, images=tuple(
-                unit if y == w else 0 for y in range(n2))))
-            if not psi.is_trivial() and psi.table not in seen:
-                seen.add(psi.table)
-                b2_gens.append(psi)
+    # each Z^2 row in its own coordinate, and the coboundary of each map
+    # sending one point w to a coordinate unit and the rest to 0
+    zero = (0,) * len(coords)
+    z2_gens = distinct(
+        table_from_values(pres.element_of(zero[:ci] + (v,) + zero[ci + 1:])
+                          for v in row)
+        for ci, c in enumerate(coords) for row in c.z)
+    b2_gens = distinct(
+        _coboundary_table(GroupMap(dom=g2, cod=g1, images=tuple(
+            pres.element_of(zero[:ci] + (int(y == w),) + zero[ci + 1:])
+            for y in range(n2))))
+        for ci in range(len(coords)) for w in range(1, n2))
 
-    return CocycleSpace(g1=g1, g2=g2, z2_generators=tuple(z2_gens),
-                        b2_generators=tuple(b2_gens),
+    return CocycleSpace(g1=g1, g2=g2, z2_generators=z2_gens,
+                        b2_generators=b2_gens,
                         h2_invariant_factors=_merge_invariant_factors(
                             [f for c in coords for f in c.factors]),
                         class_representatives=class_reps,

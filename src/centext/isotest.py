@@ -5,11 +5,10 @@ Kinds covered: kernel-preserving ("upper"), section-preserving ("lower"),
 the families with one trivial diagonal component ("g1", "g2", "g1g2"),
 and the builder for purely non-abelian quotients.  The upper and lower
 searches key each automorphism once by its cocycle's generator columns,
-then look each sigma up among the rho.  Every
-positive answer carries component maps that materialize, through the
-carrier product formula, into a map the direct checks verify.  A
-harness cross-validates each criterion against brute-force isomorphism
-search on a small catalog.
+then look each sigma up among the rho.  Every positive answer carries
+component maps that materialize, through the carrier product formula,
+into a map the direct checks verify.  A harness cross-validates each
+criterion against brute-force isomorphism search on a small catalog.
 """
 
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from .groups import (
 from .cocycles import (
     CoboundaryWitness,
     _class_key,
+    _column_values,
     are_cohomologous,
     cocycle_inv,
     compute_cocycle_space,
@@ -84,15 +84,14 @@ DEFAULT_VERIFY_PAIRS = (("Z2", "Z2"), ("Z2", "Z4"), ("Z2", "K4"),
                         ("Z2", "Q8"))
 
 
-def _as_extension(e) -> ExtensionGroup:
-    if isinstance(e, ExtensionGroup):
-        return e
-    return build_extension(e)
-
-
-def _same_pair(a: ExtensionGroup, b: ExtensionGroup):
-    if a.g1 != b.g1 or a.g2 != b.g2:
+def _extension_pair(e1, e2):
+    """The extensions, built from cocycles where given those, checked
+    to sit over one group pair."""
+    src, tgt = (e if isinstance(e, ExtensionGroup) else build_extension(e)
+                for e in (e1, e2))
+    if src.g1 != tgt.g1 or src.g2 != tgt.g2:
         raise GroupMismatch("extensions sit over different group pairs")
+    return src, tgt
 
 
 def _first_failure(m: HomMatrix) -> str | None:
@@ -207,40 +206,22 @@ class IsoCertificate:
 # kernel-preserving ("upper") isomorphisms
 
 
-def _automorphism_pair_search(kind, e1, e2, limits):
-    """The certificate of the first (sigma, rho), sigma-major in
-    enumeration order, where sigma . e1 and e2 . (rho x rho) share a key
-    of their values at the generator columns (x, s), x != 1 and s in
-    g2.generators: the values for "lower", cocycles._class_key for
-    "upper".  Each rho is keyed once, in order and only as far as some
-    sigma needs, keeping the first rho per key, so each lookup finds the
-    first rho that matches: |Aut(G1)| + |Aut(G2)| keys at most."""
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
-    g1, g2 = src.g1, src.g2
+def _automorphism_pair_search(keys_of, src, tgt, limits):
+    """The first (sigma, rho), sigma-major in enumeration order, with
+    push(e1, sigma) == pull(e2, rho), (push, pull) = keys_of(g1, g2), or
+    None.  Each rho is keyed once, in order and only as far as some sigma
+    needs, keeping the first rho per key, so each lookup finds the first
+    matching rho: |Aut(G1)| + |Aut(G2)| keys at most."""
+    push, pull = keys_of(src.g1, src.g2)
     t1, t2 = src.cocycle.table, tgt.cocycle.table
-    key = _class_key(g1, g2) if kind == "upper" else tuple
-    columns = [(x, s) for x in range(1, g2.order) for s in g2.generators]
-    rhos = iter(enumerate_automorphisms(g2, limits))
+    rhos = iter(enumerate_automorphisms(src.g2, limits))
     first = {}
-    for sigma in enumerate_automorphisms(g1, limits):
-        want = key([sigma.images[t1[x][s]] for x, s in columns])
+    for sigma in enumerate_automorphisms(src.g1, limits):
+        want = push(t1, sigma.images)
         while want not in first and (rho := next(rhos, None)) is not None:
-            r = rho.images
-            first.setdefault(key([t2[r[x]][r[s]] for x, s in columns]), rho)
-        rho = first.get(want)
-        if rho is None:
-            continue
-        w = delta = None
-        if kind == "upper":
-            w = are_cohomologous(pullback(tgt.cocycle, rho),
-                                 pushforward(sigma, src.cocycle))
-        else:
-            delta = trivial_map(g1, g2)
-        cert = IsoCertificate(kind=kind, source=src, target=tgt, sigma=sigma,
-                              rho=rho, delta=delta, t_witness=w)
-        cert.materialize()
-        return cert
+            first.setdefault(pull(t2, rho.images), rho)
+        if want in first:
+            return sigma, first[want]
     return None
 
 
@@ -251,14 +232,24 @@ def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     The criterion: some pair of automorphisms (sigma of the kernel
     group, rho of the section group) puts sigma . e1 and
     e2 . (rho x rho) in one class of H^2.  The first pair, sigma-major
-    in enumeration order, comes from _automorphism_pair_search, with
-    the generator-column coordinates reduced against B^2 in columns per
-    invariant factor as key: a Howell basis reduces each coset to one
-    representative, and a cocycle is fixed by its generator columns, so
-    equal keys mean cohomologous cocycles.  are_cohomologous gives the
-    hit its checked witness.
+    in enumeration order, comes from _automorphism_pair_search with
+    cocycles._class_key: the generator-column coordinates reduced
+    against B^2 in columns per invariant factor, where a Howell basis
+    reduces each coset to one representative, and a cocycle is fixed
+    by its generator columns, so equal keys mean cohomologous
+    cocycles.  are_cohomologous gives the hit its checked witness.
     """
-    return _automorphism_pair_search("upper", e1, e2, limits)
+    src, tgt = _extension_pair(e1, e2)
+    hit = _automorphism_pair_search(_class_key, src, tgt, limits)
+    if hit is None:
+        return None
+    sigma, rho = hit
+    w = are_cohomologous(pullback(tgt.cocycle, rho),
+                         pushforward(sigma, src.cocycle))
+    cert = IsoCertificate(kind="upper", source=src, target=tgt, sigma=sigma,
+                          rho=rho, t_witness=w)
+    cert.materialize()
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +281,7 @@ def lower_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     statement, and HypothesisNotVerified with the same message when the
     hypothesis fails.
     """
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
+    src, tgt = _extension_pair(e1, e2)
     ok, _ = is_homomorphism_direct(src, tgt, phi)
     if not (ok and phi.is_bijective()):
         raise NotLowerIso("phi is not an isomorphism of the carriers")
@@ -335,15 +325,23 @@ def lower_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     carrier.  On (sigma, rho) alone: the transport equation, as eta's
     coboundary is zero.  The trivial delta passes the former and is the
     least element of enumerate_homs, so Hom(G1, G2) is not searched.
-    _automorphism_pair_search keys each side by its generator columns:
-    a cocycle is fixed by them, so equal columns mean equal tables.
+    _automorphism_pair_search keys each side by cocycles._column_values:
+    a cocycle is fixed by its generator columns, so equal columns mean
+    equal tables.
 
     A hit is correct for any quotient, since the converse direction holds
     and the assembled map is bijective when sigma and rho are.  An
     exhausted search settles the negative only under the quotient
     coboundary-triviality hypothesis, on which completeness rests.
     """
-    return _automorphism_pair_search("lower", e1, e2, limits)
+    src, tgt = _extension_pair(e1, e2)
+    hit = _automorphism_pair_search(_column_values, src, tgt, limits)
+    if hit is None:
+        return None
+    cert = IsoCertificate(kind="lower", source=src, target=tgt, sigma=hit[0],
+                          rho=hit[1], delta=trivial_map(src.g1, src.g2))
+    cert.materialize()
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +353,7 @@ def simple_quotient_check(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     carriers must map the kernel copy onto the kernel copy.  Enumerates
     all of them, checks the claim on each (ConditionsFailed if one moves
     the kernel copy), and reports counts."""
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
+    src, tgt = _extension_pair(e1, e2)
     g2 = src.g2
     if g2.is_abelian or not is_simple(g2):
         raise PreconditionViolated("quotient must be simple non-abelian")
@@ -385,8 +382,7 @@ def build_purely_nonabelian_iso(sigma: GroupMap, eta: GroupMap,
     the source cocycle onto the pulled-back target cocycle.  The first
     failure raises PreconditionViolated.  Bijectivity of the assembled
     map is then checked, not searched for."""
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
+    src, tgt = _extension_pair(e1, e2)
     g1, g2 = src.g1, src.g2
     if not is_purely_nonabelian(g2):
         raise PreconditionViolated("quotient is not purely non-abelian")
@@ -422,8 +418,7 @@ def g2_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     No quotient hypothesis is needed here: with that component trivial,
     the splitting step that otherwise requires coboundary-triviality is
     immediate.  Verification failures raise ConditionsFailed."""
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
+    src, tgt = _extension_pair(e1, e2)
     ok, _ = is_homomorphism_direct(src, tgt, phi)
     if not (ok and phi.is_bijective()):
         raise NotG2Iso("phi is not an isomorphism of the carriers")
@@ -443,8 +438,7 @@ def g2_isomorphic_equal_order(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     cocycle must vanish and some isomorphism delta between the factors
     must pull the inverted target cocycle back to a coboundary.  The
     certificate materializes to (sigma(x) + delta'(y), delta(x))."""
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
+    src, tgt = _extension_pair(e1, e2)
     g1, g2 = src.g1, src.g2
     if not (g1.is_abelian and g2.is_abelian and g1.order == g2.order):
         raise PreconditionViolated(
@@ -472,8 +466,7 @@ def g1_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     the quotient coboundary-triviality hypothesis, so a failed condition
     raises ConditionsFailed when sim_is_trivial holds for the quotient
     and HypothesisNotVerified with the same message when it fails."""
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
+    src, tgt = _extension_pair(e1, e2)
     ok, _ = is_homomorphism_direct(src, tgt, phi)
     if not (ok and phi.is_bijective()):
         raise NotG1Iso("phi is not an isomorphism of the carriers")
@@ -493,8 +486,7 @@ def g1g2_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     """Decision for both diagonal components trivial: the source cocycle
     vanishes and some isomorphism delta between the factor groups kills
     the target cocycle exactly.  Materializes (delta'(y), delta(x))."""
-    src, tgt = _as_extension(e1), _as_extension(e2)
-    _same_pair(src, tgt)
+    src, tgt = _extension_pair(e1, e2)
     g1, g2 = src.g1, src.g2
     if g1.order != g2.order or not src.cocycle.is_trivial():
         return None
@@ -563,25 +555,20 @@ def verify_theorems(pairs=None, max_order: int = 16,
     from .catalog import get_group
     if pairs is None:
         pairs = DEFAULT_VERIFY_PAIRS
-    norm = []
-    for a, b in pairs:
-        g1 = get_group(a) if isinstance(a, str) else a
-        g2 = get_group(b) if isinstance(b, str) else b
-        norm.append((g1, g2))
+    norm = [[get_group(g) if isinstance(g, str) else g for g in pair]
+            for pair in pairs]
 
     report = {"pairs": [], "discrepancies": [], "logged_observations": [],
               "checked_class_pairs": 0}
 
-    def flag(record, name, detail):
-        entry = {"pair": record["pair"], "classes": record["classes"],
-                 "check": name, "detail": detail}
-        report["discrepancies"].append(entry)
-        record["discrepancies"].append(name)
+    def observe(record, name, detail, into="logged_observations"):
+        report[into].append({"pair": record["pair"],
+                             "classes": record["classes"],
+                             "check": name, "detail": detail})
 
-    def observe(record, name, detail):
-        report["logged_observations"].append(
-            {"pair": record["pair"], "classes": record["classes"],
-             "check": name, "detail": detail})
+    def flag(record, name, detail):
+        observe(record, name, detail, "discrepancies")
+        record["discrepancies"].append(name)
 
     for g1, g2 in norm:
         order = g1.order * g2.order

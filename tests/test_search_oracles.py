@@ -2,7 +2,6 @@
 ones: every certificate, witness included, must be the one the slow
 search returns."""
 
-import functools
 import itertools
 import json
 import os
@@ -80,18 +79,11 @@ def as_dict(cert):
     return None if cert is None else cert.to_dict()
 
 
-def group_named(name):
-    """The catalog group, else the direct product of the catalog groups
-    that the x-separated parts of name give, as for Z2xZ6."""
-    try:
-        return get_group(name)
-    except KeyError:
-        return functools.reduce(direct_product,
-                                map(get_group, name.split("x")))
-
-
 def class_extensions(pair):
-    space = compute_cocycle_space(*map(group_named, pair))
+    name1, name2 = pair
+    g1 = (direct_product(get_group("Z2"), get_group("Z6"))
+          if name1 == "Z2xZ6" else get_group(name1))
+    space = compute_cocycle_space(g1, get_group(name2))
     return [build_extension(rep) for rep in space.class_representatives]
 
 
