@@ -85,7 +85,10 @@ def _load_group(spec) -> FiniteGroup:
         return get_group(spec)
     except KeyError:
         if os.path.exists(spec):
-            return FiniteGroup.from_dict(_read_json(spec))
+            d = _read_json(spec)
+            if not isinstance(d, dict) or "table" not in d:
+                raise ValueError(f"{spec}: missing 'table'")
+            return FiniteGroup.from_dict(d)
         raise KeyError(
             f"{spec!r} is neither a catalog name nor an existing file")
 
@@ -166,8 +169,10 @@ def cmd_extend(args) -> int:
                                         "class index")
     else:
         d = _read_json(args.cocycle)
-        table = d["table"] if isinstance(d, dict) else d
-        cocycle = make_cocycle(g1, g2, table)
+        if isinstance(d, dict) and "table" not in d:
+            raise ValueError(f"{args.cocycle}: missing 'table'")
+        cocycle = make_cocycle(g1, g2, d["table"] if isinstance(d, dict)
+                               else d)
     ext = build_extension(cocycle)
     name = identify_group(ext.group)
     payload = ext.to_dict()

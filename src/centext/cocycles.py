@@ -10,15 +10,19 @@ structure on the value set is needed beyond the identity check).
 Everything linear runs mod each invariant factor d of g1, in the
 k(n-1) generator columns e(x, s), x != 1 and s among the k generators
 of a quotient of order n, which fix a cocycle (the _cocycle_columns
-proof).  Z^2 is the kernel of the cocycle identity there.  One lattice
-per (g2, d), _coboundary_lattice, holds the unit coboundaries with
-their coefficients: its head is B^2 in columns, whose Howell basis
-reduces a cocycle to a canonical key of its class, and its tail is
-Hom(g2, Z/d).  H^2 is a small Smith normal form of the relations among
-the Z^2 rows mod that head.  are_cohomologous reduces e2 - e1 once per
-factor and reads a witness off the tail.  Pair slots (h, g) appear only
-in written-out tables: the lex-least representatives and witnesses come
-from one greedy pass against Hom, or against B^2 over the pair slots.
+proof).  Z^2 is the kernel of the cocycle identity there, eliminated
+from its sparse equations with sparse pivot rows (_sparse_echelon).
+One lattice per (g2, d), _coboundary_lattice, holds the unit
+coboundaries with their coefficients: its head is B^2 in columns, whose
+Howell basis reduces a cocycle to a canonical key of its class, and its
+tail is Hom(g2, Z/d).  H^2 is a small Smith normal form of the
+relations among the Z^2 rows mod that head.  are_cohomologous reduces
+e2 - e1 once per factor and reads a witness off the tail.  Pair slots
+(h, g) appear only in written-out tables: the lex-least representatives
+and witnesses come from one greedy pass over the pivot slots of Hom, or
+of B^2 over the pair slots, and the Z^2 and B^2 generator tables are
+written out on first access.  The dense elimination and the
+slot-by-slot pass these replace are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     ConditionsFailed,
@@ -35,7 +39,6 @@ from .errors import (
     NotAbelian,
     NotAbelianCoefficients,
     NotNormalized,
-    PreconditionViolated,
 )
 from .groups import FiniteGroup, GroupMap, center
 from .intlinalg import (
@@ -43,6 +46,7 @@ from .intlinalg import (
     IntMatrix,
     abelian_invariants,
     smith_normal_form,
+    xgcd,
 )
 
 
@@ -260,7 +264,7 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
             return None
         solutions.append(x0[1:])
         kernels.append(lattice.tail(len(columns)))
-    images = _least_in_coset(kernels, solutions, pres.element_of, n2 - 1)
+    images = _least_in_coset(kernels, solutions, pres.element_of)
     t = GroupMap(dom=g2, cod=g1, images=(0,) + tuple(images))
     if apply_coboundary(t, e1).table != e2.table:
         raise ConditionsFailed("the solved map is not a coboundary witness")
@@ -282,9 +286,11 @@ def _generator_columns(g2: FiniteGroup):
 
 
 def _unit_coboundary(g2: FiniteGroup, w: int, slots):
-    """psi_w(h, g) = [g = w] - [hg = w] + [h = w] over the slots (h, g):
-    the coboundary of the map sending w to 1 and the rest to 0."""
-    return [(g == w) - (g2.table[h][g] == w) + (h == w) for h, g in slots]
+    """psi_w(h, g) = [g = w] - [hg = w] + [h = w] over the slots (h, g),
+    as a sparse row {slot index: value}: the coboundary of the map
+    sending w to 1 and the rest to 0."""
+    return {i: v for i, (h, g) in enumerate(slots)
+            if (v := (g == w) - (g2.table[h][g] == w) + (h == w))}
 
 
 @lru_cache(maxsize=None)
@@ -299,11 +305,9 @@ def _coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
     Hom(g2, Z/d).
     """
     n2, columns = g2.order, _generator_columns(g2)
-    lattice = IntLattice(len(columns) + n2 - 1, d)
-    for w in range(1, n2):
-        lattice.add(_unit_coboundary(g2, w, columns)
-                    + [int(y == w) for y in range(1, n2)])
-    return lattice
+    k = len(columns)
+    return _sparse_echelon(({**_unit_coboundary(g2, w, columns), k + w - 1: 1}
+                            for w in range(1, n2)), k + n2 - 1, d)[1]
 
 
 def _column_values(g1: FiniteGroup, g2: FiniteGroup):
@@ -336,21 +340,61 @@ def _class_key(g1: FiniteGroup, g2: FiniteGroup):
             lambda table, rho: reduce(pull(table, rho)))
 
 
-def _row_space(rows, ncols, d):
-    """Eliminate the dense rows R mod d: the indexes S of the rows that
-    grew R's row lattice, added in order, and the echelon form of the
-    rows [R_S e_w | e_w], one per column w.  R_S spans R's row lattice,
-    so it has R's kernel mod d, which is columns.tail(len(S)).  A chain
-    of submodules of (Z/d)^ncols has at most ncols * Omega(d) steps
-    (prime factors with multiplicity), so no row is wider than
-    (1 + Omega(d)) * ncols."""
-    lattice = IntLattice(ncols, d)
-    kept = [(i, row) for i, row in enumerate(rows) if lattice.add(row)]
-    columns = IntLattice(len(kept) + ncols, d)
-    for w in range(ncols):
-        columns.add([row[w] for _, row in kept]
-                    + [int(j == w) for j in range(ncols)])
-    return tuple(i for i, _ in kept), columns
+def _sparse_echelon(rows, ncols, m):
+    """IntLattice.add on each sparse row {column: entry} in turn, with
+    the pivot rows kept as such dicts of nonzero entries in [0, m): the
+    indexes of the rows that grew the lattice, and the lattice with its
+    pivot rows written out.  Each step is the one of IntLattice.add
+    (reduce where the pivot divides, else an xgcd combination), so the
+    pivot rows are those of feeding the dense rows in the same order."""
+    pivots, kept = {}, []
+    for i, row in enumerate(rows):
+        v = {j: x % m for j, x in row.items() if x % m}
+        grew = False
+        while v:
+            p = min(v)
+            r = pivots.get(p, {p: m})
+            a, b = r[p], v[p]
+            if b % a == 0:
+                for j, y in r.items():
+                    x = (v.get(j, 0) - b // a * y) % m
+                    if x:
+                        v[j] = x
+                    else:
+                        v.pop(j, None)
+                continue
+            g, s, t = xgcd(a, b)
+            both = r.keys() | v.keys()
+            pivots[p] = {j: x for j in both
+                         if (x := (s * r.get(j, 0) + t * v.get(j, 0)) % m)}
+            v = {j: x for j in both if (x := (
+                a // g * v.get(j, 0) - b // g * r.get(j, 0)) % m)}
+            grew = True
+        if grew:
+            kept.append(i)
+    lattice = IntLattice(ncols, m)
+    lattice.pivot_rows = {p: [r.get(j, 0) for j in range(ncols)]
+                          for p, r in pivots.items()}
+    return kept, lattice
+
+
+def _row_space(equations, ncols, d):
+    """Eliminate the sparse rows R mod d, the {unknown: coefficient}
+    equations of _cocycle_columns: the indexes S of the rows that grew
+    R's row lattice, added in order, and the echelon form of the rows
+    [R_S e_w | e_w], one per column w.  R_S spans R's row lattice, so it
+    has R's kernel mod d, which is columns.tail(len(S)).  A chain of
+    submodules of (Z/d)^ncols has at most ncols * Omega(d) steps (prime
+    factors with multiplicity), so no row is wider than
+    (1 + Omega(d)) * ncols.  Both eliminations run on sparse rows; the
+    dense form they replace is kept in the tests as an oracle."""
+    kept, _ = _sparse_echelon(equations, ncols, d)
+    transposed = [{len(kept) + w: 1} for w in range(ncols)]
+    for j, i in enumerate(kept):
+        for u, c in equations[i].items():
+            transposed[u][j] = c
+    _, columns = _sparse_echelon(transposed, len(kept) + ncols, d)
+    return tuple(kept), columns
 
 
 def apply_coboundary(t: GroupMap, e: Cocycle2) -> Cocycle2:
@@ -393,35 +437,6 @@ def pullback(e: Cocycle2, rho: GroupMap) -> Cocycle2:
         tuple(e.table[im[y]][im[yp]] for yp in range(n)) for y in range(n)))
 
 
-def cocycle_compose_checks(sigma: GroupMap, delta: GroupMap, e: Cocycle2):
-    """Build sigma.e, delta.e and e.(delta x delta), verifying the
-    composition hypotheses and that each output is again a cocycle.
-
-    sigma must be an epsilon-endomorphism of g1 for e; delta a
-    homomorphism g1 -> g2.  Returns the three cocycles in that order.
-    """
-    g1, g2 = e.g1, e.g2
-    if sigma.dom != g1 or sigma.cod != g1:
-        raise PreconditionViolated("sigma must be a self-map of g1")
-    if not is_epsilon_endomorphism(sigma, e):
-        raise PreconditionViolated("sigma is not an epsilon-endomorphism")
-    if delta.dom != g1 or delta.cod != g2:
-        raise PreconditionViolated("delta must map g1 into g2")
-    if not delta.is_homomorphism():
-        raise PreconditionViolated("delta is not a homomorphism")
-
-    sigma_e = pushforward(sigma, e)
-    delta_e = pushforward(delta, e)
-    e_dd = pullback(e, delta)
-    for out, label in ((sigma_e, "sigma.e"), (delta_e, "delta.e"),
-                       (e_dd, "e.(delta x delta)")):
-        ok, witness = is_cocycle(out.g1, out.g2, out.table)
-        if not ok:
-            raise ConditionsFailed(
-                f"{label} failed the cocycle identity at {witness}")
-    return sigma_e, delta_e, e_dd
-
-
 # ---------------------------------------------------------------------------
 # the cocycle space
 
@@ -432,24 +447,28 @@ class CocycleSpace:
 
     class_representatives holds one cocycle per H^2 class, ordered with
     the trivial class first; each representative is the
-    lexicographically least table in its coset.
+    lexicographically least table in its coset.  z2_generators and
+    b2_generators are written out on first access.
     """
 
     g1: FiniteGroup
     g2: FiniteGroup
-    z2_generators: tuple[Cocycle2, ...]
-    b2_generators: tuple[Cocycle2, ...]
     h2_invariant_factors: tuple[int, ...]
     class_representatives: tuple[Cocycle2, ...]
     z2_order: int
     b2_order: int
 
+    @cached_property
+    def z2_generators(self) -> tuple[Cocycle2, ...]:
+        return _generator_tables(self.g1, self.g2)[0]
+
+    @cached_property
+    def b2_generators(self) -> tuple[Cocycle2, ...]:
+        return _generator_tables(self.g1, self.g2)[1]
+
     @property
     def h2_order(self) -> int:
-        out = 1
-        for f in self.h2_invariant_factors:
-            out *= f
-        return out
+        return math.prod(self.h2_invariant_factors)
 
     def to_dict(self) -> dict:
         return {
@@ -533,14 +552,30 @@ def _combine(*terms):
 
 @dataclass(frozen=True)
 class _Coordinate:
-    """Z^2 and the H^2 classes of one invariant factor d of g1 over the
-    pair slots: z spans Z^2, and classes holds one member of each."""
+    """Z^2 and the H^2 classes of one invariant factor d of g1 over g2:
+    z_columns spans Z^2 in generator columns, z holds the same rows
+    over the pair slots, written out on first access, and classes holds
+    one member of each class over the pair slots."""
 
-    z: tuple[tuple[int, ...], ...]
+    g2: FiniteGroup
+    d: int
+    z_columns: tuple[tuple[int, ...], ...]
     z_order: int
     b_order: int
     factors: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def z(self) -> tuple[tuple[int, ...], ...]:
+        forms = _cocycle_columns(self.g2)[0]
+        return tuple(_expand(forms, vec, self.d) for vec in self.z_columns)
+
+
+def _expand(forms, vec, d):
+    """The values mod d at the pair slots of the cocycle with the values
+    vec at the generator columns, through the forms of _cocycle_columns."""
+    return tuple(sum(c * vec[u] for u, c in form.items()) % d
+                 for form in forms)
 
 
 @lru_cache(maxsize=None)
@@ -548,18 +583,12 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     forms, nunknowns, equations = _cocycle_columns(g2)
     # in generator columns Z^2 is the kernel of the equations and B^2 the
     # head of the coboundary lattice; the forms expand them to pair slots
-    kept, columns = _row_space(
-        ([eq.get(u, 0) for u in range(nunknowns)] for eq in equations),
-        nunknowns, d)
+    kept, columns = _row_space(equations, nunknowns, d)
     kernel = columns.tail(len(kept))
     z = [row for _, row in sorted(kernel.pivot_rows.items())]
     b = _coboundary_lattice(g2, d).head(nunknowns)
     z_order = d ** nunknowns // kernel.index_in_ambient()
     b_order = d ** nunknowns // b.index_in_ambient()
-
-    def expand(vec):
-        return tuple(sum(c * vec[u] for u, c in form.items()) % d
-                     for form in forms)
 
     # H^2 = Z^2 / B^2 is generated by the residues of the Z^2 rows mod
     # B^2; its relations are the vectors c with sum c_i res_i in B^2
@@ -576,20 +605,20 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
 
     # one vector per class: the box of the relation lattice's pivots
-    residues = [expand(res) for res in residues]
+    residues = [_expand(forms, res, d) for res in residues]
     classes = []
     for coeffs in itertools.product(*(range(quot.pivot(j)) for j in range(k))):
         vec = [0] * len(forms)
         for c, res in zip(coeffs, residues):
             vec = [(x + c * y) % d for x, y in zip(vec, res)]
         classes.append(tuple(vec))
-    return _Coordinate(z=tuple(map(expand, z)), z_order=z_order,
-                       b_order=b_order,
+    return _Coordinate(g2=g2, d=d, z_columns=tuple(map(tuple, z)),
+                       z_order=z_order, b_order=b_order,
                        factors=tuple(x for x in diag if x > 1),
                        classes=tuple(classes))
 
 
-def _least_in_coset(lattices, vecs, element_of, nslots):
+def _least_in_coset(lattices, vecs, element_of):
     """Element indices, slot by slot, of the lex-least member of the
     coset of vecs mod the lattices: one coordinate vector and one
     IntLattice per invariant factor, mod that lattice's modulus.
@@ -599,25 +628,31 @@ def _least_in_coset(lattices, vecs, element_of, nslots):
     there, and the freedom left lies in the rows below i; so each slot
     takes its least element index among those admissible coordinate
     tuples, fixed by adding that multiple of row i.  A slot where no
-    lattice stores a row has every pivot equal to its modulus and one
-    admissible tuple, read directly."""
+    lattice stores a row has one admissible tuple, so only the pivot
+    slots are visited, in increasing order; a row at slot i changes
+    only slots from i on, so every slot is then read once from the
+    final vectors.  The slot-by-slot pass is kept in the tests as an
+    oracle."""
+    element = lru_cache(maxsize=None)(element_of)
     vecs = [list(v) for v in vecs]
-    values = []
-    for i in range(nslots):
-        if not any(i in lat.pivot_rows for lat in lattices):
-            values.append(element_of([v[i] for v in vecs]))
-            continue
+    for i in sorted(set().union(*(lat.pivot_rows for lat in lattices))):
         best = min(itertools.product(*(
             range(v[i] % lat.pivot(i), lat.modulus, lat.pivot(i))
-            for lat, v in zip(lattices, vecs))), key=element_of)
+            for lat, v in zip(lattices, vecs))), key=element)
         for lat, v, x in zip(lattices, vecs, best):
             if x != v[i]:
                 q = (x - v[i]) // lat.pivot(i)
                 row = lat.pivot_rows[i]
                 v[i:] = [(a + q * r) % lat.modulus
                          for a, r in zip(v[i:], row[i:])]
-        values.append(element_of(best))
-    return values
+    return [element(c) for c in zip(*vecs)]
+
+
+def _table_from_values(n2, values):
+    """The normalized n2 x n2 table with values at the pair slots."""
+    it = iter(values)
+    return tuple(tuple(next(it) if h and g else 0 for g in range(n2))
+                 for h in range(n2))
 
 
 @lru_cache(maxsize=None)
@@ -628,65 +663,72 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
     n2 = g2.order
-    npairs = (n2 - 1) ** 2
     pres = abelian_invariants(g1)
     coords = [_solve_coordinate(g2, d) for d in pres.invariant_factors]
-
-    def table_from_values(values):
-        it = iter(values)
-        return tuple(tuple(next(it) if h and g else 0 for g in range(n2))
-                     for h in range(n2))
 
     # per class the lex-least table in its coset of B^2 over the pair
     # slots, spanned by the unit coboundaries; one class is B^2 itself
     classes = list(itertools.product(*(c.classes for c in coords)))
     rep_tables = [trivial_cocycle(g1, g2).table]
     if len(classes) > 1:
-        b2 = [IntLattice(npairs, d) for d in pres.invariant_factors]
         slots = list(itertools.product(range(1, n2), repeat=2))
-        for lattice, w in itertools.product(b2, range(1, n2)):
-            lattice.add(_unit_coboundary(g2, w, slots))
+        units = [_unit_coboundary(g2, w, slots) for w in range(1, n2)]
+        b2 = [_sparse_echelon(units, len(slots), d)[1]
+              for d in pres.invariant_factors]
         rep_tables = sorted(
-            table_from_values(_least_in_coset(b2, vecs, pres.element_of,
-                                              npairs))
+            _table_from_values(n2, _least_in_coset(b2, vecs, pres.element_of))
             for vecs in classes)
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
         raise AssertionError("the trivial class is not listed first")
-    class_reps = tuple(Cocycle2(g1=g1, g2=g2, table=t) for t in rep_tables)
-
-    def distinct(tables):
-        return tuple(Cocycle2(g1=g1, g2=g2, table=t)
-                     for t in dict.fromkeys(tables) if any(map(any, t)))
-
-    # each Z^2 row in its own coordinate, and the coboundary of each map
-    # sending one point w to a coordinate unit and the rest to 0
-    zero = (0,) * len(coords)
-    z2_gens = distinct(
-        table_from_values(pres.element_of(zero[:ci] + (v,) + zero[ci + 1:])
-                          for v in row)
-        for ci, c in enumerate(coords) for row in c.z)
-    b2_gens = distinct(
-        _coboundary_table(GroupMap(dom=g2, cod=g1, images=tuple(
-            pres.element_of(zero[:ci] + (int(y == w),) + zero[ci + 1:])
-            for y in range(n2))))
-        for ci in range(len(coords)) for w in range(1, n2))
-
-    return CocycleSpace(g1=g1, g2=g2, z2_generators=z2_gens,
-                        b2_generators=b2_gens,
+    return CocycleSpace(g1=g1, g2=g2,
                         h2_invariant_factors=_merge_invariant_factors(
                             [f for c in coords for f in c.factors]),
-                        class_representatives=class_reps,
+                        class_representatives=tuple(
+                            Cocycle2(g1=g1, g2=g2, table=t)
+                            for t in rep_tables),
                         z2_order=math.prod(c.z_order for c in coords),
                         b2_order=math.prod(c.b_order for c in coords))
 
 
+@lru_cache(maxsize=None)
+def _generator_tables(g1: FiniteGroup, g2: FiniteGroup):
+    """z2_generators and b2_generators of the pair, first occurrences
+    kept and trivial tables dropped: each Z^2 row in its own
+    coordinate, and the coboundary of each map sending one point w to a
+    coordinate unit and the rest to 0."""
+    n2, pres = g2.order, abelian_invariants(g1)
+    coords = [_solve_coordinate(g2, d) for d in pres.invariant_factors]
+    zero = (0,) * len(coords)
+
+    def unit(ci, v):
+        return pres.element_of(zero[:ci] + (v,) + zero[ci + 1:])
+
+    def distinct(tables):
+        return tuple(Cocycle2(g1=g1, g2=g2, table=t)
+                     for t in dict.fromkeys(tables) if any(map(any, t)))
+    return (distinct(_table_from_values(n2, (unit(ci, v) for v in row))
+                     for ci, c in enumerate(coords) for row in c.z),
+            distinct(_coboundary_table(GroupMap(dom=g2, cod=g1, images=tuple(
+                unit(ci, int(y == w)) for y in range(n2))))
+                for ci in range(len(coords)) for w in range(1, n2)))
+
+
 def _merge_invariant_factors(factors) -> tuple[int, ...]:
-    """Recombine a multiset of cyclic orders into a divisibility chain:
-    the invariant factors of the diagonal matrix they form."""
-    diag = smith_normal_form(IntMatrix.from_rows(
-        [[f * (i == j) for j in range(len(factors))]
-         for i, f in enumerate(factors)])).s.diagonal
-    return tuple(x for x in diag if x > 1)
+    """Recombine a multiset of cyclic orders into a divisibility chain,
+    the invariant factors of their direct product: split each into prime
+    powers, and let the i-th largest factor take the i-th largest power
+    of each prime."""
+    powers = {}
+    for f in factors:
+        for p in range(2, f + 1):
+            q = 1
+            while f % p == 0:
+                f, q = f // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+    chain = itertools.zip_longest(*(sorted(qs, reverse=True)
+                                    for qs in powers.values()), fillvalue=1)
+    return tuple(map(math.prod, chain))[::-1]
 
 
 def sim_is_trivial(g2: FiniteGroup) -> bool:

@@ -319,28 +319,6 @@ def center(g: FiniteGroup) -> Subgroup:
     return Subgroup(parent=g, members=tuple(members))
 
 
-def centralizer(g: FiniteGroup, s) -> Subgroup:
-    s = sorted(set(s))
-    for x in s:
-        if not 0 <= x < g.order:
-            raise ValueError(f"element {x} out of range")
-    members = [c for c in range(g.order)
-               if all(g.table[c][x] == g.table[x][c] for x in s)]
-    return Subgroup(parent=g, members=tuple(members))
-
-
-def derived_subgroup(g: FiniteGroup) -> Subgroup:
-    n = g.order
-    comms = set()
-    for a in range(n):
-        for b in range(n):
-            ab = g.table[a][b]
-            ba = g.table[b][a]
-            comms.add(g.table[ab][g.inverses[ba]])
-    members = subgroup_closure(g, comms)
-    return Subgroup(parent=g, members=tuple(sorted(members)))
-
-
 def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
     """Classes sorted by least member; the identity class comes first."""
     n = g.order

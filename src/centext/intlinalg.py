@@ -93,33 +93,6 @@ def mat_vec(a: IntMatrix, x) -> list[int]:
     return [sum(v * xi for v, xi in zip(row, x)) for row in a.data]
 
 
-def determinant(a: IntMatrix) -> int:
-    """Bareiss fraction-free elimination; exact over Z."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("determinant of non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class SNFResult:
     """u * a * v = s with u, v unimodular and s diagonal with a

@@ -68,6 +68,14 @@ class TestCohomology:
         assert code == 2
         assert "NoSuchGroup" in err
 
+    def test_group_file_without_table_names_key_and_file(self, tmp_path,
+                                                          capsys):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps({"name": "x"}))
+        code, payload, err = run_cli(["cohomology", "Z2", str(gfile)], capsys)
+        assert code == 2 and payload is None
+        assert err == f"error: {gfile}: missing 'table'\n"
+
 
 class TestExtend:
     def test_class_index_builds_the_cyclic_carrier(self, capsys):
@@ -123,6 +131,15 @@ class TestExtend:
             ["extend", "Z2", "Z2", str(cfile)], capsys)
         assert code == 2 and payload is None
         assert "list of rows" in err
+
+    def test_cocycle_object_without_table_names_key_and_file(self, tmp_path,
+                                                             capsys):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"rows": [[0, 0], [0, 1]]}))
+        code, payload, err = run_cli(
+            ["extend", "Z2", "Z2", str(cfile)], capsys)
+        assert code == 2 and payload is None
+        assert err == f"error: {cfile}: missing 'table'\n"
 
     def test_invalid_cocycle_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -13,7 +13,6 @@ from centext.cocycles import (
     apply_coboundary,
     are_cohomologous,
     coboundary_from,
-    cocycle_compose_checks,
     cocycle_inv,
     cocycle_mul,
     compute_cocycle_space,
@@ -26,8 +25,12 @@ from centext.cocycles import (
     sim_is_trivial,
     trivial_cocycle,
 )
+from centext import cocycles
 from centext.cocycles import (
+    _cocycle_columns,
+    _least_in_coset,
     _merge_invariant_factors,
+    _row_space,
     _solve_coordinate,
 )
 from centext.errors import (
@@ -57,6 +60,12 @@ from centext.intlinalg import (
     IntMatrix,
     abelian_invariants,
     solve_linear_mod,
+)
+from oracles import (
+    cocycle_compose_checks,
+    dense_row_space,
+    least_in_coset_by_slot,
+    merge_invariant_factors_by_snf,
 )
 
 
@@ -751,6 +760,61 @@ class TestWitnessOracle:
                                     enumerate_homs(a5, z2)) is None
 
 
+# (quotient, d) pairs for the oracles of the sparse elimination and of
+# the pivot-slot coset pass
+ORACLE_CASES = ([(name, d) for name in SMALL_QUOTIENTS for d in (2, 3, 4, 6)]
+                + [("S4", 2)])
+
+
+def checked_coset_pass(monkeypatch):
+    """Route cocycles._least_in_coset through a check against the
+    slot-by-slot pass; returns the list of checked calls."""
+    calls = []
+
+    def checked(lattices, vecs, element_of):
+        got = _least_in_coset(lattices, vecs, element_of)
+        assert got == least_in_coset_by_slot(lattices, vecs, element_of,
+                                             len(vecs[0]))
+        calls.append(got)
+        return got
+    monkeypatch.setattr(cocycles, "_least_in_coset", checked)
+    return calls
+
+
+class TestSparseOracles:
+    @pytest.mark.parametrize("name,d", ORACLE_CASES)
+    def test_row_space_matches_the_dense_elimination(self, name, d):
+        _, nunknowns, equations = _cocycle_columns(get_group(name))
+        kept, columns = _row_space(equations, nunknowns, d)
+        dense_kept, dense_columns = dense_row_space(
+            ([eq.get(u, 0) for u in range(nunknowns)] for eq in equations),
+            nunknowns, d)
+        assert kept == dense_kept
+        assert columns.pivot_rows == dense_columns.pivot_rows
+        assert columns.ncols == dense_columns.ncols
+
+    @pytest.mark.parametrize("name,d", ORACLE_CASES)
+    def test_coset_pass_matches_slot_by_slot(self, name, d, monkeypatch):
+        calls = checked_coset_pass(monkeypatch)
+        g1, g2 = get_group(f"Z{d}"), get_group(name)
+        # a fresh space, past the cache, so every class runs the pass
+        space = compute_cocycle_space.__wrapped__(g1, g2)
+        assert len(calls) == (len(space.class_representatives) > 1) * len(
+            space.class_representatives)
+
+    @pytest.mark.parametrize("pair", WITNESS_ORACLE_PAIRS, ids=":".join)
+    def test_witness_pass_matches_slot_by_slot(self, pair, monkeypatch):
+        calls = checked_coset_pass(monkeypatch)
+        space = compute_cocycle_space.__wrapped__(*map(get_group, pair))
+        reps = space.class_representatives
+        for e1, e2 in itertools.product(reps, repeat=2):
+            are_cohomologous(e1, e2)
+        for rep in reps:
+            for b in space.b2_generators:
+                assert are_cohomologous(rep, cocycle_mul(rep, b))
+        assert len(calls) > len(reps)
+
+
 def sim_trivial_by_scan(g2):
     """Independent oracle for sim_is_trivial: search every normalized
     t: g2 -> g2 for a coboundary that is nontrivial, central-valued and
@@ -867,6 +931,16 @@ class TestMergeFactors:
         assert _merge_invariant_factors([2, 2, 3]) == (2, 6)
         assert _merge_invariant_factors([4, 6]) == (2, 12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 60), max_size=6))
+    def test_merge_matches_the_smith_form(self, factors):
+        assert (_merge_invariant_factors(factors)
+                == merge_invariant_factors_by_snf(factors))
+
+    def test_merge_of_nothing_matches_the_smith_form(self):
+        assert _merge_invariant_factors([]) == (
+            merge_invariant_factors_by_snf([])) == ()
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(2, 12), max_size=5))
     def test_merge_preserves_product_and_chains(self, factors):
@@ -874,6 +948,17 @@ class TestMergeFactors:
         assert math.prod(merged) == math.prod(factors)
         for a, b in zip(merged, merged[1:]):
             assert b % a == 0
+
+
+# sha256 of json.dumps(space.to_dict(), sort_keys=True), pinned before
+# the generator tables were built on first access
+SPACE_DIGESTS = {
+    ("Z2", "K4"): "6180153e36550462dcef791ee09112cf7b6df85d5ac5a11aa7c2884c4abe6898",
+    ("K4", "D4"): "048d3f64b34f4bb991a84749ef695de7df94973454a6f879be1fad855bceffc9",
+    ("Z2", "A4"): "07e43109160f6a33a4124c35f64d84d306c91df9c3d4570346bac894103d727d",
+    ("Z6", "S3"): "2e341b551698dd69de8485b42c8309d5049f442611e4db522dac6e5300c396de",
+    ("Z2xZ4", "K4"): "6959b035bff0e5d62968c3e1786328e88aa9988fbf93e377b4e058aa44325f68",
+}
 
 
 class TestSerialization:
@@ -884,6 +969,21 @@ class TestSerialization:
         rebuilt = make_cocycle(FiniteGroup.from_dict(d["g1"]),
                                FiniteGroup.from_dict(d["g2"]), d["table"])
         assert rebuilt.table == rep.table
+
+    @pytest.mark.parametrize("pair", sorted(SPACE_DIGESTS), ids=":".join)
+    def test_space_dict_pinned(self, pair):
+        space = compute_cocycle_space.__wrapped__(*map(get_group, pair))
+        digest = hashlib.sha256(json.dumps(space.to_dict(), sort_keys=True)
+                                .encode()).hexdigest()
+        assert digest == SPACE_DIGESTS[pair]
+
+    def test_generator_tables_built_on_first_access(self):
+        space = compute_cocycle_space.__wrapped__(get_group("Z2"),
+                                                  get_group("D4"))
+        assert "z2_generators" not in vars(space)
+        assert "b2_generators" not in vars(space)
+        assert space.z2_generators and space.b2_generators
+        assert "z2_generators" in vars(space)
 
     def test_space_dict_fields(self):
         space = compute_cocycle_space(get_group("Z2"), get_group("Z4"))

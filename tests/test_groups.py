@@ -27,11 +27,9 @@ from centext.groups import (
     Subgroup,
     brute_force_isomorphism,
     center,
-    centralizer,
     compose_maps,
     conjugacy_classes,
     cyclic_group,
-    derived_subgroup,
     direct_product,
     enumerate_automorphisms,
     enumerate_homs,
@@ -45,6 +43,7 @@ from centext.groups import (
     validate_group,
 )
 from centext.groups import _MapSearch
+from oracles import centralizer, derived_subgroup
 
 # order-5 loop: Latin with identity row/column but (1*1)*2 != 1*(1*2)
 NONASSOC5 = [

@@ -16,13 +16,13 @@ from centext.intlinalg import (
     IntLattice,
     IntMatrix,
     abelian_invariants,
-    determinant,
     mat_mul,
     mat_vec,
     smith_normal_form,
     solve_linear_mod,
     xgcd,
 )
+from oracles import determinant
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
