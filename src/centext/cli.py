@@ -86,9 +86,10 @@ def _load_group(spec) -> FiniteGroup:
     except KeyError:
         if os.path.exists(spec):
             d = _read_json(spec)
-            if not isinstance(d, dict) or "table" not in d:
-                raise ValueError(f"{spec}: missing 'table'")
-            return FiniteGroup.from_dict(d)
+            try:
+                return FiniteGroup.from_dict(d)
+            except ValueError as exc:
+                raise ValueError(f"{spec}: {exc}") from None
         raise KeyError(
             f"{spec!r} is neither a catalog name nor an existing file")
 
@@ -97,11 +98,15 @@ def _load_extension(path):
     d = _read_json(path)
     if not isinstance(d, dict):
         raise ValueError(f"{path}: extension file must be a JSON object")
+    groups = []
     for key in ("g1", "g2"):
         if key not in d:
             raise ValueError(f"{path}: missing {key!r}")
-    g1 = _load_group(d["g1"])
-    g2 = _load_group(d["g2"])
+        try:
+            groups.append(_load_group(d[key]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+    g1, g2 = groups
     if "class_index" in d:
         k = d["class_index"]
         if not isinstance(k, int) or isinstance(k, bool):

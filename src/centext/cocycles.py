@@ -11,8 +11,8 @@ Everything linear runs mod each invariant factor d of g1, in the
 k(n-1) generator columns e(x, s), x != 1 and s among the k generators
 of a quotient of order n, which fix a cocycle (the _cocycle_columns
 proof).  Z^2 is the kernel of the cocycle identity there, eliminated
-from its sparse equations with sparse pivot rows (_sparse_echelon).
-One lattice per (g2, d), _coboundary_lattice, holds the unit
+from its sparse equations in IntLattice, which keeps sparse pivot
+rows.  One lattice per (g2, d), _coboundary_lattice, holds the unit
 coboundaries with their coefficients: its head is B^2 in columns, whose
 Howell basis reduces a cocycle to a canonical key of its class, and its
 tail is Hom(g2, Z/d).  H^2 is a small Smith normal form of the
@@ -22,7 +22,8 @@ e2 - e1 once per factor and reads a witness off the tail.  Pair slots
 and witnesses come from one greedy pass over the pivot slots of Hom, or
 of B^2 over the pair slots, and the Z^2 and B^2 generator tables are
 written out on first access.  The dense elimination and the
-slot-by-slot pass these replace are test oracles (tests/oracles.py).
+slot-by-slot pass that these replaced are kept as test oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .intlinalg import (
     IntMatrix,
     abelian_invariants,
     smith_normal_form,
-    xgcd,
 )
 
 
@@ -306,8 +306,8 @@ def _coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
     """
     n2, columns = g2.order, _generator_columns(g2)
     k = len(columns)
-    return _sparse_echelon(({**_unit_coboundary(g2, w, columns), k + w - 1: 1}
-                            for w in range(1, n2)), k + n2 - 1, d)[1]
+    return IntLattice(k + n2 - 1, d, ({**_unit_coboundary(g2, w, columns),
+                                      k + w - 1: 1} for w in range(1, n2)))
 
 
 def _column_values(g1: FiniteGroup, g2: FiniteGroup):
@@ -340,44 +340,6 @@ def _class_key(g1: FiniteGroup, g2: FiniteGroup):
             lambda table, rho: reduce(pull(table, rho)))
 
 
-def _sparse_echelon(rows, ncols, m):
-    """IntLattice.add on each sparse row {column: entry} in turn, with
-    the pivot rows kept as such dicts of nonzero entries in [0, m): the
-    indexes of the rows that grew the lattice, and the lattice with its
-    pivot rows written out.  Each step is the one of IntLattice.add
-    (reduce where the pivot divides, else an xgcd combination), so the
-    pivot rows are those of feeding the dense rows in the same order."""
-    pivots, kept = {}, []
-    for i, row in enumerate(rows):
-        v = {j: x % m for j, x in row.items() if x % m}
-        grew = False
-        while v:
-            p = min(v)
-            r = pivots.get(p, {p: m})
-            a, b = r[p], v[p]
-            if b % a == 0:
-                for j, y in r.items():
-                    x = (v.get(j, 0) - b // a * y) % m
-                    if x:
-                        v[j] = x
-                    else:
-                        v.pop(j, None)
-                continue
-            g, s, t = xgcd(a, b)
-            both = r.keys() | v.keys()
-            pivots[p] = {j: x for j in both
-                         if (x := (s * r.get(j, 0) + t * v.get(j, 0)) % m)}
-            v = {j: x for j in both if (x := (
-                a // g * v.get(j, 0) - b // g * r.get(j, 0)) % m)}
-            grew = True
-        if grew:
-            kept.append(i)
-    lattice = IntLattice(ncols, m)
-    lattice.pivot_rows = {p: [r.get(j, 0) for j in range(ncols)]
-                          for p, r in pivots.items()}
-    return kept, lattice
-
-
 def _row_space(equations, ncols, d):
     """Eliminate the sparse rows R mod d, the {unknown: coefficient}
     equations of _cocycle_columns: the indexes S of the rows that grew
@@ -386,15 +348,15 @@ def _row_space(equations, ncols, d):
     has R's kernel mod d, which is columns.tail(len(S)).  A chain of
     submodules of (Z/d)^ncols has at most ncols * Omega(d) steps (prime
     factors with multiplicity), so no row is wider than
-    (1 + Omega(d)) * ncols.  Both eliminations run on sparse rows; the
-    dense form they replace is kept in the tests as an oracle."""
-    kept, _ = _sparse_echelon(equations, ncols, d)
+    (1 + Omega(d)) * ncols.  Both eliminations feed IntLattice sparse
+    rows; the dense elimination is kept in the tests as an oracle."""
+    rows = IntLattice(ncols, d)
+    kept = tuple(i for i, eq in enumerate(equations) if rows.add(eq))
     transposed = [{len(kept) + w: 1} for w in range(ncols)]
     for j, i in enumerate(kept):
         for u, c in equations[i].items():
             transposed[u][j] = c
-    _, columns = _sparse_echelon(transposed, len(kept) + ncols, d)
-    return tuple(kept), columns
+    return kept, IntLattice(len(kept) + ncols, d, transposed)
 
 
 def apply_coboundary(t: GroupMap, e: Cocycle2) -> Cocycle2:
@@ -460,11 +422,25 @@ class CocycleSpace:
 
     @cached_property
     def z2_generators(self) -> tuple[Cocycle2, ...]:
-        return _generator_tables(self.g1, self.g2)[0]
+        """Each Z^2 row of each coordinate, in that coordinate."""
+        forms = _cocycle_columns(self.g2)[0]
+        return _coordinate_tables(self.g1, self.g2, (
+            (ci, _expand(forms, vec, d))
+            for ci, d in enumerate(abelian_invariants(self.g1)
+                                   .invariant_factors)
+            for vec in _solve_coordinate(self.g2, d).z_columns))
 
     @cached_property
     def b2_generators(self) -> tuple[Cocycle2, ...]:
-        return _generator_tables(self.g1, self.g2)[1]
+        """The coboundary of each map sending one point w to a
+        coordinate unit and the rest to 0."""
+        n2, slots = self.g2.order, _pair_slots(self.g2)
+        return _coordinate_tables(self.g1, self.g2, (
+            (ci, [psi.get(i, 0) % d for i in range(len(slots))])
+            for ci, d in enumerate(abelian_invariants(self.g1)
+                                   .invariant_factors)
+            for psi in (_unit_coboundary(self.g2, w, slots)
+                        for w in range(1, n2))))
 
     @property
     def h2_order(self) -> int:
@@ -553,22 +529,15 @@ def _combine(*terms):
 @dataclass(frozen=True)
 class _Coordinate:
     """Z^2 and the H^2 classes of one invariant factor d of g1 over g2:
-    z_columns spans Z^2 in generator columns, z holds the same rows
-    over the pair slots, written out on first access, and classes holds
-    one member of each class over the pair slots."""
+    z_columns spans Z^2 in generator columns (_expand writes a row out
+    over the pair slots), and classes holds one member of each class
+    over the pair slots."""
 
-    g2: FiniteGroup
-    d: int
     z_columns: tuple[tuple[int, ...], ...]
     z_order: int
     b_order: int
     factors: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def z(self) -> tuple[tuple[int, ...], ...]:
-        forms = _cocycle_columns(self.g2)[0]
-        return tuple(_expand(forms, vec, self.d) for vec in self.z_columns)
 
 
 def _expand(forms, vec, d):
@@ -585,7 +554,7 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     # head of the coboundary lattice; the forms expand them to pair slots
     kept, columns = _row_space(equations, nunknowns, d)
     kernel = columns.tail(len(kept))
-    z = [row for _, row in sorted(kernel.pivot_rows.items())]
+    z = [kernel.dense_row(p) for p in sorted(kernel.pivot_rows)]
     b = _coboundary_lattice(g2, d).head(nunknowns)
     z_order = d ** nunknowns // kernel.index_in_ambient()
     b_order = d ** nunknowns // b.index_in_ambient()
@@ -594,9 +563,7 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     # B^2; its relations are the vectors c with sum c_i res_i in B^2
     residues = [res for res in map(b.reduce, z) if any(res)]
     k = len(residues)
-    rel = IntLattice(nunknowns + k, d)
-    for row in b.pivot_rows.values():
-        rel.add(row + [0] * k)
+    rel = IntLattice(nunknowns + k, d, b.pivot_rows.values())
     for i, res in enumerate(residues):
         rel.add(res + [int(j == i) for j in range(k)])
     quot = rel.tail(nunknowns)
@@ -612,7 +579,7 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
         for c, res in zip(coeffs, residues):
             vec = [(x + c * y) % d for x, y in zip(vec, res)]
         classes.append(tuple(vec))
-    return _Coordinate(g2=g2, d=d, z_columns=tuple(map(tuple, z)),
+    return _Coordinate(z_columns=tuple(map(tuple, z)),
                        z_order=z_order, b_order=b_order,
                        factors=tuple(x for x in diag if x > 1),
                        classes=tuple(classes))
@@ -642,9 +609,8 @@ def _least_in_coset(lattices, vecs, element_of):
         for lat, v, x in zip(lattices, vecs, best):
             if x != v[i]:
                 q = (x - v[i]) // lat.pivot(i)
-                row = lat.pivot_rows[i]
-                v[i:] = [(a + q * r) % lat.modulus
-                         for a, r in zip(v[i:], row[i:])]
+                for j, r in lat.pivot_rows[i].items():
+                    v[j] = (v[j] + q * r) % lat.modulus
     return [element(c) for c in zip(*vecs)]
 
 
@@ -671,9 +637,9 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     classes = list(itertools.product(*(c.classes for c in coords)))
     rep_tables = [trivial_cocycle(g1, g2).table]
     if len(classes) > 1:
-        slots = list(itertools.product(range(1, n2), repeat=2))
+        slots = _pair_slots(g2)
         units = [_unit_coboundary(g2, w, slots) for w in range(1, n2)]
-        b2 = [_sparse_echelon(units, len(slots), d)[1]
+        b2 = [IntLattice(len(slots), d, units)
               for d in pres.invariant_factors]
         rep_tables = sorted(
             _table_from_values(n2, _least_in_coset(b2, vecs, pres.element_of))
@@ -690,45 +656,34 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
                         b2_order=math.prod(c.b_order for c in coords))
 
 
-@lru_cache(maxsize=None)
-def _generator_tables(g1: FiniteGroup, g2: FiniteGroup):
-    """z2_generators and b2_generators of the pair, first occurrences
-    kept and trivial tables dropped: each Z^2 row in its own
-    coordinate, and the coboundary of each map sending one point w to a
-    coordinate unit and the rest to 0."""
-    n2, pres = g2.order, abelian_invariants(g1)
-    coords = [_solve_coordinate(g2, d) for d in pres.invariant_factors]
-    zero = (0,) * len(coords)
+def _pair_slots(g2: FiniteGroup):
+    """The nonidentity pair slots (h, g), row-major."""
+    return list(itertools.product(range(1, g2.order), repeat=2))
 
-    def unit(ci, v):
-        return pres.element_of(zero[:ci] + (v,) + zero[ci + 1:])
 
-    def distinct(tables):
-        return tuple(Cocycle2(g1=g1, g2=g2, table=t)
-                     for t in dict.fromkeys(tables) if any(map(any, t)))
-    return (distinct(_table_from_values(n2, (unit(ci, v) for v in row))
-                     for ci, c in enumerate(coords) for row in c.z),
-            distinct(_coboundary_table(GroupMap(dom=g2, cod=g1, images=tuple(
-                unit(ci, int(y == w)) for y in range(n2))))
-                for ci in range(len(coords)) for w in range(1, n2)))
+def _coordinate_tables(g1: FiniteGroup, g2: FiniteGroup, rows):
+    """Per (ci, values) in rows, the table with the values, each in
+    [0, d), at the pair slots in coordinate ci of g1 (of factor d) and 0
+    in the others; first occurrences kept and trivial tables dropped."""
+    pres = abelian_invariants(g1)
+    factors = pres.invariant_factors
+    elements = [[pres.element_of([v * (i == ci)
+                                  for i in range(len(factors))])
+                 for v in range(d)] for ci, d in enumerate(factors)]
+    tables = (_table_from_values(g2.order, map(elements[ci].__getitem__,
+                                               values))
+              for ci, values in rows)
+    return tuple(Cocycle2(g1=g1, g2=g2, table=t)
+                 for t in dict.fromkeys(tables) if any(map(any, t)))
 
 
 def _merge_invariant_factors(factors) -> tuple[int, ...]:
-    """Recombine a multiset of cyclic orders into a divisibility chain,
-    the invariant factors of their direct product: split each into prime
-    powers, and let the i-th largest factor take the i-th largest power
-    of each prime."""
-    powers = {}
-    for f in factors:
-        for p in range(2, f + 1):
-            q = 1
-            while f % p == 0:
-                f, q = f // p, q * p
-            if q > 1:
-                powers.setdefault(p, []).append(q)
-    chain = itertools.zip_longest(*(sorted(qs, reverse=True)
-                                    for qs in powers.values()), fillvalue=1)
-    return tuple(map(math.prod, chain))[::-1]
+    """Recombine a multiset of cyclic orders into a divisibility chain:
+    the invariant factors of the diagonal matrix they form."""
+    diag = smith_normal_form(IntMatrix.from_rows(
+        [[f * (i == j) for j in range(len(factors))]
+         for i, f in enumerate(factors)])).s.diagonal
+    return tuple(x for x in diag if x > 1)
 
 
 def sim_is_trivial(g2: FiniteGroup) -> bool:

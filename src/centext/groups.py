@@ -129,6 +129,10 @@ class FiniteGroup:
 
     @staticmethod
     def from_dict(d: dict) -> "FiniteGroup":
+        if not isinstance(d, dict):
+            raise ValueError("a group must be a JSON object with a 'table'")
+        if "table" not in d:
+            raise ValueError("missing 'table'")
         return validate_group(d["table"], name=d.get("name"))
 
     def __repr__(self):

@@ -2,7 +2,7 @@
 
 Smith normal form with tracked unimodular transforms (and the inverse
 of the column transform), an echelon lattice accumulator modulo an integer (Howell
-form), linear congruence systems with per-row moduli, and
+form) with sparse rows, linear congruence systems with per-row moduli, and
 invariant-factor decompositions of abelian Cayley tables.  Everything
 runs over unbounded Python integers; no floating point anywhere.
 """
@@ -236,68 +236,78 @@ class IntLattice:
     """The sublattice of Z^n spanned by the added rows together with
     modulus * Z^n, kept as one echelon row per pivot column.
 
-    Stored entries are reduced into [0, modulus) and every stored pivot
-    is a proper divisor of the modulus; a column without a stored row
-    has the implicit pivot row modulus * e_j.  Together these rows form
-    a triangular basis of the lattice, so (Howell's property) the rows
+    A stored row is sparse, a dict {column: entry} of its nonzero
+    entries, each reduced into [0, modulus); every stored pivot is a
+    proper divisor of the modulus; a column without a stored row has the
+    implicit pivot row modulus * e_j.  Together these rows form a
+    triangular basis of the lattice, so (Howell's property) the rows
     with pivot column >= k span exactly the lattice vectors that vanish
     before column k, and reduce() returns a canonical coset
     representative.
     """
 
-    def __init__(self, ncols: int, modulus: int):
+    def __init__(self, ncols: int, modulus: int, rows=()):
         if modulus <= 0:
             raise ValueError("the modulus must be positive")
         self.ncols = ncols
         self.modulus = modulus
-        self.pivot_rows: dict[int, list[int]] = {}
+        self.pivot_rows: dict[int, dict[int, int]] = {}
+        for row in rows:
+            self.add(row)
 
-    def add(self, vec) -> bool:
-        """Insert vec; True iff the lattice grew."""
-        if len(vec) != self.ncols:
+    def add(self, row) -> bool:
+        """Insert row, a sequence of ncols entries or a sparse dict
+        {column: entry}; True iff the lattice grew."""
+        if isinstance(row, dict):
+            items = row.items()
+        elif len(row) == self.ncols:
+            items = enumerate(row)
+        else:
             raise DimensionMismatch("vector length mismatch")
         m = self.modulus
-        v = [x % m for x in vec]
+        v = {j: x % m for j, x in items if x % m}
+        if any(not 0 <= j < self.ncols for j in v):
+            raise DimensionMismatch("column outside the lattice")
         grew = False
-        p = 0
-        while True:
-            p = next((i for i in range(p, self.ncols) if v[i]), None)
-            if p is None:
-                return grew
-            r = self.pivot_rows.get(p)
-            if r is None:
-                r = [0] * self.ncols
-                r[p] = m
+        while v:
+            p = min(v)
+            r = self.pivot_rows.get(p, {p: m})
             a, b = r[p], v[p]
             if b % a == 0:
                 q = b // a
-                v[p:] = [(x - q * y) % m for x, y in zip(v[p:], r[p:])]
+                for j, y in r.items():
+                    if x := (v.get(j, 0) - q * y) % m:
+                        v[j] = x
+                    else:
+                        v.pop(j, None)
                 continue
             g, s, t = xgcd(a, b)
             # (r, v) <- (s*r + t*v, (a/g)*v - (b/g)*r): unimodular, and the
             # new v vanishes at p; rows to the right keep modulus * e_j
             # in their span, so reducing mod m loses nothing
-            new_r = r[:p] + [(s * x + t * y) % m for x, y in zip(r[p:], v[p:])]
-            v[p:] = [((a // g) * y - (b // g) * x) % m
-                     for x, y in zip(r[p:], v[p:])]
-            self.pivot_rows[p] = new_r
+            both = r.keys() | v.keys()
+            self.pivot_rows[p] = {j: x for j in both if (
+                x := (s * r.get(j, 0) + t * v.get(j, 0)) % m)}
+            v = {j: x for j in both if (
+                x := (a // g * v.get(j, 0) - b // g * r.get(j, 0)) % m)}
             grew = True
+        return grew
 
     def tail(self, k: int) -> "IntLattice":
         """The lattice vectors that vanish before column k, cut down to
         the columns from k on: by Howell's property, the rows with
         pivot column >= k."""
         out = IntLattice(self.ncols - k, self.modulus)
-        out.pivot_rows = {p - k: r[k:] for p, r in self.pivot_rows.items()
-                          if p >= k}
+        out.pivot_rows = {p - k: {j - k: x for j, x in r.items()}
+                          for p, r in self.pivot_rows.items() if p >= k}
         return out
 
     def head(self, k: int) -> "IntLattice":
         """The projection onto the columns before k: the rows with pivot
         column < k, cut to those columns, still a Howell basis."""
         out = IntLattice(k, self.modulus)
-        out.pivot_rows = {p: r[:k] for p, r in self.pivot_rows.items()
-                          if p < k}
+        out.pivot_rows = {p: {j: x for j, x in r.items() if j < k}
+                          for p, r in self.pivot_rows.items() if p < k}
         return out
 
     def pivot(self, j: int) -> int:
@@ -310,12 +320,19 @@ class IntLattice:
         [0, pivot(j)), eliminating left to right."""
         m = self.modulus
         v = [x % m for x in vec]
-        for j in range(self.ncols):
-            r = self.pivot_rows.get(j)
-            if r is not None and v[j] >= r[j]:
+        for j in sorted(self.pivot_rows):
+            r = self.pivot_rows[j]
+            if v[j] >= r[j]:
                 q = v[j] // r[j]
-                v[j:] = [(x - q * y) % m for x, y in zip(v[j:], r[j:])]
+                for i, y in r.items():
+                    v[i] = (v[i] - q * y) % m
         return v
+
+    def dense_row(self, j: int) -> list[int]:
+        """The pivot row of column j written out, modulus * e_j where
+        nothing is stored."""
+        r = self.pivot_rows.get(j, {j: self.modulus})
+        return [r.get(i, 0) for i in range(self.ncols)]
 
     def hnf_rows(self) -> list[list[int]]:
         """The triangular basis, one row per column (modulus * e_j where
@@ -324,14 +341,7 @@ class IntLattice:
         subtracting that pivot's row.  Later steps change entries
         already reduced, so an entry right of a row's pivot can leave
         [0, pivot) and be negative."""
-        m = self.modulus
-        rows = []
-        for j in range(self.ncols):
-            r = self.pivot_rows.get(j)
-            if r is None:
-                r = [0] * self.ncols
-                r[j] = m
-            rows.append(list(r))
+        rows = [self.dense_row(j) for j in range(self.ncols)]
         for k in range(self.ncols - 1, -1, -1):
             for i in range(k):
                 q = rows[i][k] // rows[k][k]

@@ -22,7 +22,7 @@ from centext.errors import (
     PreconditionViolated,
 )
 from centext.groups import FiniteGroup, GroupMap, Subgroup, subgroup_closure
-from centext.intlinalg import IntLattice, IntMatrix, smith_normal_form
+from centext.intlinalg import IntMatrix, xgcd
 
 
 def determinant(a: IntMatrix) -> int:
@@ -103,17 +103,43 @@ def cocycle_compose_checks(sigma: GroupMap, delta: GroupMap, e: Cocycle2):
     return sigma_e, delta_e, e_dd
 
 
+def dense_echelon(rows, ncols, m):
+    """The earlier IntLattice.add on dense rows, fed in order: whether
+    each row grew the lattice, and the pivot rows {column: dense row}."""
+    pivot_rows, grew = {}, []
+    for vec in rows:
+        v = [x % m for x in vec]
+        grew.append(False)
+        # either step clears v[p] and changes v only from p on
+        for p in range(ncols):
+            if not v[p]:
+                continue
+            r = pivot_rows.get(p, [m * (j == p) for j in range(ncols)])
+            a, b = r[p], v[p]
+            if b % a == 0:
+                q = b // a
+                v[p:] = [(x - q * y) % m for x, y in zip(v[p:], r[p:])]
+                continue
+            g, s, t = xgcd(a, b)
+            pivot_rows[p] = r[:p] + [(s * x + t * y) % m
+                                     for x, y in zip(r[p:], v[p:])]
+            v[p:] = [((a // g) * y - (b // g) * x) % m
+                     for x, y in zip(r[p:], v[p:])]
+            grew[-1] = True
+    return grew, pivot_rows
+
+
 def dense_row_space(rows, ncols, d):
-    """The earlier cocycles._row_space, on dense rows through
-    IntLattice.add: the indexes S of the rows that grew the row
-    lattice, and the echelon form of the rows [R_S e_w | e_w]."""
-    lattice = IntLattice(ncols, d)
-    kept = [(i, row) for i, row in enumerate(rows) if lattice.add(row)]
-    columns = IntLattice(len(kept) + ncols, d)
-    for w in range(ncols):
-        columns.add([row[w] for _, row in kept]
-                    + [int(j == w) for j in range(ncols)])
-    return tuple(i for i, _ in kept), columns
+    """The earlier cocycles._row_space, on dense rows: the indexes S of
+    the rows that grew the row lattice, and the pivot rows of the echelon
+    form of the rows [R_S e_w | e_w]."""
+    rows = list(rows)
+    grew, _ = dense_echelon(rows, ncols, d)
+    kept = [row for row, g in zip(rows, grew) if g]
+    _, columns = dense_echelon(
+        ([row[w] for row in kept] + [int(j == w) for j in range(ncols)]
+         for w in range(ncols)), len(kept) + ncols, d)
+    return tuple(i for i, g in enumerate(grew) if g), columns
 
 
 def least_in_coset_by_slot(lattices, vecs, element_of, nslots):
@@ -132,17 +158,8 @@ def least_in_coset_by_slot(lattices, vecs, element_of, nslots):
         for lat, v, x in zip(lattices, vecs, best):
             if x != v[i]:
                 q = (x - v[i]) // lat.pivot(i)
-                row = lat.pivot_rows[i]
+                row = lat.dense_row(i)
                 v[i:] = [(a + q * r) % lat.modulus
                          for a, r in zip(v[i:], row[i:])]
         values.append(element_of(best))
     return values
-
-
-def merge_invariant_factors_by_snf(factors) -> tuple[int, ...]:
-    """The earlier cocycles._merge_invariant_factors: the invariant
-    factors of the diagonal matrix the cyclic orders form."""
-    diag = smith_normal_form(IntMatrix.from_rows(
-        [[f * (i == j) for j in range(len(factors))]
-         for i, f in enumerate(factors)])).s.diagonal
-    return tuple(x for x in diag if x > 1)

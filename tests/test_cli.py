@@ -76,6 +76,14 @@ class TestCohomology:
         assert code == 2 and payload is None
         assert err == f"error: {gfile}: missing 'table'\n"
 
+    def test_group_file_that_is_a_list_says_so(self, tmp_path, capsys):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps([[0, 1], [1, 0]]))
+        code, payload, err = run_cli(["cohomology", "Z2", str(gfile)], capsys)
+        assert code == 2 and payload is None
+        assert err == (f"error: {gfile}: a group must be a JSON object "
+                       "with a 'table'\n")
+
 
 class TestExtend:
     def test_class_index_builds_the_cyclic_carrier(self, capsys):
@@ -283,6 +291,14 @@ class TestIso:
         code, payload, _ = run_cli(
             ["iso", "upper", path, ext_files["d4a"]], capsys)
         assert code == 0 and payload["verdict"] is True
+
+    def test_inline_group_without_table_names_key_and_file(self, tmp_path,
+                                                            capsys):
+        path = write_ext(tmp_path, "e.json", {"name": "x"}, "Z2",
+                         class_index=0)
+        code, payload, err = run_cli(["iso", "plain", path, path], capsys)
+        assert code == 2 and payload is None
+        assert err == f"error: {path}: g1: missing 'table'\n"
 
     def test_malformed_extension_files(self, tmp_path, capsys):
         missing = tmp_path / "m.json"

@@ -22,7 +22,7 @@ from centext.intlinalg import (
     solve_linear_mod,
     xgcd,
 )
-from oracles import determinant
+from oracles import dense_echelon, determinant
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -169,6 +169,26 @@ class TestIntLattice:
             residues.add(tuple(res))
         assert len(residues) == lat.index_in_ambient()
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_add_matches_the_dense_elimination(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        m = data.draw(st.integers(min_value=1, max_value=36))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(min_value=-40, max_value=40),
+                     min_size=n, max_size=n), max_size=8))
+        grew, expected = dense_echelon(rows, n, m)
+        for form in (list, lambda row: dict(enumerate(row))):
+            lat = IntLattice(n, m)
+            assert [lat.add(form(row)) for row in rows] == grew
+            assert {p: lat.dense_row(p) for p in lat.pivot_rows} == expected
+
+    def test_add_rejects_a_row_of_the_wrong_shape(self):
+        lat = IntLattice(3, 4)
+        with pytest.raises(DimensionMismatch):
+            lat.add([1, 2])
+        with pytest.raises(DimensionMismatch):
+            lat.add({3: 1})
 
     def test_express_in_hnf(self):
         lat = IntLattice(3, 30)
