@@ -14,13 +14,12 @@ from .errors import (ConditionsFailed, DimensionMismatch,
                      HypothesisNotVerified, NotAbelian, NotG1Iso,
                      NotG2Iso, NotLowerIso, NotNormalized,
                      PreconditionViolated, SizeLimitExceeded)
-from .extensions import (ExtensionGroup, HomConditionReport, HomMatrix,
-                         build_extension, central_quotient_data,
-                         check_hom_conditions, decompose_hom,
-                         equivalence_isomorphism, hom_condition_failures,
-                         is_abelian_extension,
-                         is_homomorphism_direct, preserves_kernel_setwise,
-                         preserves_section_setwise, reconstruct_hom)
+from .extensions import (TRIVIAL_COMPONENTS, ExtensionGroup,
+                         HomConditionReport, HomMatrix, build_extension,
+                         central_quotient_data, check_hom_conditions,
+                         decompose_hom, equivalence_isomorphism,
+                         hom_condition_failures, is_homomorphism_direct,
+                         reconstruct_hom)
 from .groups import (DEFAULT_LIMITS, FiniteGroup, GroupMap, SearchLimits,
                      brute_force_isomorphism, center, cyclic_group,
                      direct_product, enumerate_automorphisms,

@@ -37,10 +37,10 @@ from .cocycles import (
 )
 from .errors import HypothesisNotVerified, SizeLimitExceeded
 from .extensions import (
+    TRIVIAL_COMPONENTS,
     build_extension,
     central_quotient_data,
     decompose_hom,
-    preserves_section_setwise,
 )
 from .groups import (
     DEFAULT_LIMITS,
@@ -62,7 +62,7 @@ from .isotest import (
 
 __all__ = ["main", "entry", "build_parser"]
 
-ISO_MODES = ("plain", "upper", "lower", "g1", "g2", "g1g2")
+ISO_MODES = tuple(k for k in TRIVIAL_COMPONENTS if k != "purely_nonabelian")
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +201,19 @@ def _decide_iso(mode, e1, e2, limits):
     map with a note naming the failed condition.
     """
     notes = []
+
+    def search():
+        """The first carrier isomorphism of the mode's kind."""
+        return brute_force_isomorphism(
+            e1.group, e2.group, limits=limits,
+            constraint=lambda phi: decompose_hom(e1, e2, phi).has_kind(mode))
+
+    def raw(phi):
+        return {"kind": mode, "phi": list(phi.images)}
+
     if mode == "plain":
-        phi = brute_force_isomorphism(e1.group, e2.group, limits=limits)
-        if phi is None:
-            return False, None, notes
-        return True, {"kind": "plain", "phi": list(phi.images)}, notes
+        phi = search()
+        return phi is not None, raw(phi) if phi else None, notes
 
     if mode == "upper":
         cert = upper_isomorphic(e1, e2, limits)
@@ -220,9 +228,7 @@ def _decide_iso(mode, e1, e2, limits):
                          "quotient hypothesis is verified")
             return False, None, notes
         try:
-            phi = brute_force_isomorphism(
-                e1.group, e2.group, limits=limits,
-                constraint=lambda m: preserves_section_setwise(e1, e2, m))
+            phi = search()
         except SizeLimitExceeded as exc:
             raise HypothesisNotVerified(
                 "the component search found nothing, its completeness "
@@ -235,24 +241,20 @@ def _decide_iso(mode, e1, e2, limits):
         notes.append("found by exhaustive search although the component "
                      "search came up empty; the quotient hypothesis "
                      "fails for this pair")
-        return True, {"kind": "lower", "phi": list(phi.images)}, notes
+        return True, raw(phi), notes
 
     if mode == "g2":
         g1, g2 = e1.g1, e1.g2
         if g1.is_abelian and g2.is_abelian and g1.order == g2.order:
             cert = g2_isomorphic_equal_order(e1, e2, limits)
             return cert is not None, cert.to_dict() if cert else None, notes
-        phi = brute_force_isomorphism(
-            e1.group, e2.group, limits=limits,
-            constraint=lambda m: decompose_hom(e1, e2, m).phi22.is_trivial())
+        phi = search()
         if phi is None:
             return False, None, notes
         return True, g2_isomorphic_necessary(e1, e2, phi).to_dict(), notes
 
     if mode == "g1":
-        phi = brute_force_isomorphism(
-            e1.group, e2.group, limits=limits,
-            constraint=lambda m: decompose_hom(e1, e2, m).phi11.is_trivial())
+        phi = search()
         if phi is None:
             return False, None, notes
         try:
@@ -260,7 +262,7 @@ def _decide_iso(mode, e1, e2, limits):
         except HypothesisNotVerified as exc:
             notes.append(f"certificate left as the raw map: {exc}; the "
                          "quotient hypothesis fails here")
-            return True, {"kind": "g1", "phi": list(phi.images)}, notes
+            return True, raw(phi), notes
         return True, cert.to_dict(), notes
 
     if mode == "g1g2":

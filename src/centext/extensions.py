@@ -33,12 +33,11 @@ from .groups import (
 )
 
 __all__ = [
-    "ExtensionGroup", "build_extension", "is_abelian_extension",
-    "HomMatrix", "decompose_hom", "reconstruct_hom",
+    "ExtensionGroup", "build_extension",
+    "HomMatrix", "TRIVIAL_COMPONENTS", "decompose_hom", "reconstruct_hom",
     "is_homomorphism_direct", "HomConditionReport", "check_hom_conditions",
     "hom_condition_failures",
-    "equivalence_isomorphism", "preserves_kernel_setwise",
-    "preserves_section_setwise", "is_epsilon_endomorphism",
+    "equivalence_isomorphism", "is_epsilon_endomorphism",
     "central_quotient_data",
 ]
 
@@ -113,10 +112,6 @@ def build_extension(e: Cocycle2, name: str | None = None) -> ExtensionGroup:
                 raise AssertionError(
                     "embedded coefficient copy failed to be central")
     return ext
-
-
-def is_abelian_extension(ext: ExtensionGroup) -> bool:
-    return ext.group.is_abelian
 
 
 def equivalence_isomorphism(source: ExtensionGroup,
@@ -197,20 +192,24 @@ def central_quotient_data(group: FiniteGroup, members):
     return kernel, quotient, cocycle, tuple(reps)
 
 
-def preserves_kernel_setwise(source: ExtensionGroup, target: ExtensionGroup,
-                             phi: GroupMap) -> bool:
-    want = set(target.kernel_indices)
-    return {phi(i) for i in source.kernel_indices} == want
-
-
-def preserves_section_setwise(source: ExtensionGroup, target: ExtensionGroup,
-                              phi: GroupMap) -> bool:
-    want = set(target.section_indices)
-    return {phi(i) for i in source.section_indices} == want
-
-
 # ---------------------------------------------------------------------------
 # matrix components of a map between carriers
+
+# The components each kind of isomorphism forces trivial.  As phi(x, 1) =
+# (phi11(x), phi21(x)) and phi(1, y) = (phi12(y), phi22(y)), a bijective
+# phi between carriers over one pair maps the kernel copy onto itself
+# exactly when phi21 is trivial ("upper"), and the section copy onto
+# itself exactly when phi12 is; the G1 and G2 families have a trivial
+# diagonal component.
+TRIVIAL_COMPONENTS = {
+    "plain": (),
+    "upper": ("phi21",),
+    "lower": ("phi12",),
+    "g1": ("phi11",),
+    "g2": ("phi22",),
+    "g1g2": ("phi11", "phi22"),
+    "purely_nonabelian": (),
+}
 
 
 @dataclass(frozen=True)
@@ -233,6 +232,12 @@ class HomMatrix:
         for m, dom, cod in expected:
             if m.dom != dom or m.cod != cod:
                 raise GroupMismatch("component map has wrong domain/codomain")
+
+    def has_kind(self, kind: str) -> bool:
+        """Whether every component TRIVIAL_COMPONENTS lists for kind is
+        trivial; for a bijective map, whether it is of that kind."""
+        return all(getattr(self, c).is_trivial()
+                   for c in TRIVIAL_COMPONENTS[kind])
 
 
 def decompose_hom(source: ExtensionGroup, target: ExtensionGroup,

@@ -3,12 +3,17 @@ between central extensions over a fixed group pair.
 
 Kinds covered: kernel-preserving ("upper"), section-preserving ("lower"),
 the families with one trivial diagonal component ("g1", "g2", "g1g2"),
-and the builder for purely non-abelian quotients.  The upper and lower
-searches key each automorphism once by its cocycle's generator columns,
-then look each sigma up among the rho.  Every positive answer carries
-component maps that materialize, through the carrier product formula,
-into a map the direct checks verify.  A harness cross-validates each
-criterion against brute-force isomorphism search on a small catalog.
+and the builder for purely non-abelian quotients.  A kind is the set of
+components it forces trivial, extensions.TRIVIAL_COMPONENTS, and
+HomMatrix.has_kind is the one test of it: the certificates, the
+extractors, the brute-force survey and the CLI's exhaustive searches
+all read it.  The upper and lower searches key each automorphism once
+by its cocycle's generator columns, then look each sigma up among the
+rho.  Every positive answer carries component maps that materialize,
+through the carrier product formula, into a map the direct checks
+verify to be a bijective homomorphism of the certificate's kind.  A
+harness cross-validates each criterion against brute-force isomorphism
+search on a small catalog.
 """
 
 from dataclasses import dataclass
@@ -46,14 +51,13 @@ from .cocycles import (
     trivial_cocycle,
 )
 from .extensions import (
+    TRIVIAL_COMPONENTS,
     ExtensionGroup,
     HomMatrix,
     build_extension,
     decompose_hom,
     hom_condition_failures,
     is_homomorphism_direct,
-    preserves_kernel_setwise,
-    preserves_section_setwise,
     reconstruct_hom,
 )
 
@@ -75,8 +79,7 @@ __all__ = [
     "DEFAULT_VERIFY_PAIRS",
 ]
 
-CERTIFICATE_KINDS = ("upper", "lower", "g1", "g2", "g1g2",
-                     "purely_nonabelian")
+CERTIFICATE_KINDS = tuple(k for k in TRIVIAL_COMPONENTS if k != "plain")
 
 # the catalog pairs verify_theorems sweeps when given none
 DEFAULT_VERIFY_PAIRS = (("Z2", "Z2"), ("Z2", "Z4"), ("Z2", "K4"),
@@ -106,6 +109,20 @@ def _falsified(g2) -> type:
     sim_is_trivial(g2) holds, since the failure falsifies the
     statement, else HypothesisNotVerified."""
     return ConditionsFailed if sim_is_trivial(g2) else HypothesisNotVerified
+
+
+def _carrier_iso_of_kind(e1, e2, phi: GroupMap, kind: str, error: type):
+    """The two extensions and phi's component matrix, when phi is a
+    carrier isomorphism of the given kind; else raise error."""
+    src, tgt = _extension_pair(e1, e2)
+    ok, _ = is_homomorphism_direct(src, tgt, phi)
+    if not (ok and phi.is_bijective()):
+        raise error("phi is not an isomorphism of the carriers")
+    m = decompose_hom(src, tgt, phi)
+    if not m.has_kind(kind):
+        raise error(f"phi is not of kind {kind!r}: "
+                    f"{' and '.join(TRIVIAL_COMPONENTS[kind])} not trivial")
+    return src, tgt, m
 
 
 def _require(m: HomMatrix, *own, error=ConditionsFailed):
@@ -143,29 +160,20 @@ class IsoCertificate:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
     def components(self) -> HomMatrix:
-        """The four component maps.  A component the kind fixes as
+        """The four component maps: sigma, eta (else the coboundary map
+        of t_witness), delta and rho.  A component the kind forces
         trivial, or one left unset, is the trivial map, built only then."""
         src, tgt = self.source, self.target
-        if self.kind == "upper":
-            t = self.t_witness.t if self.t_witness is not None else None
-            parts = (self.sigma, t, None, self.rho)
-        elif self.kind == "lower":
-            parts = (self.sigma, None, self.delta, self.rho)
-        elif self.kind == "g2":
-            parts = (self.sigma, self.eta, self.delta, None)
-        elif self.kind == "g1":
-            parts = (None, self.eta, self.delta, self.rho)
-        elif self.kind == "g1g2":
-            parts = (None, self.eta, self.delta, None)
-        else:
-            parts = (self.sigma, self.eta, self.delta, self.rho)
-        slots = ((src.g1, tgt.g1), (src.g2, tgt.g1), (src.g1, tgt.g2),
-                 (src.g2, tgt.g2))
-        phi11, phi12, phi21, phi22 = (
-            trivial_map(*slot) if part is None else part
-            for part, slot in zip(parts, slots))
-        return HomMatrix(source=src, target=tgt, phi11=phi11, phi12=phi12,
-                         phi21=phi21, phi22=phi22)
+        t = self.t_witness.t if self.t_witness is not None else None
+        parts = {"phi11": (self.sigma, src.g1, tgt.g1),
+                 "phi12": (t if self.eta is None else self.eta,
+                           src.g2, tgt.g1),
+                 "phi21": (self.delta, src.g1, tgt.g2),
+                 "phi22": (self.rho, src.g2, tgt.g2)}
+        forced = TRIVIAL_COMPONENTS[self.kind]
+        return HomMatrix(source=src, target=tgt, **{
+            c: trivial_map(dom, cod) if part is None or c in forced else part
+            for c, (part, dom, cod) in parts.items()})
 
     def materialize(self) -> GroupMap:
         """The carrier map; raises ConditionsFailed unless it is an
@@ -178,12 +186,9 @@ class IsoCertificate:
                 f"certificate does not materialize: {witness}")
         if not phi.is_bijective():
             raise ConditionsFailed("certificate map is not bijective")
-        if self.kind == "upper" and not preserves_kernel_setwise(
-                src, tgt, phi):
-            raise ConditionsFailed("certificate map moves the kernel copy")
-        if self.kind == "lower" and not preserves_section_setwise(
-                src, tgt, phi):
-            raise ConditionsFailed("certificate map moves the section copy")
+        if not decompose_hom(src, tgt, phi).has_kind(self.kind):
+            raise ConditionsFailed(
+                f"certificate map is not of kind {self.kind!r}")
         return phi
 
     def to_dict(self) -> dict:
@@ -281,15 +286,7 @@ def lower_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     statement, and HypothesisNotVerified with the same message when the
     hypothesis fails.
     """
-    src, tgt = _extension_pair(e1, e2)
-    ok, _ = is_homomorphism_direct(src, tgt, phi)
-    if not (ok and phi.is_bijective()):
-        raise NotLowerIso("phi is not an isomorphism of the carriers")
-    if not preserves_section_setwise(src, tgt, phi):
-        raise NotLowerIso("phi does not map the section copy onto itself")
-    m = decompose_hom(src, tgt, phi)
-    if not m.phi12.is_trivial():
-        raise ConditionsFailed("section-preserving map leaked a component")
+    src, tgt, m = _carrier_iso_of_kind(e1, e2, phi, "lower", NotLowerIso)
     cert = IsoCertificate(kind="lower", source=src, target=tgt,
                           sigma=m.phi11, rho=m.phi22, delta=m.phi21)
     problem = _lower_problem(cert)
@@ -357,8 +354,8 @@ def simple_quotient_check(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     g2 = src.g2
     if g2.is_abelian or not is_simple(g2):
         raise PreconditionViolated("quotient must be simple non-abelian")
-    isos = enumerate_isomorphisms(src.group, tgt.group, limits)
-    if not all(preserves_kernel_setwise(src, tgt, phi) for phi in isos):
+    isos = _decomposed_isomorphisms(src, tgt, limits)
+    if not all(m.has_kind("upper") for _, m in isos):
         raise ConditionsFailed(
             "isomorphism moved the kernel copy despite a simple quotient")
     return {
@@ -418,13 +415,7 @@ def g2_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     No quotient hypothesis is needed here: with that component trivial,
     the splitting step that otherwise requires coboundary-triviality is
     immediate.  Verification failures raise ConditionsFailed."""
-    src, tgt = _extension_pair(e1, e2)
-    ok, _ = is_homomorphism_direct(src, tgt, phi)
-    if not (ok and phi.is_bijective()):
-        raise NotG2Iso("phi is not an isomorphism of the carriers")
-    m = decompose_hom(src, tgt, phi)
-    if not m.phi22.is_trivial():
-        raise NotG2Iso("phi has a nontrivial section-to-section component")
+    src, tgt, m = _carrier_iso_of_kind(e1, e2, phi, "g2", NotG2Iso)
     n2 = src.g2.order
     _require(m, (len(set(m.phi12.images)) == n2, "eta is not injective"),
              (set(m.phi21.images) == set(range(n2)),
@@ -466,13 +457,7 @@ def g1_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     the quotient coboundary-triviality hypothesis, so a failed condition
     raises ConditionsFailed when sim_is_trivial holds for the quotient
     and HypothesisNotVerified with the same message when it fails."""
-    src, tgt = _extension_pair(e1, e2)
-    ok, _ = is_homomorphism_direct(src, tgt, phi)
-    if not (ok and phi.is_bijective()):
-        raise NotG1Iso("phi is not an isomorphism of the carriers")
-    m = decompose_hom(src, tgt, phi)
-    if not m.phi11.is_trivial():
-        raise NotG1Iso("phi has a nontrivial kernel-to-kernel component")
+    src, tgt, m = _carrier_iso_of_kind(e1, e2, phi, "g1", NotG1Iso)
     n1 = src.g1.order
     _require(m, (len(set(m.phi21.images)) == n1, "delta is not injective"),
              (set(m.phi12.images) == set(range(n1)), "eta is not surjective"),
@@ -510,7 +495,7 @@ def oracle_iso_survey(src: ExtensionGroup, tgt: ExtensionGroup,
     """Ground truth by exhaustive search: which structured kinds of
     isomorphism exist between the two carriers.  Constraints are applied
     as post-filters on fully enumerated isomorphisms."""
-    return _survey(src, tgt, _decomposed_isomorphisms(src, tgt, limits))
+    return _survey(_decomposed_isomorphisms(src, tgt, limits))
 
 
 def _decomposed_isomorphisms(src, tgt, limits):
@@ -519,21 +504,9 @@ def _decomposed_isomorphisms(src, tgt, limits):
             for phi in enumerate_isomorphisms(src.group, tgt.group, limits)]
 
 
-def _survey(src, tgt, isos) -> dict:
-    verdicts = {"plain": False, "upper": False, "lower": False,
-                "g1": False, "g2": False, "g1g2": False}
-    for phi, m in isos:
-        verdicts["plain"] = True
-        if preserves_kernel_setwise(src, tgt, phi):
-            verdicts["upper"] = True
-        if preserves_section_setwise(src, tgt, phi):
-            verdicts["lower"] = True
-        if m.phi11.is_trivial():
-            verdicts["g1"] = True
-        if m.phi22.is_trivial():
-            verdicts["g2"] = True
-        if m.phi11.is_trivial() and m.phi22.is_trivial():
-            verdicts["g1g2"] = True
+def _survey(isos) -> dict:
+    verdicts = {kind: any(m.has_kind(kind) for _, m in isos)
+                for kind in TRIVIAL_COMPONENTS if kind != "purely_nonabelian"}
     verdicts["isomorphism_count"] = len(isos)
     return verdicts
 
@@ -547,10 +520,10 @@ def verify_theorems(pairs=None, max_order: int = 16,
     Statements proved without the quotient coboundary-triviality
     hypothesis are flagged as discrepancies when violated; the
     hypothesis-dependent ones are flagged where sim_is_trivial says the
-    hypothesis holds (the extractors raise ConditionsFailed there), and
-    logged as observations elsewhere (they raise HypothesisNotVerified).
-    The report is machine-readable and the discrepancy list must come
-    back empty.
+    hypothesis holds, and logged as observations elsewhere.  For the
+    necessity extractors this is read off the error: ConditionsFailed
+    is flagged, HypothesisNotVerified logged.  The report is
+    machine-readable and the discrepancy list must come back empty.
     """
     from .catalog import get_group
     if pairs is None:
@@ -570,6 +543,12 @@ def verify_theorems(pairs=None, max_order: int = 16,
         observe(record, name, detail, "discrepancies")
         record["discrepancies"].append(name)
 
+    # the necessity extractors, each run on every isomorphism of its kind
+    extractors = (("lower", lambda s, t, phi: lower_sufficient(
+                      lower_necessary(s, t, phi))),
+                  ("g2", g2_isomorphic_necessary),
+                  ("g1", g1_isomorphic_necessary))
+
     for g1, g2 in norm:
         order = g1.order * g2.order
         if order > max_order:
@@ -585,8 +564,14 @@ def verify_theorems(pairs=None, max_order: int = 16,
                       "class_count": len(exts),
                       "sim_trivial": sim_ok,
                       "records": []}
-        equal_order_abelian = (g1.is_abelian and g2.is_abelian
-                               and g1.order == g2.order)
+        # the deciders that need no hypothesis, each checked against the
+        # oracle, as (kind, criterion name, decider); g2's decider needs
+        # equal-order abelian factor groups
+        deciders = [("upper", "upper", upper_isomorphic),
+                    ("g1g2", "g1g2", g1g2_isomorphic)]
+        if g1.is_abelian and g2.is_abelian and g1.order == g2.order:
+            deciders.insert(1, ("g2", "g2_equal_order",
+                                g2_isomorphic_equal_order))
 
         for i, src in enumerate(exts):
             for j, tgt in enumerate(exts):
@@ -598,7 +583,7 @@ def verify_theorems(pairs=None, max_order: int = 16,
                 # every isomorphism, decomposed once, for the oracle and
                 # the extractors
                 isos = _decomposed_isomorphisms(src, tgt, limits)
-                oracle = _survey(src, tgt, isos)
+                oracle = _survey(isos)
                 record["oracle"] = oracle
 
                 wit = are_cohomologous(tgt.cocycle, src.cocycle)
@@ -608,17 +593,19 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     flag(record, "class_representatives_not_distinct",
                          {"i": i, "j": j})
 
-                upper_cert = upper_isomorphic(src, tgt, limits)
-                record["criteria"]["upper"] = upper_cert is not None
-                if upper_cert is not None:
-                    record["certificates"]["upper"] = upper_cert.to_dict()
-                if (upper_cert is not None) != oracle["upper"]:
-                    flag(record, "upper_criterion_vs_oracle",
-                         {"criterion": upper_cert is not None,
-                          "oracle": oracle["upper"]})
-                if equivalent and upper_cert is None:
+                for kind, criterion, decide in deciders:
+                    cert = decide(src, tgt, limits)
+                    record["criteria"][criterion] = cert is not None
+                    if cert is not None:
+                        record["certificates"][kind] = cert.to_dict()
+                    if (cert is not None) != oracle[kind]:
+                        flag(record, f"{kind}_criterion_vs_oracle",
+                             {"criterion": cert is not None,
+                              "oracle": oracle[kind]})
+                upper = record["criteria"]["upper"]
+                if equivalent and not upper:
                     flag(record, "equivalent_but_not_upper", {})
-                if upper_cert is not None and not oracle["plain"]:
+                if upper and not oracle["plain"]:
                     flag(record, "upper_without_any_isomorphism", {})
 
                 # section-preserving side
@@ -647,60 +634,21 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     settle(record, "lower_oracle_without_certificate",
                            {} if sim_ok else {"sim_trivial": False})
 
-                for phi, _ in isos:
-                    if not preserves_section_setwise(src, tgt, phi):
-                        continue
-                    try:
-                        lower_sufficient(lower_necessary(src, tgt, phi))
-                    except ConditionsFailed as exc:
-                        flag(record, "lower_necessary_failed",
-                             {"error": str(exc)})
-                    except HypothesisNotVerified as exc:
-                        observe(record, "lower_necessary_failed",
-                                {"error": str(exc)})
-
-                # trivial diagonal components
-                if equal_order_abelian:
-                    g2cert = g2_isomorphic_equal_order(src, tgt, limits)
-                    record["criteria"]["g2_equal_order"] = (
-                        g2cert is not None)
-                    if g2cert is not None:
-                        record["certificates"]["g2"] = g2cert.to_dict()
-                    if (g2cert is not None) != oracle["g2"]:
-                        flag(record, "g2_criterion_vs_oracle",
-                             {"criterion": g2cert is not None,
-                              "oracle": oracle["g2"]})
-
-                g1g2cert = g1g2_isomorphic(src, tgt, limits)
-                record["criteria"]["g1g2"] = g1g2cert is not None
-                if g1g2cert is not None:
-                    record["certificates"]["g1g2"] = g1g2cert.to_dict()
-                if (g1g2cert is not None) != oracle["g1g2"]:
-                    flag(record, "g1g2_criterion_vs_oracle",
-                         {"criterion": g1g2cert is not None,
-                          "oracle": oracle["g1g2"]})
-
-                for phi, m in isos:
-                    if not m.phi22.is_trivial():
-                        continue
-                    try:
-                        g2_isomorphic_necessary(src, tgt, phi)
-                    except ConditionsFailed as exc:
-                        # stated without the hypothesis; log, do not flag
-                        observe(record, "g2_necessary_failed",
-                                {"error": str(exc)})
-
-                for phi, m in isos:
-                    if not m.phi11.is_trivial():
-                        continue
-                    try:
-                        g1_isomorphic_necessary(src, tgt, phi)
-                    except ConditionsFailed as exc:
-                        flag(record, "g1_necessary_failed",
-                             {"error": str(exc)})
-                    except HypothesisNotVerified as exc:
-                        observe(record, "g1_necessary_failed",
-                                {"error": str(exc)})
+                # ConditionsFailed falsifies a statement, while
+                # HypothesisNotVerified marks one the quotient leaves
+                # unproved
+                for kind, extract in extractors:
+                    for phi, m in isos:
+                        if not m.has_kind(kind):
+                            continue
+                        try:
+                            extract(src, tgt, phi)
+                        except ConditionsFailed as exc:
+                            flag(record, f"{kind}_necessary_failed",
+                                 {"error": str(exc)})
+                        except HypothesisNotVerified as exc:
+                            observe(record, f"{kind}_necessary_failed",
+                                    {"error": str(exc)})
 
                 pair_entry["records"].append(record)
         report["pairs"].append(pair_entry)

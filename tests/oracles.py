@@ -21,6 +21,7 @@ from centext.errors import (
     DimensionMismatch,
     PreconditionViolated,
 )
+from centext.extensions import ExtensionGroup
 from centext.groups import FiniteGroup, GroupMap, Subgroup, subgroup_closure
 from centext.intlinalg import IntMatrix, xgcd
 
@@ -60,6 +61,20 @@ def centralizer(g: FiniteGroup, s) -> Subgroup:
     members = [c for c in range(g.order)
                if all(g.table[c][x] == g.table[x][c] for x in s)]
     return Subgroup(parent=g, members=tuple(members))
+
+
+def preserves_kernel_setwise(source: ExtensionGroup, target: ExtensionGroup,
+                             phi: GroupMap) -> bool:
+    """Whether phi maps the kernel copy onto the kernel copy, by sets."""
+    want = set(target.kernel_indices)
+    return {phi(i) for i in source.kernel_indices} == want
+
+
+def preserves_section_setwise(source: ExtensionGroup, target: ExtensionGroup,
+                              phi: GroupMap) -> bool:
+    """Whether phi maps the section copy onto the section copy, by sets."""
+    want = set(target.section_indices)
+    return {phi(i) for i in source.section_indices} == want
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:

@@ -27,7 +27,6 @@ from centext.extensions import (
     decompose_hom,
     equivalence_isomorphism,
     is_homomorphism_direct,
-    preserves_kernel_setwise,
     reconstruct_hom,
 )
 from centext.groups import (
@@ -56,6 +55,7 @@ from centext.isotest import (
     simple_quotient_check,
     upper_isomorphic,
 )
+from oracles import preserves_kernel_setwise
 
 BIG = SearchLimits(max_order=256, max_search_nodes=50_000_000)
 

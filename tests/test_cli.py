@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from centext.catalog import get_group
-from centext.cli import main
+from centext.cli import ISO_MODES, main
 from centext.cocycles import compute_cocycle_space
 
 
@@ -341,6 +341,30 @@ class TestIso:
                              class_index=index)
             code, _, err = run_cli(["iso", "plain", path, path], capsys)
             assert code == 2 and "not an integer" in err
+
+    def test_every_mode_on_every_class_pair_pinned(self, tmp_path, capsys):
+        # covers the lower fallback to exhaustive search and the g1 raw
+        # map (D4), the lower negative settled by the hypothesis (S3) and
+        # the g2 equal-order path (Z3:Z3)
+        modes = ("plain", "upper", "lower", "g1", "g2", "g1g2")
+        assert ISO_MODES == modes
+        digest = hashlib.sha256()
+        runs = 0
+        for a, b in (("Z2", "K4"), ("Z2", "D4"), ("Z3", "Z3"), ("Z2", "S3")):
+            n = len(compute_cocycle_space(
+                get_group(a), get_group(b)).class_representatives)
+            paths = [write_ext(tmp_path, f"{a}{b}{k}.json", a, b,
+                               class_index=k) for k in range(n)]
+            for p in paths:
+                for q in paths:
+                    for mode in modes:
+                        code = main(["iso", mode, p, q])
+                        assert code in (0, 1)
+                        digest.update(capsys.readouterr().out.encode())
+                        runs += 1
+        assert runs == 846
+        assert digest.hexdigest() == (
+            "f498cfcdff514f0abdb557a3c38263c629be95f61e6d9ff02d24b4e6320a0075")
 
     @pytest.mark.parametrize("spec", [0, 2, True, 1.5, ["x"]])
     def test_non_string_group_spec_exits_two(self, spec, tmp_path, capsys):

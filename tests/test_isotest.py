@@ -1,11 +1,15 @@
 import ast
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import centext
+from centext import isotest
 
 from centext.catalog import get_group, identify_group
 from centext.cocycles import (
@@ -28,12 +32,11 @@ from centext.errors import (
     SizeLimitExceeded,
 )
 from centext.extensions import (
+    TRIVIAL_COMPONENTS,
     HomMatrix,
     build_extension,
     decompose_hom,
     is_homomorphism_direct,
-    preserves_kernel_setwise,
-    preserves_section_setwise,
     reconstruct_hom,
 )
 from centext.groups import (
@@ -45,6 +48,8 @@ from centext.groups import (
     trivial_map,
 )
 from centext.isotest import (
+    CERTIFICATE_KINDS,
+    DEFAULT_VERIFY_PAIRS,
     IsoCertificate,
     build_purely_nonabelian_iso,
     g1_isomorphic_necessary,
@@ -59,6 +64,7 @@ from centext.isotest import (
     upper_isomorphic,
     verify_theorems,
 )
+from oracles import preserves_kernel_setwise, preserves_section_setwise
 
 
 def class_extensions(n1, n2):
@@ -589,7 +595,54 @@ class TestOracleSurvey:
         assert not (s1["g1"] or s1["g2"] or s1["g1g2"])
 
 
+class TestKinds:
+    def test_kind_tables_keep_their_order(self):
+        assert tuple(TRIVIAL_COMPONENTS) == (
+            "plain", "upper", "lower", "g1", "g2", "g1g2",
+            "purely_nonabelian")
+        assert CERTIFICATE_KINDS == (
+            "upper", "lower", "g1", "g2", "g1g2", "purely_nonabelian")
+
+    def test_kind_checks_agree_with_the_setwise_definitions(self):
+        assert ("Z2", "S3") in DEFAULT_VERIFY_PAIRS
+        seen = Counter()
+        for n1, n2 in DEFAULT_VERIFY_PAIRS + (("Z3", "S3"),):
+            exts = class_extensions(n1, n2)
+            for a, b in itertools.product(exts, repeat=2):
+                for phi in enumerate_isomorphisms(a.group, b.group):
+                    m = decompose_hom(a, b, phi)
+                    upper = preserves_kernel_setwise(a, b, phi)
+                    lower = preserves_section_setwise(a, b, phi)
+                    assert m.has_kind("upper") == upper
+                    assert m.has_kind("lower") == lower
+                    seen[upper, lower] += 1
+        # every combination of the two occurs
+        assert len(seen) == 4
+        assert sum(seen.values()) == 1296
+
+    def test_components_force_the_kind_trivial(self, z2z2):
+        cert = g2_isomorphic_equal_order(z2z2[0], z2z2[0])
+        assert cert is not None and cert.rho is None
+        stray = dataclasses.replace(cert, rho=identity_map(z2z2[0].g2))
+        assert stray.components() == cert.components()
+        assert stray.components().has_kind("g2")
+        assert stray.materialize() == cert.materialize()
+
+
 class TestVerifyTheorems:
+    def test_g2_extractor_failures_are_flagged(self, monkeypatch):
+        def fail(e1, e2, phi):
+            raise ConditionsFailed("forced failure")
+        monkeypatch.setattr(isotest, "g2_isomorphic_necessary", fail)
+        report = verify_theorems(pairs=[("Z2", "Z2")])
+        flagged = [d for d in report["discrepancies"]
+                   if d["check"] == "g2_necessary_failed"]
+        assert flagged
+        assert all(d["detail"] == {"error": "forced failure"}
+                   for d in flagged)
+        assert not any(o["check"] == "g2_necessary_failed"
+                       for o in report["logged_observations"])
+
     def test_default_catalog_is_clean(self):
         report = verify_theorems()
         assert report["checked_class_pairs"] == 165
