@@ -13,10 +13,11 @@ hypothesis that would make it complete fails for the quotient, and the
 exhaustive search that would replace it exceeds the size limits.
 
 Group arguments are catalog names or paths to JSON files holding
-{"table": [[...]], "name": optional}.  Extension files hold {"g1", "g2",
-"cocycle_table"} with groups given the same two ways, or {"g1", "g2",
-"class_index"} to pick a cohomology class representative.  All output
-is JSON with sorted keys, so identical inputs give identical bytes.
+{"table": [[...]], "name": optional string}.  Extension files hold
+{"g1", "g2", "cocycle_table"} with groups given the same two ways, or
+{"g1", "g2", "class_index"} to pick a cohomology class representative.
+All output is JSON with sorted keys, so identical inputs give identical
+bytes.
 """
 
 import argparse

@@ -77,9 +77,6 @@ class Cocycle2:
                 raise NotNormalized(
                     f"cocycle not normalized at ({y},0)/(0,{y})")
 
-    def value(self, y: int, yp: int) -> int:
-        return self.table[y][yp]
-
     def is_trivial(self) -> bool:
         return all(v == 0 for row in self.table for v in row)
 
@@ -246,7 +243,8 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
                                                 images=(0,) * n2))
         return None
     mul, inv = g1.table, g1.inverses
-    pres, coords = _coefficient_coordinates(g1)
+    pres = abelian_invariants(g1)
+    coords = pres.coords
     diff = [[coords[mul[v2][inv[v1]]] for v1, v2 in zip(r1, r2)]
             for r1, r2 in zip(e1.table, e2.table)]
     columns = _generator_columns(g2)
@@ -269,13 +267,6 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     if apply_coboundary(t, e1).table != e2.table:
         raise ConditionsFailed("the solved map is not a coboundary witness")
     return CoboundaryWitness(t=t)
-
-
-@lru_cache(maxsize=None)
-def _coefficient_coordinates(g1: FiniteGroup):
-    """abelian_invariants(g1) and the coordinate tuple of each element."""
-    pres = abelian_invariants(g1)
-    return pres, tuple(pres.coords_of(x) for x in range(g1.order))
 
 
 @lru_cache(maxsize=None)
@@ -328,7 +319,8 @@ def _class_key(g1: FiniteGroup, g2: FiniteGroup):
     """The keys of _column_values reduced, per invariant factor, against
     the Howell basis of B^2 in columns, one per coset: two cocycles
     share a key exactly when they are cohomologous."""
-    pres, coords = _coefficient_coordinates(g1)
+    pres = abelian_invariants(g1)
+    coords = pres.coords
     push, pull = _column_values(g1, g2)
     heads = [_coboundary_lattice(g2, d).head(len(_generator_columns(g2)))
              for d in pres.invariant_factors]

@@ -150,6 +150,11 @@ def central_quotient_data(group: FiniteGroup, members):
     Rebuilding the twisted product from the returned data yields a group
     isomorphic to the input via (x, y) -> members[x] * section_reps[y].
     """
+    members = list(members)
+    for z in members:
+        if type(z) is not int or not 0 <= z < group.order:
+            raise ValueError(f"member {z!r} is not an element index of "
+                             f"a group of order {group.order}")
     members = sorted(set(members))
     if not members or members[0] != 0:
         raise ValueError("central subgroup must contain the identity")

@@ -133,7 +133,10 @@ class FiniteGroup:
             raise ValueError("a group must be a JSON object with a 'table'")
         if "table" not in d:
             raise ValueError("missing 'table'")
-        return validate_group(d["table"], name=d.get("name"))
+        name = d.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"'name' must be a string, not {name!r}")
+        return validate_group(d["table"], name=name)
 
     def __repr__(self):
         label = self.name if self.name is not None else f"order {self.order}"

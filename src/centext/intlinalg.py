@@ -1,9 +1,9 @@
 """Exact integer linear algebra for finite abelian groups.
 
-Smith normal form with tracked unimodular transforms (and the inverse
-of the column transform), an echelon lattice accumulator modulo an integer (Howell
-form) with sparse rows, linear congruence systems with per-row moduli, and
-invariant-factor decompositions of abelian Cayley tables.  Everything
+Smith normal form with tracked unimodular row and column transforms,
+an echelon lattice accumulator modulo an integer (Howell form) with
+sparse rows, linear congruence systems with per-row moduli, and
+invariant-factor coordinates of abelian Cayley tables.  Everything
 runs over unbounded Python integers; no floating point anywhere.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatch, NotAbelian
-from .groups import FiniteGroup, GroupMap, cyclic_group
+from .groups import FiniteGroup
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -96,12 +96,11 @@ def mat_vec(a: IntMatrix, x) -> list[int]:
 @dataclass(frozen=True)
 class SNFResult:
     """u * a * v = s with u, v unimodular and s diagonal with a
-    divisibility chain.  v_inv undoes the column transform."""
+    divisibility chain."""
 
     s: IntMatrix
     u: IntMatrix
     v: IntMatrix
-    v_inv: IntMatrix
 
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
@@ -116,7 +115,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     s = a.to_lists()
     u = IntMatrix.identity(nr).to_lists()
     v = IntMatrix.identity(nc).to_lists()
-    vi = IntMatrix.identity(nc).to_lists()
 
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
@@ -127,7 +125,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def row_combine(i, j, p, q, x, y):
         # rows (i,j) <- (p*ri + q*rj, x*ri + y*rj); p*y - q*x must be +-1
@@ -143,10 +140,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         for r in v:
             ci, cj = r[i], r[j]
             r[i], r[j] = p * ci + q * cj, x * ci + y * cj
-        # inverse of [[p,q],[x,y]] is d*[[y,-q],[-x,p]] applied to rows
-        d = p * y - q * x
-        vi[i], vi[j] = ([d * (y * a_ - x * b_) for a_, b_ in zip(vi[i], vi[j])],
-                        [d * (-q * a_ + p * b_) for a_, b_ in zip(vi[i], vi[j])])
 
     def row_addmul(i, j, q):
         # row i += q * row j
@@ -159,7 +152,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             r[j] += q * r[i]
         for r in v:
             r[j] += q * r[i]
-        vi[i] = [a_ - q * b_ for a_, b_ in zip(vi[i], vi[j])]
 
     def row_negate(i):
         s[i] = [-x for x in s[i]]
@@ -220,9 +212,8 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         if s[i][i] < 0:
             row_negate(i)
 
-    res = SNFResult(
-        s=IntMatrix.from_rows(s), u=IntMatrix.from_rows(u),
-        v=IntMatrix.from_rows(v), v_inv=IntMatrix.from_rows(vi))
+    res = SNFResult(s=IntMatrix.from_rows(s), u=IntMatrix.from_rows(u),
+                    v=IntMatrix.from_rows(v))
     if mat_mul(mat_mul(res.u, a), res.v).data != res.s.data:
         raise AssertionError("u * a * v does not recompose to s")
     return res
@@ -449,55 +440,50 @@ def solve_linear_mod(a: IntMatrix, moduli, b) -> ModSolveResult:
 
 @dataclass(frozen=True)
 class AbelianPresentation:
-    """Invariant-factor coordinates for an abelian Cayley table.
-
-    coord_group is the direct product of cyclic groups of the invariant
-    factors (trivial group when the input is trivial); to_group and
-    to_coords are mutually inverse isomorphisms.
-    """
+    """Invariant-factor coordinates for an abelian Cayley table: coords[x]
+    is the coordinate tuple of element x, one entry in [0, d) per
+    invariant factor d, and x -> coords[x] is an isomorphism onto the
+    direct sum of the Z/d."""
 
     group: FiniteGroup
     invariant_factors: tuple[int, ...]
-    coord_group: FiniteGroup
-    to_group: GroupMap
-    to_coords: GroupMap
+    coords: tuple[tuple[int, ...], ...]
 
-    def coords_of(self, x: int) -> tuple[int, ...]:
-        """Mixed-radix digits of element x, one per invariant factor."""
-        idx = self.to_coords.images[x]
-        digits = []
-        for d in reversed(self.invariant_factors):
-            digits.append(idx % d)
-            idx //= d
-        return tuple(reversed(digits))
+    @cached_property
+    def _elements(self) -> dict[tuple[int, ...], int]:
+        return {c: x for x, c in enumerate(self.coords)}
 
     def element_of(self, coords) -> int:
+        """The element with these coordinates, each taken mod its factor."""
         if len(coords) != len(self.invariant_factors):
             raise DimensionMismatch("coordinate count mismatch")
-        idx = 0
-        for c, d in zip(coords, self.invariant_factors):
-            idx = idx * d + (c % d)
-        return self.to_group.images[idx]
+        return self._elements[tuple(
+            c % d for c, d in zip(coords, self.invariant_factors))]
 
 
 @lru_cache(maxsize=None)
 def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
-    """Invariant factors d_1 | d_2 | ... with an explicit coordinate
-    isomorphism, via the Smith form of a generator relation lattice.
+    """Invariant factors d_1 | d_2 | ... and the coordinates of each
+    element, via the Smith form of a generator relation lattice.
+
+    Let e_x be an exponent vector of x over the k generators, r a
+    matrix whose rows span the relation lattice R (the e whose product
+    of generator powers is the identity), and u * r * v = s.  Then
+    coords[x]_i = (e_x . v)_i mod s_ii, over the i with s_ii > 1.  This
+    is well defined: r . v = u^-1 . s, so column i of r . v is divisible
+    by s_ii, and e . v vanishes mod the diagonal for every e in R.  It
+    is injective: if e . v = w . s, then e = w . s . v^-1 = (w . u) . r
+    lies in R.  It is onto, as v is unimodular.  So it is a group
+    isomorphism onto the direct sum of the Z/s_ii, which is checked
+    anyway: the coordinates are distinct, and coords[x * t] = coords[x]
+    + coords[t] for every x and generator t, which suffices by the
+    argument of GroupMap.is_homomorphism.
 
     Memoized per group (groups compare by table), so the cohomology
     space and the coboundary test of one coefficient group share one
     presentation."""
     if not g.is_abelian:
         raise NotAbelian("invariant factors require an abelian group")
-    if g.order == 1:
-        triv = cyclic_group(1)
-        ident = GroupMap(dom=triv, cod=g, images=(0,))
-        back = GroupMap(dom=g, cod=triv, images=(0,))
-        return AbelianPresentation(group=g, invariant_factors=(),
-                                   coord_group=triv, to_group=ident,
-                                   to_coords=back)
-
     gens = g.generators
     k = len(gens)
     # exponent vector for each element, found by breadth-first products
@@ -525,51 +511,18 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
     if rel.index_in_ambient() != g.order:
         raise AssertionError("relation lattice index differs from |g|")
 
-    rmat = IntMatrix.from_rows(rel.hnf_rows())
-    snf = smith_normal_form(rmat)
-    diag = snf.s.diagonal
+    snf = smith_normal_form(IntMatrix.from_rows(rel.hnf_rows()))
+    vt = snf.v.transpose().data
+    cols = [(vt[i], d) for i, d in enumerate(snf.s.diagonal) if d > 1]
+    factors = tuple(d for _, d in cols)
+    coords = tuple(
+        tuple(sum(a * b for a, b in zip(vecs[x], col)) % d for col, d in cols)
+        for x in range(g.order))
 
-    factors = tuple(d for d in diag if d > 1)
-    coord_group = cyclic_group(1)
-    for d in factors:
-        base = coord_group
-        coord_group = _product_with_cyclic(base, d)
-    coord_group = FiniteGroup(order=coord_group.order, table=coord_group.table,
-                              name=None)
-
-    # exponent vector realizing coordinate unit i: row i of v_inv,
-    # restricted to the nontrivial diagonal positions
-    keep = [i for i, d in enumerate(diag) if d > 1]
-    unit_vecs = [snf.v_inv.data[i] for i in keep]
-
-    def element_from_digits(digits):
-        expo = [0] * k
-        for digit, uv in zip(digits, unit_vecs):
-            for j in range(k):
-                expo[j] += digit * uv[j]
-        x = 0
-        for j, gen in enumerate(gens):
-            x = g.table[x][g.power(gen, expo[j])]
-        return x
-
-    images = []
-    digits = [0] * len(factors)
-    for idx in range(coord_group.order):
-        rem = idx
-        for pos in range(len(factors) - 1, -1, -1):
-            digits[pos] = rem % factors[pos]
-            rem //= factors[pos]
-        images.append(element_from_digits(digits))
-    to_group = GroupMap(dom=coord_group, cod=g, images=tuple(images))
-    if not (to_group.is_bijective() and to_group.is_homomorphism()):
+    if len(set(coords)) != g.order or any(
+            coords[g.table[x][gen]] != tuple(
+                (a + b) % d for a, b, d in zip(cx, coords[gen], factors))
+            for gen in gens for x, cx in enumerate(coords)):
         raise AssertionError("coordinate map is not an isomorphism")
     return AbelianPresentation(group=g, invariant_factors=factors,
-                               coord_group=coord_group, to_group=to_group,
-                               to_coords=to_group.inverse())
-
-
-def _product_with_cyclic(base: FiniteGroup, d: int) -> FiniteGroup:
-    if base.order == 1:
-        return cyclic_group(d)
-    from .groups import direct_product
-    return direct_product(base, cyclic_group(d))
+                               coords=coords)

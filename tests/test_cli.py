@@ -84,6 +84,16 @@ class TestCohomology:
         assert err == (f"error: {gfile}: a group must be a JSON object "
                        "with a 'table'\n")
 
+    def test_group_file_with_a_name_that_is_not_a_string(self, tmp_path,
+                                                         capsys):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps({"table": [[0, 1], [1, 0]],
+                                     "name": ["x"]}))
+        code, payload, err = run_cli(["cohomology", "Z2", str(gfile)], capsys)
+        assert code == 2 and payload is None
+        assert err == (f"error: {gfile}: 'name' must be a string, "
+                       "not ['x']\n")
+
 
 class TestExtend:
     def test_class_index_builds_the_cyclic_carrier(self, capsys):

@@ -684,7 +684,7 @@ def solve_linear_mod_witness(e1, e2):
     a = coboundary_matrix(g2)
     t_coords = [[0] * len(pres.invariant_factors) for _ in range(n2)]
     for ci, d in enumerate(pres.invariant_factors):
-        b = [pres.coords_of(diff[p])[ci] for p in pairs]
+        b = [pres.coords[diff[p]][ci] for p in pairs]
         res = solve_linear_mod(a, [d] * len(pairs), b)
         if res.particular is None:
             return None

@@ -320,3 +320,8 @@ class TestCentralQuotientData:
         four = next(i for i in range(1, 8) if q8.table[i][i] != 0)
         with pytest.raises(ValueError):
             central_quotient_data(q8, [0, four])
+
+    @pytest.mark.parametrize("members", [[0, 7], [0, 2.0], [0, True]])
+    def test_rejects_members_that_are_not_element_indices(self, members):
+        with pytest.raises(ValueError, match=repr(members[1])):
+            central_quotient_data(get_group("K4"), members)

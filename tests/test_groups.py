@@ -574,3 +574,11 @@ class TestSerialization:
         g2 = FiniteGroup.from_dict(d)
         assert g2.table == g.table and g2.name == g.name
         assert g2.to_dict() == d
+
+    @pytest.mark.parametrize("name", [["x"], 3, True, {"n": 1}])
+    def test_name_must_be_a_string_or_null(self, name):
+        from centext.groups import FiniteGroup
+        with pytest.raises(ValueError, match="'name' must be a string"):
+            FiniteGroup.from_dict({"table": [[0]], "name": name})
+        unnamed = FiniteGroup.from_dict({"table": [[0]], "name": None})
+        assert unnamed.name is None
