@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .catalog import catalog_names, get_group, identify_group, \
     special_linear_2_5
@@ -425,8 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves them all
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except HypothesisNotVerified as exc:

@@ -315,10 +315,12 @@ def _column_values(g1: FiniteGroup, g2: FiniteGroup):
     return push, pull
 
 
+@lru_cache(maxsize=None)
 def _class_key(g1: FiniteGroup, g2: FiniteGroup):
     """The keys of _column_values reduced, per invariant factor, against
     the Howell basis of B^2 in columns, one per coset: two cocycles
-    share a key exactly when they are cohomologous."""
+    share a key exactly when they are cohomologous.  Built once per
+    pair."""
     pres = abelian_invariants(g1)
     coords = pres.coords
     push, pull = _column_values(g1, g2)

@@ -653,6 +653,23 @@ def _automorphisms(g: FiniteGroup, limits: SearchLimits) -> tuple[GroupMap, ...]
     return tuple(enumerate_isomorphisms(g, g, limits=limits))
 
 
+@lru_cache(maxsize=None)
+def _automorphism_generators(g: FiniteGroup, limits: SearchLimits):
+    """Image arrays generating Aut(g), greedy in enumeration order: each
+    automorphism outside the group the earlier picks generate is picked,
+    and at least doubles it, so there are at most log2 |Aut(g)| picks."""
+    gens, closure = [], {tuple(range(g.order))}
+    for a in _automorphisms(g, limits):
+        if a.images not in closure:
+            gens.append(a.images)
+            queue = list(closure)
+            for x in queue:
+                new = {tuple([x[i] for i in s]) for s in gens} - closure
+                closure |= new
+                queue += new
+    return tuple(gens)
+
+
 def brute_force_isomorphism(g: FiniteGroup, h: FiniteGroup,
                             constraint=None,
                             limits: SearchLimits = DEFAULT_LIMITS):

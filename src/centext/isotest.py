@@ -9,14 +9,19 @@ HomMatrix.has_kind is the one test of it: the certificates, the
 extractors, the brute-force survey and the CLI's exhaustive searches
 all read it.  The upper and lower searches key each automorphism once
 by its cocycle's generator columns, then look each sigma up among the
-rho.  Every positive answer carries component maps that materialize,
-through the carrier product formula, into a map the direct checks
-verify to be a bijective homomorphism of the certificate's kind.  A
-harness cross-validates each criterion against brute-force isomorphism
-search on a small catalog.
+rho, only for classes in one orbit of Aut(G1) x Aut(G2) acting on H^2
+by c -> sigma . c . (rho x rho): upper isomorphism is being in one
+orbit, and a lower one puts both classes in one.  The generators of
+the two groups permute the finite set H^2, so the classes they reach
+from c, one orbit label per pair, are its whole orbit.  Every positive
+answer carries component maps that materialize, through the carrier
+product formula, into a map the direct checks verify to be a bijective
+homomorphism of the certificate's kind.  A harness cross-validates each
+criterion against brute-force isomorphism search on a small catalog.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     ConditionsFailed,
@@ -32,6 +37,7 @@ from .groups import (
     DEFAULT_LIMITS,
     GroupMap,
     SearchLimits,
+    _automorphism_generators,
     enumerate_automorphisms,
     enumerate_isomorphisms,
     is_purely_nonabelian,
@@ -230,24 +236,56 @@ def _automorphism_pair_search(keys_of, src, tgt, limits):
     return None
 
 
+@lru_cache(maxsize=None)
+def _orbit_label(g1, g2, limits):
+    """label(table): the orbit of the table's class under Aut(G1) x
+    Aut(G2), named by the class key of the first table met in it.  The
+    labels fill one orbit at a time, breadth-first from that table: push
+    it by each generator of Aut(G1), pull it by each of Aut(G2), key
+    each image, and enqueue the keys not seen.  At most |H^2| are held."""
+    key = _class_key(g1, g2)[0]
+    identity = tuple(range(g1.order))
+    sigmas, rhos = (_automorphism_generators(g, limits) for g in (g1, g2))
+    labels = {}
+
+    def label(table):
+        start = key(table, identity)
+        if start not in labels:
+            labels[start], queue = start, [table]
+            for t in queue:
+                images = [tuple(tuple(s[v] for v in row) for row in t)
+                          for s in sigmas]
+                images += [tuple(tuple(t[a][b] for b in r) for a in r)
+                           for r in rhos]
+                for u in images:
+                    if (k := key(u, identity)) not in labels:
+                        labels[k] = start
+                        queue.append(u)
+        return labels[start]
+    return label
+
+
 def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     """Search for a kernel-preserving isomorphism between the two
     extensions.
 
-    The criterion: some pair of automorphisms (sigma of the kernel
-    group, rho of the section group) puts sigma . e1 and
-    e2 . (rho x rho) in one class of H^2.  The first pair, sigma-major
-    in enumeration order, comes from _automorphism_pair_search with
-    cocycles._class_key: the generator-column coordinates reduced
-    against B^2 in columns per invariant factor, where a Howell basis
-    reduces each coset to one representative, and a cocycle is fixed
-    by its generator columns, so equal keys mean cohomologous
-    cocycles.  are_cohomologous gives the hit its checked witness.
+    The criterion: some automorphisms sigma of the kernel group and rho
+    of the section group put sigma . e1 and e2 . (rho x rho) in one
+    class of H^2, so both classes lie in one Aut(G1) x Aut(G2) orbit,
+    and _orbit_label settles the negatives with no search.  Within one
+    orbit the first pair, sigma-major in enumeration order, comes from
+    _automorphism_pair_search keyed by cocycles._class_key, whose keys
+    are equal exactly for cohomologous cocycles; so it must hit, and a
+    miss raises ConditionsFailed.  are_cohomologous gives the hit its
+    checked witness.
     """
     src, tgt = _extension_pair(e1, e2)
+    label = _orbit_label(src.g1, src.g2, limits)
+    if label(src.cocycle.table) != label(tgt.cocycle.table):
+        return None
     hit = _automorphism_pair_search(_class_key, src, tgt, limits)
     if hit is None:
-        return None
+        raise ConditionsFailed("no automorphism pair within one orbit")
     sigma, rho = hit
     w = are_cohomologous(pullback(tgt.cocycle, rho),
                          pushforward(sigma, src.cocycle))
@@ -286,7 +324,11 @@ def lower_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     statement, and HypothesisNotVerified with the same message when the
     hypothesis fails.
     """
-    src, tgt, m = _carrier_iso_of_kind(e1, e2, phi, "lower", NotLowerIso)
+    return _lower_necessary(
+        *_carrier_iso_of_kind(e1, e2, phi, "lower", NotLowerIso))
+
+
+def _lower_necessary(src, tgt, m: HomMatrix) -> IsoCertificate:
     cert = IsoCertificate(kind="lower", source=src, target=tgt,
                           sigma=m.phi11, rho=m.phi22, delta=m.phi21)
     problem = _lower_problem(cert)
@@ -329,9 +371,14 @@ def lower_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     A hit is correct for any quotient, since the converse direction holds
     and the assembled map is bijective when sigma and rho are.  An
     exhausted search settles the negative only under the quotient
-    coboundary-triviality hypothesis, on which completeness rests.
+    coboundary-triviality hypothesis, on which completeness rests.  A
+    transport puts both classes in one Aut(G1) x Aut(G2) orbit, so
+    where _orbit_label tells them apart None comes back at once.
     """
     src, tgt = _extension_pair(e1, e2)
+    label = _orbit_label(src.g1, src.g2, limits)
+    if label(src.cocycle.table) != label(tgt.cocycle.table):
+        return None
     hit = _automorphism_pair_search(_column_values, src, tgt, limits)
     if hit is None:
         return None
@@ -415,7 +462,10 @@ def g2_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     No quotient hypothesis is needed here: with that component trivial,
     the splitting step that otherwise requires coboundary-triviality is
     immediate.  Verification failures raise ConditionsFailed."""
-    src, tgt, m = _carrier_iso_of_kind(e1, e2, phi, "g2", NotG2Iso)
+    return _g2_necessary(*_carrier_iso_of_kind(e1, e2, phi, "g2", NotG2Iso))
+
+
+def _g2_necessary(src, tgt, m: HomMatrix) -> IsoCertificate:
     n2 = src.g2.order
     _require(m, (len(set(m.phi12.images)) == n2, "eta is not injective"),
              (set(m.phi21.images) == set(range(n2)),
@@ -457,7 +507,10 @@ def g1_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     the quotient coboundary-triviality hypothesis, so a failed condition
     raises ConditionsFailed when sim_is_trivial holds for the quotient
     and HypothesisNotVerified with the same message when it fails."""
-    src, tgt, m = _carrier_iso_of_kind(e1, e2, phi, "g1", NotG1Iso)
+    return _g1_necessary(*_carrier_iso_of_kind(e1, e2, phi, "g1", NotG1Iso))
+
+
+def _g1_necessary(src, tgt, m: HomMatrix) -> IsoCertificate:
     n1 = src.g1.order
     _require(m, (len(set(m.phi21.images)) == n1, "delta is not injective"),
              (set(m.phi12.images) == set(range(n1)), "eta is not surjective"),
@@ -544,10 +597,10 @@ def verify_theorems(pairs=None, max_order: int = 16,
         record["discrepancies"].append(name)
 
     # the necessity extractors, each run on every isomorphism of its kind
-    extractors = (("lower", lambda s, t, phi: lower_sufficient(
-                      lower_necessary(s, t, phi))),
-                  ("g2", g2_isomorphic_necessary),
-                  ("g1", g1_isomorphic_necessary))
+    extractors = (("lower", lambda s, t, m: lower_sufficient(
+                      _lower_necessary(s, t, m))),
+                  ("g2", _g2_necessary),
+                  ("g1", _g1_necessary))
 
     for g1, g2 in norm:
         order = g1.order * g2.order
@@ -638,11 +691,11 @@ def verify_theorems(pairs=None, max_order: int = 16,
                 # HypothesisNotVerified marks one the quotient leaves
                 # unproved
                 for kind, extract in extractors:
-                    for phi, m in isos:
+                    for _, m in isos:
                         if not m.has_kind(kind):
                             continue
                         try:
-                            extract(src, tgt, phi)
+                            extract(src, tgt, m)
                         except ConditionsFailed as exc:
                             flag(record, f"{kind}_necessary_failed",
                                  {"error": str(exc)})

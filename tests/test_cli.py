@@ -489,6 +489,27 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_one_process_gives_the_bytes_of_separate_runs(self, ext_files,
+                                                          capsys):
+        # main keeps one parser per process, so an argparse error between
+        # two calls must leave nothing behind
+        argvs = [["iso", "upper", ext_files["d4a"], ext_files["d4b"]],
+                 ["iso", "sideways", ext_files["d4a"], ext_files["d4b"]],
+                 ["cohomology", "Z2", "K4"]]
+        codes = []
+        for argv in argvs:
+            alone = subprocess.run([sys.executable, "-m", "centext", *argv],
+                                   capture_output=True, text=True)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (alone.returncode, alone.stdout,
+                                        alone.stderr)
+            codes.append(code)
+        assert codes == [0, 2, 0]
+
 
 class TestEntryPoint:
     def test_module_help_exits_zero(self):

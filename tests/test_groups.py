@@ -42,7 +42,7 @@ from centext.groups import (
     trivial_map,
     validate_group,
 )
-from centext.groups import _MapSearch
+from centext.groups import _MapSearch, _automorphism_generators
 from oracles import centralizer, derived_subgroup
 
 # order-5 loop: Latin with identity row/column but (1*1)*2 != 1*(1*2)
@@ -507,6 +507,22 @@ class TestPairClosureOracle:
         first.clear()
         again = enumerate_automorphisms(g)
         assert len(again) == 24 and again is not enumerate_automorphisms(g)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_automorphism_generators_generate_aut(self, name):
+        g = get_group(name)
+        auts = {m.images for m in enumerate_automorphisms(g)}
+        gens = _automorphism_generators(g, DEFAULT_LIMITS)
+        # each greedy pick at least doubles the group generated so far
+        assert 2 ** len(gens) <= len(auts)
+        group = {tuple(range(g.order))}
+        while True:
+            grown = group | {tuple(a[i] for i in b)
+                             for a in group for b in gens}
+            if grown == group:
+                break
+            group = grown
+        assert group == auts
 
 
 class TestOracle:

@@ -13,6 +13,7 @@ from centext import isotest
 
 from centext.catalog import get_group, identify_group
 from centext.cocycles import (
+    _class_key,
     apply_coboundary,
     are_cohomologous,
     coboundary_from,
@@ -191,6 +192,48 @@ class TestUpperIsomorphic:
             assert (upper_isomorphic(e, direct) is not None) == expected
             assert (upper_isomorphic(direct, e) is not None) == expected
             assert expected == (k == 0)
+
+    def test_a_search_miss_within_one_orbit_raises(self, z3z3, monkeypatch):
+        # classes 1 and 2 share an orbit, so the search must hit
+        monkeypatch.setattr(isotest, "_automorphism_pair_search",
+                            lambda *args: None)
+        with pytest.raises(ConditionsFailed, match="one orbit"):
+            upper_isomorphic(z3z3[1], z3z3[2])
+
+    def test_a_search_miss_raises_under_optimization(self):
+        script = "\n".join([
+            "import sys",
+            "from centext import ConditionsFailed, isotest",
+            "from centext.catalog import get_group",
+            "from centext.cocycles import compute_cocycle_space",
+            "from centext.extensions import build_extension",
+            "assert False",
+            "reps = compute_cocycle_space(get_group('Z3'), get_group('Z3'))"
+            ".class_representatives",
+            "isotest._automorphism_pair_search = lambda *args: None",
+            "try:",
+            "    isotest.upper_isomorphic(build_extension(reps[1]),",
+            "                             build_extension(reps[2]))",
+            "except ConditionsFailed:",
+            "    sys.exit(0)",
+            "sys.exit(1)",
+        ])
+        src_dir = os.path.dirname(os.path.dirname(centext.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": src_dir},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("pair", [("Z2", "Z1"), ("Z1", "K4"),
+                                      ("Z1", "Z1")], ids=":".join)
+    def test_a_trivial_factor_gives_one_orbit(self, pair):
+        # the class keys are empty tuples, so every cocycle shares one label
+        g1, g2 = map(get_group, pair)
+        assert _class_key(g1, g2)[0](
+            trivial_cocycle(g1, g2).table, tuple(range(g1.order))) == ()
+        [e] = class_extensions(*pair)
+        assert upper_isomorphic(e, e) is not None
+        assert lower_isomorphic(e, e) is not None
 
     def test_upper_to_direct_certificate_lands_on_the_direct_product(self, z2z2):
         z2 = get_group("Z2")
@@ -631,9 +674,11 @@ class TestKinds:
 
 class TestVerifyTheorems:
     def test_g2_extractor_failures_are_flagged(self, monkeypatch):
-        def fail(e1, e2, phi):
+        # verify_theorems runs the extractor's core on the component
+        # matrix it already has
+        def fail(src, tgt, m):
             raise ConditionsFailed("forced failure")
-        monkeypatch.setattr(isotest, "g2_isomorphic_necessary", fail)
+        monkeypatch.setattr(isotest, "_g2_necessary", fail)
         report = verify_theorems(pairs=[("Z2", "Z2")])
         flagged = [d for d in report["discrepancies"]
                    if d["check"] == "g2_necessary_failed"]

@@ -136,12 +136,22 @@ def test_upper_certificates_equal_the_table_search(pair):
     assert hits
 
 
-def test_lower_sweep_matches_the_census_pins():
-    # the pinned verdict strings read plain, upper, lower, g1g2
+def sweep_against_the_census_pins(decide, column):
+    """decide on all 64^2 class pairs of Z2:Z2xZ2xZ2, against one column
+    of the pinned verdict strings, which read plain, upper, lower,
+    g1g2."""
     with open(PINS_PATH, encoding="utf-8") as fh:
         pinned = json.load(fh)["pairs"]["Z2:Z2xZ2xZ2"]
     exts = class_extensions(("Z2", "Z2xZ2xZ2"))
     assert len(exts) == pinned["classes"] == 64
-    got = ["1" if lower_isomorphic(src, tgt) is not None else "0"
+    got = ["1" if decide(src, tgt) is not None else "0"
            for src, tgt in itertools.product(exts, repeat=2)]
-    assert got == [v[2] for v in pinned["verdicts"]]
+    assert got == [v[column] for v in pinned["verdicts"]]
+
+
+def test_lower_sweep_matches_the_census_pins():
+    sweep_against_the_census_pins(lower_isomorphic, 2)
+
+
+def test_upper_sweep_matches_the_census_pins():
+    sweep_against_the_census_pins(upper_isomorphic, 1)
