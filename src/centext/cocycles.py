@@ -9,27 +9,28 @@ structure on the value set is needed beyond the identity check).
 
 Everything linear runs mod each invariant factor d of g1, in the
 k(n-1) generator columns e(x, s), x != 1 and s among the k generators
-of a quotient of order n, which fix a cocycle (the _cocycle_columns
-proof).  Z^2 is the kernel of the cocycle identity there, eliminated
-from its sparse equations in IntLattice, which keeps sparse pivot
-rows.  One lattice per (g2, d), _coboundary_lattice, holds the unit
-coboundaries with their coefficients: its head is B^2 in columns, whose
-Howell basis reduces a cocycle to a canonical key of its class, and its
-tail is Hom(g2, Z/d).  H^2 is a small Smith normal form of the
-relations among the Z^2 rows mod that head.  are_cohomologous reduces
-e2 - e1 once per factor and reads a witness off the tail.  Pair slots
-(h, g) appear only in written-out tables: the lex-least representatives
-and witnesses come from one greedy pass over the pivot slots of Hom, or
-of B^2 over the pair slots, and the Z^2 and B^2 generator tables are
-written out on first access.  The dense elimination and the
-slot-by-slot pass that these replaced are kept as test oracles in
-tests/oracles.py.
+of a quotient of order n, which fix a cocycle (the _expand proof).  One
+lattice per (g2, d), _coboundary_lattice, holds the unit coboundaries
+with their coefficients: its head is B^2 in columns, whose Howell basis
+reduces a cocycle to a canonical key of its class, and its tail is
+Hom(g2, Z/d).  Z^2 is B^2 plus the solutions of Hopf's formula, one
+sparse equation per (generator, Schreier generator), eliminated in
+IntLattice, which keeps sparse pivot rows.  H^2 is a small Smith normal
+form of the relations among the Z^2 rows mod B^2.  are_cohomologous
+reduces e2 - e1 once per factor and reads a witness off the tail.  Pair
+slots (h, g) appear only in written-out tables: the lex-least
+representatives and witnesses come from one greedy pass over the pivot
+slots of Hom, or of B^2 over the pair slots, and the Z^2 and B^2
+generator tables are written out on first access.  The cocycle identity
+system, the dense elimination and the slot-by-slot pass that these
+replaced are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -97,9 +98,9 @@ def is_cocycle(g1: FiniteGroup, g2: FiniteGroup, table):
     ("identity", (h, g, k)).
 
     When the values commute pairwise (always, for abelian g1) they lie
-    in an abelian subgroup of g1, and the _cocycle_columns proof shows
-    that the identity for every last argument k follows from the
-    identity for k in g2.generators; so only those are tested.
+    in an abelian subgroup of g1, and Light's argument (the _expand
+    proof) shows that the identity for every last argument k follows
+    from the identity for k in g2.generators; so only those are tested.
     Only when one fails, or when two values do not commute, does the
     scan over all triples run, which names the first failing triple in
     row-major order.
@@ -272,16 +273,26 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
 @lru_cache(maxsize=None)
 def _generator_columns(g2: FiniteGroup):
     """The pairs (x, s), x != 1 and s in g2.generators, x-major: the
-    k(n-1) generator columns, in the order of _cocycle_columns."""
+    k(n-1) generator columns, which fix a cocycle (_expand)."""
     return tuple((x, s) for x in range(1, g2.order) for s in g2.generators)
 
 
-def _unit_coboundary(g2: FiniteGroup, w: int, slots):
-    """psi_w(h, g) = [g = w] - [hg = w] + [h = w] over the slots (h, g),
-    as a sparse row {slot index: value}: the coboundary of the map
-    sending w to 1 and the rest to 0."""
-    return {i: v for i, (h, g) in enumerate(slots)
-            if (v := (g == w) - (g2.table[h][g] == w) + (h == w))}
+def _unit_coboundary(g2: FiniteGroup, w: int, lasts):
+    """psi_w(h, g) = [g = w] - [hg = w] + [h = w], the coboundary of the
+    map sending w to 1 and the rest to 0, as a sparse row {slot index:
+    value}: the three sets meet only at (w, w), where psi_w is 2 (hg = w
+    forces h, g != w).  The slots (h, g), h != 1 and g = lasts[j], sit at
+    (h - 1) len(lasts) + j: the pair slots for lasts = range(1, n), the
+    generator columns for g2.generators."""
+    m, n2 = len(lasts), g2.order
+    row = dict.fromkeys(range((w - 1) * m, w * m), 1)
+    for j, g in enumerate(lasts):
+        if g == w:
+            row.update(dict.fromkeys(range(j, (n2 - 1) * m, m), 1))
+            row[(w - 1) * m + j] = 2
+        else:
+            row[(g2.table[w][g2.inverses[g]] - 1) * m + j] = -1
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -295,9 +306,8 @@ def _coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
     spans the c with psi_c zero on the columns, hence everywhere:
     Hom(g2, Z/d).
     """
-    n2, columns = g2.order, _generator_columns(g2)
-    k = len(columns)
-    return IntLattice(k + n2 - 1, d, ({**_unit_coboundary(g2, w, columns),
+    n2, k, gens = g2.order, len(_generator_columns(g2)), g2.generators
+    return IntLattice(k + n2 - 1, d, ({**_unit_coboundary(g2, w, gens),
                                       k + w - 1: 1} for w in range(1, n2)))
 
 
@@ -336,14 +346,14 @@ def _class_key(g1: FiniteGroup, g2: FiniteGroup):
 
 def _row_space(equations, ncols, d):
     """Eliminate the sparse rows R mod d, the {unknown: coefficient}
-    equations of _cocycle_columns: the indexes S of the rows that grew
+    equations of _hopf_system: the indexes S of the rows that grew
     R's row lattice, added in order, and the echelon form of the rows
     [R_S e_w | e_w], one per column w.  R_S spans R's row lattice, so it
     has R's kernel mod d, which is columns.tail(len(S)).  A chain of
     submodules of (Z/d)^ncols has at most ncols * Omega(d) steps (prime
     factors with multiplicity), so no row is wider than
     (1 + Omega(d)) * ncols.  Both eliminations feed IntLattice sparse
-    rows; the dense elimination is kept in the tests as an oracle."""
+    rows."""
     rows = IntLattice(ncols, d)
     kept = tuple(i for i, eq in enumerate(equations) if rows.add(eq))
     transposed = [{len(kept) + w: 1} for w in range(ncols)]
@@ -417,24 +427,19 @@ class CocycleSpace:
     @cached_property
     def z2_generators(self) -> tuple[Cocycle2, ...]:
         """Each Z^2 row of each coordinate, in that coordinate."""
-        forms = _cocycle_columns(self.g2)[0]
-        return _coordinate_tables(self.g1, self.g2, (
-            (ci, _expand(forms, vec, d))
-            for ci, d in enumerate(abelian_invariants(self.g1)
-                                   .invariant_factors)
-            for vec in _solve_coordinate(self.g2, d).z_columns))
+        return _coordinate_tables(self.g1, self.g2, lambda d: _expand(
+            self.g2, d, _solve_coordinate(self.g2, d).z_columns))
 
     @cached_property
     def b2_generators(self) -> tuple[Cocycle2, ...]:
         """The coboundary of each map sending one point w to a
         coordinate unit and the rest to 0."""
-        n2, slots = self.g2.order, _pair_slots(self.g2)
-        return _coordinate_tables(self.g1, self.g2, (
-            (ci, [psi.get(i, 0) % d for i in range(len(slots))])
-            for ci, d in enumerate(abelian_invariants(self.g1)
-                                   .invariant_factors)
-            for psi in (_unit_coboundary(self.g2, w, slots)
-                        for w in range(1, n2))))
+        n2 = self.g2.order
+        units = [_unit_coboundary(self.g2, w, range(1, n2))
+                 for w in range(1, n2)]
+        return _coordinate_tables(self.g1, self.g2, lambda d: (
+            [psi.get(i, 0) % d for i in range((n2 - 1) ** 2)]
+            for psi in units))
 
     @property
     def h2_order(self) -> int:
@@ -458,74 +463,57 @@ class CocycleSpace:
 
 
 @lru_cache(maxsize=None)
-def _cocycle_columns(g2: FiniteGroup):
-    """The cocycle identity over g2 in generator columns.  A normalized
-    cocycle is fixed by its k(n-1) values u(x, s_i) = e(x, s_i), x != 1
-    and s_i in g2.generators, at index (x - 1) k + i.  Returns the
-    linear form {unknown: coefficient} of each nonidentity pair slot
-    (h, g), in row-major order, the number of unknowns, and the
-    equations among them as sparse rows.
-
-    A breadth-first tree of the right Cayley graph reaches each y != 1
-    by edges y -> ys.  Along a tree edge (y, s) the identity at
-    (x, y, s), e(x, ys) = e(x, y) + e(xy, s) - e(y, s), writes column ys
-    through column y and the generator column s; column 1 is zero, and
-    so is every form at x = 1.  Each other edge (y, s) gives that
-    identity as one equation per x != 1.  So the solutions are exactly
-    the normalized tables that satisfy the identity for every last
-    argument in g2.generators, and by Light's argument on the last
-    factor these are all the cocycles.  On g1 x g2 put (a, h)(b, k) =
-    (a + b + e(h, k), hk), associative exactly when e is a cocycle.
-    The z with (xy)z = x(yz) for all x, y are closed under the product:
-    (xy)(z z') = ((xy)z)z' = (x(yz))z' = x((yz)z') = x(y(z z')), each
-    step one of the two hypotheses.  Normalization makes every (a, 1)
-    such a z, the equations every (0, s) with s a generator, and their
-    products give all of g1 x g2 as g2 is finite.  This needs only
-    that the values commute, so it holds in the abelian subgroup of g1
-    that they generate.
-    """
-    n2, gens, mul = g2.order, g2.generators, g2.table
-    k = len(gens)
-    cols = [None] * n2
-    cols[0] = [{}] * n2
-    for i, s in enumerate(gens):
-        cols[s] = [{}] + [{(x - 1) * k + i: 1} for x in range(1, n2)]
-    rows = []
-    queue = list(gens)
+def _hopf_system(g2: FiniteGroup):
+    """Hopf's formula H^2(g2, A) = Hom(R, A)^F / Hom(F, A), A trivial,
+    F free on the k generators and R the kernel of F -> g2 (Brown,
+    Cohomology of Groups, GTM 87).  Returns the breadth-first tree of
+    the right Cayley graph from 1, edges (y, i, ys) for s =
+    g2.generators[i] in the order found; the generator column
+    (y - 1) k + i of each chord, an edge (y, i) off the tree; and the
+    equations.  With t_y the tree word to y, the chords give the
+    Schreier generators r_{y,s} = t_y s t_{ys}^-1, a free basis of R
+    (Reidemeister-Schreier): n(k - 1) + 1 unknowns f(r_{y,s}).  A row
+    states f(x r x^-1) = f(r) for a generator x and a chord, rewriting
+    x r_{y,s} x^-1 from the coset x as P(x, y) + r(xy, s) - P(x, ys) -
+    r(y, s) (Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory): r(c, s) is the unknown of the edge (c, s), 0 on the tree,
+    and P(x, c) those met along t_c from x.  An invariant f gives the
+    cocycle e(g, h) = f(t_g t_h t_{gh}^-1), and each class has one; as
+    t_s = s and t_y s = t_{ys} on the tree, its column e(y, s) is
+    f(r_{y,s}) on a chord and 0 on a tree edge: Z^2 in columns is B^2
+    plus the kernel at the chord columns."""
+    gens, mul = g2.generators, g2.table
+    reached = [True] + [False] * (g2.order - 1)
+    tree, chords, queue = [], [], [0]
     for y in queue:
-        col_y = cols[y]
-        for s in gens:
-            col_s = cols[s]
-            form = [_combine((1, col_y[x]), (1, col_s[mul[x][y]]),
-                             (-1, col_s[y])) for x in range(n2)]
-            ys = mul[y][s]
-            if cols[ys] is None:
-                cols[ys] = form
+        for i, s in enumerate(gens):
+            if reached[ys := mul[y][s]]:
+                chords.append((y, i))
+            else:
+                reached[ys] = True
+                tree.append((y, i, ys))
                 queue.append(ys)
-                continue
-            for x in range(1, n2):
-                row = _combine((1, form[x]), (-1, cols[ys][x]))
-                if row:
-                    rows.append(row)
-    forms = [cols[g][h] for h in range(1, n2) for g in range(1, n2)]
-    return forms, k * (n2 - 1), rows
-
-
-def _combine(*terms):
-    """The sparse linear form sum(sign * form) over (sign, form) terms."""
-    out = {}
-    for sign, form in terms:
-        for u, v in form.items():
-            out[u] = out.get(u, 0) + sign * v
-    return {u: v for u, v in out.items() if v}
+    r = {edge: (u,) for u, edge in enumerate(chords)}   # () on the tree
+    rows = []
+    for x in gens:
+        # P(x, .) as tuples: a tree word meets no edge twice
+        rewrite = [()] * g2.order
+        for y, i, ys in tree:
+            rewrite[ys] = rewrite[y] + r.get((mul[x][y], i), ())
+        for y, i in chords:
+            row = Counter(rewrite[y] + r.get((mul[x][y], i), ()))
+            row.subtract(rewrite[mul[y][gens[i]]] + r[y, i])
+            if row := {u: c for u, c in row.items() if c}:
+                rows.append(row)
+    return tuple(tree), tuple((y - 1) * len(gens) + i for y, i in chords), rows
 
 
 @dataclass(frozen=True)
 class _Coordinate:
     """Z^2 and the H^2 classes of one invariant factor d of g1 over g2:
-    z_columns spans Z^2 in generator columns (_expand writes a row out
-    over the pair slots), and classes holds one member of each class
-    over the pair slots."""
+    z_columns, Z^2's pivot rows in generator columns (_expand writes a
+    row out over the pair slots), and one member of each class over the
+    pair slots."""
 
     z_columns: tuple[tuple[int, ...], ...]
     z_order: int
@@ -534,49 +522,67 @@ class _Coordinate:
     classes: tuple[tuple[int, ...], ...]
 
 
-def _expand(forms, vec, d):
-    """The values mod d at the pair slots of the cocycle with the values
-    vec at the generator columns, through the forms of _cocycle_columns."""
-    return tuple(sum(c * vec[u] for u, c in form.items()) % d
-                 for form in forms)
+def _expand(g2: FiniteGroup, d: int, vecs):
+    """Per vector of values mod d at the generator columns, the values
+    mod d at the pair slots (h, g), row-major, of the cocycle it fixes:
+    down each tree edge (y, s) of _hopf_system, the identity at (x, y, s)
+    gives column ys as e(x, ys) = e(x, y) + e(xy, s) - e(y, s), and
+    column 1 is zero.  Such a table is a cocycle once the identity holds
+    for the last arguments in g2.generators (Light's argument): on
+    g1 x g2 put (a, h)(b, k) = (a + b + e(h, k), hk), associative exactly
+    when e is a cocycle.  The z with (xy)z = x(yz) for all x, y are
+    closed under the product, as (xy)(z z') = ((xy)z)z' = (x(yz))z' =
+    x((yz)z') = x(y(z z')); they include every (a, 1) by normalization
+    and every (0, s) by the identity at the generators, and these
+    generate g1 x g2.  Only commuting values are needed, so this holds
+    in the abelian subgroup of g1 that they generate."""
+    n2, k = g2.order, len(g2.generators)
+    by_column = list(zip(*g2.table))
+    for vec in vecs:
+        gen_columns = [[0, *vec[i::k]] for i in range(k)]
+        cols = [[0] * n2] * n2   # column 1; the tree replaces the rest
+        for y, i, ys in _hopf_system(g2)[0]:
+            e_s = gen_columns[i]
+            cols[ys] = [(a + e_s[xy] - e_s[y]) % d
+                        for a, xy in zip(cols[y], by_column[y])]
+        yield tuple(itertools.chain(*zip(*cols[1:])))[n2 - 1:]
 
 
 @lru_cache(maxsize=None)
 def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
-    forms, nunknowns, equations = _cocycle_columns(g2)
-    # in generator columns Z^2 is the kernel of the equations and B^2 the
-    # head of the coboundary lattice; the forms expand them to pair slots
-    kept, columns = _row_space(equations, nunknowns, d)
-    kernel = columns.tail(len(kept))
-    z = [kernel.dense_row(p) for p in sorted(kernel.pivot_rows)]
-    b = _coboundary_lattice(g2, d).head(nunknowns)
-    z_order = d ** nunknowns // kernel.index_in_ambient()
-    b_order = d ** nunknowns // b.index_in_ambient()
+    # Z^2 in columns: B^2, then Hopf's kernel placed at the chord columns
+    ncols = len(_generator_columns(g2))
+    _, chords, equations = _hopf_system(g2)
+    kept, columns = _row_space(equations, len(chords), d)
+    kernel, b = columns.tail(len(kept)), _coboundary_lattice(g2, d).head(ncols)
+    z2 = IntLattice(ncols, d, [b.pivot_rows[p] for p in sorted(b.pivot_rows)]
+                    + [{chords[u]: c for u, c in kernel.pivot_rows[p].items()}
+                       for p in sorted(kernel.pivot_rows)])
+    z = [z2.dense_row(p) for p in sorted(z2.pivot_rows)]
+    z_order = d ** ncols // z2.index_in_ambient()
+    b_order = d ** ncols // b.index_in_ambient()
 
     # H^2 = Z^2 / B^2 is generated by the residues of the Z^2 rows mod
     # B^2; its relations are the vectors c with sum c_i res_i in B^2
     residues = [res for res in map(b.reduce, z) if any(res)]
     k = len(residues)
-    rel = IntLattice(nunknowns + k, d, b.pivot_rows.values())
+    rel = IntLattice(ncols + k, d, b.pivot_rows.values())
     for i, res in enumerate(residues):
         rel.add(res + [int(j == i) for j in range(k)])
-    quot = rel.tail(nunknowns)
+    quot = rel.tail(ncols)
     if quot.index_in_ambient() != z_order // b_order:
         raise AssertionError("|H^2| disagrees with |Z^2| / |B^2|")
     diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
 
-    # one vector per class: the box of the relation lattice's pivots
-    residues = [_expand(forms, res, d) for res in residues]
-    classes = []
-    for coeffs in itertools.product(*(range(quot.pivot(j)) for j in range(k))):
-        vec = [0] * len(forms)
-        for c, res in zip(coeffs, residues):
-            vec = [(x + c * y) % d for x, y in zip(vec, res)]
-        classes.append(tuple(vec))
+    # the box of the relation lattice's pivots, one residue at a time
+    classes = [[0] * (g2.order - 1) ** 2]
+    for j, res in enumerate(_expand(g2, d, residues)):
+        classes = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
+                   for vec in classes for c in range(quot.pivot(j))]
     return _Coordinate(z_columns=tuple(map(tuple, z)),
                        z_order=z_order, b_order=b_order,
                        factors=tuple(x for x in diag if x > 1),
-                       classes=tuple(classes))
+                       classes=tuple(map(tuple, classes)))
 
 
 def _least_in_coset(lattices, vecs, element_of):
@@ -592,8 +598,7 @@ def _least_in_coset(lattices, vecs, element_of):
     lattice stores a row has one admissible tuple, so only the pivot
     slots are visited, in increasing order; a row at slot i changes
     only slots from i on, so every slot is then read once from the
-    final vectors.  The slot-by-slot pass is kept in the tests as an
-    oracle."""
+    final vectors."""
     element = lru_cache(maxsize=None)(element_of)
     vecs = [list(v) for v in vecs]
     for i in sorted(set().union(*(lat.pivot_rows for lat in lattices))):
@@ -631,9 +636,8 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     classes = list(itertools.product(*(c.classes for c in coords)))
     rep_tables = [trivial_cocycle(g1, g2).table]
     if len(classes) > 1:
-        slots = _pair_slots(g2)
-        units = [_unit_coboundary(g2, w, slots) for w in range(1, n2)]
-        b2 = [IntLattice(len(slots), d, units)
+        units = [_unit_coboundary(g2, w, range(1, n2)) for w in range(1, n2)]
+        b2 = [IntLattice((n2 - 1) ** 2, d, units)
               for d in pres.invariant_factors]
         rep_tables = sorted(
             _table_from_values(n2, _least_in_coset(b2, vecs, pres.element_of))
@@ -650,15 +654,11 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
                         b2_order=math.prod(c.b_order for c in coords))
 
 
-def _pair_slots(g2: FiniteGroup):
-    """The nonidentity pair slots (h, g), row-major."""
-    return list(itertools.product(range(1, g2.order), repeat=2))
-
-
-def _coordinate_tables(g1: FiniteGroup, g2: FiniteGroup, rows):
-    """Per (ci, values) in rows, the table with the values, each in
-    [0, d), at the pair slots in coordinate ci of g1 (of factor d) and 0
-    in the others; first occurrences kept and trivial tables dropped."""
+def _coordinate_tables(g1: FiniteGroup, g2: FiniteGroup, values_of):
+    """Per coordinate ci of g1, of factor d, and per values in
+    values_of(d), the table with the values, each in [0, d), at the pair
+    slots in coordinate ci and 0 in the others; first occurrences kept
+    and trivial tables dropped."""
     pres = abelian_invariants(g1)
     factors = pres.invariant_factors
     elements = [[pres.element_of([v * (i == ci)
@@ -666,7 +666,7 @@ def _coordinate_tables(g1: FiniteGroup, g2: FiniteGroup, rows):
                  for v in range(d)] for ci, d in enumerate(factors)]
     tables = (_table_from_values(g2.order, map(elements[ci].__getitem__,
                                                values))
-              for ci, values in rows)
+              for ci, d in enumerate(factors) for values in values_of(d))
     return tuple(Cocycle2(g1=g1, g2=g2, table=t)
                  for t in dict.fromkeys(tables) if any(map(any, t)))
 

@@ -8,6 +8,7 @@ raise instead.
 """
 
 import itertools
+from functools import lru_cache
 
 from centext.cocycles import (
     Cocycle2,
@@ -178,3 +179,66 @@ def least_in_coset_by_slot(lattices, vecs, element_of, nslots):
                          for a, r in zip(v[i:], row[i:])]
         values.append(element_of(best))
     return values
+
+
+@lru_cache(maxsize=None)
+def cocycle_columns(g2: FiniteGroup):
+    """The earlier cocycles._cocycle_columns: the cocycle identity over
+    g2 in generator columns.  A normalized cocycle is fixed by its k(n-1)
+    values u(x, s_i) = e(x, s_i), x != 1 and s_i in g2.generators, at
+    index (x - 1) k + i.  Returns the linear form {unknown: coefficient}
+    of each nonidentity pair slot (h, g), in row-major order, the number
+    of unknowns, and the equations among them as sparse rows.
+
+    A breadth-first tree of the right Cayley graph reaches each y != 1
+    by edges y -> ys.  Along a tree edge (y, s) the identity at
+    (x, y, s), e(x, ys) = e(x, y) + e(xy, s) - e(y, s), writes column ys
+    through column y and the generator column s; column 1 is zero, and
+    so is every form at x = 1.  Each other edge (y, s) gives that
+    identity as one equation per x != 1.  So the solutions are exactly
+    the normalized tables that satisfy the identity for every last
+    argument in g2.generators: by Light's argument (cocycles._expand),
+    all the cocycles.
+    """
+    n2, gens, mul = g2.order, g2.generators, g2.table
+    k = len(gens)
+    cols = [None] * n2
+    cols[0] = [{}] * n2
+    for i, s in enumerate(gens):
+        cols[s] = [{}] + [{(x - 1) * k + i: 1} for x in range(1, n2)]
+    rows = []
+    queue = list(gens)
+    for y in queue:
+        col_y = cols[y]
+        for s in gens:
+            col_s = cols[s]
+            form = [combine((1, col_y[x]), (1, col_s[mul[x][y]]),
+                            (-1, col_s[y])) for x in range(n2)]
+            ys = mul[y][s]
+            if cols[ys] is None:
+                cols[ys] = form
+                queue.append(ys)
+                continue
+            for x in range(1, n2):
+                row = combine((1, form[x]), (-1, cols[ys][x]))
+                if row:
+                    rows.append(row)
+    forms = [cols[g][h] for h in range(1, n2) for g in range(1, n2)]
+    return forms, k * (n2 - 1), rows
+
+
+def combine(*terms):
+    """The sparse linear form sum(sign * form) over (sign, form) terms."""
+    out = {}
+    for sign, form in terms:
+        for u, v in form.items():
+            out[u] = out.get(u, 0) + sign * v
+    return {u: v for u, v in out.items() if v}
+
+
+def expand_forms(forms, vec, d):
+    """The earlier cocycles._expand: the values mod d at the pair slots
+    of the cocycle with the values vec at the generator columns, through
+    the forms of cocycle_columns."""
+    return tuple(sum(c * vec[u] for u, c in form.items()) % d
+                 for form in forms)

@@ -6,7 +6,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centext.catalog import catalog_names, get_group, special_linear_2_5
+from centext.catalog import (
+    alternating_group,
+    catalog_names,
+    get_group,
+    special_linear_2_5,
+    symmetric_group,
+)
 from centext.cocycles import (
     CocycleSpace,
     Cocycle2,
@@ -27,12 +33,14 @@ from centext.cocycles import (
 )
 from centext import cocycles
 from centext.cocycles import (
-    _cocycle_columns,
     _expand,
+    _generator_columns,
+    _hopf_system,
     _least_in_coset,
     _merge_invariant_factors,
     _row_space,
     _solve_coordinate,
+    _unit_coboundary,
 )
 from centext.errors import (
     DimensionMismatch,
@@ -63,8 +71,10 @@ from centext.intlinalg import (
     solve_linear_mod,
 )
 from oracles import (
+    cocycle_columns,
     cocycle_compose_checks,
     dense_row_space,
+    expand_forms,
     least_in_coset_by_slot,
 )
 
@@ -654,12 +664,10 @@ class TestPairSlotOracle:
     def test_same_cocycle_lattice(self, name):
         g2 = get_group(name)
         npairs = (g2.order - 1) ** 2
-        forms = _cocycle_columns(g2)[0]
         for d in (2, 3, 4, 6):
             expected = pair_slot_cocycles(g2, d)
             coord = _solve_coordinate(g2, d)
-            got = IntLattice(npairs, d, (_expand(forms, vec, d)
-                                         for vec in coord.z_columns))
+            got = IntLattice(npairs, d, _expand(g2, d, coord.z_columns))
             assert got.index_in_ambient() == expected.index_in_ambient()
             assert contains(got, expected) and contains(expected, got)
             assert coord.z_order * expected.index_in_ambient() == d ** npairs
@@ -784,7 +792,8 @@ def checked_coset_pass(monkeypatch):
 class TestSparseOracles:
     @pytest.mark.parametrize("name,d", ORACLE_CASES)
     def test_row_space_matches_the_dense_elimination(self, name, d):
-        _, nunknowns, equations = _cocycle_columns(get_group(name))
+        _, chords, equations = _hopf_system(get_group(name))
+        nunknowns = len(chords)
         kept, columns = _row_space(equations, nunknowns, d)
         dense_kept, dense_columns = dense_row_space(
             ([eq.get(u, 0) for u in range(nunknowns)] for eq in equations),
@@ -814,6 +823,85 @@ class TestSparseOracles:
             for b in space.b2_generators:
                 assert are_cohomologous(rep, cocycle_mul(rep, b))
         assert len(calls) > len(reps)
+
+
+# every catalog quotient of order <= 24, and A5
+HOPF_QUOTIENTS = [name for name in catalog_names()
+                  if get_group(name).order <= 24] + ["A5"]
+
+
+class TestCocycleSystemOracle:
+    """Hopf's system against the earlier one: the cocycle identity in
+    generator columns, one equation per (x, non-tree edge)."""
+
+    @pytest.mark.parametrize("name", HOPF_QUOTIENTS)
+    def test_same_cocycle_lattice_in_columns(self, name):
+        g2 = get_group(name)
+        forms, nunknowns, equations = cocycle_columns(g2)
+        assert nunknowns == len(_generator_columns(g2))
+        for d in (2, 3, 4, 6):
+            kept, columns = _row_space(equations, nunknowns, d)
+            expected = columns.tail(len(kept))
+            z_columns = _solve_coordinate(g2, d).z_columns
+            got = IntLattice(nunknowns, d, z_columns)
+            assert got.index_in_ambient() == expected.index_in_ambient()
+            assert contains(got, expected) and contains(expected, got)
+            # the numeric tree walk writes each row out as the forms do
+            assert list(_expand(g2, d, z_columns)) == [
+                expand_forms(forms, vec, d) for vec in z_columns]
+
+    @pytest.mark.parametrize("name", HOPF_QUOTIENTS)
+    def test_system_size(self, name):
+        g2 = get_group(name)
+        n2, k = g2.order, len(g2.generators)
+        tree, chords, equations = _hopf_system(g2)
+        assert len(tree) == n2 - 1
+        assert len(chords) == len(set(chords)) == max(n2 * (k - 1) + 1, 0)
+        assert len(equations) <= k * len(chords)
+        # the chord columns and the tree columns split the columns
+        tree_columns = {(y - 1) * k + i for y, i, _ in tree if y}
+        assert tree_columns.isdisjoint(chords)
+        assert len(tree_columns) + len(chords) == k * (n2 - 1)
+
+    def test_a5_system_size(self):
+        _, chords, equations = _hopf_system(get_group("A5"))
+        assert (len(chords), len(equations),
+                sum(map(len, equations))) == (121, 358, 1150)
+
+
+class TestUnitCoboundaryOracle:
+    @pytest.mark.parametrize("name", HOPF_QUOTIENTS)
+    def test_rows_match_the_slot_scan(self, name):
+        g2 = get_group(name)
+        n2 = g2.order
+        pair_columns = coboundary_matrix(g2).transpose().data
+        generator_slots = _generator_columns(g2)
+        for w in range(1, n2):
+            row = _unit_coboundary(g2, w, range(1, n2))
+            assert [row.get(i, 0) for i in range((n2 - 1) ** 2)] == list(
+                pair_columns[w - 1])
+            assert _unit_coboundary(g2, w, g2.generators) == {
+                i: v for i, (h, g) in enumerate(generator_slots)
+                if (v := (g == w) - (g2.table[h][g] == w) + (h == w))}
+
+
+class TestTextbookValues:
+    """H^2(G, Z2) = Hom(H_1(G), Z2) + Ext(M(G), Z2) by the universal
+    coefficient theorem, over quotients out of the earlier reach."""
+
+    @pytest.mark.parametrize("g2,factors", [
+        # H_1 = 0 and M = 0
+        (special_linear_2_5, ()),
+        # H_1 = Z2 and M = Z2
+        (lambda: symmetric_group(5), (2, 2)),
+        # H_1 = 0 and M = Z6
+        (lambda: alternating_group(6), (2,)),
+    ], ids=["SL25", "S5", "A6"])
+    def test_h2_with_z2_coefficients(self, g2, factors):
+        space = compute_cocycle_space(get_group("Z2"), g2())
+        assert space.h2_invariant_factors == factors
+        assert len(space.class_representatives) == 2 ** len(factors)
+        assert space.z2_order == space.b2_order * space.h2_order
 
 
 def sim_trivial_by_scan(g2):
@@ -941,14 +1029,26 @@ class TestMergeFactors:
             assert b % a == 0
 
 
-# sha256 of json.dumps(space.to_dict(), sort_keys=True), pinned before
-# the generator tables were built on first access
+# sha256 of json.dumps(space.to_dict(), sort_keys=True), pinned since
+# Z^2 is solved through Hopf's formula: z2_generators is then written
+# from the pivot rows of Z^2 in generator columns, built from B^2's rows
+# and then the placed kernel rows
 SPACE_DIGESTS = {
-    ("Z2", "K4"): "6180153e36550462dcef791ee09112cf7b6df85d5ac5a11aa7c2884c4abe6898",
-    ("K4", "D4"): "048d3f64b34f4bb991a84749ef695de7df94973454a6f879be1fad855bceffc9",
-    ("Z2", "A4"): "07e43109160f6a33a4124c35f64d84d306c91df9c3d4570346bac894103d727d",
-    ("Z6", "S3"): "2e341b551698dd69de8485b42c8309d5049f442611e4db522dac6e5300c396de",
-    ("Z2xZ4", "K4"): "6959b035bff0e5d62968c3e1786328e88aa9988fbf93e377b4e058aa44325f68",
+    ("Z2", "K4"): "f13171a74f7bcec237e52e27eb75760ccafa7a4dd9800a13c2613ddd99d05424",
+    ("K4", "D4"): "77ff6e9a1af87399fb8b3881df0b6621c3538782398c5efaa1f4189bff8b365f",
+    ("Z2", "A4"): "4b1d199457e554403f7591e186bf626d24d1124f6a73c17ebbd9267f57540ec1",
+    ("Z6", "S3"): "3b4352e7525a9fb057f5778ddb1123698b1516fae6e9750db427f7b88f2889a2",
+    ("Z2xZ4", "K4"): "e90a3dfdad0eae11d7430bdd3434c44b3d328d442ebd049614c7a74485687cae",
+}
+
+# the same digest with the z2_generators key removed, pinned before Z^2
+# was solved through Hopf's formula: only the Z^2 basis may move
+SPACE_DIGESTS_WITHOUT_Z2 = {
+    ("Z2", "K4"): "06d8ed3586ac7813be75535f114007ce2e67881805674aa8dbf29dc75c3ece27",
+    ("K4", "D4"): "8bf25352619e8c016635c1824d0bbcd57b7a28fd0e70c0cf2a62015280f36511",
+    ("Z2", "A4"): "77a6ead1fe296d7efd997752b520bc2c7e815fb30761a0f9008801e5221eda93",
+    ("Z6", "S3"): "a4615965f88231b4ea47953b3a559492aa0148be6863f11fa69a1d3e9d4ae95f",
+    ("Z2xZ4", "K4"): "0595ebb5fa9ab5234f4cdb5e3becde9595cbd165f8282eba49678ee080d9a80c",
 }
 
 
@@ -967,6 +1067,16 @@ class TestSerialization:
         digest = hashlib.sha256(json.dumps(space.to_dict(), sort_keys=True)
                                 .encode()).hexdigest()
         assert digest == SPACE_DIGESTS[pair]
+
+    @pytest.mark.parametrize("pair", sorted(SPACE_DIGESTS_WITHOUT_Z2),
+                             ids=":".join)
+    def test_space_dict_pinned_without_z2(self, pair):
+        space = compute_cocycle_space.__wrapped__(*map(get_group, pair))
+        d = space.to_dict()
+        del d["z2_generators"]
+        digest = hashlib.sha256(json.dumps(d, sort_keys=True)
+                                .encode()).hexdigest()
+        assert digest == SPACE_DIGESTS_WITHOUT_Z2[pair]
 
     def test_generator_tables_built_on_first_access(self):
         space = compute_cocycle_space.__wrapped__(get_group("Z2"),
