@@ -17,13 +17,13 @@ Hom(g2, Z/d).  Z^2 is B^2 plus the solutions of Hopf's formula, one
 sparse equation per (generator, Schreier generator), eliminated in
 IntLattice, which keeps sparse pivot rows.  H^2 is a small Smith normal
 form of the relations among the Z^2 rows mod B^2.  are_cohomologous
-reduces e2 - e1 once per factor and reads a witness off the tail.  Pair
-slots (h, g) appear only in written-out tables: the lex-least
-representatives and witnesses come from one greedy pass over the pivot
-slots of Hom, or of B^2 over the pair slots, and the Z^2 and B^2
-generator tables are written out on first access.  The cocycle identity
-system, the dense elimination and the slot-by-slot pass that these
-replaced are test oracles in tests/oracles.py.
+reduces e2 - e1 once per factor and reads a witness off the tail.  The
+lex-least witnesses and representatives come from one greedy pass over
+the pivot slots of Hom, or of B^2 over the pair slots, found in the n - 1
+values of a map (_coboundary_pivots).  Pair slots appear only in tables
+written out, the Z^2 and B^2 generators on first access.  The identity
+system, the dense elimination, the pair-slot B^2 lattice and the
+slot-by-slot pass they replaced are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .intlinalg import (
     IntMatrix,
     abelian_invariants,
     smith_normal_form,
+    xgcd,
 )
 
 
@@ -66,17 +67,16 @@ class Cocycle2:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n2 = self.g2.order
-        if len(self.table) != n2 or any(len(r) != n2 for r in self.table):
+        n1, n2, table = self.g1.order, self.g2.order, self.table
+        if len(table) != n2 or any(len(r) != n2 for r in table):
             raise DimensionMismatch("cocycle table must be g2.order square")
-        for row in self.table:
-            for v in row:
-                if not 0 <= v < self.g1.order:
-                    raise ValueError(f"cocycle value {v} outside g1")
-        for y in range(n2):
-            if self.table[y][0] != 0 or self.table[0][y] != 0:
-                raise NotNormalized(
-                    f"cocycle not normalized at ({y},0)/(0,{y})")
+        # screened at C speed; the scans name the first offender
+        if min(map(min, table)) < 0 or max(map(max, table)) >= n1:
+            v = next(v for row in table for v in row if not 0 <= v < n1)
+            raise ValueError(f"cocycle value {v} outside g1")
+        if any(table[0]) or any(r[0] for r in table):
+            y = next(y for y in range(n2) if table[y][0] or table[0][y])
+            raise NotNormalized(f"cocycle not normalized at ({y},0)/(0,{y})")
 
     def is_trivial(self) -> bool:
         return all(v == 0 for row in self.table for v in row)
@@ -587,18 +587,13 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
 
 def _least_in_coset(lattices, vecs, element_of):
     """Element indices, slot by slot, of the lex-least member of the
-    coset of vecs mod the lattices: one coordinate vector and one
-    IntLattice per invariant factor, mod that lattice's modulus.
-
-    In a Howell basis, the coset members that agree on the slots before
-    i differ at slot i by exactly the multiples of the lattice's pivot
-    there, and the freedom left lies in the rows below i; so each slot
-    takes its least element index among those admissible coordinate
-    tuples, fixed by adding that multiple of row i.  A slot where no
-    lattice stores a row has one admissible tuple, so only the pivot
-    slots are visited, in increasing order; a row at slot i changes
-    only slots from i on, so every slot is then read once from the
-    final vectors."""
+    coset of vecs mod the lattices, one coordinate vector and one
+    IntLattice per invariant factor.  In a Howell basis the members that
+    agree before slot i differ there by the multiples of the pivot, the
+    freedom left lying in the rows below; so each pivot slot, in order,
+    takes its least admissible element index, fixed by adding that
+    multiple of row i, and the other slots are forced.  A row at slot i
+    changes only slots from i on, so each slot is read once at the end."""
     element = lru_cache(maxsize=None)(element_of)
     vecs = [list(v) for v in vecs]
     for i in sorted(set().union(*(lat.pivot_rows for lat in lattices))):
@@ -613,35 +608,100 @@ def _least_in_coset(lattices, vecs, element_of):
     return [element(c) for c in zip(*vecs)]
 
 
+@lru_cache(maxsize=None)
+def _coboundary_pivots(g2: FiniteGroup, d: int):
+    """The pivots {slot i: (g_i, tau_i)} of B^2 mod d over the pair slots
+    (h, g), h, g != 1, row-major, found in the n - 1 values of a map t:
+    K_i, the t (lists over g2, t(1) = 0) with psi_t(h, g) = t(h) + t(g) -
+    t(hg) zero before slot i, is kept as a generating set, K_0 by the
+    unit maps.  The value L_i at slot i maps K_i onto the ideal <g_i>
+    that d and L_i of the generators span, by Howell's property the
+    pair-slot pivot at i.  If g_i < d, an xgcd combination tau_i has L_i
+    = g_i, and K_{i+1} = ker L_i is spanned by (d / g_i) tau_i and each
+    kappa - q tau_i, L_i(kappa) = q g_i, as sum c_j kappa_j in it is sum
+    c_j (kappa_j - q_j tau_i) + (sum c_j q_j) tau_i, g_i sum c_j q_j = 0
+    mod d.  So |K_i| / |K_{i+1}| = d / g_i, whose product is |K_0| / |K_i|
+    = |B^2| / |psi(K_i)|: it reaches |B^2| just when K_i = Hom(g2, Z/d),
+    where psi vanishes, so no later slot has a pivot."""
+    n2, mul, target = g2.order, g2.table, _solve_coordinate(g2, d).b_order
+    kernel = [[int(v == w) for v in range(n2)] for w in range(1, n2)]
+    pivots, index = {}, 1
+    for i, (h, g) in enumerate(itertools.product(range(1, n2), repeat=2)):
+        if index == target:
+            break
+        values = [(t[h] + t[g] - t[mul[h][g]]) % d for t in kernel]
+        tau, gi = [0] * n2, d
+        for t, a in zip(kernel, values):
+            if a % gi:
+                gi, x, y = xgcd(gi, a)
+                tau = [(x * u + y * v) % d for u, v in zip(tau, t)]
+        if gi < d:
+            pivots[i], index = (gi, tau), index * (d // gi)
+            fresh = [[(u - a // gi * v) % d for u, v in zip(t, tau)]
+                     for t, a in zip(kernel, values) if a]
+            kernel = [t for t, a in zip(kernel, values) if not a] + [
+                t for t in fresh + [[d // gi * v % d for v in tau]] if any(t)]
+    if index != target:
+        raise AssertionError("the pivots fall short of |B^2|")
+    return pivots
+
+
+def _least_tables(g2: FiniteGroup, pres, classes):
+    """Each class's lex-least table, sorted, from a member vecs[f] over the
+    pair slots per factor f: _least_in_coset's greedy over the pivots of
+    _coboundary_pivots, in one map t per factor.  Members agreeing with
+    vecs + psi_t before slot i take cur + <g_i> there; the least index
+    (0 if admissible) is fixed by t += q tau_i, keeping earlier slots."""
+    factors, n2 = pres.invariant_factors, g2.order
+    pivots = [_coboundary_pivots(g2, d) for d in factors]
+    element = lru_cache(maxsize=None)(pres.element_of)
+    codes = [element(c) for c in itertools.product(*map(range, factors))]
+    slots = [(h, g, hg) for h in range(1, n2)
+             for g, hg in enumerate(g2.table[h]) if g]
+    tables = []
+    for vecs in classes:
+        maps = [[0] * n2 for _ in factors]
+        for i in sorted(set().union(*pivots)):
+            h, g, hg = slots[i]
+            cur = [(v[i] + t[h] + t[g] - t[hg]) % d
+                   for v, t, d in zip(vecs, maps, factors)]
+            steps = [p[i][0] if i in p else d for p, d in zip(pivots, factors)]
+            starts = [c % s for c, s in zip(cur, steps)]
+            best = min(itertools.product(*map(range, starts, factors, steps)),
+                       key=element) if any(starts) else (0,) * len(factors)
+            for t, p, c, x, d in zip(maps, pivots, cur, best, factors):
+                if x != c:
+                    q = (x - c) // p[i][0]
+                    t[:] = [(u + q * v) % d for u, v in zip(t, p[i][1])]
+        code = [0] * len(slots)
+        for v, t, d in zip(vecs, maps, factors):
+            code = [c * d + (x + t[h] + t[g] - t[hg]) % d
+                    for c, x, (h, g, hg) in zip(code, v, slots)]
+        tables.append(_table_from_values(n2, map(codes.__getitem__, code)))
+    return sorted(tables)
+
+
 def _table_from_values(n2, values):
     """The normalized n2 x n2 table with values at the pair slots."""
     it = iter(values)
-    return tuple(tuple(next(it) if h and g else 0 for g in range(n2))
-                 for h in range(n2))
+    return ((0,) * n2,) + tuple((0, *itertools.islice(it, n2 - 1))
+                                for _ in range(1, n2))
 
 
 @lru_cache(maxsize=None)
 def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
-    """Z^2, B^2, H^2 with class representatives, via lattices mod each
-    invariant factor of g1."""
+    """Z^2, B^2, H^2 and each class's lex-least table (_least_tables),
+    via lattices mod each invariant factor of g1."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
-    n2 = g2.order
     pres = abelian_invariants(g1)
     coords = [_solve_coordinate(g2, d) for d in pres.invariant_factors]
 
-    # per class the lex-least table in its coset of B^2 over the pair
-    # slots, spanned by the unit coboundaries; one class is B^2 itself
+    # the lex-least table per class; one class is B^2 itself
     classes = list(itertools.product(*(c.classes for c in coords)))
-    rep_tables = [trivial_cocycle(g1, g2).table]
-    if len(classes) > 1:
-        units = [_unit_coboundary(g2, w, range(1, n2)) for w in range(1, n2)]
-        b2 = [IntLattice((n2 - 1) ** 2, d, units)
-              for d in pres.invariant_factors]
-        rep_tables = sorted(
-            _table_from_values(n2, _least_in_coset(b2, vecs, pres.element_of))
-            for vecs in classes)
+    rep_tables = _least_tables(g2, pres, classes) if len(classes) > 1 else [
+        trivial_cocycle(g1, g2).table]
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
         raise AssertionError("the trivial class is not listed first")
     return CocycleSpace(g1=g1, g2=g2,
@@ -672,12 +732,12 @@ def _coordinate_tables(g1: FiniteGroup, g2: FiniteGroup, values_of):
 
 
 def _merge_invariant_factors(factors) -> tuple[int, ...]:
-    """Recombine a multiset of cyclic orders into a divisibility chain:
-    the invariant factors of the diagonal matrix they form."""
-    diag = smith_normal_form(IntMatrix.from_rows(
-        [[f * (i == j) for j in range(len(factors))]
-         for i, f in enumerate(factors)])).s.diagonal
-    return tuple(x for x in diag if x > 1)
+    """The invariant factors of the sum of the Z/f: as Z/a + Z/b = Z/gcd +
+    Z/lcm, (f_i, f_j) -> (gcd, lcm), i < j, leaves f_i dividing each f_j."""
+    f = list(factors)
+    for i, j in itertools.combinations(range(len(f)), 2):
+        f[i], f[j] = math.gcd(f[i], f[j]), math.lcm(f[i], f[j])
+    return tuple(x for x in f if x > 1)
 
 
 def sim_is_trivial(g2: FiniteGroup) -> bool:

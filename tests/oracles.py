@@ -12,6 +12,9 @@ from functools import lru_cache
 
 from centext.cocycles import (
     Cocycle2,
+    _solve_coordinate,
+    _table_from_values,
+    _unit_coboundary,
     is_cocycle,
     is_epsilon_endomorphism,
     pullback,
@@ -20,11 +23,12 @@ from centext.cocycles import (
 from centext.errors import (
     ConditionsFailed,
     DimensionMismatch,
+    NotNormalized,
     PreconditionViolated,
 )
 from centext.extensions import ExtensionGroup
 from centext.groups import FiniteGroup, GroupMap, Subgroup, subgroup_closure
-from centext.intlinalg import IntMatrix, xgcd
+from centext.intlinalg import IntLattice, IntMatrix, abelian_invariants, xgcd
 
 
 def determinant(a: IntMatrix) -> int:
@@ -179,6 +183,47 @@ def least_in_coset_by_slot(lattices, vecs, element_of, nslots):
                          for a, r in zip(v[i:], row[i:])]
         values.append(element_of(best))
     return values
+
+
+def pair_slot_b2(g2: FiniteGroup, d: int) -> IntLattice:
+    """B^2 mod d over the nonidentity pair slots (h, g), row-major: the
+    lattice of the unit coboundaries, as the earlier
+    cocycles.compute_cocycle_space built it for every call."""
+    n2 = g2.order
+    return IntLattice((n2 - 1) ** 2, d, (_unit_coboundary(g2, w, range(1, n2))
+                                         for w in range(1, n2)))
+
+
+def pair_slot_representatives(g1: FiniteGroup, g2: FiniteGroup):
+    """The earlier class representatives, sorted: per class, one member
+    per invariant factor of g1 from cocycles._solve_coordinate, moved to
+    the lex-least table of its coset of B^2 over the pair slots by the
+    slot-by-slot pass."""
+    pres = abelian_invariants(g1)
+    factors = pres.invariant_factors
+    b2 = [pair_slot_b2(g2, d) for d in factors]
+    nslots = (g2.order - 1) ** 2
+    return sorted(
+        _table_from_values(g2.order, least_in_coset_by_slot(
+            b2, vecs, pres.element_of, nslots))
+        for vecs in itertools.product(*(_solve_coordinate(g2, d).classes
+                                        for d in factors)))
+
+
+def cocycle2_error(g1: FiniteGroup, g2: FiniteGroup, table):
+    """The earlier Cocycle2.__post_init__ checks, loops only: the
+    (exception type, message) the first offender raises, or None."""
+    n2 = g2.order
+    if len(table) != n2 or any(len(r) != n2 for r in table):
+        return DimensionMismatch, "cocycle table must be g2.order square"
+    for row in table:
+        for v in row:
+            if not 0 <= v < g1.order:
+                return ValueError, f"cocycle value {v} outside g1"
+    for y in range(n2):
+        if table[y][0] != 0 or table[0][y] != 0:
+            return NotNormalized, f"cocycle not normalized at ({y},0)/(0,{y})"
+    return None
 
 
 @lru_cache(maxsize=None)

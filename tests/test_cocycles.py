@@ -33,6 +33,7 @@ from centext.cocycles import (
 )
 from centext import cocycles
 from centext.cocycles import (
+    _coboundary_pivots,
     _expand,
     _generator_columns,
     _hopf_system,
@@ -59,6 +60,7 @@ from centext.groups import (
     GroupMap,
     brute_force_isomorphism,
     center,
+    cyclic_group,
     direct_product,
     enumerate_automorphisms,
     enumerate_homs,
@@ -68,14 +70,18 @@ from centext.intlinalg import (
     IntLattice,
     IntMatrix,
     abelian_invariants,
+    smith_normal_form,
     solve_linear_mod,
 )
 from oracles import (
+    cocycle2_error,
     cocycle_columns,
     cocycle_compose_checks,
     dense_row_space,
     expand_forms,
     least_in_coset_by_slot,
+    pair_slot_b2,
+    pair_slot_representatives,
 )
 
 
@@ -175,6 +181,39 @@ class TestCocycleBasics:
         g1, g2 = get_group("Z2"), get_group("Z2")
         with pytest.raises(ValueError):
             Cocycle2(g1=g1, g2=g2, table=((0, 0), (0, 5)))
+
+    @pytest.mark.parametrize("table,message", [
+        (((0, 0, 0), (0, 1)), "cocycle table must be g2.order square"),
+        (((0, 0, 1), (0, 5, -1), (0, 2, 0)), "cocycle value 5 outside g1"),
+        (((0, 0, 0), (0, -1, 0), (0, 0, 7)), "cocycle value -1 outside g1"),
+        (((0, 0, 0), (0, 1, 0), (1, 0, 0)),
+         "cocycle not normalized at (2,0)/(0,2)"),
+        (((0, 0, 1), (1, 0, 0), (0, 0, 0)),
+         "cocycle not normalized at (1,0)/(0,1)"),
+    ])
+    def test_check_messages_name_the_first_offender(self, table, message):
+        g1, g2 = get_group("Z4"), get_group("Z3")
+        kind, expected = cocycle2_error(g1, g2, table)
+        assert expected == message
+        with pytest.raises(kind) as err:
+            Cocycle2(g1=g1, g2=g2, table=table)
+        assert type(err.value) is kind and str(err.value) == message
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(
+        st.sampled_from((0, 0, 0, 1, 2, -1, 3)), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_checks_match_the_loops(self, rows):
+        g1, g2 = get_group("Z3"), cyclic_group(len(rows))
+        table = tuple(map(tuple, rows))
+        expected = cocycle2_error(g1, g2, table)
+        if expected is None:
+            assert Cocycle2(g1=g1, g2=g2, table=table).table == table
+            return
+        with pytest.raises(expected[0]) as err:
+            Cocycle2(g1=g1, g2=g2, table=table)
+        assert type(err.value) is expected[0]
+        assert str(err.value) == expected[1]
 
     def test_mul_inv_group_structure(self):
         g1, g2 = get_group("Z2"), get_group("K4")
@@ -804,13 +843,41 @@ class TestSparseOracles:
         assert columns.ncols == len(dense_kept) + nunknowns
 
     @pytest.mark.parametrize("name,d", ORACLE_CASES)
-    def test_coset_pass_matches_slot_by_slot(self, name, d, monkeypatch):
-        calls = checked_coset_pass(monkeypatch)
+    def test_coset_pass_matches_slot_by_slot(self, name, d):
         g1, g2 = get_group(f"Z{d}"), get_group(name)
         # a fresh space, past the cache, so every class runs the pass
         space = compute_cocycle_space.__wrapped__(g1, g2)
-        assert len(calls) == (len(space.class_representatives) > 1) * len(
-            space.class_representatives)
+        assert [c.table for c in space.class_representatives] == (
+            pair_slot_representatives(g1, g2))
+
+    # several invariant factors, where one min runs across the factors,
+    # and the trivial coefficient group
+    @pytest.mark.parametrize("pair", [
+        *itertools.product(("K4", "Z2xZ4", "Z2xZ2xZ2"), ("D4", "Q8", "A4")),
+        ("Z1", "Z1"), ("Z1", "Z2"), ("Z1", "D4"), ("K4", "Z1"),
+        ("K4", "Z2"), ("Z2xZ4", "Z2")], ids=":".join)
+    def test_coset_pass_matches_slot_by_slot_across_factors(self, pair):
+        g1, g2 = map(get_group, pair)
+        space = compute_cocycle_space.__wrapped__(g1, g2)
+        assert [c.table for c in space.class_representatives] == (
+            pair_slot_representatives(g1, g2))
+
+    @pytest.mark.parametrize("name,d", ORACLE_CASES)
+    def test_pivots_match_the_pair_slot_lattice(self, name, d):
+        g2 = get_group(name)
+        n2 = g2.order
+        slots = [(h, g) for h in range(1, n2) for g in range(1, n2)]
+        pivots = _coboundary_pivots(g2, d)
+        lattice = pair_slot_b2(g2, d)
+        assert sorted(pivots) == sorted(lattice.pivot_rows)
+        for i, (gi, tau) in pivots.items():
+            assert gi == lattice.pivot(i)
+            assert tau[0] == 0
+            psi = [(tau[h] + tau[g] - tau[g2.table[h][g]]) % d
+                   for h, g in slots[:i + 1]]
+            assert psi == [0] * i + [gi]
+        assert math.prod(d // gi for gi, _ in pivots.values()) == (
+            _solve_coordinate(g2, d).b_order)
 
     @pytest.mark.parametrize("pair", WITNESS_ORACLE_PAIRS, ids=":".join)
     def test_witness_pass_matches_slot_by_slot(self, pair, monkeypatch):
@@ -901,6 +968,13 @@ class TestTextbookValues:
         space = compute_cocycle_space(get_group("Z2"), g2())
         assert space.h2_invariant_factors == factors
         assert len(space.class_representatives) == 2 ** len(factors)
+        assert space.z2_order == space.b2_order * space.h2_order
+
+    def test_a6_with_z3_coefficients(self):
+        # Hom(H_1, Z3) = 0 and Ext(Z6, Z3) = Z3
+        space = compute_cocycle_space(get_group("Z3"), alternating_group(6))
+        assert space.h2_invariant_factors == (3,)
+        assert len(space.class_representatives) == 3
         assert space.z2_order == space.b2_order * space.h2_order
 
 
@@ -1027,6 +1101,15 @@ class TestMergeFactors:
         assert math.prod(merged) == math.prod(factors)
         for a, b in zip(merged, merged[1:]):
             assert b % a == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 60), max_size=6))
+    def test_merge_matches_the_smith_form(self, factors):
+        diag = smith_normal_form(IntMatrix.from_rows(
+            [[f * (i == j) for j in range(len(factors))]
+             for i, f in enumerate(factors)])).s.diagonal
+        assert _merge_invariant_factors(factors) == tuple(
+            x for x in diag if x > 1)
 
 
 # sha256 of json.dumps(space.to_dict(), sort_keys=True), pinned since
