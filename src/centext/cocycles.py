@@ -228,10 +228,10 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     when b lies in B^2 in columns, and then x0 = -tail has psi_x0 = b
     there, hence everywhere, as both are cocycles; every pair is still
     checked, since Cocycle2 does not check the identity.  The witnesses
-    form x0 + Hom(g2, Z/d), Hom being the tail in Howell form, so
+    form x0 + Hom(g2, Z/d), the tail in Howell form (_hom_lattice), so
     _least_in_coset reads off the one least image array (t(1), ...,
-    t(n-1)) in element indices, whichever x0 was found.  The map is
-    checked against e1 and e2 before it is returned.
+    t(n-1)) in element indices, whichever x0 was found.  psi_t * e1 = e2
+    is checked on the raw tables before the map is returned.
     """
     _same_groups(e1, e2)
     g1, g2 = e1.g1, e1.g2
@@ -249,11 +249,10 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     diff = [[coords[mul[v2][inv[v1]]] for v1, v2 in zip(r1, r2)]
             for r1, r2 in zip(e1.table, e2.table)]
     columns = _generator_columns(g2)
-    solutions, kernels = [], []
+    solutions = []
     for ci, d in enumerate(pres.invariant_factors):
-        lattice = _coboundary_lattice(g2, d)
-        red = lattice.reduce([diff[x][s][ci] for x, s in columns]
-                             + [0] * (n2 - 1))
+        red = _coboundary_lattice(g2, d).reduce(
+            [diff[x][s][ci] for x, s in columns] + [0] * (n2 - 1))
         if any(red[:len(columns)]):
             return None
         x0 = [0] + [-y % d for y in red[len(columns):]]
@@ -262,10 +261,14 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
                for h in range(1, n2) for g, hg in enumerate(g2.table[h])):
             return None
         solutions.append(x0[1:])
-        kernels.append(lattice.tail(len(columns)))
-    images = _least_in_coset(kernels, solutions, pres.element_of)
-    t = GroupMap(dom=g2, cod=g1, images=(0,) + tuple(images))
-    if apply_coboundary(t, e1).table != e2.table:
+    images = _least_in_coset([_hom_lattice(g2, d)
+                              for d in pres.invariant_factors],
+                             solutions, pres.element_of)
+    t = GroupMap(dom=g2, cod=g1, images=(0, *images))
+    im = t.images
+    if any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][v1] != v2
+           for row, r1, r2, th in zip(g2.table, e1.table, e2.table, im)
+           for g, hg, v1, v2 in zip(range(n2), row, r1, r2)):
         raise ConditionsFailed("the solved map is not a coboundary witness")
     return CoboundaryWitness(t=t)
 
@@ -309,6 +312,12 @@ def _coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
     n2, k, gens = g2.order, len(_generator_columns(g2)), g2.generators
     return IntLattice(k + n2 - 1, d, ({**_unit_coboundary(g2, w, gens),
                                       k + w - 1: 1} for w in range(1, n2)))
+
+
+@lru_cache(maxsize=None)
+def _hom_lattice(g2: FiniteGroup, d: int) -> IntLattice:
+    """Hom(g2, Z/d), the tail of _coboundary_lattice(g2, d), cut once."""
+    return _coboundary_lattice(g2, d).tail(len(_generator_columns(g2)))
 
 
 def _column_values(g1: FiniteGroup, g2: FiniteGroup):
@@ -393,14 +402,14 @@ def is_epsilon_endomorphism(chi: GroupMap, e: Cocycle2) -> bool:
 def pushforward(chi: GroupMap, e: Cocycle2) -> Cocycle2:
     """chi . e: the table values move to chi's codomain."""
     return Cocycle2(g1=chi.cod, g2=e.g2, table=tuple(
-        tuple(chi.images[v] for v in row) for row in e.table))
+        tuple(map(chi.images.__getitem__, row)) for row in e.table))
 
 
 def pullback(e: Cocycle2, rho: GroupMap) -> Cocycle2:
     """e . (rho x rho): both point arguments routed through rho."""
-    im, n = rho.images, rho.dom.order
+    im = rho.images
     return Cocycle2(g1=e.g1, g2=rho.dom, table=tuple(
-        tuple(e.table[im[y]][im[yp]] for yp in range(n)) for y in range(n)))
+        tuple(map(e.table[y].__getitem__, im)) for y in im))
 
 
 # ---------------------------------------------------------------------------
@@ -594,18 +603,17 @@ def _least_in_coset(lattices, vecs, element_of):
     takes its least admissible element index, fixed by adding that
     multiple of row i, and the other slots are forced.  A row at slot i
     changes only slots from i on, so each slot is read once at the end."""
-    element = lru_cache(maxsize=None)(element_of)
     vecs = [list(v) for v in vecs]
     for i in sorted(set().union(*(lat.pivot_rows for lat in lattices))):
         best = min(itertools.product(*(
             range(v[i] % lat.pivot(i), lat.modulus, lat.pivot(i))
-            for lat, v in zip(lattices, vecs))), key=element)
+            for lat, v in zip(lattices, vecs))), key=element_of)
         for lat, v, x in zip(lattices, vecs, best):
             if x != v[i]:
                 q = (x - v[i]) // lat.pivot(i)
                 for j, r in lat.pivot_rows[i].items():
                     v[j] = (v[j] + q * r) % lat.modulus
-    return [element(c) for c in zip(*vecs)]
+    return [element_of(c) for c in zip(*vecs)]
 
 
 @lru_cache(maxsize=None)

@@ -230,19 +230,41 @@ class HomMatrix:
     phi22: GroupMap
 
     def __post_init__(self):
-        expected = ((self.phi11, self.source.g1, self.target.g1),
-                    (self.phi12, self.source.g2, self.target.g1),
-                    (self.phi21, self.source.g1, self.target.g2),
-                    (self.phi22, self.source.g2, self.target.g2))
-        for m, dom, cod in expected:
-            if m.dom != dom or m.cod != cod:
+        for c, (dom, cod) in _component_groups(self.source,
+                                              self.target).items():
+            m = getattr(self, c)
+            if (m.dom is not dom and m.dom != dom
+                    or m.cod is not cod and m.cod != cod):
                 raise GroupMismatch("component map has wrong domain/codomain")
+
+    def trivial_components(self) -> frozenset:
+        """The names of the components that are trivial maps."""
+        return frozenset(c for c in _component_groups(self.source, self.target)
+                         if getattr(self, c).is_trivial())
 
     def has_kind(self, kind: str) -> bool:
         """Whether every component TRIVIAL_COMPONENTS lists for kind is
         trivial; for a bijective map, whether it is of that kind."""
-        return all(getattr(self, c).is_trivial()
-                   for c in TRIVIAL_COMPONENTS[kind])
+        return self.trivial_components().issuperset(TRIVIAL_COMPONENTS[kind])
+
+
+def _component_groups(source: ExtensionGroup, target: ExtensionGroup) -> dict:
+    """Each component's (domain, codomain), by name."""
+    return {"phi11": (source.g1, target.g1), "phi12": (source.g2, target.g1),
+            "phi21": (source.g1, target.g2), "phi22": (source.g2, target.g2)}
+
+
+def _component_images(source: ExtensionGroup, target: ExtensionGroup,
+                     images) -> dict:
+    """The image arrays of phi11, phi12, phi21 and phi22, read off the
+    image array of a carrier map phi: phi(x, 1) = (phi11(x), phi21(x))
+    and phi(1, y) = (phi12(y), phi22(y))."""
+    n2s, n2t = source.g2.order, target.g2.order
+    kernel, section = images[::n2s], images[:n2s]
+    return {"phi11": tuple([v // n2t for v in kernel]),
+            "phi12": tuple([v // n2t for v in section]),
+            "phi21": tuple([v % n2t for v in kernel]),
+            "phi22": tuple([v % n2t for v in section])}
 
 
 def decompose_hom(source: ExtensionGroup, target: ExtensionGroup,
@@ -251,20 +273,10 @@ def decompose_hom(source: ExtensionGroup, target: ExtensionGroup,
     copy and the section."""
     if phi.dom != source.group or phi.cod != target.group:
         raise GroupMismatch("phi does not map between the two carriers")
-    n2t = target.g2.order
-    k_images = [divmod(phi(source.embed_kernel(x)), n2t)
-                for x in range(source.g1.order)]
-    s_images = [divmod(phi(y), n2t) for y in range(source.g2.order)]
-    return HomMatrix(
-        source=source, target=target,
-        phi11=GroupMap(dom=source.g1, cod=target.g1,
-                       images=tuple(a for a, _ in k_images)),
-        phi12=GroupMap(dom=source.g2, cod=target.g1,
-                       images=tuple(a for a, _ in s_images)),
-        phi21=GroupMap(dom=source.g1, cod=target.g2,
-                       images=tuple(b for _, b in k_images)),
-        phi22=GroupMap(dom=source.g2, cod=target.g2,
-                       images=tuple(b for _, b in s_images)))
+    parts = _component_images(source, target, phi.images)
+    return HomMatrix(source=source, target=target, **{
+        c: GroupMap(dom=dom, cod=cod, images=parts[c])
+        for c, (dom, cod) in _component_groups(source, target).items()})
 
 
 def reconstruct_hom(m: HomMatrix) -> GroupMap:
@@ -313,21 +325,17 @@ def is_homomorphism_direct(source: ExtensionGroup, target: ExtensionGroup,
 
 
 def _direct_failure(source, target, phi, kernel_factors, section_factors):
-    g1, g2 = source.g1, source.g2
-    e1 = source.cocycle.table
-    n2 = g2.order
-    mul_t = target.group.table
-    for x in range(g1.order):
+    mul1, mul2 = source.g1.table, source.g2.table
+    e1, n2 = source.cocycle.table, source.g2.order
+    mul_t, im = target.group.table, phi.images
+    for x, row1 in enumerate(mul1):
         for y in range(n2):
-            left = phi(x * n2 + y)
+            left, ey, row2 = mul_t[im[x * n2 + y]], e1[y], mul2[y]
             for xp in kernel_factors:
-                got = mul_t[left][phi(xp * n2)]
-                if got != phi(g1.table[x][xp] * n2 + y):
+                if left[im[xp * n2]] != im[row1[xp] * n2 + y]:
                     return "kernel_factor", (x, y, xp)
             for yp in section_factors:
-                got = mul_t[left][phi(yp)]
-                want = phi(g1.table[x][e1[y][yp]] * n2 + g2.table[y][yp])
-                if got != want:
+                if left[im[yp]] != im[row1[ey[yp]] * n2 + row2[yp]]:
                     return "section_factor", (x, y, yp)
     return None
 

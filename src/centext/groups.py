@@ -431,9 +431,10 @@ class GroupMap:
             raise DimensionMismatch(
                 f"image array has length {len(self.images)}, "
                 f"domain has order {self.dom.order}")
-        for v in self.images:
-            if not 0 <= v < self.cod.order:
-                raise ValueError(f"image {v} out of range")
+        # screened at C speed; the scan names the first offender
+        if min(self.images) < 0 or max(self.images) >= self.cod.order:
+            v = next(v for v in self.images if not 0 <= v < self.cod.order)
+            raise ValueError(f"image {v} out of range")
         if self.images[0] != 0:
             raise NotNormalized("map must send 0 to 0")
 

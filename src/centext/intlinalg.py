@@ -455,6 +455,9 @@ class AbelianPresentation:
 
     def element_of(self, coords) -> int:
         """The element with these coordinates, each taken mod its factor."""
+        x = self._elements.get(tuple(coords))
+        if x is not None:
+            return x
         if len(coords) != len(self.invariant_factors):
             raise DimensionMismatch("coordinate count mismatch")
         return self._elements[tuple(

@@ -4,10 +4,10 @@ between central extensions over a fixed group pair.
 Kinds covered: kernel-preserving ("upper"), section-preserving ("lower"),
 the families with one trivial diagonal component ("g1", "g2", "g1g2"),
 and the builder for purely non-abelian quotients.  A kind is the set of
-components it forces trivial, extensions.TRIVIAL_COMPONENTS, and
-HomMatrix.has_kind is the one test of it: the certificates, the
-extractors, the brute-force survey and the CLI's exhaustive searches
-all read it.  The upper and lower searches key each automorphism once
+components it forces trivial, extensions.TRIVIAL_COMPONENTS, which every
+test of a kind reads: HomMatrix.has_kind, the survey's one set of trivial
+components per matrix, and materialize, which reads the forced ones off
+the image array.  The upper and lower searches key each automorphism once
 by its cocycle's generator columns, then look each sigma up among the
 rho, only for classes in one orbit of Aut(G1) x Aut(G2) acting on H^2
 by c -> sigma . c . (rho x rho): upper isomorphism is being in one
@@ -60,6 +60,8 @@ from .extensions import (
     TRIVIAL_COMPONENTS,
     ExtensionGroup,
     HomMatrix,
+    _component_groups,
+    _component_images,
     build_extension,
     decompose_hom,
     hom_condition_failures,
@@ -171,19 +173,19 @@ class IsoCertificate:
         trivial, or one left unset, is the trivial map, built only then."""
         src, tgt = self.source, self.target
         t = self.t_witness.t if self.t_witness is not None else None
-        parts = {"phi11": (self.sigma, src.g1, tgt.g1),
-                 "phi12": (t if self.eta is None else self.eta,
-                           src.g2, tgt.g1),
-                 "phi21": (self.delta, src.g1, tgt.g2),
-                 "phi22": (self.rho, src.g2, tgt.g2)}
+        parts = {"phi11": self.sigma, "phi21": self.delta, "phi22": self.rho,
+                 "phi12": t if self.eta is None else self.eta}
         forced = TRIVIAL_COMPONENTS[self.kind]
         return HomMatrix(source=src, target=tgt, **{
-            c: trivial_map(dom, cod) if part is None or c in forced else part
-            for c, (part, dom, cod) in parts.items()})
+            c: trivial_map(dom, cod) if parts[c] is None or c in forced
+            else parts[c]
+            for c, (dom, cod) in _component_groups(src, tgt).items()})
 
     def materialize(self) -> GroupMap:
-        """The carrier map; raises ConditionsFailed unless it is an
-        isomorphism of the certificate's kind."""
+        """The carrier map; raises ConditionsFailed unless the direct
+        checks find a bijective homomorphism whose components, read off
+        its image array, are trivial where TRIVIAL_COMPONENTS says the
+        certificate's kind forces them."""
         src, tgt = self.source, self.target
         phi = reconstruct_hom(self.components())
         ok, witness = is_homomorphism_direct(src, tgt, phi)
@@ -192,7 +194,8 @@ class IsoCertificate:
                 f"certificate does not materialize: {witness}")
         if not phi.is_bijective():
             raise ConditionsFailed("certificate map is not bijective")
-        if not decompose_hom(src, tgt, phi).has_kind(self.kind):
+        parts = _component_images(src, tgt, phi.images)
+        if any(any(parts[c]) for c in TRIVIAL_COMPONENTS[self.kind]):
             raise ConditionsFailed(
                 f"certificate map is not of kind {self.kind!r}")
         return phi
@@ -558,8 +561,10 @@ def _decomposed_isomorphisms(src, tgt, limits):
 
 
 def _survey(isos) -> dict:
-    verdicts = {kind: any(m.has_kind(kind) for _, m in isos)
-                for kind in TRIVIAL_COMPONENTS if kind != "purely_nonabelian"}
+    shapes = {m.trivial_components() for _, m in isos}
+    verdicts = {kind: any(s.issuperset(forced) for s in shapes)
+                for kind, forced in TRIVIAL_COMPONENTS.items()
+                if kind != "purely_nonabelian"}
     verdicts["isomorphism_count"] = len(isos)
     return verdicts
 
@@ -597,8 +602,8 @@ def verify_theorems(pairs=None, max_order: int = 16,
         record["discrepancies"].append(name)
 
     # the necessity extractors, each run on every isomorphism of its kind
-    extractors = (("lower", lambda s, t, m: lower_sufficient(
-                      _lower_necessary(s, t, m))),
+    extractors = (("lower", lambda s, t, m: _lower_necessary(
+                      s, t, m).materialize()),
                   ("g2", _g2_necessary),
                   ("g1", _g1_necessary))
 

@@ -210,6 +210,58 @@ def pair_slot_representatives(g1: FiniteGroup, g2: FiniteGroup):
                                         for d in factors)))
 
 
+def group_map_error(dom: FiniteGroup, cod: FiniteGroup, images):
+    """The earlier GroupMap.__post_init__ checks, loops only: the
+    (exception type, message) the first offender raises, or None."""
+    if len(images) != dom.order:
+        return DimensionMismatch, (f"image array has length {len(images)}, "
+                                   f"domain has order {dom.order}")
+    for v in images:
+        if not 0 <= v < cod.order:
+            return ValueError, f"image {v} out of range"
+    if images[0] != 0:
+        return NotNormalized, "map must send 0 to 0"
+    return None
+
+
+def components_by_calls(source: ExtensionGroup, target: ExtensionGroup,
+                        phi: GroupMap) -> dict:
+    """The earlier decompose_hom's read, one phi(...) call and one divmod
+    per point: the image arrays of phi11, phi12, phi21 and phi22."""
+    n2t = target.g2.order
+    k_images = [divmod(phi(source.embed_kernel(x)), n2t)
+                for x in range(source.g1.order)]
+    s_images = [divmod(phi(y), n2t) for y in range(source.g2.order)]
+    return {"phi11": tuple(a for a, _ in k_images),
+            "phi12": tuple(a for a, _ in s_images),
+            "phi21": tuple(b for _, b in k_images),
+            "phi22": tuple(b for _, b in s_images)}
+
+
+def direct_failure_by_calls(source: ExtensionGroup, target: ExtensionGroup,
+                            phi: GroupMap, kernel_factors, section_factors):
+    """The earlier extensions._direct_failure, one phi(...) call per
+    product: the first (family, (x, y, factor)) where phi(a t) = phi(a)
+    phi(t) fails, t = (factor, 1) or (1, factor), or None."""
+    g1, g2 = source.g1, source.g2
+    e1 = source.cocycle.table
+    n2 = g2.order
+    mul_t = target.group.table
+    for x in range(g1.order):
+        for y in range(n2):
+            left = phi(x * n2 + y)
+            for xp in kernel_factors:
+                got = mul_t[left][phi(xp * n2)]
+                if got != phi(g1.table[x][xp] * n2 + y):
+                    return "kernel_factor", (x, y, xp)
+            for yp in section_factors:
+                got = mul_t[left][phi(yp)]
+                want = phi(g1.table[x][e1[y][yp]] * n2 + g2.table[y][yp])
+                if got != want:
+                    return "section_factor", (x, y, yp)
+    return None
+
+
 def cocycle2_error(g1: FiniteGroup, g2: FiniteGroup, table):
     """The earlier Cocycle2.__post_init__ checks, loops only: the
     (exception type, message) the first offender raises, or None."""

@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,7 @@ from centext.cocycles import (
     sim_is_trivial,
     trivial_cocycle,
 )
+import centext
 from centext import cocycles
 from centext.cocycles import (
     _coboundary_pivots,
@@ -44,8 +48,10 @@ from centext.cocycles import (
     _unit_coboundary,
 )
 from centext.errors import (
+    ConditionsFailed,
     DimensionMismatch,
     GroupMismatch,
+    NotAbelian,
     NotAbelianCoefficients,
     NotNormalized,
     PreconditionViolated,
@@ -378,6 +384,11 @@ class TestAreCohomologous:
         with pytest.raises(GroupMismatch):
             are_cohomologous(a, b)
 
+    def test_nonabelian_coefficients_rejected(self):
+        e = trivial_cocycle(get_group("S3"), get_group("Z2"))
+        with pytest.raises(NotAbelian, match="abelian coefficients"):
+            are_cohomologous(e, e)
+
     def test_nontrivial_class_detected(self):
         g1 = g2 = get_group("Z2")
         e = Cocycle2(g1=g1, g2=g2, table=((0, 0), (0, 1)))
@@ -404,6 +415,44 @@ class TestAreCohomologous:
         w = are_cohomologous(trivial_cocycle(g1, g2),
                              trivial_cocycle(g1, g2))
         assert w is not None and w.t.is_trivial()
+
+    @pytest.mark.parametrize("quotient", ["Z3", "K4", "D4"])
+    def test_a_wrong_coset_pass_fails_the_witness_check(self, quotient,
+                                                        monkeypatch):
+        # the pass's map with t(1) moved differs from a witness by a map
+        # nonzero at one point only, never a homomorphism past order 2
+        g1, g2 = get_group("Z2"), get_group(quotient)
+        e1 = compute_cocycle_space(g1, g2).class_representatives[-1]
+        t = GroupMap(dom=g2, cod=g1, images=(0, 1) + (0,) * (g2.order - 2))
+        e2 = apply_coboundary(t, e1)
+        assert are_cohomologous(e1, e2) is not None
+
+        def moved(lattices, vecs, element_of):
+            images = _least_in_coset(lattices, vecs, element_of)
+            return [1 - images[0], *images[1:]]
+        monkeypatch.setattr(cocycles, "_least_in_coset", moved)
+        with pytest.raises(ConditionsFailed,
+                           match="not a coboundary witness"):
+            are_cohomologous(e1, e2)
+
+    def test_the_witness_check_stands_under_optimization(self):
+        script = "\n".join([
+            "import sys",
+            "from centext import ConditionsFailed, cocycles, get_group",
+            "assert False",
+            "e = cocycles.trivial_cocycle(get_group('Z2'), get_group('Z3'))",
+            "cocycles._least_in_coset = lambda *args: [1, 0]",
+            "try:",
+            "    cocycles.are_cohomologous(e, e)",
+            "except ConditionsFailed:",
+            "    sys.exit(0)",
+            "sys.exit(1)",
+        ])
+        src_dir = os.path.dirname(os.path.dirname(centext.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={**os.environ, "PYTHONPATH": src_dir},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestComputeSpace:

@@ -199,6 +199,12 @@ class TestMatrixDecomposition:
         with pytest.raises(GroupMismatch):
             decompose_hom(src, tgt, phi)
 
+    def test_direct_check_rejects_foreign_map(self):
+        src, tgt = (build_extension(r) for r in reps_for("Z2", "Z2"))
+        phi = GroupMap(dom=src.group, cod=src.group, images=tuple(range(4)))
+        with pytest.raises(GroupMismatch, match="between the two carriers"):
+            is_homomorphism_direct(src, tgt, phi)
+
 
 def all_matrices(src, tgt):
     import itertools

@@ -43,7 +43,7 @@ from centext.groups import (
     validate_group,
 )
 from centext.groups import _MapSearch, _automorphism_generators
-from oracles import centralizer, derived_subgroup
+from oracles import centralizer, derived_subgroup, group_map_error
 
 # order-5 loop: Latin with identity row/column but (1*1)*2 != 1*(1*2)
 NONASSOC5 = [
@@ -402,6 +402,27 @@ class TestGroupMap:
                                   max_size=dom.order - 1))
         m = GroupMap(dom=dom, cod=cod, images=(0, *rest))
         assert m.is_homomorphism() == is_homomorphism_by_full_scan(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_checks_match_the_loops(self, data):
+        # the image range is screened at C speed and scanned only on a
+        # failure: the error must be the loops' in type and message
+        dom = get_group(data.draw(st.sampled_from(SMALL)))
+        cod = get_group(data.draw(st.sampled_from(SMALL)))
+        length = data.draw(st.sampled_from(
+            (dom.order, dom.order, dom.order - 1, dom.order + 1)))
+        images = tuple(data.draw(st.lists(
+            st.sampled_from((0, 0, 1, cod.order - 1, cod.order, -1, 7)),
+            min_size=length, max_size=length)))
+        expected = group_map_error(dom, cod, images)
+        if expected is None:
+            assert GroupMap(dom=dom, cod=cod, images=images).images == images
+            return
+        with pytest.raises(expected[0]) as err:
+            GroupMap(dom=dom, cod=cod, images=images)
+        assert type(err.value) is expected[0]
+        assert str(err.value) == expected[1]
 
     def test_kernel_image(self):
         z4, z2 = get_group("Z4"), get_group("Z2")

@@ -112,6 +112,17 @@ class TestCertificate:
         phi = cert.materialize()
         assert preserves_kernel_setwise(z2k4[2], z2k4[3], phi)
 
+    def test_a_homomorphism_that_is_not_bijective_is_rejected(self, z2k4):
+        # on the direct product, a trivial sigma gives (x, y) -> (1, y)
+        direct, g1 = z2k4[0], z2k4[0].g1
+        assert direct.cocycle.is_trivial()
+        cert = IsoCertificate(kind="upper", source=direct, target=direct,
+                              sigma=trivial_map(g1, g1),
+                              rho=identity_map(direct.g2))
+        assert is_homomorphism_direct(direct, direct,
+                                      reconstruct_hom(cert.components()))[0]
+        with pytest.raises(ConditionsFailed, match="not bijective"):
+            cert.materialize()
 
     def test_bogus_certificate_rejected_under_optimization(self):
         # identity components between distinct classes, with no coboundary

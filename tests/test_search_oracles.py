@@ -1,6 +1,7 @@
 """The earlier upper and lower searches, kept as oracles for the fast
 ones: every certificate, witness included, must be the one the slow
-search returns."""
+search returns.  The certificate checks meet their earlier forms here
+too, over every carrier isomorphism of the small catalog pairs."""
 
 import itertools
 import json
@@ -9,8 +10,12 @@ import random
 
 import pytest
 
+from centext import isotest
 from centext.catalog import catalog_names, get_group
 from centext.cocycles import (
+    _coboundary_lattice,
+    _generator_columns,
+    _hom_lattice,
     are_cohomologous,
     cocycle_inv,
     cocycle_mul,
@@ -19,18 +24,31 @@ from centext.cocycles import (
     pushforward,
     trivial_cocycle,
 )
-from centext.extensions import build_extension
+from centext.errors import ConditionsFailed
+from centext.extensions import (
+    TRIVIAL_COMPONENTS,
+    _component_images,
+    _direct_failure,
+    build_extension,
+    decompose_hom,
+)
 from centext.groups import (
+    GroupMap,
     direct_product,
     enumerate_automorphisms,
     enumerate_homs,
+    enumerate_isomorphisms,
 )
+from centext.intlinalg import abelian_invariants
 from centext.isotest import (
+    CERTIFICATE_KINDS,
     IsoCertificate,
     _lower_problem,
+    _survey,
     lower_isomorphic,
     upper_isomorphic,
 )
+from oracles import components_by_calls, direct_failure_by_calls
 
 PINS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                          "pins.json")
@@ -155,3 +173,95 @@ def test_lower_sweep_matches_the_census_pins():
 
 def test_upper_sweep_matches_the_census_pins():
     sweep_against_the_census_pins(upper_isomorphic, 1)
+
+
+def carrier_isomorphisms(pair):
+    """(src, tgt, phi) for every carrier isomorphism of the pair's
+    sampled class pairs."""
+    for src, tgt in oracle_class_pairs(pair):
+        for phi in enumerate_isomorphisms(src.group, tgt.group):
+            yield src, tgt, phi
+
+
+def mutated(phi, rng):
+    """phi with the images of two nonidentity points swapped, still a
+    normalized bijection; phi itself when the carrier has order 2."""
+    images = list(phi.images)
+    if len(images) > 2:
+        a, b = rng.sample(range(1, len(images)), 2)
+        images[a], images[b] = images[b], images[a]
+    return GroupMap(dom=phi.dom, cod=phi.cod, images=tuple(images))
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
+def test_direct_check_equals_the_call_loop(pair):
+    # an isomorphism passes, which is the loop's verdict too; a mutated
+    # map gets the loop's verdict and first failing triple, on the
+    # generator factors and on all of them
+    rng, failures = random.Random(":".join(pair)), 0
+    for src, tgt, phi in carrier_isomorphisms(pair):
+        gens = (src.g1.generators, src.g2.generators)
+        assert _direct_failure(src, tgt, phi, *gens) is None
+        psi = mutated(phi, rng)
+        for kernel, section in (gens, (range(src.g1.order),
+                                       range(src.g2.order))):
+            got = _direct_failure(src, tgt, psi, kernel, section)
+            assert got == direct_failure_by_calls(src, tgt, psi, kernel,
+                                                  section)
+            failures += got is not None
+    assert failures
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
+def test_kind_reads_equal_decompose_hom(pair):
+    # materialize reads the forced components off the image array, and
+    # the survey one set of trivial components per matrix
+    for src, tgt in oracle_class_pairs(pair):
+        isos = [(phi, decompose_hom(src, tgt, phi))
+                for phi in enumerate_isomorphisms(src.group, tgt.group)]
+        for phi, m in isos:
+            parts = _component_images(src, tgt, phi.images)
+            assert parts == components_by_calls(src, tgt, phi) == {
+                c: getattr(m, c).images
+                for c in ("phi11", "phi12", "phi21", "phi22")}
+            for kind, forced in TRIVIAL_COMPONENTS.items():
+                assert (not any(any(parts[c]) for c in forced)) == \
+                    m.has_kind(kind)
+        expected = {kind: any(m.has_kind(kind) for _, m in isos)
+                    for kind in TRIVIAL_COMPONENTS
+                    if kind != "purely_nonabelian"}
+        assert _survey(isos) == {**expected, "isomorphism_count": len(isos)}
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
+def test_materialize_checks_the_kind(pair, monkeypatch):
+    # a certificate whose map is a given isomorphism materializes
+    # exactly when decompose_hom's matrix has the certificate's kind
+    current, seen = [], set()
+    monkeypatch.setattr(isotest, "reconstruct_hom", lambda m: current[0])
+    for src, tgt in oracle_class_pairs(pair):
+        for phi in enumerate_isomorphisms(src.group, tgt.group)[:12]:
+            m = decompose_hom(src, tgt, phi)
+            current[:] = [phi]
+            for kind in CERTIFICATE_KINDS:
+                cert = IsoCertificate(kind=kind, source=src, target=tgt)
+                try:
+                    holds = cert.materialize() is phi
+                except ConditionsFailed as exc:
+                    assert str(exc) == \
+                        f"certificate map is not of kind {kind!r}"
+                    holds = False
+                assert holds == m.has_kind(kind)
+                seen.add(holds)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
+def test_hom_lattice_is_the_coboundary_tail(pair):
+    g1, g2 = get_group(pair[0]), get_group(pair[1])
+    k = len(_generator_columns(g2))
+    for d in abelian_invariants(g1).invariant_factors:
+        cached, tail = _hom_lattice(g2, d), _coboundary_lattice(g2, d).tail(k)
+        assert _hom_lattice(g2, d) is cached
+        assert (cached.ncols, cached.modulus, cached.pivot_rows) == \
+            (tail.ncols, tail.modulus, tail.pivot_rows)
