@@ -17,10 +17,11 @@ Hom(g2, Z/d).  Z^2 is B^2 plus the solutions of Hopf's formula, one
 sparse equation per (generator, Schreier generator), eliminated in
 IntLattice, which keeps sparse pivot rows.  H^2 is a small Smith normal
 form of the relations among the Z^2 rows mod B^2.  are_cohomologous
-reduces e2 - e1 once per factor and reads a witness off the tail.  The
-lex-least witnesses and representatives come from one greedy pass over
-the pivot slots of Hom, or of B^2 over the pair slots, found in the n - 1
-values of a map (_coboundary_pivots).  Pair slots appear only in tables
+compares the class keys memoized on both cocycles (_keyed), then reduces
+e2 - e1 once per factor and reads a witness off the tail.  The lex-least
+witnesses and representatives come from one greedy pass over the pivot
+slots of Hom, or of B^2 over the pair slots, found in the n - 1 values
+of a map (_coboundary_pivots).  Pair slots appear only in tables
 written out, the Z^2 and B^2 generators on first access.  The identity
 system, the dense elimination, the pair-slot B^2 lattice and the
 slot-by-slot pass they replaced are test oracles in tests/oracles.py.
@@ -77,6 +78,8 @@ class Cocycle2:
         if any(table[0]) or any(r[0] for r in table):
             y = next(y for y in range(n2) if table[y][0] or table[0][y])
             raise NotNormalized(f"cocycle not normalized at ({y},0)/(0,{y})")
+
+    _keys = cached_property(lambda self: {})   # _keyed's memo, per cocycle
 
     def is_trivial(self) -> bool:
         return all(v == 0 for row in self.table for v in row)
@@ -225,21 +228,30 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     is psi_x for some x mod d.  Reducing [b | 0], b at the generator
     columns, against _coboundary_lattice(g2, d) takes off some
     [psi_c | c] and leaves [b - psi_c | -c]: the head vanishes exactly
-    when b lies in B^2 in columns, and then x0 = -tail has psi_x0 = b
-    there, hence everywhere, as both are cocycles; every pair is still
-    checked, since Cocycle2 does not check the identity.  The witnesses
-    form x0 + Hom(g2, Z/d), the tail in Howell form (_hom_lattice), so
-    _least_in_coset reads off the one least image array (t(1), ...,
-    t(n-1)) in element indices, whichever x0 was found.  psi_t * e1 = e2
-    is checked on the raw tables before the map is returned.
+    when b lies in B^2 in columns, that is when the class keys agree,
+    the canonical Howell representatives of both columns mod B^2; so
+    unequal keys, memoized on each cocycle (_keyed), give None at once.
+    Then x0 = -tail has psi_x0 = b there, hence everywhere, as both are
+    cocycles; every pair is still checked, since Cocycle2 does not check
+    the identity.  The witnesses form x0 + Hom(g2, Z/d), the tail in
+    Howell form (_hom_lattice), so _least_in_coset reads off the one
+    least image array (t(1), ..., t(n-1)) in element indices, whichever
+    x0 was found.  psi_t * e1 = e2 is checked on the raw tables before
+    the map is returned.
     """
     _same_groups(e1, e2)
-    g1, g2 = e1.g1, e1.g2
-    if not g1.is_abelian:
+    if not e1.g1.is_abelian:
         raise NotAbelian("cohomologous test needs abelian coefficients")
+    if _keyed(e1) != _keyed(e2):
+        return None
+    return _cohomologous_tables(e1.g1, e1.g2, e1.table, e2.table)
+
+
+def _cohomologous_tables(g1: FiniteGroup, g2: FiniteGroup, t1, t2):
+    """are_cohomologous on raw tables, g1 abelian, with no key exit."""
     n2 = g2.order
     if n2 == 1 or g1.order == 1:
-        if e1.table == e2.table:
+        if t1 == t2:
             return CoboundaryWitness(t=GroupMap(dom=g2, cod=g1,
                                                 images=(0,) * n2))
         return None
@@ -247,7 +259,7 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     pres = abelian_invariants(g1)
     coords = pres.coords
     diff = [[coords[mul[v2][inv[v1]]] for v1, v2 in zip(r1, r2)]
-            for r1, r2 in zip(e1.table, e2.table)]
+            for r1, r2 in zip(t1, t2)]
     columns = _generator_columns(g2)
     solutions = []
     for ci, d in enumerate(pres.invariant_factors):
@@ -267,7 +279,7 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     t = GroupMap(dom=g2, cod=g1, images=(0, *images))
     im = t.images
     if any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][v1] != v2
-           for row, r1, r2, th in zip(g2.table, e1.table, e2.table, im)
+           for row, r1, r2, th in zip(g2.table, t1, t2, im)
            for g, hg, v1, v2 in zip(range(n2), row, r1, r2)):
         raise ConditionsFailed("the solved map is not a coboundary witness")
     return CoboundaryWitness(t=t)
@@ -351,6 +363,15 @@ def _class_key(g1: FiniteGroup, g2: FiniteGroup):
         return tuple(tuple(h.reduce(vec)) for h, vec in zip(heads, vecs))
     return (lambda table, sigma: reduce(push(table, sigma)),
             lambda table, rho: reduce(pull(table, rho)))
+
+
+def _keyed(e: Cocycle2, images=None, pull=False):
+    """The class key (_class_key) of e, of sigma . e for images = sigma,
+    or with pull of e . (rho x rho) for images = rho; memoized on e."""
+    if (key := e._keys.get((pull, images))) is None:
+        key = e._keys[pull, images] = _class_key(e.g1, e.g2)[pull](
+            e.table, range(e.g1.order) if images is None else images)
+    return key
 
 
 def _row_space(equations, ncols, d):

@@ -64,6 +64,13 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     name: str | None = field(default=None, compare=False)
 
+    def __hash__(self):   # once, not on every lru_cache lookup by a group
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.order, self.table))
+
     def conj(self, a: int, b: int) -> int:
         """a*b*a^-1."""
         return self.table[self.table[a][b]][self.inverses[a]]

@@ -5,9 +5,9 @@ Kinds covered: kernel-preserving ("upper"), section-preserving ("lower"),
 the families with one trivial diagonal component ("g1", "g2", "g1g2"),
 and the builder for purely non-abelian quotients.  A kind is the set of
 components it forces trivial, extensions.TRIVIAL_COMPONENTS, which every
-test of a kind reads: HomMatrix.has_kind, the survey's one set of trivial
-components per matrix, and materialize, which reads the forced ones off
-the image array.  The upper and lower searches key each automorphism once
+test of a kind reads: HomMatrix.has_kind, and the survey's one set of
+trivial components per isomorphism and materialize, which both read the
+image array.  The upper and lower searches key each automorphism once
 by its cocycle's generator columns, then look each sigma up among the
 rho, only for classes in one orbit of Aut(G1) x Aut(G2) acting on H^2
 by c -> sigma . c . (rho x rho): upper isomorphism is being in one
@@ -21,7 +21,7 @@ criterion against brute-force isomorphism search on a small catalog.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (
     ConditionsFailed,
@@ -47,12 +47,13 @@ from .groups import (
 from .cocycles import (
     CoboundaryWitness,
     _class_key,
+    _cohomologous_tables,
     _column_values,
+    _keyed,
     are_cohomologous,
     cocycle_inv,
     compute_cocycle_space,
     pullback,
-    pushforward,
     sim_is_trivial,
     trivial_cocycle,
 )
@@ -220,20 +221,18 @@ class IsoCertificate:
 # kernel-preserving ("upper") isomorphisms
 
 
-def _automorphism_pair_search(keys_of, src, tgt, limits):
+def _automorphism_pair_search(push, pull, e1, e2, g1, g2, limits):
     """The first (sigma, rho), sigma-major in enumeration order, with
-    push(e1, sigma) == pull(e2, rho), (push, pull) = keys_of(g1, g2), or
-    None.  Each rho is keyed once, in order and only as far as some sigma
-    needs, keeping the first rho per key, so each lookup finds the first
-    matching rho: |Aut(G1)| + |Aut(G2)| keys at most."""
-    push, pull = keys_of(src.g1, src.g2)
-    t1, t2 = src.cocycle.table, tgt.cocycle.table
-    rhos = iter(enumerate_automorphisms(src.g2, limits))
+    push(e1, sigma) == pull(e2, rho) for the image arrays of automorphisms
+    of g1 and g2, or None.  Each rho is keyed once, in order and only as
+    far as some sigma needs, keeping the first rho per key, so each lookup
+    finds the first matching rho: |Aut(G1)| + |Aut(G2)| keys at most."""
+    rhos = iter(enumerate_automorphisms(g2, limits))
     first = {}
-    for sigma in enumerate_automorphisms(src.g1, limits):
-        want = push(t1, sigma.images)
+    for sigma in enumerate_automorphisms(g1, limits):
+        want = push(e1, sigma.images)
         while want not in first and (rho := next(rhos, None)) is not None:
-            first.setdefault(pull(t2, rho.images), rho)
+            first.setdefault(pull(e2, rho.images), rho)
         if want in first:
             return sigma, first[want]
     return None
@@ -241,20 +240,21 @@ def _automorphism_pair_search(keys_of, src, tgt, limits):
 
 @lru_cache(maxsize=None)
 def _orbit_label(g1, g2, limits):
-    """label(table): the orbit of the table's class under Aut(G1) x
-    Aut(G2), named by the class key of the first table met in it.  The
-    labels fill one orbit at a time, breadth-first from that table: push
-    it by each generator of Aut(G1), pull it by each of Aut(G2), key
-    each image, and enqueue the keys not seen.  At most |H^2| are held."""
+    """label(cocycle): the orbit of its class under Aut(G1) x Aut(G2),
+    named by the class key of the first table met in it; the cocycle's
+    own key is memoized on it (cocycles._keyed).  The labels fill one
+    orbit at a time, breadth-first from that table: push it by each
+    generator of Aut(G1), pull it by each of Aut(G2), key each image
+    table, and enqueue the keys not seen.  At most |H^2| are held."""
     key = _class_key(g1, g2)[0]
     identity = tuple(range(g1.order))
     sigmas, rhos = (_automorphism_generators(g, limits) for g in (g1, g2))
     labels = {}
 
-    def label(table):
-        start = key(table, identity)
+    def label(cocycle):
+        start = _keyed(cocycle)
         if start not in labels:
-            labels[start], queue = start, [table]
+            labels[start], queue = start, [cocycle.table]
             for t in queue:
                 images = [tuple(tuple(s[v] for v in row) for row in t)
                           for s in sigmas]
@@ -279,19 +279,24 @@ def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     orbit the first pair, sigma-major in enumeration order, comes from
     _automorphism_pair_search keyed by cocycles._class_key, whose keys
     are equal exactly for cohomologous cocycles; so it must hit, and a
-    miss raises ConditionsFailed.  are_cohomologous gives the hit its
-    checked witness.
+    miss raises ConditionsFailed, as does a hit with no witness on the raw
+    pulled and pushed tables.  Keys are memoized on cocycles (_keyed).
     """
     src, tgt = _extension_pair(e1, e2)
-    label = _orbit_label(src.g1, src.g2, limits)
-    if label(src.cocycle.table) != label(tgt.cocycle.table):
+    g1, g2 = src.g1, src.g2
+    label = _orbit_label(g1, g2, limits)
+    if label(src.cocycle) != label(tgt.cocycle):
         return None
-    hit = _automorphism_pair_search(_class_key, src, tgt, limits)
+    hit = _automorphism_pair_search(_keyed, partial(_keyed, pull=True),
+                                    src.cocycle, tgt.cocycle, g1, g2, limits)
     if hit is None:
         raise ConditionsFailed("no automorphism pair within one orbit")
     sigma, rho = hit
-    w = are_cohomologous(pullback(tgt.cocycle, rho),
-                         pushforward(sigma, src.cocycle))
+    t1, t2, im = src.cocycle.table, tgt.cocycle.table, rho.images
+    w = _cohomologous_tables(g1, g2, [[t2[y][x] for x in im] for y in im],
+                             [[sigma.images[v] for v in row] for row in t1])
+    if w is None:
+        raise ConditionsFailed("the keyed pair has no coboundary witness")
     cert = IsoCertificate(kind="upper", source=src, target=tgt, sigma=sigma,
                           rho=rho, t_witness=w)
     cert.materialize()
@@ -380,9 +385,11 @@ def lower_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     """
     src, tgt = _extension_pair(e1, e2)
     label = _orbit_label(src.g1, src.g2, limits)
-    if label(src.cocycle.table) != label(tgt.cocycle.table):
+    if label(src.cocycle) != label(tgt.cocycle):
         return None
-    hit = _automorphism_pair_search(_column_values, src, tgt, limits)
+    hit = _automorphism_pair_search(*_column_values(src.g1, src.g2),
+                                    src.cocycle.table, tgt.cocycle.table,
+                                    src.g1, src.g2, limits)
     if hit is None:
         return None
     cert = IsoCertificate(kind="lower", source=src, target=tgt, sigma=hit[0],
@@ -404,8 +411,8 @@ def simple_quotient_check(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     g2 = src.g2
     if g2.is_abelian or not is_simple(g2):
         raise PreconditionViolated("quotient must be simple non-abelian")
-    isos = _decomposed_isomorphisms(src, tgt, limits)
-    if not all(m.has_kind("upper") for _, m in isos):
+    isos = _shaped_isomorphisms(src, tgt, limits)
+    if not all(s.issuperset(TRIVIAL_COMPONENTS["upper"]) for _, s in isos):
         raise ConditionsFailed(
             "isomorphism moved the kernel copy despite a simple quotient")
     return {
@@ -551,17 +558,18 @@ def oracle_iso_survey(src: ExtensionGroup, tgt: ExtensionGroup,
     """Ground truth by exhaustive search: which structured kinds of
     isomorphism exist between the two carriers.  Constraints are applied
     as post-filters on fully enumerated isomorphisms."""
-    return _survey(_decomposed_isomorphisms(src, tgt, limits))
+    return _survey(_shaped_isomorphisms(src, tgt, limits))
 
 
-def _decomposed_isomorphisms(src, tgt, limits):
-    """Every carrier isomorphism, with its component matrix."""
-    return [(phi, decompose_hom(src, tgt, phi))
+def _shaped_isomorphisms(src, tgt, limits):
+    """Every carrier isomorphism, with the set of its trivial components."""
+    return [(phi, frozenset(c for c, im in _component_images(
+                src, tgt, phi.images).items() if not any(im)))
             for phi in enumerate_isomorphisms(src.group, tgt.group, limits)]
 
 
 def _survey(isos) -> dict:
-    shapes = {m.trivial_components() for _, m in isos}
+    shapes = {s for _, s in isos}
     verdicts = {kind: any(s.issuperset(forced) for s in shapes)
                 for kind, forced in TRIVIAL_COMPONENTS.items()
                 if kind != "purely_nonabelian"}
@@ -638,10 +646,11 @@ def verify_theorems(pairs=None, max_order: int = 16,
                           "classes": [i, j],
                           "oracle": None, "criteria": {},
                           "certificates": {}, "discrepancies": []}
-                # every isomorphism, decomposed once, for the oracle and
-                # the extractors
-                isos = _decomposed_isomorphisms(src, tgt, limits)
+                # every isomorphism with its trivial components, for the
+                # oracle and the extractors, decomposed once if one needs it
+                isos = _shaped_isomorphisms(src, tgt, limits)
                 oracle = _survey(isos)
+                matrices = {}
                 record["oracle"] = oracle
 
                 wit = are_cohomologous(tgt.cocycle, src.cocycle)
@@ -696,11 +705,13 @@ def verify_theorems(pairs=None, max_order: int = 16,
                 # HypothesisNotVerified marks one the quotient leaves
                 # unproved
                 for kind, extract in extractors:
-                    for _, m in isos:
-                        if not m.has_kind(kind):
+                    for k, (phi, shape) in enumerate(isos):
+                        if not shape.issuperset(TRIVIAL_COMPONENTS[kind]):
                             continue
+                        if k not in matrices:
+                            matrices[k] = decompose_hom(src, tgt, phi)
                         try:
-                            extract(src, tgt, m)
+                            extract(src, tgt, matrices[k])
                         except ConditionsFailed as exc:
                             flag(record, f"{kind}_necessary_failed",
                                  {"error": str(exc)})

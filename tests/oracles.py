@@ -11,7 +11,13 @@ import itertools
 from functools import lru_cache
 
 from centext.cocycles import (
+    CoboundaryWitness,
     Cocycle2,
+    _coboundary_lattice,
+    _generator_columns,
+    _hom_lattice,
+    _least_in_coset,
+    _same_groups,
     _solve_coordinate,
     _table_from_values,
     _unit_coboundary,
@@ -23,6 +29,7 @@ from centext.cocycles import (
 from centext.errors import (
     ConditionsFailed,
     DimensionMismatch,
+    NotAbelian,
     NotNormalized,
     PreconditionViolated,
 )
@@ -339,3 +346,47 @@ def expand_forms(forms, vec, d):
     the forms of cocycle_columns."""
     return tuple(sum(c * vec[u] for u, c in form.items()) % d
                  for form in forms)
+
+
+def are_cohomologous_by_reduction(e1: Cocycle2, e2: Cocycle2):
+    """The earlier are_cohomologous, with no class-key exit: per factor,
+    e2 - e1 reduced against the whole coboundary lattice, None when the
+    head is left nonzero or x0 fails a pair, else the lex-least witness,
+    checked on the raw tables."""
+    _same_groups(e1, e2)
+    g1, g2 = e1.g1, e1.g2
+    if not g1.is_abelian:
+        raise NotAbelian("cohomologous test needs abelian coefficients")
+    n2 = g2.order
+    if n2 == 1 or g1.order == 1:
+        if e1.table == e2.table:
+            return CoboundaryWitness(t=GroupMap(dom=g2, cod=g1,
+                                                images=(0,) * n2))
+        return None
+    mul, inv = g1.table, g1.inverses
+    pres = abelian_invariants(g1)
+    coords = pres.coords
+    diff = [[coords[mul[v2][inv[v1]]] for v1, v2 in zip(r1, r2)]
+            for r1, r2 in zip(e1.table, e2.table)]
+    columns = _generator_columns(g2)
+    solutions = []
+    for ci, d in enumerate(pres.invariant_factors):
+        red = _coboundary_lattice(g2, d).reduce(
+            [diff[x][s][ci] for x, s in columns] + [0] * (n2 - 1))
+        if any(red[:len(columns)]):
+            return None
+        x0 = [0] + [-y % d for y in red[len(columns):]]
+        if any((x0[g] - x0[hg] + x0[h] - diff[h][g][ci]) % d
+               for h in range(1, n2) for g, hg in enumerate(g2.table[h])):
+            return None
+        solutions.append(x0[1:])
+    images = _least_in_coset([_hom_lattice(g2, d)
+                              for d in pres.invariant_factors],
+                             solutions, pres.element_of)
+    t = GroupMap(dom=g2, cod=g1, images=(0, *images))
+    im = t.images
+    if any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][v1] != v2
+           for row, r1, r2, th in zip(g2.table, e1.table, e2.table, im)
+           for g, hg, v1, v2 in zip(range(n2), row, r1, r2)):
+        raise ConditionsFailed("the solved map is not a coboundary witness")
+    return CoboundaryWitness(t=t)

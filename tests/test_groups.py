@@ -619,3 +619,16 @@ class TestSerialization:
             FiniteGroup.from_dict({"table": [[0]], "name": name})
         unnamed = FiniteGroup.from_dict({"table": [[0]], "name": None})
         assert unnamed.name is None
+
+    def test_equal_groups_from_distinct_tables_hash_equal(self):
+        # the hash is computed once per group, from (order, table) alone
+        from centext.groups import FiniteGroup
+        for name in ("Z1", "K4", "D4", "A4"):
+            g = get_group(name)
+            copy = FiniteGroup(order=g.order, name=f"copy of {name}",
+                               table=tuple(tuple(row) for row in g.table))
+            assert copy.table is not g.table
+            assert copy == g and hash(copy) == hash(g) == hash(g)
+            assert hash(g) == hash((g.order, g.table))
+            assert len({g, copy}) == 1
+        assert get_group("Z4") != get_group("K4")

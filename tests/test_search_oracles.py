@@ -33,6 +33,7 @@ from centext.extensions import (
     decompose_hom,
 )
 from centext.groups import (
+    DEFAULT_LIMITS,
     GroupMap,
     direct_product,
     enumerate_automorphisms,
@@ -44,6 +45,7 @@ from centext.isotest import (
     CERTIFICATE_KINDS,
     IsoCertificate,
     _lower_problem,
+    _shaped_isomorphisms,
     _survey,
     lower_isomorphic,
     upper_isomorphic,
@@ -215,7 +217,7 @@ def test_direct_check_equals_the_call_loop(pair):
 @pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
 def test_kind_reads_equal_decompose_hom(pair):
     # materialize reads the forced components off the image array, and
-    # the survey one set of trivial components per matrix
+    # the survey one set of trivial components per isomorphism
     for src, tgt in oracle_class_pairs(pair):
         isos = [(phi, decompose_hom(src, tgt, phi))
                 for phi in enumerate_isomorphisms(src.group, tgt.group)]
@@ -227,10 +229,13 @@ def test_kind_reads_equal_decompose_hom(pair):
             for kind, forced in TRIVIAL_COMPONENTS.items():
                 assert (not any(any(parts[c]) for c in forced)) == \
                     m.has_kind(kind)
+        shaped = _shaped_isomorphisms(src, tgt, DEFAULT_LIMITS)
+        assert shaped == [(phi, m.trivial_components()) for phi, m in isos]
         expected = {kind: any(m.has_kind(kind) for _, m in isos)
                     for kind in TRIVIAL_COMPONENTS
                     if kind != "purely_nonabelian"}
-        assert _survey(isos) == {**expected, "isomorphism_count": len(isos)}
+        assert _survey(shaped) == {**expected,
+                                   "isomorphism_count": len(isos)}
 
 
 @pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
