@@ -18,13 +18,13 @@ sparse equation per (generator, Schreier generator), eliminated in
 IntLattice, which keeps sparse pivot rows.  H^2 is a small Smith normal
 form of the relations among the Z^2 rows mod B^2.  are_cohomologous
 compares the class keys memoized on both cocycles (_keyed), then reduces
-e2 - e1 once per factor and reads a witness off the tail.  The lex-least
-witnesses and representatives come from one greedy pass over the pivot
-slots of Hom, or of B^2 over the pair slots, found in the n - 1 values
-of a map (_coboundary_pivots).  Pair slots appear only in tables
-written out, the Z^2 and B^2 generators on first access.  The identity
-system, the dense elimination, the pair-slot B^2 lattice and the
-slot-by-slot pass they replaced are test oracles in tests/oracles.py.
+e2 - e1 once per factor and reads a witness off the tail.  One greedy,
+_least_values, picks the lex-least witnesses and representatives, over
+the pivots of Hom at the points or of B^2 at the pair slots, found in
+the n - 1 values of a map (_coboundary_pivots).  Pair slots appear only
+in tables written out, the Z^2 and B^2 generators on first access.  The
+identity system, the dense elimination, the pair-slot B^2 lattice and
+the coset passes they replaced are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -231,13 +231,8 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     when b lies in B^2 in columns, that is when the class keys agree,
     the canonical Howell representatives of both columns mod B^2; so
     unequal keys, memoized on each cocycle (_keyed), give None at once.
-    Then x0 = -tail has psi_x0 = b there, hence everywhere, as both are
-    cocycles; every pair is still checked, since Cocycle2 does not check
-    the identity.  The witnesses form x0 + Hom(g2, Z/d), the tail in
-    Howell form (_hom_lattice), so _least_in_coset reads off the one
-    least image array (t(1), ..., t(n-1)) in element indices, whichever
-    x0 was found.  psi_t * e1 = e2 is checked on the raw tables before
-    the map is returned.
+    Otherwise _cohomologous_tables walks once to the least witness and
+    checks it in one scan.
     """
     _same_groups(e1, e2)
     if not e1.g1.is_abelian:
@@ -248,7 +243,20 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
 
 
 def _cohomologous_tables(g1: FiniteGroup, g2: FiniteGroup, t1, t2):
-    """are_cohomologous on raw tables, g1 abelian, with no key exit."""
+    """are_cohomologous on raw tables, g1 abelian, for callers that have
+    matched the class keys.  Per factor d, x0 = -tail of the reduced
+    [b | 0] has psi_x0 = b at the generator columns.  The witnesses form
+    x0 + Hom(g2, Z/d), so one walk of _least_values over the pivots of
+    Hom (_hom_pivots), the point x read as the slot (x, 1, 1) (index 0
+    for 1), gives the least image array (t(1), ..., t(n-1)) whichever
+    x0 was found, and one scan checks psi_t * e1 = e2 on the raw tables.
+    Only a failed scan rescans, with x0: as t - x0 lies in Hom, psi_t =
+    psi_x0 unless the walk broke, so a passing x0 raises
+    ConditionsFailed.  A failing x0 means no witness: a witness w has
+    psi_w = b at the columns, so the head reduces to 0 and psi_(w - x0)
+    vanishes at the columns, making w - x0 a homomorphism and x0 a
+    witness too.  So tables that are no cocycles (Cocycle2 does not
+    check the identity) give None."""
     n2 = g2.order
     if n2 == 1 or g1.order == 1:
         if t1 == t2:
@@ -257,32 +265,24 @@ def _cohomologous_tables(g1: FiniteGroup, g2: FiniteGroup, t1, t2):
         return None
     mul, inv = g1.table, g1.inverses
     pres = abelian_invariants(g1)
-    coords = pres.coords
-    diff = [[coords[mul[v2][inv[v1]]] for v1, v2 in zip(r1, r2)]
-            for r1, r2 in zip(t1, t2)]
     columns = _generator_columns(g2)
-    solutions = []
-    for ci, d in enumerate(pres.invariant_factors):
-        red = _coboundary_lattice(g2, d).reduce(
-            [diff[x][s][ci] for x, s in columns] + [0] * (n2 - 1))
-        if any(red[:len(columns)]):
+    b = [pres.coords[mul[t2[x][s]][inv[t1[x][s]]]] for x, s in columns]
+    solutions = [[-y % d for y in _coboundary_lattice(g2, d).reduce(
+        [c[ci] for c in b] + [0] * (n2 - 1))[len(columns):]]
+        for ci, d in enumerate(pres.invariant_factors)]
+
+    def fails(im):
+        return any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][v1] != v2
+                   for row, r1, r2, th in zip(g2.table, t1, t2, im)
+                   for g, hg, v1, v2 in zip(range(n2), row, r1, r2))
+    im = (0, *_least_values(
+        pres, n2, [(x, 0, 0) for x in range(1, n2)],
+        [_hom_pivots(g2, d) for d in pres.invariant_factors], solutions))
+    if fails(im):
+        if fails((0, *map(pres.element_of, zip(*solutions)))):
             return None
-        x0 = [0] + [-y % d for y in red[len(columns):]]
-        # b at pair (h, g) must be x0(g) - x0(hg) + x0(h)
-        if any((x0[g] - x0[hg] + x0[h] - diff[h][g][ci]) % d
-               for h in range(1, n2) for g, hg in enumerate(g2.table[h])):
-            return None
-        solutions.append(x0[1:])
-    images = _least_in_coset([_hom_lattice(g2, d)
-                              for d in pres.invariant_factors],
-                             solutions, pres.element_of)
-    t = GroupMap(dom=g2, cod=g1, images=(0, *images))
-    im = t.images
-    if any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][v1] != v2
-           for row, r1, r2, th in zip(g2.table, t1, t2, im)
-           for g, hg, v1, v2 in zip(range(n2), row, r1, r2)):
         raise ConditionsFailed("the solved map is not a coboundary witness")
-    return CoboundaryWitness(t=t)
+    return CoboundaryWitness(t=GroupMap(dom=g2, cod=g1, images=im))
 
 
 @lru_cache(maxsize=None)
@@ -327,9 +327,13 @@ def _coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
 
 
 @lru_cache(maxsize=None)
-def _hom_lattice(g2: FiniteGroup, d: int) -> IntLattice:
-    """Hom(g2, Z/d), the tail of _coboundary_lattice(g2, d), cut once."""
-    return _coboundary_lattice(g2, d).tail(len(_generator_columns(g2)))
+def _hom_pivots(g2: FiniteGroup, d: int):
+    """The pivots {x - 1: (g, tau)} of Hom(g2, Z/d), the tail of
+    _coboundary_lattice(g2, d) in Howell form, read once: tau is the
+    homomorphism of the pivot row at point x, as a list over g2, zero
+    before x and g at x."""
+    hom = _coboundary_lattice(g2, d).tail(len(_generator_columns(g2)))
+    return {i: (hom.pivot(i), [0, *hom.dense_row(i)]) for i in hom.pivot_rows}
 
 
 def _column_values(g1: FiniteGroup, g2: FiniteGroup):
@@ -615,28 +619,6 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
                        classes=tuple(map(tuple, classes)))
 
 
-def _least_in_coset(lattices, vecs, element_of):
-    """Element indices, slot by slot, of the lex-least member of the
-    coset of vecs mod the lattices, one coordinate vector and one
-    IntLattice per invariant factor.  In a Howell basis the members that
-    agree before slot i differ there by the multiples of the pivot, the
-    freedom left lying in the rows below; so each pivot slot, in order,
-    takes its least admissible element index, fixed by adding that
-    multiple of row i, and the other slots are forced.  A row at slot i
-    changes only slots from i on, so each slot is read once at the end."""
-    vecs = [list(v) for v in vecs]
-    for i in sorted(set().union(*(lat.pivot_rows for lat in lattices))):
-        best = min(itertools.product(*(
-            range(v[i] % lat.pivot(i), lat.modulus, lat.pivot(i))
-            for lat, v in zip(lattices, vecs))), key=element_of)
-        for lat, v, x in zip(lattices, vecs, best):
-            if x != v[i]:
-                q = (x - v[i]) // lat.pivot(i)
-                for j, r in lat.pivot_rows[i].items():
-                    v[j] = (v[j] + q * r) % lat.modulus
-    return [element_of(c) for c in zip(*vecs)]
-
-
 @lru_cache(maxsize=None)
 def _coboundary_pivots(g2: FiniteGroup, d: int):
     """The pivots {slot i: (g_i, tau_i)} of B^2 mod d over the pair slots
@@ -675,39 +657,39 @@ def _coboundary_pivots(g2: FiniteGroup, d: int):
     return pivots
 
 
-def _least_tables(g2: FiniteGroup, pres, classes):
-    """Each class's lex-least table, sorted, from a member vecs[f] over the
-    pair slots per factor f: _least_in_coset's greedy over the pivots of
-    _coboundary_pivots, in one map t per factor.  Members agreeing with
-    vecs + psi_t before slot i take cur + <g_i> there; the least index
-    (0 if admissible) is fixed by t += q tau_i, keeping earlier slots."""
-    factors, n2 = pres.invariant_factors, g2.order
-    pivots = [_coboundary_pivots(g2, d) for d in factors]
-    element = lru_cache(maxsize=None)(pres.element_of)
-    codes = [element(c) for c in itertools.product(*map(range, factors))]
-    slots = [(h, g, hg) for h in range(1, n2)
-             for g, hg in enumerate(g2.table[h]) if g]
-    tables = []
-    for vecs in classes:
-        maps = [[0] * n2 for _ in factors]
-        for i in sorted(set().union(*pivots)):
-            h, g, hg = slots[i]
-            cur = [(v[i] + t[h] + t[g] - t[hg]) % d
-                   for v, t, d in zip(vecs, maps, factors)]
-            steps = [p[i][0] if i in p else d for p, d in zip(pivots, factors)]
-            starts = [c % s for c, s in zip(cur, steps)]
-            best = min(itertools.product(*map(range, starts, factors, steps)),
-                       key=element) if any(starts) else (0,) * len(factors)
-            for t, p, c, x, d in zip(maps, pivots, cur, best, factors):
-                if x != c:
-                    q = (x - c) // p[i][0]
-                    t[:] = [(u + q * v) % d for u, v in zip(t, p[i][1])]
-        code = [0] * len(slots)
-        for v, t, d in zip(vecs, maps, factors):
-            code = [c * d + (x + t[h] + t[g] - t[hg]) % d
-                    for c, x, (h, g, hg) in zip(code, v, slots)]
-        tables.append(_table_from_values(n2, map(codes.__getitem__, code)))
-    return sorted(tables)
+def _least_values(pres, n2: int, slots, pivots, vecs):
+    """Element indices, slot by slot, of the lex-least member of a coset
+    of maps read at slots (h, g, hg) as v + t(h) + t(g) - t(hg): per
+    invariant factor d of pres, vecs[f] gives the values v and pivots[f]
+    the pivots {slot i: (g_i, tau_i)} of the lattice of the t, each
+    tau_i zero before slot i and g_i there (a pair slot of B^2, from
+    _coboundary_pivots, or a point x of Hom, from _hom_pivots, read as
+    (x, 1, 1)).  In a Howell basis the members that agree before slot i
+    take cur + <g_i> there, the freedom left lying in the tau below; so
+    each pivot slot, in order, takes its least admissible element index
+    (0 if admissible), fixed by t += q tau_i, which keeps earlier slots,
+    and the other slots are forced.  One map t per factor is kept, and
+    each slot is read once at the end."""
+    factors = pres.invariant_factors
+    maps = [[0] * n2 for _ in factors]
+    for i in sorted(set().union(*pivots)):
+        h, g, hg = slots[i]
+        cur = [(v[i] + t[h] + t[g] - t[hg]) % d
+               for v, t, d in zip(vecs, maps, factors)]
+        steps = [p[i][0] if i in p else d for p, d in zip(pivots, factors)]
+        starts = [c % s for c, s in zip(cur, steps)]
+        best = min(itertools.product(*map(range, starts, factors, steps)),
+                   key=pres.element_of) if any(starts) else (0,) * len(factors)
+        for t, p, c, x, d in zip(maps, pivots, cur, best, factors):
+            if x != c:
+                q = (x - c) // p[i][0]
+                t[:] = [(u + q * v) % d for u, v in zip(t, p[i][1])]
+    codes = [*map(pres.element_of, itertools.product(*map(range, factors)))]
+    code = [0] * len(slots)
+    for v, t, d in zip(vecs, maps, factors):
+        code = [c * d + (x + t[h] + t[g] - t[hg]) % d
+                for c, x, (h, g, hg) in zip(code, v, slots)]
+    return [codes[c] for c in code]
 
 
 def _table_from_values(n2, values):
@@ -719,8 +701,9 @@ def _table_from_values(n2, values):
 
 @lru_cache(maxsize=None)
 def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
-    """Z^2, B^2, H^2 and each class's lex-least table (_least_tables),
-    via lattices mod each invariant factor of g1."""
+    """Z^2, B^2, H^2 and each class's lex-least table (_least_values
+    over the pivots of B^2), via lattices mod each invariant factor of
+    g1."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
@@ -729,8 +712,13 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
 
     # the lex-least table per class; one class is B^2 itself
     classes = list(itertools.product(*(c.classes for c in coords)))
-    rep_tables = _least_tables(g2, pres, classes) if len(classes) > 1 else [
-        trivial_cocycle(g1, g2).table]
+    n2, rep_tables = g2.order, [trivial_cocycle(g1, g2).table]
+    if len(classes) > 1:
+        slots = [(h, g, hg) for h in range(1, n2)
+                 for g, hg in enumerate(g2.table[h]) if g]
+        pivots = [_coboundary_pivots(g2, d) for d in pres.invariant_factors]
+        rep_tables = sorted(_table_from_values(n2, _least_values(
+            pres, n2, slots, pivots, vecs)) for vecs in classes)
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
         raise AssertionError("the trivial class is not listed first")
     return CocycleSpace(g1=g1, g2=g2,

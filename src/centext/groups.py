@@ -524,7 +524,11 @@ class _MapSearch:
     which is when closing the images under every pair of known elements
     finds no conflict.  So the maps emitted, their order and the pruning
     are those of that pair closure, and every map emitted is a verified
-    homomorphism.
+    homomorphism.  They come out in lex order of image arrays: two maps
+    first differ in the image of some generator g, taken from ascending
+    candidates; before it they agree on the subgroup the earlier
+    generators generate, which holds every element below g, as the
+    greedy sequence adjoins the least element outside it.
     """
 
     def __init__(self, dom, cod, injective, limits):
@@ -617,36 +621,34 @@ class _MapSearch:
             known.pop()
 
 
-def _check_order(g: FiniteGroup, limits: SearchLimits):
-    if g.order > limits.max_order:
-        raise SizeLimitExceeded(
-            f"group order {g.order} exceeds search bound",
-            limit=limits.max_order, needed=g.order)
+def _maps(dom: FiniteGroup, cod: FiniteGroup, injective: bool,
+          limits: SearchLimits):
+    """_MapSearch(dom, cod, injective, limits).run(), in lex order, once
+    both orders pass limits.max_order; for isomorphisms, nothing when
+    the orders, the element-order profiles or commutativity differ."""
+    for g in (dom, cod):
+        if g.order > limits.max_order:
+            raise SizeLimitExceeded(
+                f"group order {g.order} exceeds search bound",
+                limit=limits.max_order, needed=g.order)
+    if injective and (dom.order != cod.order
+                      or dom.order_profile != cod.order_profile
+                      or dom.is_abelian != cod.is_abelian):
+        return
+    yield from _MapSearch(dom, cod, injective, limits).run()
 
 
 def enumerate_homs(h: FiniteGroup, k: FiniteGroup,
                    limits: SearchLimits = DEFAULT_LIMITS) -> list[GroupMap]:
     """All homomorphisms h -> k, sorted lexicographically by image array."""
-    _check_order(h, limits)
-    _check_order(k, limits)
-    found = list(_MapSearch(h, k, injective=False, limits=limits).run())
-    found.sort(key=lambda m: m.images)
-    return found
+    return list(_maps(h, k, False, limits))
 
 
 def enumerate_isomorphisms(g: FiniteGroup, h: FiniteGroup,
                            limits: SearchLimits = DEFAULT_LIMITS) -> list[GroupMap]:
     """All isomorphisms g -> h, sorted lexicographically by image array.
     Empty when the groups are not isomorphic."""
-    _check_order(g, limits)
-    _check_order(h, limits)
-    if g.order != h.order or g.order_profile != h.order_profile:
-        return []
-    if g.is_abelian != h.is_abelian:
-        return []
-    found = list(_MapSearch(g, h, injective=True, limits=limits).run())
-    found.sort(key=lambda m: m.images)
-    return found
+    return list(_maps(g, h, True, limits))
 
 
 def enumerate_automorphisms(g: FiniteGroup,
@@ -687,13 +689,5 @@ def brute_force_isomorphism(g: FiniteGroup, h: FiniteGroup,
     The constraint is a post-filter on complete isomorphisms, not a
     search-space pruning, so the oracle stays trustworthy.
     """
-    _check_order(g, limits)
-    _check_order(h, limits)
-    if g.order != h.order or g.order_profile != h.order_profile:
-        return None
-    if g.is_abelian != h.is_abelian:
-        return None
-    for m in _MapSearch(g, h, injective=True, limits=limits).run():
-        if constraint is None or constraint(m):
-            return m
-    return None
+    return next((m for m in _maps(g, h, True, limits)
+                 if constraint is None or constraint(m)), None)

@@ -15,8 +15,6 @@ from centext.cocycles import (
     Cocycle2,
     _coboundary_lattice,
     _generator_columns,
-    _hom_lattice,
-    _least_in_coset,
     _same_groups,
     _solve_coordinate,
     _table_from_values,
@@ -169,10 +167,33 @@ def dense_row_space(rows, ncols, d):
     return tuple(i for i, g in enumerate(grew) if g), columns
 
 
+def least_in_coset(lattices, vecs, element_of):
+    """The earlier cocycles._least_in_coset: element indices, slot by
+    slot, of the lex-least member of the coset of vecs mod the lattices,
+    one coordinate vector and one IntLattice per invariant factor.  In a
+    Howell basis the members that agree before slot i differ there by
+    the multiples of the pivot, the freedom left lying in the rows below;
+    so each pivot slot, in order, takes its least admissible element
+    index, fixed by adding that multiple of row i, and the other slots
+    are forced.  A row at slot i changes only slots from i on, so each
+    slot is read once at the end."""
+    vecs = [list(v) for v in vecs]
+    for i in sorted(set().union(*(lat.pivot_rows for lat in lattices))):
+        best = min(itertools.product(*(
+            range(v[i] % lat.pivot(i), lat.modulus, lat.pivot(i))
+            for lat, v in zip(lattices, vecs))), key=element_of)
+        for lat, v, x in zip(lattices, vecs, best):
+            if x != v[i]:
+                q = (x - v[i]) // lat.pivot(i)
+                for j, r in lat.pivot_rows[i].items():
+                    v[j] = (v[j] + q * r) % lat.modulus
+    return [element_of(c) for c in zip(*vecs)]
+
+
 def least_in_coset_by_slot(lattices, vecs, element_of, nslots):
-    """The earlier cocycles._least_in_coset, which visits every slot:
-    the least admissible element index at each, fixed by adding a
-    multiple of the pivot row there, if any."""
+    """The pass before least_in_coset, which visits every slot: the
+    least admissible element index at each, fixed by adding a multiple
+    of the pivot row there, if any."""
     vecs = [list(v) for v in vecs]
     values = []
     for i in range(nslots):
@@ -380,9 +401,9 @@ def are_cohomologous_by_reduction(e1: Cocycle2, e2: Cocycle2):
                for h in range(1, n2) for g, hg in enumerate(g2.table[h])):
             return None
         solutions.append(x0[1:])
-    images = _least_in_coset([_hom_lattice(g2, d)
-                              for d in pres.invariant_factors],
-                             solutions, pres.element_of)
+    images = least_in_coset([_coboundary_lattice(g2, d).tail(len(columns))
+                             for d in pres.invariant_factors],
+                            solutions, pres.element_of)
     t = GroupMap(dom=g2, cod=g1, images=(0, *images))
     im = t.images
     if any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][v1] != v2

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -37,11 +38,12 @@ from centext.cocycles import (
 import centext
 from centext import cocycles
 from centext.cocycles import (
+    _coboundary_lattice,
     _coboundary_pivots,
     _expand,
     _generator_columns,
     _hopf_system,
-    _least_in_coset,
+    _least_values,
     _merge_invariant_factors,
     _row_space,
     _solve_coordinate,
@@ -80,6 +82,7 @@ from centext.intlinalg import (
     solve_linear_mod,
 )
 from oracles import (
+    are_cohomologous_by_reduction,
     cocycle2_error,
     cocycle_columns,
     cocycle_compose_checks,
@@ -427,10 +430,11 @@ class TestAreCohomologous:
         e2 = apply_coboundary(t, e1)
         assert are_cohomologous(e1, e2) is not None
 
-        def moved(lattices, vecs, element_of):
-            images = _least_in_coset(lattices, vecs, element_of)
+        # the space is built, so only the witness walk is patched
+        def moved(pres, n2, slots, pivots, vecs):
+            images = _least_values(pres, n2, slots, pivots, vecs)
             return [1 - images[0], *images[1:]]
-        monkeypatch.setattr(cocycles, "_least_in_coset", moved)
+        monkeypatch.setattr(cocycles, "_least_values", moved)
         with pytest.raises(ConditionsFailed,
                            match="not a coboundary witness"):
             are_cohomologous(e1, e2)
@@ -441,7 +445,7 @@ class TestAreCohomologous:
             "from centext import ConditionsFailed, cocycles, get_group",
             "assert False",
             "e = cocycles.trivial_cocycle(get_group('Z2'), get_group('Z3'))",
-            "cocycles._least_in_coset = lambda *args: [1, 0]",
+            "cocycles._least_values = lambda *args: [1, 0]",
             "try:",
             "    cocycles.are_cohomologous(e, e)",
             "except ConditionsFailed:",
@@ -855,6 +859,27 @@ class TestWitnessOracle:
         assert assert_least_witness(trivial_cocycle(z2, a5), transported,
                                     enumerate_homs(a5, z2)) is None
 
+    @pytest.mark.parametrize("name1,quotient", [
+        ("Z2", lambda: symmetric_group(5)),
+        ("Z3", lambda: alternating_group(6)),
+    ], ids=["Z2:S5", "Z3:A6"])
+    def test_shifted_representatives_past_order_24(self, name1, quotient):
+        # each representative against its shift by a seeded normalized
+        # map: the earlier path's witness; distinct classes: none
+        g1, g2 = get_group(name1), quotient()
+        reps = compute_cocycle_space(g1, g2).class_representatives
+        rng = random.Random(9173)
+        for rep in reps:
+            t = GroupMap(dom=g2, cod=g1, images=(0, *(
+                rng.randrange(g1.order) for _ in range(g2.order - 1))))
+            shifted = apply_coboundary(t, rep)
+            w = are_cohomologous(rep, shifted)
+            assert w.t.images == are_cohomologous_by_reduction(
+                rep, shifted).t.images
+            assert apply_coboundary(w.t, rep) == shifted
+        for e1, e2 in itertools.permutations(reps, 2):
+            assert are_cohomologous(e1, e2) is None
+
 
 # (quotient, d) pairs for the oracles of the sparse elimination and of
 # the pivot-slot coset pass
@@ -862,18 +887,23 @@ ORACLE_CASES = ([(name, d) for name in SMALL_QUOTIENTS for d in (2, 3, 4, 6)]
                 + [("S4", 2)])
 
 
-def checked_coset_pass(monkeypatch):
-    """Route cocycles._least_in_coset through a check against the
-    slot-by-slot pass; returns the list of checked calls."""
-    calls = []
+def checked_witness_walk(monkeypatch, g2):
+    """Route the witness walks of cocycles._least_values over g2, those
+    at the points (x, 1, 1), through a check against the slot-by-slot
+    pass over the tail of _coboundary_lattice; returns the list of
+    checked calls."""
+    calls, k = [], len(_generator_columns(g2))
 
-    def checked(lattices, vecs, element_of):
-        got = _least_in_coset(lattices, vecs, element_of)
-        assert got == least_in_coset_by_slot(lattices, vecs, element_of,
-                                             len(vecs[0]))
-        calls.append(got)
+    def checked(pres, n2, slots, pivots, vecs):
+        got = _least_values(pres, n2, slots, pivots, vecs)
+        if slots == [(x, 0, 0) for x in range(1, n2)]:
+            lattices = [_coboundary_lattice(g2, d).tail(k)
+                        for d in pres.invariant_factors]
+            assert got == least_in_coset_by_slot(
+                lattices, vecs, pres.element_of, n2 - 1)
+            calls.append(got)
         return got
-    monkeypatch.setattr(cocycles, "_least_in_coset", checked)
+    monkeypatch.setattr(cocycles, "_least_values", checked)
     return calls
 
 
@@ -930,8 +960,9 @@ class TestSparseOracles:
 
     @pytest.mark.parametrize("pair", WITNESS_ORACLE_PAIRS, ids=":".join)
     def test_witness_pass_matches_slot_by_slot(self, pair, monkeypatch):
-        calls = checked_coset_pass(monkeypatch)
-        space = compute_cocycle_space.__wrapped__(*map(get_group, pair))
+        g1, g2 = map(get_group, pair)
+        calls = checked_witness_walk(monkeypatch, g2)
+        space = compute_cocycle_space.__wrapped__(g1, g2)
         reps = space.class_representatives
         for e1, e2 in itertools.product(reps, repeat=2):
             are_cohomologous(e1, e2)

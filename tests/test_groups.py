@@ -509,6 +509,18 @@ class TestPairClosureOracle:
                     assert [m.images for m in isos] == sorted(
                         search_images(PairClosureSearch, h, k, True))
 
+    def test_raw_search_output_is_sorted(self):
+        # the enumerators return the maps in search order, unsorted
+        names = [n for n in catalog_names() if get_group(n).order <= 24]
+        searches = 0
+        for a, b in itertools.product(names, repeat=2):
+            h, k = get_group(a), get_group(b)
+            for injective in (False, True)[:1 + (h.order == k.order)]:
+                images = search_images(_MapSearch, h, k, injective)
+                assert images == sorted(images)
+                searches += 1
+        assert searches == 330
+
     def test_homs_into_a5(self):
         a5 = get_group("A5")
         for name in ("Z2", "K4", "S3", "D5", "A4"):

@@ -5,6 +5,7 @@ too, over every carrier isomorphism of the small catalog pairs."""
 
 import itertools
 import json
+import math
 import os
 import random
 
@@ -15,7 +16,7 @@ from centext.catalog import catalog_names, get_group
 from centext.cocycles import (
     _coboundary_lattice,
     _generator_columns,
-    _hom_lattice,
+    _hom_pivots,
     are_cohomologous,
     cocycle_inv,
     cocycle_mul,
@@ -35,6 +36,7 @@ from centext.extensions import (
 from centext.groups import (
     DEFAULT_LIMITS,
     GroupMap,
+    cyclic_group,
     direct_product,
     enumerate_automorphisms,
     enumerate_homs,
@@ -266,7 +268,15 @@ def test_hom_lattice_is_the_coboundary_tail(pair):
     g1, g2 = get_group(pair[0]), get_group(pair[1])
     k = len(_generator_columns(g2))
     for d in abelian_invariants(g1).invariant_factors:
-        cached, tail = _hom_lattice(g2, d), _coboundary_lattice(g2, d).tail(k)
-        assert _hom_lattice(g2, d) is cached
-        assert (cached.ncols, cached.modulus, cached.pivot_rows) == \
-            (tail.ncols, tail.modulus, tail.pivot_rows)
+        cached, tail = _hom_pivots(g2, d), _coboundary_lattice(g2, d).tail(k)
+        assert _hom_pivots(g2, d) is cached
+        assert sorted(cached) == sorted(tail.pivot_rows)
+        for i, (gi, tau) in cached.items():
+            # tau is the Howell row at point i + 1, a homomorphism
+            assert (gi, tau) == (tail.pivot(i), [0, *tail.dense_row(i)])
+            assert tau[:i + 2] == [0] * (i + 1) + [gi]
+            assert all((tau[x] + tau[y] - tau[g2.table[x][y]]) % d == 0
+                       for x in range(g2.order) for y in range(g2.order))
+        # the pivots span Hom(g2, Z/d)
+        assert math.prod(d // gi for gi, _ in cached.values()) == len(
+            enumerate_homs(g2, cyclic_group(d)))
