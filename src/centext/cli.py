@@ -29,6 +29,7 @@ from functools import lru_cache
 from .catalog import catalog_names, get_group, identify_group, \
     special_linear_2_5
 from .cocycles import (
+    Cocycle2,
     are_cohomologous,
     compute_cocycle_space,
     make_cocycle,
@@ -123,13 +124,14 @@ def _load_extension(path):
 
 
 def _class_representative(g1, g2, k, label):
-    """Representative k of H^2(g2, g1); ValueError, prefixed by label,
-    when k is out of range."""
+    """Representative k of H^2(g2, g1), over g1 and g2 themselves rather
+    than the groups a cached space carries; ValueError, prefixed by
+    label, when k is out of range."""
     reps = compute_cocycle_space(g1, g2).class_representatives
     if not 0 <= k < len(reps):
         raise ValueError(f"{label} {k} out of range "
                          f"(the pair has {len(reps)} classes)")
-    return reps[k]
+    return Cocycle2(g1=g1, g2=g2, table=reps[k].table)
 
 
 def _emit(payload, output):

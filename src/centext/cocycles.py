@@ -22,9 +22,9 @@ e2 - e1 once per factor and reads a witness off the tail.  One greedy,
 _least_values, picks the lex-least witnesses and representatives, over
 the pivots of Hom at the points or of B^2 at the pair slots, found in
 the n - 1 values of a map (_coboundary_pivots).  Pair slots appear only
-in tables written out, the Z^2 and B^2 generators on first access.  The
-identity system, the dense elimination, the pair-slot B^2 lattice and
-the coset passes they replaced are test oracles in tests/oracles.py.
+in tables written out.  The identity system, the dense elimination, the
+pair-slot B^2 lattice, the coset passes they replaced and the Z^2 and
+B^2 generator tables are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -447,8 +447,7 @@ class CocycleSpace:
 
     class_representatives holds one cocycle per H^2 class, ordered with
     the trivial class first; each representative is the
-    lexicographically least table in its coset.  z2_generators and
-    b2_generators are written out on first access.
+    lexicographically least table in its coset.
     """
 
     g1: FiniteGroup
@@ -458,42 +457,9 @@ class CocycleSpace:
     z2_order: int
     b2_order: int
 
-    @cached_property
-    def z2_generators(self) -> tuple[Cocycle2, ...]:
-        """Each Z^2 row of each coordinate, in that coordinate."""
-        return _coordinate_tables(self.g1, self.g2, lambda d: _expand(
-            self.g2, d, _solve_coordinate(self.g2, d).z_columns))
-
-    @cached_property
-    def b2_generators(self) -> tuple[Cocycle2, ...]:
-        """The coboundary of each map sending one point w to a
-        coordinate unit and the rest to 0."""
-        n2 = self.g2.order
-        units = [_unit_coboundary(self.g2, w, range(1, n2))
-                 for w in range(1, n2)]
-        return _coordinate_tables(self.g1, self.g2, lambda d: (
-            [psi.get(i, 0) % d for i in range((n2 - 1) ** 2)]
-            for psi in units))
-
     @property
     def h2_order(self) -> int:
         return math.prod(self.h2_invariant_factors)
-
-    def to_dict(self) -> dict:
-        return {
-            "g1": self.g1.to_dict(),
-            "g2": self.g2.to_dict(),
-            "z2_order": self.z2_order,
-            "b2_order": self.b2_order,
-            "h2_order": self.h2_order,
-            "h2_invariant_factors": list(self.h2_invariant_factors),
-            "z2_generators": [[list(r) for r in c.table]
-                              for c in self.z2_generators],
-            "b2_generators": [[list(r) for r in c.table]
-                              for c in self.b2_generators],
-            "class_representatives": [[list(r) for r in c.table]
-                                      for c in self.class_representatives],
-        }
 
 
 @lru_cache(maxsize=None)
@@ -545,9 +511,9 @@ def _hopf_system(g2: FiniteGroup):
 @dataclass(frozen=True)
 class _Coordinate:
     """Z^2 and the H^2 classes of one invariant factor d of g1 over g2:
-    z_columns, Z^2's pivot rows in generator columns (_expand writes a
-    row out over the pair slots), and one member of each class over the
-    pair slots."""
+    z_columns, Z^2's pivot rows in generator columns, which the tests
+    check against the earlier systems, and one member of each class over
+    the pair slots."""
 
     z_columns: tuple[tuple[int, ...], ...]
     z_order: int
@@ -703,7 +669,9 @@ def _table_from_values(n2, values):
 def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     """Z^2, B^2, H^2 and each class's lex-least table (_least_values
     over the pivots of B^2), via lattices mod each invariant factor of
-    g1."""
+    g1.  The space is cached over the first equal pair it was called
+    with, and it carries those groups, whose names may differ from the
+    caller's (FiniteGroup.name is not compared)."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
@@ -729,23 +697,6 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
                             for t in rep_tables),
                         z2_order=math.prod(c.z_order for c in coords),
                         b2_order=math.prod(c.b_order for c in coords))
-
-
-def _coordinate_tables(g1: FiniteGroup, g2: FiniteGroup, values_of):
-    """Per coordinate ci of g1, of factor d, and per values in
-    values_of(d), the table with the values, each in [0, d), at the pair
-    slots in coordinate ci and 0 in the others; first occurrences kept
-    and trivial tables dropped."""
-    pres = abelian_invariants(g1)
-    factors = pres.invariant_factors
-    elements = [[pres.element_of([v * (i == ci)
-                                  for i in range(len(factors))])
-                 for v in range(d)] for ci, d in enumerate(factors)]
-    tables = (_table_from_values(g2.order, map(elements[ci].__getitem__,
-                                               values))
-              for ci, d in enumerate(factors) for values in values_of(d))
-    return tuple(Cocycle2(g1=g1, g2=g2, table=t)
-                 for t in dict.fromkeys(tables) if any(map(any, t)))
 
 
 def _merge_invariant_factors(factors) -> tuple[int, ...]:

@@ -25,7 +25,6 @@ from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
-    GroupMismatch,
     NoIdentityAtZero,
     NonAssociative,
     NotLatinSquare,
@@ -489,20 +488,8 @@ class GroupMap:
         return {"images": list(self.images)}
 
 
-def identity_map(g: FiniteGroup) -> GroupMap:
-    return GroupMap(dom=g, cod=g, images=tuple(range(g.order)))
-
-
 def trivial_map(dom: FiniteGroup, cod: FiniteGroup) -> GroupMap:
     return GroupMap(dom=dom, cod=cod, images=(0,) * dom.order)
-
-
-def compose_maps(outer: GroupMap, inner: GroupMap) -> GroupMap:
-    """outer after inner."""
-    if inner.cod is not outer.dom and inner.cod != outer.dom:
-        raise GroupMismatch("codomain of inner must match domain of outer")
-    return GroupMap(dom=inner.dom, cod=outer.cod,
-                    images=tuple(outer.images[v] for v in inner.images))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from functools import lru_cache
 from centext.cocycles import (
     CoboundaryWitness,
     Cocycle2,
+    CocycleSpace,
     _coboundary_lattice,
+    _expand,
     _generator_columns,
     _same_groups,
     _solve_coordinate,
@@ -27,6 +29,7 @@ from centext.cocycles import (
 from centext.errors import (
     ConditionsFailed,
     DimensionMismatch,
+    GroupMismatch,
     NotAbelian,
     NotNormalized,
     PreconditionViolated,
@@ -411,3 +414,51 @@ def are_cohomologous_by_reduction(e1: Cocycle2, e2: Cocycle2):
            for g, hg, v1, v2 in zip(range(n2), row, r1, r2)):
         raise ConditionsFailed("the solved map is not a coboundary witness")
     return CoboundaryWitness(t=t)
+
+
+def identity_map(g: FiniteGroup) -> GroupMap:
+    return GroupMap(dom=g, cod=g, images=tuple(range(g.order)))
+
+
+def compose_maps(outer: GroupMap, inner: GroupMap) -> GroupMap:
+    """outer after inner."""
+    if inner.cod is not outer.dom and inner.cod != outer.dom:
+        raise GroupMismatch("codomain of inner must match domain of outer")
+    return GroupMap(dom=inner.dom, cod=outer.cod,
+                    images=tuple(outer.images[v] for v in inner.images))
+
+
+def z2_generators(space: CocycleSpace) -> tuple[Cocycle2, ...]:
+    """The earlier CocycleSpace.z2_generators: each Z^2 row of each
+    coordinate, in that coordinate, written out from the lattice that
+    cocycles._solve_coordinate builds."""
+    return _coordinate_tables(space.g1, space.g2, lambda d: _expand(
+        space.g2, d, _solve_coordinate(space.g2, d).z_columns))
+
+
+def b2_generators(space: CocycleSpace) -> tuple[Cocycle2, ...]:
+    """The earlier CocycleSpace.b2_generators: the coboundary of each map
+    sending one point w to a coordinate unit and the rest to 0."""
+    n2 = space.g2.order
+    units = [_unit_coboundary(space.g2, w, range(1, n2))
+             for w in range(1, n2)]
+    return _coordinate_tables(space.g1, space.g2, lambda d: (
+        [psi.get(i, 0) % d for i in range((n2 - 1) ** 2)]
+        for psi in units))
+
+
+def _coordinate_tables(g1: FiniteGroup, g2: FiniteGroup, values_of):
+    """Per coordinate ci of g1, of factor d, and per values in
+    values_of(d), the table with the values, each in [0, d), at the pair
+    slots in coordinate ci and 0 in the others; first occurrences kept
+    and trivial tables dropped."""
+    pres = abelian_invariants(g1)
+    factors = pres.invariant_factors
+    elements = [[pres.element_of([v * (i == ci)
+                                  for i in range(len(factors))])
+                 for v in range(d)] for ci, d in enumerate(factors)]
+    tables = (_table_from_values(g2.order, map(elements[ci].__getitem__,
+                                               values))
+              for ci, d in enumerate(factors) for values in values_of(d))
+    return tuple(Cocycle2(g1=g1, g2=g2, table=t)
+                 for t in dict.fromkeys(tables) if any(map(any, t)))

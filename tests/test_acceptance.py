@@ -38,7 +38,6 @@ from centext.groups import (
     enumerate_automorphisms,
     enumerate_homs,
     enumerate_isomorphisms,
-    identity_map,
     is_purely_nonabelian,
     trivial_map,
 )
@@ -55,7 +54,7 @@ from centext.isotest import (
     simple_quotient_check,
     upper_isomorphic,
 )
-from oracles import preserves_kernel_setwise
+from oracles import identity_map, preserves_kernel_setwise
 
 BIG = SearchLimits(max_order=256, max_search_nodes=50_000_000)
 

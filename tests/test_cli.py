@@ -23,6 +23,27 @@ def write_ext(tmp_path, name, g1, g2, **fields):
     return str(path)
 
 
+def write_named_k4(tmp_path):
+    """K4's table in a group file under another name, which a cached
+    space over the catalog K4 does not carry."""
+    path = tmp_path / "my-k4.json"
+    path.write_text(json.dumps({**get_group("K4").to_dict(),
+                                "name": "my-k4"}))
+    return str(path)
+
+
+# sha256 of the cohomology stdout, pinned before CocycleSpace lost its
+# own to_dict and the Z^2 and B^2 generator tables; "my-k4" is
+# write_named_k4's file
+COHOMOLOGY_DIGESTS = {
+    ("Z2", "K4"): "d356e21d9d9c29ab65bc33cffae56da180d2338e86297913508ef40651b86d74",
+    ("K4", "D4"): "229aaba0fbc235254412e8d35200c86232ca54a942f8dad5fbe9906efc418540",
+    ("Z6", "S3"): "a2df2327775f9e351976be01bbfcf4ac9eb45df19c789c48d8374a1a3d5a741e",
+    ("Z2", "A5"): "7aa2ff5c7c0e89c917dd9e61a7ebadaea6b53a861c466da085984045e7335462",
+    ("Z2", "my-k4"): "fa47f807e96fc6cbc1b4538413e794887c5efdadfa40358dd69d025eb8148d42",
+}
+
+
 class TestCohomology:
     def test_order_two_pair(self, capsys):
         code, payload, _ = run_cli(["cohomology", "Z2", "Z2"], capsys)
@@ -57,6 +78,14 @@ class TestCohomology:
         assert main(["cohomology", "Z3", "Z3", "--output", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("g1, g2", list(COHOMOLOGY_DIGESTS))
+    def test_output_bytes_pinned(self, g1, g2, tmp_path, capsys):
+        spec = write_named_k4(tmp_path) if g2 == "my-k4" else g2
+        assert main(["cohomology", g1, spec]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            COHOMOLOGY_DIGESTS[g1, g2])
 
     def test_order_60_simple_quotient(self, capsys):
         code, payload, _ = run_cli(["cohomology", "Z2", "A5"], capsys)
@@ -490,12 +519,16 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_one_process_gives_the_bytes_of_separate_runs(self, ext_files,
-                                                          capsys):
+                                                          tmp_path, capsys):
         # main keeps one parser per process, so an argparse error between
-        # two calls must leave nothing behind
+        # two calls must leave nothing behind; and a space cached over
+        # the catalog K4 must not lend its group names to a K4 file
         argvs = [["iso", "upper", ext_files["d4a"], ext_files["d4b"]],
                  ["iso", "sideways", ext_files["d4a"], ext_files["d4b"]],
-                 ["cohomology", "Z2", "K4"]]
+                 ["cohomology", "Z2", "K4"],
+                 ["extend", "Z2", "K4", "--class-index", "1"],
+                 ["extend", "Z2", write_named_k4(tmp_path),
+                  "--class-index", "1"]]
         codes = []
         for argv in argvs:
             alone = subprocess.run([sys.executable, "-m", "centext", *argv],
@@ -508,7 +541,7 @@ class TestParser:
             assert (code, out, err) == (alone.returncode, alone.stdout,
                                         alone.stderr)
             codes.append(code)
-        assert codes == [0, 2, 0]
+        assert codes == [0, 2, 0, 0, 0]
 
 
 class TestEntryPoint:

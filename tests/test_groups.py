@@ -27,14 +27,12 @@ from centext.groups import (
     Subgroup,
     brute_force_isomorphism,
     center,
-    compose_maps,
     conjugacy_classes,
     cyclic_group,
     direct_product,
     enumerate_automorphisms,
     enumerate_homs,
     enumerate_isomorphisms,
-    identity_map,
     is_purely_nonabelian,
     is_simple,
     normal_subgroups,
@@ -43,7 +41,13 @@ from centext.groups import (
     validate_group,
 )
 from centext.groups import _MapSearch, _automorphism_generators
-from oracles import centralizer, derived_subgroup, group_map_error
+from oracles import (
+    centralizer,
+    compose_maps,
+    derived_subgroup,
+    group_map_error,
+    identity_map,
+)
 
 # order-5 loop: Latin with identity row/column but (1*1)*2 != 1*(1*2)
 NONASSOC5 = [

@@ -45,7 +45,6 @@ from centext.groups import (
     enumerate_automorphisms,
     enumerate_homs,
     enumerate_isomorphisms,
-    identity_map,
     trivial_map,
 )
 from centext.isotest import (
@@ -65,7 +64,11 @@ from centext.isotest import (
     upper_isomorphic,
     verify_theorems,
 )
-from oracles import preserves_kernel_setwise, preserves_section_setwise
+from oracles import (
+    identity_map,
+    preserves_kernel_setwise,
+    preserves_section_setwise,
+)
 
 
 def class_extensions(n1, n2):
@@ -131,18 +134,19 @@ class TestCertificate:
         # is in effect.
         script = "\n".join([
             "import sys",
-            "from centext import (ConditionsFailed, IsoCertificate,",
+            "from centext import (ConditionsFailed, GroupMap, IsoCertificate,",
             "                     build_extension, compute_cocycle_space,",
             "                     get_group)",
-            "from centext.groups import identity_map",
             "assert False",
             "z2, k4 = get_group('Z2'), get_group('K4')",
             "reps = compute_cocycle_space(z2, k4).class_representatives",
             "cert = IsoCertificate(kind='upper',",
             "                      source=build_extension(reps[0]),",
             "                      target=build_extension(reps[7]),",
-            "                      sigma=identity_map(z2),",
-            "                      rho=identity_map(k4))",
+            "                      sigma=GroupMap(dom=z2, cod=z2,",
+            "                                     images=(0, 1)),",
+            "                      rho=GroupMap(dom=k4, cod=k4,",
+            "                                   images=(0, 1, 2, 3)))",
             "try:",
             "    cert.materialize()",
             "except ConditionsFailed:",
