@@ -73,9 +73,11 @@ def quaternion_group(name: str = "Q8") -> FiniteGroup:
     return group_from_elements(elems, op, name=name)
 
 
+@lru_cache(maxsize=None)
 def special_linear_2_5(name: str = "SL25") -> FiniteGroup:
     """2x2 matrices of determinant 1 over the field with 5 elements,
-    order 120; the identity matrix comes first."""
+    order 120; the identity matrix comes first.  Built once per name,
+    as get_group builds each catalog group once."""
     elems = []
     for a, b, c, d in itertools.product(range(5), repeat=4):
         if (a * d - b * c) % 5 == 1:

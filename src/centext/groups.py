@@ -7,13 +7,16 @@ Conventions used throughout the package:
     normalized (they send 0 to 0).
 
 Tables and maps are checked along generators.  Each group carries one
-greedy generating sequence (FiniteGroup.generators), and a property of
-all products x*y is tested on the products x*s with s a generator only,
-with the proof that this suffices in the docstring of each check:
-validate_group (Light's associativity test), GroupMap.is_homomorphism,
-and the homomorphism enumeration, which extends partial images along
-the Cayley graph of the generators chosen so far.  A full scan runs only
-after a generator check has failed, to name the first witness.
+greedy generating sequence (FiniteGroup.generators), found by walking
+the right Cayley graph once, and a property of all products x*y is
+tested on the products x*s with s a generator only, with the proof that
+this suffices in the docstring of each check: validate_group (Light's
+associativity test), GroupMap.is_homomorphism, and the homomorphism
+enumeration, which extends partial images along the Cayley graph of the
+generators chosen so far.  A full scan runs only after a generator
+check has failed, to name the first witness.  Tables that a
+construction proves to be groups (direct_product, the extension
+carriers) are wrapped as FiniteGroup without validate_group.
 """
 
 from __future__ import annotations
@@ -84,15 +87,31 @@ class FiniteGroup:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """The greedy generating sequence: repeatedly adjoin the least
-        element outside the closure of the sequence so far.  The closure
-        is taken under the product in both orders, so it assumes no
-        associativity (validate_group relies on that); for a group it is
-        the subgroup generated."""
-        gens, generated = [], {0}
-        for x in range(self.order):
-            if x not in generated:
-                gens.append(x)
-                generated = subgroup_closure(self, gens)
+        element not yet reached.  The reached set is the closure of
+        {0} under right multiplication by the sequence so far, that is
+        the left-nested products ((s1 s2) s3)... of generators; it needs
+        no associativity (validate_group relies on that), and in a group
+        it is the subgroup generated.  It grows incrementally: when x is
+        adjoined, every member is multiplied by x, and each newly
+        reached element by every generator, so each element meets each
+        generator once, in O(n k) products for k generators."""
+        tab, n = self.table, self.order
+        gens, reached, seen = [], [0], [True] + [False] * (n - 1)
+        for x in range(n):
+            if seen[x]:
+                continue
+            gens.append(x)
+            old, only_x = len(reached), (x,)
+            # reached[:old] is closed under the earlier generators
+            i = 0
+            while i < len(reached):
+                row = tab[reached[i]]
+                for s in (gens if i >= old else only_x):
+                    z = row[s]
+                    if not seen[z]:
+                        seen[z] = True
+                        reached.append(z)
+                i += 1
         return tuple(gens)
 
     @cached_property
@@ -161,10 +180,12 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
     Algebraic Theory of Semigroups I, 1961, section 1.2).  The middles m
     with (xm)y = x(my) for all x, y are closed under the product: for two
     of them, (x(m m'))y = ((xm)m')y = (xm)(m'y) = x(m(m'y)) =
-    x((m m')y).  The identity is such a middle, so once every element of
-    a set S is one, so is everything the products of S reach.  S is
-    FiniteGroup.generators, whose closure assumes no associativity; so
-    n * |S| row comparisons replace the n^3 triples.  Only when a generator fails
+    x((m m')y).  The identity 0 is such a middle, so once every element
+    of a set S is one, so is every left-nested product ((s1 s2) s3)...
+    of elements of S.  S is FiniteGroup.generators, and every element is
+    such a product of generators, as the greedy sequence adjoins the
+    least element that no such product reaches; so n * |S| row
+    comparisons replace the n^3 triples.  Only when a generator fails
     does the row-major scan run, to name the first failing triple.
     """
     if not isinstance(table, (list, tuple)) or not all(

@@ -31,11 +31,18 @@ from centext.errors import (
     DimensionMismatch,
     GroupMismatch,
     NotAbelian,
+    NotAbelianCoefficients,
     NotNormalized,
     PreconditionViolated,
 )
 from centext.extensions import ExtensionGroup
-from centext.groups import FiniteGroup, GroupMap, Subgroup, subgroup_closure
+from centext.groups import (
+    FiniteGroup,
+    GroupMap,
+    Subgroup,
+    subgroup_closure,
+    validate_group,
+)
 from centext.intlinalg import IntLattice, IntMatrix, abelian_invariants, xgcd
 
 
@@ -88,6 +95,53 @@ def preserves_section_setwise(source: ExtensionGroup, target: ExtensionGroup,
     """Whether phi maps the section copy onto the section copy, by sets."""
     want = set(target.section_indices)
     return {phi(i) for i in source.section_indices} == want
+
+
+def build_extension_by_validation(e: Cocycle2,
+                                  name: str | None = None) -> ExtensionGroup:
+    """The earlier carrier path of build_extension: the table entry by
+    entry from the pair formula, then validate_group on it, then the
+    centrality of the kernel copy checked element by element."""
+    g1, g2 = e.g1, e.g2
+    if not g1.is_abelian:
+        raise NotAbelianCoefficients(
+            "extension carriers here take abelian coefficients")
+    ok, witness = is_cocycle(g1, g2, e.table)
+    if not ok:
+        raise ValueError(f"not a cocycle, first failure {witness}")
+    n1, n2 = g1.order, g2.order
+    n = n1 * n2
+    table = []
+    for i in range(n):
+        x, y = divmod(i, n2)
+        row = []
+        for j in range(n):
+            xp, yp = divmod(j, n2)
+            z1 = g1.table[g1.table[x][xp]][e.table[y][yp]]
+            z2 = g2.table[y][yp]
+            row.append(z1 * n2 + z2)
+        table.append(row)
+    group = validate_group(table, name=name)
+    ext = ExtensionGroup(g1=g1, g2=g2, cocycle=e, group=group)
+    for x in range(n1):
+        k = ext.embed_kernel(x)
+        for j in range(n):
+            if group.table[k][j] != group.table[j][k]:
+                raise ConditionsFailed(
+                    "embedded coefficient copy failed to be central")
+    return ext
+
+
+def greedy_by_pair_closure(g: FiniteGroup) -> tuple[int, ...]:
+    """The earlier FiniteGroup.generators: adjoin the least element
+    outside the closure of the sequence so far, each closure taken
+    afresh under the product in both orders."""
+    gens, generated = [], {0}
+    for x in range(g.order):
+        if x not in generated:
+            gens.append(x)
+            generated = subgroup_closure(g, gens)
+    return tuple(gens)
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:

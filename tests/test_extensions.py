@@ -1,7 +1,17 @@
+import random
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centext.catalog import get_group, identify_group, special_linear_2_5
+from centext.catalog import (
+    alternating_group,
+    catalog_names,
+    get_group,
+    identify_group,
+    special_linear_2_5,
+    symmetric_group,
+)
 from centext.cocycles import (
     Cocycle2,
     apply_coboundary,
@@ -33,7 +43,12 @@ from centext.groups import (
     is_simple,
 )
 from centext.intlinalg import abelian_invariants
-from oracles import preserves_kernel_setwise, preserves_section_setwise
+from oracles import (
+    build_extension_by_validation,
+    greedy_by_pair_closure,
+    preserves_kernel_setwise,
+    preserves_section_setwise,
+)
 
 
 def reps_for(name1, name2):
@@ -115,6 +130,56 @@ class TestBuildExtension:
             assert ext.index_of_pair(x, y) == i
         assert ext.embed_kernel(1) == ext.index_of_pair(1, 0)
         assert ext.kernel_subgroup().members == (0, 6)
+
+
+@lru_cache(maxsize=None)
+def oracle_cocycles():
+    """Every class representative of every catalog pair whose carriers
+    have order at most 24, and of Z2:A5, each followed by three seeded
+    coboundary shifts of it."""
+    names = catalog_names()
+    pairs = [(get_group(a), get_group(b)) for a in names for b in names
+             if get_group(a).is_abelian
+             and get_group(a).order * get_group(b).order <= 24]
+    pairs.append((get_group("Z2"), get_group("A5")))
+    rng = random.Random(2207)
+    out = []
+    for g1, g2 in pairs:
+        for rep in compute_cocycle_space(g1, g2).class_representatives:
+            out.append(rep)
+            for _ in range(3):
+                t = GroupMap(dom=g2, cod=g1, images=(0, *(
+                    rng.randrange(g1.order) for _ in range(g2.order - 1))))
+                out.append(apply_coboundary(t, rep))
+    return tuple(out)
+
+
+class TestCarrierOracle:
+    """build_extension proves its carriers instead of validating them;
+    the earlier path, which validates every table and checks the kernel
+    copy's centrality, must build the same tables and pass its checks."""
+
+    def test_same_tables_and_the_checks_pass(self):
+        cocycles = oracle_cocycles()
+        assert len(cocycles) == 4 * (293 + 2)
+        # most shifts move the table, so they are cases of their own
+        moved = sum(cocycles[i + k] != cocycles[i]
+                    for i in range(0, len(cocycles), 4) for k in (1, 2, 3))
+        assert moved > len(cocycles) // 2
+        for e in cocycles:
+            ext = build_extension(e, name="c")
+            ref = build_extension_by_validation(e, name="c")
+            assert ext.group.table == ref.group.table
+            assert ext.group.order == ref.group.order
+            assert ext.group.name == "c"
+
+    def test_same_greedy_sequences(self):
+        groups = [get_group(name) for name in catalog_names()]
+        groups += [special_linear_2_5(), alternating_group(6),
+                   symmetric_group(5)]
+        groups += [build_extension(e).group for e in oracle_cocycles()]
+        for g in groups:
+            assert g.generators == greedy_by_pair_closure(g), g
 
 
 class TestEquivalence:

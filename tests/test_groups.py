@@ -7,6 +7,7 @@ derived subgroups.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from centext.errors import (
 )
 from centext.groups import (
     DEFAULT_LIMITS,
+    FiniteGroup,
     GroupMap,
     SearchLimits,
     Subgroup,
@@ -45,6 +47,7 @@ from oracles import (
     centralizer,
     compose_maps,
     derived_subgroup,
+    greedy_by_pair_closure,
     group_map_error,
     identity_map,
 )
@@ -185,6 +188,31 @@ def intercalates(table):
     return out
 
 
+def random_loop(n, rng):
+    """A Latin square of order n with identity 0, filled cell by cell in
+    row-major order, each cell trying its free values in a seeded random
+    order and backtracking when none is left."""
+    table = [list(range(n))] + [[a] + [-1] * (n - 1) for a in range(1, n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        a, b = cells[i]
+        used = set(table[a][:b]) | {table[r][b] for r in range(a)}
+        free = [v for v in range(n) if v not in used]
+        rng.shuffle(free)
+        for v in free:
+            table[a][b] = v
+            if fill(i + 1):
+                return True
+        table[a][b] = -1
+        return False
+
+    fill(0)
+    return table
+
+
 def naive_maps(h, k):
     """Every normalized set map h -> k, as image tuples."""
     for rest in itertools.product(range(k.order), repeat=h.order - 1):
@@ -265,6 +293,28 @@ class TestValidateGroup:
     def test_random_tables_match_the_full_scan(self, table):
         assert outcome(validate_group, table) == \
             outcome(validate_by_full_scan, table)
+
+    def test_light_test_over_the_right_greedy_on_random_loops(self):
+        # in a loop, right multiplication alone can reach less than the
+        # closure in both orders, so the two greedy sequences can differ;
+        # Light's test over the right greedy must still decide as the
+        # full scan does, on such a loop and on a non-associative one
+        # where the sequences agree
+        rng = random.Random(5081)
+        differs = agrees = None
+        for _ in range(300):
+            table = random_loop(rng.randint(5, 8), rng)
+            assert outcome(validate_group, table) == \
+                outcome(validate_by_full_scan, table)
+            loop = FiniteGroup(order=len(table),
+                               table=tuple(map(tuple, table)))
+            if loop.generators != greedy_by_pair_closure(loop):
+                differs = differs or table
+            elif outcome(validate_by_full_scan, table) is not None:
+                agrees = agrees or table
+        assert differs is not None and agrees is not None
+        for table in (differs, agrees):
+            assert outcome(validate_group, table)[0] is NonAssociative
 
     def test_single_entry_mutations_rejected(self):
         # flipping any one entry must trip the identity check (row/col 0)
