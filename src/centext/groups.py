@@ -13,10 +13,11 @@ tested on the products x*s with s a generator only, with the proof that
 this suffices in the docstring of each check: validate_group (Light's
 associativity test), GroupMap.is_homomorphism, and the homomorphism
 enumeration, which extends partial images along the Cayley graph of the
-generators chosen so far.  A full scan runs only after a generator
-check has failed, to name the first witness.  Tables that a
-construction proves to be groups (direct_product, the extension
-carriers) are wrapped as FiniteGroup without validate_group.
+generators chosen so far by replaying the products of the same walk.
+A full scan runs only after a generator check has failed, to name the
+first witness.  Tables that a construction proves to be groups
+(direct_product, the extension carriers) are wrapped as FiniteGroup
+without validate_group.
 """
 
 from __future__ import annotations
@@ -91,28 +92,17 @@ class FiniteGroup:
         {0} under right multiplication by the sequence so far, that is
         the left-nested products ((s1 s2) s3)... of generators; it needs
         no associativity (validate_group relies on that), and in a group
-        it is the subgroup generated.  It grows incrementally: when x is
-        adjoined, every member is multiplied by x, and each newly
-        reached element by every generator, so each element meets each
-        generator once, in O(n k) products for k generators."""
-        tab, n = self.table, self.order
-        gens, reached, seen = [], [0], [True] + [False] * (n - 1)
-        for x in range(n):
-            if seen[x]:
-                continue
-            gens.append(x)
-            old, only_x = len(reached), (x,)
-            # reached[:old] is closed under the earlier generators
-            i = 0
-            while i < len(reached):
-                row = tab[reached[i]]
-                for s in (gens if i >= old else only_x):
-                    z = row[s]
-                    if not seen[z]:
-                        seen[z] = True
-                        reached.append(z)
-                i += 1
-        return tuple(gens)
+        it is the subgroup generated.  It is found by _cayley_walk,
+        the walk of the right Cayley graph whose steps the map search
+        replays (_closure_layers), in O(n k) products for k
+        generators."""
+        return _cayley_walk(self.table, False)[0]
+
+    @cached_property
+    def _closure_layers(self) -> tuple:
+        """The closure steps of _cayley_walk, one layer per generator,
+        built on the group's first map search (see _MapSearch)."""
+        return _cayley_walk(self.table, True)[1]
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -166,6 +156,50 @@ class FiniteGroup:
     def __repr__(self):
         label = self.name if self.name is not None else f"order {self.order}"
         return f"FiniteGroup({label})"
+
+
+def _cayley_walk(tab, record: bool):
+    """The greedy generating sequence of the table tab and, if record,
+    the closure steps of each generator's layer.
+
+    The walk grows the reached set incrementally: when x is adjoined,
+    every member is multiplied by x, and each newly reached element by
+    every generator so far, so each element meets each generator once.
+    x itself is the product 0*x and is reached first.  Every later
+    product r = a*s is a step (r, a, s, tree): a tree step when it
+    reaches r for the first time, a check step when r was reached
+    before.  A layer is (x, steps, reached), reached being x and then
+    the tree steps' elements in walk order.
+    """
+    n = len(tab)
+    gens, reached, seen = [], [0], [True] + [False] * (n - 1)
+    layers = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        gens.append(x)
+        old, only_x = len(reached), (x,)
+        seen[x] = True
+        reached.append(x)
+        steps = []
+        # reached[:old] is closed under the earlier generators
+        i = 1
+        while i < len(reached):
+            a = reached[i]
+            row = tab[a]
+            for s in (gens if i >= old else only_x):
+                r = row[s]
+                if not seen[r]:
+                    seen[r] = True
+                    reached.append(r)
+                    if record:
+                        steps.append((r, a, s, True))
+                elif record:
+                    steps.append((r, a, s, False))
+            i += 1
+        if record:
+            layers.append((x, tuple(steps), tuple(reached[old:])))
+    return tuple(gens), tuple(layers)
 
 
 def validate_group(table, name: str | None = None) -> FiniteGroup:
@@ -520,22 +554,42 @@ def trivial_map(dom: FiniteGroup, cod: FiniteGroup) -> GroupMap:
 class _MapSearch:
     """Backtracking core shared by the hom/iso enumerators.
 
-    Images of a greedy generating sequence are chosen in ascending order.
-    The images live on the subgroup H generated by the generators
-    assigned so far.  A choice f(g) = v sets or checks f(x*s) = f(x)*f(s)
-    along the Cayley graph: for x in H and s = g, and for each newly
-    reached x and every assigned s (with injectivity on each new image,
-    for isomorphism searches); the old edges were checked at earlier
-    layers.  By induction on word length, f(x*w) = f(x)*f(w) then holds
-    on the new subgroup, so a choice is accepted exactly when the
-    partial map extends to a homomorphism (injective, if asked) of it,
-    which is when closing the images under every pair of known elements
-    finds no conflict.  So the maps emitted, their order and the pruning
-    are those of that pair closure, and every map emitted is a verified
-    homomorphism.  They come out in lex order of image arrays: two maps
-    first differ in the image of some generator g, taken from ascending
+    Images of the greedy generating sequence are chosen in ascending
+    order.  The images live on the subgroup H generated by the
+    generators assigned so far.  A choice f(x) = v sets or checks
+    f(a*s) = f(a)*f(s) along the Cayley graph: for a in H and s = x,
+    and for each newly reached a and every assigned s (with injectivity
+    on each new image, for isomorphism searches); the old edges were
+    checked at earlier layers.  By induction on word length,
+    f(a*w) = f(a)*f(w) then holds on the new subgroup, so a choice is
+    accepted exactly when the partial map extends to a homomorphism
+    (injective, if asked) of it, which is when closing the images under
+    every pair of known elements finds no conflict.  So every map
+    emitted is a verified homomorphism.
+
+    These products are the steps of the domain's _cayley_walk, recorded
+    once per group (FiniteGroup._closure_layers) and replayed here: a
+    tree step (r, a, s) sets f(r) = f(a)*f(s), after testing that the
+    image is unused in an injective search, and a check step compares
+    f(r) with it.  The steps depend on the domain alone.  Before layer
+    l the elements with an image are exactly those the walk reached in
+    its first l layers: true for {0}, and the choice f(x) = v adds x,
+    which the walk reaches first as 0*x (a step that always passes,
+    f(0*x) = f(0)f(x), so the replay omits it), and each tree step adds
+    its r.  So within the layer, r has an image at a step exactly when
+    the walk reached r before it: the images assigned decide only
+    whether a step passes, never which products are taken, in which
+    order, or whether a step sets or compares; a failing step ends the
+    choice.  Replaying therefore accepts the same choices as closing
+    the graph afresh at each node, and counts the same nodes: one per
+    choice, checked against max_search_nodes there, and one per tree
+    step taken.  The steps taken before a failing one set a prefix of
+    the layer's reached elements, which the undo resets.
+
+    The maps come out in lex order of image arrays: two maps first
+    differ in the image of some generator x, taken from ascending
     candidates; before it they agree on the subgroup the earlier
-    generators generate, which holds every element below g, as the
+    generators generate, which holds every element below x, as the
     greedy sequence adjoins the least element outside it.
     """
 
@@ -544,89 +598,58 @@ class _MapSearch:
         self.cod = cod
         self.injective = injective
         self.limits = limits
-        self.gens = dom.generators
-        self.assigned = []
+        self.layers = dom._closure_layers
+        self.candidates = [self._candidates(x) for x, _, _ in self.layers]
         self.nodes = 0
 
     def _candidates(self, gen):
         d = self.dom.element_orders[gen]
-        for k in range(self.cod.order):
-            o = self.cod.element_orders[k]
-            if self.injective:
-                if o == d:
-                    yield k
-            elif d % o == 0:
-                yield k
+        return [k for k, o in enumerate(self.cod.element_orders)
+                if (o == d if self.injective else d % o == 0)]
 
     def run(self):
         images = [-1] * self.dom.order
         images[0] = 0
-        known = [0]
         used = [False] * self.cod.order
         used[0] = True
-        yield from self._assign(0, images, known, used)
+        yield from self._assign(0, images, used)
 
-    def _assign(self, layer, images, known, used):
-        if layer == len(self.gens):
+    def _assign(self, layer, images, used):
+        if layer == len(self.layers):
             yield GroupMap(dom=self.dom, cod=self.cod, images=tuple(images))
             return
-        gen = self.gens[layer]
-        if images[gen] != -1:
-            # already forced by closure of earlier generators
-            yield from self._assign(layer + 1, images, known, used)
-            return
-        self.assigned.append(gen)
-        for k in self._candidates(gen):
-            if self.injective and used[k]:
+        x, steps, reached = self.layers[layer]
+        ct, injective = self.cod.table, self.injective
+        budget = self.limits.max_search_nodes
+        for v in self.candidates[layer]:
+            if injective and used[v]:
                 continue
-            trail = []
-            if self._define(gen, k, images, known, used, trail):
-                yield from self._assign(layer + 1, images, known, used)
-            self._undo(images, known, used, trail)
-        self.assigned.pop()
-
-    def _define(self, x, v, images, known, used, trail):
-        self.nodes += 1
-        if self.nodes > self.limits.max_search_nodes:
-            raise SizeLimitExceeded(
-                "map search exceeded node budget",
-                limit=self.limits.max_search_nodes, needed=self.nodes)
-        images[x] = v
-        old = len(known)
-        known.append(x)
-        trail.append(x)
-        if self.injective:
-            used[v] = True
-        dt, ct = self.dom.table, self.cod.table
-        gens, only_x = self.assigned, (x,)
-        # known[:old] is H; known grows by the elements newly reached
-        i = 0
-        while i < len(known):
-            a = known[i]
-            row, fa = dt[a], ct[images[a]]
-            for s in (gens if i >= old else only_x):
-                r = row[s]
-                w = fa[images[s]]
-                if images[r] == -1:
-                    if self.injective and used[w]:
-                        return False
-                    self.nodes += 1
+            self.nodes += 1
+            if self.nodes > budget:
+                raise SizeLimitExceeded(
+                    "map search exceeded node budget",
+                    limit=budget, needed=self.nodes)
+            images[x] = v
+            used[v] = injective   # only an injective search marks images
+            taken, passed = 0, True
+            for r, a, s, tree in steps:
+                w = ct[images[a]][images[s]]
+                if tree:
+                    if injective and used[w]:
+                        passed = False
+                        break
                     images[r] = w
-                    known.append(r)
-                    trail.append(r)
-                    if self.injective:
-                        used[w] = True
+                    used[w] = injective
+                    taken += 1
                 elif images[r] != w:
-                    return False
-            i += 1
-        return True
-
-    def _undo(self, images, known, used, trail):
-        for x in reversed(trail):
-            if self.injective:
-                used[images[x]] = False
-            images[x] = -1
-            known.pop()
+                    passed = False
+                    break
+            self.nodes += taken
+            if passed:
+                yield from self._assign(layer + 1, images, used)
+            for r in reached[:taken + 1]:
+                used[images[r]] = False
+                images[r] = -1
 
 
 def _maps(dom: FiniteGroup, cod: FiniteGroup, injective: bool,

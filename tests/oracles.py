@@ -34,6 +34,7 @@ from centext.errors import (
     NotAbelianCoefficients,
     NotNormalized,
     PreconditionViolated,
+    SizeLimitExceeded,
 )
 from centext.extensions import ExtensionGroup
 from centext.groups import (
@@ -142,6 +143,120 @@ def greedy_by_pair_closure(g: FiniteGroup) -> tuple[int, ...]:
             gens.append(x)
             generated = subgroup_closure(g, gens)
     return tuple(gens)
+
+
+class CayleyClosureSearch:
+    """The earlier groups._MapSearch, which walked the Cayley graph
+    afresh at every node instead of replaying the closure steps recorded
+    once per domain.
+
+    Images of a greedy generating sequence are chosen in ascending order.
+    The images live on the subgroup H generated by the generators
+    assigned so far.  A choice f(g) = v sets or checks f(x*s) = f(x)*f(s)
+    along the Cayley graph: for x in H and s = g, and for each newly
+    reached x and every assigned s (with injectivity on each new image,
+    for isomorphism searches); the old edges were checked at earlier
+    layers.  By induction on word length, f(x*w) = f(x)*f(w) then holds
+    on the new subgroup, so a choice is accepted exactly when the
+    partial map extends to a homomorphism (injective, if asked) of it,
+    which is when closing the images under every pair of known elements
+    finds no conflict.  So the maps emitted, their order and the pruning
+    are those of that pair closure, and every map emitted is a verified
+    homomorphism.  They come out in lex order of image arrays: two maps
+    first differ in the image of some generator g, taken from ascending
+    candidates; before it they agree on the subgroup the earlier
+    generators generate, which holds every element below g, as the
+    greedy sequence adjoins the least element outside it.
+    """
+
+    def __init__(self, dom, cod, injective, limits):
+        self.dom = dom
+        self.cod = cod
+        self.injective = injective
+        self.limits = limits
+        self.gens = dom.generators
+        self.assigned = []
+        self.nodes = 0
+
+    def _candidates(self, gen):
+        d = self.dom.element_orders[gen]
+        for k in range(self.cod.order):
+            o = self.cod.element_orders[k]
+            if self.injective:
+                if o == d:
+                    yield k
+            elif d % o == 0:
+                yield k
+
+    def run(self):
+        images = [-1] * self.dom.order
+        images[0] = 0
+        known = [0]
+        used = [False] * self.cod.order
+        used[0] = True
+        yield from self._assign(0, images, known, used)
+
+    def _assign(self, layer, images, known, used):
+        if layer == len(self.gens):
+            yield GroupMap(dom=self.dom, cod=self.cod, images=tuple(images))
+            return
+        gen = self.gens[layer]
+        if images[gen] != -1:
+            # already forced by closure of earlier generators
+            yield from self._assign(layer + 1, images, known, used)
+            return
+        self.assigned.append(gen)
+        for k in self._candidates(gen):
+            if self.injective and used[k]:
+                continue
+            trail = []
+            if self._define(gen, k, images, known, used, trail):
+                yield from self._assign(layer + 1, images, known, used)
+            self._undo(images, known, used, trail)
+        self.assigned.pop()
+
+    def _define(self, x, v, images, known, used, trail):
+        self.nodes += 1
+        if self.nodes > self.limits.max_search_nodes:
+            raise SizeLimitExceeded(
+                "map search exceeded node budget",
+                limit=self.limits.max_search_nodes, needed=self.nodes)
+        images[x] = v
+        old = len(known)
+        known.append(x)
+        trail.append(x)
+        if self.injective:
+            used[v] = True
+        dt, ct = self.dom.table, self.cod.table
+        gens, only_x = self.assigned, (x,)
+        # known[:old] is H; known grows by the elements newly reached
+        i = 0
+        while i < len(known):
+            a = known[i]
+            row, fa = dt[a], ct[images[a]]
+            for s in (gens if i >= old else only_x):
+                r = row[s]
+                w = fa[images[s]]
+                if images[r] == -1:
+                    if self.injective and used[w]:
+                        return False
+                    self.nodes += 1
+                    images[r] = w
+                    known.append(r)
+                    trail.append(r)
+                    if self.injective:
+                        used[w] = True
+                elif images[r] != w:
+                    return False
+            i += 1
+        return True
+
+    def _undo(self, images, known, used, trail):
+        for x in reversed(trail):
+            if self.injective:
+                used[images[x]] = False
+            images[x] = -1
+            known.pop()
 
 
 def derived_subgroup(g: FiniteGroup) -> Subgroup:

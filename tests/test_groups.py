@@ -12,7 +12,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centext.catalog import catalog_names, get_group, special_linear_2_5
+from centext.catalog import (
+    catalog_names,
+    get_group,
+    special_linear_2_5,
+    symmetric_group,
+)
+from centext.cocycles import compute_cocycle_space
 from centext.errors import (
     DimensionMismatch,
     NoIdentityAtZero,
@@ -21,6 +27,7 @@ from centext.errors import (
     NotNormalized,
     SizeLimitExceeded,
 )
+from centext.extensions import build_extension
 from centext.groups import (
     DEFAULT_LIMITS,
     FiniteGroup,
@@ -44,6 +51,7 @@ from centext.groups import (
 )
 from centext.groups import _MapSearch, _automorphism_generators
 from oracles import (
+    CayleyClosureSearch,
     centralizer,
     compose_maps,
     derived_subgroup,
@@ -120,7 +128,7 @@ def is_homomorphism_by_full_scan(m):
                for a in range(m.dom.order) for b in range(m.dom.order))
 
 
-class PairClosureSearch(_MapSearch):
+class PairClosureSearch(CayleyClosureSearch):
     """Reference for _MapSearch: after each choice, close the partial
     image under the products of every pair of known elements."""
 
@@ -161,7 +169,39 @@ def search_images(search_class, dom, cod, injective):
             search_class(dom, cod, injective, DEFAULT_LIMITS).run()]
 
 
+def search_run(search_class, dom, cod, injective, limits=DEFAULT_LIMITS):
+    """The image arrays a search emits, in order, then how it ended: its
+    node count, or the limit and need of the SizeLimitExceeded raised."""
+    search = search_class(dom, cod, injective, limits)
+    images = []
+    try:
+        for m in search.run():
+            images.append(m.images)
+    except SizeLimitExceeded as e:
+        return images, ("exceeded", e.limit, e.needed)
+    return images, ("finished", search.nodes)
+
+
+def replayed_images(dom, cod, injective, limits=DEFAULT_LIMITS):
+    """_MapSearch's image arrays, once its maps, their order and its node
+    count are found equal to those of the core that walks the Cayley
+    graph afresh at every node."""
+    got = search_run(_MapSearch, dom, cod, injective, limits)
+    assert got == search_run(CayleyClosureSearch, dom, cod, injective, limits)
+    return got[0]
+
+
 SMALL = [name for name in catalog_names() if get_group(name).order <= 12]
+
+
+def class_carriers(pair, indexes=None):
+    """The carrier groups of the H^2 classes of a catalog pair (g1, g2),
+    all of them or those at the given class indexes."""
+    g1, g2 = (get_group(name) for name in pair)
+    reps = compute_cocycle_space(g1, g2).class_representatives
+    if indexes is not None:
+        reps = [reps[i] for i in indexes]
+    return [build_extension(rep).group for rep in reps]
 
 
 def relabelled_table(g, perm):
@@ -535,8 +575,11 @@ class TestEnumeration:
 
 
 class TestPairClosureOracle:
-    """The Cayley-graph search emits the maps of the pair closure, in
-    the same order; sorted, these are the enumerators' lists."""
+    """The search replays the closure steps of the domain's Cayley walk:
+    it emits the maps of the core that walks the graph afresh at every
+    node, in the same order, with the same node count (replayed_images),
+    and so the maps of the pair closure; sorted, these are the
+    enumerators' lists."""
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_self_maps_of_every_catalog_group(self, name):
@@ -545,7 +588,7 @@ class TestPairClosureOracle:
             if not injective and g.order > 24:
                 continue
             want = search_images(PairClosureSearch, g, g, injective)
-            assert search_images(_MapSearch, g, g, injective) == want
+            assert replayed_images(g, g, injective) == want
         assert [m.images for m in enumerate_automorphisms(g)] == \
             sorted(search_images(PairClosureSearch, g, g, True))
 
@@ -555,13 +598,14 @@ class TestPairClosureOracle:
             for b in names:
                 h, k = get_group(a), get_group(b)
                 homs = search_images(PairClosureSearch, h, k, False)
-                assert search_images(_MapSearch, h, k, False) == homs
+                assert replayed_images(h, k, False) == homs
                 assert [m.images for m in enumerate_homs(h, k)] == \
                     sorted(homs)
+                raw_isos = replayed_images(h, k, True)
                 isos = enumerate_isomorphisms(h, k)
                 if isos:
-                    assert [m.images for m in isos] == sorted(
-                        search_images(PairClosureSearch, h, k, True))
+                    assert [m.images for m in isos] == sorted(raw_isos) \
+                        == sorted(search_images(PairClosureSearch, h, k, True))
 
     def test_raw_search_output_is_sorted(self):
         # the enumerators return the maps in search order, unsorted
@@ -579,14 +623,52 @@ class TestPairClosureOracle:
         a5 = get_group("A5")
         for name in ("Z2", "K4", "S3", "D5", "A4"):
             h = get_group(name)
-            assert search_images(_MapSearch, h, a5, False) == \
+            assert replayed_images(h, a5, False) == \
                 search_images(PairClosureSearch, h, a5, False)
 
     def test_automorphisms_of_sl25(self):
         g = special_linear_2_5()
         want = search_images(PairClosureSearch, g, g, True)
-        assert search_images(_MapSearch, g, g, True) == want
+        assert replayed_images(g, g, True) == want
         assert [m.images for m in enumerate_automorphisms(g)] == sorted(want)
+
+    @pytest.mark.parametrize("pair", [("Z2", "Q8"), ("Z4", "K4")])
+    def test_maps_between_carriers(self, pair):
+        carriers = class_carriers(pair)
+        for h, k in itertools.product(carriers, repeat=2):
+            for injective in (True, False):
+                replayed_images(h, k, injective)
+
+    def test_isomorphisms_between_z2_z2xz2xz2_carriers(self):
+        # each carrier to itself and to the next one: 64 classes, so
+        # the 4,096 ordered pairs would take seconds
+        carriers = class_carriers(("Z2", "Z2xZ2xZ2"))
+        assert len(carriers) == 64
+        for i, h in enumerate(carriers):
+            for k in (h, carriers[(i + 1) % 64]):
+                replayed_images(h, k, True)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 10, 100, 1000])
+    def test_node_budget_parity(self, budget):
+        # both cores emit the same prefix of maps, then both exceed the
+        # budget at the same node, or both finish
+        e1, e4 = class_carriers(("Z2", "D4"), (1, 4))
+        searches = [(get_group("S3"), get_group("S3"), True),
+                    (get_group("Q8"), get_group("Q8"), True),
+                    (get_group("K4"), get_group("A4"), False),
+                    (e1, e4, True)]
+        limits = SearchLimits(max_search_nodes=budget)
+        for dom, cod, injective in searches:
+            replayed_images(dom, cod, injective, limits)
+
+    def test_exhausted_automorphism_search_node_counts(self):
+        # the counts of the core that walked the graph at every node
+        for g, nodes in ((get_group("A5"), 27_100),
+                         (special_linear_2_5(), 23_970),
+                         (symmetric_group(5), 75_865)):
+            search = _MapSearch(g, g, True, DEFAULT_LIMITS)
+            assert sum(1 for _ in search.run()) == 120
+            assert search.nodes == nodes
 
     def test_automorphism_lists_are_fresh(self):
         g = get_group("Q8")
@@ -667,6 +749,17 @@ class TestGeneratingSequence:
         for name in ("S3", "D4", "Q8", "A4"):
             g = get_group(name)
             assert len(subgroup_closure(g, g.generators)) == g.order
+
+    def test_closure_steps_wait_for_the_first_search(self):
+        # validation and carrier builds walk for the generators only
+        g = validate_group([list(row) for row in get_group("A4").table])
+        carrier = class_carriers(("Z2", "Q8"), (1,))[0]
+        for group in (g, carrier):
+            assert group.generators
+            assert "_closure_layers" not in vars(group)
+            enumerate_homs(group, group)
+            assert [x for x, _, _ in group._closure_layers] == \
+                list(group.generators)
 
 
 class TestSerialization:
