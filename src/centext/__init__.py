@@ -7,16 +7,15 @@ from .catalog import (alternating_group, catalog_names, get_group,
 from .cocycles import (Cocycle2, CocycleSpace, apply_coboundary,
                        are_cohomologous, cocycle_inv, cocycle_mul,
                        compute_cocycle_space, coboundary_from, is_cocycle,
-                       is_symmetric, make_cocycle, pullback, pushforward,
-                       sim_is_trivial, trivial_cocycle)
+                       make_cocycle, pullback, pushforward, sim_is_trivial,
+                       trivial_cocycle)
 from .errors import (ConditionsFailed, DimensionMismatch,
                      GroupMismatch, GroupValidationError,
                      HypothesisNotVerified, NotAbelian, NotG1Iso,
                      NotG2Iso, NotLowerIso, NotNormalized,
                      PreconditionViolated, SizeLimitExceeded)
-from .extensions import (TRIVIAL_COMPONENTS, ExtensionGroup,
-                         HomConditionReport, HomMatrix, build_extension,
-                         central_quotient_data, check_hom_conditions,
+from .extensions import (TRIVIAL_COMPONENTS, ExtensionGroup, HomMatrix,
+                         build_extension, central_quotient_data,
                          decompose_hom, equivalence_isomorphism,
                          hom_condition_failures, is_homomorphism_direct,
                          reconstruct_hom)

@@ -403,12 +403,6 @@ def apply_coboundary(t: GroupMap, e: Cocycle2) -> Cocycle2:
     return cocycle_mul(psi, e)
 
 
-def is_symmetric(e: Cocycle2) -> bool:
-    n2 = e.g2.order
-    return all(e.table[y][yp] == e.table[yp][y]
-               for y in range(n2) for yp in range(y + 1, n2))
-
-
 def is_epsilon_endomorphism(chi: GroupMap, e: Cocycle2) -> bool:
     """chi(x * e(y,y')) == chi(x) * chi(e(y,y')) for all x, y, y'.
 

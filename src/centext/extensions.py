@@ -2,7 +2,10 @@
 matrix decomposition of maps between two such carriers.
 
 Elements of a carrier are pairs (x, y) with x in g1 and y in g2,
-flattened to the index x * |g2| + y.  The product twists the g1 part:
+flattened to the index x * |g2| + y, so (x, y) = divmod(i, |g2|): the
+kernel copy (x, 1) sits at the multiples x * |g2| and the section copy
+(1, y) at the indices 0 .. |g2| - 1.  Every reader here writes the
+layout as that arithmetic.  The product twists the g1 part:
 (x, y)(x', y') = (x x' e(y, y'), y y').  The copy of g1 along y = 0 is
 central by construction and the quotient by it multiplies like g2.
 """
@@ -16,7 +19,6 @@ from .cocycles import (
     Cocycle2,
     _coboundary_table,
     are_cohomologous,
-    coboundary_from,
     is_cocycle,
     is_epsilon_endomorphism,
 )
@@ -28,7 +30,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupMap,
-    Subgroup,
     subgroup_closure,
     validate_group,
 )
@@ -36,8 +37,7 @@ from .groups import (
 __all__ = [
     "ExtensionGroup", "build_extension",
     "HomMatrix", "TRIVIAL_COMPONENTS", "decompose_hom", "reconstruct_hom",
-    "is_homomorphism_direct", "HomConditionReport", "check_hom_conditions",
-    "hom_condition_failures",
+    "is_homomorphism_direct", "hom_condition_failures",
     "equivalence_isomorphism", "is_epsilon_endomorphism",
     "central_quotient_data",
 ]
@@ -51,27 +51,6 @@ class ExtensionGroup:
     g2: FiniteGroup
     cocycle: Cocycle2
     group: FiniteGroup
-
-    def index_of_pair(self, x: int, y: int) -> int:
-        return x * self.g2.order + y
-
-    def pair_of_index(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.g2.order)
-
-    def embed_kernel(self, x: int) -> int:
-        return x * self.g2.order
-
-    @property
-    def kernel_indices(self) -> tuple[int, ...]:
-        n2 = self.g2.order
-        return tuple(x * n2 for x in range(self.g1.order))
-
-    @property
-    def section_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.g2.order))
-
-    def kernel_subgroup(self) -> Subgroup:
-        return Subgroup(parent=self.group, members=self.kernel_indices)
 
     def to_dict(self) -> dict:
         return {"g1": self.g1.to_dict(), "g2": self.g2.to_dict(),
@@ -243,15 +222,11 @@ class HomMatrix:
                     or m.cod is not cod and m.cod != cod):
                 raise GroupMismatch("component map has wrong domain/codomain")
 
-    def trivial_components(self) -> frozenset:
-        """The names of the components that are trivial maps."""
-        return frozenset(c for c in _component_groups(self.source, self.target)
-                         if getattr(self, c).is_trivial())
-
     def has_kind(self, kind: str) -> bool:
         """Whether every component TRIVIAL_COMPONENTS lists for kind is
         trivial; for a bijective map, whether it is of that kind."""
-        return self.trivial_components().issuperset(TRIVIAL_COMPONENTS[kind])
+        return all(getattr(self, c).is_trivial()
+                   for c in TRIVIAL_COMPONENTS[kind])
 
 
 def _component_groups(source: ExtensionGroup, target: ExtensionGroup) -> dict:
@@ -346,55 +321,31 @@ def _direct_failure(source, target, phi, kernel_factors, section_factors):
     return None
 
 
-@dataclass(frozen=True)
-class HomConditionReport:
-    """Outcome of the four component conditions, with first-failure
-    witnesses and the two derived coboundary tables.
-
-    The four conditions, in order:
-      1. phi21 is a homomorphism into the centralizer of the phi22
-         image, phi22 is an endomorphism of g2, and phi11 respects
-         products by source-cocycle values;
-      2. the section images of phi22 and phi21 commute inside the
-         target carrier;
-      3. phi21 kills the source cocycle values, and the inverted target
-         cocycle pulled back through phi21 is the coboundary of phi11;
-      4. phi11.e1 minus e2.(phi22 x phi22) is the coboundary of phi12.
-    """
-
-    component_morphisms: bool
-    morphism_witness: object
-    images_commute_in_carrier: bool
-    commute_witness: object
-    kernel_coboundary_equation: bool
-    kernel_witness: object
-    section_coboundary_equation: bool
-    section_witness: object
-    psi_phi11: Cocycle2
-    psi_phi12: Cocycle2
-
-    @property
-    def conditions(self) -> tuple[bool, bool, bool, bool]:
-        return (self.component_morphisms, self.images_commute_in_carrier,
-                self.kernel_coboundary_equation,
-                self.section_coboundary_equation)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(self.conditions)
-
-
 def hom_condition_failures(m: HomMatrix):
-    """Evaluate the four conditions of HomConditionReport on m, whose
-    carriers sit over one group pair, writing sigma, eta, delta, rho
-    for phi11, phi12, phi21, phi22.
+    """The four component conditions on m, writing sigma, eta, delta,
+    rho for phi11, phi12, phi21, phi22:
+      1. delta is a homomorphism into the centralizer of the rho image,
+         rho is an endomorphism of g2, and sigma respects products by
+         source-cocycle values;
+      2. the rho and delta images commute inside the target carrier;
+      3. delta kills the source cocycle values, and the inverted target
+         cocycle pulled back through delta is sigma's coboundary;
+      4. sigma.e1 minus e2.(rho x rho) is eta's coboundary.
+    When all four hold, the reconstructed map is a homomorphism between
+    the two carriers, for any quotient.  A failed condition rules a
+    homomorphism out only under the quotient coboundary-triviality
+    hypothesis (sim_is_trivial of the quotient), which is not decided
+    here.
 
     Yields (condition, reason, witness) once for each failing condition,
-    in the order 1, 3, 2, 4; the witness has the shape of the matching
-    report field.  Evaluation is lazy, so a caller that stops at the
-    first failure pays for nothing after it.
+    in the order 1, 3, 2, 4, so all four hold exactly when nothing is
+    yielded.  Evaluation is lazy, so a caller that stops at the first
+    failure pays for nothing after it.  The first read raises
+    GroupMismatch unless both carriers sit over one group pair.
     """
     src, tgt = m.source, m.target
+    if src.g1 != tgt.g1 or src.g2 != tgt.g2:
+        raise GroupMismatch("both carriers must sit over the same pair")
     g1, g2 = src.g1, src.g2
     n1, n2 = g1.order, g2.order
     e1, e2 = src.cocycle.table, tgt.cocycle.table
@@ -433,10 +384,11 @@ def hom_condition_failures(m: HomMatrix):
                       "vanish on the delta image",
                    ("coboundary_mismatch", bad))
 
-    mul_t, pair = tgt.group.table, tgt.index_of_pair
+    # in the target carrier (1, a)(1, b) = (e2(a, b), ab)
+    mul2 = g2.table
     bad = next(((y, x) for y in range(1, n2) for x in range(1, n1)
-                if mul_t[pair(0, rho[y])][pair(0, delta[x])]
-                != mul_t[pair(0, delta[x])][pair(0, rho[y])]), None)
+                if e2[rho[y]][delta[x]] != e2[delta[x]][rho[y]]
+                or mul2[rho[y]][delta[x]] != mul2[delta[x]][rho[y]]), None)
     if bad is not None:
         yield (2, "delta image does not commute with the section copy in "
                   "the target carrier", bad)
@@ -449,23 +401,3 @@ def hom_condition_failures(m: HomMatrix):
         yield (4, "sigma does not transport the source cocycle onto the "
                   "pulled-back target cocycle times eta's coboundary", bad)
 
-
-def check_hom_conditions(m: HomMatrix) -> HomConditionReport:
-    """Evaluate the four conditions on a component matrix, and report.
-
-    When all four hold, the reconstructed map is a homomorphism between
-    the two carriers, for any quotient.  A failed condition rules a
-    homomorphism out only under the quotient coboundary-triviality
-    hypothesis (sim_is_trivial of the quotient); the report does not
-    decide it."""
-    src, tgt = m.source, m.target
-    if src.g1 != tgt.g1 or src.g2 != tgt.g2:
-        raise GroupMismatch("both carriers must sit over the same pair")
-    found = {c: witness for c, _, witness in hom_condition_failures(m)}
-    return HomConditionReport(
-        component_morphisms=1 not in found, morphism_witness=found.get(1),
-        images_commute_in_carrier=2 not in found, commute_witness=found.get(2),
-        kernel_coboundary_equation=3 not in found, kernel_witness=found.get(3),
-        section_coboundary_equation=4 not in found,
-        section_witness=found.get(4),
-        psi_phi11=coboundary_from(m.phi11), psi_phi12=coboundary_from(m.phi12))

@@ -44,7 +44,9 @@ class SearchLimits:
     max_order caps the carrier size accepted by the oracle searches,
     max_search_nodes caps image assignments during backtracking: one per
     generator image tried and one per image that choice forces along
-    the Cayley graph of the generators.  Cohomology takes no budget.
+    the Cayley graph of the generators.  The count is checked once per
+    choice, after the images it forces, so a search that finishes
+    visited at most max_search_nodes nodes.  Cohomology takes no budget.
     """
 
     max_order: int = 128
@@ -127,14 +129,6 @@ class FiniteGroup:
     def order_profile(self) -> tuple[int, ...]:
         """Sorted element orders; a cheap isomorphism invariant."""
         return tuple(sorted(self.element_orders))
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverses[a], -k)
-        x = 0
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
 
     def to_dict(self) -> dict:
         d = {"order": self.order, "table": [list(row) for row in self.table]}
@@ -525,12 +519,6 @@ class GroupMap:
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.images)
 
-    def image_set(self) -> frozenset:
-        return frozenset(self.images)
-
-    def kernel(self) -> frozenset:
-        return frozenset(a for a, v in enumerate(self.images) if v == 0)
-
     def inverse(self) -> "GroupMap":
         if not self.is_bijective():
             raise ValueError("map is not bijective")
@@ -582,9 +570,11 @@ class _MapSearch:
     order, or whether a step sets or compares; a failing step ends the
     choice.  Replaying therefore accepts the same choices as closing
     the graph afresh at each node, and counts the same nodes: one per
-    choice, checked against max_search_nodes there, and one per tree
-    step taken.  The steps taken before a failing one set a prefix of
-    the layer's reached elements, which the undo resets.
+    choice and one per tree step taken.  The count is checked against
+    max_search_nodes once per choice, after its steps, so a search that
+    finishes visited at most max_search_nodes nodes.  The steps taken
+    before a failing one set a prefix of the layer's reached elements,
+    which the undo resets.
 
     The maps come out in lex order of image arrays: two maps first
     differ in the image of some generator x, taken from ascending
@@ -624,11 +614,6 @@ class _MapSearch:
         for v in self.candidates[layer]:
             if injective and used[v]:
                 continue
-            self.nodes += 1
-            if self.nodes > budget:
-                raise SizeLimitExceeded(
-                    "map search exceeded node budget",
-                    limit=budget, needed=self.nodes)
             images[x] = v
             used[v] = injective   # only an injective search marks images
             taken, passed = 0, True
@@ -644,7 +629,11 @@ class _MapSearch:
                 elif images[r] != w:
                     passed = False
                     break
-            self.nodes += taken
+            self.nodes += 1 + taken
+            if self.nodes > budget:
+                raise SizeLimitExceeded(
+                    "map search exceeded node budget",
+                    limit=budget, needed=self.nodes)
             if passed:
                 yield from self._assign(layer + 1, images, used)
             for r in reached[:taken + 1]:

@@ -57,10 +57,6 @@ class IntMatrix:
         return IntMatrix(rows=n, cols=n, data=tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "IntMatrix":
-        return IntMatrix(rows=r, cols=c, data=tuple((0,) * c for _ in range(r)))
-
     def to_lists(self):
         return [list(row) for row in self.data]
 
@@ -71,11 +67,6 @@ class IntMatrix:
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
-    def is_diagonal(self) -> bool:
-        return all(v == 0
-                   for i, row in enumerate(self.data)
-                   for j, v in enumerate(row) if i != j)
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -38,6 +38,7 @@ from .groups import (
     GroupMap,
     SearchLimits,
     _automorphism_generators,
+    brute_force_isomorphism,
     enumerate_automorphisms,
     enumerate_isomorphisms,
     is_purely_nonabelian,
@@ -488,7 +489,15 @@ def g2_isomorphic_equal_order(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     """Decision for equal-order abelian factor groups: the source
     cocycle must vanish and some isomorphism delta between the factors
     must pull the inverted target cocycle back to a coboundary.  The
-    certificate materializes to (sigma(x) + delta'(y), delta(x))."""
+    certificate materializes to (sigma(x) + delta'(y), delta(x)).
+
+    Every delta gives the same verdict, so only brute_force_isomorphism's
+    is tried: for a homomorphism delta, psi_s . (delta x delta) =
+    psi_(s . delta), so if the inverted target cocycle is psi_s its
+    pullback is psi_(s . delta), and if its pullback through a bijective
+    delta is psi_t, it is psi_(t . delta^-1).  A loop over every delta
+    stops at the first one too, so the certificate is the loop's.
+    """
     src, tgt = _extension_pair(e1, e2)
     g1, g2 = src.g1, src.g2
     if not (g1.is_abelian and g2.is_abelian and g1.order == g2.order):
@@ -496,17 +505,17 @@ def g2_isomorphic_equal_order(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
             "equal-order abelian factor groups required")
     if not src.cocycle.is_trivial():
         return None
-    triv11 = trivial_cocycle(g1, g1)
-    inv2 = cocycle_inv(tgt.cocycle)
-    for delta in enumerate_isomorphisms(g1, g2, limits):
-        w = are_cohomologous(triv11, pullback(inv2, delta))
-        if w is not None:
-            cert = IsoCertificate(kind="g2", source=src, target=tgt,
-                                  sigma=w.t, eta=delta.inverse(),
-                                  delta=delta, t_witness=w)
-            cert.materialize()
-            return cert
-    return None
+    delta = brute_force_isomorphism(g1, g2, limits=limits)
+    if delta is None:
+        return None
+    w = are_cohomologous(trivial_cocycle(g1, g1),
+                         pullback(cocycle_inv(tgt.cocycle), delta))
+    if w is None:
+        return None
+    cert = IsoCertificate(kind="g2", source=src, target=tgt, sigma=w.t,
+                          eta=delta.inverse(), delta=delta, t_witness=w)
+    cert.materialize()
+    return cert
 
 
 def g1_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
@@ -533,20 +542,25 @@ def _g1_necessary(src, tgt, m: HomMatrix) -> IsoCertificate:
 def g1g2_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     """Decision for both diagonal components trivial: the source cocycle
     vanishes and some isomorphism delta between the factor groups kills
-    the target cocycle exactly.  Materializes (delta'(y), delta(x))."""
+    the target cocycle exactly.  Materializes (delta'(y), delta(x)).
+
+    For a bijective delta, e2 . (delta x delta) takes every value of e2,
+    so it vanishes exactly when e2 does, whatever delta is: only
+    brute_force_isomorphism's delta is built, the first a loop over
+    every delta would try, so the certificate is the loop's.
+    """
     src, tgt = _extension_pair(e1, e2)
     g1, g2 = src.g1, src.g2
-    if g1.order != g2.order or not src.cocycle.is_trivial():
+    if (g1.order != g2.order or not src.cocycle.is_trivial()
+            or not tgt.cocycle.is_trivial()):
         return None
-    t2 = tgt.cocycle.table
-    for delta in enumerate_isomorphisms(g1, g2, limits):
-        if all(t2[delta.images[x]][delta.images[xp]] == 0
-               for x in range(g1.order) for xp in range(g1.order)):
-            cert = IsoCertificate(kind="g1g2", source=src, target=tgt,
-                                  eta=delta.inverse(), delta=delta)
-            cert.materialize()
-            return cert
-    return None
+    delta = brute_force_isomorphism(g1, g2, limits=limits)
+    if delta is None:
+        return None
+    cert = IsoCertificate(kind="g1g2", source=src, target=tgt,
+                          eta=delta.inverse(), delta=delta)
+    cert.materialize()
+    return cert
 
 
 # ---------------------------------------------------------------------------

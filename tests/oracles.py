@@ -21,10 +21,13 @@ from centext.cocycles import (
     _solve_coordinate,
     _table_from_values,
     _unit_coboundary,
+    are_cohomologous,
+    cocycle_inv,
     is_cocycle,
     is_epsilon_endomorphism,
     pullback,
     pushforward,
+    trivial_cocycle,
 )
 from centext.errors import (
     ConditionsFailed,
@@ -38,13 +41,17 @@ from centext.errors import (
 )
 from centext.extensions import ExtensionGroup
 from centext.groups import (
+    DEFAULT_LIMITS,
     FiniteGroup,
     GroupMap,
+    SearchLimits,
     Subgroup,
+    enumerate_isomorphisms,
     subgroup_closure,
     validate_group,
 )
 from centext.intlinalg import IntLattice, IntMatrix, abelian_invariants, xgcd
+from centext.isotest import IsoCertificate, _extension_pair
 
 
 def determinant(a: IntMatrix) -> int:
@@ -87,15 +94,16 @@ def centralizer(g: FiniteGroup, s) -> Subgroup:
 def preserves_kernel_setwise(source: ExtensionGroup, target: ExtensionGroup,
                              phi: GroupMap) -> bool:
     """Whether phi maps the kernel copy onto the kernel copy, by sets."""
-    want = set(target.kernel_indices)
-    return {phi(i) for i in source.kernel_indices} == want
+    want = set(range(0, target.group.order, target.g2.order))
+    return {phi(i) for i in range(0, source.group.order,
+                                  source.g2.order)} == want
 
 
 def preserves_section_setwise(source: ExtensionGroup, target: ExtensionGroup,
                               phi: GroupMap) -> bool:
     """Whether phi maps the section copy onto the section copy, by sets."""
-    want = set(target.section_indices)
-    return {phi(i) for i in source.section_indices} == want
+    want = set(range(target.g2.order))
+    return {phi(i) for i in range(source.g2.order)} == want
 
 
 def build_extension_by_validation(e: Cocycle2,
@@ -125,7 +133,7 @@ def build_extension_by_validation(e: Cocycle2,
     group = validate_group(table, name=name)
     ext = ExtensionGroup(g1=g1, g2=g2, cocycle=e, group=group)
     for x in range(n1):
-        k = ext.embed_kernel(x)
+        k = x * n2
         for j in range(n):
             if group.table[k][j] != group.table[j][k]:
                 raise ConditionsFailed(
@@ -216,11 +224,18 @@ class CayleyClosureSearch:
         self.assigned.pop()
 
     def _define(self, x, v, images, known, used, trail):
-        self.nodes += 1
+        """Whether the choice f(x) = v closes without conflict; the node
+        budget is checked once, after the images the choice forces,
+        whether it passed or failed."""
+        passed = self._close(x, v, images, known, used, trail)
         if self.nodes > self.limits.max_search_nodes:
             raise SizeLimitExceeded(
                 "map search exceeded node budget",
                 limit=self.limits.max_search_nodes, needed=self.nodes)
+        return passed
+
+    def _close(self, x, v, images, known, used, trail):
+        self.nodes += 1
         images[x] = v
         old = len(known)
         known.append(x)
@@ -429,8 +444,8 @@ def components_by_calls(source: ExtensionGroup, target: ExtensionGroup,
     """The earlier decompose_hom's read, one phi(...) call and one divmod
     per point: the image arrays of phi11, phi12, phi21 and phi22."""
     n2t = target.g2.order
-    k_images = [divmod(phi(source.embed_kernel(x)), n2t)
-                for x in range(source.g1.order)]
+    n2s = source.g2.order
+    k_images = [divmod(phi(x * n2s), n2t) for x in range(source.g1.order)]
     s_images = [divmod(phi(y), n2t) for y in range(source.g2.order)]
     return {"phi11": tuple(a for a, _ in k_images),
             "phi12": tuple(a for a, _ in s_images),
@@ -631,3 +646,57 @@ def _coordinate_tables(g1: FiniteGroup, g2: FiniteGroup, values_of):
               for ci, d in enumerate(factors) for values in values_of(d))
     return tuple(Cocycle2(g1=g1, g2=g2, table=t)
                  for t in dict.fromkeys(tables) if any(map(any, t)))
+
+
+def carrier_commute_failure(m):
+    """The earlier condition 2 of hom_condition_failures, read off the
+    target carrier's table: the first (y, x), y and x not the identity,
+    where (1, rho(y)) and (1, delta(x)) do not commute there, or None."""
+    tgt = m.target
+    mul_t, rho, delta = tgt.group.table, m.phi22.images, m.phi21.images
+    return next(((y, x) for y in range(1, tgt.g2.order)
+                 for x in range(1, tgt.g1.order)
+                 if mul_t[rho[y]][delta[x]] != mul_t[delta[x]][rho[y]]),
+                None)
+
+
+def g2_isomorphic_equal_order_by_loop(e1, e2,
+                                      limits: SearchLimits = DEFAULT_LIMITS):
+    """The earlier isotest.g2_isomorphic_equal_order, which tried every
+    isomorphism delta between the factor groups in turn."""
+    src, tgt = _extension_pair(e1, e2)
+    g1, g2 = src.g1, src.g2
+    if not (g1.is_abelian and g2.is_abelian and g1.order == g2.order):
+        raise PreconditionViolated(
+            "equal-order abelian factor groups required")
+    if not src.cocycle.is_trivial():
+        return None
+    triv11 = trivial_cocycle(g1, g1)
+    inv2 = cocycle_inv(tgt.cocycle)
+    for delta in enumerate_isomorphisms(g1, g2, limits):
+        w = are_cohomologous(triv11, pullback(inv2, delta))
+        if w is not None:
+            cert = IsoCertificate(kind="g2", source=src, target=tgt,
+                                  sigma=w.t, eta=delta.inverse(),
+                                  delta=delta, t_witness=w)
+            cert.materialize()
+            return cert
+    return None
+
+
+def g1g2_isomorphic_by_loop(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
+    """The earlier isotest.g1g2_isomorphic, which tried every isomorphism
+    delta between the factor groups in turn."""
+    src, tgt = _extension_pair(e1, e2)
+    g1, g2 = src.g1, src.g2
+    if g1.order != g2.order or not src.cocycle.is_trivial():
+        return None
+    t2 = tgt.cocycle.table
+    for delta in enumerate_isomorphisms(g1, g2, limits):
+        if all(t2[delta.images[x]][delta.images[xp]] == 0
+               for x in range(g1.order) for xp in range(g1.order)):
+            cert = IsoCertificate(kind="g1g2", source=src, target=tgt,
+                                  eta=delta.inverse(), delta=delta)
+            cert.materialize()
+            return cert
+    return None

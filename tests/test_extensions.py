@@ -16,8 +16,8 @@ from centext.cocycles import (
     Cocycle2,
     apply_coboundary,
     compute_cocycle_space,
+    coboundary_from,
     is_cocycle,
-    is_symmetric,
     sim_is_trivial,
     trivial_cocycle,
 )
@@ -29,9 +29,9 @@ from centext.extensions import (
     HomMatrix,
     build_extension,
     central_quotient_data,
-    check_hom_conditions,
     decompose_hom,
     equivalence_isomorphism,
+    hom_condition_failures,
     is_homomorphism_direct,
     reconstruct_hom,
 )
@@ -41,10 +41,12 @@ from centext.groups import (
     center,
     enumerate_homs,
     is_simple,
+    trivial_map,
 )
 from centext.intlinalg import abelian_invariants
 from oracles import (
     build_extension_by_validation,
+    carrier_commute_failure,
     greedy_by_pair_closure,
     preserves_kernel_setwise,
     preserves_section_setwise,
@@ -94,7 +96,8 @@ class TestBuildExtension:
         for rep in reps_for("Z2", "S3"):
             ext = build_extension(rep)
             zi = set(center(ext.group).members)
-            assert set(ext.kernel_indices) <= zi
+            n2 = ext.g2.order
+            assert {x * n2 for x in range(ext.g1.order)} <= zi
 
     def test_quotient_multiplies_like_g2(self):
         for rep in reps_for("Z4", "K4")[:4]:
@@ -121,15 +124,7 @@ class TestBuildExtension:
     def test_abelian_iff_symmetric_over_abelian_quotient(self):
         for rep in reps_for("Z2", "K4"):
             assert build_extension(rep).group.is_abelian \
-                == is_symmetric(rep)
-
-    def test_pair_index_roundtrip(self):
-        ext = build_extension(reps_for("Z2", "S3")[1])
-        for i in range(ext.group.order):
-            x, y = ext.pair_of_index(i)
-            assert ext.index_of_pair(x, y) == i
-        assert ext.embed_kernel(1) == ext.index_of_pair(1, 0)
-        assert ext.kernel_subgroup().members == (0, 6)
+                == (tuple(zip(*rep.table)) == rep.table)
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +190,7 @@ class TestEquivalence:
         assert phi is not None
         n2 = 4
         for x in range(2):
-            assert phi(src.embed_kernel(x)) == tgt.embed_kernel(x)
+            assert phi(x * n2) == x * n2
         for i in range(src.group.order):
             assert phi(i) % n2 == i % n2
 
@@ -297,10 +292,10 @@ class TestHomConditions:
         for src in exts:
             for tgt in exts:
                 for m in all_matrices(src, tgt):
-                    report = check_hom_conditions(m)
+                    holds = next(hom_condition_failures(m), None) is None
                     phi = reconstruct_hom(m)
                     ok, _ = is_homomorphism_direct(src, tgt, phi)
-                    assert report.all_hold == ok
+                    assert holds == ok
                     checked += 1
         assert checked == 4 * 16
 
@@ -312,9 +307,31 @@ class TestHomConditions:
         m = decompose_hom(src, src, GroupMap(
             dom=src.group, cod=src.group, images=tuple(range(6))))
         assert not sim_is_trivial(src.g2)
-        report = check_hom_conditions(m)
-        assert report.all_hold
+        assert next(hom_condition_failures(m), None) is None
         assert is_homomorphism_direct(src, src, reconstruct_hom(m))[0]
+
+    @pytest.mark.parametrize("pair", [("Z2", "K4"), ("Z2", "D4")],
+                             ids=":".join)
+    def test_condition_2_equals_the_carrier_table_read(self, pair):
+        # over K4 only the cocycle part of the pair formula can fail;
+        # over D4 the quotient part can too
+        rng = random.Random(":".join(pair))
+        g1, g2 = (get_group(n) for n in pair)
+        failures = 0
+        for tgt in (build_extension(r) for r in reps_for(*pair)):
+            for _ in range(100):
+                rho, delta = (GroupMap(dom=dom, cod=g2, images=(0, *(
+                    rng.randrange(g2.order) for _ in range(dom.order - 1))))
+                    for dom in (g2, g1))
+                m = HomMatrix(source=tgt, target=tgt,
+                              phi11=trivial_map(g1, g1),
+                              phi12=trivial_map(g2, g1),
+                              phi21=delta, phi22=rho)
+                got = next((w for c, _, w in hom_condition_failures(m)
+                            if c == 2), None)
+                assert got == carrier_commute_failure(m)
+                failures += got is not None
+        assert failures
 
     def test_mismatched_pair_rejected(self):
         a = build_extension(reps_for("Z2", "Z2")[0])
@@ -327,17 +344,17 @@ class TestHomConditions:
             phi21=GroupMap(dom=z2, cod=z3, images=(0, 0)),
             phi22=GroupMap(dom=z2, cod=z3, images=(0, 0)))
         with pytest.raises(GroupMismatch):
-            check_hom_conditions(mixed)
+            next(hom_condition_failures(mixed))
 
     def test_report_carries_coboundary_tables(self):
         reps = reps_for("Z2", "Z2")
         src = build_extension(reps[1])
         ident = GroupMap(dom=src.group, cod=src.group,
                          images=tuple(range(4)))
-        report = check_hom_conditions(decompose_hom(src, src, ident))
-        assert report.psi_phi12.is_trivial()
-        assert report.psi_phi11.g2 == src.g1
-        assert report.all_hold
+        m = decompose_hom(src, src, ident)
+        assert coboundary_from(m.phi12).is_trivial()
+        assert coboundary_from(m.phi11).g2 == src.g1
+        assert next(hom_condition_failures(m), None) is None
 
 
 class TestSetwisePredicates:
@@ -359,7 +376,7 @@ class TestCentralQuotientData:
         rep = reps_for("Z2", "K4")[2]
         ext = build_extension(rep)
         kernel, quotient, eps, sec = central_quotient_data(
-            ext.group, ext.kernel_indices)
+            ext.group, (0, 4))
         # min-element coset reps coincide with the canonical section
         assert sec == tuple(range(4))
         assert kernel.table == get_group("Z2").table

@@ -132,10 +132,8 @@ class PairClosureSearch(CayleyClosureSearch):
     """Reference for _MapSearch: after each choice, close the partial
     image under the products of every pair of known elements."""
 
-    def _define(self, x, v, images, known, used, trail):
+    def _close(self, x, v, images, known, used, trail):
         self.nodes += 1
-        if self.nodes > self.limits.max_search_nodes:
-            raise SizeLimitExceeded("map search exceeded node budget")
         images[x] = v
         known.append(x)
         trail.append(x)
@@ -518,13 +516,6 @@ class TestGroupMap:
         assert type(err.value) is expected[0]
         assert str(err.value) == expected[1]
 
-    def test_kernel_image(self):
-        z4, z2 = get_group("Z4"), get_group("Z2")
-        proj = GroupMap(dom=z4, cod=z2, images=(0, 1, 0, 1))
-        assert proj.is_homomorphism()
-        assert proj.kernel() == {0, 2}
-        assert proj.image_set() == {0, 1}
-
 
 class TestEnumeration:
     def test_hom_counts(self):
@@ -669,6 +660,19 @@ class TestPairClosureOracle:
             search = _MapSearch(g, g, True, DEFAULT_LIMITS)
             assert sum(1 for _ in search.run()) == 120
             assert search.nodes == nodes
+
+    def test_a_finished_search_stays_within_its_node_budget(self):
+        # the budget is checked after each choice's forced images, so
+        # Aut(A5), 27,100 nodes, needs a budget of exactly that many
+        a5 = get_group("A5")
+        with pytest.raises(SizeLimitExceeded) as err:
+            list(_MapSearch(a5, a5, True,
+                            SearchLimits(max_search_nodes=27_099)).run())
+        assert err.value.limit == 27_099 and err.value.needed > 27_099
+        search = _MapSearch(a5, a5, True,
+                            SearchLimits(max_search_nodes=27_100))
+        assert sum(1 for _ in search.run()) == 120
+        assert search.nodes == 27_100
 
     def test_automorphism_lists_are_fresh(self):
         g = get_group("Q8")

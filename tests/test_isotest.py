@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import itertools
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -65,6 +66,8 @@ from centext.isotest import (
     verify_theorems,
 )
 from oracles import (
+    g1g2_isomorphic_by_loop,
+    g2_isomorphic_equal_order_by_loop,
     identity_map,
     preserves_kernel_setwise,
     preserves_section_setwise,
@@ -77,8 +80,9 @@ def class_extensions(n1, n2):
 
 
 def carrier_map(src, tgt, fn):
-    images = tuple(tgt.index_of_pair(*fn(*src.pair_of_index(i)))
-                   for i in range(src.group.order))
+    n2s, n2t = src.g2.order, tgt.g2.order
+    images = tuple(x * n2t + y for x, y in (fn(*divmod(i, n2s))
+                                            for i in range(src.group.order)))
     return GroupMap(dom=src.group, cod=tgt.group, images=images)
 
 
@@ -493,7 +497,7 @@ class TestPurelyNonabelianBuilder:
         assert ok
         assert not phi.is_bijective()
         for x in range(4):
-            assert phi.images[e.index_of_pair(x, x)] == 0
+            assert phi.images[x * 4 + x] == 0
 
     def test_inversion_configuration_on_order_four_cyclic_pair(self):
         z4 = get_group("Z4")
@@ -507,7 +511,7 @@ class TestPurelyNonabelianBuilder:
         assert ok
         assert not phi.is_bijective()
         for x in range(4):
-            assert phi.images[e.index_of_pair(x, x)] == 0
+            assert phi.images[x * 4 + x] == 0
 
 
 class TestG2Isomorphic:
@@ -639,6 +643,64 @@ class TestG1G2Isomorphic:
 
     def test_unequal_factor_orders_are_absent(self, z2k4):
         assert g1g2_isomorphic(z2k4[0], z2k4[0]) is None
+
+
+def decider_outcome(decide, a, b):
+    """The certificate's dict, None, or the type of the precondition
+    error."""
+    try:
+        cert = decide(a, b)
+    except PreconditionViolated as exc:
+        return type(exc)
+    return None if cert is None else cert.to_dict()
+
+
+EQUAL_ORDER_DECIDERS = ((g2_isomorphic_equal_order,
+                         g2_isomorphic_equal_order_by_loop),
+                        (g1g2_isomorphic, g1g2_isomorphic_by_loop))
+
+
+def equal_order_positives(exts):
+    """The g2 and g1g2 positives over every ordered pair of exts, once
+    each decider is found to give the certificate of the loop over every
+    isomorphism of the factor groups."""
+    positives = [0, 0]
+    for a, b in itertools.product(exts, repeat=2):
+        for i, (decide, loop) in enumerate(EQUAL_ORDER_DECIDERS):
+            got = decider_outcome(decide, a, b)
+            assert got == decider_outcome(loop, a, b)
+            positives[i] += isinstance(got, dict)
+    return positives
+
+
+class TestEqualOrderDecidersMatchTheLoops:
+    @pytest.mark.parametrize("pair", [
+        ("Z2", "Z2"), ("Z3", "Z3"), ("Z4", "Z4"), ("K4", "K4"),
+        ("Z4", "K4"), ("K4", "Z4"), ("Z5", "Z5"), ("Z6", "Z6"),
+        ("Z6", "S3")], ids=":".join)
+    def test_every_class_pair(self, pair):
+        exts = class_extensions(*pair)
+        # one positive each, from the trivial class to itself, wherever
+        # the factor groups are isomorphic
+        want = [0, 0] if pair in (("Z4", "K4"), ("K4", "Z4"),
+                                  ("Z6", "S3")) else [1, 1]
+        assert equal_order_positives(exts) == want
+
+    @pytest.mark.parametrize("pair", [("K4", "K4"), ("Z4", "Z4")],
+                             ids=":".join)
+    def test_every_pair_of_shifted_representatives(self, pair):
+        # each representative and three seeded coboundary shifts of it:
+        # a shifted trivial class is a g2 target but not a g1g2 one
+        g1, g2 = get_group(pair[0]), get_group(pair[1])
+        rng = random.Random(24)
+        cocycles = [
+            c for rep in compute_cocycle_space(g1, g2).class_representatives
+            for c in (rep, *(apply_coboundary(GroupMap(
+                dom=g2, cod=g1, images=(0, *(rng.randrange(g1.order)
+                                             for _ in range(g2.order - 1)))),
+                rep) for _ in range(3)))]
+        exts = [build_extension(c) for c in cocycles]
+        assert equal_order_positives(exts) == [4, 1]
 
 
 class TestOracleSurvey:
