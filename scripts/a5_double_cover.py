@@ -33,9 +33,9 @@ def main():
 
     big = special_linear_2_5()
     zc = center(big)
-    print(f"double cover: order {big.order}, center size {len(zc.members)}")
+    print(f"double cover: order {big.order}, center size {len(zc)}")
 
-    kernel, quotient, eps, _ = central_quotient_data(big, zc.members)
+    kernel, quotient, eps, _ = central_quotient_data(big, zc)
     z2, a5 = get_group("Z2"), get_group("A5")
     psi = brute_force_isomorphism(quotient, a5, limits=LIMITS)
     chi = brute_force_isomorphism(kernel, z2, limits=LIMITS)

@@ -131,15 +131,13 @@ def get_group(name: str) -> FiniteGroup:
     return _BUILDERS[key]()
 
 
-def identify_group(g: FiniteGroup, limits=None) -> str | None:
+def identify_group(g: FiniteGroup) -> str | None:
     """Catalog name of g's isomorphism type, or None when no entry of
     the same order matches."""
-    from .groups import DEFAULT_LIMITS
-    limits = limits or DEFAULT_LIMITS
     for name in catalog_names():
         cand = get_group(name)
         if cand.order != g.order:
             continue
-        if brute_force_isomorphism(g, cand, limits=limits) is not None:
+        if brute_force_isomorphism(g, cand) is not None:
             return name
     return None

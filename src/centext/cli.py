@@ -296,8 +296,7 @@ def _slow_checks(limits) -> dict:
     """The order-120 tier: both cohomology classes over the simple
     order-60 quotient, realized concretely and separated."""
     big = special_linear_2_5()
-    kernel, quotient, eps, _ = central_quotient_data(
-        big, sorted(center(big).members))
+    kernel, quotient, eps, _ = central_quotient_data(big, center(big))
     a5 = get_group("A5")
     psi = brute_force_isomorphism(a5, quotient, limits=limits)
     z2 = get_group("Z2")
@@ -359,7 +358,7 @@ def cmd_catalog(args) -> int:
     g = get_group(args.name)
     payload = g.to_dict()
     payload["abelian"] = g.is_abelian
-    payload["center_order"] = len(center(g).members)
+    payload["center_order"] = len(center(g))
     _emit(payload, args.output)
     return 0
 
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ext2", help="extension JSON file")
     _add_output(p)
     p.add_argument("--max-order", type=int, default=None,
-                   help="carrier order bound for searches")
+                   help="order bound on both groups of every map search")
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("verify", help="cross-validation harness")

@@ -475,7 +475,10 @@ def _hopf_system(g2: FiniteGroup):
     cocycle e(g, h) = f(t_g t_h t_{gh}^-1), and each class has one; as
     t_s = s and t_y s = t_{ys} on the tree, its column e(y, s) is
     f(r_{y,s}) on a chord and 0 on a tree edge: Z^2 in columns is B^2
-    plus the kernel at the chord columns."""
+    plus the kernel at the chord columns.  It keeps its own tree: the
+    walk's (FiniteGroup._closure_layers) gives the same classes and rows
+    on S6 but reorders the unknowns, and H^2(S6, Z2) took 6.1-7.4 s for
+    4.8-5.0 s (two runs each, 2 vCPUs, Python 3.11.7)."""
     gens, mul = g2.generators, g2.table
     reached = [True] + [False] * (g2.order - 1)
     tree, chords, queue = [], [], [0]
@@ -715,4 +718,4 @@ def sim_is_trivial(g2: FiniteGroup) -> bool:
     g2.order >= 3.  Over an order-2 group {1, a} the only nontrivial t
     has t(a) = a, and psi_t(a, a) = a^2 = 1.
     """
-    return g2.order <= 2 or len(center(g2).members) == 1
+    return g2.order <= 2 or len(center(g2)) == 1

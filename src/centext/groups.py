@@ -17,12 +17,14 @@ generators chosen so far by replaying the products of the same walk.
 A full scan runs only after a generator check has failed, to name the
 first witness.  Tables that a construction proves to be groups
 (direct_product, the extension carriers) are wrapped as FiniteGroup
-without validate_group.
+without validate_group.  The same walk, adjoining only given elements,
+closes subgroups (subgroup_closure), and its recorded steps give the
+relations of intlinalg.abelian_invariants.  A subgroup is its ascending
+member tuple.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -41,7 +43,9 @@ from .errors import (
 class SearchLimits:
     """Budgets for the backtracking searches.
 
-    max_order caps the carrier size accepted by the oracle searches,
+    max_order caps the order of both groups of every map search (hom,
+    isomorphism and automorphism enumeration, brute_force_isomorphism,
+    hence identify_group and the Aut(G1) and Aut(G2) of the deciders);
     max_search_nodes caps image assignments during backtracking: one per
     generator image tried and one per image that choice forces along
     the Cayley graph of the generators.  The count is checked once per
@@ -98,13 +102,14 @@ class FiniteGroup:
         the walk of the right Cayley graph whose steps the map search
         replays (_closure_layers), in O(n k) products for k
         generators."""
-        return _cayley_walk(self.table, False)[0]
+        return _cayley_walk(self.table, range(self.order), False)[0]
 
     @cached_property
     def _closure_layers(self) -> tuple:
         """The closure steps of _cayley_walk, one layer per generator,
-        built on the group's first map search (see _MapSearch)."""
-        return _cayley_walk(self.table, True)[1]
+        recorded on the group's first map search (see _MapSearch) or
+        abelian presentation (intlinalg.abelian_invariants)."""
+        return _cayley_walk(self.table, range(self.order), True)[1]
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -152,9 +157,11 @@ class FiniteGroup:
         return f"FiniteGroup({label})"
 
 
-def _cayley_walk(tab, record: bool):
-    """The greedy generating sequence of the table tab and, if record,
-    the closure steps of each generator's layer.
+def _cayley_walk(tab, adjoin, record: bool):
+    """Walk the right Cayley graph of the table tab from 0, adjoining in
+    turn each element of adjoin not yet reached.  Returns the adjoined
+    elements (over range(n), the greedy generating sequence), the closure
+    steps of each one's layer if record, and the reached elements.
 
     The walk grows the reached set incrementally: when x is adjoined,
     every member is multiplied by x, and each newly reached element by
@@ -168,7 +175,7 @@ def _cayley_walk(tab, record: bool):
     n = len(tab)
     gens, reached, seen = [], [0], [True] + [False] * (n - 1)
     layers = []
-    for x in range(n):
+    for x in adjoin:
         if seen[x]:
             continue
         gens.append(x)
@@ -193,7 +200,7 @@ def _cayley_walk(tab, record: bool):
             i += 1
         if record:
             layers.append((x, tuple(steps), tuple(reached[old:])))
-    return tuple(gens), tuple(layers)
+    return tuple(gens), tuple(layers), reached
 
 
 def validate_group(table, name: str | None = None) -> FiniteGroup:
@@ -328,57 +335,19 @@ def group_from_elements(elems, op, name: str | None = None) -> FiniteGroup:
 # subgroups and structural queries
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup as a sorted member tuple.  Equality ignores the parent."""
-
-    parent: FiniteGroup = field(compare=False)
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.members or self.members[0] != 0:
-            raise ValueError("subgroup must contain the identity")
-
-    def __contains__(self, a: int) -> bool:
-        return a in self._member_set
-
-    def __len__(self):
-        return len(self.members)
-
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.members)
-
-    def is_trivial(self) -> bool:
-        return len(self.members) == 1
-
-    def is_whole(self) -> bool:
-        return len(self.members) == self.parent.order
-
-
 def subgroup_closure(g: FiniteGroup, gens) -> frozenset:
-    """Smallest subgroup of g containing gens."""
-    members = {0}
-    frontier = [0]
-    pending = [x for x in gens if x not in members]
-    for x in pending:
-        members.add(x)
-        frontier.append(x)
-    while frontier:
-        x = frontier.pop()
-        for y in tuple(members):
-            for z in (g.table[x][y], g.table[y][x]):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-    return frozenset(members)
+    """Smallest subgroup of g containing gens: what _cayley_walk reaches
+    adjoining only gens, the closure of {0} under right multiplication
+    by gens, which in a finite group is the subgroup they generate.  Each
+    adjoined element at least doubles it: O(|H| log |H|) products."""
+    return frozenset(_cayley_walk(g.table, gens, False)[2])
 
 
-def center(g: FiniteGroup) -> Subgroup:
+def center(g: FiniteGroup) -> tuple[int, ...]:
+    """The members of the center, ascending."""
     n = g.order
-    members = [z for z in range(n)
-               if all(g.table[z][x] == g.table[x][z] for x in range(n))]
-    return Subgroup(parent=g, members=tuple(members))
+    return tuple(z for z in range(n)
+                 if all(g.table[z][x] == g.table[x][z] for x in range(n)))
 
 
 def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
@@ -397,30 +366,19 @@ def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
     return classes
 
 
-def normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
-    """All normal subgroups, via unions of conjugacy classes closed under
-    the product.  Exponential in the class count; fine at catalog scale
-    for the non-abelian carriers this package targets."""
-    classes = conjugacy_classes(g)
-    nontrivial = classes[1:]
-    out = []
-    for r in range(len(nontrivial) + 1):
-        for pick in itertools.combinations(nontrivial, r):
-            members = {0}
-            for cls in pick:
-                members.update(cls)
-            closed = True
-            for a in members:
-                for b in members:
-                    if g.table[a][b] not in members:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if closed:
-                out.append(Subgroup(parent=g, members=tuple(sorted(members))))
-    out.sort(key=lambda s: (len(s.members), s.members))
-    return out
+def normal_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """All normal subgroups as ascending member tuples, by size and then
+    members.  A normal subgroup is the union of the classes in it, hence
+    the join (the subgroup generated) of their normal closures.  Joining
+    each subgroup found so far with each class's normal closure in turn
+    thus builds them all, with no scan of the 2^(c - 1) class unions."""
+    subs = {frozenset((0,))}
+    for cls in conjugacy_classes(g)[1:]:
+        closure = subgroup_closure(g, cls)
+        subs |= {subgroup_closure(g, m | closure) for m in subs
+                 if not closure <= m}
+    return sorted((tuple(sorted(m)) for m in subs),
+                  key=lambda m: (len(m), m))
 
 
 def is_simple(g: FiniteGroup) -> bool:
@@ -446,20 +404,13 @@ def is_purely_nonabelian(g: FiniteGroup) -> bool:
     if g.is_abelian:
         return False
     subs = normal_subgroups(g)
-    for a_sub in subs:
-        if a_sub.is_trivial() or a_sub.is_whole():
+    for a in subs:
+        if len(a) in (1, g.order) or not all(
+                g.table[x][y] == g.table[y][x] for x in a for y in a):
             continue
-        amem = a_sub.members
-        if not all(g.table[x][y] == g.table[y][x]
-                   for x in amem for y in amem):
-            continue
-        for b_sub in subs:
-            if len(amem) * len(b_sub.members) != g.order:
-                continue
-            if a_sub._member_set & b_sub._member_set != {0}:
-                continue
-            if all(g.table[x][y] == g.table[y][x]
-                   for x in amem for y in b_sub.members):
+        for b in subs:
+            if len(a) * len(b) == g.order and set(a) & set(b) == {0} and all(
+                    g.table[x][y] == g.table[y][x] for x in a for y in b):
                 return False
     return True
 

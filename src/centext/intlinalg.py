@@ -462,7 +462,12 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
 
     Let e_x be an exponent vector of x over the k generators, r a
     matrix whose rows span the relation lattice R (the e whose product
-    of generator powers is the identity), and u * r * v = s.  Then
+    of generator powers is the identity), and u * r * v = s.  Both come
+    from the recorded Cayley walk (FiniteGroup._closure_layers): a
+    generator has its unit vector, a tree step r = a*s sets e_r = e_a +
+    e_s, and a check step adds the row e_a + e_s - e_r.  The walk takes
+    each a*s with a != 1 once, and a tree step's row would be zero, so
+    the rows span R (the index check below confirms it).  Then
     coords[x]_i = (e_x . v)_i mod s_ii, over the i with s_ii > 1.  This
     is well defined: r . v = u^-1 . s, so column i of r . v is divisible
     by s_ii, and e . v vanishes mod the diagonal for every e in R.  It
@@ -478,30 +483,21 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
     presentation."""
     if not g.is_abelian:
         raise NotAbelian("invariant factors require an abelian group")
-    gens = g.generators
+    layers = g._closure_layers
+    gens = tuple(x for x, _, _ in layers)
     k = len(gens)
-    # exponent vector for each element, found by breadth-first products
-    vecs = {0: tuple([0] * k)}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        vx = vecs[x]
-        for j, gen in enumerate(gens):
-            y = g.table[x][gen]
-            if y not in vecs:
-                vy = list(vx)
-                vy[j] += 1
-                vecs[y] = tuple(vy)
-                frontier.append(y)
-
+    column = {x: j for j, x in enumerate(gens)}
+    vecs = {0: (0,) * k}
     rel = IntLattice(k, g.order)
-    for x, vx in vecs.items():
-        for j, gen in enumerate(gens):
-            y = g.table[x][gen]
-            vy = vecs[y]
-            diff = [a + (1 if i == j else 0) - b
-                    for i, (a, b) in enumerate(zip(vx, vy))]
-            rel.add(diff)
+    for x, steps, _ in layers:
+        vecs[x] = tuple(int(j == column[x]) for j in range(k))
+        for r, a, s, tree in steps:
+            va = list(vecs[a])
+            va[column[s]] += 1
+            if tree:
+                vecs[r] = tuple(va)
+            else:
+                rel.add([u - v for u, v in zip(va, vecs[r])])
     if rel.index_in_ambient() != g.order:
         raise AssertionError("relation lattice index differs from |g|")
 

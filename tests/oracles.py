@@ -45,12 +45,18 @@ from centext.groups import (
     FiniteGroup,
     GroupMap,
     SearchLimits,
-    Subgroup,
+    conjugacy_classes,
     enumerate_isomorphisms,
-    subgroup_closure,
     validate_group,
 )
-from centext.intlinalg import IntLattice, IntMatrix, abelian_invariants, xgcd
+from centext.intlinalg import (
+    AbelianPresentation,
+    IntLattice,
+    IntMatrix,
+    abelian_invariants,
+    smith_normal_form,
+    xgcd,
+)
 from centext.isotest import IsoCertificate, _extension_pair
 
 
@@ -81,14 +87,110 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def centralizer(g: FiniteGroup, s) -> Subgroup:
+def centralizer(g: FiniteGroup, s) -> tuple[int, ...]:
     s = sorted(set(s))
     for x in s:
         if not 0 <= x < g.order:
             raise ValueError(f"element {x} out of range")
-    members = [c for c in range(g.order)
-               if all(g.table[c][x] == g.table[x][c] for x in s)]
-    return Subgroup(parent=g, members=tuple(members))
+    return tuple(c for c in range(g.order)
+                 if all(g.table[c][x] == g.table[x][c] for x in s))
+
+
+def pair_closure(g: FiniteGroup, gens) -> frozenset:
+    """The earlier groups.subgroup_closure: the smallest set holding 0
+    and gens that is closed under the product in both orders, O(|H|^2)
+    products.  On a loop it can reach more than the walk's closure under
+    right multiplication, which is why greedy_by_pair_closure needs it."""
+    members = {0}
+    frontier = [0]
+    pending = [x for x in gens if x not in members]
+    for x in pending:
+        members.add(x)
+        frontier.append(x)
+    while frontier:
+        x = frontier.pop()
+        for y in tuple(members):
+            for z in (g.table[x][y], g.table[y][x]):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    return frozenset(members)
+
+
+def normal_subgroups_by_class_unions(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """The earlier groups.normal_subgroups: every union of conjugacy
+    classes that is closed under the product, 2^(c - 1) unions of the c
+    classes, sorted by size and then members."""
+    classes = conjugacy_classes(g)
+    nontrivial = classes[1:]
+    out = []
+    for r in range(len(nontrivial) + 1):
+        for pick in itertools.combinations(nontrivial, r):
+            members = {0}
+            for cls in pick:
+                members.update(cls)
+            closed = True
+            for a in members:
+                for b in members:
+                    if g.table[a][b] not in members:
+                        closed = False
+                        break
+                if not closed:
+                    break
+            if closed:
+                out.append(tuple(sorted(members)))
+    out.sort(key=lambda s: (len(s), s))
+    return out
+
+
+def abelian_invariants_by_search(g: FiniteGroup) -> AbelianPresentation:
+    """The earlier intlinalg.abelian_invariants: exponent vectors from a
+    search of its own over the generators, then one relation per element
+    and generator, before the same Smith form and coordinates."""
+    if not g.is_abelian:
+        raise NotAbelian("invariant factors require an abelian group")
+    gens = g.generators
+    k = len(gens)
+    # exponent vector for each element, found by breadth-first products
+    vecs = {0: tuple([0] * k)}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        vx = vecs[x]
+        for j, gen in enumerate(gens):
+            y = g.table[x][gen]
+            if y not in vecs:
+                vy = list(vx)
+                vy[j] += 1
+                vecs[y] = tuple(vy)
+                frontier.append(y)
+
+    rel = IntLattice(k, g.order)
+    for x, vx in vecs.items():
+        for j, gen in enumerate(gens):
+            y = g.table[x][gen]
+            vy = vecs[y]
+            diff = [a + (1 if i == j else 0) - b
+                    for i, (a, b) in enumerate(zip(vx, vy))]
+            rel.add(diff)
+    if rel.index_in_ambient() != g.order:
+        raise AssertionError("relation lattice index differs from |g|")
+
+    snf = smith_normal_form(IntMatrix.from_rows(rel.hnf_rows()))
+    vt = snf.v.transpose().data
+    cols = [(vt[i], d) for i, d in enumerate(snf.s.diagonal) if d > 1]
+    factors = tuple(d for _, d in cols)
+    coords = tuple(
+        tuple(sum(a * b for a, b in zip(vecs[x], col)) % d for col, d in cols)
+        for x in range(g.order))
+
+    if len(set(coords)) != g.order or any(
+            coords[g.table[x][gen]] != tuple(
+                (a + b) % d for a, b, d in zip(cx, coords[gen], factors))
+            for gen in gens for x, cx in enumerate(coords)):
+        raise AssertionError("coordinate map is not an isomorphism")
+    return AbelianPresentation(group=g, invariant_factors=factors,
+                               coords=coords)
 
 
 def preserves_kernel_setwise(source: ExtensionGroup, target: ExtensionGroup,
@@ -149,7 +251,7 @@ def greedy_by_pair_closure(g: FiniteGroup) -> tuple[int, ...]:
     for x in range(g.order):
         if x not in generated:
             gens.append(x)
-            generated = subgroup_closure(g, gens)
+            generated = pair_closure(g, gens)
     return tuple(gens)
 
 
@@ -274,7 +376,7 @@ class CayleyClosureSearch:
             known.pop()
 
 
-def derived_subgroup(g: FiniteGroup) -> Subgroup:
+def derived_subgroup(g: FiniteGroup) -> tuple[int, ...]:
     n = g.order
     comms = set()
     for a in range(n):
@@ -282,8 +384,7 @@ def derived_subgroup(g: FiniteGroup) -> Subgroup:
             ab = g.table[a][b]
             ba = g.table[b][a]
             comms.add(g.table[ab][g.inverses[ba]])
-    members = subgroup_closure(g, comms)
-    return Subgroup(parent=g, members=tuple(sorted(members)))
+    return tuple(sorted(pair_closure(g, comms)))
 
 
 def cocycle_compose_checks(sigma: GroupMap, delta: GroupMap, e: Cocycle2):

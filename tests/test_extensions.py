@@ -95,7 +95,7 @@ class TestBuildExtension:
     def test_kernel_is_central(self):
         for rep in reps_for("Z2", "S3"):
             ext = build_extension(rep)
-            zi = set(center(ext.group).members)
+            zi = set(center(ext.group))
             n2 = ext.g2.order
             assert {x * n2 for x in range(ext.g1.order)} <= zi
 
@@ -386,7 +386,7 @@ class TestCentralQuotientData:
     def test_double_cover_of_the_simple_order_60_group(self):
         big = special_linear_2_5()
         kernel, quotient, eps, _ = central_quotient_data(
-            big, sorted(center(big).members))
+            big, center(big))
         assert kernel.order == 2
         assert quotient.order == 60
         assert is_simple(quotient) and not quotient.is_abelian

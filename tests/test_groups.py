@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from centext.catalog import (
+    alternating_group,
     catalog_names,
     get_group,
     special_linear_2_5,
@@ -33,7 +34,6 @@ from centext.groups import (
     FiniteGroup,
     GroupMap,
     SearchLimits,
-    Subgroup,
     brute_force_isomorphism,
     center,
     conjugacy_classes,
@@ -58,6 +58,8 @@ from oracles import (
     greedy_by_pair_closure,
     group_map_error,
     identity_map,
+    normal_subgroups_by_class_unions,
+    pair_closure,
 )
 
 # order-5 loop: Latin with identity row/column but (1*1)*2 != 1*(1*2)
@@ -374,45 +376,45 @@ class TestValidateGroup:
 class TestStructure:
     def test_center_abelian(self):
         g = get_group("Z6")
-        assert center(g).members == tuple(range(6))
+        assert center(g) == tuple(range(6))
 
     def test_center_q8(self):
-        assert center(get_group("Q8")).members == (0, 4)
+        assert center(get_group("Q8")) == (0, 4)
 
     def test_center_s3(self):
-        assert center(get_group("S3")).members == (0,)
+        assert center(get_group("S3")) == (0,)
 
     def test_derived_abelian(self):
-        assert derived_subgroup(get_group("Z8")).members == (0,)
+        assert derived_subgroup(get_group("Z8")) == (0,)
 
     def test_derived_s3(self):
         # the two 3-cycles sit at indices 3, 4 in the sorted-permutation table
-        assert derived_subgroup(get_group("S3")).members == (0, 3, 4)
+        assert derived_subgroup(get_group("S3")) == (0, 3, 4)
 
     def test_derived_q8(self):
-        assert derived_subgroup(get_group("Q8")).members == (0, 4)
+        assert derived_subgroup(get_group("Q8")) == (0, 4)
 
     def test_derived_a4(self):
-        assert derived_subgroup(get_group("A4")).members == (0, 3, 8, 11)
+        assert derived_subgroup(get_group("A4")) == (0, 3, 8, 11)
 
     def test_centralizer_identity(self):
         g = get_group("S3")
-        assert centralizer(g, {0}).members == tuple(range(6))
+        assert centralizer(g, {0}) == tuple(range(6))
 
     def test_centralizer_whole_group_is_center(self):
         g = get_group("D4")
-        assert centralizer(g, range(8)).members == center(g).members
+        assert centralizer(g, range(8)) == center(g)
 
     def test_centralizer_transposition(self):
         g = get_group("S3")
-        assert centralizer(g, {2}).members == (0, 2)
+        assert centralizer(g, {2}) == (0, 2)
 
     def test_conjugacy_classes_s3(self):
         assert conjugacy_classes(get_group("S3")) == [(0,), (1, 2, 5), (3, 4)]
 
     def test_normal_subgroups_s3(self):
-        subs = [s.members for s in normal_subgroups(get_group("S3"))]
-        assert subs == [(0,), (0, 3, 4), (0, 1, 2, 3, 4, 5)]
+        assert normal_subgroups(get_group("S3")) == [
+            (0,), (0, 3, 4), (0, 1, 2, 3, 4, 5)]
 
     def test_subgroup_closure(self):
         g = get_group("S3")
@@ -424,10 +426,6 @@ class TestStructure:
     def test_order_profile(self):
         assert get_group("Z4").order_profile == (1, 2, 4, 4)
         assert get_group("K4").order_profile == (1, 2, 2, 2)
-
-    def test_subgroup_equality_by_members(self):
-        g1, g2 = get_group("Z4"), cyclic_group(4)
-        assert Subgroup(g1, (0, 2)) == Subgroup(g2, (0, 2))
 
 
 class TestSimpleAndPurelyNonabelian:
@@ -448,6 +446,62 @@ class TestSimpleAndPurelyNonabelian:
         assert not is_purely_nonabelian(get_group("Z6"))
         z2s3 = direct_product(get_group("Z2"), get_group("S3"))
         assert not is_purely_nonabelian(z2s3)
+
+
+def _power(g, k):
+    out = g
+    for _ in range(k - 1):
+        out = direct_product(out, g)
+    return out
+
+
+# beyond the catalog, where the union scan takes at most a fifth of a
+# second
+EXTRA_GROUPS = {
+    "SL25": special_linear_2_5,
+    "S5": lambda: symmetric_group(5),
+    "A6": lambda: alternating_group(6),
+    "Z2^4": lambda: _power(cyclic_group(2), 4),
+    "Z2xZ8": lambda: direct_product(cyclic_group(2), cyclic_group(8)),
+    "D4xZ2": lambda: direct_product(get_group("D4"), cyclic_group(2)),
+    "Q8xZ2": lambda: direct_product(get_group("Q8"), cyclic_group(2)),
+    "S3xS3": lambda: _power(get_group("S3"), 2),
+}
+
+
+def _group(name):
+    return EXTRA_GROUPS[name]() if name in EXTRA_GROUPS else get_group(name)
+
+
+class TestWalkClosureOracles:
+    """subgroup_closure is the Cayley walk's closure under right
+    multiplication, and normal_subgroups the joins of the classes'
+    normal closures; the pair closure and the scan over unions of
+    classes they replaced must agree with them."""
+
+    @pytest.mark.parametrize("name", catalog_names() + ["SL25"])
+    def test_walk_closure_is_the_pair_closure(self, name):
+        g = _group(name)
+        rng = random.Random(2513)
+        subsets = conjugacy_classes(g) + [(x,) for x in range(g.order)]
+        subsets += [rng.sample(range(g.order), min(g.order, k))
+                    for k in (1, 2, 2, 3, 3, 4) for _ in range(4)]
+        for gens in subsets:
+            assert subgroup_closure(g, gens) == pair_closure(g, gens), gens
+
+    @pytest.mark.parametrize("name", catalog_names() + list(EXTRA_GROUPS))
+    def test_normal_subgroups_match_the_class_unions(self, name):
+        g = _group(name)
+        assert normal_subgroups(g) == normal_subgroups_by_class_unions(g)
+
+    def test_elementary_abelian_of_rank_five(self):
+        # every subgroup of Z2^5 is normal: 1 + 31 + 155 + 155 + 31 + 1,
+        # the Gaussian binomials over GF(2); the union scan would try
+        # 2^31 unions
+        subs = normal_subgroups(_power(cyclic_group(2), 5))
+        assert len(subs) == 374
+        assert [sum(len(s) == 2 ** k for s in subs) for k in range(6)] == \
+            [1, 31, 155, 155, 31, 1]
 
 
 class TestGroupMap:
@@ -558,8 +612,8 @@ class TestEnumeration:
     def test_characteristic_subgroups_fixed(self):
         for name in ("S3", "D4", "Q8", "A4"):
             g = get_group(name)
-            zc = set(center(g).members)
-            dc = set(derived_subgroup(g).members)
+            zc = set(center(g))
+            dc = set(derived_subgroup(g))
             for m in enumerate_automorphisms(g):
                 assert {m(x) for x in zc} == zc
                 assert {m(x) for x in dc} == dc

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centext.catalog import get_group
+from centext.catalog import catalog_names, get_group
 from centext.errors import DimensionMismatch, NotAbelian
 from centext.groups import cyclic_group, direct_product
 from centext.intlinalg import (
@@ -25,7 +25,7 @@ from centext.intlinalg import (
     solve_linear_mod,
     xgcd,
 )
-from oracles import dense_echelon, determinant
+from oracles import abelian_invariants_by_search, dense_echelon, determinant
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -297,6 +297,13 @@ PINNED_GROUPS = {
     "Z4xZ2xZ2": _product(4, 2, 2), "Z4xZ6": _product(4, 6),
     "Z3xZ6": _product(3, 6),
 }
+# abelian groups beyond the catalog, by the orders of their cyclic factors
+ABELIAN_PRODUCTS = {
+    "Z4xZ4": (4, 4), "Z2xZ6": (2, 6), "Z3xZ3": (3, 3), "Z2xZ4xZ8": (2, 4, 8),
+    "Z6xZ10": (6, 10), "Z9xZ3": (9, 3), "Z2^4": (2, 2, 2, 2), "Z12": (12,),
+    "Z30": (30,),
+}
+
 # invariant factors in the trailing comments
 COORDINATE_DIGESTS = {
     "Z1": "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",  # ()
@@ -364,6 +371,19 @@ class TestAbelianInvariants:
                                                  cyclic_group(6)))
         assert pres.invariant_factors == (3, 6)
         assert set(pres.coords) == set(itertools.product(range(3), range(6)))
+
+    @pytest.mark.parametrize("name", [
+        name for name in catalog_names() if get_group(name).is_abelian
+    ] + list(ABELIAN_PRODUCTS))
+    def test_walk_relations_match_the_search(self, name):
+        # the relations read off the recorded Cayley walk give the
+        # factors and coordinates of the exponent-vector search they
+        # replaced
+        g = (_product(*ABELIAN_PRODUCTS[name]) if name in ABELIAN_PRODUCTS
+             else get_group(name))
+        walk, search = abelian_invariants(g), abelian_invariants_by_search(g)
+        assert walk.invariant_factors == search.invariant_factors
+        assert walk.coords == search.coords
 
     @pytest.mark.parametrize("name", sorted(COORDINATE_DIGESTS))
     def test_coordinates_pinned(self, name):
