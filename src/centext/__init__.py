@@ -11,7 +11,8 @@ from .cocycles import (Cocycle2, CocycleSpace, apply_coboundary,
                        trivial_cocycle)
 from .errors import (ConditionsFailed, DimensionMismatch,
                      GroupMismatch, GroupValidationError,
-                     HypothesisNotVerified, NotAbelian, NotG1Iso,
+                     HypothesisNotVerified, InternalInconsistency,
+                     NotAbelian, NotG1Iso,
                      NotG2Iso, NotLowerIso, NotNormalized,
                      PreconditionViolated, SizeLimitExceeded)
 from .extensions import (TRIVIAL_COMPONENTS, ExtensionGroup, HomMatrix,

@@ -4,20 +4,29 @@ Subcommands: cohomology (class space report), extend (build a twisted
 product), iso (decide one isomorphism kind, with certificate), verify
 (the cross-validation harness), catalog (built-in groups).
 
-Exit codes: 0 success (for iso: isomorphic in the requested kind),
-1 negative verdict (for verify: discrepancies found), 2 validation
-error, 3 a map-search size limit exceeded (never for cohomology, which
-runs no search), 4 a lower negative cannot be settled:
-the component search found nothing, the quotient coboundary-triviality
-hypothesis that would make it complete fails for the quotient, and the
-exhaustive search that would replace it exceeds the size limits.
+Exit codes:
+  0 success (for iso: isomorphic in the requested kind);
+  1 negative verdict (for verify: discrepancies found);
+  2 validation error;
+  3 a map-search size limit exceeded (never for cohomology, which runs
+    no search);
+  4 a lower negative cannot be settled: the component search found
+    nothing, the quotient coboundary-triviality hypothesis that would
+    make it complete fails for the quotient, and the exhaustive search
+    that would replace it exceeds the size limits;
+  5 a self-check of the library failed (errors.InternalInconsistency,
+    printed as "error: internal: ..."), a defect of centext and not a
+    verdict.
 
 Group arguments are catalog names or paths to JSON files holding
-{"table": [[...]], "name": optional string}.  Extension files hold
+{"table": [[...]], "name": optional string, "order": optional int
+equal to the number of rows}.  Extension files hold
 {"g1", "g2", "cocycle_table"} with groups given the same two ways, or
 {"g1", "g2", "class_index"} to pick a cohomology class representative.
 All output is JSON with sorted keys, so identical inputs give identical
-bytes.
+bytes: exactly json.dumps(payload, indent=2, sort_keys=True) plus a
+newline, written in one pass by _json_text, with a list of ints joined
+at once rather than through json's pure-Python indenting encoder.
 """
 
 import argparse
@@ -38,7 +47,11 @@ from .cocycles import (
     sim_is_trivial,
     trivial_cocycle,
 )
-from .errors import HypothesisNotVerified, SizeLimitExceeded
+from .errors import (
+    HypothesisNotVerified,
+    InternalInconsistency,
+    SizeLimitExceeded,
+)
 from .extensions import (
     TRIVIAL_COMPONENTS,
     build_extension,
@@ -134,8 +147,43 @@ def _class_representative(g1, g2, k, label):
     return Cocycle2(g1=g1, g2=g2, table=reps[k].table)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for a
+    value indented at indent, in one pass.  The str-keyed dicts, lists,
+    strings, ints, booleans and nulls of the reports are written here,
+    strings by json's own ASCII escaping and a list of plain ints as one
+    join.  Any other value (a tuple, a float, a dict with a key that is
+    not a str) goes to json.dumps, re-indented, which is exact because
+    json.dumps escapes every newline inside a string."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return str(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list and value:
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        return "{\n" + inner + sep.join([
+            _encode_str(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(value.items())]) + "\n" + indent + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace(
+        "\n", "\n" + indent)
+
+
 def _emit(payload, output):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -435,6 +483,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except InternalInconsistency as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 5
     except HypothesisNotVerified as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

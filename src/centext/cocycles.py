@@ -39,6 +39,7 @@ from .errors import (
     ConditionsFailed,
     DimensionMismatch,
     GroupMismatch,
+    InternalInconsistency,
     NotAbelian,
     NotAbelianCoefficients,
     NotNormalized,
@@ -568,7 +569,7 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
         rel.add(res + [int(j == i) for j in range(k)])
     quot = rel.tail(ncols)
     if quot.index_in_ambient() != z_order // b_order:
-        raise AssertionError("|H^2| disagrees with |Z^2| / |B^2|")
+        raise InternalInconsistency("|H^2| disagrees with |Z^2| / |B^2|")
     diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
 
     # the box of the relation lattice's pivots, one residue at a time
@@ -616,7 +617,7 @@ def _coboundary_pivots(g2: FiniteGroup, d: int):
             kernel = [t for t, a in zip(kernel, values) if not a] + [
                 t for t in fresh + [[d // gi * v % d for v in tau]] if any(t)]
     if index != target:
-        raise AssertionError("the pivots fall short of |B^2|")
+        raise InternalInconsistency("the pivots fall short of |B^2|")
     return pivots
 
 
@@ -685,7 +686,7 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
         rep_tables = sorted(_table_from_values(n2, _least_values(
             pres, n2, slots, pivots, vecs)) for vecs in classes)
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
-        raise AssertionError("the trivial class is not listed first")
+        raise InternalInconsistency("the trivial class is not listed first")
     return CocycleSpace(g1=g1, g2=g2,
                         h2_invariant_factors=_merge_invariant_factors(
                             [f for c in coords for f in c.factors]),

@@ -75,3 +75,9 @@ class NotG2Iso(ValueError):
 
 class ConditionsFailed(ValueError):
     """Certificate construction: the criterion's conditions do not hold."""
+
+
+class InternalInconsistency(RuntimeError):
+    """A self-check of the library failed: a computed object does not
+    have a property that its construction proves.  This is a defect of
+    the library, never a verdict about the input."""

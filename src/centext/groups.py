@@ -4,7 +4,10 @@ Conventions used throughout the package:
   * elements of a group of order n are the indices 0..n-1,
   * index 0 is always the identity,
   * maps between groups are stored as full image arrays and are
-    normalized (they send 0 to 0).
+    normalized (they send 0 to 0).  GroupMap's constructor checks the
+    length, range and normalization of the array; the maps the search
+    emits skip that scan (GroupMap._unchecked), as the search proves
+    all three.
 
 Tables and maps are checked along generators.  Each group carries one
 greedy generating sequence (FiniteGroup.generators), found by walking
@@ -31,6 +34,7 @@ from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
+    InternalInconsistency,
     NoIdentityAtZero,
     NonAssociative,
     NotLatinSquare,
@@ -150,7 +154,14 @@ class FiniteGroup:
         name = d.get("name")
         if name is not None and not isinstance(name, str):
             raise ValueError(f"'name' must be a string, not {name!r}")
-        return validate_group(d["table"], name=name)
+        group = validate_group(d["table"], name=name)
+        order = d.get("order", group.order)
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise ValueError(f"'order' must be an integer, not {order!r}")
+        if order != group.order:
+            raise ValueError(f"'order' is {order} but the table has "
+                             f"{group.order} rows")
+        return group
 
     def __repr__(self):
         label = self.name if self.name is not None else f"order {self.order}"
@@ -286,7 +297,8 @@ def _raise_first_nonassociative(tab):
                     raise NonAssociative(
                         f"({a}*{b})*{c} = {tab[ab][c]} but "
                         f"{a}*({b}*{c}) = {tab[a][tab[b][c]]}")
-    raise AssertionError("a generator failed Light's test but no triple did")
+    raise InternalInconsistency(
+        "a generator failed Light's test but no triple did")
 
 
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
@@ -444,6 +456,23 @@ class GroupMap:
         if self.images[0] != 0:
             raise NotNormalized("map must send 0 to 0")
 
+    @staticmethod
+    def _unchecked(dom: FiniteGroup, cod: FiniteGroup,
+                   images: tuple[int, ...]) -> "GroupMap":
+        """The map with these fields, built without __post_init__'s
+        scan, for a caller that proves what the scan checks: images has
+        length dom.order, every image lies in range(cod.order), and
+        images[0] == 0.  _MapSearch proves it for every map it emits:
+        it fixes images[0] = 0, writes only candidates (indices of cod)
+        and entries of cod's table, and emits after its last layer, by
+        which time the walk of the domain has reached, and so set, every
+        element.  extensions._carrier_map and extensions.decompose_hom
+        prove it for the carrier formula and the components of a carrier
+        map."""
+        m = object.__new__(GroupMap)
+        m.__dict__.update(dom=dom, cod=cod, images=images)
+        return m
+
     def __call__(self, a: int) -> int:
         return self.images[a]
 
@@ -504,7 +533,8 @@ class _MapSearch:
     accepted exactly when the partial map extends to a homomorphism
     (injective, if asked) of it, which is when closing the images under
     every pair of known elements finds no conflict.  So every map
-    emitted is a verified homomorphism.
+    emitted is a verified homomorphism, and a well-formed map, which
+    GroupMap._unchecked builds without its constructor's scan.
 
     These products are the steps of the domain's _cayley_walk, recorded
     once per group (FiniteGroup._closure_layers) and replayed here: a
@@ -557,7 +587,7 @@ class _MapSearch:
 
     def _assign(self, layer, images, used):
         if layer == len(self.layers):
-            yield GroupMap(dom=self.dom, cod=self.cod, images=tuple(images))
+            yield GroupMap._unchecked(self.dom, self.cod, tuple(images))
             return
         x, steps, reached = self.layers[layer]
         ct, injective = self.cod.table, self.injective

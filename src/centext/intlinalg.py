@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import DimensionMismatch, NotAbelian
+from .errors import DimensionMismatch, InternalInconsistency, NotAbelian
 from .groups import FiniteGroup
 
 
@@ -206,7 +206,7 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     res = SNFResult(s=IntMatrix.from_rows(s), u=IntMatrix.from_rows(u),
                     v=IntMatrix.from_rows(v))
     if mat_mul(mat_mul(res.u, a), res.v).data != res.s.data:
-        raise AssertionError("u * a * v does not recompose to s")
+        raise InternalInconsistency("u * a * v does not recompose to s")
     return res
 
 
@@ -499,7 +499,7 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
             else:
                 rel.add([u - v for u, v in zip(va, vecs[r])])
     if rel.index_in_ambient() != g.order:
-        raise AssertionError("relation lattice index differs from |g|")
+        raise InternalInconsistency("relation lattice index differs from |g|")
 
     snf = smith_normal_form(IntMatrix.from_rows(rel.hnf_rows()))
     vt = snf.v.transpose().data
@@ -513,6 +513,6 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
             coords[g.table[x][gen]] != tuple(
                 (a + b) % d for a, b, d in zip(cx, coords[gen], factors))
             for gen in gens for x, cx in enumerate(coords)):
-        raise AssertionError("coordinate map is not an isomorphism")
+        raise InternalInconsistency("coordinate map is not an isomorphism")
     return AbelianPresentation(group=g, invariant_factors=factors,
                                coords=coords)

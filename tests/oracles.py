@@ -39,7 +39,13 @@ from centext.errors import (
     PreconditionViolated,
     SizeLimitExceeded,
 )
-from centext.extensions import ExtensionGroup
+from centext.extensions import (
+    TRIVIAL_COMPONENTS,
+    ExtensionGroup,
+    HomMatrix,
+    _component_images,
+    is_homomorphism_direct,
+)
 from centext.groups import (
     DEFAULT_LIMITS,
     FiniteGroup,
@@ -801,3 +807,40 @@ def g1g2_isomorphic_by_loop(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
             cert.materialize()
             return cert
     return None
+
+
+def reconstruct_by_divmod(m: HomMatrix) -> GroupMap:
+    """The earlier extensions.reconstruct_hom: the component formula at
+    each carrier element (x, y) = divmod(i, |g2|), built through
+    GroupMap's checking constructor."""
+    src, tgt = m.source, m.target
+    g1t, g2t = tgt.g1, tgt.g2
+    e2 = tgt.cocycle.table
+    n2s, n2t = src.g2.order, g2t.order
+    images = []
+    for i in range(src.group.order):
+        x, y = divmod(i, n2s)
+        b1, b2 = m.phi21.images[x], m.phi22.images[y]
+        a = g1t.table[g1t.table[m.phi11.images[x]][m.phi12.images[y]]][
+            e2[b1][b2]]
+        images.append(a * n2t + g2t.table[b1][b2])
+    return GroupMap(dom=src.group, cod=tgt.group, images=tuple(images))
+
+
+def materialize_by_components(cert: IsoCertificate) -> GroupMap:
+    """The earlier IsoCertificate.materialize: the component matrix,
+    checked by HomMatrix, then reconstruct_by_divmod, the direct checks,
+    and the kind read off every component's image array."""
+    src, tgt = cert.source, cert.target
+    phi = reconstruct_by_divmod(cert.components())
+    ok, witness = is_homomorphism_direct(src, tgt, phi)
+    if not ok:
+        raise ConditionsFailed(
+            f"certificate does not materialize: {witness}")
+    if not phi.is_bijective():
+        raise ConditionsFailed("certificate map is not bijective")
+    parts = _component_images(src, tgt, phi.images)
+    if any(any(parts[c]) for c in TRIVIAL_COMPONENTS[cert.kind]):
+        raise ConditionsFailed(
+            f"certificate map is not of kind {cert.kind!r}")
+    return phi

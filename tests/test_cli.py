@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from centext import intlinalg
 from centext.catalog import get_group
-from centext.cli import ISO_MODES, main
+from centext.cli import ISO_MODES, _emit, main
 from centext.cocycles import compute_cocycle_space
+from centext.errors import InternalInconsistency
+from centext.intlinalg import IntMatrix, smith_normal_form
 
 
 def run_cli(args, capsys):
@@ -122,6 +128,26 @@ class TestCohomology:
         assert code == 2 and payload is None
         assert err == (f"error: {gfile}: 'name' must be a string, "
                        "not ['x']\n")
+
+    @pytest.mark.parametrize("order, message", [
+        (5, "'order' is 5 but the table has 2 rows"),
+        (1, "'order' is 1 but the table has 2 rows"),
+        ("2", "'order' must be an integer, not '2'"),
+        (2.0, "'order' must be an integer, not 2.0"),
+        (True, "'order' must be an integer, not True"),
+        (None, "'order' must be an integer, not None"),
+    ])
+    def test_group_file_order_must_count_the_rows(self, order, message,
+                                                  tmp_path, capsys):
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps({"order": order,
+                                     "table": [[0, 1], [1, 0]]}))
+        code, payload, err = run_cli(["cohomology", "Z2", str(gfile)], capsys)
+        assert code == 2 and payload is None
+        assert err == f"error: {gfile}: {message}\n"
+        gfile.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, 0]]}))
+        code, payload, _ = run_cli(["cohomology", "Z2", str(gfile)], capsys)
+        assert code == 0 and payload["g2"]["order"] == 2
 
 
 class TestExtend:
@@ -479,6 +505,97 @@ class TestVerify:
         assert slow["double_cover_order"] == 120
         assert slow["classes_distinct"] is True
         assert slow["carrier_profiles_differ"] is True
+
+    def test_report_bytes_are_json_dumps(self, capsys):
+        code = main(["verify", "Z2:K4", "Z2:D4", "--max-order", "24"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n"
+
+
+# strings with non-ASCII, quote, backslash and control characters
+JSON_TEXT = st.text(alphabet=st.sampled_from(
+    ["a", "Z", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+     "\u00e9", "\u2028", "\u4e2d", "\U0001f600"])) | st.text()
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(-10 ** 40, 10 ** 40) | JSON_TEXT
+                | st.lists(st.integers(), min_size=1))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=40)
+
+
+class TestWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(payload=JSON_VALUES)
+    def test_writes_the_bytes_of_json_dumps(self, payload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(payload, None)
+        assert out.getvalue() == json.dumps(payload, indent=2,
+                                            sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {"t": (1, 2), "f": 1.5, "n": float("nan"), "k": {2: "x", 1: [True]}},
+        [(), {}, [], (None, -0.0)],
+    ])
+    def test_other_values_take_json_dumps(self, payload, tmp_path):
+        path = tmp_path / "out.json"
+        _emit(payload, str(path))
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            payload, indent=2, sort_keys=True) + "\n"
+
+
+def wrong_product(a, b):
+    """A stand-in for intlinalg.mat_mul whose products are all wrong."""
+    return IntMatrix.from_rows([[7]])
+
+
+# Z4 with the labels 1 and 2 swapped: a table no cached space is over
+RELABELED_Z4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
+
+INTERNAL_UNDER_O = f"""
+import json, sys, tempfile
+from centext import intlinalg
+from centext.cli import main
+from centext.errors import InternalInconsistency
+from centext.intlinalg import IntMatrix, smith_normal_form
+intlinalg.mat_mul = lambda a, b: IntMatrix.from_rows([[7]])
+try:
+    smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    sys.exit("no error")
+except InternalInconsistency:
+    pass
+with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+    json.dump({{"table": {RELABELED_Z4}}}, fh)
+sys.exit(main(["cohomology", "Z2", fh.name]))
+"""
+
+
+class TestInternalInconsistency:
+    def test_a_failed_self_check_raises_the_typed_error(self, monkeypatch):
+        monkeypatch.setattr(intlinalg, "mat_mul", wrong_product)
+        with pytest.raises(InternalInconsistency,
+                           match="u \\* a \\* v does not recompose to s"):
+            smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+
+    def test_main_exits_5(self, monkeypatch, tmp_path, capsys):
+        gfile = tmp_path / "z4.json"
+        gfile.write_text(json.dumps({"table": RELABELED_Z4}))
+        monkeypatch.setattr(intlinalg, "mat_mul", wrong_product)
+        code, payload, err = run_cli(["cohomology", "Z2", str(gfile)], capsys)
+        assert (code, payload) == (5, None)
+        assert err == "error: internal: u * a * v does not recompose to s\n"
+
+    def test_asserts_stripped(self):
+        # the self-checks are raises, not assert statements
+        proc = subprocess.run([sys.executable, "-O", "-c", INTERNAL_UNDER_O],
+                              capture_output=True, text=True)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr == (
+            "error: internal: u * a * v does not recompose to s\n")
 
 
 class TestCatalog:

@@ -829,6 +829,15 @@ class TestSerialization:
         assert g2.table == g.table and g2.name == g.name
         assert g2.to_dict() == d
 
+    @pytest.mark.parametrize("order", [5, 1, 0, -2, "2", 2.0, True, None])
+    def test_order_must_be_the_number_of_rows(self, order):
+        from centext.groups import FiniteGroup
+        with pytest.raises(ValueError, match="'order' "):
+            FiniteGroup.from_dict({"order": order, "table": [[0, 1], [1, 0]]})
+        for d in ({"order": 2, "table": [[0, 1], [1, 0]]},
+                  {"table": [[0, 1], [1, 0]]}):
+            assert FiniteGroup.from_dict(d).order == 2
+
     @pytest.mark.parametrize("name", [["x"], 3, True, {"n": 1}])
     def test_name_must_be_a_string_or_null(self, name):
         from centext.groups import FiniteGroup

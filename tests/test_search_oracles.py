@@ -3,6 +3,7 @@ ones: every certificate, witness included, must be the one the slow
 search returns.  The certificate checks meet their earlier forms here
 too, over every carrier isomorphism of the small catalog pairs."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from centext.cocycles import (
     pushforward,
     trivial_cocycle,
 )
-from centext.errors import ConditionsFailed
+from centext.errors import ConditionsFailed, GroupMismatch
 from centext.extensions import (
     TRIVIAL_COMPONENTS,
     _component_images,
@@ -36,6 +37,7 @@ from centext.extensions import (
 from centext.groups import (
     DEFAULT_LIMITS,
     GroupMap,
+    _MapSearch,
     cyclic_group,
     direct_product,
     enumerate_automorphisms,
@@ -49,10 +51,16 @@ from centext.isotest import (
     _lower_problem,
     _shaped_isomorphisms,
     _survey,
+    g1g2_isomorphic,
+    g2_isomorphic_equal_order,
     lower_isomorphic,
     upper_isomorphic,
 )
-from oracles import components_by_calls, direct_failure_by_calls
+from oracles import (
+    components_by_calls,
+    direct_failure_by_calls,
+    materialize_by_components,
+)
 
 PINS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                          "pins.json")
@@ -249,7 +257,7 @@ def test_materialize_checks_the_kind(pair, monkeypatch):
     # a certificate whose map is a given isomorphism materializes
     # exactly when decompose_hom's matrix has the certificate's kind
     current, seen = [], set()
-    monkeypatch.setattr(isotest, "reconstruct_hom", lambda m: current[0])
+    monkeypatch.setattr(isotest, "_carrier_map", lambda *arrays: current[0])
     for src, tgt in oracle_class_pairs(pair):
         for phi in enumerate_isomorphisms(src.group, tgt.group)[:12]:
             m = decompose_hom(src, tgt, phi)
@@ -284,3 +292,95 @@ def test_hom_lattice_is_the_coboundary_tail(pair):
         # the pivots span Hom(g2, Z/d)
         assert math.prod(d // gi for gi, _ in cached.values()) == len(
             enumerate_homs(g2, cyclic_group(d)))
+
+
+def decider_certificates(src, tgt):
+    """The certificates the deciders emit on one class pair."""
+    g1, g2 = src.g1, src.g2
+    deciders = [upper_isomorphic, lower_isomorphic, g1g2_isomorphic]
+    if g1.is_abelian and g2.is_abelian and g1.order == g2.order:
+        deciders.append(g2_isomorphic_equal_order)
+    return [c for c in (d(src, tgt) for d in deciders) if c is not None]
+
+
+def materialized(materialize, cert):
+    """materialize(cert), or the type and message of what it raised."""
+    try:
+        return materialize(cert)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def certificate_mutations(cert, rng):
+    """cert under every kind; then, for each component map it holds,
+    the map with one image changed, at a seeded point other than the
+    identity, twice, and the map with the wrong codomain."""
+    yield from (dataclasses.replace(cert, kind=k) for k in CERTIFICATE_KINDS)
+    fields = {f: getattr(cert, f) for f in ("sigma", "rho", "delta", "eta")}
+    if cert.t_witness is not None:
+        fields["t_witness"] = cert.t_witness.t
+    for field, m in fields.items():
+        if m is None:
+            continue
+
+        def put(images, cod=m.cod):
+            new = GroupMap(dom=m.dom, cod=cod, images=tuple(images))
+            if field == "t_witness":
+                new = dataclasses.replace(cert.t_witness, t=new)
+            return dataclasses.replace(cert, **{field: new})
+        for _ in range(2):
+            images = list(m.images)
+            x = rng.randrange(1, len(images))
+            images[x] = rng.choice([v for v in range(m.cod.order)
+                                    if v != images[x]])
+            yield put(images)
+        yield put((0,) * m.dom.order, cod=cert.target.group)
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
+def test_materialize_equals_materialize_by_components(pair):
+    # every certificate the deciders emit, and its mutations, give the
+    # earlier materialize's map or its error type and message
+    rng, seen = random.Random(":".join(pair)), set()
+    for src, tgt in oracle_class_pairs(pair):
+        for cert in decider_certificates(src, tgt):
+            for c in [cert, *certificate_mutations(cert, rng)]:
+                got = materialized(IsoCertificate.materialize, c)
+                assert got == materialized(materialize_by_components, c)
+                if isinstance(got, GroupMap):
+                    assert got == GroupMap(dom=got.dom, cod=got.cod,
+                                           images=got.images)
+                seen.add(got[0] if isinstance(got, tuple) else GroupMap)
+    assert seen == {GroupMap, ConditionsFailed, GroupMismatch}
+
+
+def emitted_equal_checked(maps):
+    """Each map the search emitted equals the one GroupMap's checking
+    constructor builds from its fields, with a tuple of ints as images;
+    returns how many there were."""
+    count = 0
+    for m in maps:
+        assert type(m) is GroupMap and type(m.images) is tuple
+        assert all(type(v) is int for v in m.images)
+        assert m == GroupMap(dom=m.dom, cod=m.cod, images=m.images)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names()
+                                  if get_group(n).order <= 24])
+def test_emitted_automorphisms_equal_checked_maps(name):
+    g = get_group(name)
+    assert emitted_equal_checked(
+        _MapSearch(g, g, True, DEFAULT_LIMITS).run()) == len(
+            enumerate_automorphisms(g))
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
+def test_emitted_carrier_isomorphisms_equal_checked_maps(pair):
+    # and so do the components decompose_hom reads off each of them
+    isos = list(carrier_isomorphisms(pair))
+    assert emitted_equal_checked(phi for _, _, phi in isos) == len(isos)
+    assert emitted_equal_checked(
+        getattr(decompose_hom(src, tgt, phi), c)
+        for src, tgt, phi in isos for c in COMPONENTS) == 4 * len(isos)
