@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cocycles import (
     Cocycle2,
@@ -218,7 +217,10 @@ class HomMatrix:
     def __post_init__(self):
         for c, (dom, cod) in _component_groups(self.source,
                                               self.target).items():
-            _require_groups(getattr(self, c), dom, cod)
+            m = getattr(self, c)
+            if (m.dom is not dom and m.dom != dom
+                    or m.cod is not cod and m.cod != cod):
+                raise GroupMismatch("component map has wrong domain/codomain")
 
     def has_kind(self, kind: str) -> bool:
         """Whether every component TRIVIAL_COMPONENTS lists for kind is
@@ -231,13 +233,6 @@ def _component_groups(source: ExtensionGroup, target: ExtensionGroup) -> dict:
     """Each component's (domain, codomain), by name."""
     return {"phi11": (source.g1, target.g1), "phi12": (source.g2, target.g1),
             "phi21": (source.g1, target.g2), "phi22": (source.g2, target.g2)}
-
-
-def _require_groups(m: GroupMap, dom: FiniteGroup, cod: FiniteGroup):
-    """Raise GroupMismatch unless the component map m goes dom -> cod."""
-    if (m.dom is not dom and m.dom != dom
-            or m.cod is not cod and m.cod != cod):
-        raise GroupMismatch("component map has wrong domain/codomain")
 
 
 def _component_images(source: ExtensionGroup, target: ExtensionGroup,
@@ -269,67 +264,52 @@ def decompose_hom(source: ExtensionGroup, target: ExtensionGroup,
         for c, (dom, cod) in _component_groups(source, target).items()})
 
 
-# the trivial components of a carrier map by which of the tests on its
-# kernel and section images pass, in the order _trivial_components takes
-_SHAPES = {bits: frozenset(c for c, b in zip(
-               ("phi11", "phi12", "phi21", "phi22"), bits) if b)
-           for bits in itertools.product((False, True), repeat=4)}
-
-
-@lru_cache(maxsize=None)
-def _trivial_images(n2: int, n: int) -> tuple[frozenset, frozenset]:
-    """In a carrier of order n over a g2 of order n2, the indices of the
-    pairs (1, y), which are 0 .. n2 - 1, and of the pairs (x, 1), the
-    multiples of n2."""
-    return frozenset(range(n2)), frozenset(range(0, n, n2))
-
-
 def _trivial_components(source: ExtensionGroup, target: ExtensionGroup,
                         images) -> frozenset:
     """The names of the trivial components of the carrier map with this
     image array, with no component built: phi11 (phi12) is trivial when
-    every image of the kernel copy (section) is some (1, y), and phi21
-    (phi22) when every one is some (x, 1), since phi(x, 1) = (phi11(x),
-    phi21(x)) and phi(1, y) = (phi12(y), phi22(y)).  Four subset tests
-    at C speed; equal to the components of _component_images that are
-    all zero."""
-    n2s = source.g2.order
-    pairs_1y, pairs_x1 = _trivial_images(target.g2.order,
-                                         target.group.order)
+    every image of the kernel copy (section) is some (1, y), an index
+    below |target.g2|, and phi21 (phi22) when every one is some (x, 1),
+    a multiple of |target.g2|, since phi(x, 1) = (phi11(x), phi21(x))
+    and phi(1, y) = (phi12(y), phi22(y)).  Equal to the components of
+    _component_images that are all zero."""
+    n2s, n2t = source.g2.order, target.g2.order
     kernel, section = images[::n2s], images[:n2s]
-    return _SHAPES[pairs_1y.issuperset(kernel), pairs_1y.issuperset(section),
-                   pairs_x1.issuperset(kernel), pairs_x1.issuperset(section)]
-
-
-def _carrier_map(source: ExtensionGroup, target: ExtensionGroup,
-                 sigma, eta, delta, rho) -> GroupMap:
-    """The carrier map whose components phi11, phi12, phi21 and phi22
-    have the image arrays sigma, eta, delta and rho, by the pair formula
-    phi(x, y) = (sigma(x) eta(y) e2(delta(x), rho(y)), delta(x) rho(y)).
-
-    The caller passes the image arrays of normalized maps between the
-    right groups (of source.g1 or source.g2 into target.g1 or
-    target.g2).  The result is then built without GroupMap's scan: it
-    has one image a * |target.g2| + b per source element, with a an
-    entry of target.g1's table and b one of target.g2's, so it lies in
-    range; and phi(1, 1) = (e2(1, 1), 1) = (1, 1), index 0, as the
-    components and the cocycle are normalized."""
-    t1, t2 = target.g1.table, target.g2.table
-    e2, n2t = target.cocycle.table, target.g2.order
-    images = []
-    for s, d in zip(sigma, delta):
-        row1, e2d, row2 = t1[s], e2[d], t2[d]
-        images += [t1[row1[v]][e2d[r]] * n2t + row2[r]
-                   for v, r in zip(eta, rho)]
-    return GroupMap._unchecked(source.group, target.group, tuple(images))
+    pairs_x1 = frozenset(range(0, target.group.order, n2t))
+    trivial = set()
+    if max(kernel) < n2t:
+        trivial.add("phi11")
+    if max(section) < n2t:
+        trivial.add("phi12")
+    if pairs_x1.issuperset(kernel):
+        trivial.add("phi21")
+    if pairs_x1.issuperset(section):
+        trivial.add("phi22")
+    return frozenset(trivial)
 
 
 def reconstruct_hom(m: HomMatrix) -> GroupMap:
-    """The map defined by the component formula: _carrier_map on the
-    image arrays of m's components, which HomMatrix has checked to map
-    between the right groups."""
-    return _carrier_map(m.source, m.target, m.phi11.images,
-                        m.phi12.images, m.phi21.images, m.phi22.images)
+    """The map defined by the component formula: for components phi11,
+    phi12, phi21 and phi22 with image arrays sigma, eta, delta and rho,
+    phi(x, y) = (sigma(x) eta(y) e2(delta(x), rho(y)), delta(x) rho(y)),
+    computed row by row over the image arrays.
+
+    HomMatrix has checked that the components are normalized maps
+    between the right groups, so the result is built without GroupMap's
+    scan: it has one image a * |target.g2| + b per source element, with
+    a an entry of target.g1's table and b one of target.g2's, so it lies
+    in range; and phi(1, 1) = (e2(1, 1), 1) = (1, 1), index 0, as the
+    components and the cocycle are normalized."""
+    target = m.target
+    t1, t2 = target.g1.table, target.g2.table
+    e2, n2t = target.cocycle.table, target.g2.order
+    eta, rho = m.phi12.images, m.phi22.images
+    images = []
+    for s, d in zip(m.phi11.images, m.phi21.images):
+        row1, e2d, row2 = t1[s], e2[d], t2[d]
+        images += [t1[row1[v]][e2d[r]] * n2t + row2[r]
+                   for v, r in zip(eta, rho)]
+    return GroupMap._unchecked(m.source.group, target.group, tuple(images))
 
 
 def is_homomorphism_direct(source: ExtensionGroup, target: ExtensionGroup,

@@ -466,7 +466,7 @@ class GroupMap:
         it fixes images[0] = 0, writes only candidates (indices of cod)
         and entries of cod's table, and emits after its last layer, by
         which time the walk of the domain has reached, and so set, every
-        element.  extensions._carrier_map and extensions.decompose_hom
+        element.  extensions.reconstruct_hom and extensions.decompose_hom
         prove it for the carrier formula and the components of a carrier
         map."""
         m = object.__new__(GroupMap)

@@ -7,21 +7,19 @@ and the builder for purely non-abelian quotients.  A kind is the set of
 components it forces trivial, extensions.TRIVIAL_COMPONENTS, which every
 test of a kind reads: HomMatrix.has_kind, and the survey's one set of
 trivial components per isomorphism and materialize, which both read it
-off the carrier image array by four subset tests
-(extensions._trivial_components).  The upper and lower searches key
-each automorphism once by its cocycle's generator columns, then look
-each sigma up among the rho, only for classes in one orbit of
-Aut(G1) x Aut(G2) acting on H^2 by c -> sigma . c . (rho x rho): upper
-isomorphism is being in one orbit, and a lower one puts both classes
-in one.  The generators of the two groups permute the finite set H^2,
-so the classes they reach from c, one orbit label per pair, are its
-whole orbit.  Every positive answer carries component maps that
-materialize, through the carrier product formula on their image arrays
-(extensions._carrier_map, which reconstruct_hom calls too), into one
+off the carrier image array (extensions._trivial_components).  The
+upper and lower searches key each automorphism once by its cocycle's
+generator columns, then look each sigma up among the rho, only for
+classes in one orbit of Aut(G1) x Aut(G2) acting on H^2 by
+c -> sigma . c . (rho x rho): upper isomorphism is being in one orbit,
+and a lower one puts both classes in one.  The generators of the two
+groups permute the finite set H^2, so the classes they reach from c,
+one orbit label per pair, are its whole orbit.  Every positive answer
+carries component maps that materialize, through the carrier product
+formula on their image arrays (extensions.reconstruct_hom), into one
 image array that the direct checks verify to be a bijective
-homomorphism of the certificate's kind.  A harness cross-validates
-each criterion against brute-force isomorphism search on a small
-catalog.
+homomorphism of the certificate's kind.  A harness cross-validates each
+criterion against brute-force isomorphism search on a small catalog.
 """
 
 from dataclasses import dataclass
@@ -66,14 +64,13 @@ from .extensions import (
     TRIVIAL_COMPONENTS,
     ExtensionGroup,
     HomMatrix,
-    _carrier_map,
     _component_groups,
-    _require_groups,
     _trivial_components,
     build_extension,
     decompose_hom,
     hom_condition_failures,
     is_homomorphism_direct,
+    reconstruct_hom,
 )
 
 __all__ = [
@@ -174,47 +171,29 @@ class IsoCertificate:
         if self.kind not in CERTIFICATE_KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
-    def _parts(self) -> dict:
-        """The four component maps by name: sigma, eta (else the
-        coboundary map of t_witness), delta and rho; None for one the
-        kind forces trivial or one left unset."""
-        t = self.t_witness.t if self.t_witness is not None else None
-        parts = {"phi11": self.sigma, "phi12": t if self.eta is None
-                 else self.eta, "phi21": self.delta, "phi22": self.rho}
-        for c in TRIVIAL_COMPONENTS[self.kind]:
-            parts[c] = None
-        return parts
-
     def components(self) -> HomMatrix:
-        """The four component maps of _parts, the trivial map where
-        that gives None, built only then."""
+        """The four component maps: sigma, eta (else the coboundary map
+        of t_witness), delta and rho.  A component the kind forces
+        trivial, or one left unset, is the trivial map, built only then."""
         src, tgt = self.source, self.target
-        parts = self._parts()
+        t = self.t_witness.t if self.t_witness is not None else None
+        parts = {"phi11": self.sigma, "phi21": self.delta, "phi22": self.rho,
+                 "phi12": t if self.eta is None else self.eta}
+        forced = TRIVIAL_COMPONENTS[self.kind]
         return HomMatrix(source=src, target=tgt, **{
-            c: trivial_map(dom, cod) if parts[c] is None else parts[c]
+            c: trivial_map(dom, cod) if parts[c] is None or c in forced
+            else parts[c]
             for c, (dom, cod) in _component_groups(src, tgt).items()})
 
     def materialize(self) -> GroupMap:
         """The carrier map; raises ConditionsFailed unless the direct
         checks find a bijective homomorphism whose components, read off
         its image array, are trivial where TRIVIAL_COMPONENTS says the
-        certificate's kind forces them.
-
-        The map is computed by extensions._carrier_map straight from the
-        image arrays of _parts, with no HomMatrix built: the trivial
-        array where _parts gives None, and every other component must
-        map between the groups HomMatrix requires, else GroupMismatch,
-        as from components()."""
+        certificate's kind forces them.  The map is reconstruct_hom of
+        components(), one pass of the pair formula over the component
+        image arrays."""
         src, tgt = self.source, self.target
-        parts, arrays = self._parts(), []
-        for c, (dom, cod) in _component_groups(src, tgt).items():
-            m = parts[c]
-            if m is None:
-                arrays.append((0,) * dom.order)
-            else:
-                _require_groups(m, dom, cod)
-                arrays.append(m.images)
-        phi = _carrier_map(src, tgt, *arrays)
+        phi = reconstruct_hom(self.components())
         ok, witness = is_homomorphism_direct(src, tgt, phi)
         if not ok:
             raise ConditionsFailed(

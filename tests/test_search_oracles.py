@@ -257,7 +257,7 @@ def test_materialize_checks_the_kind(pair, monkeypatch):
     # a certificate whose map is a given isomorphism materializes
     # exactly when decompose_hom's matrix has the certificate's kind
     current, seen = [], set()
-    monkeypatch.setattr(isotest, "_carrier_map", lambda *arrays: current[0])
+    monkeypatch.setattr(isotest, "reconstruct_hom", lambda m: current[0])
     for src, tgt in oracle_class_pairs(pair):
         for phi in enumerate_isomorphisms(src.group, tgt.group)[:12]:
             m = decompose_hom(src, tgt, phi)
