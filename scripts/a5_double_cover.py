@@ -39,7 +39,9 @@ def main():
     z2, a5 = get_group("Z2"), get_group("A5")
     psi = brute_force_isomorphism(quotient, a5, limits=LIMITS)
     chi = brute_force_isomorphism(kernel, z2, limits=LIMITS)
-    assert psi is not None and chi is not None
+    if psi is None or chi is None:
+        raise SystemExit("the kernel or the quotient of the double cover "
+                         "is not isomorphic to its catalog group")
     pinv = psi.inverse()
     moved = make_cocycle(z2, a5, [
         [chi(eps.table[pinv(y)][pinv(yp)]) for yp in range(a5.order)]

@@ -56,7 +56,7 @@ from .extensions import (
     TRIVIAL_COMPONENTS,
     build_extension,
     central_quotient_data,
-    decompose_hom,
+    trivial_components,
 )
 from .groups import (
     DEFAULT_LIMITS,
@@ -243,85 +243,59 @@ def cmd_extend(args) -> int:
 def _decide_iso(mode, e1, e2, limits):
     """Verdict, certificate dict or None, notes.
 
-    plain, upper, g2 and g1g2 need no hypothesis.  lower decides the
-    positive side by component search (unconditionally sound); its
-    negative is settled by the quotient hypothesis when sim_is_trivial
-    proves it, and by exhaustive carrier search otherwise, which raises
-    HypothesisNotVerified when it exceeds the limits.  g1 decides by
-    exhaustive search with the kernel-component constraint, and returns
-    the structured certificate when its conditions verify, else the raw
-    map with a note naming the failed condition.
-    """
+    A structured decider answers upper, lower, g1g2, and g2 over
+    abelian factor groups of equal order.  Other modes, and a lower
+    negative that sim_is_trivial cannot settle, take the first carrier
+    isomorphism of the mode's kind from the exhaustive search (lower
+    raises HypothesisNotVerified past the limits); g1 and g2 extract
+    their certificate from it, else keep the raw map with a note when
+    the failed condition rests on the quotient hypothesis."""
     notes = []
-
-    def search():
-        """The first carrier isomorphism of the mode's kind."""
-        return brute_force_isomorphism(
-            e1.group, e2.group, limits=limits,
-            constraint=lambda phi: decompose_hom(e1, e2, phi).has_kind(mode))
-
-    def raw(phi):
-        return {"kind": mode, "phi": list(phi.images)}
-
-    if mode == "plain":
-        phi = search()
-        return phi is not None, raw(phi) if phi else None, notes
-
-    if mode == "upper":
-        cert = upper_isomorphic(e1, e2, limits)
-        return cert is not None, cert.to_dict() if cert else None, notes
-
-    if mode == "lower":
-        cert = lower_isomorphic(e1, e2, limits)
-        if cert is not None:
-            return True, cert.to_dict(), notes
-        if sim_is_trivial(e1.g2):
+    g1, g2 = e1.g1, e1.g2
+    decide = {"upper": upper_isomorphic, "lower": lower_isomorphic,
+              "g1g2": g1g2_isomorphic}.get(mode)
+    if (mode == "g2" and g1.is_abelian and g2.is_abelian
+            and g1.order == g2.order):
+        decide = g2_isomorphic_equal_order
+    if decide is not None:
+        cert = decide(e1, e2, limits)
+        if cert is not None or mode != "lower":
+            return cert is not None, cert.to_dict() if cert else None, notes
+        if sim_is_trivial(g2):
             notes.append("negative settled by the component search; the "
                          "quotient hypothesis is verified")
             return False, None, notes
-        try:
-            phi = search()
-        except SizeLimitExceeded as exc:
-            raise HypothesisNotVerified(
-                "the component search found nothing, its completeness "
-                "needs the quotient hypothesis, which fails for this "
-                "quotient, and exhaustive search exceeds the size "
-                "limits") from exc
-        if phi is None:
-            notes.append("negative settled by exhaustive search")
-            return False, None, notes
-        notes.append("found by exhaustive search although the component "
-                     "search came up empty; the quotient hypothesis "
-                     "fails for this pair")
-        return True, raw(phi), notes
 
-    if mode == "g2":
-        g1, g2 = e1.g1, e1.g2
-        if g1.is_abelian and g2.is_abelian and g1.order == g2.order:
-            cert = g2_isomorphic_equal_order(e1, e2, limits)
-            return cert is not None, cert.to_dict() if cert else None, notes
-        phi = search()
-        if phi is None:
-            return False, None, notes
-        return True, g2_isomorphic_necessary(e1, e2, phi).to_dict(), notes
-
-    if mode == "g1":
-        phi = search()
-        if phi is None:
-            return False, None, notes
+    forced = TRIVIAL_COMPONENTS[mode]
+    try:
+        phi = brute_force_isomorphism(
+            e1.group, e2.group, limits=limits,
+            constraint=lambda phi: trivial_components(
+                e1, e2, phi.images).issuperset(forced))
+    except SizeLimitExceeded as exc:
+        if mode != "lower":
+            raise
+        raise HypothesisNotVerified(
+            "the component search found nothing, its completeness "
+            "needs the quotient hypothesis, which fails for this "
+            "quotient, and exhaustive search exceeds the size "
+            "limits") from exc
+    if mode == "lower":
+        notes.append("negative settled by exhaustive search" if phi is None
+                     else "found by exhaustive search although the "
+                     "component search came up empty; the quotient "
+                     "hypothesis fails for this pair")
+    if phi is None:
+        return False, None, notes
+    extract = {"g1": g1_isomorphic_necessary,
+               "g2": g2_isomorphic_necessary}.get(mode)
+    if extract is not None:
         try:
-            cert = g1_isomorphic_necessary(e1, e2, phi)
+            return True, extract(e1, e2, phi).to_dict(), notes
         except HypothesisNotVerified as exc:
             notes.append(f"certificate left as the raw map: {exc}; the "
                          "quotient hypothesis fails here")
-            return True, raw(phi), notes
-        return True, cert.to_dict(), notes
-
-    if mode == "g1g2":
-        cert = g1g2_isomorphic(e1, e2, limits)
-        return cert is not None, cert.to_dict() if cert else None, notes
-
-    raise ValueError(f"unknown mode {mode!r}")
+    return True, {"kind": mode, "phi": list(phi.images)}, notes
 
 
 def cmd_iso(args) -> int:
@@ -493,6 +467,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, NotImplementedError) as exc:
+        # str() of a KeyError is the repr of its key: print the key
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -259,11 +259,6 @@ def _cohomologous_tables(g1: FiniteGroup, g2: FiniteGroup, t1, t2):
     witness too.  So tables that are no cocycles (Cocycle2 does not
     check the identity) give None."""
     n2 = g2.order
-    if n2 == 1 or g1.order == 1:
-        if t1 == t2:
-            return CoboundaryWitness(t=GroupMap(dom=g2, cod=g1,
-                                                images=(0,) * n2))
-        return None
     mul, inv = g1.table, g1.inverses
     pres = abelian_invariants(g1)
     columns = _generator_columns(g2)

@@ -31,13 +31,14 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     subgroup_closure,
+    trivial_map,
     validate_group,
 )
 
 __all__ = [
     "ExtensionGroup", "build_extension",
     "HomMatrix", "TRIVIAL_COMPONENTS", "decompose_hom", "reconstruct_hom",
-    "is_homomorphism_direct", "hom_condition_failures",
+    "trivial_components", "is_homomorphism_direct", "hom_condition_failures",
     "equivalence_isomorphism", "is_epsilon_endomorphism",
     "central_quotient_data",
 ]
@@ -102,23 +103,21 @@ def build_extension(e: Cocycle2, name: str | None = None) -> ExtensionGroup:
 def equivalence_isomorphism(source: ExtensionGroup,
                             target: ExtensionGroup) -> GroupMap | None:
     """If the two cocycles differ by a coboundary, the isomorphism
-    (x, y) -> (x t(y), y); it fixes the kernel copy pointwise and
-    induces the identity on the quotient.  None when the cocycles are
-    not cohomologous."""
-    if source.g1 != target.g1 or source.g2 != target.g2:
-        raise GroupMismatch("extensions over different group pairs")
+    (x, y) -> (x t(y), y), reconstruct_hom of sigma = id, eta = the
+    witness t, delta trivial and rho = id; it fixes the kernel copy
+    pointwise and induces the identity on the quotient.  None when the
+    cocycles are not cohomologous (GroupMismatch when they lie over
+    different group pairs)."""
     witness = are_cohomologous(target.cocycle, source.cocycle)
     if witness is None:
         return None
-    t = witness.t
     g1, g2 = source.g1, source.g2
-    n2 = g2.order
-    images = []
-    for i in range(source.group.order):
-        x, y = divmod(i, n2)
-        images.append(g1.table[x][t.images[y]] * n2 + y)
-    phi = GroupMap(dom=source.group, cod=target.group, images=tuple(images))
-    if not (phi.is_homomorphism() and phi.is_bijective()):
+    phi = reconstruct_hom(HomMatrix(
+        source=source, target=target,
+        phi11=GroupMap(dom=g1, cod=g1, images=tuple(range(g1.order))),
+        phi12=witness.t, phi21=trivial_map(g1, g2),
+        phi22=GroupMap(dom=g2, cod=g2, images=tuple(range(g2.order)))))
+    if _carrier_iso_failure(source, target, phi, "upper") is not None:
         raise ConditionsFailed(
             "the coboundary witness does not give an isomorphism")
     return phi
@@ -222,12 +221,6 @@ class HomMatrix:
                     or m.cod is not cod and m.cod != cod):
                 raise GroupMismatch("component map has wrong domain/codomain")
 
-    def has_kind(self, kind: str) -> bool:
-        """Whether every component TRIVIAL_COMPONENTS lists for kind is
-        trivial; for a bijective map, whether it is of that kind."""
-        return all(getattr(self, c).is_trivial()
-                   for c in TRIVIAL_COMPONENTS[kind])
-
 
 def _component_groups(source: ExtensionGroup, target: ExtensionGroup) -> dict:
     """Each component's (domain, codomain), by name."""
@@ -264,15 +257,16 @@ def decompose_hom(source: ExtensionGroup, target: ExtensionGroup,
         for c, (dom, cod) in _component_groups(source, target).items()})
 
 
-def _trivial_components(source: ExtensionGroup, target: ExtensionGroup,
-                        images) -> frozenset:
+def trivial_components(source: ExtensionGroup, target: ExtensionGroup,
+                       images) -> frozenset:
     """The names of the trivial components of the carrier map with this
     image array, with no component built: phi11 (phi12) is trivial when
     every image of the kernel copy (section) is some (1, y), an index
     below |target.g2|, and phi21 (phi22) when every one is some (x, 1),
     a multiple of |target.g2|, since phi(x, 1) = (phi11(x), phi21(x))
     and phi(1, y) = (phi12(y), phi22(y)).  Equal to the components of
-    _component_images that are all zero."""
+    _component_images that are all zero.  The one read of a kind: a
+    bijective phi is of kind K when the set holds TRIVIAL_COMPONENTS[K]."""
     n2s, n2t = source.g2.order, target.g2.order
     kernel, section = images[::n2s], images[:n2s]
     pairs_x1 = frozenset(range(0, target.group.order, n2t))
@@ -354,6 +348,23 @@ def _direct_failure(source, target, phi, kernel_factors, section_factors):
             for yp in section_factors:
                 if left[im[yp]] != im[row1[ey[yp]] * n2 + row2[yp]]:
                     return "section_factor", (x, y, yp)
+    return None
+
+
+def _carrier_iso_failure(source, target, phi, kind) -> str | None:
+    """None when phi, the map of a certificate of the kind, is a carrier
+    isomorphism of that kind, else the first failing fact, tested in
+    order: the direct homomorphism check, bijectivity, and the
+    components TRIVIAL_COMPONENTS[kind] forces trivial, read by
+    trivial_components."""
+    ok, witness = is_homomorphism_direct(source, target, phi)
+    if not ok:
+        return f"certificate does not materialize: {witness}"
+    if not phi.is_bijective():
+        return "certificate map is not bijective"
+    if not trivial_components(source, target, phi.images).issuperset(
+            TRIVIAL_COMPONENTS[kind]):
+        return f"certificate map is not of kind {kind!r}"
     return None
 
 

@@ -4,15 +4,15 @@ between central extensions over a fixed group pair.
 Kinds covered: kernel-preserving ("upper"), section-preserving ("lower"),
 the families with one trivial diagonal component ("g1", "g2", "g1g2"),
 and the builder for purely non-abelian quotients.  A kind is the set of
-components it forces trivial, extensions.TRIVIAL_COMPONENTS, which every
-test of a kind reads: HomMatrix.has_kind, and the survey's one set of
-trivial components per isomorphism and materialize, which both read it
-off the carrier image array (extensions._trivial_components).  The
-upper and lower searches key each automorphism once by its cocycle's
-generator columns, then look each sigma up among the rho, only for
-classes in one orbit of Aut(G1) x Aut(G2) acting on H^2 by
-c -> sigma . c . (rho x rho): upper isomorphism is being in one orbit,
-and a lower one puts both classes in one.  The generators of the two
+components it forces trivial, extensions.TRIVIAL_COMPONENTS, and one
+reader, extensions.trivial_components, tests it off the carrier image
+array: for the survey, and in the one carrier-isomorphism check
+(extensions._carrier_iso_failure) that materialize and the necessity
+extractors share.  The upper and lower searches key each automorphism
+once by its cocycle's generator columns, then look each sigma up among
+the rho, only for classes in one orbit of Aut(G1) x Aut(G2) acting on
+H^2 by c -> sigma . c . (rho x rho): upper isomorphism is being in one
+orbit, and a lower one puts both classes in one.  The generators of the two
 groups permute the finite set H^2, so the classes they reach from c,
 one orbit label per pair, are its whole orbit.  Every positive answer
 carries component maps that materialize, through the carrier product
@@ -64,13 +64,13 @@ from .extensions import (
     TRIVIAL_COMPONENTS,
     ExtensionGroup,
     HomMatrix,
+    _carrier_iso_failure,
     _component_groups,
-    _trivial_components,
     build_extension,
     decompose_hom,
     hom_condition_failures,
-    is_homomorphism_direct,
     reconstruct_hom,
+    trivial_components,
 )
 
 __all__ = [
@@ -124,17 +124,13 @@ def _falsified(g2) -> type:
 
 
 def _carrier_iso_of_kind(e1, e2, phi: GroupMap, kind: str, error: type):
-    """The two extensions and phi's component matrix, when phi is a
-    carrier isomorphism of the given kind; else raise error."""
+    """The two extensions and phi's component matrix, or error with the
+    message of _carrier_iso_failure when phi fails a fact of the kind."""
     src, tgt = _extension_pair(e1, e2)
-    ok, _ = is_homomorphism_direct(src, tgt, phi)
-    if not (ok and phi.is_bijective()):
-        raise error("phi is not an isomorphism of the carriers")
-    m = decompose_hom(src, tgt, phi)
-    if not m.has_kind(kind):
-        raise error(f"phi is not of kind {kind!r}: "
-                    f"{' and '.join(TRIVIAL_COMPONENTS[kind])} not trivial")
-    return src, tgt, m
+    failure = _carrier_iso_failure(src, tgt, phi, kind)
+    if failure is not None:
+        raise error(failure)
+    return src, tgt, decompose_hom(src, tgt, phi)
 
 
 def _require(m: HomMatrix, *own, error=ConditionsFailed):
@@ -186,24 +182,15 @@ class IsoCertificate:
             for c, (dom, cod) in _component_groups(src, tgt).items()})
 
     def materialize(self) -> GroupMap:
-        """The carrier map; raises ConditionsFailed unless the direct
-        checks find a bijective homomorphism whose components, read off
-        its image array, are trivial where TRIVIAL_COMPONENTS says the
-        certificate's kind forces them.  The map is reconstruct_hom of
-        components(), one pass of the pair formula over the component
-        image arrays."""
-        src, tgt = self.source, self.target
+        """The carrier map, reconstruct_hom of components(); raises
+        ConditionsFailed naming the first failing fact unless it is a
+        carrier isomorphism of the certificate's kind
+        (extensions._carrier_iso_failure)."""
         phi = reconstruct_hom(self.components())
-        ok, witness = is_homomorphism_direct(src, tgt, phi)
-        if not ok:
-            raise ConditionsFailed(
-                f"certificate does not materialize: {witness}")
-        if not phi.is_bijective():
-            raise ConditionsFailed("certificate map is not bijective")
-        if not _trivial_components(src, tgt, phi.images).issuperset(
-                TRIVIAL_COMPONENTS[self.kind]):
-            raise ConditionsFailed(
-                f"certificate map is not of kind {self.kind!r}")
+        failure = _carrier_iso_failure(self.source, self.target, phi,
+                                       self.kind)
+        if failure is not None:
+            raise ConditionsFailed(failure)
         return phi
 
     def to_dict(self) -> dict:
@@ -581,8 +568,8 @@ def oracle_iso_survey(src: ExtensionGroup, tgt: ExtensionGroup,
 
 def _shaped_isomorphisms(src, tgt, limits):
     """Every carrier isomorphism, with the set of its trivial components
-    (extensions._trivial_components)."""
-    return [(phi, _trivial_components(src, tgt, phi.images))
+    (extensions.trivial_components)."""
+    return [(phi, trivial_components(src, tgt, phi.images))
             for phi in enumerate_isomorphisms(src.group, tgt.group, limits)]
 
 

@@ -844,3 +844,10 @@ def materialize_by_components(cert: IsoCertificate) -> GroupMap:
         raise ConditionsFailed(
             f"certificate map is not of kind {cert.kind!r}")
     return phi
+
+
+def has_kind_by_components(m: HomMatrix, kind: str) -> bool:
+    """The earlier HomMatrix.has_kind: whether every component
+    TRIVIAL_COMPONENTS lists for kind is trivial, read off the component
+    maps of m; for a bijective map, whether it is of that kind."""
+    return all(getattr(m, c).is_trivial() for c in TRIVIAL_COMPONENTS[kind])

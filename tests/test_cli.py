@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -8,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centext import intlinalg
+from centext import cli, intlinalg
 from centext.catalog import get_group
 from centext.cli import ISO_MODES, _emit, main
 from centext.cocycles import compute_cocycle_space
@@ -102,6 +103,13 @@ class TestCohomology:
         code, _, err = run_cli(["cohomology", "Z2", "NoSuchGroup"], capsys)
         assert code == 2
         assert "NoSuchGroup" in err
+
+    def test_unknown_group_message_is_printed_as_is(self, capsys):
+        # a KeyError's message, not the repr str() gives it
+        code, _, err = run_cli(["cohomology", "Z2", "Z9"], capsys)
+        assert code == 2
+        assert err == ("error: 'Z9' is neither a catalog name nor an "
+                       "existing file\n")
 
     def test_group_file_without_table_names_key_and_file(self, tmp_path,
                                                           capsys):
@@ -621,6 +629,37 @@ class TestCatalog:
     def test_show_unknown_group(self, capsys):
         code, _, err = run_cli(["catalog", "show", "M11"], capsys)
         assert code == 2 and "M11" in err
+
+    def test_show_unknown_group_message_is_printed_as_is(self, capsys):
+        code, _, err = run_cli(["catalog", "show", "Z9"], capsys)
+        assert code == 2
+        assert err == "error: unknown catalog group 'Z9'\n"
+
+
+def private_imports(source):
+    """module.name for each name with a leading underscore that a
+    from-import of a centext module brings into source."""
+    tree = ast.parse(source)
+    return [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("centext"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+class TestImports:
+    def test_cli_imports_no_private_name(self):
+        with open(cli.__file__, encoding="utf-8") as fh:
+            assert private_imports(fh.read()) == []
+
+    def test_a_private_import_is_found(self):
+        source = ("from .catalog import get_group\n"
+                  "from .extensions import (\n"
+                  "    _trivial_components,\n"
+                  "    build_extension,\n"
+                  ")\n"
+                  "from centext.groups import _MapSearch\n")
+        assert private_imports(source) == ["extensions._trivial_components",
+                                           "centext.groups._MapSearch"]
 
 
 class TestParser:

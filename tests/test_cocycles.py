@@ -81,6 +81,7 @@ from centext.intlinalg import (
     smith_normal_form,
     solve_linear_mod,
 )
+from centext.isotest import upper_isomorphic
 from oracles import (
     are_cohomologous_by_reduction,
     b2_generators,
@@ -420,6 +421,21 @@ class TestAreCohomologous:
         w = are_cohomologous(trivial_cocycle(g1, g2),
                              trivial_cocycle(g1, g2))
         assert w is not None and w.t.is_trivial()
+
+    # a trivial factor group takes the general witness path, with no
+    # case of its own: the one class meets itself through the zero map
+    @pytest.mark.parametrize("pair", [("Z1", "S3"), ("Z2", "Z1"),
+                                      ("Z1", "Z1"), ("Z3", "Z1"),
+                                      ("Z1", "Z2")], ids=":".join)
+    def test_trivial_factor_groups_take_the_general_path(self, pair):
+        g1, g2 = map(get_group, pair)
+        (rep,) = compute_cocycle_space(g1, g2).class_representatives
+        w = are_cohomologous(rep, trivial_cocycle(g1, g2))
+        assert w is not None and w.t.images == (0,) * g2.order
+        e = build_extension(rep)
+        cert = upper_isomorphic(e, e)
+        assert cert is not None and cert.t_witness.t.images == w.t.images
+        assert cert.materialize().is_bijective()
 
     @pytest.mark.parametrize("quotient", ["Z3", "K4", "D4"])
     def test_a_wrong_coset_pass_fails_the_witness_check(self, quotient,

@@ -38,8 +38,10 @@ from centext.extensions import (
     HomMatrix,
     build_extension,
     decompose_hom,
+    equivalence_isomorphism,
     is_homomorphism_direct,
     reconstruct_hom,
+    trivial_components,
 )
 from centext.groups import (
     GroupMap,
@@ -68,6 +70,7 @@ from centext.isotest import (
 from oracles import (
     g1g2_isomorphic_by_loop,
     g2_isomorphic_equal_order_by_loop,
+    has_kind_by_components,
     identity_map,
     preserves_kernel_setwise,
     preserves_section_setwise,
@@ -731,10 +734,13 @@ class TestKinds:
             for a, b in itertools.product(exts, repeat=2):
                 for phi in enumerate_isomorphisms(a.group, b.group):
                     m = decompose_hom(a, b, phi)
+                    trivial = trivial_components(a, b, phi.images)
                     upper = preserves_kernel_setwise(a, b, phi)
                     lower = preserves_section_setwise(a, b, phi)
-                    assert m.has_kind("upper") == upper
-                    assert m.has_kind("lower") == lower
+                    assert has_kind_by_components(m, "upper") == upper
+                    assert has_kind_by_components(m, "lower") == lower
+                    assert ("phi21" in trivial) == upper
+                    assert ("phi12" in trivial) == lower
                     seen[upper, lower] += 1
         # every combination of the two occurs
         assert len(seen) == 4
@@ -745,8 +751,57 @@ class TestKinds:
         assert cert is not None and cert.rho is None
         stray = dataclasses.replace(cert, rho=identity_map(z2z2[0].g2))
         assert stray.components() == cert.components()
-        assert stray.components().has_kind("g2")
+        assert has_kind_by_components(stray.components(), "g2")
         assert stray.materialize() == cert.materialize()
+        assert "phi22" in trivial_components(
+            stray.source, stray.target, stray.materialize().images)
+
+
+class TestOneCarrierIsoCheck:
+    # the extractors and equivalence_isomorphism ask one check
+    # (extensions._carrier_iso_failure) whether phi is a carrier
+    # isomorphism of a kind; each input fails one fact: a bijection that
+    # is no homomorphism, the trivial map, an isomorphism of another kind
+    @staticmethod
+    def failing_maps(e, kind):
+        bijection = GroupMap(dom=e.group, cod=e.group,
+                             images=(0, 3, 2, 1, 4, 5, 6, 7, 8))
+        assert bijection.is_bijective() and not bijection.is_homomorphism()
+        swap = carrier_map(e, e, lambda x, y: (y, x))
+        other = swap if kind in ("upper", "lower") else identity_map(e.group)
+        return bijection, trivial_map(e.group, e.group), other
+
+    @pytest.mark.parametrize("extract, error, kind", [
+        (lower_necessary, NotLowerIso, "lower"),
+        (g1_isomorphic_necessary, NotG1Iso, "g1"),
+        (g2_isomorphic_necessary, NotG2Iso, "g2")],
+        ids=("lower", "g1", "g2"))
+    def test_extractors_name_the_failed_fact(self, z3z3, extract, error,
+                                             kind):
+        e = z3z3[0]
+        messages = ("certificate does not materialize: "
+                    "('kernel_factor', (0, 1, 2))",
+                    "certificate map is not bijective",
+                    f"certificate map is not of kind {kind!r}")
+        for phi, message in zip(self.failing_maps(e, kind), messages):
+            with pytest.raises(ValueError) as info:
+                extract(e, e, phi)
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+    def test_equivalence_isomorphism_keeps_its_message(self, z3z3,
+                                                       monkeypatch):
+        # the witness map of e to itself, replaced by each failing map
+        e = z3z3[0]
+        assert equivalence_isomorphism(e, e) == identity_map(e.group)
+        for phi in self.failing_maps(e, "upper"):
+            monkeypatch.setattr("centext.extensions.reconstruct_hom",
+                                lambda m, phi=phi: phi)
+            with pytest.raises(ValueError) as info:
+                equivalence_isomorphism(e, e)
+            assert type(info.value) is ConditionsFailed
+            assert str(info.value) == \
+                "the coboundary witness does not give an isomorphism"
 
 
 class TestVerifyTheorems:

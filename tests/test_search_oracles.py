@@ -33,6 +33,7 @@ from centext.extensions import (
     _direct_failure,
     build_extension,
     decompose_hom,
+    trivial_components,
 )
 from centext.groups import (
     DEFAULT_LIMITS,
@@ -59,6 +60,7 @@ from centext.isotest import (
 from oracles import (
     components_by_calls,
     direct_failure_by_calls,
+    has_kind_by_components,
     materialize_by_components,
 )
 
@@ -229,8 +231,9 @@ COMPONENTS = ("phi11", "phi12", "phi21", "phi22")
 
 @pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
 def test_kind_reads_equal_decompose_hom(pair):
-    # materialize reads the forced components off the image array, and
-    # the survey one set of trivial components per isomorphism
+    # trivial_components, the one read of a map's kind, agrees with the
+    # component-wise has_kind reference, and the survey keeps one set
+    # of trivial components per isomorphism
     for src, tgt in oracle_class_pairs(pair):
         isos = [(phi, decompose_hom(src, tgt, phi))
                 for phi in enumerate_isomorphisms(src.group, tgt.group)]
@@ -238,14 +241,17 @@ def test_kind_reads_equal_decompose_hom(pair):
             parts = _component_images(src, tgt, phi.images)
             assert parts == components_by_calls(src, tgt, phi) == {
                 c: getattr(m, c).images for c in COMPONENTS}
+            trivial = trivial_components(src, tgt, phi.images)
             for kind, forced in TRIVIAL_COMPONENTS.items():
                 assert (not any(any(parts[c]) for c in forced)) == \
-                    m.has_kind(kind)
+                    trivial.issuperset(forced) == \
+                    has_kind_by_components(m, kind)
         shaped = _shaped_isomorphisms(src, tgt, DEFAULT_LIMITS)
         assert shaped == [(phi, frozenset(c for c in COMPONENTS
                                           if getattr(m, c).is_trivial()))
                           for phi, m in isos]
-        expected = {kind: any(m.has_kind(kind) for _, m in isos)
+        expected = {kind: any(has_kind_by_components(m, kind)
+                              for _, m in isos)
                     for kind in TRIVIAL_COMPONENTS
                     if kind != "purely_nonabelian"}
         assert _survey(shaped) == {**expected,
@@ -255,7 +261,8 @@ def test_kind_reads_equal_decompose_hom(pair):
 @pytest.mark.parametrize("pair", ORACLE_PAIRS, ids=":".join)
 def test_materialize_checks_the_kind(pair, monkeypatch):
     # a certificate whose map is a given isomorphism materializes
-    # exactly when decompose_hom's matrix has the certificate's kind
+    # exactly when decompose_hom's matrix has the certificate's kind,
+    # by the component-wise has_kind reference
     current, seen = [], set()
     monkeypatch.setattr(isotest, "reconstruct_hom", lambda m: current[0])
     for src, tgt in oracle_class_pairs(pair):
@@ -270,7 +277,7 @@ def test_materialize_checks_the_kind(pair, monkeypatch):
                     assert str(exc) == \
                         f"certificate map is not of kind {kind!r}"
                     holds = False
-                assert holds == m.has_kind(kind)
+                assert holds == has_kind_by_components(m, kind)
                 seen.add(holds)
     assert seen == {True, False}
 
