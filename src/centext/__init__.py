@@ -3,7 +3,8 @@ second cohomology with abelian coefficients, and certificate-producing
 isomorphism criteria."""
 
 from .catalog import (alternating_group, catalog_names, get_group,
-                      identify_group, special_linear_2_5)
+                      identify_group, projective_special_linear_2_7,
+                      special_linear_2_5)
 from .cocycles import (Cocycle2, CocycleSpace, apply_coboundary,
                        are_cohomologous, cocycle_inv, cocycle_mul,
                        compute_cocycle_space, coboundary_from, is_cocycle,

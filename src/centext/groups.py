@@ -20,10 +20,12 @@ generators chosen so far by replaying the products of the same walk.
 A full scan runs only after a generator check has failed, to name the
 first witness.  Tables that a construction proves to be groups
 (direct_product, the extension carriers) are wrapped as FiniteGroup
-without validate_group.  The same walk, adjoining only given elements,
-closes subgroups (subgroup_closure), and its recorded steps give the
-relations of intlinalg.abelian_invariants.  A subgroup is its ascending
-member tuple.
+without validate_group.  group_from_elements calls op for the columns
+of the generators only and reads the others through them, which needs
+an associative op; its tables are still validated.  The same walk,
+adjoining only given elements, closes subgroups (subgroup_closure), and
+its recorded steps give the relations of intlinalg.abelian_invariants.
+A subgroup is its ascending member tuple.
 """
 
 from __future__ import annotations
@@ -222,6 +224,15 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
     are bool), NoIdentityAtZero, NotLatinSquare, NonAssociative.  Each
     error message carries the first witness found (row-major scan order).
 
+    The first three axioms are screened with C-level passes over whole
+    rows and columns: every row has n entries, each of type int exactly
+    (set(map(type, row)) <= {int}, which rejects bool), min and max in
+    range, row 0 and column 0 the identity, and len(set(...)) == n over
+    each row and each column of zip(*table).  A screen that passes proves
+    its axiom; only a failed one runs the entry-by-entry scan, which names
+    the first offender (an int subclass other than bool fails the type
+    screen but passes the scan).
+
     Associativity is decided by Light's test (Clifford & Preston, The
     Algebraic Theory of Semigroups I, 1961, section 1.2).  The middles m
     with (xm)y = x(my) for all x, y are closed under the product: for two
@@ -240,43 +251,19 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
-    rows = []
-    for a, row in enumerate(table):
-        row = tuple(row)
-        if len(row) != n:
-            raise ValueError(f"row {a} has length {len(row)}, expected {n}")
-        for b, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"entry [{a}][{b}] = {v!r} is not an integer")
-            if not 0 <= v < n:
-                raise ValueError(f"entry [{a}][{b}] = {v!r} out of range")
-        rows.append(row)
-    tab = tuple(rows)
+    tab = tuple(map(tuple, table))
+    if not (all(len(row) == n and set(map(type, row)) <= {int}
+                for row in tab)
+            and 0 <= min(map(min, tab)) and max(map(max, tab)) < n):
+        _check_entries(tab)
 
-    for b in range(n):
-        if tab[0][b] != b:
-            raise NoIdentityAtZero(f"0*{b} = {tab[0][b]}, expected {b}")
-    for a in range(n):
-        if tab[a][0] != a:
-            raise NoIdentityAtZero(f"{a}*0 = {tab[a][0]}, expected {a}")
+    identity = tuple(range(n))
+    if tab[0] != identity or tuple(map(itemgetter(0), tab)) != identity:
+        _check_identity(tab)
 
-    for a in range(n):
-        if len(set(tab[a])) != n:
-            seen = {}
-            for b, v in enumerate(tab[a]):
-                if v in seen:
-                    raise NotLatinSquare(
-                        f"row {a} repeats {v} at columns {seen[v]} and {b}")
-                seen[v] = b
-    for b in range(n):
-        col = [tab[a][b] for a in range(n)]
-        if len(set(col)) != n:
-            seen = {}
-            for a, v in enumerate(col):
-                if v in seen:
-                    raise NotLatinSquare(
-                        f"column {b} repeats {v} at rows {seen[v]} and {a}")
-                seen[v] = a
+    if not (all(len(set(row)) == n for row in tab)
+            and all(len(set(col)) == n for col in zip(*tab))):
+        _check_latin(tab)
 
     group = FiniteGroup(order=n, table=tab, name=name)
     for s in group.generators:
@@ -285,6 +272,44 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
         if any(tab[row[s]] != through_s(row) for row in tab):
             _raise_first_nonassociative(tab)
     return group
+
+
+def _check_entries(tab):
+    n = len(tab)
+    for a, row in enumerate(tab):
+        if len(row) != n:
+            raise ValueError(f"row {a} has length {len(row)}, expected {n}")
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"entry [{a}][{b}] = {v!r} is not an integer")
+            if not 0 <= v < n:
+                raise ValueError(f"entry [{a}][{b}] = {v!r} out of range")
+
+
+def _check_identity(tab):
+    for b, v in enumerate(tab[0]):
+        if v != b:
+            raise NoIdentityAtZero(f"0*{b} = {v}, expected {b}")
+    for a, row in enumerate(tab):
+        if row[0] != a:
+            raise NoIdentityAtZero(f"{a}*0 = {row[0]}, expected {a}")
+
+
+def _check_latin(tab):
+    for a, row in enumerate(tab):
+        seen = {}
+        for b, v in enumerate(row):
+            if v in seen:
+                raise NotLatinSquare(
+                    f"row {a} repeats {v} at columns {seen[v]} and {b}")
+            seen[v] = b
+    for b, col in enumerate(zip(*tab)):
+        seen = {}
+        for a, v in enumerate(col):
+            if v in seen:
+                raise NotLatinSquare(
+                    f"column {b} repeats {v} at rows {seen[v]} and {a}")
+            seen[v] = a
 
 
 def _raise_first_nonassociative(tab):
@@ -326,21 +351,57 @@ def direct_product(g: FiniteGroup, h: FiniteGroup,
 def group_from_elements(elems, op, name: str | None = None) -> FiniteGroup:
     """Build a validated group from concrete elements under op.
 
-    elems[0] must be the identity; elements must be hashable.
+    elems is a sequence whose first element must be the identity; its
+    elements must be hashable, and op must be associative.  op runs only for the columns x -> x*s of 0 and of
+    the greedy generators s, n * (k + 1) calls for k generators.  The
+    walk is _cayley_walk's: it adjoins each element not yet reached, and
+    every other element b is first reached by a tree step b = p*s, with
+    p reached before it.  Then a*b = (a*p)*s by associativity, so column
+    b is column s read through column p: n list reads, no call of op.
+    Closure is checked on the columns that op computes: every other
+    column is read from them, so every product lies in the set.
+
+    The table is that of the n^2 products, so validate_group raises for
+    it as for those (NoIdentityAtZero when elems[0] is not the
+    identity); ValueError is raised for duplicate elements and for a
+    product outside the set.
     """
     index = {e: i for i, e in enumerate(elems)}
     if len(index) != len(elems):
         raise ValueError("duplicate elements")
-    table = []
-    for a in elems:
-        row = []
-        for b in elems:
-            c = op(a, b)
-            if c not in index:
-                raise ValueError("elements not closed under op")
-            row.append(index[c])
-        table.append(row)
-    return validate_group(table, name=name)
+    n = len(elems)
+    if n == 0:
+        return validate_group((), name=name)   # raises: empty table
+
+    def column(s):
+        right = elems[s]
+        col = [index.get(op(a, right)) for a in elems]
+        if None in col:
+            raise ValueError("elements not closed under op")
+        return col
+
+    cols = [None] * n
+    cols[0] = column(0)
+    reached, gens = [0], []
+    for x in range(n):
+        if cols[x] is not None:
+            continue
+        gens.append(x)
+        cols[x] = column(x)
+        old = len(reached)
+        reached.append(x)
+        # reached[:old] is closed under the earlier generators
+        i = 1
+        while i < len(reached):
+            p = reached[i]
+            for s in (gens if i >= old else (x,)):
+                col_s = cols[s]
+                b = col_s[p]
+                if cols[b] is None:
+                    cols[b] = list(map(col_s.__getitem__, cols[p]))
+                    reached.append(b)
+            i += 1
+    return validate_group(tuple(zip(*cols)), name=name)
 
 
 # ---------------------------------------------------------------------------

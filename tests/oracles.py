@@ -66,6 +66,25 @@ from centext.intlinalg import (
 from centext.isotest import IsoCertificate, _extension_pair
 
 
+def group_from_elements_by_products(elems, op,
+                                   name: str | None = None) -> FiniteGroup:
+    """groups.group_from_elements by op and a dict lookup on each of the
+    n^2 products, with no use of associativity."""
+    index = {e: i for i, e in enumerate(elems)}
+    if len(index) != len(elems):
+        raise ValueError("duplicate elements")
+    table = []
+    for a in elems:
+        row = []
+        for b in elems:
+            c = op(a, b)
+            if c not in index:
+                raise ValueError("elements not closed under op")
+            row.append(index[c])
+        table.append(row)
+    return validate_group(table, name=name)
+
+
 def determinant(a: IntMatrix) -> int:
     """Bareiss fraction-free elimination; exact over Z."""
     if a.rows != a.cols:

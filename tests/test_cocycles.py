@@ -14,6 +14,7 @@ from centext.catalog import (
     alternating_group,
     catalog_names,
     get_group,
+    projective_special_linear_2_7,
     special_linear_2_5,
     symmetric_group,
 )
@@ -1061,12 +1062,21 @@ class TestTextbookValues:
         (lambda: symmetric_group(5), (2, 2)),
         # H_1 = 0 and M = Z6
         (lambda: alternating_group(6), (2,)),
-    ], ids=["SL25", "S5", "A6"])
+        # H_1 = 0 and M = Z2
+        (projective_special_linear_2_7, (2,)),
+    ], ids=["SL25", "S5", "A6", "PSL27"])
     def test_h2_with_z2_coefficients(self, g2, factors):
         space = compute_cocycle_space(get_group("Z2"), g2())
         assert space.h2_invariant_factors == factors
         assert len(space.class_representatives) == 2 ** len(factors)
         assert space.z2_order == space.b2_order * space.h2_order
+
+    def test_psl27_with_z3_coefficients(self):
+        # Hom(H_1, Z3) = 0 and Ext(Z2, Z3) = 0
+        space = compute_cocycle_space(get_group("Z3"),
+                                      projective_special_linear_2_7())
+        assert space.h2_invariant_factors == ()
+        assert len(space.class_representatives) == 1
 
     def test_a6_with_z3_coefficients(self):
         # Hom(H_1, Z3) = 0 and Ext(Z6, Z3) = Z3

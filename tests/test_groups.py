@@ -6,16 +6,21 @@ scans for centers and centralizers, commutator closures by hand for the
 derived subgroups.
 """
 
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from centext import catalog
 from centext.catalog import (
+    _BUILDERS,
+    _perm_compose,
     alternating_group,
     catalog_names,
     get_group,
+    projective_special_linear_2_7,
     special_linear_2_5,
     symmetric_group,
 )
@@ -42,6 +47,7 @@ from centext.groups import (
     enumerate_automorphisms,
     enumerate_homs,
     enumerate_isomorphisms,
+    group_from_elements,
     is_purely_nonabelian,
     is_simple,
     normal_subgroups,
@@ -56,6 +62,7 @@ from oracles import (
     compose_maps,
     derived_subgroup,
     greedy_by_pair_closure,
+    group_from_elements_by_products,
     group_map_error,
     identity_map,
     normal_subgroups_by_class_unions,
@@ -82,6 +89,8 @@ def validate_by_full_scan(table):
         if len(row) != n:
             raise ValueError(f"row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"entry [{a}][{b}] = {v!r} is not an integer")
             if not 0 <= v < n:
                 raise ValueError(f"entry [{a}][{b}] = {v!r} out of range")
     for b in range(n):
@@ -213,6 +222,26 @@ def relabelled_table(g, perm):
     return out
 
 
+@st.composite
+def tables_with_foreign_entries(draw):
+    """A relabelled small catalog table with one to three entries
+    replaced: by the same value as a float or (for 0 and 1) a bool, which
+    only the type check rejects, or by any bool, float, negative int or
+    int past the order."""
+    g = get_group(draw(st.sampled_from(SMALL)))
+    n = g.order
+    table = relabelled_table(
+        g, [0] + draw(st.permutations(range(1, n))))
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        v = table[a][b]
+        same = [float(v)] + ([bool(v)] if v in (0, 1) else [])
+        table[a][b] = draw(st.one_of(
+            st.sampled_from(same), st.booleans(), st.floats(),
+            st.integers(-2 * n, -1), st.integers(n, 2 * n)))
+    return table
+
+
 def intercalates(table):
     """Rows a < b and columns c < d whose four entries form a 2x2 Latin
     subsquare; swapping within it keeps the table Latin."""
@@ -334,6 +363,21 @@ class TestValidateGroup:
         assert outcome(validate_group, table) == \
             outcome(validate_by_full_scan, table)
 
+    @settings(max_examples=200, deadline=None)
+    @given(tables_with_foreign_entries())
+    def test_foreign_entries_match_the_full_scan(self, table):
+        assert outcome(validate_group, table) == \
+            outcome(validate_by_full_scan, table)
+
+    def test_int_subclass_entries_pass_the_entry_scan(self):
+        # the type screen admits int only; an int subclass other than
+        # bool falls back to the entry scan, which accepts it as before
+        class Index(int):
+            pass
+        g = get_group("S3")
+        table = [[Index(v) for v in row] for row in g.table]
+        assert validate_group(table).table == g.table
+
     def test_light_test_over_the_right_greedy_on_random_loops(self):
         # in a loop, right multiplication alone can reach less than the
         # closure in both orders, so the two greedy sequences can differ;
@@ -371,6 +415,67 @@ class TestValidateGroup:
                         else NotLatinSquare
                     with pytest.raises(expected):
                         validate_group(mut)
+
+
+S3_ELEMENTS = sorted(itertools.permutations(range(3)))
+
+# sha256 of repr(alternating_group(7).table), as built from the n^2
+# products before the tables were read from generator columns
+A7_TABLE_SHA256 = \
+    "bc9a7c6ec8cb1a71fb5a2cac1985bdb00401c9fd1b6c2ba44050deb623f2e578"
+
+# the builders of the named catalog and the groups outside it, uncached
+BUILDS = {
+    **_BUILDERS,
+    "SL25": special_linear_2_5.__wrapped__,
+    "S5": lambda: symmetric_group(5),
+    "A6": lambda: alternating_group(6),
+    "S6": lambda: symmetric_group(6),
+    "PSL27": projective_special_linear_2_7.__wrapped__,
+}
+
+
+class TestGroupFromElements:
+    """Tables read through the generator columns are those of the n^2
+    products, and the errors are theirs."""
+
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_tables_equal_the_products(self, name, monkeypatch):
+        g = BUILDS[name]()
+        monkeypatch.setattr(catalog, "group_from_elements",
+                            group_from_elements_by_products)
+        ref = BUILDS[name]()
+        assert (g.order, g.table, g.name) == (ref.order, ref.table, ref.name)
+
+    def test_a7_table_is_pinned(self):
+        g = alternating_group(7)
+        assert g.order == 2520
+        assert hashlib.sha256(repr(g.table).encode()).hexdigest() == \
+            A7_TABLE_SHA256
+
+    @pytest.mark.parametrize("elems,error", [
+        (S3_ELEMENTS + [S3_ELEMENTS[3]], (ValueError, "duplicate elements")),
+        (S3_ELEMENTS[:3] + S3_ELEMENTS[4:],
+         (ValueError, "elements not closed under op")),
+        ([(0, 1, 2), (1, 2, 0)], (ValueError, "elements not closed under op")),
+        (S3_ELEMENTS[1:] + S3_ELEMENTS[:1],
+         (NoIdentityAtZero, "0*0 = 5, expected 0")),
+        ([], (ValueError, "empty table")),
+    ], ids=["duplicate", "not-closed", "not-closed-3-cycle", "no-identity",
+            "empty"])
+    def test_errors_are_those_of_the_products(self, elems, error):
+        got = outcome(group_from_elements, elems, _perm_compose)
+        assert got == outcome(group_from_elements_by_products, elems,
+                              _perm_compose)
+        assert got == error
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_every_rotation_of_s3_lacks_the_identity(self, k):
+        elems = S3_ELEMENTS[k:] + S3_ELEMENTS[:k]
+        got = outcome(group_from_elements, elems, _perm_compose)
+        assert got[0] is NoIdentityAtZero
+        assert got == outcome(group_from_elements_by_products, elems,
+                              _perm_compose)
 
 
 class TestStructure:
@@ -437,6 +542,11 @@ class TestSimpleAndPurelyNonabelian:
         assert not is_simple(get_group("S3"))
         assert not is_simple(get_group("A4"))
         assert is_simple(get_group("A5"))
+
+    def test_psl27_is_simple_of_order_168(self):
+        g = projective_special_linear_2_7()
+        assert g.order == 168 and g.name == "PSL27"
+        assert is_simple(g)
 
     def test_purely_nonabelian(self):
         assert is_purely_nonabelian(get_group("Q8"))
