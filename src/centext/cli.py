@@ -48,6 +48,7 @@ from .cocycles import (
     trivial_cocycle,
 )
 from .errors import (
+    GroupMismatch,
     HypothesisNotVerified,
     InternalInconsistency,
     SizeLimitExceeded,
@@ -243,8 +244,11 @@ def cmd_extend(args) -> int:
 def _decide_iso(mode, e1, e2, limits):
     """Verdict, certificate dict or None, notes.
 
-    A structured decider answers upper, lower, g1g2, and g2 over
-    abelian factor groups of equal order.  Other modes, and a lower
+    Every mode but plain compares two extensions over one group pair,
+    so a mismatched pair raises GroupMismatch before any search; a
+    carrier isomorphism needs no common pair.  A structured decider
+    answers upper, lower, g1g2, and g2 over abelian factor groups of
+    equal order.  Other modes, and a lower
     negative that sim_is_trivial cannot settle, take the first carrier
     isomorphism of the mode's kind from the exhaustive search (lower
     raises HypothesisNotVerified past the limits); g1 and g2 extract
@@ -252,6 +256,8 @@ def _decide_iso(mode, e1, e2, limits):
     the failed condition rests on the quotient hypothesis."""
     notes = []
     g1, g2 = e1.g1, e1.g2
+    if mode != "plain" and (g1 != e2.g1 or g2 != e2.g2):
+        raise GroupMismatch("extensions sit over different group pairs")
     decide = {"upper": upper_isomorphic, "lower": lower_isomorphic,
               "g1g2": g1g2_isomorphic}.get(mode)
     if (mode == "g2" and g1.is_abelian and g2.is_abelian

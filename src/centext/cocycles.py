@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -44,7 +43,7 @@ from .errors import (
     NotAbelianCoefficients,
     NotNormalized,
 )
-from .groups import FiniteGroup, GroupMap, center
+from .groups import FiniteGroup, GroupMap, Record, center
 from .intlinalg import (
     IntLattice,
     IntMatrix,
@@ -54,8 +53,7 @@ from .intlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class Cocycle2:
+class Cocycle2(Record):
     """A normalized 2-cocycle table epsilon(y, y') in g1, for y, y' in g2.
 
     The constructor checks shape and normalization only; the full
@@ -214,8 +212,7 @@ def _coboundary_table(delta: GroupMap) -> tuple[tuple[int, ...], ...]:
         for h in range(g2.order))
 
 
-@dataclass(frozen=True)
-class CoboundaryWitness:
+class CoboundaryWitness(Record):
     """The map t with e2 = (coboundary of t) * e1."""
 
     t: GroupMap
@@ -431,8 +428,7 @@ def pullback(e: Cocycle2, rho: GroupMap) -> Cocycle2:
 # the cocycle space
 
 
-@dataclass(frozen=True)
-class CocycleSpace:
+class CocycleSpace(Record):
     """Z^2, B^2 and H^2 over a fixed pair (g1, g2).
 
     class_representatives holds one cocycle per H^2 class, ordered with
@@ -501,8 +497,7 @@ def _hopf_system(g2: FiniteGroup):
     return tuple(tree), tuple((y - 1) * len(gens) + i for y, i in chords), rows
 
 
-@dataclass(frozen=True)
-class _Coordinate:
+class _Coordinate(Record):
     """Z^2 and the H^2 classes of one invariant factor d of g1 over g2:
     z_columns, Z^2's pivot rows in generator columns, which the tests
     check against the earlier systems, and one member of each class over

@@ -13,7 +13,6 @@ central by construction and the quotient by it multiplies like g2.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .cocycles import (
     Cocycle2,
@@ -30,6 +29,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupMap,
+    Record,
     subgroup_closure,
     trivial_map,
     validate_group,
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExtensionGroup:
+class ExtensionGroup(Record):
     """A carrier group together with the data it was built from."""
 
     g1: FiniteGroup
@@ -201,8 +200,7 @@ TRIVIAL_COMPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class HomMatrix:
+class HomMatrix(Record):
     """The four component maps of phi: phi(x, y) =
     (phi11(x) phi12(y) e2(phi21(x), phi22(y)), phi21(x) phi22(y))."""
 

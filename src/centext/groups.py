@@ -30,9 +30,8 @@ A subgroup is its ascending member tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -45,8 +44,85 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class Record:
+    """A frozen value object whose fields are the class's annotations.
+
+    It is built by keyword or by position, in annotation order, and a
+    field with a value in the class body defaults to it.  __init__ fills
+    __dict__ in one update and then calls the class's __post_init__, if
+    it has one, so a check there sees every field.  Assignment and
+    deletion raise AttributeError; cached_property writes to __dict__
+    directly, so it still works.  Records of one class are equal when
+    their fields are, unless the class defines its own __eq__, and hash
+    as the tuple of them, computed once (_hash).  Importing dataclasses
+    would cost every process start more than this class does.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        own = vars(cls)
+        cls._fields = fields = tuple(cls.__annotations__)
+        get = attrgetter(*fields)
+        key = get if len(fields) > 1 else lambda r: (get(r),)
+        cls._key = staticmethod(key)
+        # closures, so the calls on every record read no class attribute
+        fits, n = frozenset(fields).issuperset, len(fields)
+        defaults = {f: own[f] for f in fields if f in own}
+        post = getattr(cls, "__post_init__", None)
+
+        def __init__(self, *args, **values):
+            if args:
+                if len(args) > n or not values.keys().isdisjoint(
+                        fields[:len(args)]):
+                    raise TypeError(f"{cls.__name__} takes each of the "
+                                    f"fields {fields} once")
+                values.update(zip(fields, args))
+            if len(values) != n:
+                values = {**defaults, **values}
+                if len(values) != n:
+                    raise self._misfit(values)
+            if not fits(values):
+                raise self._misfit(values)
+            self.__dict__.update(values)
+            if post is not None:
+                post(self)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        cls.__init__ = __init__
+        if "__eq__" not in own:
+            cls.__eq__ = __eq__
+        # None also when the body defines __eq__ but no __hash__
+        if own.get("__hash__") is None:
+            cls.__hash__ = Record.__hash__
+
+    def _misfit(self, values) -> TypeError:
+        return TypeError(f"{type(self).__name__} has the fields "
+                         f"{self._fields}, not {tuple(values)}")
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+
+class SearchLimits(Record):
     """Budgets for the backtracking searches.
 
     max_order caps the order of both groups of every map search (hom,
@@ -66,8 +142,7 @@ class SearchLimits:
 DEFAULT_LIMITS = SearchLimits()
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A finite group given by its multiplication table.
 
     table[a][b] is the index of a*b.  The four structural axioms are
@@ -77,13 +152,17 @@ class FiniteGroup:
 
     order: int
     table: tuple[tuple[int, ...], ...]
-    name: str | None = field(default=None, compare=False)
+    name: str | None = None
 
-    def __hash__(self):   # once, not on every lru_cache lookup by a group
-        return self._hash
+    def __eq__(self, other):   # order and table; the name is not compared
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.table) == (other.order, other.table)
 
     @cached_property
-    def _hash(self) -> int:
+    def _hash(self) -> int:   # Record.__hash__ returns it; no name
         return hash((self.order, self.table))
 
     def conj(self, a: int, b: int) -> int:
@@ -492,8 +571,7 @@ def is_purely_nonabelian(g: FiniteGroup) -> bool:
 # maps between groups
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(Record):
     """A normalized set map between groups, stored as its image array.
 
     Normalized means images[0] == 0; every map this package handles
@@ -506,15 +584,16 @@ class GroupMap:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.images) != self.dom.order:
+        images, n = self.images, self.cod.order
+        if len(images) != self.dom.order:
             raise DimensionMismatch(
-                f"image array has length {len(self.images)}, "
+                f"image array has length {len(images)}, "
                 f"domain has order {self.dom.order}")
         # screened at C speed; the scan names the first offender
-        if min(self.images) < 0 or max(self.images) >= self.cod.order:
-            v = next(v for v in self.images if not 0 <= v < self.cod.order)
+        if min(images) < 0 or max(images) >= n:
+            v = next(v for v in images if not 0 <= v < n)
             raise ValueError(f"image {v} out of range")
-        if self.images[0] != 0:
+        if images[0] != 0:
             raise NotNormalized("map must send 0 to 0")
 
     @staticmethod

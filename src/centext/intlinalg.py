@@ -9,11 +9,10 @@ runs over unbounded Python integers; no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatch, InternalInconsistency, NotAbelian
-from .groups import FiniteGroup
+from .groups import FiniteGroup, Record
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -31,8 +30,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix, stored as a tuple of row tuples."""
 
     rows: int
@@ -84,8 +82,7 @@ def mat_vec(a: IntMatrix, x) -> list[int]:
     return [sum(v * xi for v, xi in zip(row, x)) for row in a.data]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """u * a * v = s with u, v unimodular and s diagonal with a
     divisibility chain."""
 
@@ -343,8 +340,7 @@ class IntLattice:
 # linear congruence systems
 
 
-@dataclass(frozen=True)
-class ModSolveResult:
+class ModSolveResult(Record):
     """Solution of A x = b componentwise mod per-row moduli.
 
     modulus is the lcm M of the row moduli; solutions are meaningful
@@ -429,8 +425,7 @@ def solve_linear_mod(a: IntMatrix, moduli, b) -> ModSolveResult:
 # abelian structure
 
 
-@dataclass(frozen=True)
-class AbelianPresentation:
+class AbelianPresentation(Record):
     """Invariant-factor coordinates for an abelian Cayley table: coords[x]
     is the coordinate tuple of element x, one entry in [0, d) per
     invariant factor d, and x -> coords[x] is an isomorphism onto the

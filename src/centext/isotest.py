@@ -22,7 +22,6 @@ homomorphism of the certificate's kind.  A harness cross-validates each
 criterion against brute-force isomorphism search on a small catalog.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .errors import (
@@ -38,6 +37,7 @@ from .errors import (
 from .groups import (
     DEFAULT_LIMITS,
     GroupMap,
+    Record,
     SearchLimits,
     _automorphism_generators,
     brute_force_isomorphism,
@@ -143,8 +143,7 @@ def _require(m: HomMatrix, *own, error=ConditionsFailed):
         raise error(reason)
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
+class IsoCertificate(Record):
     """Component maps witnessing one structured isomorphism kind.
 
     sigma acts on the kernel group, rho on the section group, delta maps

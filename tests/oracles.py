@@ -726,6 +726,15 @@ def are_cohomologous_by_reduction(e1: Cocycle2, e2: Cocycle2):
     return CoboundaryWitness(t=t)
 
 
+def replace(record, **changes):
+    """record with the given fields changed, rebuilt through its
+    constructor, so that __post_init__ checks the result, as
+    dataclasses.replace did for the records before they left
+    dataclasses."""
+    return type(record)(**{**{f: getattr(record, f)
+                              for f in record._fields}, **changes})
+
+
 def identity_map(g: FiniteGroup) -> GroupMap:
     return GroupMap(dom=g, cod=g, images=tuple(range(g.order)))
 

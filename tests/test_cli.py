@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -355,6 +356,23 @@ class TestIso:
             ["iso", "upper", ext_files["k4"], ext_files["s30"]], capsys)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("mode", ["g1", "g2"])
+    @pytest.mark.parametrize("source, target", [
+        (("Z2", "K4", 1), ("Z2", "Z4", 1)),   # no carrier map of the kind
+        (("Z2", "K4", 1), ("Z2", "Z4", 0)),   # a g1 map exists
+        (("Z2", "K4", 0), ("K4", "Z2", 0)),   # a g2 map exists
+    ])
+    def test_g1_g2_check_the_group_pair_before_searching(
+            self, mode, source, target, tmp_path, capsys):
+        paths = [write_ext(tmp_path, f"{g1}{g2}{k}.json", g1, g2,
+                           class_index=k) for g1, g2, k in (source, target)]
+        code, payload, err = run_cli(["iso", mode, *paths], capsys)
+        assert (code, payload) == (2, None)
+        assert err == "error: extensions sit over different group pairs\n"
+        # a carrier isomorphism needs no common pair
+        code, payload, err = run_cli(["iso", "plain", *paths], capsys)
+        assert code in (0, 1) and err == ""
+
     def test_extension_file_with_explicit_table(self, tmp_path, ext_files,
                                                 capsys):
         space = compute_cocycle_space(get_group("Z2"), get_group("K4"))
@@ -647,6 +665,18 @@ def private_imports(source):
 
 
 class TestImports:
+    def test_import_loads_no_dataclasses(self):
+        # in a fresh interpreter: pytest itself loads both modules
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, centext, centext.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_cli_imports_no_private_name(self):
         with open(cli.__file__, encoding="utf-8") as fh:
             assert private_imports(fh.read()) == []

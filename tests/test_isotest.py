@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import os
 import random
@@ -74,6 +73,7 @@ from oracles import (
     identity_map,
     preserves_kernel_setwise,
     preserves_section_setwise,
+    replace,
 )
 
 
@@ -749,7 +749,7 @@ class TestKinds:
     def test_components_force_the_kind_trivial(self, z2z2):
         cert = g2_isomorphic_equal_order(z2z2[0], z2z2[0])
         assert cert is not None and cert.rho is None
-        stray = dataclasses.replace(cert, rho=identity_map(z2z2[0].g2))
+        stray = replace(cert, rho=identity_map(z2z2[0].g2))
         assert stray.components() == cert.components()
         assert has_kind_by_components(stray.components(), "g2")
         assert stray.materialize() == cert.materialize()

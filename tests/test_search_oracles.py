@@ -3,7 +3,6 @@ ones: every certificate, witness included, must be the one the slow
 search returns.  The certificate checks meet their earlier forms here
 too, over every carrier isomorphism of the small catalog pairs."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -62,6 +61,7 @@ from oracles import (
     direct_failure_by_calls,
     has_kind_by_components,
     materialize_by_components,
+    replace,
 )
 
 PINS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
@@ -322,7 +322,7 @@ def certificate_mutations(cert, rng):
     """cert under every kind; then, for each component map it holds,
     the map with one image changed, at a seeded point other than the
     identity, twice, and the map with the wrong codomain."""
-    yield from (dataclasses.replace(cert, kind=k) for k in CERTIFICATE_KINDS)
+    yield from (replace(cert, kind=k) for k in CERTIFICATE_KINDS)
     fields = {f: getattr(cert, f) for f in ("sigma", "rho", "delta", "eta")}
     if cert.t_witness is not None:
         fields["t_witness"] = cert.t_witness.t
@@ -333,8 +333,8 @@ def certificate_mutations(cert, rng):
         def put(images, cod=m.cod):
             new = GroupMap(dom=m.dom, cod=cod, images=tuple(images))
             if field == "t_witness":
-                new = dataclasses.replace(cert.t_witness, t=new)
-            return dataclasses.replace(cert, **{field: new})
+                new = replace(cert.t_witness, t=new)
+            return replace(cert, **{field: new})
         for _ in range(2):
             images = list(m.images)
             x = rng.randrange(1, len(images))
