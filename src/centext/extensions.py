@@ -387,6 +387,17 @@ def hom_condition_failures(m: HomMatrix):
     yielded.  Evaluation is lazy, so a caller that stops at the first
     failure pays for nothing after it.  The first read raises
     GroupMismatch unless both carriers sit over one group pair.
+
+    Condition 4 is screened on the generator columns.  Once condition 1
+    has held, sigma.e1 is a normalized cocycle into the abelian g1, as
+    sigma is an epsilon-endomorphism (sigma(a + b) = sigma(a) + sigma(b)
+    for cocycle values b carries the cocycle identity over); so is
+    e2.(rho x rho), as rho is an endomorphism, and so is eta's
+    coboundary.  Their difference is then a normalized cocycle, and a
+    cocycle is fixed by its values at (x, s) for s in g2.generators
+    (cocycles._expand), so it vanishes when those k(|g2| - 1) slots do.
+    The row-major scan over all pair slots runs only when the screen
+    fails or condition 1 did, to name the first failing pair.
     """
     src, tgt = m.source, m.target
     if src.g1 != tgt.g1 or src.g2 != tgt.g2:
@@ -397,6 +408,7 @@ def hom_condition_failures(m: HomMatrix):
     inv1 = g1.inverses
     sigma, delta, rho = m.phi11.images, m.phi21.images, m.phi22.images
 
+    condition_1 = False
     if not m.phi21.is_homomorphism():
         yield (1, "delta is not a homomorphism",
                ("phi21_not_homomorphism", None))
@@ -414,6 +426,8 @@ def hom_condition_failures(m: HomMatrix):
         if bad is not None:
             yield (1, "delta image does not commute with the rho image",
                    ("phi21_not_centralizing", bad))
+        else:
+            condition_1 = True
 
     bad = next(((y, yp) for y in range(1, n2) for yp in range(1, n2)
                 if delta[e1[y][yp]] != 0), None)
@@ -438,10 +452,19 @@ def hom_condition_failures(m: HomMatrix):
         yield (2, "delta image does not commute with the section copy in "
                   "the target carrier", bad)
 
-    psi12 = _coboundary_table(m.phi12)
+    # eta's coboundary at (y, y') is eta(y') - eta(y y') + eta(y), read
+    # only at the slots compared (cocycles._coboundary_table's formula)
+    mul1, eta = g1.table, m.phi12.images
+
+    def transports(y, yp):
+        return (mul1[sigma[e1[y][yp]]][inv1[e2[rho[y]][rho[yp]]]]
+                == mul1[mul1[eta[yp]][inv1[eta[mul2[y][yp]]]]][eta[y]])
+
+    if condition_1 and all(transports(y, s) for s in g2.generators
+                           for y in range(1, n2)):
+        return
     bad = next(((y, yp) for y in range(n2) for yp in range(n2)
-                if g1.table[sigma[e1[y][yp]]][inv1[e2[rho[y]][rho[yp]]]]
-                != psi12[y][yp]), None)
+                if not transports(y, yp)), None)
     if bad is not None:
         yield (4, "sigma does not transport the source cocycle onto the "
                   "pulled-back target cocycle times eta's coboundary", bad)

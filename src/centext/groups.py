@@ -133,10 +133,20 @@ class SearchLimits(Record):
     the Cayley graph of the generators.  The count is checked once per
     choice, after the images it forces, so a search that finishes
     visited at most max_search_nodes nodes.  Cohomology takes no budget.
+    Both are ints of at least 1, bool excluded, else ValueError: a
+    bound below 1 would refuse even the trivial group, so it is invalid
+    input rather than a budget.
     """
 
     max_order: int = 128
     max_search_nodes: int = 2_000_000
+
+    def __post_init__(self):
+        for name in self._fields:
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int of at least 1, "
+                                 f"not {value!r}")
 
 
 DEFAULT_LIMITS = SearchLimits()

@@ -298,10 +298,11 @@ def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
 # section-preserving ("lower") isomorphisms
 
 
-def _lower_problem(cert: IsoCertificate) -> str | None:
+def _lower_problem(cert: IsoCertificate,
+                   m: HomMatrix | None = None) -> str | None:
     """The first violated requirement of a section-preserving
-    certificate: sigma and rho bijective, then the component
-    conditions."""
+    certificate: sigma and rho bijective, then the component conditions
+    on m, which defaults to cert.components()."""
     if cert.sigma is None or cert.rho is None or cert.delta is None:
         raise PreconditionViolated(
             "certificate is missing a component map")
@@ -309,7 +310,7 @@ def _lower_problem(cert: IsoCertificate) -> str | None:
         return "rho_not_automorphism"
     if not cert.sigma.is_bijective():
         return "sigma_not_automorphism"
-    return _first_failure(cert.components())
+    return _first_failure(cert.components() if m is None else m)
 
 
 def lower_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
@@ -328,11 +329,33 @@ def lower_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
 
 
 def _lower_necessary(src, tgt, m: HomMatrix) -> IsoCertificate:
+    """The certificate read off m, the decomposition of a carrier map
+    of the lower kind, after _lower_problem.  Its phi12 is trivial, so
+    the certificate's components() is m itself, and the conditions are
+    read on m with no second HomMatrix built."""
     cert = IsoCertificate(kind="lower", source=src, target=tgt,
                           sigma=m.phi11, rho=m.phi22, delta=m.phi21)
-    problem = _lower_problem(cert)
+    problem = _lower_problem(cert, m)
     if problem is not None:
         raise _falsified(src.g2)(problem)
+    return cert
+
+
+def _lower_necessary_for(src, tgt, m: HomMatrix, phi: GroupMap):
+    """_lower_necessary on m = decompose_hom(src, tgt, phi), for phi a
+    carrier isomorphism of the lower kind that the map search emitted,
+    and the certificate's map checked as materialize() checks it.
+
+    The certificate rebuilds reconstruct_hom(m), compared here with
+    phi's image array.  When they are equal, no fact that
+    _carrier_iso_failure tests can fail: the search checked every step
+    of phi as a homomorphism; phi is bijective, as the search was
+    injective between groups of equal order; and its trivial components
+    hold TRIVIAL_COMPONENTS["lower"], which is why this runs.  When
+    they differ, materialize() runs in full."""
+    cert = _lower_necessary(src, tgt, m)
+    if reconstruct_hom(m).images != phi.images:
+        cert.materialize()
     return cert
 
 
@@ -592,8 +615,12 @@ def verify_theorems(pairs=None, max_order: int = 16,
     hypothesis-dependent ones are flagged where sim_is_trivial says the
     hypothesis holds, and logged as observations elsewhere.  For the
     necessity extractors this is read off the error: ConditionsFailed
-    is flagged, HypothesisNotVerified logged.  The report is
-    machine-readable and the discrepancy list must come back empty.
+    is flagged, HypothesisNotVerified logged.  Each extractor gets the
+    isomorphism's decomposition, built once, and the isomorphism; the
+    lower one compares its certificate's rebuilt map with the
+    isomorphism and materializes in full only where they differ
+    (_lower_necessary_for).  The report is machine-readable and the
+    discrepancy list must come back empty.
     """
     from .catalog import get_group
     if pairs is None:
@@ -613,11 +640,11 @@ def verify_theorems(pairs=None, max_order: int = 16,
         observe(record, name, detail, "discrepancies")
         record["discrepancies"].append(name)
 
-    # the necessity extractors, each run on every isomorphism of its kind
-    extractors = (("lower", lambda s, t, m: _lower_necessary(
-                      s, t, m).materialize()),
-                  ("g2", _g2_necessary),
-                  ("g1", _g1_necessary))
+    # the necessity extractors, each run on every isomorphism of its
+    # kind, given its decomposition and the isomorphism itself
+    extractors = (("lower", _lower_necessary_for),
+                  ("g2", lambda s, t, m, phi: _g2_necessary(s, t, m)),
+                  ("g1", lambda s, t, m, phi: _g1_necessary(s, t, m)))
 
     for g1, g2 in norm:
         order = g1.order * g2.order
@@ -715,7 +742,7 @@ def verify_theorems(pairs=None, max_order: int = 16,
                         if k not in matrices:
                             matrices[k] = decompose_hom(src, tgt, phi)
                         try:
-                            extract(src, tgt, matrices[k])
+                            extract(src, tgt, matrices[k], phi)
                         except ConditionsFailed as exc:
                             flag(record, f"{kind}_necessary_failed",
                                  {"error": str(exc)})

@@ -15,6 +15,7 @@ from centext.cocycles import (
     Cocycle2,
     CocycleSpace,
     _coboundary_lattice,
+    _coboundary_table,
     _expand,
     _generator_columns,
     _same_groups,
@@ -27,12 +28,14 @@ from centext.cocycles import (
     is_epsilon_endomorphism,
     pullback,
     pushforward,
+    sim_is_trivial,
     trivial_cocycle,
 )
 from centext.errors import (
     ConditionsFailed,
     DimensionMismatch,
     GroupMismatch,
+    HypothesisNotVerified,
     NotAbelian,
     NotAbelianCoefficients,
     NotNormalized,
@@ -879,3 +882,90 @@ def has_kind_by_components(m: HomMatrix, kind: str) -> bool:
     TRIVIAL_COMPONENTS lists for kind is trivial, read off the component
     maps of m; for a bijective map, whether it is of that kind."""
     return all(getattr(m, c).is_trivial() for c in TRIVIAL_COMPONENTS[kind])
+
+
+def hom_condition_failures_by_scan(m: HomMatrix):
+    """The earlier extensions.hom_condition_failures, which compared
+    condition 4 at all |g2|^2 pair slots against eta's full coboundary
+    table, whatever condition 1 gave."""
+    src, tgt = m.source, m.target
+    if src.g1 != tgt.g1 or src.g2 != tgt.g2:
+        raise GroupMismatch("both carriers must sit over the same pair")
+    g1, g2 = src.g1, src.g2
+    n1, n2 = g1.order, g2.order
+    e1, e2 = src.cocycle.table, tgt.cocycle.table
+    inv1 = g1.inverses
+    sigma, delta, rho = m.phi11.images, m.phi21.images, m.phi22.images
+
+    if not m.phi21.is_homomorphism():
+        yield (1, "delta is not a homomorphism",
+               ("phi21_not_homomorphism", None))
+    elif not m.phi22.is_homomorphism():
+        yield (1, "section component is not an endomorphism",
+               ("phi22_not_endomorphism", None))
+    elif not is_epsilon_endomorphism(m.phi11, src.cocycle):
+        yield (1, "kernel component is not compatible with cocycle-value "
+                  "products", ("phi11_not_cocycle_endomorphism", None))
+    else:
+        im22 = sorted(set(rho))
+        bad = next(((x, u) for x in range(1, n1) for u in im22
+                    if g2.table[delta[x]][u] != g2.table[u][delta[x]]),
+                   None)
+        if bad is not None:
+            yield (1, "delta image does not commute with the rho image",
+                   ("phi21_not_centralizing", bad))
+
+    bad = next(((y, yp) for y in range(1, n2) for yp in range(1, n2)
+                if delta[e1[y][yp]] != 0), None)
+    if bad is not None:
+        yield (3, "delta does not kill the source cocycle values",
+               ("value_survives", bad))
+    else:
+        psi11 = _coboundary_table(m.phi11)
+        bad = next(((x, xp) for x in range(n1) for xp in range(n1)
+                    if inv1[e2[delta[x]][delta[xp]]] != psi11[x][xp]), None)
+        if bad is not None:
+            yield (3, "target cocycle times sigma's coboundary does not "
+                      "vanish on the delta image",
+                   ("coboundary_mismatch", bad))
+
+    mul2 = g2.table
+    bad = next(((y, x) for y in range(1, n2) for x in range(1, n1)
+                if e2[rho[y]][delta[x]] != e2[delta[x]][rho[y]]
+                or mul2[rho[y]][delta[x]] != mul2[delta[x]][rho[y]]), None)
+    if bad is not None:
+        yield (2, "delta image does not commute with the section copy in "
+                  "the target carrier", bad)
+
+    psi12 = _coboundary_table(m.phi12)
+    bad = next(((y, yp) for y in range(n2) for yp in range(n2)
+                if g1.table[sigma[e1[y][yp]]][inv1[e2[rho[y]][rho[yp]]]]
+                != psi12[y][yp]), None)
+    if bad is not None:
+        yield (4, "sigma does not transport the source cocycle onto the "
+                  "pulled-back target cocycle times eta's coboundary", bad)
+
+
+def lower_necessary_by_materialize(src: ExtensionGroup, tgt: ExtensionGroup,
+                                   m: HomMatrix) -> IsoCertificate:
+    """The earlier lower extractor of isotest.verify_theorems: the
+    certificate read off m, its components() built afresh and checked by
+    hom_condition_failures_by_scan after sigma and rho are found
+    bijective, then materialize() in full.  A failed requirement raises
+    ConditionsFailed when the quotient passes sim_is_trivial, else
+    HypothesisNotVerified."""
+    cert = IsoCertificate(kind="lower", source=src, target=tgt,
+                          sigma=m.phi11, rho=m.phi22, delta=m.phi21)
+    if not cert.rho.is_bijective():
+        problem = "rho_not_automorphism"
+    elif not cert.sigma.is_bijective():
+        problem = "sigma_not_automorphism"
+    else:
+        problem = next((reason for _, reason, _ in
+                        hom_condition_failures_by_scan(cert.components())),
+                       None)
+    if problem is not None:
+        raise (ConditionsFailed if sim_is_trivial(src.g2)
+               else HypothesisNotVerified)(problem)
+    cert.materialize()
+    return cert

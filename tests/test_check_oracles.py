@@ -1,0 +1,158 @@
+"""The per-isomorphism checks of verify_theorems against the earlier
+paths they replaced: the component conditions, whose condition 4 is now
+screened on generator columns, against the full row-major scan, and the
+lower extractor, which now compares its rebuilt map with the
+isomorphism, against the one that ran materialize() in full.  Both are
+compared on every carrier isomorphism of nine catalog pairs and on
+single-image mutations of their components."""
+
+import inspect
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+from centext import extensions
+from centext.catalog import get_group
+from centext.cocycles import compute_cocycle_space
+from centext.extensions import (
+    TRIVIAL_COMPONENTS,
+    build_extension,
+    decompose_hom,
+    hom_condition_failures,
+    trivial_components,
+)
+from centext.groups import GroupMap, enumerate_isomorphisms
+from centext.isotest import DEFAULT_VERIFY_PAIRS, _lower_necessary_for
+from oracles import (
+    hom_condition_failures_by_scan,
+    lower_necessary_by_materialize,
+    replace,
+)
+
+# the default verify pairs, and two with a larger kernel or quotient
+VERIFY_PAIRS = DEFAULT_VERIFY_PAIRS + (("Z4", "K4"), ("Z3", "S3"))
+COMPONENTS = ("phi11", "phi12", "phi21", "phi22")
+
+
+@lru_cache(maxsize=None)
+def carrier_isomorphisms(pair):
+    """(src, tgt, phi, decompose_hom(src, tgt, phi), whether phi is of
+    the lower kind) for every carrier isomorphism between the class
+    representatives of the pair."""
+    g1, g2 = (get_group(name) for name in pair)
+    exts = [build_extension(rep)
+            for rep in compute_cocycle_space(g1, g2).class_representatives]
+    lower = TRIVIAL_COMPONENTS["lower"]
+    return tuple(
+        (src, tgt, phi, decompose_hom(src, tgt, phi),
+         trivial_components(src, tgt, phi.images).issuperset(lower))
+        for src in exts for tgt in exts
+        for phi in enumerate_isomorphisms(src.group, tgt.group))
+
+
+def all_isomorphisms():
+    return [case for pair in VERIFY_PAIRS
+            for case in carrier_isomorphisms(pair)]
+
+
+def with_image(m, component, x, v):
+    """m with the image of x under one component map set to v."""
+    old = getattr(m, component)
+    images = list(old.images)
+    images[x] = v
+    return replace(m, **{component: GroupMap(dom=old.dom, cod=old.cod,
+                                             images=tuple(images))})
+
+
+def single_image_mutations(m):
+    """m with one image of one component changed, at every point but
+    the identity and to every other value, component by component."""
+    for c in COMPONENTS:
+        old = getattr(m, c)
+        for x in range(1, old.dom.order):
+            for v in range(old.cod.order):
+                if v != old.images[x]:
+                    yield c, with_image(m, c, x, v)
+
+
+def outcome(extract, *args):
+    """extract(*args), or the type and message of the error it raised."""
+    try:
+        return extract(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_conditions_equal_the_full_scan_on_every_isomorphism():
+    cases = all_isomorphisms()
+    assert len(cases) == 1824
+    failing = 0
+    for _, _, _, m, _ in cases:
+        got = list(hom_condition_failures(m))
+        assert got == list(hom_condition_failures_by_scan(m))
+        failing += bool(got)
+    # the Z2:D4 maps on which condition 1 fails for lack of the
+    # quotient hypothesis
+    assert failing == 64
+
+
+def test_lower_extractor_equals_materialize_on_every_isomorphism():
+    lower = [case for case in all_isomorphisms() if case[4]]
+    assert len(lower) == 255
+    for src, tgt, phi, m, _ in lower:
+        got = outcome(_lower_necessary_for, src, tgt, m, phi)
+        assert got == outcome(lower_necessary_by_materialize, src, tgt, m)
+        assert got.materialize() == phi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_checks_equal_the_earlier_ones_under_mutation(data):
+    # one image of sigma, eta, delta or rho changed: the conditions
+    # yield what the full scan yields, and on a lower-kind map the
+    # extractor, given the unchanged isomorphism, what materialize gives
+    pair = data.draw(st.sampled_from(VERIFY_PAIRS))
+    cases = carrier_isomorphisms(pair)
+    src, tgt, phi, m, lower = cases[data.draw(
+        st.integers(0, len(cases) - 1))]
+    c = data.draw(st.sampled_from(COMPONENTS))
+    old = getattr(m, c)
+    x = data.draw(st.integers(1, old.dom.order - 1))
+    shift = data.draw(st.integers(1, old.cod.order - 1))
+    mutant = with_image(m, c, x, (old.images[x] + shift) % old.cod.order)
+    assert list(hom_condition_failures(mutant)) == list(
+        hom_condition_failures_by_scan(mutant))
+    if lower and c != "phi12":
+        assert outcome(_lower_necessary_for, src, tgt, mutant, phi) == \
+            outcome(lower_necessary_by_materialize, src, tgt, mutant)
+
+
+def unguarded_conditions():
+    """A copy of hom_condition_failures whose condition 4 screen runs
+    whatever condition 1 gave."""
+    source = inspect.getsource(extensions.hom_condition_failures)
+    guarded = "if condition_1 and all("
+    assert source.count(guarded) == 1
+    namespace = dict(vars(extensions))
+    exec(source.replace(guarded, "if all("), namespace)
+    return namespace["hom_condition_failures"]
+
+
+def test_every_mutation_of_the_z2_z4_isomorphisms():
+    # all of them, so the fallback scan after a failed condition 1 runs;
+    # without the guard the screen passes some maps whose difference of
+    # cocycles is no cocycle, and drops their condition 4 failure
+    unguarded = unguarded_conditions()
+    after_condition_1 = missed = 0
+    for src, tgt, phi, m, lower in carrier_isomorphisms(("Z2", "Z4")):
+        for c, mutant in single_image_mutations(m):
+            expected = list(hom_condition_failures_by_scan(mutant))
+            assert list(hom_condition_failures(mutant)) == expected
+            conditions = [fail[0] for fail in expected]
+            after_condition_1 += conditions[:1] == [1] and 4 in conditions
+            missed += list(unguarded(mutant)) != expected
+            if lower and c != "phi12":
+                assert outcome(_lower_necessary_for, src, tgt, mutant,
+                               phi) == outcome(
+                    lower_necessary_by_materialize, src, tgt, mutant)
+    assert after_condition_1 and missed

@@ -351,6 +351,17 @@ class TestIso:
         assert code == 1
         assert any("verified" in n for n in payload["notes"])
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one_is_invalid_input(self, ext_files, bound,
+                                              capsys):
+        # exit 2, not the size-limit verdict 3 that a real bound gives
+        code, payload, err = run_cli(
+            ["iso", "upper", ext_files["d4a"], ext_files["d4b"],
+             "--max-order", bound], capsys)
+        assert code == 2 and payload is None
+        assert err == ("error: max_order must be an int of at least 1, "
+                       f"not {bound}\n")
+
     def test_mismatched_pairs_exit_two(self, ext_files, capsys):
         code, _, err = run_cli(
             ["iso", "upper", ext_files["k4"], ext_files["s30"]], capsys)
@@ -480,6 +491,22 @@ class TestVerify:
         assert payload["skipped_pairs"] == []
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "8cbd5360d06dffa964759fc52566e05dcbaa4f71e015a2dd4a3e051a4d64d90e")
+
+    # the two verify runs of the benchmark's verify workload that the
+    # other digests here leave out, pinned before the lower extractor
+    # compared its rebuilt map with the isomorphism and condition 4 was
+    # screened on generator columns
+    @pytest.mark.parametrize("argv, digest", [
+        (["Z4:K4", "Z3:S3", "--max-order", "24"],
+         "301164f9f110da74bc3ad2ce915bc00b50a3509163028c9f1bac13e3caa5112c"),
+        (["Z2:Z2", "--slow"],
+         "6154fa9effe947164e3bd6a27cbb10f883381ae610ccbd144aa0b31476741ef1"),
+    ], ids=["Z4:K4,Z3:S3", "slow"])
+    def test_workload_reports_pinned(self, argv, digest, capsys):
+        code = main(["verify", *argv])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_abelian_quotient_sweep_pinned(self, capsys):
         code = main(["verify", "Z2:Z2", "Z2:Z4", "Z2:K4", "Z3:Z3"])

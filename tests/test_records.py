@@ -161,6 +161,17 @@ class TestRecordChecks:
             IntMatrix(rows=2, cols=1, data=((1,),))
         with pytest.raises(ValueError, match="unknown certificate kind"):
             IsoCertificate(kind="sideways", source=CARRIER, target=CARRIER)
+        # a bound below 1 refuses even the trivial group
+        for field, value in [("max_order", 0), ("max_order", -3),
+                             ("max_search_nodes", 0), ("max_order", True),
+                             ("max_search_nodes", 2.0),
+                             ("max_order", "24")]:
+            with pytest.raises(ValueError, match=(
+                    f"{field} must be an int of at least 1, not "
+                    f"{value!r}")):
+                SearchLimits(**{field: value})
+        assert SearchLimits(1, 1) == SearchLimits(max_order=1,
+                                                  max_search_nodes=1)
 
     def test_cached_properties_on_frozen_records(self):
         g = FiniteGroup(order=4, table=Z4.table)
