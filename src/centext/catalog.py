@@ -28,7 +28,7 @@ from .groups import (
 
 
 def _perm_compose(p, q):
-    # (p then after q? no: apply q first, then p)
+    # the composite p o q: apply q first, then p
     return tuple(p[x] for x in q)
 
 

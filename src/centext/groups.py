@@ -385,20 +385,15 @@ def _check_identity(tab):
 
 
 def _check_latin(tab):
-    for a, row in enumerate(tab):
-        seen = {}
-        for b, v in enumerate(row):
-            if v in seen:
-                raise NotLatinSquare(
-                    f"row {a} repeats {v} at columns {seen[v]} and {b}")
-            seen[v] = b
-    for b, col in enumerate(zip(*tab)):
-        seen = {}
-        for a, v in enumerate(col):
-            if v in seen:
-                raise NotLatinSquare(
-                    f"column {b} repeats {v} at rows {seen[v]} and {a}")
-            seen[v] = a
+    for line, across, lines in (("row", "columns", tab),
+                                ("column", "rows", zip(*tab))):
+        for a, entries in enumerate(lines):
+            seen = {}
+            for b, v in enumerate(entries):
+                if v in seen:
+                    raise NotLatinSquare(f"{line} {a} repeats {v} at "
+                                         f"{across} {seen[v]} and {b}")
+                seen[v] = b
 
 
 def _raise_first_nonassociative(tab):
@@ -656,9 +651,6 @@ class GroupMap(Record):
         for a, v in enumerate(self.images):
             inv[v] = a
         return GroupMap(dom=self.cod, cod=self.dom, images=tuple(inv))
-
-    def to_dict(self) -> dict:
-        return {"images": list(self.images)}
 
 
 def trivial_map(dom: FiniteGroup, cod: FiniteGroup) -> GroupMap:

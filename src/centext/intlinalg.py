@@ -1,9 +1,10 @@
 """Exact integer linear algebra for finite abelian groups.
 
-Smith normal form with tracked unimodular row and column transforms,
-an echelon lattice accumulator modulo an integer (Howell form) with
-sparse rows, linear congruence systems with per-row moduli, and
-invariant-factor coordinates of abelian Cayley tables.  Everything
+Smith normal form with its unimodular row and column transforms, read
+off as blocks of one working matrix [[A, I], [I, 0]], an echelon
+lattice accumulator modulo an integer (Howell form) with sparse rows,
+linear congruence systems with per-row moduli, and invariant-factor
+coordinates of abelian Cayley tables.  Everything
 runs over unbounded Python integers; no floating point anywhere.
 """
 
@@ -94,99 +95,76 @@ class SNFResult(Record):
 def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Diagonalize by unimodular row and column operations.
 
+    For an r x c input every operation runs on one working matrix
+    W = [[a, I_r], [I_c, 0]], the zero block not stored: a row operation
+    acts on whole top rows, changing a and u together, and a column
+    operation on the first c entries of every row, changing a and v
+    together.  At the end s, u and v are read off as the top left, top
+    right and bottom left blocks of W.
+
     Pivot choice is the smallest nonzero absolute value, ties broken
     row-major, so the reduction (and therefore every downstream fixture)
     is deterministic.  The recomposition u*a*v == s is checked before
     returning.
     """
     nr, nc = a.rows, a.cols
-    s = a.to_lists()
-    u = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+    w = [list(row) + [int(i == j) for j in range(nr)]
+         for i, row in enumerate(a.data)]
+    w += [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def row_combine(i, j, p, q, x, y):
-        # rows (i,j) <- (p*ri + q*rj, x*ri + y*rj); p*y - q*x must be +-1
-        s[i], s[j] = ([p * a_ + q * b_ for a_, b_ in zip(s[i], s[j])],
-                      [x * a_ + y * b_ for a_, b_ in zip(s[i], s[j])])
-        u[i], u[j] = ([p * a_ + q * b_ for a_, b_ in zip(u[i], u[j])],
-                      [x * a_ + y * b_ for a_, b_ in zip(u[i], u[j])])
+        # top rows (i,j) <- (p*ri + q*rj, x*ri + y*rj); p*y - q*x = +-1
+        w[i], w[j] = ([p * a_ + q * b_ for a_, b_ in zip(w[i], w[j])],
+                      [x * a_ + y * b_ for a_, b_ in zip(w[i], w[j])])
 
     def col_combine(i, j, p, q, x, y):
-        for r in s:
-            ci, cj = r[i], r[j]
-            r[i], r[j] = p * ci + q * cj, x * ci + y * cj
-        for r in v:
-            ci, cj = r[i], r[j]
-            r[i], r[j] = p * ci + q * cj, x * ci + y * cj
-
-    def row_addmul(i, j, q):
-        # row i += q * row j
-        s[i] = [a_ + q * b_ for a_, b_ in zip(s[i], s[j])]
-        u[i] = [a_ + q * b_ for a_, b_ in zip(u[i], u[j])]
-
-    def col_addmul(j, i, q):
-        # col j += q * col i
-        for r in s:
-            r[j] += q * r[i]
-        for r in v:
-            r[j] += q * r[i]
-
-    def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
+        # columns (i,j) <- (p*ci + q*cj, x*ci + y*cj); p*y - q*x = +-1
+        for r in w:
+            r[i], r[j] = p * r[i] + q * r[j], x * r[i] + y * r[j]
 
     t = 0
     while t < min(nr, nc):
-        piv = None
-        best = None
+        piv = best = None
         for i in range(t, nr):
             for j in range(t, nc):
-                val = abs(s[i][j])
+                val = abs(w[i][j])
                 if val != 0 and (best is None or val < best):
                     best = val
                     piv = (i, j)
         if piv is None:
             break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
+        pi, pj = piv
+        w[t], w[pi] = w[pi], w[t]
+        for r in w:
+            r[t], r[pj] = r[pj], r[t]
 
         while True:
-            # exact divisions use shears that leave the pivot row/column
-            # alone; inexact ones use a gcd combine, which strictly
-            # shrinks the pivot, so this loop terminates
+            # exact divisions use shears (combines that leave the pivot
+            # row/column alone); inexact ones use a gcd combine, which
+            # strictly shrinks the pivot, so this loop terminates
             dirty = False
             for i in range(t + 1, nr):
-                if s[i][t] != 0:
-                    if s[i][t] % s[t][t] == 0:
-                        row_addmul(i, t, -(s[i][t] // s[t][t]))
+                if w[i][t] != 0:
+                    if w[i][t] % w[t][t] == 0:
+                        row_combine(i, t, 1, -(w[i][t] // w[t][t]), 0, 1)
                     else:
-                        g, p, q = xgcd(s[t][t], s[i][t])
-                        row_combine(t, i, p, q, -(s[i][t] // g), s[t][t] // g)
+                        g, p, q = xgcd(w[t][t], w[i][t])
+                        row_combine(t, i, p, q, -(w[i][t] // g), w[t][t] // g)
                         dirty = True
             for j in range(t + 1, nc):
-                if s[t][j] != 0:
-                    if s[t][j] % s[t][t] == 0:
-                        col_addmul(j, t, -(s[t][j] // s[t][t]))
+                if w[t][j] != 0:
+                    if w[t][j] % w[t][t] == 0:
+                        col_combine(t, j, 1, 0, -(w[t][j] // w[t][t]), 1)
                     else:
-                        g, p, q = xgcd(s[t][t], s[t][j])
-                        col_combine(t, j, p, q, -(s[t][j] // g), s[t][t] // g)
+                        g, p, q = xgcd(w[t][t], w[t][j])
+                        col_combine(t, j, p, q, -(w[t][j] // g), w[t][t] // g)
                         dirty = True
             if not dirty:
                 # make the pivot divide the rest of the submatrix
                 stuck = None
                 for i in range(t + 1, nr):
                     for j in range(t + 1, nc):
-                        if s[i][j] % s[t][t] != 0:
+                        if w[i][j] % w[t][t] != 0:
                             stuck = i
                             break
                     if stuck is not None:
@@ -197,11 +175,12 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         t += 1
 
     for i in range(min(nr, nc)):
-        if s[i][i] < 0:
-            row_negate(i)
+        if w[i][i] < 0:
+            w[i] = [-x for x in w[i]]
 
-    res = SNFResult(s=IntMatrix.from_rows(s), u=IntMatrix.from_rows(u),
-                    v=IntMatrix.from_rows(v))
+    res = SNFResult(s=IntMatrix.from_rows(row[:nc] for row in w[:nr]),
+                    u=IntMatrix.from_rows(row[nc:] for row in w[:nr]),
+                    v=IntMatrix.from_rows(w[nr:]))
     if mat_mul(mat_mul(res.u, a), res.v).data != res.s.data:
         raise InternalInconsistency("u * a * v does not recompose to s")
     return res

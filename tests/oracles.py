@@ -36,6 +36,7 @@ from centext.errors import (
     DimensionMismatch,
     GroupMismatch,
     HypothesisNotVerified,
+    InternalInconsistency,
     NotAbelian,
     NotAbelianCoefficients,
     NotNormalized,
@@ -62,7 +63,9 @@ from centext.intlinalg import (
     AbelianPresentation,
     IntLattice,
     IntMatrix,
+    SNFResult,
     abelian_invariants,
+    mat_mul,
     smith_normal_form,
     xgcd,
 )
@@ -113,6 +116,125 @@ def determinant(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def smith_normal_form_by_three_matrices(a: IntMatrix) -> SNFResult:
+    """intlinalg.smith_normal_form with s, u and v kept as three
+    matrices, each row operation applied to s and u and each column
+    operation to s and v.  Diagonalize by unimodular row and column
+    operations.
+
+    Pivot choice is the smallest nonzero absolute value, ties broken
+    row-major, so the reduction (and therefore every downstream fixture)
+    is deterministic.  The recomposition u*a*v == s is checked before
+    returning.
+    """
+    nr, nc = a.rows, a.cols
+    s = a.to_lists()
+    u = IntMatrix.identity(nr).to_lists()
+    v = IntMatrix.identity(nc).to_lists()
+
+    def row_swap(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for r in s:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def row_combine(i, j, p, q, x, y):
+        # rows (i,j) <- (p*ri + q*rj, x*ri + y*rj); p*y - q*x must be +-1
+        s[i], s[j] = ([p * a_ + q * b_ for a_, b_ in zip(s[i], s[j])],
+                      [x * a_ + y * b_ for a_, b_ in zip(s[i], s[j])])
+        u[i], u[j] = ([p * a_ + q * b_ for a_, b_ in zip(u[i], u[j])],
+                      [x * a_ + y * b_ for a_, b_ in zip(u[i], u[j])])
+
+    def col_combine(i, j, p, q, x, y):
+        for r in s:
+            ci, cj = r[i], r[j]
+            r[i], r[j] = p * ci + q * cj, x * ci + y * cj
+        for r in v:
+            ci, cj = r[i], r[j]
+            r[i], r[j] = p * ci + q * cj, x * ci + y * cj
+
+    def row_addmul(i, j, q):
+        # row i += q * row j
+        s[i] = [a_ + q * b_ for a_, b_ in zip(s[i], s[j])]
+        u[i] = [a_ + q * b_ for a_, b_ in zip(u[i], u[j])]
+
+    def col_addmul(j, i, q):
+        # col j += q * col i
+        for r in s:
+            r[j] += q * r[i]
+        for r in v:
+            r[j] += q * r[i]
+
+    def row_negate(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(nr, nc):
+        piv = None
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                val = abs(s[i][j])
+                if val != 0 and (best is None or val < best):
+                    best = val
+                    piv = (i, j)
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+
+        while True:
+            # exact divisions use shears that leave the pivot row/column
+            # alone; inexact ones use a gcd combine, which strictly
+            # shrinks the pivot, so this loop terminates
+            dirty = False
+            for i in range(t + 1, nr):
+                if s[i][t] != 0:
+                    if s[i][t] % s[t][t] == 0:
+                        row_addmul(i, t, -(s[i][t] // s[t][t]))
+                    else:
+                        g, p, q = xgcd(s[t][t], s[i][t])
+                        row_combine(t, i, p, q, -(s[i][t] // g), s[t][t] // g)
+                        dirty = True
+            for j in range(t + 1, nc):
+                if s[t][j] != 0:
+                    if s[t][j] % s[t][t] == 0:
+                        col_addmul(j, t, -(s[t][j] // s[t][t]))
+                    else:
+                        g, p, q = xgcd(s[t][t], s[t][j])
+                        col_combine(t, j, p, q, -(s[t][j] // g), s[t][t] // g)
+                        dirty = True
+            if not dirty:
+                # make the pivot divide the rest of the submatrix
+                stuck = None
+                for i in range(t + 1, nr):
+                    for j in range(t + 1, nc):
+                        if s[i][j] % s[t][t] != 0:
+                            stuck = i
+                            break
+                    if stuck is not None:
+                        break
+                if stuck is None:
+                    break
+                row_combine(t, stuck, 1, 1, 0, 1)
+        t += 1
+
+    for i in range(min(nr, nc)):
+        if s[i][i] < 0:
+            row_negate(i)
+
+    res = SNFResult(s=IntMatrix.from_rows(s), u=IntMatrix.from_rows(u),
+                    v=IntMatrix.from_rows(v))
+    if mat_mul(mat_mul(res.u, a), res.v).data != res.s.data:
+        raise InternalInconsistency("u * a * v does not recompose to s")
+    return res
 
 
 def centralizer(g: FiniteGroup, s) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centext import cli, intlinalg
+from centext import cli, intlinalg, isotest
 from centext.catalog import get_group
 from centext.cli import ISO_MODES, _emit, main
 from centext.cocycles import compute_cocycle_space
@@ -228,6 +228,13 @@ class TestExtend:
         bad.write_text(json.dumps([[0, 0], [0, 7]]))
         code, _, _ = run_cli(["extend", "Z2", "Z2", str(bad)], capsys)
         assert code == 2
+
+    def test_unnormalized_cocycle_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([[0, 1], [0, 0]]))
+        code, payload, err = run_cli(["extend", "Z2", "Z2", str(bad)], capsys)
+        assert code == 2 and payload is None
+        assert err == "error: cocycle not normalized at index 1\n"
 
 
 @pytest.fixture()
@@ -516,6 +523,12 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "2dc610f69a063dc33314a73a6397536ab499e6d02e9f5960ecee2b96d6f2807f")
 
+    def test_a_discrepancy_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(isotest, "upper_isomorphic", lambda *args: None)
+        code, payload, _ = run_cli(["verify", "Z2:K4"], capsys)
+        assert code == 1
+        assert payload["discrepancy_count"] == 28
+
     def test_unverified_hypothesis_failures_are_observations(self, capsys):
         code, payload, _ = run_cli(
             ["verify", "Z2:D4", "--max-order", "24"], capsys)
@@ -691,6 +704,18 @@ def private_imports(source):
             for alias in node.names if alias.name.startswith("_")]
 
 
+def nonstandard_imports(source):
+    """The modules named by each absolute import in source whose
+    top-level package is not in the standard library."""
+    tree = ast.parse(source)
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and not node.level]
+    return [name for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names]
+
+
 class TestImports:
     def test_import_loads_no_dataclasses(self):
         # in a fresh interpreter: pytest itself loads both modules
@@ -707,6 +732,23 @@ class TestImports:
     def test_cli_imports_no_private_name(self):
         with open(cli.__file__, encoding="utf-8") as fh:
             assert private_imports(fh.read()) == []
+
+    def test_src_imports_only_the_standard_library(self):
+        package = os.path.dirname(cli.__file__)
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                path = os.path.join(package, name)
+                with open(path, encoding="utf-8") as fh:
+                    assert nonstandard_imports(fh.read()) == [], name
+
+    def test_a_nonstandard_import_is_found(self):
+        source = ("from __future__ import annotations\n"
+                  "import json, numpy as np\n"
+                  "from collections import deque\n"
+                  "from scipy.linalg import lu\n"
+                  "from . import groups\n"
+                  "from .errors import NotAbelian\n")
+        assert nonstandard_imports(source) == ["numpy", "scipy.linalg"]
 
     def test_a_private_import_is_found(self):
         source = ("from .catalog import get_group\n"

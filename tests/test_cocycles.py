@@ -190,6 +190,14 @@ class TestCocycleBasics:
             with pytest.raises(ValueError, match="not an integer"):
                 make_cocycle(g, g, [[0, 0], [0, bad]])
 
+    def test_make_cocycle_names_the_unnormalized_index(self):
+        # e(0, 1) = 1: the index is the first y with e(y, 0) or e(0, y)
+        # not the identity
+        z2 = get_group("Z2")
+        with pytest.raises(NotNormalized) as info:
+            make_cocycle(z2, z2, [[0, 1], [0, 0]])
+        assert str(info.value) == "cocycle not normalized at index 1"
+
     def test_value_range_checked(self):
         g1, g2 = get_group("Z2"), get_group("Z2")
         with pytest.raises(ValueError):

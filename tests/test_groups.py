@@ -304,6 +304,16 @@ class TestValidateGroup:
         with pytest.raises(NotLatinSquare):
             validate_group(table)
 
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]],
+         "row 1 repeats 1 at columns 0 and 1"),
+        # every row a permutation, so only the column scan can name it
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+         "column 1 repeats 1 at rows 0 and 2"),
+    ], ids=["row", "column"])
+    def test_latin_violation_is_named(self, table, message):
+        assert outcome(validate_group, table) == (NotLatinSquare, message)
+
     def test_identity_violation(self):
         table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
         table[0][2] = 3

@@ -9,7 +9,7 @@ import math
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centext.catalog import catalog_names, get_group
@@ -25,7 +25,12 @@ from centext.intlinalg import (
     solve_linear_mod,
     xgcd,
 )
-from oracles import abelian_invariants_by_search, dense_echelon, determinant
+from oracles import (
+    abelian_invariants_by_search,
+    dense_echelon,
+    determinant,
+    smith_normal_form_by_three_matrices,
+)
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -38,6 +43,15 @@ def random_matrix(draw, max_dim=4):
 
 
 matrices = st.composite(random_matrix)()
+
+
+@st.composite
+def sparse_rows(draw):
+    """1 x 0 up to 6 x 6, each entry 0 or drawn from -60..60."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    c = draw(st.integers(min_value=0, max_value=6))
+    entry = st.one_of(st.just(0), st.integers(min_value=-60, max_value=60))
+    return [[draw(entry) for _ in range(c)] for _ in range(r)]
 
 
 class TestXgcd:
@@ -107,6 +121,22 @@ class TestSmithNormalForm:
                 seen_zero = True
             elif seen_zero:
                 pytest.fail("nonzero after zero on the diagonal")
+
+    @given(sparse_rows())
+    @example([[]])
+    @example([[0] * 6] * 6)
+    @example([[0, 4, -6, 0, 9, 0]])
+    @example([[0], [4], [-6], [0], [9], [0]])
+    @settings(max_examples=300, deadline=None)
+    def test_same_transforms_as_three_matrices(self, rows):
+        # the working-matrix reduction makes the operations of the
+        # earlier one, and the pinned coordinates of abelian_invariants
+        # are read off v
+        a = IntMatrix.from_rows(rows)
+        res = smith_normal_form(a)
+        ref = smith_normal_form_by_three_matrices(a)
+        assert (res.s.data, res.u.data, res.v.data) == \
+            (ref.s.data, ref.u.data, ref.v.data)
 
 
 class TestIntLattice:

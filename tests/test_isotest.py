@@ -820,6 +820,77 @@ class TestVerifyTheorems:
         assert not any(o["check"] == "g2_necessary_failed"
                        for o in report["logged_observations"])
 
+    @pytest.mark.parametrize("extractor, kind, count", [
+        ("_lower_necessary_for", "lower", 3), ("_g1_necessary", "g1", 2)],
+        ids=("lower", "g1"))
+    def test_extractor_failures_are_flagged(self, extractor, kind, count,
+                                            monkeypatch):
+        def fail(*args):
+            raise ConditionsFailed("forced failure")
+        monkeypatch.setattr(isotest, extractor, fail)
+        report = verify_theorems(pairs=[("Z2", "Z2")])
+        assert [(d["check"], d["detail"]) for d in report["discrepancies"]] \
+            == [(f"{kind}_necessary_failed", {"error": "forced failure"})] \
+            * count
+        assert report["logged_observations"] == []
+
+    # each decider stubbed to find nothing; the oracle still finds the
+    # isomorphisms, so every miss is flagged where the statement needs no
+    # hypothesis, and logged where the quotient leaves it unproved
+    @pytest.mark.parametrize("decider, pair, flagged, logged", [
+        ("upper_isomorphic", ("Z2", "K4"),
+         {"upper_criterion_vs_oracle": 20, "equivalent_but_not_upper": 8},
+         {}),
+        ("lower_isomorphic", ("Z2", "S3"),
+         {"lower_oracle_without_certificate": 2}, {}),
+        # K4's centre is not trivial
+        ("lower_isomorphic", ("Z2", "K4"),
+         {}, {"lower_oracle_without_certificate": 16}),
+        ("are_cohomologous", ("Z2", "K4"),
+         {"class_representatives_not_distinct": 8}, {}),
+        ("g1g2_isomorphic", ("Z3", "Z3"), {"g1g2_criterion_vs_oracle": 1},
+         {}),
+        ("g2_isomorphic_equal_order", ("Z3", "Z3"),
+         {"g2_criterion_vs_oracle": 1}, {}),
+    ], ids=("upper", "lower-S3", "lower-K4", "cohomologous", "g1g2", "g2"))
+    def test_a_decider_that_finds_nothing_is_flagged(self, decider, pair,
+                                                     flagged, logged,
+                                                     monkeypatch):
+        monkeypatch.setattr(isotest, decider, lambda *args: None)
+        report = verify_theorems(pairs=[pair])
+        assert Counter(d["check"] for d in report["discrepancies"]) == flagged
+        assert Counter(o["check"] for o in report["logged_observations"]) \
+            == logged
+
+    def test_an_upper_claim_without_isomorphism_is_flagged(self,
+                                                           monkeypatch):
+        # every pair claimed upper isomorphic, by a real certificate of
+        # the source to itself
+        claim = isotest.upper_isomorphic
+        monkeypatch.setattr(isotest, "upper_isomorphic",
+                            lambda src, tgt, limits: claim(src, src, limits))
+        report = verify_theorems(pairs=[("Z2", "K4")])
+        assert Counter(d["check"] for d in report["discrepancies"]) == {
+            "upper_criterion_vs_oracle": 44,
+            "upper_without_any_isomorphism": 44}
+
+    def test_a_wrong_lower_oracle_is_flagged(self, monkeypatch):
+        # the oracle's lower verdict negated: each lower statement on a
+        # centreless quotient disagrees with it
+        survey = isotest._survey
+
+        def negated(isos):
+            verdicts = survey(isos)
+            return {**verdicts, "lower": not verdicts["lower"]}
+        monkeypatch.setattr(isotest, "_survey", negated)
+        report = verify_theorems(pairs=[("Z2", "S3")])
+        assert Counter(d["check"] for d in report["discrepancies"]) == {
+            "lower_to_direct_vs_oracle": 2,
+            "direct_to_lower_vs_oracle": 2,
+            "lower_certificate_vs_oracle": 2,
+            "lower_oracle_without_certificate": 2}
+        assert report["logged_observations"] == []
+
     def test_default_catalog_is_clean(self):
         report = verify_theorems()
         assert report["checked_class_pairs"] == 165
