@@ -18,7 +18,12 @@ sparse equation per (generator, Schreier generator), eliminated in
 IntLattice, which keeps sparse pivot rows.  H^2 is a small Smith normal
 form of the relations among the Z^2 rows mod B^2.  are_cohomologous
 compares the class keys memoized on both cocycles (_keyed), then reduces
-e2 - e1 once per factor and reads a witness off the tail.  One greedy,
+e2 - e1 once per factor and reads a witness t off the tail, checked at
+the columns alone when e1 and e2 are cocycles, as psi_t * e1 and e2 are
+then normalized cocycles, fixed by their columns.  A Cocycle2 memoizes
+its class keys by (pull, images) (_keys), is_cocycle's (ok, witness),
+run at most once (_identity, read by build_extension), and isotest's
+carrier and search states as a target (_memo).  One greedy,
 _least_values, picks the lex-least witnesses and representatives, over
 the pivots of Hom at the points or of B^2 at the pair slots, found in
 the n - 1 values of a map (_coboundary_pivots).  Pair slots appear only
@@ -43,7 +48,7 @@ from .errors import (
     NotAbelianCoefficients,
     NotNormalized,
 )
-from .groups import FiniteGroup, GroupMap, Record, center
+from .groups import FiniteGroup, GroupMap, Record, center, trivial_map
 from .intlinalg import (
     IntLattice,
     IntMatrix,
@@ -78,7 +83,9 @@ class Cocycle2(Record):
             y = next(y for y in range(n2) if table[y][0] or table[0][y])
             raise NotNormalized(f"cocycle not normalized at ({y},0)/(0,{y})")
 
-    _keys = cached_property(lambda self: {})   # _keyed's memo, per cocycle
+    _keys = cached_property(lambda self: {})
+    _memo = cached_property(lambda self: {})
+    _identity = cached_property(lambda s: is_cocycle(s.g1, s.g2, s.table))
 
     def is_trivial(self) -> bool:
         return all(v == 0 for row in self.table for v in row)
@@ -229,53 +236,58 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
     when b lies in B^2 in columns, that is when the class keys agree,
     the canonical Howell representatives of both columns mod B^2; so
     unequal keys, memoized on each cocycle (_keyed), give None at once.
-    Otherwise _cohomologous_tables walks once to the least witness and
-    checks it in one scan.
+    Otherwise _witness walks once to the least witness and checks it,
+    at the columns if both inputs are known cocycles (_identity).
     """
     _same_groups(e1, e2)
     if not e1.g1.is_abelian:
         raise NotAbelian("cohomologous test needs abelian coefficients")
     if _keyed(e1) != _keyed(e2):
         return None
-    return _cohomologous_tables(e1.g1, e1.g2, e1.table, e2.table)
+    values = _column_values(e1.g1, e1.g2)
+    known = all(e.__dict__.get("_identity", (False,))[0] for e in (e1, e2))
+    return _witness(e1.g1, e1.g2, values(e1.table), values(e2.table),
+                    None if known else (e1.table, e2.table))
 
 
-def _cohomologous_tables(g1: FiniteGroup, g2: FiniteGroup, t1, t2):
-    """are_cohomologous on raw tables, g1 abelian, for callers that have
-    matched the class keys.  Per factor d, x0 = -tail of the reduced
-    [b | 0] has psi_x0 = b at the generator columns.  The witnesses form
-    x0 + Hom(g2, Z/d), so one walk of _least_values over the pivots of
-    Hom (_hom_pivots), the point x read as the slot (x, 1, 1) (index 0
-    for 1), gives the least image array (t(1), ..., t(n-1)) whichever
-    x0 was found, and one scan checks psi_t * e1 = e2 on the raw tables.
-    Only a failed scan rescans, with x0: as t - x0 lies in Hom, psi_t =
-    psi_x0 unless the walk broke, so a passing x0 raises
-    ConditionsFailed.  A failing x0 means no witness: a witness w has
-    psi_w = b at the columns, so the head reduces to 0 and psi_(w - x0)
-    vanishes at the columns, making w - x0 a homomorphism and x0 a
-    witness too.  So tables that are no cocycles (Cocycle2 does not
-    check the identity) give None."""
-    n2 = g2.order
-    mul, inv = g1.table, g1.inverses
-    pres = abelian_invariants(g1)
-    columns = _generator_columns(g2)
-    b = [pres.coords[mul[t2[x][s]][inv[t1[x][s]]]] for x, s in columns]
+def _witness(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
+    """are_cohomologous from v1, v2, the values of e1, e2 at the generator
+    columns, g1 abelian, for callers that have matched the class keys.
+    At the columns alone, v1 = v2 makes the witnesses Hom, least at 0.
+    Per factor d, x0 = -tail of the reduced [b | 0] has psi_x0 = b at
+    the columns.  The witnesses form x0 + Hom(g2, Z/d), so one walk of
+    _least_values over the pivots of Hom gives the least image array
+    (t(1), ..., t(n-1)) whichever x0 was found, built unchecked (0, then
+    element indices of g1), and one scan checks psi_t * e1 = e2, on the
+    tables when given, else at the columns.  Only a failed scan rescans,
+    with x0: as t - x0 lies in Hom, psi_t = psi_x0 unless the walk broke,
+    so a passing x0 raises ConditionsFailed.  A failing x0 means no
+    witness: as psi_w = b at the columns for a witness w, psi_(w - x0)
+    vanishes there, so w - x0 is a homomorphism and x0 a witness too;
+    so tables scanned in full that are no cocycles give None."""
+    if tables is None and v1 == v2:
+        return CoboundaryWitness(t=trivial_map(g2, g1))
+    n2, mul, inv, mul2 = g2.order, g1.table, g1.inverses, g2.table
+    walk = _witness_walk(g1, g2)
+    pres, columns = walk[0], _generator_columns(g2)
+    b = [pres.coords[mul[y][inv[x]]] for x, y in zip(v1, v2)]
     solutions = [[-y % d for y in _coboundary_lattice(g2, d).reduce(
         [c[ci] for c in b] + [0] * (n2 - 1))[len(columns):]]
         for ci, d in enumerate(pres.invariant_factors)]
 
     def fails(im):
-        return any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][v1] != v2
-                   for row, r1, r2, th in zip(g2.table, t1, t2, im)
-                   for g, hg, v1, v2 in zip(range(n2), row, r1, r2))
-    im = (0, *_least_values(
-        pres, n2, [(x, 0, 0) for x in range(1, n2)],
-        [_hom_pivots(g2, d) for d in pres.invariant_factors], solutions))
+        if tables is None:
+            return any(mul[mul[mul[im[s]][inv[im[mul2[x][s]]]]][im[x]]][a] != c
+                       for (x, s), a, c in zip(columns, v1, v2))
+        return any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][a] != c
+                   for row, r1, r2, th in zip(mul2, *tables, im)
+                   for g, hg, a, c in zip(range(n2), row, r1, r2))
+    im = (0, *_least_values(walk, solutions))
     if fails(im):
         if fails((0, *map(pres.element_of, zip(*solutions)))):
             return None
         raise ConditionsFailed("the solved map is not a coboundary witness")
-    return CoboundaryWitness(t=GroupMap(dom=g2, cod=g1, images=im))
+    return CoboundaryWitness(t=GroupMap._unchecked(g2, g1, im))
 
 
 @lru_cache(maxsize=None)
@@ -329,37 +341,35 @@ def _hom_pivots(g2: FiniteGroup, d: int):
     return {i: (hom.pivot(i), [0, *hom.dense_row(i)]) for i in hom.pivot_rows}
 
 
+@lru_cache(maxsize=None)
 def _column_values(g1: FiniteGroup, g2: FiniteGroup):
-    """push(table, sigma), the values of sigma . e at the generator
-    columns, and pull(table, rho), those of e . (rho x rho), for image
-    arrays sigma, rho: equal keys mean equal cocycles."""
+    """values(table, sigma, rho), the values of sigma . e . (rho x rho)
+    at the generator columns for image arrays sigma of g1 and rho of g2,
+    each the identity when left out: equal values mean equal cocycles."""
     columns = _generator_columns(g2)
 
-    def push(table, sigma):
-        return tuple([sigma[table[x][s]] for x, s in columns])
-
-    def pull(table, rho):
-        return tuple([table[rho[x]][rho[s]] for x, s in columns])
-    return push, pull
+    def values(table, sigma=tuple(range(g1.order)),
+               rho=tuple(range(g2.order))):
+        return tuple([sigma[table[rho[x]][rho[s]]] for x, s in columns])
+    return values
 
 
 @lru_cache(maxsize=None)
 def _class_key(g1: FiniteGroup, g2: FiniteGroup):
-    """The keys of _column_values reduced, per invariant factor, against
-    the Howell basis of B^2 in columns, one per coset: two cocycles
-    share a key exactly when they are cohomologous.  Built once per
-    pair."""
-    pres = abelian_invariants(g1)
-    coords = pres.coords
-    push, pull = _column_values(g1, g2)
+    """push(table, sigma, rho), the values of _column_values reduced, per
+    invariant factor, against the Howell basis of B^2 in columns, one
+    per coset, and pull(table, rho) = push(table, identity, rho): two
+    cocycles share a key exactly when they are cohomologous.  Built once
+    per pair."""
+    coords = abelian_invariants(g1).coords
+    values = _column_values(g1, g2)
     heads = [_coboundary_lattice(g2, d).head(len(_generator_columns(g2)))
-             for d in pres.invariant_factors]
+             for d in abelian_invariants(g1).invariant_factors]
 
-    def reduce(values):
-        vecs = zip(*[coords[v] for v in values])
+    def push(table, sigma, rho=tuple(range(g2.order))):
+        vecs = zip(*[coords[v] for v in values(table, sigma, rho)])
         return tuple(tuple(h.reduce(vec)) for h, vec in zip(heads, vecs))
-    return (lambda table, sigma: reduce(push(table, sigma)),
-            lambda table, rho: reduce(pull(table, rho)))
+    return push, lambda table, rho: push(table, range(g1.order), rho)
 
 
 def _keyed(e: Cocycle2, images=None, pull=False):
@@ -611,22 +621,39 @@ def _coboundary_pivots(g2: FiniteGroup, d: int):
     return pivots
 
 
-def _least_values(pres, n2: int, slots, pivots, vecs):
+def _walk(pres, n2: int, slots, pivots):
+    """_least_values' fixed inputs: these four, the pivot slots in order,
+    and the element index of each mixed-radix code over the factors."""
+    return (pres, n2, slots, pivots, sorted(set().union(*pivots)),
+            [*map(pres.element_of,
+                  itertools.product(*map(range, pres.invariant_factors)))])
+
+
+@lru_cache(maxsize=None)
+def _witness_walk(g1: FiniteGroup, g2: FiniteGroup):
+    """The witness walk: the points x as slots (x, 1, 1), Hom's pivots."""
+    pres = abelian_invariants(g1)
+    return _walk(pres, g2.order, [(x, 0, 0) for x in range(1, g2.order)],
+                 [_hom_pivots(g2, d) for d in pres.invariant_factors])
+
+
+def _least_values(walk, vecs):
     """Element indices, slot by slot, of the lex-least member of a coset
-    of maps read at slots (h, g, hg) as v + t(h) + t(g) - t(hg): per
-    invariant factor d of pres, vecs[f] gives the values v and pivots[f]
-    the pivots {slot i: (g_i, tau_i)} of the lattice of the t, each
-    tau_i zero before slot i and g_i there (a pair slot of B^2, from
-    _coboundary_pivots, or a point x of Hom, from _hom_pivots, read as
-    (x, 1, 1)).  In a Howell basis the members that agree before slot i
-    take cur + <g_i> there, the freedom left lying in the tau below; so
-    each pivot slot, in order, takes its least admissible element index
-    (0 if admissible), fixed by t += q tau_i, which keeps earlier slots,
-    and the other slots are forced.  One map t per factor is kept, and
-    each slot is read once at the end."""
+    of maps read at slots (h, g, hg) as v + t(h) + t(g) - t(hg) (walk,
+    from _walk): per invariant factor d of pres, vecs[f] gives the
+    values v and pivots[f] the pivots {slot i: (g_i, tau_i)} of the
+    lattice of the t, each tau_i zero before slot i and g_i there (a
+    pair slot of B^2, from _coboundary_pivots, or a point x of Hom, from
+    _hom_pivots, read as (x, 1, 1)).  In a Howell basis the members that
+    agree before slot i take cur + <g_i> there, the freedom left lying
+    in the tau below; so each pivot slot, in order, takes its least
+    admissible element index (0 if admissible), fixed by t += q tau_i,
+    which keeps earlier slots, and the other slots are forced.  One map
+    t per factor is kept, and each slot is read once at the end."""
+    pres, n2, slots, pivots, order, codes = walk
     factors = pres.invariant_factors
     maps = [[0] * n2 for _ in factors]
-    for i in sorted(set().union(*pivots)):
+    for i in order:
         h, g, hg = slots[i]
         cur = [(v[i] + t[h] + t[g] - t[hg]) % d
                for v, t, d in zip(vecs, maps, factors)]
@@ -638,7 +665,6 @@ def _least_values(pres, n2: int, slots, pivots, vecs):
             if x != c:
                 q = (x - c) // p[i][0]
                 t[:] = [(u + q * v) % d for u, v in zip(t, p[i][1])]
-    codes = [*map(pres.element_of, itertools.product(*map(range, factors)))]
     code = [0] * len(slots)
     for v, t, d in zip(vecs, maps, factors):
         code = [c * d + (x + t[h] + t[g] - t[hg]) % d
@@ -672,9 +698,10 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     if len(classes) > 1:
         slots = [(h, g, hg) for h in range(1, n2)
                  for g, hg in enumerate(g2.table[h]) if g]
-        pivots = [_coboundary_pivots(g2, d) for d in pres.invariant_factors]
-        rep_tables = sorted(_table_from_values(n2, _least_values(
-            pres, n2, slots, pivots, vecs)) for vecs in classes)
+        walk = _walk(pres, n2, slots, [_coboundary_pivots(g2, d)
+                                       for d in pres.invariant_factors])
+        rep_tables = sorted(_table_from_values(n2, _least_values(walk, vecs))
+                            for vecs in classes)
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
         raise InternalInconsistency("the trivial class is not listed first")
     return CocycleSpace(g1=g1, g2=g2,

@@ -18,7 +18,6 @@ from .cocycles import (
     Cocycle2,
     _coboundary_table,
     are_cohomologous,
-    is_cocycle,
     is_epsilon_endomorphism,
 )
 from .errors import (
@@ -61,9 +60,10 @@ class ExtensionGroup(Record):
 def build_extension(e: Cocycle2, name: str | None = None) -> ExtensionGroup:
     """Carrier of the twisted product for the cocycle e.
 
-    Once g1 is abelian and e passes is_cocycle, the table is a group
-    with a central kernel copy, given that g1 and g2 are groups (the
-    FiniteGroup contract); so it is wrapped without validate_group.
+    Once g1 is abelian and e passes is_cocycle (run once per e, as
+    e._identity), the table is a group with a central kernel copy, given
+    that g1 and g2 are groups (the FiniteGroup contract); so it is
+    wrapped without validate_group.
     Writing g1 additively, (x, y)(x', y') = (x + x' + e(y, y'), y y'):
       * (0, 1), index 0, is the identity, as e(1, y) = e(y, 1) = 0;
       * associativity is the cocycle identity, which is_cocycle decides
@@ -84,7 +84,7 @@ def build_extension(e: Cocycle2, name: str | None = None) -> ExtensionGroup:
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "extension carriers here take abelian coefficients")
-    ok, witness = is_cocycle(g1, g2, e.table)
+    ok, witness = e._identity
     if not ok:
         raise ValueError(f"not a cocycle, first failure {witness}")
     n1, n2 = g1.order, g2.order

@@ -653,6 +653,7 @@ class GroupMap(Record):
         return GroupMap(dom=self.cod, cod=self.dom, images=tuple(inv))
 
 
+@lru_cache(maxsize=None)
 def trivial_map(dom: FiniteGroup, cod: FiniteGroup) -> GroupMap:
     return GroupMap(dom=dom, cod=cod, images=(0,) * dom.order)
 

@@ -61,7 +61,7 @@ class IntMatrix(Record):
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(rows=self.cols, cols=self.rows,
-                         data=tuple(zip(*self.data)) if self.data else ())
+                         data=tuple(zip(*self.data)) or ((),) * self.cols)
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -178,7 +178,8 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         if w[i][i] < 0:
             w[i] = [-x for x in w[i]]
 
-    res = SNFResult(s=IntMatrix.from_rows(row[:nc] for row in w[:nr]),
+    res = SNFResult(s=IntMatrix(rows=nr, cols=nc,
+                                data=tuple(tuple(row[:nc]) for row in w[:nr])),
                     u=IntMatrix.from_rows(row[nc:] for row in w[:nr]),
                     v=IntMatrix.from_rows(w[nr:]))
     if mat_mul(mat_mul(res.u, a), res.v).data != res.s.data:

@@ -14,7 +14,13 @@ the rho, only for classes in one orbit of Aut(G1) x Aut(G2) acting on
 H^2 by c -> sigma . c . (rho x rho): upper isomorphism is being in one
 orbit, and a lower one puts both classes in one.  The generators of the two
 groups permute the finite set H^2, so the classes they reach from c,
-one orbit label per pair, are its whole orbit.  Every positive answer
+one orbit label per pair, are its whole orbit.  Labels, searches and
+upper's witness t with sigma . e1 = psi_t * e2 . (rho x rho) read the
+generator columns only; for t both sides are normalized cocycles (the
+carriers' cocycles passed is_cocycle, sigma and rho are automorphisms),
+fixed by their columns (cocycles._expand).  A cocycle's _memo keeps its
+carrier and, as a target, per (kind, limits) the count of rho a search
+keyed and its {key: first rho}.  Every positive answer
 carries component maps that materialize, through the carrier product
 formula on their image arrays (extensions.reconstruct_hom), into one
 image array that the direct checks verify to be a bijective
@@ -40,8 +46,8 @@ from .groups import (
     Record,
     SearchLimits,
     _automorphism_generators,
+    _automorphisms,
     brute_force_isomorphism,
-    enumerate_automorphisms,
     enumerate_isomorphisms,
     is_purely_nonabelian,
     is_simple,
@@ -50,9 +56,9 @@ from .groups import (
 from .cocycles import (
     CoboundaryWitness,
     _class_key,
-    _cohomologous_tables,
     _column_values,
     _keyed,
+    _witness,
     are_cohomologous,
     cocycle_inv,
     compute_cocycle_space,
@@ -100,11 +106,12 @@ DEFAULT_VERIFY_PAIRS = (("Z2", "Z2"), ("Z2", "Z4"), ("Z2", "K4"),
 
 
 def _extension_pair(e1, e2):
-    """The extensions, built from cocycles where given those, checked
-    to sit over one group pair."""
-    src, tgt = (e if isinstance(e, ExtensionGroup) else build_extension(e)
-                for e in (e1, e2))
-    if src.g1 != tgt.g1 or src.g2 != tgt.g2:
+    """The extensions, built from cocycles where given those, once per
+    cocycle (its _memo), checked to sit over one group pair."""
+    src, tgt = (e if isinstance(e, ExtensionGroup) else e._memo.get(
+        "carrier") or e._memo.setdefault("carrier", build_extension(e))
+        for e in (e1, e2))
+    if (src.g1, src.g2) != (tgt.g1, tgt.g2):   # identical groups: no __eq__
         raise GroupMismatch("extensions sit over different group pairs")
     return src, tgt
 
@@ -212,18 +219,21 @@ class IsoCertificate(Record):
 # kernel-preserving ("upper") isomorphisms
 
 
-def _automorphism_pair_search(push, pull, e1, e2, g1, g2, limits):
+def _automorphism_pair_search(kind, push, pull, e1, e2, limits):
     """The first (sigma, rho), sigma-major in enumeration order, with
     push(e1, sigma) == pull(e2, rho) for the image arrays of automorphisms
-    of g1 and g2, or None.  Each rho is keyed once, in order and only as
-    far as some sigma needs, keeping the first rho per key, so each lookup
-    finds the first matching rho: |Aut(G1)| + |Aut(G2)| keys at most."""
-    rhos = iter(enumerate_automorphisms(g2, limits))
-    first = {}
-    for sigma in enumerate_automorphisms(g1, limits):
+    of g1 and g2, or None.  Each rho is keyed once per target e2, whose
+    _memo keeps the count keyed and {key: first rho} per (kind, limits),
+    in order and only as far as some sigma needs, so each lookup finds
+    the first matching rho: |Aut(G2)| keys per target in all."""
+    rhos = _automorphisms(e2.g2, limits)
+    first = (state := e2._memo.setdefault((kind, limits), [0, {}]))[1]
+    for sigma in _automorphisms(e1.g1, limits):
         want = push(e1, sigma.images)
-        while want not in first and (rho := next(rhos, None)) is not None:
+        while want not in first and state[0] < len(rhos):
+            rho = rhos[state[0]]
             first.setdefault(pull(e2, rho.images), rho)
+            state[0] += 1
         if want in first:
             return sigma, first[want]
     return None
@@ -232,29 +242,27 @@ def _automorphism_pair_search(push, pull, e1, e2, g1, g2, limits):
 @lru_cache(maxsize=None)
 def _orbit_label(g1, g2, limits):
     """label(cocycle): the orbit of its class under Aut(G1) x Aut(G2),
-    named by the class key of the first table met in it; the cocycle's
-    own key is memoized on it (cocycles._keyed).  The labels fill one
-    orbit at a time, breadth-first from that table: push it by each
-    generator of Aut(G1), pull it by each of Aut(G2), key each image
-    table, and enqueue the keys not seen.  At most |H^2| are held."""
-    key = _class_key(g1, g2)[0]
-    identity = tuple(range(g1.order))
+    named by the class key of the first cocycle e met in it; the
+    cocycle's own key is memoized on it (cocycles._keyed).  The labels
+    fill one orbit at a time, breadth-first from e over pairs (sigma,
+    rho) for sigma . e . (rho x rho): a generator a of Aut(G1) moves one
+    to (a sigma, rho), r of Aut(G2) to (sigma, rho r); the pairs whose
+    keys are new are enqueued.  At most |H^2| keys are held."""
+    push = _class_key(g1, g2)[0]
     sigmas, rhos = (_automorphism_generators(g, limits) for g in (g1, g2))
     labels = {}
 
     def label(cocycle):
         start = _keyed(cocycle)
         if start not in labels:
-            labels[start], queue = start, [cocycle.table]
-            for t in queue:
-                images = [tuple(tuple(s[v] for v in row) for row in t)
-                          for s in sigmas]
-                images += [tuple(tuple(t[a][b] for b in r) for a in r)
-                           for r in rhos]
-                for u in images:
-                    if (k := key(u, identity)) not in labels:
+            labels[start], queue = start, [(range(g1.order), range(g2.order))]
+            for sigma, rho in queue:
+                pairs = [(tuple([a[v] for v in sigma]), rho) for a in sigmas]
+                pairs += [(sigma, tuple([rho[v] for v in r])) for r in rhos]
+                for pair in pairs:
+                    if (k := push(cocycle.table, *pair)) not in labels:
                         labels[k] = start
-                        queue.append(u)
+                        queue.append(pair)
         return labels[start]
     return label
 
@@ -270,22 +278,24 @@ def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     orbit the first pair, sigma-major in enumeration order, comes from
     _automorphism_pair_search keyed by cocycles._class_key, whose keys
     are equal exactly for cohomologous cocycles; so it must hit, and a
-    miss raises ConditionsFailed, as does a hit with no witness on the raw
-    pulled and pushed tables.  Keys are memoized on cocycles (_keyed).
+    miss raises ConditionsFailed, as does a hit with no witness at the
+    generator columns (the column witness of the module docstring).
+    Keys are memoized on cocycles (_keyed).
     """
     src, tgt = _extension_pair(e1, e2)
     g1, g2 = src.g1, src.g2
     label = _orbit_label(g1, g2, limits)
     if label(src.cocycle) != label(tgt.cocycle):
         return None
-    hit = _automorphism_pair_search(_keyed, partial(_keyed, pull=True),
-                                    src.cocycle, tgt.cocycle, g1, g2, limits)
+    hit = _automorphism_pair_search("upper", _keyed,
+                                    partial(_keyed, pull=True),
+                                    src.cocycle, tgt.cocycle, limits)
     if hit is None:
         raise ConditionsFailed("no automorphism pair within one orbit")
     sigma, rho = hit
-    t1, t2, im = src.cocycle.table, tgt.cocycle.table, rho.images
-    w = _cohomologous_tables(g1, g2, [[t2[y][x] for x in im] for y in im],
-                             [[sigma.images[v] for v in row] for row in t1])
+    values = _column_values(g1, g2)
+    w = _witness(g1, g2, values(tgt.cocycle.table, rho=rho.images),
+                 values(src.cocycle.table, sigma.images))
     if w is None:
         raise ConditionsFailed("the keyed pair has no coboundary witness")
     cert = IsoCertificate(kind="upper", source=src, target=tgt, sigma=sigma,
@@ -401,9 +411,10 @@ def lower_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     label = _orbit_label(src.g1, src.g2, limits)
     if label(src.cocycle) != label(tgt.cocycle):
         return None
-    hit = _automorphism_pair_search(*_column_values(src.g1, src.g2),
-                                    src.cocycle.table, tgt.cocycle.table,
-                                    src.g1, src.g2, limits)
+    values = _column_values(src.g1, src.g2)
+    hit = _automorphism_pair_search("lower", lambda e, s: values(e.table, s),
+                                    lambda e, r: values(e.table, rho=r),
+                                    src.cocycle, tgt.cocycle, limits)
     if hit is None:
         return None
     cert = IsoCertificate(kind="lower", source=src, target=tgt, sigma=hit[0],

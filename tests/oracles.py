@@ -14,6 +14,7 @@ from centext.cocycles import (
     CoboundaryWitness,
     Cocycle2,
     CocycleSpace,
+    _class_key,
     _coboundary_lattice,
     _coboundary_table,
     _expand,
@@ -55,7 +56,9 @@ from centext.groups import (
     FiniteGroup,
     GroupMap,
     SearchLimits,
+    _automorphism_generators,
     conjugacy_classes,
+    enumerate_automorphisms,
     enumerate_isomorphisms,
     validate_group,
 )
@@ -1089,5 +1092,82 @@ def lower_necessary_by_materialize(src: ExtensionGroup, tgt: ExtensionGroup,
     if problem is not None:
         raise (ConditionsFailed if sim_is_trivial(src.g2)
                else HypothesisNotVerified)(problem)
+    cert.materialize()
+    return cert
+
+
+def automorphism_pair_search_afresh(push, pull, e1, e2,
+                                    limits: SearchLimits = DEFAULT_LIMITS):
+    """The earlier isotest._automorphism_pair_search, which kept nothing
+    between calls: the first (sigma, rho), sigma-major in enumeration
+    order, with push(e1, sigma) == pull(e2, rho), each rho keyed at most
+    once per call, in order and only as far as some sigma needs."""
+    rhos = iter(enumerate_automorphisms(e2.g2, limits))
+    first = {}
+    for sigma in enumerate_automorphisms(e1.g1, limits):
+        want = push(e1, sigma.images)
+        while want not in first and (rho := next(rhos, None)) is not None:
+            first.setdefault(pull(e2, rho.images), rho)
+        if want in first:
+            return sigma, first[want]
+    return None
+
+
+@lru_cache(maxsize=None)
+def orbit_label_by_tables(g1: FiniteGroup, g2: FiniteGroup,
+                          limits: SearchLimits = DEFAULT_LIMITS):
+    """The earlier isotest._orbit_label: breadth-first over the n^2 image
+    tables, each generator of Aut(G1) pushing a table and each of Aut(G2)
+    pulling it, every table keyed by _class_key, the first table met in
+    an orbit naming it."""
+    key = _class_key(g1, g2)[0]
+    identity = tuple(range(g1.order))
+    sigmas, rhos = (_automorphism_generators(g, limits) for g in (g1, g2))
+    labels = {}
+
+    def label(cocycle):
+        start = key(cocycle.table, identity)
+        if start not in labels:
+            labels[start], queue = start, [cocycle.table]
+            for t in queue:
+                images = [tuple(tuple(s[v] for v in row) for row in t)
+                          for s in sigmas]
+                images += [tuple(tuple(t[a][b] for b in r) for a in r)
+                           for r in rhos]
+                for u in images:
+                    if (k := key(u, identity)) not in labels:
+                        labels[k] = start
+                        queue.append(u)
+        return labels[start]
+    return label
+
+
+def upper_isomorphic_by_tables(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
+    """The earlier isotest.upper_isomorphic: the table-walk labels, a pair
+    search that keeps nothing between calls, and the witness of sigma .
+    e1 = psi_t * e2 . (rho x rho) solved and checked on the n^2 pushed
+    and pulled tables (are_cohomologous_by_reduction)."""
+    src, tgt = _extension_pair(e1, e2)
+    g1, g2 = src.g1, src.g2
+    label = orbit_label_by_tables(g1, g2, limits)
+    if label(src.cocycle) != label(tgt.cocycle):
+        return None
+    push, pull = _class_key(g1, g2)
+    hit = automorphism_pair_search_afresh(
+        lambda e, sigma: push(e.table, sigma),
+        lambda e, rho: pull(e.table, rho), src.cocycle, tgt.cocycle, limits)
+    if hit is None:
+        raise ConditionsFailed("no automorphism pair within one orbit")
+    sigma, rho = hit
+    t1, t2, im = src.cocycle.table, tgt.cocycle.table, rho.images
+    pulled = Cocycle2(g1=g1, g2=g2, table=tuple(
+        tuple(t2[y][x] for x in im) for y in im))
+    pushed = Cocycle2(g1=g1, g2=g2, table=tuple(
+        tuple(sigma.images[v] for v in row) for row in t1))
+    w = are_cohomologous_by_reduction(pulled, pushed)
+    if w is None:
+        raise ConditionsFailed("the keyed pair has no coboundary witness")
+    cert = IsoCertificate(kind="upper", source=src, target=tgt, sigma=sigma,
+                          rho=rho, t_witness=w)
     cert.materialize()
     return cert

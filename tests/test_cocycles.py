@@ -458,8 +458,8 @@ class TestAreCohomologous:
         assert are_cohomologous(e1, e2) is not None
 
         # the space is built, so only the witness walk is patched
-        def moved(pres, n2, slots, pivots, vecs):
-            images = _least_values(pres, n2, slots, pivots, vecs)
+        def moved(walk, vecs):
+            images = _least_values(walk, vecs)
             return [1 - images[0], *images[1:]]
         monkeypatch.setattr(cocycles, "_least_values", moved)
         with pytest.raises(ConditionsFailed,
@@ -921,8 +921,9 @@ def checked_witness_walk(monkeypatch, g2):
     checked calls."""
     calls, k = [], len(_generator_columns(g2))
 
-    def checked(pres, n2, slots, pivots, vecs):
-        got = _least_values(pres, n2, slots, pivots, vecs)
+    def checked(walk, vecs):
+        got = _least_values(walk, vecs)
+        pres, n2, slots = walk[:3]
         if slots == [(x, 0, 0) for x in range(1, n2)]:
             lattices = [_coboundary_lattice(g2, d).tail(k)
                         for d in pres.invariant_factors]

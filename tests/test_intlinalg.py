@@ -93,6 +93,24 @@ class TestSmithNormalForm:
         assert res.u.data == IntMatrix.identity(2).data
         assert res.v.data == IntMatrix.identity(3).data
 
+    @pytest.mark.parametrize("rows,cols", [(0, 3), (0, 1), (2, 0), (3, 0),
+                                           (0, 0)])
+    def test_empty_shapes(self, rows, cols):
+        a = IntMatrix(rows=rows, cols=cols, data=((),) * rows)
+        t = a.transpose()
+        assert (t.rows, t.cols) == (cols, rows) and t.transpose() == a
+        res = smith_normal_form(a)
+        assert [(m.rows, m.cols) for m in (res.s, res.u, res.v)] == [
+            (rows, cols), (rows, rows), (cols, cols)]
+        assert mat_mul(mat_mul(res.u, a), res.v) == res.s
+
+    def test_product_through_an_empty_inner_dimension(self):
+        a = IntMatrix(rows=2, cols=0, data=((), ()))
+        b = IntMatrix(rows=0, cols=3, data=())
+        assert mat_mul(a, b) == IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+        assert mat_mul(b.transpose(), a.transpose()) == IntMatrix.from_rows(
+            [[0, 0], [0, 0], [0, 0]])
+
     def test_already_diagonal(self):
         res = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 4]]))
         assert res.s.diagonal == (2, 4)
