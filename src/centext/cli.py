@@ -150,34 +150,41 @@ def _class_representative(g1, g2, k, label):
 
 _encode_str = json.encoder.encode_basestring_ascii
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# the values written as they stand, with no indenting, by type: these
+# four, and an empty list or dict
+_INLINE = {str: _encode_str, int: str, bool: _JSON_CONSTANTS.__getitem__,
+           type(None): _JSON_CONSTANTS.__getitem__}
+_EMPTY = {list: "[]", dict: "{}"}
 
 
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for a
     value indented at indent, in one pass.  The str-keyed dicts, lists,
     strings, ints, booleans and nulls of the reports are written here,
-    strings by json's own ASCII escaping and a list of plain ints as one
-    join.  Any other value (a tuple, a float, a dict with a key that is
-    not a str) goes to json.dumps, re-indented, which is exact because
-    json.dumps escapes every newline inside a string."""
+    strings by json's own ASCII escaping, a list of plain ints as one
+    join, and a dict's str, int, bool and None values and empty lists
+    and dicts inline.  Any other value (a tuple, a float, a dict with a
+    key that is not a str) goes to json.dumps, re-indented, which is
+    exact because json.dumps escapes every newline inside a string."""
     kind = type(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is int:
-        return str(value)
-    if value is None or value is True or value is False:
-        return _JSON_CONSTANTS[value]
+    if (write := _INLINE.get(kind)) is not None:
+        return write(value)
+    if kind in _EMPTY and not value:
+        return _EMPTY[kind]
     inner = indent + "  "
     sep = ",\n" + inner
-    if kind is list and value:
+    if kind is list:
         if set(map(type, value)) == {int}:
             body = sep.join(map(str, value))
         else:
             body = sep.join([_json_text(v, inner) for v in value])
         return "[\n" + inner + body + "\n" + indent + "]"
-    if kind is dict and value and set(map(type, value)) == {str}:
+    if kind is dict and set(map(type, value)) == {str}:
         return "{\n" + inner + sep.join([
-            _encode_str(k) + ": " + _json_text(v, inner)
+            _encode_str(k) + ": " + (
+                _INLINE[t](v) if (t := type(v)) in _INLINE
+                else _EMPTY[t] if t in _EMPTY and not v
+                else _json_text(v, inner))
             for k, v in sorted(value.items())]) + "\n" + indent + "}"
     return json.dumps(value, indent=2, sort_keys=True).replace(
         "\n", "\n" + indent)

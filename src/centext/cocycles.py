@@ -9,27 +9,30 @@ structure on the value set is needed beyond the identity check).
 
 Everything linear runs mod each invariant factor d of g1, in the
 k(n-1) generator columns e(x, s), x != 1 and s among the k generators
-of a quotient of order n, which fix a cocycle (the _expand proof).  One
-lattice per (g2, d), _coboundary_lattice, holds the unit coboundaries
-with their coefficients: its head is B^2 in columns, whose Howell basis
-reduces a cocycle to a canonical key of its class, and its tail is
-Hom(g2, Z/d).  Z^2 is B^2 plus the solutions of Hopf's formula, one
-sparse equation per (generator, Schreier generator), eliminated in
-IntLattice, which keeps sparse pivot rows.  H^2 is a small Smith normal
-form of the relations among the Z^2 rows mod B^2.  are_cohomologous
-compares the class keys memoized on both cocycles (_keyed), then reduces
-e2 - e1 once per factor and reads a witness t off the tail, checked at
-the columns alone when e1 and e2 are cocycles, as psi_t * e1 and e2 are
-then normalized cocycles, fixed by their columns.  A Cocycle2 memoizes
-its class keys by (pull, images) (_keys), is_cocycle's (ok, witness),
-run at most once (_identity, read by build_extension), and isotest's
-carrier and search states as a target (_memo).  One greedy,
-_least_values, picks the lex-least witnesses and representatives, over
-the pivots of Hom at the points or of B^2 at the pair slots, found in
-the n - 1 values of a map (_coboundary_pivots).  Pair slots appear only
-in tables written out.  The identity system, the dense elimination, the
-pair-slot B^2 lattice, the coset passes they replaced and the Z^2 and
-B^2 generator tables are test oracles in tests/oracles.py.
+of a quotient of order n, which fix a cocycle (the _expand proof).
+Hopf's formula gives H^2 = K / U with no further elimination: K, the
+kernel of one sparse equation per (generator, Schreier generator),
+eliminated in IntLattice, which keeps sparse pivot rows, and U, one row
+per generator (_hopf_system, _free_homs, _solve_coordinate).  A class
+key (_class_key) maps column values to the Schreier generators mod U;
+the map sends B^2 onto U, so keys agree exactly on cohomologous
+cocycles, and unequal keys prove any two tables not cohomologous.
+are_cohomologous compares the keys memoized on both cocycles (_keyed),
+then reduces e2 - e1 once per factor against _coboundary_lattice, built
+for witnesses only, and reads a witness t off its tail, Hom(g2, Z/d),
+checked at the columns alone when e1 and e2 are cocycles, as psi_t * e1
+and e2 are then normalized cocycles, fixed by their columns.  A
+Cocycle2 memoizes its class keys by (pull, images) (_keys),
+is_cocycle's (ok, witness), run at most once (_identity, read by
+build_extension), and isotest's carrier and search states as a target
+(_memo).  One greedy, _least_values, picks the lex-least witnesses and
+representatives, over the pivots of Hom at the points or of B^2 at the
+pair slots, found in the n - 1 values of a map (_coboundary_pivots).
+Pair slots appear only in tables written out.  The identity system, the
+dense elimination, the pair-slot B^2 lattice, the coset passes they
+replaced, the Z^2 and B^2 generator tables, and the solver and keys
+that eliminated B^2 in generator columns are test oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -230,14 +233,14 @@ def are_cohomologous(e1: Cocycle2, e2: Cocycle2):
 
     psi_t(h, g) = t(g) - t(hg) + t(h) is linear in t, so per invariant
     factor d of g1 the question is whether the coordinate b of e2 - e1
-    is psi_x for some x mod d.  Reducing [b | 0], b at the generator
-    columns, against _coboundary_lattice(g2, d) takes off some
-    [psi_c | c] and leaves [b - psi_c | -c]: the head vanishes exactly
-    when b lies in B^2 in columns, that is when the class keys agree,
-    the canonical Howell representatives of both columns mod B^2; so
-    unequal keys, memoized on each cocycle (_keyed), give None at once.
-    Otherwise _witness walks once to the least witness and checks it,
-    at the columns if both inputs are known cocycles (_identity).
+    is psi_x for some x mod d.  The class keys, memoized on each
+    cocycle (_keyed), come first: a key is f(e) mod U for a linear f
+    with f(B^2) = U (_class_key), so tables with unequal keys are not
+    cohomologous, cocycles or not, and None comes at once.  On cocycles
+    equal keys mean cohomologous; on tables that are no cocycles they
+    prove nothing, and the witness check decides.  _witness then walks
+    once to the least witness and checks it, at the columns if both
+    inputs are known cocycles (_identity), else on the tables.
     """
     _same_groups(e1, e2)
     if not e1.g1.is_abelian:
@@ -254,17 +257,21 @@ def _witness(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
     """are_cohomologous from v1, v2, the values of e1, e2 at the generator
     columns, g1 abelian, for callers that have matched the class keys.
     At the columns alone, v1 = v2 makes the witnesses Hom, least at 0.
-    Per factor d, x0 = -tail of the reduced [b | 0] has psi_x0 = b at
-    the columns.  The witnesses form x0 + Hom(g2, Z/d), so one walk of
-    _least_values over the pivots of Hom gives the least image array
-    (t(1), ..., t(n-1)) whichever x0 was found, built unchecked (0, then
-    element indices of g1), and one scan checks psi_t * e1 = e2, on the
-    tables when given, else at the columns.  Only a failed scan rescans,
-    with x0: as t - x0 lies in Hom, psi_t = psi_x0 unless the walk broke,
-    so a passing x0 raises ConditionsFailed.  A failing x0 means no
-    witness: as psi_w = b at the columns for a witness w, psi_(w - x0)
-    vanishes there, so w - x0 is a homomorphism and x0 a witness too;
-    so tables scanned in full that are no cocycles give None."""
+    Per factor d, reducing [b | 0], b = v2 - v1 at the columns, against
+    _coboundary_lattice(g2, d) takes off some [psi_c | c] and leaves
+    [b - psi_c | -c], whose head vanishes exactly when b lies in B^2 in
+    columns (always, for cocycles with equal keys); then x0 = -tail has
+    psi_x0 = b at the columns.  The witnesses form x0 + Hom(g2, Z/d), so
+    one walk of _least_values over the pivots of Hom gives the least
+    image array (t(1), ..., t(n-1)) whichever x0 was found, built
+    unchecked (0, then element indices of g1), and one scan checks
+    psi_t * e1 = e2, on the tables when given, else at the columns.
+    Only a failed scan rescans, with x0: as t - x0 lies in Hom, psi_t =
+    psi_x0 unless the walk broke, so a passing x0 raises
+    ConditionsFailed.  A failing x0 means no witness: a witness w has
+    psi_w = b at the columns, so b lies in B^2 there, psi_(w - x0)
+    vanishes there, w - x0 is a homomorphism and x0 a witness too; so
+    tables scanned in full that are no cocycles give None."""
     if tables is None and v1 == v2:
         return CoboundaryWitness(t=trivial_map(g2, g1))
     n2, mul, inv, mul2 = g2.order, g1.table, g1.inverses, g2.table
@@ -320,11 +327,12 @@ def _coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
     """The coboundaries mod d in generator columns: the echelon form of
     one row [psi_w | e_w] per unit map w != 1, with the head psi_w at
     the generator columns and the tail e_w over the nonidentity points.
-    Its vectors are [psi_c | c] up to multiples of d, so its head
-    (IntLattice.head) is B^2 in columns, which is B^2 as a cocycle is
-    fixed by its generator columns; and by Howell's property its tail
-    spans the c with psi_c zero on the columns, hence everywhere:
-    Hom(g2, Z/d).
+    Its vectors are [psi_c | c] up to multiples of d, so its rows with
+    their pivot in the columns span B^2 in columns, which is B^2 as a
+    cocycle is fixed by its generator columns; and by Howell's property
+    its tail spans the c with psi_c zero on the columns, hence
+    everywhere: Hom(g2, Z/d).  Only the coboundary witnesses read it
+    (_witness, _hom_pivots); spaces and class keys work mod U instead.
     """
     n2, k, gens = g2.order, len(_generator_columns(g2)), g2.generators
     return IntLattice(k + n2 - 1, d, ({**_unit_coboundary(g2, w, gens),
@@ -356,19 +364,38 @@ def _column_values(g1: FiniteGroup, g2: FiniteGroup):
 
 @lru_cache(maxsize=None)
 def _class_key(g1: FiniteGroup, g2: FiniteGroup):
-    """push(table, sigma, rho), the values of _column_values reduced, per
-    invariant factor, against the Howell basis of B^2 in columns, one
-    per coset, and pull(table, rho) = push(table, identity, rho): two
-    cocycles share a key exactly when they are cohomologous.  Built once
-    per pair."""
+    """push(table, sigma, rho), the class key of the values of
+    _column_values, and pull(table, rho) = push(table, identity, rho).
+    Per invariant factor d of g1, the column values x are tree-normalized
+    along _hopf_system's tree: t = 0 on the generators and t(ys) = t(y) -
+    x(y, s) down each tree edge, so that x - psi_t vanishes at the tree
+    columns; its chord values x(y, s) - t(y) + t(ys), reduced against the
+    Howell basis of U (_free_homs(g2, d)), one per coset, make the key,
+    all factors in one flat tuple, () when there are no chords.  This map
+    f is linear, and f(B^2) = U: a coboundary psi_tau that vanishes at the
+    tree columns has tau(ys) = tau(y) + tau(s) down the tree, so tau(y) =
+    phi(t_y) for the hom phi: F -> Z/d with phi(s) = tau(s), and at a
+    chord psi_tau(y, s) = phi(t_y s t_ys^-1), the restriction of phi; the
+    cocycle that Hopf's formula makes of phi's restriction is psi of y ->
+    phi(t_y).  So cohomologous tables share a key, whether cocycles or
+    not; and a cocycle e with f(e) in U is e - psi_t minus such a
+    coboundary, a cocycle vanishing at every column, hence 0 (_expand):
+    two cocycles share a key exactly when they are cohomologous.  Built
+    once per pair."""
     coords = abelian_invariants(g1).coords
     values = _column_values(g1, g2)
-    heads = [_coboundary_lattice(g2, d).head(len(_generator_columns(g2)))
+    frees = [_free_homs(g2, d)
              for d in abelian_invariants(g1).invariant_factors]
 
     def push(table, sigma, rho=tuple(range(g2.order))):
-        vecs = zip(*[coords[v] for v in values(table, sigma, rho)])
-        return tuple(tuple(h.reduce(vec)) for h, vec in zip(heads, vecs))
+        key = []
+        for (steps, ends, u), x in zip(frees, zip(*[
+                coords[v] for v in values(table, sigma, rho)])):
+            t = [0] * g2.order
+            for y, c, ys in steps:
+                t[ys] = t[y] - x[c]
+            key += u.reduce([x[c] - t[y] + t[ys] for c, y, ys in ends])
+        return tuple(key)
     return push, lambda table, rho: push(table, range(g1.order), rho)
 
 
@@ -477,7 +504,8 @@ def _hopf_system(g2: FiniteGroup):
     cocycle e(g, h) = f(t_g t_h t_{gh}^-1), and each class has one; as
     t_s = s and t_y s = t_{ys} on the tree, its column e(y, s) is
     f(r_{y,s}) on a chord and 0 on a tree edge: Z^2 in columns is B^2
-    plus the kernel at the chord columns.  It keeps its own tree: the
+    plus the kernel at the chord columns, and H^2 = K / U, U the
+    restrictions of Hom(F, Z/d) (_free_homs).  It keeps its own tree: the
     walk's (FiniteGroup._closure_layers) gives the same classes and rows
     on S6 but reorders the unknowns, and H^2(S6, Z2) took 6.1-7.4 s for
     4.8-5.0 s (two runs each, 2 vCPUs, Python 3.11.7)."""
@@ -507,13 +535,35 @@ def _hopf_system(g2: FiniteGroup):
     return tuple(tree), tuple((y - 1) * len(gens) + i for y, i in chords), rows
 
 
-class _Coordinate(Record):
-    """Z^2 and the H^2 classes of one invariant factor d of g1 over g2:
-    z_columns, Z^2's pivot rows in generator columns, which the tests
-    check against the earlier systems, and one member of each class over
-    the pair slots."""
+@lru_cache(maxsize=None)
+def _free_homs(g2: FiniteGroup, d: int):
+    """_hopf_system's tree as (steps, ends) and U mod d in Howell form,
+    the image of Hom(F, Z/d) in the chord unknowns, that is the
+    restrictions to R.  steps lists the tree edges (y, column, ys) off
+    the root, in order, and ends the chords (column, y, ys).  The hom
+    phi with phi(s_j) = a_j takes r_{y,s} = t_y s t_{ys}^-1 to sum_j a_j
+    (w_j(t_y) + [s = s_j] - w_j(t_{ys})), with w_j counting the letter
+    s_j in a tree word; so U is spanned by one row per generator s_j,
+    that bracket at each chord (y, s)."""
+    tree, chords, _ = _hopf_system(g2)
+    k, mul, gens = len(g2.generators), g2.table, g2.generators
+    ends = [(c, c // k + 1, mul[c // k + 1][gens[c % k]]) for c in chords]
+    words = [[0] * k for _ in range(g2.order)]
+    for y, i, ys in tree:
+        words[ys] = words[y].copy()
+        words[ys][i] += 1
+    free = IntLattice(len(chords), d, (
+        {u: x for u, (c, y, ys) in enumerate(ends)
+         if (x := words[y][j] + (c % k == j) - words[ys][j])}
+        for j in range(k)))
+    return [(y, (y - 1) * k + i, ys) for y, i, ys in tree if y], ends, free
 
-    z_columns: tuple[tuple[int, ...], ...]
+
+class _Coordinate(Record):
+    """The orders of Z^2 and B^2 and the H^2 classes of one invariant
+    factor d of g1 over g2: the factors, and one member of each class
+    over the pair slots."""
+
     z_order: int
     b_order: int
     factors: tuple[int, ...]
@@ -548,37 +598,50 @@ def _expand(g2: FiniteGroup, d: int, vecs):
 
 @lru_cache(maxsize=None)
 def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
-    # Z^2 in columns: B^2, then Hopf's kernel placed at the chord columns
-    ncols = len(_generator_columns(g2))
+    """H^2 = K / U by Hopf's formula, K the invariant f of _hopf_system
+    (the _row_space kernel) and U from _free_homs(g2, d); no further
+    elimination.  Its relations are the c with sum c_i res_i in U, res_i
+    K's Howell rows reduced mod U, and their Smith form gives the
+    factors.  |U| = d^k / |Hom(g2, Z/d)|, as Hom(g2, Z/d) is the kernel
+    of restricting Hom(F, Z/d) to R; so |B^2| = d^(n-1) / |Hom(g2, Z/d)|
+    = d^(n-1) |U| / d^k, and |Z^2| = |B^2| |H^2|.  |H^2| |U| = |K| is
+    checked.  A class is a box point of the relations' pivots, sum c_i
+    res_i, placed at the chord columns with 0 on the tree columns (the
+    cocycle _hopf_system makes of it) and written out by _expand."""
+    ncols, n2 = len(_generator_columns(g2)), g2.order
     _, chords, equations = _hopf_system(g2)
     kept, columns = _row_space(equations, len(chords), d)
-    kernel, b = columns.tail(len(kept)), _coboundary_lattice(g2, d).head(ncols)
-    z2 = IntLattice(ncols, d, [b.pivot_rows[p] for p in sorted(b.pivot_rows)]
-                    + [{chords[u]: c for u, c in kernel.pivot_rows[p].items()}
-                       for p in sorted(kernel.pivot_rows)])
-    z = [z2.dense_row(p) for p in sorted(z2.pivot_rows)]
-    z_order = d ** ncols // z2.index_in_ambient()
-    b_order = d ** ncols // b.index_in_ambient()
+    kernel, free = columns.tail(len(kept)), _free_homs(g2, d)[2]
+    k_order = d ** len(chords) // kernel.index_in_ambient()
+    u_order = d ** len(chords) // free.index_in_ambient()
+    b_order = d ** (n2 - 1) * u_order // d ** len(g2.generators)
 
-    # H^2 = Z^2 / B^2 is generated by the residues of the Z^2 rows mod
-    # B^2; its relations are the vectors c with sum c_i res_i in B^2
-    residues = [res for res in map(b.reduce, z) if any(res)]
+    # H^2 = K / U is generated by the residues of K's rows mod U; its
+    # relations are the vectors c with sum c_i res_i in U
+    residues = [res for res in map(free.reduce, map(
+        kernel.dense_row, sorted(kernel.pivot_rows))) if any(res)]
     k = len(residues)
-    rel = IntLattice(ncols + k, d, b.pivot_rows.values())
+    rel = IntLattice(len(chords) + k, d, free.pivot_rows.values())
     for i, res in enumerate(residues):
         rel.add(res + [int(j == i) for j in range(k)])
-    quot = rel.tail(ncols)
-    if quot.index_in_ambient() != z_order // b_order:
-        raise InternalInconsistency("|H^2| disagrees with |Z^2| / |B^2|")
+    quot = rel.tail(len(chords))
+    if quot.index_in_ambient() * u_order != k_order:
+        raise InternalInconsistency("|H^2| |U| disagrees with |K|")
     diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
 
     # the box of the relation lattice's pivots, one residue at a time
-    classes = [[0] * (g2.order - 1) ** 2]
-    for j, res in enumerate(_expand(g2, d, residues)):
+    placed = []
+    for res in residues:
+        vec = [0] * ncols
+        for c, x in zip(chords, res):
+            vec[c] = x
+        placed.append(vec)
+    classes = [[0] * (n2 - 1) ** 2]
+    for j, res in enumerate(_expand(g2, d, placed)):
         classes = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
                    for vec in classes for c in range(quot.pivot(j))]
-    return _Coordinate(z_columns=tuple(map(tuple, z)),
-                       z_order=z_order, b_order=b_order,
+    return _Coordinate(z_order=b_order * quot.index_in_ambient(),
+                       b_order=b_order,
                        factors=tuple(x for x in diag if x > 1),
                        classes=tuple(map(tuple, classes)))
 
@@ -682,10 +745,11 @@ def _table_from_values(n2, values):
 @lru_cache(maxsize=None)
 def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     """Z^2, B^2, H^2 and each class's lex-least table (_least_values
-    over the pivots of B^2), via lattices mod each invariant factor of
-    g1.  The space is cached over the first equal pair it was called
-    with, and it carries those groups, whose names may differ from the
-    caller's (FiniteGroup.name is not compared)."""
+    over the pivots of B^2), via Hopf's formula mod each invariant
+    factor of g1 (_solve_coordinate).  The space is cached over the
+    first equal pair it was called with, and it carries those groups,
+    whose names may differ from the caller's (FiniteGroup.name is not
+    compared)."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")

@@ -261,14 +261,6 @@ class IntLattice:
                           for p, r in self.pivot_rows.items() if p >= k}
         return out
 
-    def head(self, k: int) -> "IntLattice":
-        """The projection onto the columns before k: the rows with pivot
-        column < k, cut to those columns, still a Howell basis."""
-        out = IntLattice(k, self.modulus)
-        out.pivot_rows = {p: {j: x for j, x in r.items() if j < k}
-                          for p, r in self.pivot_rows.items() if p < k}
-        return out
-
     def pivot(self, j: int) -> int:
         """The pivot of column j: its stored row's, else the modulus."""
         r = self.pivot_rows.get(j)

@@ -20,10 +20,10 @@ generator columns only; for t both sides are normalized cocycles (the
 carriers' cocycles passed is_cocycle, sigma and rho are automorphisms),
 fixed by their columns (cocycles._expand).  A cocycle's _memo keeps its
 carrier and, as a target, per (kind, limits) the count of rho a search
-keyed and its {key: first rho}.  Every positive answer
-carries component maps that materialize, through the carrier product
-formula on their image arrays (extensions.reconstruct_hom), into one
-image array that the direct checks verify to be a bijective
+keyed and its rho listed by the hash of their keys.  Every positive
+answer carries component maps that materialize, through the carrier
+product formula on their image arrays (extensions.reconstruct_hom),
+into one image array that the direct checks verify to be a bijective
 homomorphism of the certificate's kind.  A harness cross-validates each
 criterion against brute-force isomorphism search on a small catalog.
 """
@@ -223,19 +223,26 @@ def _automorphism_pair_search(kind, push, pull, e1, e2, limits):
     """The first (sigma, rho), sigma-major in enumeration order, with
     push(e1, sigma) == pull(e2, rho) for the image arrays of automorphisms
     of g1 and g2, or None.  Each rho is keyed once per target e2, whose
-    _memo keeps the count keyed and {key: first rho} per (kind, limits),
-    in order and only as far as some sigma needs, so each lookup finds
-    the first matching rho: |Aut(G2)| keys per target in all."""
+    _memo keeps the count keyed and {hash(key): [rho, ...]} per (kind,
+    limits), in order and only as far as some sigma needs: one int per
+    rho, not its key.  A lookup re-keys the rho listed under the hash of
+    the wanted key, in order, and takes the first whose key is equal, so
+    it finds the first matching rho: |Aut(G2)| keys per target in all,
+    plus one per hit."""
     rhos = _automorphisms(e2.g2, limits)
-    first = (state := e2._memo.setdefault((kind, limits), [0, {}]))[1]
+    index = (state := e2._memo.setdefault((kind, limits), [0, {}]))[1]
     for sigma in _automorphisms(e1.g1, limits):
         want = push(e1, sigma.images)
-        while want not in first and state[0] < len(rhos):
+        hit = next((rho for rho in index.get(hash(want), ())
+                    if pull(e2, rho.images) == want), None)
+        while hit is None and state[0] < len(rhos):
             rho = rhos[state[0]]
-            first.setdefault(pull(e2, rho.images), rho)
             state[0] += 1
-        if want in first:
-            return sigma, first[want]
+            key = pull(e2, rho.images)
+            index.setdefault(hash(key), []).append(rho)
+            hit = rho if key == want else None
+        if hit is not None:
+            return sigma, hit
     return None
 
 

@@ -8,6 +8,7 @@ raise instead.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 from centext.cocycles import (
@@ -16,12 +17,19 @@ from centext.cocycles import (
     CocycleSpace,
     _class_key,
     _coboundary_lattice,
+    _coboundary_pivots,
     _coboundary_table,
+    _column_values,
     _expand,
     _generator_columns,
+    _hopf_system,
+    _least_values,
+    _merge_invariant_factors,
+    _row_space,
     _same_groups,
     _solve_coordinate,
     _table_from_values,
+    _walk,
     _unit_coboundary,
     are_cohomologous,
     cocycle_inv,
@@ -55,6 +63,7 @@ from centext.groups import (
     DEFAULT_LIMITS,
     FiniteGroup,
     GroupMap,
+    Record,
     SearchLimits,
     _automorphism_generators,
     conjugacy_classes,
@@ -875,12 +884,113 @@ def compose_maps(outer: GroupMap, inner: GroupMap) -> GroupMap:
                     images=tuple(outer.images[v] for v in inner.images))
 
 
+def lattice_head(lattice: IntLattice, k: int) -> IntLattice:
+    """The earlier IntLattice.head: the projection onto the columns
+    before k, the rows with pivot column < k cut to those columns, still
+    a Howell basis."""
+    out = IntLattice(k, lattice.modulus)
+    out.pivot_rows = {p: {j: x for j, x in r.items() if j < k}
+                      for p, r in lattice.pivot_rows.items() if p < k}
+    return out
+
+
+class B2Coordinate(Record):
+    """The earlier cocycles._Coordinate: Z^2 and the H^2 classes of one
+    invariant factor d of g1 over g2, with z_columns, Z^2's pivot rows
+    in generator columns."""
+
+    z_columns: tuple[tuple[int, ...], ...]
+    z_order: int
+    b_order: int
+    factors: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def solve_coordinate_by_b2(g2: FiniteGroup, d: int) -> B2Coordinate:
+    """The earlier cocycles._solve_coordinate: Z^2 in generator columns
+    as one lattice, B^2's head rows (_coboundary_lattice) then Hopf's
+    kernel placed at the chord columns; H^2 = Z^2 / B^2 from the
+    relations among the Z^2 rows mod B^2, and the class box over their
+    residues."""
+    ncols = len(_generator_columns(g2))
+    _, chords, equations = _hopf_system(g2)
+    kept, columns = _row_space(equations, len(chords), d)
+    kernel = columns.tail(len(kept))
+    b = lattice_head(_coboundary_lattice(g2, d), ncols)
+    z2 = IntLattice(ncols, d, [b.pivot_rows[p] for p in sorted(b.pivot_rows)]
+                    + [{chords[u]: c for u, c in kernel.pivot_rows[p].items()}
+                       for p in sorted(kernel.pivot_rows)])
+    z = [z2.dense_row(p) for p in sorted(z2.pivot_rows)]
+    z_order = d ** ncols // z2.index_in_ambient()
+    b_order = d ** ncols // b.index_in_ambient()
+    residues = [res for res in map(b.reduce, z) if any(res)]
+    k = len(residues)
+    rel = IntLattice(ncols + k, d, b.pivot_rows.values())
+    for i, res in enumerate(residues):
+        rel.add(res + [int(j == i) for j in range(k)])
+    quot = rel.tail(ncols)
+    if quot.index_in_ambient() != z_order // b_order:
+        raise InternalInconsistency("|H^2| disagrees with |Z^2| / |B^2|")
+    diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
+    classes = [[0] * (g2.order - 1) ** 2]
+    for j, res in enumerate(_expand(g2, d, residues)):
+        classes = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
+                   for vec in classes for c in range(quot.pivot(j))]
+    return B2Coordinate(z_columns=tuple(map(tuple, z)),
+                        z_order=z_order, b_order=b_order,
+                        factors=tuple(x for x in diag if x > 1),
+                        classes=tuple(map(tuple, classes)))
+
+
+def space_by_b2(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
+    """The earlier cocycles.compute_cocycle_space, on the coordinates of
+    solve_coordinate_by_b2: its factors and orders, and the lex-least
+    table of each class."""
+    pres = abelian_invariants(g1)
+    coords = [solve_coordinate_by_b2(g2, d) for d in pres.invariant_factors]
+    n2 = g2.order
+    slots = [(h, g, hg) for h in range(1, n2)
+             for g, hg in enumerate(g2.table[h]) if g]
+    walk = _walk(pres, n2, slots, [_coboundary_pivots(g2, d)
+                                   for d in pres.invariant_factors])
+    tables = sorted(_table_from_values(n2, _least_values(walk, vecs))
+                    for vecs in itertools.product(*(c.classes
+                                                    for c in coords)))
+    return CocycleSpace(g1=g1, g2=g2,
+                        h2_invariant_factors=_merge_invariant_factors(
+                            [f for c in coords for f in c.factors]),
+                        class_representatives=tuple(
+                            Cocycle2(g1=g1, g2=g2, table=t) for t in tables),
+                        z2_order=math.prod(c.z_order for c in coords),
+                        b2_order=math.prod(c.b_order for c in coords))
+
+
+@lru_cache(maxsize=None)
+def class_key_mod_b2(g1: FiniteGroup, g2: FiniteGroup):
+    """The earlier cocycles._class_key: push(table, sigma, rho), the
+    values of _column_values reduced, per invariant factor, against the
+    Howell basis of B^2 in columns, one per coset, and pull(table, rho)
+    = push(table, identity, rho).  Two tables share a key exactly when
+    their columns differ by B^2 in columns."""
+    coords = abelian_invariants(g1).coords
+    values = _column_values(g1, g2)
+    heads = [lattice_head(_coboundary_lattice(g2, d),
+                          len(_generator_columns(g2)))
+             for d in abelian_invariants(g1).invariant_factors]
+
+    def push(table, sigma, rho=tuple(range(g2.order))):
+        vecs = zip(*[coords[v] for v in values(table, sigma, rho)])
+        return tuple(tuple(h.reduce(vec)) for h, vec in zip(heads, vecs))
+    return push, lambda table, rho: push(table, range(g1.order), rho)
+
+
 def z2_generators(space: CocycleSpace) -> tuple[Cocycle2, ...]:
     """The earlier CocycleSpace.z2_generators: each Z^2 row of each
     coordinate, in that coordinate, written out from the lattice that
-    cocycles._solve_coordinate builds."""
+    solve_coordinate_by_b2 builds."""
     return _coordinate_tables(space.g1, space.g2, lambda d: _expand(
-        space.g2, d, _solve_coordinate(space.g2, d).z_columns))
+        space.g2, d, solve_coordinate_by_b2(space.g2, d).z_columns))
 
 
 def b2_generators(space: CocycleSpace) -> tuple[Cocycle2, ...]:

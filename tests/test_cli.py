@@ -613,6 +613,29 @@ class TestWriter:
         assert path.read_text(encoding="utf-8") == json.dumps(
             payload, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("payload", [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}},
+        {"a": [[], {}, {"b": []}], "c": {"d": {}, "e": [{}, []]},
+         "f": "", "g": 0, "h": None, "i": False},
+        [[[], [{}]], {"j": [[]]}],
+    ])
+    def test_nested_empties(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2,
+                                                     sort_keys=True)
+
+    def test_the_verify_reports(self, monkeypatch):
+        # the payloads of verify on the nine pairs, as main builds them
+        payloads = []
+        monkeypatch.setattr(cli, "_emit",
+                            lambda payload, output: payloads.append(payload))
+        for pair in ("Z2:Z2", "Z2:Z4", "Z2:K4", "Z3:Z3", "Z2:D4", "Z2:Q8",
+                     "Z4:K4", "Z2:S3", "Z3:S3"):
+            assert main(["verify", pair]) == 0
+        assert len(payloads) == 9
+        for payload in payloads:
+            assert cli._json_text(payload) == json.dumps(
+                payload, indent=2, sort_keys=True)
+
 
 def wrong_product(a, b):
     """A stand-in for intlinalg.mat_mul whose products are all wrong."""

@@ -94,6 +94,7 @@ from oracles import (
     least_in_coset_by_slot,
     pair_slot_b2,
     pair_slot_representatives,
+    solve_coordinate_by_b2,
     z2_generators,
 )
 
@@ -785,10 +786,14 @@ class TestPairSlotOracle:
         npairs = (g2.order - 1) ** 2
         for d in (2, 3, 4, 6):
             expected = pair_slot_cocycles(g2, d)
-            coord = _solve_coordinate(g2, d)
+            coord = solve_coordinate_by_b2(g2, d)
             got = IntLattice(npairs, d, _expand(g2, d, coord.z_columns))
             assert got.index_in_ambient() == expected.index_in_ambient()
             assert contains(got, expected) and contains(expected, got)
+            # the orders of the moved solver and of Hopf's quotient K / U
+            orders = {(c.z_order, c.b_order)
+                      for c in (coord, _solve_coordinate(g2, d))}
+            assert len(orders) == 1
             assert coord.z_order * expected.index_in_ambient() == d ** npairs
             # B^2 over the pair slots, spanned by the columns of the
             # coboundary matrix, against B^2 in generator columns
@@ -1017,7 +1022,7 @@ class TestCocycleSystemOracle:
         for d in (2, 3, 4, 6):
             kept, columns = _row_space(equations, nunknowns, d)
             expected = columns.tail(len(kept))
-            z_columns = _solve_coordinate(g2, d).z_columns
+            z_columns = solve_coordinate_by_b2(g2, d).z_columns
             got = IntLattice(nunknowns, d, z_columns)
             assert got.index_in_ambient() == expected.index_in_ambient()
             assert contains(got, expected) and contains(expected, got)

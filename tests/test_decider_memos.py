@@ -148,6 +148,32 @@ def test_kept_search_state_gives_the_first_pair(pair, seed):
             assert len(first) <= count <= len(enumerate_automorphisms(b.g2))
 
 
+class Colliding(tuple):
+    """A key whose hash is one value for every key, so that the kept
+    index lists each rho under one hash and only the exact check on a
+    hit tells their keys apart."""
+
+    def __hash__(self):
+        return 0
+
+
+@pytest.mark.parametrize("pair", [("Z3", "Z3"), ("Z4", "K4"), ("Z2", "D4")],
+                         ids=":".join)
+def test_colliding_hashes_give_the_first_pair(pair):
+    reps = [fresh(rep) for rep in representatives(pair)]
+    for kind, (push, pull) in search_calls(pair).items():
+        colliding = (lambda e, s: Colliding(push(e, s)),
+                     lambda e, r: Colliding(pull(e, r)))
+        for a, b in itertools.product(reps, repeat=2):
+            got = _automorphism_pair_search(("colliding", kind), *colliding,
+                                            a, b, DEFAULT_LIMITS)
+            assert got == automorphism_pair_search_afresh(
+                push, pull, a, b, DEFAULT_LIMITS)
+        for b in reps:
+            count, index = b._memo[("colliding", kind), DEFAULT_LIMITS]
+            assert set(index) <= {0} and sum(map(len, index.values())) == count
+
+
 @pytest.mark.parametrize("pair", CENSUS_PAIRS, ids=":".join)
 def test_are_cohomologous_through_both_checks(pair):
     # representatives that passed build_extension take the column check,

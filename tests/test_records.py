@@ -69,8 +69,8 @@ def record_cases():
                             SPACE.class_representatives,
                         "z2_order": 2, "b2_order": 1},
          ("b2_order", 2)),
-        (_Coordinate, {"z_columns": ((1,),), "z_order": 2, "b_order": 1,
-                       "factors": (2,), "classes": ((0,), (1,))},
+        (_Coordinate, {"z_order": 2, "b_order": 1, "factors": (2,),
+                       "classes": ((0,), (1,))},
          ("factors", ())),
         (ExtensionGroup, {"g1": Z2, "g2": Z2, "cocycle": TWIST,
                           "group": CARRIER.group},
