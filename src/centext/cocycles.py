@@ -18,11 +18,10 @@ key (_class_key) maps column values to the Schreier generators mod U;
 the map sends B^2 onto U, so keys agree exactly on cohomologous
 cocycles, and unequal keys prove any two tables not cohomologous.
 are_cohomologous compares the keys memoized on both cocycles (_keyed),
-then reduces e2 - e1 once per factor against _coboundary_lattice, built
-for witnesses only, and reads a witness t off its tail, Hom(g2, Z/d),
-checked at the columns alone when e1 and e2 are cocycles, as psi_t * e1
-and e2 are then normalized cocycles, fixed by their columns.  A
-Cocycle2 memoizes its class keys by (pull, images) (_keys),
+then solves e2 - e1 on the same tree and U (_witness, _hom_solver) for a
+witness t, checked at the columns alone when e1 and e2 are cocycles, as
+psi_t * e1 and e2 are then normalized cocycles, fixed by their columns.
+A Cocycle2 memoizes its pushed class keys by images (_keys),
 is_cocycle's (ok, witness), run at most once (_identity, read by
 build_extension), and isotest's carrier and search states as a target
 (_memo).  One greedy, _least_values, picks the lex-least witnesses and
@@ -30,8 +29,8 @@ representatives, over the pivots of Hom at the points or of B^2 at the
 pair slots, found in the n - 1 values of a map (_coboundary_pivots).
 Pair slots appear only in tables written out.  The identity system, the
 dense elimination, the pair-slot B^2 lattice, the coset passes they
-replaced, the Z^2 and B^2 generator tables, and the solver and keys
-that eliminated B^2 in generator columns are test oracles in
+replaced, the Z^2 and B^2 generator tables, and the solver, keys and
+witnesses that eliminated B^2 in generator columns are test oracles in
 tests/oracles.py.
 """
 
@@ -257,17 +256,21 @@ def _witness(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
     """are_cohomologous from v1, v2, the values of e1, e2 at the generator
     columns, g1 abelian, for callers that have matched the class keys.
     At the columns alone, v1 = v2 makes the witnesses Hom, least at 0.
-    Per factor d, reducing [b | 0], b = v2 - v1 at the columns, against
-    _coboundary_lattice(g2, d) takes off some [psi_c | c] and leaves
-    [b - psi_c | -c], whose head vanishes exactly when b lies in B^2 in
-    columns (always, for cocycles with equal keys); then x0 = -tail has
-    psi_x0 = b at the columns.  The witnesses form x0 + Hom(g2, Z/d), so
-    one walk of _least_values over the pivots of Hom gives the least
-    image array (t(1), ..., t(n-1)) whichever x0 was found, built
-    unchecked (0, then element indices of g1), and one scan checks
-    psi_t * e1 = e2, on the tables when given, else at the columns.
-    Only a failed scan rescans, with x0: as t - x0 lies in Hom, psi_t =
-    psi_x0 unless the walk broke, so a passing x0 raises
+    Per factor d, b = v2 - v1 at the columns, tree-normalized as in the
+    key, leaves b - psi_t with chord values z (_tree_normalized).
+    Reducing [z | 0] against _hom_solver(g2, d) takes off some sum a_j
+    [u_j | e_j] and leaves [z - sum a_j u_j | -a], whose head vanishes
+    exactly when z lies in U (Howell), that is when b lies in B^2 in
+    columns (_class_key), always for cocycles with equal keys.  Then z is
+    the restriction to R of phi: F -> Z/d, phi(s_j) = a_j, and tau(y) =
+    phi(t_y) (_hom_values) has psi_tau(y, s) = phi(t_y s t_ys^-1): z at
+    the chords, 0 at the tree columns; so x0 = t + tau has psi_x0 = b at
+    every column.  The witnesses form x0 + Hom(g2, Z/d), so one walk of
+    _least_values over the pivots of Hom gives the least image array
+    (t(1), ..., t(n-1)) whichever x0 was found, built unchecked, and one
+    scan checks psi_t * e1 = e2, on the tables when given, else at the
+    columns.  Only a failed scan rescans, with x0: as t - x0 lies in
+    Hom, psi_t = psi_x0 unless the walk broke, so a passing x0 raises
     ConditionsFailed.  A failing x0 means no witness: a witness w has
     psi_w = b at the columns, so b lies in B^2 there, psi_(w - x0)
     vanishes there, w - x0 is a homomorphism and x0 a witness too; so
@@ -278,9 +281,12 @@ def _witness(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
     walk = _witness_walk(g1, g2)
     pres, columns = walk[0], _generator_columns(g2)
     b = [pres.coords[mul[y][inv[x]]] for x, y in zip(v1, v2)]
-    solutions = [[-y % d for y in _coboundary_lattice(g2, d).reduce(
-        [c[ci] for c in b] + [0] * (n2 - 1))[len(columns):]]
-        for ci, d in enumerate(pres.invariant_factors)]
+    solutions = []
+    for ci, d in enumerate(pres.invariant_factors):
+        t, z = _tree_normalized(n2, _free_homs(g2, d), [c[ci] for c in b])
+        red = _hom_solver(g2, d)[0].reduce(z + [0] * len(g2.generators))
+        solutions.append([(x - y) % d for x, y in zip(
+            t, _hom_values(g2, red[len(z):]))][1:])
 
     def fails(im):
         if tables is None:
@@ -302,51 +308,6 @@ def _generator_columns(g2: FiniteGroup):
     """The pairs (x, s), x != 1 and s in g2.generators, x-major: the
     k(n-1) generator columns, which fix a cocycle (_expand)."""
     return tuple((x, s) for x in range(1, g2.order) for s in g2.generators)
-
-
-def _unit_coboundary(g2: FiniteGroup, w: int, lasts):
-    """psi_w(h, g) = [g = w] - [hg = w] + [h = w], the coboundary of the
-    map sending w to 1 and the rest to 0, as a sparse row {slot index:
-    value}: the three sets meet only at (w, w), where psi_w is 2 (hg = w
-    forces h, g != w).  The slots (h, g), h != 1 and g = lasts[j], sit at
-    (h - 1) len(lasts) + j: the pair slots for lasts = range(1, n), the
-    generator columns for g2.generators."""
-    m, n2 = len(lasts), g2.order
-    row = dict.fromkeys(range((w - 1) * m, w * m), 1)
-    for j, g in enumerate(lasts):
-        if g == w:
-            row.update(dict.fromkeys(range(j, (n2 - 1) * m, m), 1))
-            row[(w - 1) * m + j] = 2
-        else:
-            row[(g2.table[w][g2.inverses[g]] - 1) * m + j] = -1
-    return row
-
-
-@lru_cache(maxsize=None)
-def _coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
-    """The coboundaries mod d in generator columns: the echelon form of
-    one row [psi_w | e_w] per unit map w != 1, with the head psi_w at
-    the generator columns and the tail e_w over the nonidentity points.
-    Its vectors are [psi_c | c] up to multiples of d, so its rows with
-    their pivot in the columns span B^2 in columns, which is B^2 as a
-    cocycle is fixed by its generator columns; and by Howell's property
-    its tail spans the c with psi_c zero on the columns, hence
-    everywhere: Hom(g2, Z/d).  Only the coboundary witnesses read it
-    (_witness, _hom_pivots); spaces and class keys work mod U instead.
-    """
-    n2, k, gens = g2.order, len(_generator_columns(g2)), g2.generators
-    return IntLattice(k + n2 - 1, d, ({**_unit_coboundary(g2, w, gens),
-                                      k + w - 1: 1} for w in range(1, n2)))
-
-
-@lru_cache(maxsize=None)
-def _hom_pivots(g2: FiniteGroup, d: int):
-    """The pivots {x - 1: (g, tau)} of Hom(g2, Z/d), the tail of
-    _coboundary_lattice(g2, d) in Howell form, read once: tau is the
-    homomorphism of the pivot row at point x, as a list over g2, zero
-    before x and g at x."""
-    hom = _coboundary_lattice(g2, d).tail(len(_generator_columns(g2)))
-    return {i: (hom.pivot(i), [0, *hom.dense_row(i)]) for i in hom.pivot_rows}
 
 
 @lru_cache(maxsize=None)
@@ -389,21 +350,29 @@ def _class_key(g1: FiniteGroup, g2: FiniteGroup):
 
     def push(table, sigma, rho=tuple(range(g2.order))):
         key = []
-        for (steps, ends, u), x in zip(frees, zip(*[
+        for free, x in zip(frees, zip(*[
                 coords[v] for v in values(table, sigma, rho)])):
-            t = [0] * g2.order
-            for y, c, ys in steps:
-                t[ys] = t[y] - x[c]
-            key += u.reduce([x[c] - t[y] + t[ys] for c, y, ys in ends])
+            key += free[2].reduce(_tree_normalized(g2.order, free, x)[1])
         return tuple(key)
     return push, lambda table, rho: push(table, range(g1.order), rho)
 
 
-def _keyed(e: Cocycle2, images=None, pull=False):
-    """The class key (_class_key) of e, of sigma . e for images = sigma,
-    or with pull of e . (rho x rho) for images = rho; memoized on e."""
-    if (key := e._keys.get((pull, images))) is None:
-        key = e._keys[pull, images] = _class_key(e.g1, e.g2)[pull](
+def _tree_normalized(n2: int, free, x):
+    """(t, z) for column values x and free = _free_homs(g2, d): t, over
+    g2, is _class_key's tree normalization of x, and z the chord values
+    of x - psi_t.  The witnesses start here too (_witness)."""
+    steps, ends = free[:2]
+    t = [0] * n2
+    for y, c, ys in steps:
+        t[ys] = t[y] - x[c]
+    return t, [x[c] - t[y] + t[ys] for c, y, ys in ends]
+
+
+def _keyed(e: Cocycle2, images=None):
+    """The class key (_class_key) of e, or of sigma . e for images =
+    sigma; memoized on e."""
+    if (key := e._keys.get(images)) is None:
+        key = e._keys[images] = _class_key(e.g1, e.g2)[0](
             e.table, range(e.g1.order) if images is None else images)
     return key
 
@@ -543,20 +512,48 @@ def _free_homs(g2: FiniteGroup, d: int):
     the root, in order, and ends the chords (column, y, ys).  The hom
     phi with phi(s_j) = a_j takes r_{y,s} = t_y s t_{ys}^-1 to sum_j a_j
     (w_j(t_y) + [s = s_j] - w_j(t_{ys})), with w_j counting the letter
-    s_j in a tree word; so U is spanned by one row per generator s_j,
-    that bracket at each chord (y, s)."""
+    s_j in a tree word (_hom_values at the unit e_j); so U is spanned by
+    one row per generator s_j, that bracket at each chord (y, s).  These
+    rows come last, sparse over the chords, for _hom_solver."""
     tree, chords, _ = _hopf_system(g2)
     k, mul, gens = len(g2.generators), g2.table, g2.generators
     ends = [(c, c // k + 1, mul[c // k + 1][gens[c % k]]) for c in chords]
-    words = [[0] * k for _ in range(g2.order)]
-    for y, i, ys in tree:
-        words[ys] = words[y].copy()
-        words[ys][i] += 1
-    free = IntLattice(len(chords), d, (
-        {u: x for u, (c, y, ys) in enumerate(ends)
-         if (x := words[y][j] + (c % k == j) - words[ys][j])}
-        for j in range(k)))
-    return [(y, (y - 1) * k + i, ys) for y, i, ys in tree if y], ends, free
+    words = [_hom_values(g2, [int(i == j) for i in range(k)])
+             for j in range(k)]
+    rows = [{u: x for u, (c, y, ys) in enumerate(ends)
+             if (x := w[y] + (c % k == j) - w[ys])}
+            for j, w in enumerate(words)]
+    return ([(y, (y - 1) * k + i, ys) for y, i, ys in tree if y], ends,
+            IntLattice(len(chords), d, rows), rows)
+
+
+def _hom_values(g2: FiniteGroup, a):
+    """phi(t_y) = sum_j a_j w_j(t_y) at each y of g2, for the hom phi: F ->
+    Z with phi(s_j) = a_j, summed down _hopf_system's tree."""
+    tau = [0] * g2.order
+    for y, i, ys in _hopf_system(g2)[0]:
+        tau[ys] = tau[y] + a[i]
+    return tau
+
+
+@lru_cache(maxsize=None)
+def _hom_solver(g2: FiniteGroup, d: int):
+    """The echelon form mod d of the rows [u_j | e_j], u_j the row of U
+    for generator s_j (_free_homs), and the pivots {x - 1: (g, tau)} of
+    Hom(g2, Z/d) at the points.  Its vectors are [sum a_j u_j | a], so
+    by Howell's property its tail spans the a with sum a_j u_j = 0, the
+    phi(s_j) = a_j that vanish on R: Hom(g2, Z/d).  Mapped to the points
+    (_hom_values), their echelon form gives tau, the pivot row at x over
+    g2, zero before x and g at x.  Built on a witness's first use."""
+    _, ends, _, rows = _free_homs(g2, d)
+    m = len(ends)
+    solver = IntLattice(m + len(rows), d, (
+        {**u, m + j: 1} for j, u in enumerate(rows)))
+    tail = solver.tail(m)
+    homs = IntLattice(g2.order - 1, d, (_hom_values(g2, tail.dense_row(p))[1:]
+                                        for p in tail.pivot_rows))
+    return solver, {i: (homs.pivot(i), [0, *homs.dense_row(i)])
+                    for i in homs.pivot_rows}
 
 
 class _Coordinate(Record):
@@ -697,7 +694,7 @@ def _witness_walk(g1: FiniteGroup, g2: FiniteGroup):
     """The witness walk: the points x as slots (x, 1, 1), Hom's pivots."""
     pres = abelian_invariants(g1)
     return _walk(pres, g2.order, [(x, 0, 0) for x in range(1, g2.order)],
-                 [_hom_pivots(g2, d) for d in pres.invariant_factors])
+                 [_hom_solver(g2, d)[1] for d in pres.invariant_factors])
 
 
 def _least_values(walk, vecs):
@@ -707,7 +704,7 @@ def _least_values(walk, vecs):
     values v and pivots[f] the pivots {slot i: (g_i, tau_i)} of the
     lattice of the t, each tau_i zero before slot i and g_i there (a
     pair slot of B^2, from _coboundary_pivots, or a point x of Hom, from
-    _hom_pivots, read as (x, 1, 1)).  In a Howell basis the members that
+    _hom_solver, read as (x, 1, 1)).  In a Howell basis the members that
     agree before slot i take cur + <g_i> there, the freedom left lying
     in the tau below; so each pivot slot, in order, takes its least
     admissible element index (0 if admissible), fixed by t += q tau_i,

@@ -811,12 +811,14 @@ def _automorphisms(g: FiniteGroup, limits: SearchLimits) -> tuple[GroupMap, ...]
 def _automorphism_generators(g: FiniteGroup, limits: SearchLimits):
     """Image arrays generating Aut(g), greedy in enumeration order: each
     automorphism outside the group the earlier picks generate is picked,
-    and at least doubles it, so there are at most log2 |Aut(g)| picks."""
+    and at least doubles it, so there are at most log2 |Aut(g)| picks.
+    As the old closure H is closed, the walk starts at the new coset Ha."""
     gens, closure = [], {tuple(range(g.order))}
     for a in _automorphisms(g, limits):
         if a.images not in closure:
             gens.append(a.images)
-            queue = list(closure)
+            queue = [tuple([x[i] for i in a.images]) for x in closure]
+            closure.update(queue)
             for x in queue:
                 new = {tuple([x[i] for i in s]) for s in gens} - closure
                 closure |= new

@@ -56,9 +56,6 @@ class IntMatrix(Record):
         return IntMatrix(rows=n, cols=n, data=tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def to_lists(self):
-        return [list(row) for row in self.data]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(rows=self.cols, cols=self.rows,
                          data=tuple(zip(*self.data)) or ((),) * self.cols)

@@ -28,7 +28,7 @@ homomorphism of the certificate's kind.  A harness cross-validates each
 criterion against brute-force isomorphism search on a small catalog.
 """
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import (
     ConditionsFailed,
@@ -287,15 +287,16 @@ def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     are equal exactly for cohomologous cocycles; so it must hit, and a
     miss raises ConditionsFailed, as does a hit with no witness at the
     generator columns (the column witness of the module docstring).
-    Keys are memoized on cocycles (_keyed).
+    Pushed keys are memoized (_keyed); the pulled ones are not kept.
     """
     src, tgt = _extension_pair(e1, e2)
     g1, g2 = src.g1, src.g2
     label = _orbit_label(g1, g2, limits)
     if label(src.cocycle) != label(tgt.cocycle):
         return None
+    pull = _class_key(g1, g2)[1]
     hit = _automorphism_pair_search("upper", _keyed,
-                                    partial(_keyed, pull=True),
+                                    lambda e, r: pull(e.table, r),
                                     src.cocycle, tgt.cocycle, limits)
     if hit is None:
         raise ConditionsFailed("no automorphism pair within one orbit")

@@ -16,7 +16,6 @@ from centext.cocycles import (
     Cocycle2,
     CocycleSpace,
     _class_key,
-    _coboundary_lattice,
     _coboundary_pivots,
     _coboundary_table,
     _column_values,
@@ -30,7 +29,6 @@ from centext.cocycles import (
     _solve_coordinate,
     _table_from_values,
     _walk,
-    _unit_coboundary,
     are_cohomologous,
     cocycle_inv,
     is_cocycle,
@@ -69,6 +67,7 @@ from centext.groups import (
     conjugacy_classes,
     enumerate_automorphisms,
     enumerate_isomorphisms,
+    trivial_map,
     validate_group,
 )
 from centext.intlinalg import (
@@ -103,6 +102,11 @@ def group_from_elements_by_products(elems, op,
     return validate_group(table, name=name)
 
 
+def to_lists(a: IntMatrix):
+    """The earlier IntMatrix.to_lists: the rows of a as fresh lists."""
+    return [list(row) for row in a.data]
+
+
 def determinant(a: IntMatrix) -> int:
     """Bareiss fraction-free elimination; exact over Z."""
     if a.rows != a.cols:
@@ -110,7 +114,7 @@ def determinant(a: IntMatrix) -> int:
     n = a.rows
     if n == 0:
         return 1
-    m = a.to_lists()
+    m = to_lists(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -142,9 +146,9 @@ def smith_normal_form_by_three_matrices(a: IntMatrix) -> SNFResult:
     returning.
     """
     nr, nc = a.rows, a.cols
-    s = a.to_lists()
-    u = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
+    s = to_lists(a)
+    u = to_lists(IntMatrix.identity(nr))
+    v = to_lists(IntMatrix.identity(nc))
 
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
@@ -663,12 +667,88 @@ def least_in_coset_by_slot(lattices, vecs, element_of, nslots):
     return values
 
 
+def unit_coboundary(g2: FiniteGroup, w: int, lasts):
+    """The earlier cocycles._unit_coboundary:
+    psi_w(h, g) = [g = w] - [hg = w] + [h = w], the coboundary of the map
+    sending w to 1 and the rest to 0, as a sparse row {slot index:
+    value}: the three sets meet only at (w, w), where psi_w is 2 (hg = w
+    forces h, g != w).  The slots (h, g), h != 1 and g = lasts[j], sit at
+    (h - 1) len(lasts) + j: the pair slots for lasts = range(1, n), the
+    generator columns for g2.generators."""
+    m, n2 = len(lasts), g2.order
+    row = dict.fromkeys(range((w - 1) * m, w * m), 1)
+    for j, g in enumerate(lasts):
+        if g == w:
+            row.update(dict.fromkeys(range(j, (n2 - 1) * m, m), 1))
+            row[(w - 1) * m + j] = 2
+        else:
+            row[(g2.table[w][g2.inverses[g]] - 1) * m + j] = -1
+    return row
+
+
+@lru_cache(maxsize=None)
+def coboundary_lattice(g2: FiniteGroup, d: int) -> IntLattice:
+    """The earlier cocycles._coboundary_lattice, the coboundaries mod d in
+    generator columns: the echelon form of one row [psi_w | e_w] per
+    unit map w != 1, with the head psi_w at the generator columns and
+    the tail e_w over the nonidentity points.  Its vectors are [psi_c |
+    c] up to multiples of d, so its rows with their pivot in the columns
+    span B^2 in columns, and by Howell's property its tail spans the c
+    with psi_c zero on the columns, hence everywhere: Hom(g2, Z/d)."""
+    n2, k, gens = g2.order, len(_generator_columns(g2)), g2.generators
+    return IntLattice(k + n2 - 1, d, ({**unit_coboundary(g2, w, gens),
+                                      k + w - 1: 1} for w in range(1, n2)))
+
+
+@lru_cache(maxsize=None)
+def hom_pivots_by_b2(g2: FiniteGroup, d: int):
+    """The earlier cocycles._hom_pivots: the pivots {x - 1: (g, tau)} of
+    Hom(g2, Z/d), the tail of coboundary_lattice(g2, d) in Howell form:
+    tau is the homomorphism of the pivot row at point x, as a list over
+    g2, zero before x and g at x."""
+    hom = coboundary_lattice(g2, d).tail(len(_generator_columns(g2)))
+    return {i: (hom.pivot(i), [0, *hom.dense_row(i)]) for i in hom.pivot_rows}
+
+
+def witness_by_b2(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
+    """The earlier cocycles._witness, on the coboundary lattice: per factor
+    d, [b | 0], b = v2 - v1 at the generator columns, reduced against
+    coboundary_lattice(g2, d) leaves [b - psi_c | -c], and x0 = -tail
+    has psi_x0 = b at the columns when the head vanishes.  The lex-least
+    member of x0 + Hom (hom_pivots_by_b2), checked as psi_t * e1 = e2 on
+    the tables when given, else at the columns; None when x0 fails."""
+    if tables is None and v1 == v2:
+        return CoboundaryWitness(t=trivial_map(g2, g1))
+    n2, mul, inv, mul2 = g2.order, g1.table, g1.inverses, g2.table
+    pres, columns = abelian_invariants(g1), _generator_columns(g2)
+    walk = _walk(pres, n2, [(x, 0, 0) for x in range(1, n2)],
+                 [hom_pivots_by_b2(g2, d) for d in pres.invariant_factors])
+    b = [pres.coords[mul[y][inv[x]]] for x, y in zip(v1, v2)]
+    solutions = [[-y % d for y in coboundary_lattice(g2, d).reduce(
+        [c[ci] for c in b] + [0] * (n2 - 1))[len(columns):]]
+        for ci, d in enumerate(pres.invariant_factors)]
+
+    def fails(im):
+        if tables is None:
+            return any(mul[mul[mul[im[s]][inv[im[mul2[x][s]]]]][im[x]]][a] != c
+                       for (x, s), a, c in zip(columns, v1, v2))
+        return any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][a] != c
+                   for row, r1, r2, th in zip(mul2, *tables, im)
+                   for g, hg, a, c in zip(range(n2), row, r1, r2))
+    im = (0, *_least_values(walk, solutions))
+    if fails(im):
+        if fails((0, *map(pres.element_of, zip(*solutions)))):
+            return None
+        raise ConditionsFailed("the solved map is not a coboundary witness")
+    return CoboundaryWitness(t=GroupMap(dom=g2, cod=g1, images=im))
+
+
 def pair_slot_b2(g2: FiniteGroup, d: int) -> IntLattice:
     """B^2 mod d over the nonidentity pair slots (h, g), row-major: the
     lattice of the unit coboundaries, as the earlier
     cocycles.compute_cocycle_space built it for every call."""
     n2 = g2.order
-    return IntLattice((n2 - 1) ** 2, d, (_unit_coboundary(g2, w, range(1, n2))
+    return IntLattice((n2 - 1) ** 2, d, (unit_coboundary(g2, w, range(1, n2))
                                          for w in range(1, n2)))
 
 
@@ -842,7 +922,7 @@ def are_cohomologous_by_reduction(e1: Cocycle2, e2: Cocycle2):
     columns = _generator_columns(g2)
     solutions = []
     for ci, d in enumerate(pres.invariant_factors):
-        red = _coboundary_lattice(g2, d).reduce(
+        red = coboundary_lattice(g2, d).reduce(
             [diff[x][s][ci] for x, s in columns] + [0] * (n2 - 1))
         if any(red[:len(columns)]):
             return None
@@ -851,7 +931,7 @@ def are_cohomologous_by_reduction(e1: Cocycle2, e2: Cocycle2):
                for h in range(1, n2) for g, hg in enumerate(g2.table[h])):
             return None
         solutions.append(x0[1:])
-    images = least_in_coset([_coboundary_lattice(g2, d).tail(len(columns))
+    images = least_in_coset([coboundary_lattice(g2, d).tail(len(columns))
                              for d in pres.invariant_factors],
                             solutions, pres.element_of)
     t = GroupMap(dom=g2, cod=g1, images=(0, *images))
@@ -909,7 +989,7 @@ class B2Coordinate(Record):
 @lru_cache(maxsize=None)
 def solve_coordinate_by_b2(g2: FiniteGroup, d: int) -> B2Coordinate:
     """The earlier cocycles._solve_coordinate: Z^2 in generator columns
-    as one lattice, B^2's head rows (_coboundary_lattice) then Hopf's
+    as one lattice, B^2's head rows (coboundary_lattice) then Hopf's
     kernel placed at the chord columns; H^2 = Z^2 / B^2 from the
     relations among the Z^2 rows mod B^2, and the class box over their
     residues."""
@@ -917,7 +997,7 @@ def solve_coordinate_by_b2(g2: FiniteGroup, d: int) -> B2Coordinate:
     _, chords, equations = _hopf_system(g2)
     kept, columns = _row_space(equations, len(chords), d)
     kernel = columns.tail(len(kept))
-    b = lattice_head(_coboundary_lattice(g2, d), ncols)
+    b = lattice_head(coboundary_lattice(g2, d), ncols)
     z2 = IntLattice(ncols, d, [b.pivot_rows[p] for p in sorted(b.pivot_rows)]
                     + [{chords[u]: c for u, c in kernel.pivot_rows[p].items()}
                        for p in sorted(kernel.pivot_rows)])
@@ -975,7 +1055,7 @@ def class_key_mod_b2(g1: FiniteGroup, g2: FiniteGroup):
     their columns differ by B^2 in columns."""
     coords = abelian_invariants(g1).coords
     values = _column_values(g1, g2)
-    heads = [lattice_head(_coboundary_lattice(g2, d),
+    heads = [lattice_head(coboundary_lattice(g2, d),
                           len(_generator_columns(g2)))
              for d in abelian_invariants(g1).invariant_factors]
 
@@ -997,7 +1077,7 @@ def b2_generators(space: CocycleSpace) -> tuple[Cocycle2, ...]:
     """The earlier CocycleSpace.b2_generators: the coboundary of each map
     sending one point w to a coordinate unit and the rest to 0."""
     n2 = space.g2.order
-    units = [_unit_coboundary(space.g2, w, range(1, n2))
+    units = [unit_coboundary(space.g2, w, range(1, n2))
              for w in range(1, n2)]
     return _coordinate_tables(space.g1, space.g2, lambda d: (
         [psi.get(i, 0) % d for i in range((n2 - 1) ** 2)]

@@ -39,7 +39,6 @@ import centext
 from centext import cocycles
 from centext.cli import main
 from centext.cocycles import (
-    _coboundary_lattice,
     _coboundary_pivots,
     _expand,
     _generator_columns,
@@ -48,7 +47,6 @@ from centext.cocycles import (
     _merge_invariant_factors,
     _row_space,
     _solve_coordinate,
-    _unit_coboundary,
 )
 from centext.errors import (
     ConditionsFailed,
@@ -86,6 +84,7 @@ from centext.isotest import upper_isomorphic
 from oracles import (
     are_cohomologous_by_reduction,
     b2_generators,
+    coboundary_lattice,
     cocycle2_error,
     cocycle_columns,
     cocycle_compose_checks,
@@ -95,6 +94,7 @@ from oracles import (
     pair_slot_b2,
     pair_slot_representatives,
     solve_coordinate_by_b2,
+    unit_coboundary,
     z2_generators,
 )
 
@@ -922,7 +922,7 @@ ORACLE_CASES = ([(name, d) for name in SMALL_QUOTIENTS for d in (2, 3, 4, 6)]
 def checked_witness_walk(monkeypatch, g2):
     """Route the witness walks of cocycles._least_values over g2, those
     at the points (x, 1, 1), through a check against the slot-by-slot
-    pass over the tail of _coboundary_lattice; returns the list of
+    pass over the tail of oracles.coboundary_lattice; returns the list of
     checked calls."""
     calls, k = [], len(_generator_columns(g2))
 
@@ -930,7 +930,7 @@ def checked_witness_walk(monkeypatch, g2):
         got = _least_values(walk, vecs)
         pres, n2, slots = walk[:3]
         if slots == [(x, 0, 0) for x in range(1, n2)]:
-            lattices = [_coboundary_lattice(g2, d).tail(k)
+            lattices = [coboundary_lattice(g2, d).tail(k)
                         for d in pres.invariant_factors]
             assert got == least_in_coset_by_slot(
                 lattices, vecs, pres.element_of, n2 - 1)
@@ -1057,10 +1057,10 @@ class TestUnitCoboundaryOracle:
         pair_columns = coboundary_matrix(g2).transpose().data
         generator_slots = _generator_columns(g2)
         for w in range(1, n2):
-            row = _unit_coboundary(g2, w, range(1, n2))
+            row = unit_coboundary(g2, w, range(1, n2))
             assert [row.get(i, 0) for i in range((n2 - 1) ** 2)] == list(
                 pair_columns[w - 1])
-            assert _unit_coboundary(g2, w, g2.generators) == {
+            assert unit_coboundary(g2, w, g2.generators) == {
                 i: v for i, (h, g) in enumerate(generator_slots)
                 if (v := (g == w) - (g2.table[h][g] == w) + (h == w))}
 

@@ -10,7 +10,6 @@ import os
 import random
 import subprocess
 import sys
-from functools import partial
 
 import pytest
 
@@ -19,6 +18,7 @@ from centext import cocycles, isotest
 from centext.catalog import catalog_names, get_group
 from centext.cocycles import (
     Cocycle2,
+    _class_key,
     _column_values,
     _keyed,
     _least_values,
@@ -114,7 +114,8 @@ def search_calls(pair):
     """Per kind, the push and pull of the pair search, as the deciders
     call it."""
     values = _column_values(*map(get_group, pair))
-    return {"upper": (_keyed, partial(_keyed, pull=True)),
+    pull = _class_key(*map(get_group, pair))[1]
+    return {"upper": (_keyed, lambda e, r: pull(e.table, r)),
             "lower": (lambda e, s: values(e.table, s),
                       lambda e, r: values(e.table, rho=r))}
 

@@ -1,27 +1,40 @@
 """H^2 as K / U by Hopf's formula, and the class keys read mod U, against
 the earlier path kept in oracles.py, which eliminated B^2 in generator
 columns: the factors, orders and representatives of every space, the
-key-equality relation under pushes, pulls and coboundary shifts, and
-spaces and keys built with no coboundary lattice at all."""
+key-equality relation under pushes, pulls and coboundary shifts,
+spaces and keys built with no witness solver, witnesses built with no
+coboundary lattice, and every witness equal to the one the coboundary
+lattice gave."""
 
+import itertools
 import random
 
 import pytest
 
 from centext import cocycles
-from centext.catalog import get_group
+from centext.catalog import catalog_names, get_group
 from centext.cocycles import (
     Cocycle2,
     _class_key,
+    _column_values,
     _keyed,
     _solve_coordinate,
+    _table_from_values,
+    _witness,
     apply_coboundary,
+    are_cohomologous,
     compute_cocycle_space,
 )
 from centext.groups import GroupMap, enumerate_automorphisms
 from centext.intlinalg import abelian_invariants
-from oracles import class_key_mod_b2, solve_coordinate_by_b2, space_by_b2
-from test_decider_memos import LABEL_PAIRS as PAIRS
+import oracles
+from oracles import (
+    class_key_mod_b2,
+    solve_coordinate_by_b2,
+    space_by_b2,
+    witness_by_b2,
+)
+from test_decider_memos import LABEL_PAIRS as PAIRS, h2_order
 
 
 def test_pairs_take_the_larger_quotients():
@@ -97,29 +110,54 @@ def test_keys_of_shifted_tables_that_are_no_cocycles_agree(pair):
 
 
 CACHED = ("compute_cocycle_space", "_solve_coordinate", "_class_key",
-          "_free_homs", "_coboundary_pivots")
+          "_free_homs", "_coboundary_pivots", "_hom_solver", "_witness_walk")
 
 
 def test_spaces_and_keys_need_no_coboundary_lattice(monkeypatch):
-    def refused(g2, d):
-        raise RuntimeError("the coboundary lattice was built")
+    # spaces and keys never build the witness solver, and witnesses
+    # never build the coboundary lattice that oracles.py keeps
+    def refused(name):
+        def build(g2, d):
+            raise RuntimeError(f"{name} was built")
+        return build
     for name in CACHED:
         getattr(cocycles, name).cache_clear()
-    monkeypatch.setattr(cocycles, "_coboundary_lattice", refused)
+    oracles.coboundary_lattice.cache_clear()
     try:
+        with monkeypatch.context() as patch:
+            patch.setattr(cocycles, "_hom_solver", refused("the solver"))
+            for pair in PAIRS:
+                g1, g2 = map(get_group, pair)
+                rho = enumerate_automorphisms(g2)[-1].images
+                for rep in compute_cocycle_space(
+                        g1, g2).class_representatives:
+                    fresh = Cocycle2(g1=g1, g2=g2, table=rep.table)
+                    _keyed(fresh)
+                    _class_key(g1, g2)[1](fresh.table, rho)
+            with pytest.raises(RuntimeError, match="the solver"):
+                are_cohomologous(*[shifted(("Z2", "K4"))] * 2)
+        monkeypatch.setattr(oracles, "coboundary_lattice",
+                            refused("the lattice"))
         for pair in PAIRS:
-            g1, g2 = map(get_group, pair)
-            rho = enumerate_automorphisms(g2)[-1].images
-            for rep in compute_cocycle_space(g1, g2).class_representatives:
-                fresh = Cocycle2(g1=g1, g2=g2, table=rep.table)
-                _keyed(fresh)
-                _keyed(fresh, rho, pull=True)
-        # the witnesses still read it
-        with pytest.raises(RuntimeError, match="coboundary lattice"):
-            cocycles._hom_pivots.__wrapped__(get_group("K4"), 2)
+            e = shifted(pair)
+            assert are_cohomologous(e, shifted(pair, e)) is not None
+        with pytest.raises(RuntimeError, match="the lattice"):
+            oracles.witness_by_b2(*map(get_group, ("Z2", "K4")), (0,), (1,))
     finally:
         for name in CACHED:
             getattr(cocycles, name).cache_clear()
+
+
+def shifted(pair, e=None):
+    """The last class representative of the pair, or e, shifted by a
+    seeded normalized map."""
+    g1, g2 = map(get_group, pair)
+    if e is None:
+        e = compute_cocycle_space(g1, g2).class_representatives[-1]
+    rng = random.Random(":".join(pair))
+    t = GroupMap(dom=g2, cod=g1, images=(0, *(
+        rng.randrange(g1.order) for _ in range(g2.order - 1))))
+    return apply_coboundary(t, e)
 
 
 @pytest.mark.parametrize("pair", [("Z2", "K4"), ("Z4", "D4"), ("Z2", "A4")],
@@ -129,7 +167,7 @@ def test_a_wrong_free_hom_image_raises(pair, monkeypatch):
     # |H^2| |U| no longer matches |K|
     g1, g2 = map(get_group, pair)
     d = abelian_invariants(g1).invariant_factors[-1]
-    steps, ends, _ = cocycles._free_homs(g2, d)
+    steps, ends, *_ = cocycles._free_homs(g2, d)
     whole = cocycles.IntLattice(len(ends), d,
                                 [{j: 1} for j in range(len(ends))])
     cocycles._solve_coordinate.cache_clear()
@@ -141,3 +179,56 @@ def test_a_wrong_free_hom_image_raises(pair, monkeypatch):
             cocycles._solve_coordinate(g2, d)
     finally:
         cocycles._solve_coordinate.cache_clear()
+
+
+# every catalog pair with abelian kernel
+WITNESS_PAIRS = [(a, b) for a in catalog_names() for b in catalog_names()
+                 if get_group(a).is_abelian]
+
+
+def witness_cases(pair, rng):
+    """Seeded (e1, e2) tables over the pair: up to four class
+    representatives, each against its shift by a normalized map in both
+    directions, the shift against a copy changed at one slot (no cocycle)
+    in both directions, and the distinct representatives in order."""
+    g1, g2 = map(get_group, pair)
+    pres = abelian_invariants(g1)
+    if h2_order(g1, g2) <= 64:
+        reps = compute_cocycle_space(g1, g2).class_representatives
+        reps = [rep.table for rep in rng.sample(reps, min(len(reps), 4))]
+    else:   # one member of each of four seeded classes, not the least
+        reps = [_table_from_values(g2.order, map(pres.element_of, zip(*(
+            rng.choice(_solve_coordinate(g2, d).classes)
+            for d in pres.invariant_factors)))) for _ in range(4)]
+    cases = list(itertools.permutations(reps, 2))
+    for rep in reps:
+        t = GroupMap(dom=g2, cod=g1, images=(0, *(
+            rng.randrange(g1.order) for _ in range(g2.order - 1))))
+        shift = apply_coboundary(t, Cocycle2(g1=g1, g2=g2, table=rep)).table
+        cases += [(rep, shift), (shift, rep)]
+        if g1.order > 1 and g2.order > 1:
+            broken = [list(row) for row in shift]
+            h, g = (rng.randrange(1, g2.order) for _ in range(2))
+            broken[h][g] = (broken[h][g] + 1) % g1.order
+            broken = tuple(map(tuple, broken))
+            cases += [(shift, broken), (broken, shift)]
+    return cases
+
+
+@pytest.mark.parametrize("pair", WITNESS_PAIRS, ids=":".join)
+def test_witnesses_match_the_coboundary_lattice(pair):
+    # the witness solved on Hopf's free homs against the one the
+    # coboundary lattice gave, at the columns and on the tables
+    g1, g2 = map(get_group, pair)
+    values = _column_values(g1, g2)
+    outcomes = set()
+    for a, b in witness_cases(pair, random.Random(":".join(pair))):
+        for tables in (None, (a, b)):
+            args = (g1, g2, values(a), values(b), tables)
+            got, want = _witness(*args), witness_by_b2(*args)
+            assert (got and got.t.images) == (want and want.t.images)
+            outcomes.add(got is None)
+    # shifts come back; past order 2 a table changed at one slot is no
+    # cocycle, so it has no witness on the tables
+    assert False in outcomes
+    assert True in outcomes or g1.order == 1 or g2.order <= 2
