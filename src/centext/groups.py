@@ -314,13 +314,16 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
     error message carries the first witness found (row-major scan order).
 
     The first three axioms are screened with C-level passes over whole
-    rows and columns: every row has n entries, each of type int exactly
+    rows: every row has n entries, each of type int exactly
     (set(map(type, row)) <= {int}, which rejects bool), min and max in
-    range, row 0 and column 0 the identity, and len(set(...)) == n over
-    each row and each column of zip(*table).  A screen that passes proves
-    its axiom; only a failed one runs the entry-by-entry scan, which names
-    the first offender (an int subclass other than bool fails the type
-    screen but passes the scan).
+    range, row 0 and column 0 the identity, and len(set(row)) == n.  A
+    screen that passes proves its axiom; only a failed one runs the
+    entry-by-entry scan, which names the first offender (an int subclass
+    other than bool fails the type screen but passes the scan).  The
+    columns are screened the same way only when Light's test fails, just
+    before the associativity scan: identity at 0, Latin rows and
+    associativity make a monoid in which every x has a right inverse (0
+    is in row x), so a group, and a group's columns are Latin.
 
     Associativity is decided by Light's test (Clifford & Preston, The
     Algebraic Theory of Semigroups I, 1961, section 1.2).  The middles m
@@ -350,8 +353,7 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
     if tab[0] != identity or tuple(map(itemgetter(0), tab)) != identity:
         _check_identity(tab)
 
-    if not (all(len(set(row)) == n for row in tab)
-            and all(len(set(col)) == n for col in zip(*tab))):
+    if not all(len(set(row)) == n for row in tab):
         _check_latin(tab)
 
     group = FiniteGroup(order=n, table=tab, name=name)
@@ -359,6 +361,8 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
         # x*(s*y) for every y at once: row x read in the order of row s
         through_s = itemgetter(*tab[s])
         if any(tab[row[s]] != through_s(row) for row in tab):
+            if not all(len(set(col)) == n for col in zip(*tab)):
+                _check_latin(tab)
             _raise_first_nonassociative(tab)
     return group
 
@@ -809,12 +813,15 @@ def _automorphisms(g: FiniteGroup, limits: SearchLimits) -> tuple[GroupMap, ...]
 
 @lru_cache(maxsize=None)
 def _automorphism_generators(g: FiniteGroup, limits: SearchLimits):
-    """Image arrays generating Aut(g), greedy in enumeration order: each
-    automorphism outside the group the earlier picks generate is picked,
-    and at least doubles it, so there are at most log2 |Aut(g)| picks.
-    As the old closure H is closed, the walk starts at the new coset Ha."""
+    """Image arrays generating Aut(g), greedy in reverse enumeration
+    order: each automorphism outside the group the earlier picks
+    generate is picked, and at least doubles it, so there are at most
+    log2 |Aut(g)| picks.  The lexicographic enumeration opens with maps
+    in small stabilizers, so from its end the picks are fewer (2, not 6,
+    on A6).  As the old closure H is closed, the walk starts at the new
+    coset Ha."""
     gens, closure = [], {tuple(range(g.order))}
-    for a in _automorphisms(g, limits):
+    for a in reversed(_automorphisms(g, limits)):
         if a.images not in closure:
             gens.append(a.images)
             queue = [tuple([x[i] for i in a.images]) for x in closure]

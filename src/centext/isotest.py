@@ -8,13 +8,17 @@ components it forces trivial, extensions.TRIVIAL_COMPONENTS, and one
 reader, extensions.trivial_components, tests it off the carrier image
 array: for the survey, and in the one carrier-isomorphism check
 (extensions._carrier_iso_failure) that materialize and the necessity
-extractors share.  The upper and lower searches key each automorphism
-once by its cocycle's generator columns, then look each sigma up among
-the rho, only for classes in one orbit of Aut(G1) x Aut(G2) acting on
-H^2 by c -> sigma . c . (rho x rho): upper isomorphism is being in one
-orbit, and a lower one puts both classes in one.  The generators of the two
-groups permute the finite set H^2, so the classes they reach from c,
-one orbit label per pair, are its whole orbit.  Labels, searches and
+extractors share.  The lower, g1 and g2 necessity statements are read
+by one path, _necessary, driven by a per-kind table of requirements
+(_NECESSITY); each certificate it extracts from a known map is rebuilt
+and compared with that map.  The upper and lower searches key each
+automorphism once by its cocycle's generator columns, then look each
+sigma up among the rho, only for classes in one orbit of Aut(G1) x
+Aut(G2) acting on H^2 by c -> sigma . c . (rho x rho): upper
+isomorphism is being in one orbit, and a lower one puts both classes
+in one.  The generators of the two groups permute the finite set
+H^2, so the classes they reach from c, one orbit label per pair, are
+its whole orbit.  Labels, searches and
 upper's witness t with sigma . e1 = psi_t * e2 . (rho x rho) read the
 generator columns only; for t both sides are normalized cocycles (the
 carriers' cocycles passed is_cocycle, sigma and rho are automorphisms),
@@ -29,6 +33,7 @@ criterion against brute-force isomorphism search on a small catalog.
 """
 
 from functools import lru_cache
+from itertools import chain
 
 from .errors import (
     ConditionsFailed,
@@ -116,38 +121,12 @@ def _extension_pair(e1, e2):
     return src, tgt
 
 
-def _first_failure(m: HomMatrix) -> str | None:
-    """The reason of the first component condition failing on m."""
-    return next((reason for _, reason, _ in hom_condition_failures(m)),
-                None)
-
-
 def _falsified(g2) -> type:
     """The error for a failed condition of a necessity statement that
     rests on the quotient hypothesis: ConditionsFailed when
     sim_is_trivial(g2) holds, since the failure falsifies the
     statement, else HypothesisNotVerified."""
     return ConditionsFailed if sim_is_trivial(g2) else HypothesisNotVerified
-
-
-def _carrier_iso_of_kind(e1, e2, phi: GroupMap, kind: str, error: type):
-    """The two extensions and phi's component matrix, or error with the
-    message of _carrier_iso_failure when phi fails a fact of the kind."""
-    src, tgt = _extension_pair(e1, e2)
-    failure = _carrier_iso_failure(src, tgt, phi, kind)
-    if failure is not None:
-        raise error(failure)
-    return src, tgt, decompose_hom(src, tgt, phi)
-
-
-def _require(m: HomMatrix, *own, error=ConditionsFailed):
-    """Raise error naming the first failing component condition on m,
-    else the first of the (holds, reason) pairs in own that does not
-    hold."""
-    reason = _first_failure(m) or next(
-        (reason for holds, reason in own if not holds), None)
-    if reason is not None:
-        raise error(reason)
 
 
 class IsoCertificate(Record):
@@ -213,6 +192,76 @@ class IsoCertificate(Record):
             "t": None if self.t_witness is None else list(
                 self.t_witness.t.images),
         }
+
+
+# ---------------------------------------------------------------------------
+# necessity statements: the lower, g1 and g2 kinds
+
+
+# per kind: the error for a map not of the kind; the error for a failed
+# requirement, given the quotient (_falsified where the statement rests
+# on the quotient hypothesis); whether the kind's own requirements are
+# read before the component conditions; and those requirements on the
+# component matrix m, as (holds, reason) pairs in the order read
+_NECESSITY = {
+    "lower": (NotLowerIso, _falsified, True, lambda m: (
+        (m.phi22.is_bijective(), "rho_not_automorphism"),
+        (m.phi11.is_bijective(), "sigma_not_automorphism"))),
+    "g1": (NotG1Iso, _falsified, False, lambda m: (
+        (len(set(m.phi21.images)) == m.source.g1.order,
+         "delta is not injective"),
+        (set(m.phi12.images) == set(range(m.source.g1.order)),
+         "eta is not surjective"),
+        (m.source.cocycle.is_trivial(), "source cocycle did not vanish"))),
+    "g2": (NotG2Iso, lambda g2: ConditionsFailed, False, lambda m: (
+        (len(set(m.phi12.images)) == m.source.g2.order,
+         "eta is not injective"),
+        (set(m.phi21.images) == set(range(m.source.g2.order)),
+         "delta is not surjective"))),
+}
+
+
+def _necessary(kind, src, tgt, m: HomMatrix,
+               phi: GroupMap | None = None) -> IsoCertificate:
+    """The certificate of the kind read off m, the component matrix of a
+    carrier map of that kind, once every requirement of _NECESSITY[kind]
+    and every component condition holds on m; else the kind's error
+    naming the first that fails.  The certificate carries the components
+    TRIVIAL_COMPONENTS[kind] leaves free, and those it forces are
+    trivial on m, so its components() is m itself.
+
+    Where phi, the map m was read from, is given, the certificate's map
+    reconstruct_hom(m) is compared with phi's image array.  When they
+    are equal, no fact that _carrier_iso_failure tests can fail: phi is
+    a carrier isomorphism of the kind, checked by the caller or emitted
+    by the map search (which checks every step as a homomorphism, and is
+    injective between groups of equal order) and filtered by its
+    trivial components.  When they differ, materialize() runs in full."""
+    _, falsified, own_first, own = _NECESSITY[kind]
+    conditions = (reason for _, reason, _ in hom_condition_failures(m))
+    unmet = (reason for holds, reason in own(m) if not holds)
+    reason = next(chain(unmet, conditions) if own_first
+                  else chain(conditions, unmet), None)
+    if reason is not None:
+        raise falsified(src.g2)(reason)
+    cert = IsoCertificate(kind=kind, source=src, target=tgt, **{
+        field: getattr(m, c) for c, field in (
+            ("phi11", "sigma"), ("phi12", "eta"), ("phi21", "delta"),
+            ("phi22", "rho")) if c not in TRIVIAL_COMPONENTS[kind]})
+    if phi is not None and reconstruct_hom(m).images != phi.images:
+        cert.materialize()
+    return cert
+
+
+def _extracted(kind, e1, e2, phi: GroupMap) -> IsoCertificate:
+    """_necessary on phi's decomposition, once _carrier_iso_failure
+    finds phi a carrier isomorphism of the kind; else the kind's error
+    for a map not of it, with _carrier_iso_failure's message."""
+    src, tgt = _extension_pair(e1, e2)
+    failure = _carrier_iso_failure(src, tgt, phi, kind)
+    if failure is not None:
+        raise _NECESSITY[kind][0](failure)
+    return _necessary(kind, src, tgt, decompose_hom(src, tgt, phi), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +365,6 @@ def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
 # section-preserving ("lower") isomorphisms
 
 
-def _lower_problem(cert: IsoCertificate,
-                   m: HomMatrix | None = None) -> str | None:
-    """The first violated requirement of a section-preserving
-    certificate: sigma and rho bijective, then the component conditions
-    on m, which defaults to cert.components()."""
-    if cert.sigma is None or cert.rho is None or cert.delta is None:
-        raise PreconditionViolated(
-            "certificate is missing a component map")
-    if not cert.rho.is_bijective():
-        return "rho_not_automorphism"
-    if not cert.sigma.is_bijective():
-        return "sigma_not_automorphism"
-    return _first_failure(cert.components() if m is None else m)
-
-
 def lower_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     """Extract and verify the certificate that must exist behind any
     section-preserving isomorphism, a statement that rests on the
@@ -342,39 +376,7 @@ def lower_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     statement, and HypothesisNotVerified with the same message when the
     hypothesis fails.
     """
-    return _lower_necessary(
-        *_carrier_iso_of_kind(e1, e2, phi, "lower", NotLowerIso))
-
-
-def _lower_necessary(src, tgt, m: HomMatrix) -> IsoCertificate:
-    """The certificate read off m, the decomposition of a carrier map
-    of the lower kind, after _lower_problem.  Its phi12 is trivial, so
-    the certificate's components() is m itself, and the conditions are
-    read on m with no second HomMatrix built."""
-    cert = IsoCertificate(kind="lower", source=src, target=tgt,
-                          sigma=m.phi11, rho=m.phi22, delta=m.phi21)
-    problem = _lower_problem(cert, m)
-    if problem is not None:
-        raise _falsified(src.g2)(problem)
-    return cert
-
-
-def _lower_necessary_for(src, tgt, m: HomMatrix, phi: GroupMap):
-    """_lower_necessary on m = decompose_hom(src, tgt, phi), for phi a
-    carrier isomorphism of the lower kind that the map search emitted,
-    and the certificate's map checked as materialize() checks it.
-
-    The certificate rebuilds reconstruct_hom(m), compared here with
-    phi's image array.  When they are equal, no fact that
-    _carrier_iso_failure tests can fail: the search checked every step
-    of phi as a homomorphism; phi is bijective, as the search was
-    injective between groups of equal order; and its trivial components
-    hold TRIVIAL_COMPONENTS["lower"], which is why this runs.  When
-    they differ, materialize() runs in full."""
-    cert = _lower_necessary(src, tgt, m)
-    if reconstruct_hom(m).images != phi.images:
-        cert.materialize()
-    return cert
+    return _extracted("lower", e1, e2, phi)
 
 
 def lower_sufficient(cert: IsoCertificate) -> GroupMap:
@@ -384,9 +386,12 @@ def lower_sufficient(cert: IsoCertificate) -> GroupMap:
     Raises ConditionsFailed naming the first violated requirement."""
     if cert.kind != "lower":
         raise PreconditionViolated("certificate kind must be 'lower'")
-    problem = _lower_problem(cert)
-    if problem is not None:
-        raise ConditionsFailed(problem)
+    if cert.sigma is None or cert.rho is None or cert.delta is None:
+        raise PreconditionViolated("certificate is missing a component map")
+    try:
+        _necessary("lower", cert.source, cert.target, cert.components())
+    except HypothesisNotVerified as exc:
+        raise ConditionsFailed(str(exc)) from None
     return cert.materialize()
 
 
@@ -488,7 +493,8 @@ def build_purely_nonabelian_iso(sigma: GroupMap, eta: GroupMap,
 
     cert = IsoCertificate(kind="purely_nonabelian", source=src, target=tgt,
                           sigma=sigma, eta=eta, delta=delta, rho=rho)
-    reason = _first_failure(cert.components())
+    reason = next((reason for _, reason, _ in
+                   hom_condition_failures(cert.components())), None)
     if reason is not None:
         raise PreconditionViolated(reason)
     return cert.materialize()
@@ -505,16 +511,7 @@ def g2_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     No quotient hypothesis is needed here: with that component trivial,
     the splitting step that otherwise requires coboundary-triviality is
     immediate.  Verification failures raise ConditionsFailed."""
-    return _g2_necessary(*_carrier_iso_of_kind(e1, e2, phi, "g2", NotG2Iso))
-
-
-def _g2_necessary(src, tgt, m: HomMatrix) -> IsoCertificate:
-    n2 = src.g2.order
-    _require(m, (len(set(m.phi12.images)) == n2, "eta is not injective"),
-             (set(m.phi21.images) == set(range(n2)),
-              "delta is not surjective"))
-    return IsoCertificate(kind="g2", source=src, target=tgt, sigma=m.phi11,
-                          eta=m.phi12, delta=m.phi21)
+    return _extracted("g2", e1, e2, phi)
 
 
 def g2_isomorphic_equal_order(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
@@ -558,17 +555,7 @@ def g1_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
     the quotient coboundary-triviality hypothesis, so a failed condition
     raises ConditionsFailed when sim_is_trivial holds for the quotient
     and HypothesisNotVerified with the same message when it fails."""
-    return _g1_necessary(*_carrier_iso_of_kind(e1, e2, phi, "g1", NotG1Iso))
-
-
-def _g1_necessary(src, tgt, m: HomMatrix) -> IsoCertificate:
-    n1 = src.g1.order
-    _require(m, (len(set(m.phi21.images)) == n1, "delta is not injective"),
-             (set(m.phi12.images) == set(range(n1)), "eta is not surjective"),
-             (src.cocycle.is_trivial(), "source cocycle did not vanish"),
-             error=_falsified(src.g2))
-    return IsoCertificate(kind="g1", source=src, target=tgt, rho=m.phi22,
-                          eta=m.phi12, delta=m.phi21)
+    return _extracted("g1", e1, e2, phi)
 
 
 def g1g2_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
@@ -633,13 +620,14 @@ def verify_theorems(pairs=None, max_order: int = 16,
     hypothesis are flagged as discrepancies when violated; the
     hypothesis-dependent ones are flagged where sim_is_trivial says the
     hypothesis holds, and logged as observations elsewhere.  For the
-    necessity extractors this is read off the error: ConditionsFailed
-    is flagged, HypothesisNotVerified logged.  Each extractor gets the
-    isomorphism's decomposition, built once, and the isomorphism; the
-    lower one compares its certificate's rebuilt map with the
-    isomorphism and materializes in full only where they differ
-    (_lower_necessary_for).  The report is machine-readable and the
-    discrepancy list must come back empty.
+    necessity statements this is read off the error: ConditionsFailed
+    is flagged, HypothesisNotVerified logged.  Each isomorphism of the
+    lower, g2 or g1 kind goes through the one extraction path,
+    _necessary, with its decomposition, built once, and the isomorphism
+    itself, so every certificate's rebuilt map is compared with the
+    isomorphism and materialized in full only where they differ.  The
+    report is machine-readable and the discrepancy list must come back
+    empty.
     """
     from .catalog import get_group
     if pairs is None:
@@ -658,12 +646,6 @@ def verify_theorems(pairs=None, max_order: int = 16,
     def flag(record, name, detail):
         observe(record, name, detail, "discrepancies")
         record["discrepancies"].append(name)
-
-    # the necessity extractors, each run on every isomorphism of its
-    # kind, given its decomposition and the isomorphism itself
-    extractors = (("lower", _lower_necessary_for),
-                  ("g2", lambda s, t, m, phi: _g2_necessary(s, t, m)),
-                  ("g1", lambda s, t, m, phi: _g1_necessary(s, t, m)))
 
     for g1, g2 in norm:
         order = g1.order * g2.order
@@ -751,17 +733,18 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     settle(record, "lower_oracle_without_certificate",
                            {} if sim_ok else {"sim_trivial": False})
 
-                # ConditionsFailed falsifies a statement, while
+                # each necessity statement on every isomorphism of its
+                # kind: ConditionsFailed falsifies a statement, while
                 # HypothesisNotVerified marks one the quotient leaves
                 # unproved
-                for kind, extract in extractors:
+                for kind in ("lower", "g2", "g1"):
                     for k, (phi, shape) in enumerate(isos):
                         if not shape.issuperset(TRIVIAL_COMPONENTS[kind]):
                             continue
                         if k not in matrices:
                             matrices[k] = decompose_hom(src, tgt, phi)
                         try:
-                            extract(src, tgt, matrices[k], phi)
+                            _necessary(kind, src, tgt, matrices[k], phi)
                         except ConditionsFailed as exc:
                             flag(record, f"{kind}_necessary_failed",
                                  {"error": str(exc)})

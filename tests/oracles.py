@@ -1286,6 +1286,53 @@ def lower_necessary_by_materialize(src: ExtensionGroup, tgt: ExtensionGroup,
     return cert
 
 
+def require_by_scan(m: HomMatrix, *own, error=ConditionsFailed):
+    """The earlier isotest._require, the conditions read by
+    hom_condition_failures_by_scan: raise error naming the first failing
+    component condition on m, else the first of the (holds, reason)
+    pairs in own that does not hold."""
+    reason = next((reason for _, reason, _ in
+                   hom_condition_failures_by_scan(m)), None) or next(
+        (reason for holds, reason in own if not holds), None)
+    if reason is not None:
+        raise error(reason)
+
+
+def g2_necessary_by_require(src: ExtensionGroup, tgt: ExtensionGroup,
+                            m: HomMatrix) -> IsoCertificate:
+    """The earlier g2 extractor of isotest.verify_theorems, which never
+    compared its certificate with the map m was read from: after the
+    component conditions, eta injective and delta surjective, each
+    failure raising ConditionsFailed."""
+    n2 = src.g2.order
+    require_by_scan(m, (len(set(m.phi12.images)) == n2,
+                        "eta is not injective"),
+                    (set(m.phi21.images) == set(range(n2)),
+                     "delta is not surjective"))
+    return IsoCertificate(kind="g2", source=src, target=tgt, sigma=m.phi11,
+                          eta=m.phi12, delta=m.phi21)
+
+
+def g1_necessary_by_require(src: ExtensionGroup, tgt: ExtensionGroup,
+                            m: HomMatrix) -> IsoCertificate:
+    """The earlier g1 extractor of isotest.verify_theorems, which never
+    compared its certificate with the map m was read from: after the
+    component conditions, delta injective, eta surjective and the source
+    cocycle trivial, a failure raising ConditionsFailed when the
+    quotient passes sim_is_trivial, else HypothesisNotVerified."""
+    n1 = src.g1.order
+    require_by_scan(m, (len(set(m.phi21.images)) == n1,
+                        "delta is not injective"),
+                    (set(m.phi12.images) == set(range(n1)),
+                     "eta is not surjective"),
+                    (src.cocycle.is_trivial(),
+                     "source cocycle did not vanish"),
+                    error=(ConditionsFailed if sim_is_trivial(src.g2)
+                           else HypothesisNotVerified))
+    return IsoCertificate(kind="g1", source=src, target=tgt, rho=m.phi22,
+                          eta=m.phi12, delta=m.phi21)
+
+
 def automorphism_pair_search_afresh(push, pull, e1, e2,
                                     limits: SearchLimits = DEFAULT_LIMITS):
     """The earlier isotest._automorphism_pair_search, which kept nothing

@@ -1,12 +1,15 @@
 """The per-isomorphism checks of verify_theorems against the earlier
 paths they replaced: the component conditions, whose condition 4 is now
 screened on generator columns, against the full row-major scan, and the
-lower extractor, which now compares its rebuilt map with the
-isomorphism, against the one that ran materialize() in full.  Both are
-compared on every carrier isomorphism of nine catalog pairs and on
-single-image mutations of their components."""
+one extraction path of the lower, g1 and g2 kinds, which compares each
+certificate's rebuilt map with the isomorphism, against the earlier
+extractors: the lower one that ran materialize() in full, and the g1
+and g2 ones that made no compare.  They are compared on every carrier
+isomorphism of nine catalog pairs, and the conditions and the lower
+path also on single-image mutations of the components."""
 
 import inspect
+from collections import Counter
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
@@ -14,16 +17,26 @@ from hypothesis import given, settings, strategies as st
 from centext import extensions
 from centext.catalog import get_group
 from centext.cocycles import compute_cocycle_space
+from centext.errors import HypothesisNotVerified
 from centext.extensions import (
     TRIVIAL_COMPONENTS,
     build_extension,
     decompose_hom,
     hom_condition_failures,
+    reconstruct_hom,
     trivial_components,
 )
 from centext.groups import GroupMap, enumerate_isomorphisms
-from centext.isotest import DEFAULT_VERIFY_PAIRS, _lower_necessary_for
+from centext.isotest import (
+    DEFAULT_VERIFY_PAIRS,
+    _necessary,
+    g1_isomorphic_necessary,
+    g2_isomorphic_necessary,
+    lower_necessary,
+)
 from oracles import (
+    g1_necessary_by_require,
+    g2_necessary_by_require,
     hom_condition_failures_by_scan,
     lower_necessary_by_materialize,
     replace,
@@ -32,20 +45,26 @@ from oracles import (
 # the default verify pairs, and two with a larger kernel or quotient
 VERIFY_PAIRS = DEFAULT_VERIFY_PAIRS + (("Z4", "K4"), ("Z3", "S3"))
 COMPONENTS = ("phi11", "phi12", "phi21", "phi22")
+# the earlier extractor of each kind the one path serves
+REFERENCES = {"lower": lower_necessary_by_materialize,
+              "g1": g1_necessary_by_require,
+              "g2": g2_necessary_by_require}
+PUBLIC = {"lower": lower_necessary, "g1": g1_isomorphic_necessary,
+          "g2": g2_isomorphic_necessary}
 
 
 @lru_cache(maxsize=None)
 def carrier_isomorphisms(pair):
-    """(src, tgt, phi, decompose_hom(src, tgt, phi), whether phi is of
-    the lower kind) for every carrier isomorphism between the class
-    representatives of the pair."""
+    """(src, tgt, phi, decompose_hom(src, tgt, phi), the kinds among
+    lower, g1 and g2 that phi is of) for every carrier isomorphism
+    between the class representatives of the pair."""
     g1, g2 = (get_group(name) for name in pair)
     exts = [build_extension(rep)
             for rep in compute_cocycle_space(g1, g2).class_representatives]
-    lower = TRIVIAL_COMPONENTS["lower"]
     return tuple(
         (src, tgt, phi, decompose_hom(src, tgt, phi),
-         trivial_components(src, tgt, phi.images).issuperset(lower))
+         {kind for kind in REFERENCES if trivial_components(
+             src, tgt, phi.images).issuperset(TRIVIAL_COMPONENTS[kind])})
         for src in exts for tgt in exts
         for phi in enumerate_isomorphisms(src.group, tgt.group))
 
@@ -97,12 +116,26 @@ def test_conditions_equal_the_full_scan_on_every_isomorphism():
 
 
 def test_lower_extractor_equals_materialize_on_every_isomorphism():
-    lower = [case for case in all_isomorphisms() if case[4]]
-    assert len(lower) == 255
-    for src, tgt, phi, m, _ in lower:
-        got = outcome(_lower_necessary_for, src, tgt, m, phi)
-        assert got == outcome(lower_necessary_by_materialize, src, tgt, m)
-        assert got.materialize() == phi
+    # the one path on every isomorphism of the lower, g1 and g2 kinds,
+    # as verify_theorems and the public extractor call it: the
+    # reference's error type and message, or a certificate whose map is
+    # the isomorphism
+    extracted, failed = Counter(), Counter()
+    for src, tgt, phi, m, kinds in all_isomorphisms():
+        for kind in kinds:
+            got = outcome(_necessary, kind, src, tgt, m, phi)
+            assert got == outcome(REFERENCES[kind], src, tgt, m)
+            assert outcome(PUBLIC[kind], src, tgt, phi) == got
+            if isinstance(got, tuple):
+                failed[kind, got[0]] += 1
+            else:
+                assert reconstruct_hom(got.components()) == phi
+                assert got.materialize() == phi
+                extracted[kind] += 1
+    assert extracted == {"lower": 255, "g1": 86, "g2": 14}
+    # the Z2:D4 maps whose condition 1 fails, each an observation for
+    # lack of the quotient hypothesis
+    assert failed == {("g1", HypothesisNotVerified): 64}
 
 
 @settings(max_examples=300, deadline=None)
@@ -113,7 +146,7 @@ def test_checks_equal_the_earlier_ones_under_mutation(data):
     # extractor, given the unchanged isomorphism, what materialize gives
     pair = data.draw(st.sampled_from(VERIFY_PAIRS))
     cases = carrier_isomorphisms(pair)
-    src, tgt, phi, m, lower = cases[data.draw(
+    src, tgt, phi, m, kinds = cases[data.draw(
         st.integers(0, len(cases) - 1))]
     c = data.draw(st.sampled_from(COMPONENTS))
     old = getattr(m, c)
@@ -122,8 +155,8 @@ def test_checks_equal_the_earlier_ones_under_mutation(data):
     mutant = with_image(m, c, x, (old.images[x] + shift) % old.cod.order)
     assert list(hom_condition_failures(mutant)) == list(
         hom_condition_failures_by_scan(mutant))
-    if lower and c != "phi12":
-        assert outcome(_lower_necessary_for, src, tgt, mutant, phi) == \
+    if "lower" in kinds and c != "phi12":
+        assert outcome(_necessary, "lower", src, tgt, mutant, phi) == \
             outcome(lower_necessary_by_materialize, src, tgt, mutant)
 
 
@@ -144,15 +177,15 @@ def test_every_mutation_of_the_z2_z4_isomorphisms():
     # cocycles is no cocycle, and drops their condition 4 failure
     unguarded = unguarded_conditions()
     after_condition_1 = missed = 0
-    for src, tgt, phi, m, lower in carrier_isomorphisms(("Z2", "Z4")):
+    for src, tgt, phi, m, kinds in carrier_isomorphisms(("Z2", "Z4")):
         for c, mutant in single_image_mutations(m):
             expected = list(hom_condition_failures_by_scan(mutant))
             assert list(hom_condition_failures(mutant)) == expected
             conditions = [fail[0] for fail in expected]
             after_condition_1 += conditions[:1] == [1] and 4 in conditions
             missed += list(unguarded(mutant)) != expected
-            if lower and c != "phi12":
-                assert outcome(_lower_necessary_for, src, tgt, mutant,
+            if "lower" in kinds and c != "phi12":
+                assert outcome(_necessary, "lower", src, tgt, mutant,
                                phi) == outcome(
                     lower_necessary_by_materialize, src, tgt, mutant)
     assert after_condition_1 and missed

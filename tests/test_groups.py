@@ -6,6 +6,7 @@ scans for centers and centralizers, commutator closures by hand for the
 derived subgroups.
 """
 
+import functools
 import hashlib
 import itertools
 import random
@@ -870,6 +871,19 @@ class TestPairClosureOracle:
                 break
             group = grown
         assert group == auts
+
+    # the greedy picks, read from the end of the enumeration, for the
+    # catalog groups and Z2^4
+    PICKS = {"Z1": 0, "Z2": 0, "Z3": 1, "Z4": 1, "Z5": 2, "Z6": 1, "Z7": 2,
+             "Z8": 2, "K4": 2, "Z2xZ4": 2, "Z2xZ2xZ2": 2, "S3": 2, "D4": 2,
+             "Q8": 2, "D5": 2, "A4": 3, "S4": 3, "A5": 3, "Z2^4": 3}
+
+    def test_automorphism_generator_counts_are_pinned(self):
+        z2 = get_group("Z2")
+        groups = {name: get_group(name) for name in catalog_names()}
+        groups["Z2^4"] = functools.reduce(direct_product, [z2] * 4)
+        assert {name: len(_automorphism_generators(g, DEFAULT_LIMITS))
+                for name, g in groups.items()} == self.PICKS
 
 
 class TestOracle:

@@ -805,12 +805,21 @@ class TestOneCarrierIsoCheck:
 
 
 class TestVerifyTheorems:
+    @staticmethod
+    def fail_on(kind, monkeypatch):
+        # the one extraction path, made to fail on the kind alone
+        necessary = isotest._necessary
+
+        def fail(k, *args):
+            if k == kind:
+                raise ConditionsFailed("forced failure")
+            return necessary(k, *args)
+        monkeypatch.setattr(isotest, "_necessary", fail)
+
     def test_g2_extractor_failures_are_flagged(self, monkeypatch):
-        # verify_theorems runs the extractor's core on the component
+        # verify_theorems runs the extraction path on the component
         # matrix it already has
-        def fail(src, tgt, m):
-            raise ConditionsFailed("forced failure")
-        monkeypatch.setattr(isotest, "_g2_necessary", fail)
+        self.fail_on("g2", monkeypatch)
         report = verify_theorems(pairs=[("Z2", "Z2")])
         flagged = [d for d in report["discrepancies"]
                    if d["check"] == "g2_necessary_failed"]
@@ -820,14 +829,10 @@ class TestVerifyTheorems:
         assert not any(o["check"] == "g2_necessary_failed"
                        for o in report["logged_observations"])
 
-    @pytest.mark.parametrize("extractor, kind, count", [
-        ("_lower_necessary_for", "lower", 3), ("_g1_necessary", "g1", 2)],
-        ids=("lower", "g1"))
-    def test_extractor_failures_are_flagged(self, extractor, kind, count,
-                                            monkeypatch):
-        def fail(*args):
-            raise ConditionsFailed("forced failure")
-        monkeypatch.setattr(isotest, extractor, fail)
+    @pytest.mark.parametrize("kind, count", [("lower", 3), ("g1", 2)],
+                             ids=("lower", "g1"))
+    def test_extractor_failures_are_flagged(self, kind, count, monkeypatch):
+        self.fail_on(kind, monkeypatch)
         report = verify_theorems(pairs=[("Z2", "Z2")])
         assert [(d["check"], d["detail"]) for d in report["discrepancies"]] \
             == [(f"{kind}_necessary_failed", {"error": "forced failure"})] \

@@ -24,7 +24,11 @@ from centext.cocycles import (
     pushforward,
     trivial_cocycle,
 )
-from centext.errors import ConditionsFailed, GroupMismatch
+from centext.errors import (
+    ConditionsFailed,
+    GroupMismatch,
+    HypothesisNotVerified,
+)
 from centext.extensions import (
     TRIVIAL_COMPONENTS,
     _component_images,
@@ -47,7 +51,7 @@ from centext.intlinalg import IntLattice, abelian_invariants
 from centext.isotest import (
     CERTIFICATE_KINDS,
     IsoCertificate,
-    _lower_problem,
+    _necessary,
     _shaped_isomorphisms,
     _survey,
     g1g2_isomorphic,
@@ -71,7 +75,7 @@ PINS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
 def triple_search_lower(src, tgt):
     """The earlier lower_isomorphic: every component triple (sigma, rho,
     delta) in Aut(G1) x Aut(G2) x Hom(G1, G2), sigma-major, against the
-    converse conditions."""
+    converse conditions, read by the lower necessity path."""
     g1, g2 = src.g1, src.g2
     homs21 = enumerate_homs(g1, g2)
     autos2 = enumerate_automorphisms(g2)
@@ -80,9 +84,12 @@ def triple_search_lower(src, tgt):
             for delta in homs21:
                 cert = IsoCertificate(kind="lower", source=src, target=tgt,
                                       sigma=sigma, rho=rho, delta=delta)
-                if _lower_problem(cert) is None:
-                    cert.materialize()
-                    return cert
+                try:
+                    _necessary("lower", src, tgt, cert.components())
+                except (ConditionsFailed, HypothesisNotVerified):
+                    continue
+                cert.materialize()
+                return cert
     return None
 
 
