@@ -13,13 +13,14 @@ of a quotient of order n, which fix a cocycle (the _expand proof).
 Hopf's formula gives H^2 = K / U with no further elimination: K, the
 kernel of one sparse equation per (generator, Schreier generator),
 eliminated in IntLattice, which keeps sparse pivot rows, and U, one row
-per generator (_hopf_system, _free_homs, _solve_coordinate).  A class
-key (_class_key) maps column values to the Schreier generators mod U;
-the map sends B^2 onto U, so keys agree exactly on cohomologous
-cocycles, and unequal keys prove any two tables not cohomologous.
+u_j per generator (_hopf_system, _solve_coordinate), held with Hom(g2,
+Z/d) in one lattice of the rows [u_j | e_j] (_free_homs).  A class key
+(_class_key) maps column values to the Schreier generators mod U; the
+map sends B^2 onto U, so keys agree exactly on cohomologous cocycles,
+and unequal keys prove any two tables not cohomologous.
 are_cohomologous compares the keys memoized on both cocycles (_keyed),
-then solves e2 - e1 on the same tree and U (_witness, _hom_solver) for a
-witness t, checked at the columns alone when e1 and e2 are cocycles, as
+then reads a witness t off the same reduction (_reduced, _witness),
+checked at the columns alone when e1 and e2 are cocycles, as
 psi_t * e1 and e2 are then normalized cocycles, fixed by their columns.
 A Cocycle2 memoizes its pushed class keys by images (_keys),
 is_cocycle's (ok, witness), run at most once (_identity, read by
@@ -257,24 +258,23 @@ def _witness(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
     columns, g1 abelian, for callers that have matched the class keys.
     At the columns alone, v1 = v2 makes the witnesses Hom, least at 0.
     Per factor d, b = v2 - v1 at the columns, tree-normalized as in the
-    key, leaves b - psi_t with chord values z (_tree_normalized).
-    Reducing [z | 0] against _hom_solver(g2, d) takes off some sum a_j
-    [u_j | e_j] and leaves [z - sum a_j u_j | -a], whose head vanishes
-    exactly when z lies in U (Howell), that is when b lies in B^2 in
-    columns (_class_key), always for cocycles with equal keys.  Then z is
-    the restriction to R of phi: F -> Z/d, phi(s_j) = a_j, and tau(y) =
-    phi(t_y) (_hom_values) has psi_tau(y, s) = phi(t_y s t_ys^-1): z at
-    the chords, 0 at the tree columns; so x0 = t + tau has psi_x0 = b at
-    every column.  The witnesses form x0 + Hom(g2, Z/d), so one walk of
-    _least_values over the pivots of Hom gives the least image array
-    (t(1), ..., t(n-1)) whichever x0 was found, built unchecked, and one
-    scan checks psi_t * e1 = e2, on the tables when given, else at the
-    columns.  Only a failed scan rescans, with x0: as t - x0 lies in
-    Hom, psi_t = psi_x0 unless the walk broke, so a passing x0 raises
-    ConditionsFailed.  A failing x0 means no witness: a witness w has
-    psi_w = b at the columns, so b lies in B^2 there, psi_(w - x0)
-    vanishes there, w - x0 is a homomorphism and x0 a witness too; so
-    tables scanned in full that are no cocycles give None."""
+    key, leaves b - psi_t with chord values z, and [z - sum a_j u_j |
+    -a] (_reduced), whose chord part vanishes exactly when z lies in U,
+    that is when b lies in B^2 in columns (_class_key), always for
+    cocycles with equal keys.  Then z is the restriction to R of phi: F
+    -> Z/d, phi(s_j) = a_j, and tau(y) = phi(t_y) (_hom_values) has
+    psi_tau(y, s) = phi(t_y s t_ys^-1): z at the chords, 0 at the tree
+    columns; so x0 = t + tau has psi_x0 = b at every column.  The
+    witnesses form x0 + Hom(g2, Z/d), so one walk of _least_values over
+    the pivots of Hom gives the least image array (t(1), ..., t(n-1))
+    whichever x0 was found, built unchecked, and one scan checks psi_t *
+    e1 = e2, on the tables when given, else at the columns.  Only a
+    failed scan rescans, with x0: as t - x0 lies in Hom, psi_t = psi_x0
+    unless the walk broke, so a passing x0 raises ConditionsFailed.  A
+    failing x0 means no witness: a witness w has psi_w = b at the
+    columns, so b lies in B^2 there, psi_(w - x0) vanishes there, w - x0
+    is a homomorphism and x0 a witness too; so tables scanned in full
+    that are no cocycles give None."""
     if tables is None and v1 == v2:
         return CoboundaryWitness(t=trivial_map(g2, g1))
     n2, mul, inv, mul2 = g2.order, g1.table, g1.inverses, g2.table
@@ -283,10 +283,9 @@ def _witness(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
     b = [pres.coords[mul[y][inv[x]]] for x, y in zip(v1, v2)]
     solutions = []
     for ci, d in enumerate(pres.invariant_factors):
-        t, z = _tree_normalized(n2, _free_homs(g2, d), [c[ci] for c in b])
-        red = _hom_solver(g2, d)[0].reduce(z + [0] * len(g2.generators))
-        solutions.append([(x - y) % d for x, y in zip(
-            t, _hom_values(g2, red[len(z):]))][1:])
+        t, _, a = _reduced(n2, _free_homs(g2, d), [c[ci] for c in b])
+        solutions.append([(x - y) % d
+                          for x, y in zip(t, _hom_values(g2, a))][1:])
 
     def fails(im):
         if tables is None:
@@ -330,19 +329,19 @@ def _class_key(g1: FiniteGroup, g2: FiniteGroup):
     Per invariant factor d of g1, the column values x are tree-normalized
     along _hopf_system's tree: t = 0 on the generators and t(ys) = t(y) -
     x(y, s) down each tree edge, so that x - psi_t vanishes at the tree
-    columns; its chord values x(y, s) - t(y) + t(ys), reduced against the
-    Howell basis of U (_free_homs(g2, d)), one per coset, make the key,
-    all factors in one flat tuple, () when there are no chords.  This map
-    f is linear, and f(B^2) = U: a coboundary psi_tau that vanishes at the
-    tree columns has tau(ys) = tau(y) + tau(s) down the tree, so tau(y) =
-    phi(t_y) for the hom phi: F -> Z/d with phi(s) = tau(s), and at a
-    chord psi_tau(y, s) = phi(t_y s t_ys^-1), the restriction of phi; the
-    cocycle that Hopf's formula makes of phi's restriction is psi of y ->
-    phi(t_y).  So cohomologous tables share a key, whether cocycles or
-    not; and a cocycle e with f(e) in U is e - psi_t minus such a
-    coboundary, a cocycle vanishing at every column, hence 0 (_expand):
-    two cocycles share a key exactly when they are cohomologous.  Built
-    once per pair."""
+    columns; its chord values x(y, s) - t(y) + t(ys), reduced mod U
+    (_reduced), one per coset, make the key, all factors in one flat
+    tuple, () when there are no chords.  This map f is linear, and f(B^2)
+    = U: a coboundary psi_tau that vanishes at the tree columns has
+    tau(ys) = tau(y) + tau(s) down the tree, so tau(y) = phi(t_y) for the
+    hom phi: F -> Z/d with phi(s) = tau(s), and at a chord psi_tau(y, s)
+    = phi(t_y s t_ys^-1), the restriction of phi; the cocycle that Hopf's
+    formula makes of phi's restriction is psi of y -> phi(t_y).  So
+    cohomologous tables share a key, whether cocycles or not; and a
+    cocycle e with f(e) in U is e - psi_t minus such a coboundary, a
+    cocycle vanishing at every column, hence 0 (_expand): two cocycles
+    share a key exactly when they are cohomologous.  Built once per
+    pair."""
     coords = abelian_invariants(g1).coords
     values = _column_values(g1, g2)
     frees = [_free_homs(g2, d)
@@ -352,20 +351,23 @@ def _class_key(g1: FiniteGroup, g2: FiniteGroup):
         key = []
         for free, x in zip(frees, zip(*[
                 coords[v] for v in values(table, sigma, rho)])):
-            key += free[2].reduce(_tree_normalized(g2.order, free, x)[1])
+            key += _reduced(g2.order, free, x)[1]
         return tuple(key)
     return push, lambda table, rho: push(table, range(g1.order), rho)
 
 
-def _tree_normalized(n2: int, free, x):
-    """(t, z) for column values x and free = _free_homs(g2, d): t, over
-    g2, is _class_key's tree normalization of x, and z the chord values
-    of x - psi_t.  The witnesses start here too (_witness)."""
-    steps, ends = free[:2]
+def _reduced(n2: int, free, x):
+    """(t, z', -a) for column values x and free = _free_homs(g2, d): t
+    is _class_key's tree normalization of x, and [z' | -a] is [z | 0],
+    z the chord values of x - psi_t, reduced against free's lattice: so
+    z' = z - sum a_j u_j, z's representative mod U (Howell)."""
+    steps, ends, lattice = free
     t = [0] * n2
     for y, c, ys in steps:
         t[ys] = t[y] - x[c]
-    return t, [x[c] - t[y] + t[ys] for c, y, ys in ends]
+    r = lattice.reduce([x[c] - t[y] + t[ys] for c, y, ys in ends]
+                       + [0] * (lattice.ncols - len(ends)))
+    return t, r[:len(ends)], r[len(ends):]
 
 
 def _keyed(e: Cocycle2, images=None):
@@ -476,8 +478,9 @@ def _hopf_system(g2: FiniteGroup):
     plus the kernel at the chord columns, and H^2 = K / U, U the
     restrictions of Hom(F, Z/d) (_free_homs).  It keeps its own tree: the
     walk's (FiniteGroup._closure_layers) gives the same classes and rows
-    on S6 but reorders the unknowns, and H^2(S6, Z2) took 6.1-7.4 s for
-    4.8-5.0 s (two runs each, 2 vCPUs, Python 3.11.7)."""
+    on S6 but reorders the unknowns, and compute_cocycle_space(Z2, S6)
+    took 3.6-3.8 s for 2.4-2.7 s (three alternating runs each, 2 vCPUs,
+    Python 3.11.7)."""
     gens, mul = g2.generators, g2.table
     reached = [True] + [False] * (g2.order - 1)
     tree, chords, queue = [], [], [0]
@@ -506,25 +509,27 @@ def _hopf_system(g2: FiniteGroup):
 
 @lru_cache(maxsize=None)
 def _free_homs(g2: FiniteGroup, d: int):
-    """_hopf_system's tree as (steps, ends) and U mod d in Howell form,
-    the image of Hom(F, Z/d) in the chord unknowns, that is the
-    restrictions to R.  steps lists the tree edges (y, column, ys) off
-    the root, in order, and ends the chords (column, y, ys).  The hom
-    phi with phi(s_j) = a_j takes r_{y,s} = t_y s t_{ys}^-1 to sum_j a_j
-    (w_j(t_y) + [s = s_j] - w_j(t_{ys})), with w_j counting the letter
-    s_j in a tree word (_hom_values at the unit e_j); so U is spanned by
-    one row per generator s_j, that bracket at each chord (y, s).  These
-    rows come last, sparse over the chords, for _hom_solver."""
+    """_hopf_system's tree as steps, its edges (y, column, ys) off the
+    root in order, and ends, the chords (column, y, ys); and the lattice
+    mod d of the rows [u_j | e_j] over the chords, then the generators.
+    The hom phi with phi(s_j) = a_j takes r_{y,s} = t_y s t_{ys}^-1 to
+    sum_j a_j (w_j(t_y) + [s = s_j] - w_j(t_{ys})), w_j counting s_j in
+    a tree word (_hom_values at the unit e_j); u_j is that bracket at
+    each chord, so the u_j span U.  The lattice holds the [sum a_j u_j |
+    a], so by Howell's property its rows with pivot at a chord, cut to
+    the chords, are a Howell basis of U, and its tail is the a with sum
+    a_j u_j = 0, Hom(g2, Z/d), of index |U|."""
     tree, chords, _ = _hopf_system(g2)
     k, mul, gens = len(g2.generators), g2.table, g2.generators
     ends = [(c, c // k + 1, mul[c // k + 1][gens[c % k]]) for c in chords]
     words = [_hom_values(g2, [int(i == j) for i in range(k)])
              for j in range(k)]
-    rows = [{u: x for u, (c, y, ys) in enumerate(ends)
-             if (x := w[y] + (c % k == j) - w[ys])}
-            for j, w in enumerate(words)]
+    m = len(ends)
     return ([(y, (y - 1) * k + i, ys) for y, i, ys in tree if y], ends,
-            IntLattice(len(chords), d, rows), rows)
+            IntLattice(m + k, d, ({m + j: 1, **{
+                u: x for u, (c, y, ys) in enumerate(ends)
+                if (x := w[y] + (c % k == j) - w[ys])}}
+                for j, w in enumerate(words))))
 
 
 def _hom_values(g2: FiniteGroup, a):
@@ -534,26 +539,6 @@ def _hom_values(g2: FiniteGroup, a):
     for y, i, ys in _hopf_system(g2)[0]:
         tau[ys] = tau[y] + a[i]
     return tau
-
-
-@lru_cache(maxsize=None)
-def _hom_solver(g2: FiniteGroup, d: int):
-    """The echelon form mod d of the rows [u_j | e_j], u_j the row of U
-    for generator s_j (_free_homs), and the pivots {x - 1: (g, tau)} of
-    Hom(g2, Z/d) at the points.  Its vectors are [sum a_j u_j | a], so
-    by Howell's property its tail spans the a with sum a_j u_j = 0, the
-    phi(s_j) = a_j that vanish on R: Hom(g2, Z/d).  Mapped to the points
-    (_hom_values), their echelon form gives tau, the pivot row at x over
-    g2, zero before x and g at x.  Built on a witness's first use."""
-    _, ends, _, rows = _free_homs(g2, d)
-    m = len(ends)
-    solver = IntLattice(m + len(rows), d, (
-        {**u, m + j: 1} for j, u in enumerate(rows)))
-    tail = solver.tail(m)
-    homs = IntLattice(g2.order - 1, d, (_hom_values(g2, tail.dense_row(p))[1:]
-                                        for p in tail.pivot_rows))
-    return solver, {i: (homs.pivot(i), [0, *homs.dense_row(i)])
-                    for i in homs.pivot_rows}
 
 
 class _Coordinate(Record):
@@ -600,28 +585,32 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     elimination.  Its relations are the c with sum c_i res_i in U, res_i
     K's Howell rows reduced mod U, and their Smith form gives the
     factors.  |U| = d^k / |Hom(g2, Z/d)|, as Hom(g2, Z/d) is the kernel
-    of restricting Hom(F, Z/d) to R; so |B^2| = d^(n-1) / |Hom(g2, Z/d)|
-    = d^(n-1) |U| / d^k, and |Z^2| = |B^2| |H^2|.  |H^2| |U| = |K| is
-    checked.  A class is a box point of the relations' pivots, sum c_i
-    res_i, placed at the chord columns with 0 on the tree columns (the
-    cocycle _hopf_system makes of it) and written out by _expand."""
+    of restricting Hom(F, Z/d) to R, the tail of _free_homs; so |B^2| =
+    d^(n-1) / |Hom(g2, Z/d)| = d^(n-1) |U| / d^k, and |Z^2| = |B^2|
+    |H^2|; |H^2| |U| = |K| is checked.  A class is a box point of the
+    relations' pivots, sum c_i res_i, placed at the chord columns with 0
+    on the tree columns (the cocycle _hopf_system makes of it) and
+    written out by _expand."""
     ncols, n2 = len(_generator_columns(g2)), g2.order
     _, chords, equations = _hopf_system(g2)
-    kept, columns = _row_space(equations, len(chords), d)
-    kernel, free = columns.tail(len(kept)), _free_homs(g2, d)[2]
-    k_order = d ** len(chords) // kernel.index_in_ambient()
-    u_order = d ** len(chords) // free.index_in_ambient()
+    m, free = len(chords), _free_homs(g2, d)[2]
+    kept, columns = _row_space(equations, m, d)
+    kernel = columns.tail(len(kept))
+    k_order = d ** m // kernel.index_in_ambient()
+    u_order = free.tail(m).index_in_ambient()
     b_order = d ** (n2 - 1) * u_order // d ** len(g2.generators)
 
     # H^2 = K / U is generated by the residues of K's rows mod U; its
-    # relations are the vectors c with sum c_i res_i in U
-    residues = [res for res in map(free.reduce, map(
-        kernel.dense_row, sorted(kernel.pivot_rows))) if any(res)]
+    # relations are the c with sum c_i res_i in U (free's rows, cut)
+    zeros = [0] * (free.ncols - m)
+    residues = [res for p in sorted(kernel.pivot_rows) if any(
+        res := free.reduce(kernel.dense_row(p) + zeros)[:m])]
     k = len(residues)
-    rel = IntLattice(len(chords) + k, d, free.pivot_rows.values())
+    rel = IntLattice(m + k, d, ({j: x for j, x in r.items() if j < m}
+                                for r in free.pivot_rows.values()))
     for i, res in enumerate(residues):
         rel.add(res + [int(j == i) for j in range(k)])
-    quot = rel.tail(len(chords))
+    quot = rel.tail(m)
     if quot.index_in_ambient() * u_order != k_order:
         raise InternalInconsistency("|H^2| |U| disagrees with |K|")
     diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
@@ -691,10 +680,20 @@ def _walk(pres, n2: int, slots, pivots):
 
 @lru_cache(maxsize=None)
 def _witness_walk(g1: FiniteGroup, g2: FiniteGroup):
-    """The witness walk: the points x as slots (x, 1, 1), Hom's pivots."""
-    pres = abelian_invariants(g1)
+    """The witness walk: the points x as slots (x, 1, 1), and per factor
+    d the pivots {x - 1: (g, tau)} of Hom(g2, Z/d): the tail of
+    _free_homs, the phi(s_j), mapped to the points (_hom_values) and
+    echeloned, tau zero before x and g at x."""
+    pres, pivots = abelian_invariants(g1), []
+    for d in pres.invariant_factors:
+        _, ends, free = _free_homs(g2, d)
+        tail = free.tail(len(ends))
+        homs = IntLattice(g2.order - 1, d, (
+            _hom_values(g2, tail.dense_row(p))[1:] for p in tail.pivot_rows))
+        pivots.append({i: (homs.pivot(i), [0, *homs.dense_row(i)])
+                       for i in homs.pivot_rows})
     return _walk(pres, g2.order, [(x, 0, 0) for x in range(1, g2.order)],
-                 [_hom_solver(g2, d)[1] for d in pres.invariant_factors])
+                 pivots)
 
 
 def _least_values(walk, vecs):
@@ -704,7 +703,7 @@ def _least_values(walk, vecs):
     values v and pivots[f] the pivots {slot i: (g_i, tau_i)} of the
     lattice of the t, each tau_i zero before slot i and g_i there (a
     pair slot of B^2, from _coboundary_pivots, or a point x of Hom, from
-    _hom_solver, read as (x, 1, 1)).  In a Howell basis the members that
+    _witness_walk, read as (x, 1, 1)).  In a Howell basis the members that
     agree before slot i take cur + <g_i> there, the freedom left lying
     in the tau below; so each pivot slot, in order, takes its least
     admissible element index (0 if admissible), fixed by t += q tau_i,

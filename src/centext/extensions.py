@@ -57,8 +57,8 @@ class ExtensionGroup(Record):
                 "group": self.group.to_dict()}
 
 
-def build_extension(e: Cocycle2, name: str | None = None) -> ExtensionGroup:
-    """Carrier of the twisted product for the cocycle e.
+def build_extension(e: Cocycle2) -> ExtensionGroup:
+    """Carrier of the twisted product for the cocycle e, unnamed.
 
     Once g1 is abelian and e passes is_cocycle (run once per e, as
     e._identity), the table is a group with a central kernel copy, given
@@ -95,7 +95,7 @@ def build_extension(e: Cocycle2, name: str | None = None) -> ExtensionGroup:
     table = tuple(
         tuple(itertools.chain.from_iterable([blocks[w][y] for w in row1]))
         for row1 in g1.table for y in range(n2))
-    group = FiniteGroup(order=n1 * n2, table=table, name=name)
+    group = FiniteGroup(order=n1 * n2, table=table)
     return ExtensionGroup(g1=g1, g2=g2, cocycle=e, group=group)
 
 
@@ -257,27 +257,13 @@ def decompose_hom(source: ExtensionGroup, target: ExtensionGroup,
 
 def trivial_components(source: ExtensionGroup, target: ExtensionGroup,
                        images) -> frozenset:
-    """The names of the trivial components of the carrier map with this
-    image array, with no component built: phi11 (phi12) is trivial when
-    every image of the kernel copy (section) is some (1, y), an index
-    below |target.g2|, and phi21 (phi22) when every one is some (x, 1),
-    a multiple of |target.g2|, since phi(x, 1) = (phi11(x), phi21(x))
-    and phi(1, y) = (phi12(y), phi22(y)).  Equal to the components of
-    _component_images that are all zero.  The one read of a kind: a
-    bijective phi is of kind K when the set holds TRIVIAL_COMPONENTS[K]."""
-    n2s, n2t = source.g2.order, target.g2.order
-    kernel, section = images[::n2s], images[:n2s]
-    pairs_x1 = frozenset(range(0, target.group.order, n2t))
-    trivial = set()
-    if max(kernel) < n2t:
-        trivial.add("phi11")
-    if max(section) < n2t:
-        trivial.add("phi12")
-    if pairs_x1.issuperset(kernel):
-        trivial.add("phi21")
-    if pairs_x1.issuperset(section):
-        trivial.add("phi22")
-    return frozenset(trivial)
+    """The names of the components of the carrier map with this image
+    array whose image arrays from _component_images are all zero: the
+    trivial ones, with no component map built.  The one read of a kind:
+    a bijective phi is of kind K when the set holds
+    TRIVIAL_COMPONENTS[K]."""
+    return frozenset(c for c, im in _component_images(
+        source, target, images).items() if not any(im))
 
 
 def reconstruct_hom(m: HomMatrix) -> GroupMap:

@@ -51,11 +51,6 @@ class IntMatrix(Record):
         ncols = len(data[0]) if data else 0
         return IntMatrix(rows=len(data), cols=ncols, data=data)
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(rows=n, cols=n, data=tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(rows=self.cols, cols=self.rows,
                          data=tuple(zip(*self.data)) or ((),) * self.cols)

@@ -298,12 +298,14 @@ def _automorphism_pair_search(kind, push, pull, e1, e2, limits):
 @lru_cache(maxsize=None)
 def _orbit_label(g1, g2, limits):
     """label(cocycle): the orbit of its class under Aut(G1) x Aut(G2),
-    named by the class key of the first cocycle e met in it; the
-    cocycle's own key is memoized on it (cocycles._keyed).  The labels
-    fill one orbit at a time, breadth-first from e over pairs (sigma,
-    rho) for sigma . e . (rho x rho): a generator a of Aut(G1) moves one
-    to (a sigma, rho), r of Aut(G2) to (sigma, rho r); the pairs whose
-    keys are new are enqueued.  At most |H^2| keys are held."""
+    named by the least class key in it, so that no label depends on the
+    order of the queries; the cocycle's own key is memoized on it
+    (cocycles._keyed).  The labels fill one orbit at a time,
+    breadth-first from the first cocycle e asked about in it, over pairs
+    (sigma, rho) for sigma . e . (rho x rho): a generator a of Aut(G1)
+    moves one to (a sigma, rho), r of Aut(G2) to (sigma, rho r); the
+    pairs whose keys are new are enqueued.  At most |H^2| keys are
+    held."""
     push = _class_key(g1, g2)[0]
     sigmas, rhos = (_automorphism_generators(g, limits) for g in (g1, g2))
     labels = {}
@@ -311,14 +313,15 @@ def _orbit_label(g1, g2, limits):
     def label(cocycle):
         start = _keyed(cocycle)
         if start not in labels:
-            labels[start], queue = start, [(range(g1.order), range(g2.order))]
+            orbit, queue = {start}, [(range(g1.order), range(g2.order))]
             for sigma, rho in queue:
                 pairs = [(tuple([a[v] for v in sigma]), rho) for a in sigmas]
                 pairs += [(sigma, tuple([rho[v] for v in r])) for r in rhos]
                 for pair in pairs:
-                    if (k := push(cocycle.table, *pair)) not in labels:
-                        labels[k] = start
+                    if (k := push(cocycle.table, *pair)) not in orbit:
+                        orbit.add(k)
                         queue.append(pair)
+            labels.update(dict.fromkeys(orbit, min(orbit)))
         return labels[start]
     return label
 

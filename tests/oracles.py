@@ -102,6 +102,12 @@ def group_from_elements_by_products(elems, op,
     return validate_group(table, name=name)
 
 
+def identity_matrix(n: int) -> IntMatrix:
+    """The earlier IntMatrix.identity: the n x n identity matrix."""
+    return IntMatrix(rows=n, cols=n, data=tuple(
+        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
 def to_lists(a: IntMatrix):
     """The earlier IntMatrix.to_lists: the rows of a as fresh lists."""
     return [list(row) for row in a.data]
@@ -147,8 +153,8 @@ def smith_normal_form_by_three_matrices(a: IntMatrix) -> SNFResult:
     """
     nr, nc = a.rows, a.cols
     s = to_lists(a)
-    u = to_lists(IntMatrix.identity(nr))
-    v = to_lists(IntMatrix.identity(nc))
+    u = to_lists(identity_matrix(nr))
+    v = to_lists(identity_matrix(nc))
 
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
@@ -374,8 +380,30 @@ def preserves_section_setwise(source: ExtensionGroup, target: ExtensionGroup,
     return {phi(i) for i in range(source.g2.order)} == want
 
 
-def build_extension_by_validation(e: Cocycle2,
-                                  name: str | None = None) -> ExtensionGroup:
+def trivial_components_by_layout(source: ExtensionGroup,
+                                 target: ExtensionGroup, images) -> frozenset:
+    """The earlier extensions.trivial_components, read off the carrier
+    layout: phi11 (phi12) is trivial when every image of the kernel copy
+    (section) is some (1, y), an index below |target.g2|, and phi21
+    (phi22) when every one is some (x, 1), a multiple of |target.g2|,
+    since phi(x, 1) = (phi11(x), phi21(x)) and phi(1, y) = (phi12(y),
+    phi22(y))."""
+    n2s, n2t = source.g2.order, target.g2.order
+    kernel, section = images[::n2s], images[:n2s]
+    pairs_x1 = frozenset(range(0, target.group.order, n2t))
+    trivial = set()
+    if max(kernel) < n2t:
+        trivial.add("phi11")
+    if max(section) < n2t:
+        trivial.add("phi12")
+    if pairs_x1.issuperset(kernel):
+        trivial.add("phi21")
+    if pairs_x1.issuperset(section):
+        trivial.add("phi22")
+    return frozenset(trivial)
+
+
+def build_extension_by_validation(e: Cocycle2) -> ExtensionGroup:
     """The earlier carrier path of build_extension: the table entry by
     entry from the pair formula, then validate_group on it, then the
     centrality of the kernel copy checked element by element."""
@@ -398,7 +426,7 @@ def build_extension_by_validation(e: Cocycle2,
             z2 = g2.table[y][yp]
             row.append(z1 * n2 + z2)
         table.append(row)
-    group = validate_group(table, name=name)
+    group = validate_group(table)
     ext = ExtensionGroup(g1=g1, g2=g2, cocycle=e, group=group)
     for x in range(n1):
         k = x * n2
@@ -1355,8 +1383,8 @@ def orbit_label_by_tables(g1: FiniteGroup, g2: FiniteGroup,
                           limits: SearchLimits = DEFAULT_LIMITS):
     """The earlier isotest._orbit_label: breadth-first over the n^2 image
     tables, each generator of Aut(G1) pushing a table and each of Aut(G2)
-    pulling it, every table keyed by _class_key, the first table met in
-    an orbit naming it."""
+    pulling it, every table keyed by _class_key, each orbit named by the
+    least key in it."""
     key = _class_key(g1, g2)[0]
     identity = tuple(range(g1.order))
     sigmas, rhos = (_automorphism_generators(g, limits) for g in (g1, g2))
@@ -1365,16 +1393,17 @@ def orbit_label_by_tables(g1: FiniteGroup, g2: FiniteGroup,
     def label(cocycle):
         start = key(cocycle.table, identity)
         if start not in labels:
-            labels[start], queue = start, [cocycle.table]
+            orbit, queue = {start}, [cocycle.table]
             for t in queue:
                 images = [tuple(tuple(s[v] for v in row) for row in t)
                           for s in sigmas]
                 images += [tuple(tuple(t[a][b] for b in r) for a in r)
                            for r in rhos]
                 for u in images:
-                    if (k := key(u, identity)) not in labels:
-                        labels[k] = start
+                    if (k := key(u, identity)) not in orbit:
+                        orbit.add(k)
                         queue.append(u)
+            labels.update(dict.fromkeys(orbit, min(orbit)))
         return labels[start]
     return label
 

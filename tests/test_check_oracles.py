@@ -1,14 +1,16 @@
 """The per-isomorphism checks of verify_theorems against the earlier
 paths they replaced: the component conditions, whose condition 4 is now
-screened on generator columns, against the full row-major scan, and the
-one extraction path of the lower, g1 and g2 kinds, which compares each
-certificate's rebuilt map with the isomorphism, against the earlier
-extractors: the lower one that ran materialize() in full, and the g1
-and g2 ones that made no compare.  They are compared on every carrier
+screened on generator columns, against the full row-major scan; the
+trivial components, read off _component_images, against the read of
+the carrier layout; and the one extraction path of the lower, g1 and
+g2 kinds, which compares each certificate's rebuilt map with the
+isomorphism, against the earlier extractors: the lower one that ran
+materialize() in full, and the g1 and g2 ones that made no compare.  They are compared on every carrier
 isomorphism of nine catalog pairs, and the conditions and the lower
 path also on single-image mutations of the components."""
 
 import inspect
+import random
 from collections import Counter
 from functools import lru_cache
 
@@ -38,6 +40,7 @@ from oracles import (
     g1_necessary_by_require,
     g2_necessary_by_require,
     hom_condition_failures_by_scan,
+    trivial_components_by_layout,
     lower_necessary_by_materialize,
     replace,
 )
@@ -113,6 +116,40 @@ def test_conditions_equal_the_full_scan_on_every_isomorphism():
     # the Z2:D4 maps on which condition 1 fails for lack of the
     # quotient hypothesis
     assert failing == 64
+
+
+def test_trivial_components_equal_the_layout_read():
+    # the components whose arrays from _component_images are all zero,
+    # against the earlier read of the carrier layout: on every carrier
+    # isomorphism, and on seeded image arrays whose kernel copy and
+    # section each take their images from everything, the indices below
+    # |target.g2|, its multiples or {0}
+    seen = Counter()
+    for src, tgt, phi, _, _ in all_isomorphisms():
+        got = trivial_components(src, tgt, phi.images)
+        assert got == trivial_components_by_layout(src, tgt, phi.images)
+        seen[got] += 1
+    assert len(seen) == 7
+    rng = random.Random(9173)
+    for pair in VERIFY_PAIRS:
+        exts = [build_extension(rep) for rep in compute_cocycle_space(
+            *map(get_group, pair)).class_representatives]
+        for _ in range(200):
+            src, tgt = rng.choice(exts), rng.choice(exts)
+            n, n2s, n2t = tgt.group.order, src.g2.order, tgt.g2.order
+            pools = [range(n), range(n2t), range(0, n, n2t), [0]]
+            kernel, section = rng.choice(pools), rng.choice(pools)
+            images = [rng.randrange(n) for _ in range(src.group.order)]
+            for i in range(0, src.group.order, n2s):
+                images[i] = rng.choice(kernel)
+            for i in range(n2s):
+                images[i] = rng.choice(section)
+            got = trivial_components(src, tgt, tuple(images))
+            assert got == trivial_components_by_layout(src, tgt,
+                                                       tuple(images))
+            seen[got] += 1
+    # every set of trivial components occurs
+    assert len(seen) == 16
 
 
 def test_lower_extractor_equals_materialize_on_every_isomorphism():

@@ -162,11 +162,11 @@ class TestCarrierOracle:
                     for i in range(0, len(cocycles), 4) for k in (1, 2, 3))
         assert moved > len(cocycles) // 2
         for e in cocycles:
-            ext = build_extension(e, name="c")
-            ref = build_extension_by_validation(e, name="c")
+            ext = build_extension(e)
+            ref = build_extension_by_validation(e)
             assert ext.group.table == ref.group.table
             assert ext.group.order == ref.group.order
-            assert ext.group.name == "c"
+            assert ext.group.name is None
 
     def test_same_greedy_sequences(self):
         groups = [get_group(name) for name in catalog_names()]

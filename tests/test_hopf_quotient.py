@@ -1,10 +1,11 @@
 """H^2 as K / U by Hopf's formula, and the class keys read mod U, against
 the earlier path kept in oracles.py, which eliminated B^2 in generator
 columns: the factors, orders and representatives of every space, the
-key-equality relation under pushes, pulls and coboundary shifts,
-spaces and keys built with no witness solver, witnesses built with no
-coboundary lattice, and every witness equal to the one the coboundary
-lattice gave."""
+key-equality relation under pushes, pulls and coboundary shifts, the
+one lattice of the rows [u_j | e_j] against U and Hom(G2, Z/d), spaces
+and keys built with no pivots of Hom at the points, witnesses built
+with no coboundary lattice, and every witness equal to the one the
+coboundary lattice gave."""
 
 import itertools
 import random
@@ -25,8 +26,13 @@ from centext.cocycles import (
     are_cohomologous,
     compute_cocycle_space,
 )
-from centext.groups import GroupMap, enumerate_automorphisms
-from centext.intlinalg import abelian_invariants
+from centext.groups import (
+    GroupMap,
+    cyclic_group,
+    enumerate_automorphisms,
+    enumerate_homs,
+)
+from centext.intlinalg import IntLattice, abelian_invariants
 import oracles
 from oracles import (
     class_key_mod_b2,
@@ -109,13 +115,53 @@ def test_keys_of_shifted_tables_that_are_no_cocycles_agree(pair):
         assert _keyed(e) == _keyed(apply_coboundary(t, e))
 
 
+def free_hom_rows(g2):
+    """Per generator s_j, the restriction u_j of the free hom with s_j ->
+    1, the others -> 0, to the Schreier generators t_y s t_ys^-1 of the
+    chords of _hopf_system's tree: w_j(t_y) + [s = s_j] - w_j(t_ys), w_j
+    counting s_j in the tree word, summed down the tree here."""
+    tree, chords, _ = cocycles._hopf_system(g2)
+    k, gens = len(g2.generators), g2.generators
+    rows = []
+    for j in range(k):
+        w = [0] * g2.order
+        for y, i, ys in tree:
+            w[ys] = w[y] + (i == j)
+        rows.append([w[c // k + 1] + (c % k == j)
+                     - w[g2.table[c // k + 1][gens[c % k]]] for c in chords])
+    return rows
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_one_lattice_holds_u_and_hom(name):
+    # the chord part of the [u_j | e_j] lattice is U: each u_j reduces to
+    # zero there, and each of its rows with pivot at a chord lies in the
+    # span of the u_j; its tail's index is d^k / |Hom(G2, Z/d)| = |U|
+    g2 = get_group(name)
+    rows, k = free_hom_rows(g2), len(g2.generators)
+    for d in (2, 3, 4, 6):
+        _, ends, free = cocycles._free_homs(g2, d)
+        m = len(ends)
+        assert free.ncols == m + k
+        units = [[int(i == j) for i in range(k)] for j in range(k)]
+        assert all(not any(free.reduce(u + [0] * k)[:m]) for u in rows)
+        assert all(not any(free.reduce(u + e)) for u, e in zip(rows, units))
+        u_lattice = IntLattice(m, d, rows)
+        assert all(not any(u_lattice.reduce(free.dense_row(p)[:m]))
+                   for p in free.pivot_rows if p < m)
+        homs = len(enumerate_homs(g2, cyclic_group(d)))
+        assert free.tail(m).index_in_ambient() * homs == d ** k
+        assert free.tail(m).index_in_ambient() == d ** m // (
+            u_lattice.index_in_ambient())
+
+
 CACHED = ("compute_cocycle_space", "_solve_coordinate", "_class_key",
-          "_free_homs", "_coboundary_pivots", "_hom_solver", "_witness_walk")
+          "_free_homs", "_coboundary_pivots", "_witness_walk")
 
 
 def test_spaces_and_keys_need_no_coboundary_lattice(monkeypatch):
-    # spaces and keys never build the witness solver, and witnesses
-    # never build the coboundary lattice that oracles.py keeps
+    # spaces and keys never build Hom's pivots at the points, and
+    # witnesses never build the coboundary lattice that oracles.py keeps
     def refused(name):
         def build(g2, d):
             raise RuntimeError(f"{name} was built")
@@ -125,7 +171,7 @@ def test_spaces_and_keys_need_no_coboundary_lattice(monkeypatch):
     oracles.coboundary_lattice.cache_clear()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(cocycles, "_hom_solver", refused("the solver"))
+            patch.setattr(cocycles, "_witness_walk", refused("the walk"))
             for pair in PAIRS:
                 g1, g2 = map(get_group, pair)
                 rho = enumerate_automorphisms(g2)[-1].images
@@ -134,7 +180,7 @@ def test_spaces_and_keys_need_no_coboundary_lattice(monkeypatch):
                     fresh = Cocycle2(g1=g1, g2=g2, table=rep.table)
                     _keyed(fresh)
                     _class_key(g1, g2)[1](fresh.table, rho)
-            with pytest.raises(RuntimeError, match="the solver"):
+            with pytest.raises(RuntimeError, match="the walk"):
                 are_cohomologous(*[shifted(("Z2", "K4"))] * 2)
         monkeypatch.setattr(oracles, "coboundary_lattice",
                             refused("the lattice"))
@@ -163,13 +209,14 @@ def shifted(pair, e=None):
 @pytest.mark.parametrize("pair", [("Z2", "K4"), ("Z4", "D4"), ("Z2", "A4")],
                          ids=":".join)
 def test_a_wrong_free_hom_image_raises(pair, monkeypatch):
-    # U replaced by every vector over the chords, so not inside K: then
-    # |H^2| |U| no longer matches |K|
+    # the lattice of the [u_j | e_j] replaced by the whole space: U is
+    # then every vector over the chords, so not inside K, and the tail's
+    # index claims |U| = 1, so |H^2| |U| no longer matches |K|
     g1, g2 = map(get_group, pair)
     d = abelian_invariants(g1).invariant_factors[-1]
-    steps, ends, *_ = cocycles._free_homs(g2, d)
-    whole = cocycles.IntLattice(len(ends), d,
-                                [{j: 1} for j in range(len(ends))])
+    steps, ends, free = cocycles._free_homs(g2, d)
+    whole = cocycles.IntLattice(free.ncols, d,
+                                [{j: 1} for j in range(free.ncols)])
     cocycles._solve_coordinate.cache_clear()
     monkeypatch.setattr(cocycles, "_free_homs",
                         lambda g, e: (steps, ends, whole))

@@ -15,7 +15,7 @@ from centext import isotest
 from centext.catalog import catalog_names, get_group
 from centext.cocycles import (
     _generator_columns,
-    _hom_solver,
+    _witness_walk,
     are_cohomologous,
     cocycle_inv,
     cocycle_mul,
@@ -293,13 +293,13 @@ def test_materialize_checks_the_kind(pair, monkeypatch):
 def test_hom_lattice_is_the_coboundary_tail(pair):
     g1, g2 = get_group(pair[0]), get_group(pair[1])
     k = len(_generator_columns(g2))
-    for d in abelian_invariants(g1).invariant_factors:
-        # Hom from the solver's tail, against the tail of the coboundary
-        # lattice: the rows depend on the basis, the pivots and the span
-        # do not
-        solver = _hom_solver(g2, d)
-        cached, tail = solver[1], coboundary_lattice(g2, d).tail(k)
-        assert _hom_solver(g2, d) is solver
+    walk = _witness_walk(g1, g2)
+    assert _witness_walk(g1, g2) is walk
+    for d, cached in zip(abelian_invariants(g1).invariant_factors, walk[3]):
+        # Hom from the tail of the [u_j | e_j] lattice, against the tail
+        # of the coboundary lattice: the rows depend on the basis, the
+        # pivots and the span do not
+        tail = coboundary_lattice(g2, d).tail(k)
         assert sorted(cached) == sorted(tail.pivot_rows)
         rows = IntLattice(g2.order - 1, d)
         for i, (gi, tau) in cached.items():
