@@ -23,16 +23,16 @@ then reads a witness t off the same reduction (_reduced, _witness),
 checked at the columns alone when e1 and e2 are cocycles, as
 psi_t * e1 and e2 are then normalized cocycles, fixed by their columns.
 A Cocycle2 memoizes its pushed class keys by images (_keys),
-is_cocycle's (ok, witness), run at most once (_identity, read by
-build_extension), and isotest's carrier and search states as a target
-(_memo).  One greedy, _least_values, picks the lex-least witnesses and
-representatives, over the pivots of Hom at the points or of B^2 at the
-pair slots, found in the n - 1 values of a map (_coboundary_pivots).
-Pair slots appear only in tables written out.  The identity system, the
-dense elimination, the pair-slot B^2 lattice, the coset passes they
-replaced, the Z^2 and B^2 generator tables, and the solver, keys and
-witnesses that eliminated B^2 in generator columns are test oracles in
-tests/oracles.py.
+is_cocycle's (ok, witness), run at most once (_identity, kept from
+make_cocycle, read by build_extension), and isotest's carrier and
+search states as a target (_memo).  One greedy, _least_values, picks
+the lex-least witnesses and representatives, over the pivots of Hom at
+the points or of B^2 at the pair slots, found in the n - 1 values of a
+map (_coboundary_pivots).  Pair slots appear only in tables written
+out.  The identity system, the dense elimination, the pair-slot B^2
+lattice, the coset passes they replaced, the Z^2 and B^2 generator
+tables, and the solver, keys and witnesses that eliminated B^2 in
+generator columns are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -171,7 +171,9 @@ def make_cocycle(g1: FiniteGroup, g2: FiniteGroup, table) -> Cocycle2:
         if kind == "normalization":
             raise NotNormalized(f"cocycle not normalized at index {where}")
         raise ValueError(f"cocycle identity fails at (h,g,k) = {where}")
-    return Cocycle2(g1=g1, g2=g2, table=tab)
+    e = Cocycle2(g1=g1, g2=g2, table=tab)
+    e.__dict__["_identity"] = ok, witness   # build_extension reads it
+    return e
 
 
 def cocycle_mul(a: Cocycle2, b: Cocycle2) -> Cocycle2:
@@ -543,13 +545,13 @@ def _hom_values(g2: FiniteGroup, a):
 
 class _Coordinate(Record):
     """The orders of Z^2 and B^2 and the H^2 classes of one invariant
-    factor d of g1 over g2: the factors, and one member of each class
-    over the pair slots."""
+    factor d of g1 over g2: the factors, and the box (_box_points), each
+    relation's pivot with its residue over the pair slots."""
 
     z_order: int
     b_order: int
     factors: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
+    box: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def _expand(g2: FiniteGroup, d: int, vecs):
@@ -588,9 +590,9 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     of restricting Hom(F, Z/d) to R, the tail of _free_homs; so |B^2| =
     d^(n-1) / |Hom(g2, Z/d)| = d^(n-1) |U| / d^k, and |Z^2| = |B^2|
     |H^2|; |H^2| |U| = |K| is checked.  A class is a box point of the
-    relations' pivots, sum c_i res_i, placed at the chord columns with 0
-    on the tree columns (the cocycle _hopf_system makes of it) and
-    written out by _expand."""
+    relations' pivots, sum c_i res_i (_box_points), each res_i placed at
+    the chord columns with 0 on the tree columns (the cocycle
+    _hopf_system makes of it) and written out by _expand."""
     ncols, n2 = len(_generator_columns(g2)), g2.order
     _, chords, equations = _hopf_system(g2)
     m, free = len(chords), _free_homs(g2, d)[2]
@@ -615,21 +617,27 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
         raise InternalInconsistency("|H^2| |U| disagrees with |K|")
     diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
 
-    # the box of the relation lattice's pivots, one residue at a time
     placed = []
     for res in residues:
         vec = [0] * ncols
         for c, x in zip(chords, res):
             vec[c] = x
         placed.append(vec)
-    classes = [[0] * (n2 - 1) ** 2]
-    for j, res in enumerate(_expand(g2, d, placed)):
-        classes = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
-                   for vec in classes for c in range(quot.pivot(j))]
     return _Coordinate(z_order=b_order * quot.index_in_ambient(),
                        b_order=b_order,
                        factors=tuple(x for x in diag if x > 1),
-                       classes=tuple(map(tuple, classes)))
+                       box=tuple(zip(map(quot.pivot, range(k)),
+                                     _expand(g2, d, placed))))
+
+
+def _box_points(g2: FiniteGroup, d: int):
+    """One member of each H^2 class of _solve_coordinate(g2, d) over the
+    pair slots, the box points, one residue at a time, the last fastest."""
+    points = [[0] * (g2.order - 1) ** 2]
+    for pivot, res in _solve_coordinate(g2, d).box:
+        points = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
+                  for vec in points for c in range(pivot)]
+    return points
 
 
 @lru_cache(maxsize=None)
@@ -753,7 +761,8 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     coords = [_solve_coordinate(g2, d) for d in pres.invariant_factors]
 
     # the lex-least table per class; one class is B^2 itself
-    classes = list(itertools.product(*(c.classes for c in coords)))
+    classes = list(itertools.product(*(_box_points(g2, d)
+                                       for d in pres.invariant_factors)))
     n2, rep_tables = g2.order, [trivial_cocycle(g1, g2).table]
     if len(classes) > 1:
         slots = [(h, g, hg) for h in range(1, n2)

@@ -20,12 +20,12 @@ generators chosen so far by replaying the products of the same walk.
 A full scan runs only after a generator check has failed, to name the
 first witness.  Tables that a construction proves to be groups
 (direct_product, the extension carriers) are wrapped as FiniteGroup
-without validate_group.  group_from_elements calls op for the columns
-of the generators only and reads the others through them, which needs
-an associative op; its tables are still validated.  The same walk,
-adjoining only given elements, closes subgroups (subgroup_closure), and
-its recorded steps give the relations of intlinalg.abelian_invariants.
-A subgroup is its ascending member tuple.
+without validate_group.  The same walk (_cayley_walk) tables
+group_from_elements from op at the generator columns (still validated),
+picks the generators of Aut(g) (_automorphism_generators), closes
+subgroups (subgroup_closure), and its recorded steps give the relations
+of intlinalg.abelian_invariants.  A subgroup is its ascending member
+tuple.
 """
 
 from __future__ import annotations
@@ -259,7 +259,7 @@ class FiniteGroup(Record):
         return f"FiniteGroup({label})"
 
 
-def _cayley_walk(tab, adjoin, record: bool):
+def _cayley_walk(tab, adjoin, record: bool, on_adjoin=None):
     """Walk the right Cayley graph of the table tab from 0, adjoining in
     turn each element of adjoin not yet reached.  Returns the adjoined
     elements (over range(n), the greedy generating sequence), the closure
@@ -272,7 +272,11 @@ def _cayley_walk(tab, adjoin, record: bool):
     product r = a*s is a step (r, a, s, tree): a tree step when it
     reaches r for the first time, a check step when r was reached
     before.  A layer is (x, steps, reached), reached being x and then
-    the tree steps' elements in walk order.
+    the tree steps' elements in walk order.  The walk reads tab[a][s]
+    only for adjoined s, so tab may be rows that on_adjoin(x), run as x
+    is adjoined and before any product with x is read, fills at column x:
+    from op in group_from_elements, by composition in
+    _automorphism_generators.  Table walks pass no on_adjoin.
     """
     n = len(tab)
     gens, reached, seen = [], [0], [True] + [False] * (n - 1)
@@ -281,6 +285,8 @@ def _cayley_walk(tab, adjoin, record: bool):
         if seen[x]:
             continue
         gens.append(x)
+        if on_adjoin is not None:
+            on_adjoin(x)
         old, only_x = len(reached), (x,)
         seen[x] = True
         reached.append(x)
@@ -440,14 +446,13 @@ def group_from_elements(elems, op, name: str | None = None) -> FiniteGroup:
     """Build a validated group from concrete elements under op.
 
     elems is a sequence whose first element must be the identity; its
-    elements must be hashable, and op must be associative.  op runs only for the columns x -> x*s of 0 and of
-    the greedy generators s, n * (k + 1) calls for k generators.  The
-    walk is _cayley_walk's: it adjoins each element not yet reached, and
-    every other element b is first reached by a tree step b = p*s, with
-    p reached before it.  Then a*b = (a*p)*s by associativity, so column
-    b is column s read through column p: n list reads, no call of op.
-    Closure is checked on the columns that op computes: every other
-    column is read from them, so every product lies in the set.
+    elements must be hashable, and op must be associative.  op runs only
+    for the columns x -> x*s of 0 and of the greedy generators s, filled
+    in as _cayley_walk adjoins s: n * (k + 1) calls for k generators.
+    Every other b is first reached by a tree step b = p*s, p reached
+    before it; a*b = (a*p)*s by associativity, so column b is column s
+    read through column p: n reads, no call of op.  Closure is checked on
+    the columns op computes, from which every other column is read.
 
     The table is that of the n^2 products, so validate_group raises for
     it as for those (NoIdentityAtZero when elems[0] is not the
@@ -460,35 +465,20 @@ def group_from_elements(elems, op, name: str | None = None) -> FiniteGroup:
     n = len(elems)
     if n == 0:
         return validate_group((), name=name)   # raises: empty table
+    cols, rows = [None] * n, [{} for _ in range(n)]
 
     def column(s):
-        right = elems[s]
-        col = [index.get(op(a, right)) for a in elems]
+        cols[s] = col = [index.get(op(a, elems[s])) for a in elems]
         if None in col:
             raise ValueError("elements not closed under op")
-        return col
+        for row, b in zip(rows, col):
+            row[s] = b
 
-    cols = [None] * n
-    cols[0] = column(0)
-    reached, gens = [0], []
-    for x in range(n):
-        if cols[x] is not None:
-            continue
-        gens.append(x)
-        cols[x] = column(x)
-        old = len(reached)
-        reached.append(x)
-        # reached[:old] is closed under the earlier generators
-        i = 1
-        while i < len(reached):
-            p = reached[i]
-            for s in (gens if i >= old else (x,)):
-                col_s = cols[s]
-                b = col_s[p]
-                if cols[b] is None:
-                    cols[b] = list(map(col_s.__getitem__, cols[p]))
-                    reached.append(b)
-            i += 1
+    column(0)
+    for _, steps, _ in _cayley_walk(rows, range(n), True, column)[1]:
+        for b, p, s, tree in steps:
+            if tree:
+                cols[b] = itemgetter(*cols[p])(cols[s])
     return validate_group(tuple(zip(*cols)), name=name)
 
 
@@ -813,24 +803,23 @@ def _automorphisms(g: FiniteGroup, limits: SearchLimits) -> tuple[GroupMap, ...]
 
 @lru_cache(maxsize=None)
 def _automorphism_generators(g: FiniteGroup, limits: SearchLimits):
-    """Image arrays generating Aut(g), greedy in reverse enumeration
-    order: each automorphism outside the group the earlier picks
-    generate is picked, and at least doubles it, so there are at most
-    log2 |Aut(g)| picks.  The lexicographic enumeration opens with maps
-    in small stabilizers, so from its end the picks are fewer (2, not 6,
-    on A6).  As the old closure H is closed, the walk starts at the new
-    coset Ha."""
-    gens, closure = [], {tuple(range(g.order))}
-    for a in reversed(_automorphisms(g, limits)):
-        if a.images not in closure:
-            gens.append(a.images)
-            queue = [tuple([x[i] for i in a.images]) for x in closure]
-            closure.update(queue)
-            for x in queue:
-                new = {tuple([x[i] for i in s]) for s in gens} - closure
-                closure |= new
-                queue += new
-    return tuple(gens)
+    """Image arrays generating Aut(g): the greedy picks of _cayley_walk
+    over the automorphisms, the identity first and the rest in reverse
+    enumeration order, x*s = x . s (s applied first) filled in for every
+    x as s is adjoined.  Each pick at least doubles the group generated, so
+    there are at most log2 |Aut(g)|.  The lexicographic enumeration opens
+    with maps in small stabilizers, so from its end the picks are fewer
+    (2, not 6, on A6)."""
+    auts = _automorphisms(g, limits)
+    elems = [a.images for a in auts[:1] + auts[:0:-1]]
+    index, rows = {x: i for i, x in enumerate(elems)}, [{} for _ in elems]
+
+    def compose(s):
+        after = itemgetter(*elems[s])   # a tuple: a second automorphism
+        for row, x in zip(rows, elems):   # needs order >= 3
+            row[s] = index[after(x)]
+    gens = _cayley_walk(rows, range(len(elems)), False, compose)[0]
+    return tuple(elems[s] for s in gens)
 
 
 def brute_force_isomorphism(g: FiniteGroup, h: FiniteGroup,

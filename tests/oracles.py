@@ -15,6 +15,7 @@ from centext.cocycles import (
     CoboundaryWitness,
     Cocycle2,
     CocycleSpace,
+    _box_points,
     _class_key,
     _coboundary_pivots,
     _coboundary_table,
@@ -26,7 +27,6 @@ from centext.cocycles import (
     _merge_invariant_factors,
     _row_space,
     _same_groups,
-    _solve_coordinate,
     _table_from_values,
     _walk,
     are_cohomologous,
@@ -782,7 +782,7 @@ def pair_slot_b2(g2: FiniteGroup, d: int) -> IntLattice:
 
 def pair_slot_representatives(g1: FiniteGroup, g2: FiniteGroup):
     """The earlier class representatives, sorted: per class, one member
-    per invariant factor of g1 from cocycles._solve_coordinate, moved to
+    per invariant factor of g1 from cocycles._box_points, moved to
     the lex-least table of its coset of B^2 over the pair slots by the
     slot-by-slot pass."""
     pres = abelian_invariants(g1)
@@ -792,7 +792,7 @@ def pair_slot_representatives(g1: FiniteGroup, g2: FiniteGroup):
     return sorted(
         _table_from_values(g2.order, least_in_coset_by_slot(
             b2, vecs, pres.element_of, nslots))
-        for vecs in itertools.product(*(_solve_coordinate(g2, d).classes
+        for vecs in itertools.product(*(_box_points(g2, d)
                                         for d in factors)))
 
 
@@ -1359,6 +1359,25 @@ def g1_necessary_by_require(src: ExtensionGroup, tgt: ExtensionGroup,
                            else HypothesisNotVerified))
     return IsoCertificate(kind="g1", source=src, target=tgt, rho=m.phi22,
                           eta=m.phi12, delta=m.phi21)
+
+
+def automorphism_generators_by_closure(g: FiniteGroup,
+                                      limits: SearchLimits = DEFAULT_LIMITS):
+    """The earlier groups._automorphism_generators, with its own closure
+    walk: each automorphism, in reverse enumeration order, outside the
+    group the earlier picks generate is picked, and the closure grows
+    from the new coset Ha, each new element composed with every pick."""
+    gens, closure = [], {tuple(range(g.order))}
+    for a in reversed(enumerate_automorphisms(g, limits)):
+        if a.images not in closure:
+            gens.append(a.images)
+            queue = [tuple([x[i] for i in a.images]) for x in closure]
+            closure.update(queue)
+            for x in queue:
+                new = {tuple([x[i] for i in s]) for s in gens} - closure
+                closure |= new
+                queue += new
+    return tuple(gens)
 
 
 def automorphism_pair_search_afresh(push, pull, e1, e2,

@@ -199,6 +199,22 @@ class TestCocycleBasics:
             make_cocycle(z2, z2, [[0, 1], [0, 0]])
         assert str(info.value) == "cocycle not normalized at index 1"
 
+    def test_a_checked_cocycle_keeps_its_verdict(self, monkeypatch):
+        # build_extension reads the verdict make_cocycle computed
+        g1, g2 = get_group("Z2"), get_group("D4")
+        table = compute_cocycle_space(g1, g2).class_representatives[1].table
+        calls = []
+
+        def counted(g1, g2, table):
+            calls.append(table)
+            return checked(g1, g2, table)
+        checked = cocycles.is_cocycle
+        monkeypatch.setattr(cocycles, "is_cocycle", counted)
+        e = make_cocycle(g1, g2, [list(row) for row in table])
+        assert e._identity == (True, None)
+        assert build_extension(e).cocycle is e
+        assert len(calls) == 1
+
     def test_value_range_checked(self):
         g1, g2 = get_group("Z2"), get_group("Z2")
         with pytest.raises(ValueError):

@@ -56,9 +56,15 @@ from centext.groups import (
     trivial_map,
     validate_group,
 )
-from centext.groups import _MapSearch, _automorphism_generators
+from centext.groups import (
+    _MapSearch,
+    _automorphism_generators,
+    _automorphisms,
+    _cayley_walk,
+)
 from oracles import (
     CayleyClosureSearch,
+    automorphism_generators_by_closure,
     centralizer,
     compose_maps,
     derived_subgroup,
@@ -625,6 +631,62 @@ class TestWalkClosureOracles:
             [1, 31, 155, 155, 31, 1]
 
 
+class TestWalkCallback:
+    """_cayley_walk's on_adjoin runs on each adjoined element before the
+    walk reads a product with it: rows that the callback fills one
+    column at a time walk as the table does."""
+
+    @staticmethod
+    def filled_walk(table, adjoin):
+        # a read of a column before its callback raises KeyError
+        rows, calls = [{} for _ in table], []
+
+        def fill(x):
+            assert all(x not in row for row in rows)
+            calls.append(x)
+            for row, full in zip(rows, table):
+                row[x] = full[x]
+        return _cayley_walk(rows, adjoin, True, fill), calls
+
+    @pytest.mark.parametrize("name", catalog_names() + ["SL25"])
+    def test_filled_rows_walk_as_the_table(self, name):
+        g = _group(name)
+        got, calls = self.filled_walk(g.table, range(g.order))
+        assert got == _cayley_walk(g.table, range(g.order), True)
+        assert calls == list(got[0]) == list(g.generators)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_callback_sees_each_adjoined_element_once(self, name):
+        # adjoin lists with repeats and reached elements, as
+        # subgroup_closure passes them
+        g = get_group(name)
+        rng = random.Random(4127)
+        for gens in conjugacy_classes(g) + [
+                rng.choices(range(g.order), k=k) for k in (1, 3, 6)]:
+            got, calls = self.filled_walk(g.table, gens)
+            assert got == _cayley_walk(g.table, gens, True)
+            assert calls == list(got[0])
+            assert frozenset(got[2]) == subgroup_closure(g, gens)
+
+    def test_automorphism_walk_adjoins_the_picks(self, monkeypatch):
+        # the walk runs over the automorphisms, identity first and then
+        # from the end of the enumeration, and returns what it adjoined
+        g = get_group("S4")
+        auts = [a.images for a in _automorphisms(g, DEFAULT_LIMITS)]
+        seen = []
+
+        def walk(tab, adjoin, record, on_adjoin):
+            out = _cayley_walk(tab, adjoin, record, on_adjoin)
+            seen.append((len(tab), out[0], len(out[2])))
+            return out
+        monkeypatch.setattr("centext.groups._cayley_walk", walk)
+        gens = _automorphism_generators.__wrapped__(g, DEFAULT_LIMITS)
+        (n, adjoined, reached), = seen
+        order = auts[:1] + auts[:0:-1]
+        assert n == reached == len(auts) == 24
+        assert gens == tuple(order[x] for x in adjoined)
+
+
 class TestGroupMap:
     def test_normalization_enforced(self):
         g = get_group("Z2")
@@ -884,6 +946,13 @@ class TestPairClosureOracle:
         groups["Z2^4"] = functools.reduce(direct_product, [z2] * 4)
         assert {name: len(_automorphism_generators(g, DEFAULT_LIMITS))
                 for name, g in groups.items()} == self.PICKS
+
+    @pytest.mark.parametrize("name", catalog_names() + ["Z2^4"])
+    def test_automorphism_generators_equal_the_closure_picks(self, name):
+        g = (_power(cyclic_group(2), 4) if name == "Z2^4"
+             else get_group(name))
+        assert _automorphism_generators(g, DEFAULT_LIMITS) == \
+            automorphism_generators_by_closure(g, DEFAULT_LIMITS)
 
 
 class TestOracle:

@@ -70,7 +70,7 @@ def record_cases():
                         "z2_order": 2, "b2_order": 1},
          ("b2_order", 2)),
         (_Coordinate, {"z_order": 2, "b_order": 1, "factors": (2,),
-                       "classes": ((0,), (1,))},
+                       "box": ((2, (1,)),)},
          ("factors", ())),
         (ExtensionGroup, {"g1": Z2, "g2": Z2, "cocycle": TWIST,
                           "group": CARRIER.group},
