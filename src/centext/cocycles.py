@@ -51,7 +51,14 @@ from .errors import (
     NotAbelianCoefficients,
     NotNormalized,
 )
-from .groups import FiniteGroup, GroupMap, Record, center, trivial_map
+from .groups import (
+    FiniteGroup,
+    GroupMap,
+    Record,
+    _cayley_walk,
+    center,
+    trivial_map,
+)
 from .intlinalg import (
     IntLattice,
     IntMatrix,
@@ -112,10 +119,11 @@ def is_cocycle(g1: FiniteGroup, g2: FiniteGroup, table):
     When the values commute pairwise (always, for abelian g1) they lie
     in an abelian subgroup of g1, and Light's argument (the _expand
     proof) shows that the identity for every last argument k follows
-    from the identity for k in g2.generators; so only those are tested.
-    Only when one fails, or when two values do not commute, does the
-    scan over all triples run, which names the first failing triple in
-    row-major order.
+    from the identity for k in g2.generators; so only those are tested,
+    and none on the zero table, where both sides are 0.  Only when one
+    fails, or when two values do not commute, does the scan over all
+    triples run, which names the first failing triple in row-major
+    order.
     """
     n2 = g2.order
     if len(table) != n2 or any(len(r) != n2 for r in table):
@@ -129,6 +137,8 @@ def is_cocycle(g1: FiniteGroup, g2: FiniteGroup, table):
     for y in range(n2):
         if table[y][0] != 0 or table[0][y] != 0:
             return False, ("normalization", y)
+    if not any(map(any, table)):
+        return True, None   # both sides read mul[0][0] = 0
     mul = g1.table
     values = () if g1.is_abelian else {v for row in table for v in row}
     if (all(mul[a][b] == mul[b][a] for a in values for b in values)
@@ -462,14 +472,14 @@ class CocycleSpace(Record):
 def _hopf_system(g2: FiniteGroup):
     """Hopf's formula H^2(g2, A) = Hom(R, A)^F / Hom(F, A), A trivial,
     F free on the k generators and R the kernel of F -> g2 (Brown,
-    Cohomology of Groups, GTM 87).  Returns the breadth-first tree of
-    the right Cayley graph from 1, edges (y, i, ys) for s =
-    g2.generators[i] in the order found; the generator column
-    (y - 1) k + i of each chord, an edge (y, i) off the tree; and the
-    equations.  With t_y the tree word to y, the chords give the
-    Schreier generators r_{y,s} = t_y s t_{ys}^-1, a free basis of R
-    (Reidemeister-Schreier): n(k - 1) + 1 unknowns f(r_{y,s}).  A row
-    states f(x r x^-1) = f(r) for a generator x and a chord, rewriting
+    Cohomology of Groups, GTM 87).  Returns a spanning tree of the right
+    Cayley graph from 1, edges (y, i, ys) for s = g2.generators[i], each
+    y reached before its edge; the generator column (y - 1) k + i of
+    each chord, an edge (y, i) off the tree; and the equations.  With
+    t_y the tree word to y, the chords give the Schreier generators
+    r_{y,s} = t_y s t_{ys}^-1, a free basis of R (Reidemeister-
+    Schreier): n(k - 1) + 1 unknowns f(r_{y,s}).  A row states
+    f(x r x^-1) = f(r) for a generator x and a chord, rewriting
     x r_{y,s} x^-1 from the coset x as P(x, y) + r(xy, s) - P(x, ys) -
     r(y, s) (Holt, Eick & O'Brien, Handbook of Computational Group
     Theory): r(c, s) is the unknown of the edge (c, s), 0 on the tree,
@@ -478,22 +488,20 @@ def _hopf_system(g2: FiniteGroup):
     t_s = s and t_y s = t_{ys} on the tree, its column e(y, s) is
     f(r_{y,s}) on a chord and 0 on a tree edge: Z^2 in columns is B^2
     plus the kernel at the chord columns, and H^2 = K / U, U the
-    restrictions of Hom(F, Z/d) (_free_homs).  It keeps its own tree: the
-    walk's (FiniteGroup._closure_layers) gives the same classes and rows
-    on S6 but reorders the unknowns, and compute_cocycle_space(Z2, S6)
-    took 3.6-3.8 s for 2.4-2.7 s (three alternating runs each, 2 vCPUs,
-    Python 3.11.7)."""
+    restrictions of Hom(F, Z/d) (_free_homs).  The tree is that of
+    _cayley_walk over the generators, each adjoined at 1 in turn: its
+    first products s = 1 s and its tree steps, with its check steps as
+    the chords, in walk order."""
     gens, mul = g2.generators, g2.table
-    reached = [True] + [False] * (g2.order - 1)
-    tree, chords, queue = [], [], [0]
-    for y in queue:
-        for i, s in enumerate(gens):
-            if reached[ys := mul[y][s]]:
-                chords.append((y, i))
+    index = {s: i for i, s in enumerate(gens)}
+    tree, chords = [], []
+    for i, (x, steps, _) in enumerate(_cayley_walk(mul, gens, True)[1]):
+        tree.append((0, i, x))
+        for ys, y, s, new in steps:
+            if new:
+                tree.append((y, index[s], ys))
             else:
-                reached[ys] = True
-                tree.append((y, i, ys))
-                queue.append(ys)
+                chords.append((y, index[s]))
     r = {edge: (u,) for u, edge in enumerate(chords)}   # () on the tree
     rows = []
     for x in gens:

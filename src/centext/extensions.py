@@ -13,6 +13,7 @@ central by construction and the quotient by it multiplies like g2.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .cocycles import (
     Cocycle2,
@@ -255,15 +256,36 @@ def decompose_hom(source: ExtensionGroup, target: ExtensionGroup,
         for c, (dom, cod) in _component_groups(source, target).items()})
 
 
+# the frozenset of the trivial components, by the four flags of
+# trivial_components
+_TRIVIAL_SETS = {flags: frozenset(itertools.compress(
+    ("phi11", "phi12", "phi21", "phi22"), flags))
+    for flags in itertools.product((False, True), repeat=4)}
+
+
+@lru_cache(maxsize=None)
+def _kernel_copy(order: int, n2: int) -> frozenset:
+    """The indices x * n2 of the kernel copy of a carrier of this order
+    over a quotient of order n2."""
+    return frozenset(range(0, order, n2))
+
+
 def trivial_components(source: ExtensionGroup, target: ExtensionGroup,
                        images) -> frozenset:
     """The names of the components of the carrier map with this image
-    array whose image arrays from _component_images are all zero: the
-    trivial ones, with no component map built.  The one read of a kind:
-    a bijective phi is of kind K when the set holds
+    array that are trivial, with no component map built, each read off
+    one slice of the array at C speed.  As phi(x, 1) = (phi11(x),
+    phi21(x)) and phi(1, y) = (phi12(y), phi22(y)), phi11 (phi12) is
+    trivial when every image of the kernel copy (section) is some (1,
+    y), an index below |target.g2|, and phi21 (phi22) when every one is
+    some (x, 1), a multiple of |target.g2|.  The one read of a kind: a
+    bijective phi is of kind K when the set holds
     TRIVIAL_COMPONENTS[K]."""
-    return frozenset(c for c, im in _component_images(
-        source, target, images).items() if not any(im))
+    n2s, n2t = source.g2.order, target.g2.order
+    kernel, section = images[::n2s], images[:n2s]
+    copy = _kernel_copy(target.group.order, n2t)
+    return _TRIVIAL_SETS[max(kernel) < n2t, max(section) < n2t,
+                         copy.issuperset(kernel), copy.issuperset(section)]
 
 
 def reconstruct_hom(m: HomMatrix) -> GroupMap:

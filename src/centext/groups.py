@@ -9,18 +9,27 @@ Conventions used throughout the package:
     emits skip that scan (GroupMap._unchecked), as the search proves
     all three.
 
-Tables and maps are checked along generators.  Each group carries one
-greedy generating sequence (FiniteGroup.generators), found by walking
-the right Cayley graph once, and a property of all products x*y is
-tested on the products x*s with s a generator only, with the proof that
-this suffices in the docstring of each check: validate_group (Light's
-associativity test), GroupMap.is_homomorphism, and the homomorphism
-enumeration, which extends partial images along the Cayley graph of the
-generators chosen so far by replaying the products of the same walk.
-A full scan runs only after a generator check has failed, to name the
-first witness.  Tables that a construction proves to be groups
-(direct_product, the extension carriers) are wrapped as FiniteGroup
-without validate_group.  The same walk (_cayley_walk) tables
+Tables and maps are checked along generators.  Each group carries a
+short generating sequence (FiniteGroup.generators): a pair (1, y) where
+one generates and the greedy sequence is longer, as for every finite
+simple group, else the greedy sequence, each found by walking the right
+Cayley graph.  A property of all products x*y is tested on the products
+x*s with s a generator only, with the proof that this suffices in the
+docstring of each check: validate_group (Light's associativity test),
+GroupMap.is_homomorphism, and in other modules is_cocycle,
+is_homomorphism_direct, condition 4 of hom_condition_failures, and
+Hopf's system and the generator columns behind H^2.  Each needs only a
+set whose left-nested products reach every element, and the fewer
+elements, the fewer products: A5 to A7 take 2, not 3 to 5.  The
+homomorphism enumeration and abelian_invariants read the greedy
+sequence instead, through the steps of its walk (_closure_layers): the
+enumeration extends partial images along the Cayley graph of the
+generators chosen so far by replaying those steps, and emits its maps
+in lex order because the greedy sequence adjoins the least element not
+yet reached.  A full scan runs only after a generator check has failed,
+to name the first witness.  Tables that a construction proves to be
+groups (direct_product, the extension carriers) are wrapped as
+FiniteGroup without validate_group.  The same walk (_cayley_walk) tables
 group_from_elements from op at the generator columns (still validated),
 picks the generators of Aut(g) (_automorphism_generators), closes
 subgroups (subgroup_closure), and its recorded steps give the relations
@@ -188,22 +197,40 @@ class FiniteGroup(Record):
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """The greedy generating sequence: repeatedly adjoin the least
-        element not yet reached.  The reached set is the closure of
-        {0} under right multiplication by the sequence so far, that is
-        the left-nested products ((s1 s2) s3)... of generators; it needs
-        no associativity (validate_group relies on that), and in a group
-        it is the subgroup generated.  It is found by _cayley_walk,
-        the walk of the right Cayley graph whose steps the map search
-        replays (_closure_layers), in O(n k) products for k
-        generators."""
-        return _cayley_walk(self.table, range(self.order), False)[0]
+        """A short generating sequence: the greedy one, which repeatedly
+        adjoins the least element not yet reached, when it has at most
+        two elements; else (1, y) for the least y whose walk from (1, y)
+        reaches every element, or the greedy one when no y does.  What a
+        walk reaches is the closure of {0} under right multiplication by
+        the sequence, that is the left-nested products ((s1 s2) s3)...
+        of its elements; it needs no associativity (validate_group
+        relies on that), and in a group it is the subgroup generated.
+        Each walk is _cayley_walk's, O(n k) products for k elements; a y
+        that a proper <1, y'> walked before reached is skipped, as <1, y>
+        lies inside it.  Every finite simple group is 2-generated, each
+        element in some generating pair (Guralnick & Kantor, J. Algebra
+        234, 2000), so A5 to A7 take 2 elements, not 3 to 5."""
+        tab, n = self.table, self.order
+        greedy = _cayley_walk(tab, range(n), False)[0]
+        if len(greedy) <= 2:
+            return greedy
+        inside = [False] * n
+        for y in range(2, n):
+            if not inside[y]:
+                reached = _cayley_walk(tab, (1, y), False)[2]
+                if len(reached) == n:
+                    return 1, y
+                for x in reached:
+                    inside[x] = True
+        return greedy
 
     @cached_property
     def _closure_layers(self) -> tuple:
-        """The closure steps of _cayley_walk, one layer per generator,
-        recorded on the group's first map search (see _MapSearch) or
-        abelian presentation (intlinalg.abelian_invariants)."""
+        """The closure steps of _cayley_walk over range(n), one layer per
+        element of the greedy sequence (which generators is not when a
+        pair replaces it), recorded on the group's first map search (see
+        _MapSearch) or abelian presentation
+        (intlinalg.abelian_invariants)."""
         return _cayley_walk(self.table, range(self.order), True)[1]
 
     @cached_property
@@ -338,10 +365,16 @@ def validate_group(table, name: str | None = None) -> FiniteGroup:
     x((m m')y).  The identity 0 is such a middle, so once every element
     of a set S is one, so is every left-nested product ((s1 s2) s3)...
     of elements of S.  S is FiniteGroup.generators, and every element is
-    such a product of generators, as the greedy sequence adjoins the
-    least element that no such product reaches; so n * |S| row
-    comparisons replace the n^3 triples.  Only when a generator fails
-    does the row-major scan run, to name the first failing triple.
+    such a product of generators: the walk that chose S reached them
+    all, by right multiplication alone, so with no use of associativity
+    (for a pair, the walk from (1, y); for the greedy sequence, it
+    adjoins the least element that no such product reaches).  Skipping
+    a y that an earlier walk reached only decides which pair is taken,
+    and a pair is taken only once its own walk reaches every element,
+    so a table that is no group is still caught.  So n * |S| row
+    comparisons, n * 2 for the simple groups, replace the n^3 triples.
+    Only when a generator fails does the row-major scan run, to name
+    the first failing triple.
     """
     if not isinstance(table, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) for row in table):

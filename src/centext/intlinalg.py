@@ -419,12 +419,14 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
     """Invariant factors d_1 | d_2 | ... and the coordinates of each
     element, via the Smith form of a generator relation lattice.
 
-    Let e_x be an exponent vector of x over the k generators, r a
-    matrix whose rows span the relation lattice R (the e whose product
-    of generator powers is the identity), and u * r * v = s.  Both come
-    from the recorded Cayley walk (FiniteGroup._closure_layers): a
-    generator has its unit vector, a tree step r = a*s sets e_r = e_a +
-    e_s, and a check step adds the row e_a + e_s - e_r.  The walk takes
+    Let e_x be an exponent vector of x over the k elements of the
+    greedy sequence (not FiniteGroup.generators, which may be a pair;
+    the coordinates are pinned to these), r a matrix whose rows span
+    the relation lattice R (the e whose product of generator powers is
+    the identity), and u * r * v = s.  Both come from the recorded
+    Cayley walk (FiniteGroup._closure_layers): a generator has its unit
+    vector, a tree step r = a*s sets e_r = e_a + e_s, and a check step
+    adds the row e_a + e_s - e_r.  The walk takes
     each a*s with a != 1 once, and a tree step's row would be zero, so
     the rows span R (the index check below confirms it).  Then
     coords[x]_i = (e_x . v)_i mod s_ii, over the i with s_ii > 1.  This

@@ -403,6 +403,14 @@ def trivial_components_by_layout(source: ExtensionGroup,
     return frozenset(trivial)
 
 
+def trivial_components_by_arrays(source: ExtensionGroup,
+                                 target: ExtensionGroup, images) -> frozenset:
+    """The earlier extensions.trivial_components: the components whose
+    image arrays from _component_images are all zero."""
+    return frozenset(c for c, im in _component_images(
+        source, target, images).items() if not any(im))
+
+
 def build_extension_by_validation(e: Cocycle2) -> ExtensionGroup:
     """The earlier carrier path of build_extension: the table entry by
     entry from the pair formula, then validate_group on it, then the
@@ -435,6 +443,13 @@ def build_extension_by_validation(e: Cocycle2) -> ExtensionGroup:
                 raise ConditionsFailed(
                     "embedded coefficient copy failed to be central")
     return ext
+
+
+def greedy_sequence(g: FiniteGroup) -> tuple[int, ...]:
+    """The greedy generating sequence the map search reads: the elements
+    adjoined by the layers of g._closure_layers.  FiniteGroup.generators
+    is a generating pair instead wherever one starts at 1."""
+    return tuple(x for x, _, _ in g._closure_layers)
 
 
 def greedy_by_pair_closure(g: FiniteGroup) -> tuple[int, ...]:
@@ -478,7 +493,7 @@ class CayleyClosureSearch:
         self.cod = cod
         self.injective = injective
         self.limits = limits
-        self.gens = dom.generators
+        self.gens = greedy_sequence(dom)
         self.assigned = []
         self.nodes = 0
 

@@ -1,8 +1,9 @@
 """The per-isomorphism checks of verify_theorems against the earlier
 paths they replaced: the component conditions, whose condition 4 is now
 screened on generator columns, against the full row-major scan; the
-trivial components, read off _component_images, against the read of
-the carrier layout; and the one extraction path of the lower, g1 and
+trivial components, read off slices of the image array, against the
+read of the carrier layout and the earlier reader of the component
+arrays; and the one extraction path of the lower, g1 and
 g2 kinds, which compares each certificate's rebuilt map with the
 isomorphism, against the earlier extractors: the lower one that ran
 materialize() in full, and the g1 and g2 ones that made no compare.  They are compared on every carrier
@@ -40,6 +41,7 @@ from oracles import (
     g1_necessary_by_require,
     g2_necessary_by_require,
     hom_condition_failures_by_scan,
+    trivial_components_by_arrays,
     trivial_components_by_layout,
     lower_necessary_by_materialize,
     replace,
@@ -119,8 +121,8 @@ def test_conditions_equal_the_full_scan_on_every_isomorphism():
 
 
 def test_trivial_components_equal_the_layout_read():
-    # the components whose arrays from _component_images are all zero,
-    # against the earlier read of the carrier layout: on every carrier
+    # the trivial components against the earlier read of the carrier
+    # layout: on every carrier
     # isomorphism, and on seeded image arrays whose kernel copy and
     # section each take their images from everything, the indices below
     # |target.g2|, its multiples or {0}
@@ -150,6 +152,24 @@ def test_trivial_components_equal_the_layout_read():
             seen[got] += 1
     # every set of trivial components occurs
     assert len(seen) == 16
+
+
+def test_trivial_components_equal_the_component_arrays():
+    # the slice screens against the earlier reader, which built the four
+    # component arrays and tested each for zero, on every carrier
+    # isomorphism and on every single-entry change of one kernel-copy or
+    # section image of the first few
+    cases = all_isomorphisms()
+    for src, tgt, phi, _, _ in cases:
+        assert trivial_components(src, tgt, phi.images) == \
+            trivial_components_by_arrays(src, tgt, phi.images)
+    for src, tgt, phi, _, _ in cases[::40]:
+        n2s = src.g2.order
+        for i in (*range(1, n2s), *range(n2s, src.group.order, n2s)):
+            for v in range(tgt.group.order):
+                images = phi.images[:i] + (v,) + phi.images[i + 1:]
+                assert trivial_components(src, tgt, images) == \
+                    trivial_components_by_arrays(src, tgt, images)
 
 
 def test_lower_extractor_equals_materialize_on_every_isomorphism():

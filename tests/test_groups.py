@@ -69,6 +69,7 @@ from oracles import (
     compose_maps,
     derived_subgroup,
     greedy_by_pair_closure,
+    greedy_sequence,
     group_from_elements_by_products,
     group_map_error,
     identity_map,
@@ -653,7 +654,7 @@ class TestWalkCallback:
         g = _group(name)
         got, calls = self.filled_walk(g.table, range(g.order))
         assert got == _cayley_walk(g.table, range(g.order), True)
-        assert calls == list(got[0]) == list(g.generators)
+        assert calls == list(got[0]) == list(greedy_sequence(g))
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_callback_sees_each_adjoined_element_once(self, name):
@@ -1010,6 +1011,23 @@ class TestGeneratingSequence:
         for name in ("S3", "D4", "Q8", "A4"):
             g = get_group(name)
             assert len(subgroup_closure(g, g.generators)) == g.order
+
+    def test_a_pair_where_one_starts_at_1(self):
+        # (1, y) for the least y that generates with 1, found here with
+        # no skipped y; every other group keeps the greedy sequence
+        pairs = [get_group("S4"), get_group("A5"), symmetric_group(5),
+                 alternating_group(6), symmetric_group(6),
+                 projective_special_linear_2_7(), special_linear_2_5()]
+        for g in pairs:
+            y = next(y for y in range(2, g.order)
+                     if len(subgroup_closure(g, (1, y))) == g.order)
+            assert g.generators == (1, y), g
+        assert [len(greedy_sequence(g)) for g in pairs] == \
+            [3, 3, 4, 4, 5, 2, 2]
+        for name in set(catalog_names()) - {"S4", "A5"}:
+            g = get_group(name)
+            assert g.generators == greedy_sequence(g), name
+        assert get_group("Z2xZ2xZ2").generators == (1, 2, 4)
 
     def test_closure_steps_wait_for_the_first_search(self):
         # validation and carrier builds walk for the generators only
