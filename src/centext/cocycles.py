@@ -28,11 +28,15 @@ make_cocycle, read by build_extension), and isotest's carrier and
 search states as a target (_memo).  One greedy, _least_values, picks
 the lex-least witnesses and representatives, over the pivots of Hom at
 the points or of B^2 at the pair slots, found in the n - 1 values of a
-map (_coboundary_pivots).  Pair slots appear only in tables written
-out.  The identity system, the dense elimination, the pair-slot B^2
-lattice, the coset passes they replaced, the Z^2 and B^2 generator
-tables, and the solver, keys and witnesses that eliminated B^2 in
-generator columns are test oracles in tests/oracles.py.
+map (_coboundary_pivots).  Where every B^2 pivot is 1 the greedy is
+linear, so it walks each residue of H^2's box once and the sums of the
+walked residues are the representatives; elsewhere it walks each class
+(compute_cocycle_space).  Pair slots appear only in tables written out,
+read by index off g2's table (_PairSlots).  The identity system, the
+dense elimination, the pair-slot B^2 lattice, the coset passes they
+replaced, the per-class walk, the Z^2 and B^2 generator tables, and the
+solver, keys and witnesses that eliminated B^2 in generator columns
+are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -554,7 +558,10 @@ def _hom_values(g2: FiniteGroup, a):
 class _Coordinate(Record):
     """The orders of Z^2 and B^2 and the H^2 classes of one invariant
     factor d of g1 over g2: the factors, and the box (_box_points), each
-    relation's pivot with its residue over the pair slots."""
+    relation's pivot with its residue over the pair slots.  A residue is
+    one member of its class, not the least: compute_cocycle_space walks
+    it to the least where B^2's pivots are units, outside this cached
+    record, since _coboundary_pivots reads b_order from it."""
 
     z_order: int
     b_order: int
@@ -638,11 +645,15 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
                                      _expand(g2, d, placed))))
 
 
-def _box_points(g2: FiniteGroup, d: int):
+def _box_points(g2: FiniteGroup, d: int, box=None):
     """One member of each H^2 class of _solve_coordinate(g2, d) over the
-    pair slots, the box points, one residue at a time, the last fastest."""
+    pair slots, the box points sum c_i res_i, 0 <= c_i < pivot_i, built one
+    residue at a time, the last fastest: over box, pairs (pivot_i, res_i),
+    or the coordinate's own box when it is None.  compute_cocycle_space
+    passes residues moved within their classes, as any members give one
+    point of each class."""
     points = [[0] * (g2.order - 1) ** 2]
-    for pivot, res in _solve_coordinate(g2, d).box:
+    for pivot, res in _solve_coordinate(g2, d).box if box is None else box:
         points = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
                   for vec in points for c in range(pivot)]
     return points
@@ -687,11 +698,37 @@ def _coboundary_pivots(g2: FiniteGroup, d: int):
 
 
 def _walk(pres, n2: int, slots, pivots):
-    """_least_values' fixed inputs: these four, the pivot slots in order,
-    and the element index of each mixed-radix code over the factors."""
-    return (pres, n2, slots, pivots, sorted(set().union(*pivots)),
-            [*map(pres.element_of,
-                  itertools.product(*map(range, pres.invariant_factors)))])
+    """_least_values' fixed inputs: these four, each pivot slot in order
+    with its triple, the element index of each mixed-radix code over the
+    factors (None when each code is its own index), and read(v, t, d),
+    the values v + t(h) + t(g) - t(hg) mod d at the slots.  slots is a
+    list of the triples (h, g, hg), or _PairSlots, which keeps none."""
+    codes = [*map(pres.element_of,
+                  itertools.product(*map(range, pres.invariant_factors)))]
+    return (pres, n2, slots, pivots,
+            [(i, slots[i]) for i in sorted(set().union(*pivots))],
+            None if codes == [*range(len(codes))] else codes,
+            slots.read if isinstance(slots, _PairSlots) else (
+                lambda v, t, d: [(x + t[h] + t[g] - t[hg]) % d
+                                 for x, (h, g, hg) in zip(v, slots)]))
+
+
+class _PairSlots:
+    """The pair slots (h, g, hg), h, g != 1, row-major, read by index off
+    g2's table: (n - 1)^2 triples are never held."""
+
+    def __init__(self, mul):
+        self.mul = mul
+
+    def __getitem__(self, i):
+        h, g = divmod(i, len(self.mul) - 1)
+        return h + 1, g + 1, self.mul[h + 1][g + 1]
+
+    def read(self, v, t, d):
+        # zip takes from v last, so a row's end takes nothing from it
+        ts, v = t[1:], iter(v)
+        return [(th + tg - t[hg] + x) % d for th, row in zip(ts, self.mul[1:])
+                for tg, hg, x in zip(ts, row[1:], v)]
 
 
 @lru_cache(maxsize=None)
@@ -724,12 +761,13 @@ def _least_values(walk, vecs):
     in the tau below; so each pivot slot, in order, takes its least
     admissible element index (0 if admissible), fixed by t += q tau_i,
     which keeps earlier slots, and the other slots are forced.  One map
-    t per factor is kept, and each slot is read once at the end."""
-    pres, n2, slots, pivots, order, codes = walk
+    t per factor is kept; the walk keeps the pivot slots' triples, and
+    each slot is read once at the end (the walk's read).  With every g_i
+    = 1 the walk is linear in vecs (compute_cocycle_space)."""
+    pres, n2, _, pivots, order, _, read = walk
     factors = pres.invariant_factors
     maps = [[0] * n2 for _ in factors]
-    for i in order:
-        h, g, hg = slots[i]
+    for i, (h, g, hg) in order:
         cur = [(v[i] + t[h] + t[g] - t[hg]) % d
                for v, t, d in zip(vecs, maps, factors)]
         steps = [p[i][0] if i in p else d for p, d in zip(pivots, factors)]
@@ -740,11 +778,17 @@ def _least_values(walk, vecs):
             if x != c:
                 q = (x - c) // p[i][0]
                 t[:] = [(u + q * v) % d for u, v in zip(t, p[i][1])]
-    code = [0] * len(slots)
-    for v, t, d in zip(vecs, maps, factors):
-        code = [c * d + (x + t[h] + t[g] - t[hg]) % d
-                for c, x, (h, g, hg) in zip(code, v, slots)]
-    return [codes[c] for c in code]
+    return _element_values(walk, list(map(read, vecs, maps, factors)))
+
+
+def _element_values(walk, vecs):
+    """The element indices at the slots of the values vecs, one list per
+    factor, each value in [0, d), by the walk's mixed-radix codes."""
+    codes = walk[5]
+    code = vecs[0] if vecs else [0] * len(walk[2])
+    for v, d in zip(vecs[1:], walk[0].invariant_factors[1:]):
+        code = [c * d + x for c, x in zip(code, v)]
+    return code if codes is None else [codes[c] for c in code]
 
 
 def _table_from_values(n2, values):
@@ -756,29 +800,56 @@ def _table_from_values(n2, values):
 
 @lru_cache(maxsize=None)
 def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
-    """Z^2, B^2, H^2 and each class's lex-least table (_least_values
-    over the pivots of B^2), via Hopf's formula mod each invariant
-    factor of g1 (_solve_coordinate).  The space is cached over the
-    first equal pair it was called with, and it carries those groups,
-    whose names may differ from the caller's (FiniteGroup.name is not
-    compared)."""
+    """Z^2, B^2, H^2 and each class's lex-least table, via Hopf's formula
+    mod each invariant factor of g1 (_solve_coordinate).  The space is
+    cached over the first equal pair it was called with, and it carries
+    those groups, whose names may differ from the caller's
+    (FiniteGroup.name is not compared).
+
+    A class's lex-least table is _least_values over the pivots of B^2
+    (_coboundary_pivots) from any member, such as its box point sum c_i
+    res_i (_box_points).  Where every pivot of every factor is 1, at one
+    set of slots shared by the factors, that walk is linear in the
+    point: at each pivot slot i every step is 1, so every start is 0 and
+    best is 0 in each factor, reached by t += -cur tau_i, where cur =
+    v(i) + psi_t(i) mod d is linear in v and in the t built so far.  So
+    each factor's final t, and the least member v + psi_t, are linear in
+    that factor's v alone, and the least member of sum c_i res_i is sum
+    c_i r_i, r_i = res_i + psi_(t_i) the least member of res_i's class:
+    each residue is walked once, and _box_points over the r_i gives each
+    class's least member directly.  Elsewhere the walk is not linear:
+    with g_i > 1 best turns on cur mod g_i, and at a slot that is a pivot
+    of some factors only, on the other factors' forced values through
+    the element order; there each box point is walked.  Equal rows of
+    the tables are one tuple."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
     pres = abelian_invariants(g1)
-    coords = [_solve_coordinate(g2, d) for d in pres.invariant_factors]
-
-    # the lex-least table per class; one class is B^2 itself
-    classes = list(itertools.product(*(_box_points(g2, d)
-                                       for d in pres.invariant_factors)))
+    factors = pres.invariant_factors
+    coords = [_solve_coordinate(g2, d) for d in factors]
     n2, rep_tables = g2.order, [trivial_cocycle(g1, g2).table]
-    if len(classes) > 1:
-        slots = [(h, g, hg) for h in range(1, n2)
-                 for g, hg in enumerate(g2.table[h]) if g]
-        walk = _walk(pres, n2, slots, [_coboundary_pivots(g2, d)
-                                       for d in pres.invariant_factors])
-        rep_tables = sorted(_table_from_values(n2, _least_values(walk, vecs))
-                            for vecs in classes)
+    boxes = [c.box for c in coords]
+    if math.prod(p for box in boxes for p, _ in box) > 1:
+        pivots = [_coboundary_pivots(g2, d) for d in factors]
+        walk = _walk(pres, n2, _PairSlots(g2.table), pivots)
+        linear = all(p.keys() == pivots[0].keys() and all(
+            gi == 1 for gi, _ in p.values()) for p in pivots)
+        if linear:
+            zero = [0] * (n2 - 1) ** 2
+
+            def least(f, res):
+                vecs = [res if j == f else zero for j in range(len(factors))]
+                return [pres.coords[x][f] for x in _least_values(walk, vecs)]
+            boxes = [[(p, least(f, res)) for p, res in box]
+                     for f, box in enumerate(boxes)]
+        classes = itertools.product(*map(_box_points, [g2] * len(factors),
+                                         factors, boxes))
+        rows = {}   # one tuple per distinct row, shared by the tables
+        rep_tables = sorted(tuple(map(rows.setdefault, t, t)) for t in (
+            _table_from_values(n2, _element_values(walk, vecs) if linear
+                               else _least_values(walk, vecs))
+            for vecs in classes))
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
         raise InternalInconsistency("the trivial class is not listed first")
     return CocycleSpace(g1=g1, g2=g2,

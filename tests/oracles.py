@@ -15,7 +15,6 @@ from centext.cocycles import (
     CoboundaryWitness,
     Cocycle2,
     CocycleSpace,
-    _box_points,
     _class_key,
     _coboundary_pivots,
     _coboundary_table,
@@ -27,6 +26,7 @@ from centext.cocycles import (
     _merge_invariant_factors,
     _row_space,
     _same_groups,
+    _solve_coordinate,
     _table_from_values,
     _walk,
     are_cohomologous,
@@ -797,7 +797,7 @@ def pair_slot_b2(g2: FiniteGroup, d: int) -> IntLattice:
 
 def pair_slot_representatives(g1: FiniteGroup, g2: FiniteGroup):
     """The earlier class representatives, sorted: per class, one member
-    per invariant factor of g1 from cocycles._box_points, moved to
+    per invariant factor of g1 from unreduced_box_points, moved to
     the lex-least table of its coset of B^2 over the pair slots by the
     slot-by-slot pass."""
     pres = abelian_invariants(g1)
@@ -807,8 +807,35 @@ def pair_slot_representatives(g1: FiniteGroup, g2: FiniteGroup):
     return sorted(
         _table_from_values(g2.order, least_in_coset_by_slot(
             b2, vecs, pres.element_of, nslots))
-        for vecs in itertools.product(*(_box_points(g2, d)
+        for vecs in itertools.product(*(unreduced_box_points(g2, d)
                                         for d in factors)))
+
+
+def unreduced_box_points(g2: FiniteGroup, d: int):
+    """The earlier cocycles._box_points: one member of each H^2 class of
+    _solve_coordinate(g2, d) over the pair slots, sum c_i res_i over the
+    coordinate's own residues, the last fastest."""
+    points = [[0] * (g2.order - 1) ** 2]
+    for pivot, res in _solve_coordinate(g2, d).box:
+        points = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
+                  for vec in points for c in range(pivot)]
+    return points
+
+
+def representatives_by_walks(g1: FiniteGroup, g2: FiniteGroup):
+    """The earlier class representatives of cocycles.compute_cocycle_space,
+    sorted: one _least_values walk over the pivots of B^2 per class, from
+    its unreduced box point, with every slot's triple held in a list."""
+    pres = abelian_invariants(g1)
+    factors = pres.invariant_factors
+    n2 = g2.order
+    slots = [(h, g, hg) for h in range(1, n2)
+             for g, hg in enumerate(g2.table[h]) if g]
+    walk = _walk(pres, n2, slots, [_coboundary_pivots(g2, d)
+                                   for d in factors])
+    return sorted(_table_from_values(n2, _least_values(walk, vecs))
+                  for vecs in itertools.product(*(
+                      unreduced_box_points(g2, d) for d in factors)))
 
 
 def group_map_error(dom: FiniteGroup, cod: FiniteGroup, images):
