@@ -479,7 +479,7 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, NotImplementedError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its key: print the key
         if isinstance(exc, KeyError) and exc.args:
             exc = exc.args[0]

@@ -645,15 +645,15 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
                                      _expand(g2, d, placed))))
 
 
-def _box_points(g2: FiniteGroup, d: int, box=None):
+def _box_points(g2: FiniteGroup, d: int, box):
     """One member of each H^2 class of _solve_coordinate(g2, d) over the
     pair slots, the box points sum c_i res_i, 0 <= c_i < pivot_i, built one
     residue at a time, the last fastest: over box, pairs (pivot_i, res_i),
-    or the coordinate's own box when it is None.  compute_cocycle_space
-    passes residues moved within their classes, as any members give one
-    point of each class."""
+    such as the coordinate's own box.  compute_cocycle_space passes
+    residues moved within their classes, as any members give one point
+    of each class."""
     points = [[0] * (g2.order - 1) ** 2]
-    for pivot, res in _solve_coordinate(g2, d).box if box is None else box:
+    for pivot, res in box:
         points = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
                   for vec in points for c in range(pivot)]
     return points

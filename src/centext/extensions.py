@@ -30,9 +30,8 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     Record,
-    subgroup_closure,
+    group_from_elements,
     trivial_map,
-    validate_group,
 )
 
 __all__ = [
@@ -133,6 +132,11 @@ def central_quotient_data(group: FiniteGroup, members):
     coset is represented by the identity and the cocycle is normalized.
     Rebuilding the twisted product from the returned data yields a group
     isomorphic to the input via (x, y) -> members[x] * section_reps[y].
+
+    group_from_elements builds and validates the kernel and the quotient
+    (on section_reps, a*b read as the representative of its coset), and
+    raises ValueError("elements not closed under op") for members that
+    are not closed, before any member is checked to be central.
     """
     members = list(members)
     for z in members:
@@ -142,19 +146,12 @@ def central_quotient_data(group: FiniteGroup, members):
     members = sorted(set(members))
     if not members or members[0] != 0:
         raise ValueError("central subgroup must contain the identity")
-    mset = frozenset(members)
-    if subgroup_closure(group, members) != mset:
-        raise ValueError("members are not closed under the product")
+    kernel = group_from_elements(members, lambda a, b: group.table[a][b])
     for z in members:
         if any(group.table[z][x] != group.table[x][z]
                for x in range(group.order)):
             raise ValueError(f"element {z} is not central")
     z_index = {z: i for i, z in enumerate(members)}
-    kernel = FiniteGroup(
-        order=len(members),
-        table=tuple(tuple(z_index[group.table[a][b]] for b in members)
-                    for a in members),
-        name=None)
 
     coset_of = [-1] * group.order
     reps = []
@@ -165,9 +162,8 @@ def central_quotient_data(group: FiniteGroup, members):
         reps.append(g)
         for z in members:
             coset_of[group.table[z][g]] = idx
-    quotient = validate_group(
-        [[coset_of[group.table[reps[i]][reps[j]]] for j in range(len(reps))]
-         for i in range(len(reps))])
+    quotient = group_from_elements(
+        reps, lambda a, b: reps[coset_of[group.table[a][b]]])
 
     inv = group.inverses
     table = []

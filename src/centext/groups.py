@@ -31,10 +31,11 @@ to name the first witness.  Tables that a construction proves to be
 groups (direct_product, the extension carriers) are wrapped as
 FiniteGroup without validate_group.  The same walk (_cayley_walk) tables
 group_from_elements from op at the generator columns (still validated),
-picks the generators of Aut(g) (_automorphism_generators), closes
-subgroups (subgroup_closure), and its recorded steps give the relations
-of intlinalg.abelian_invariants.  A subgroup is its ascending member
-tuple.
+which builds the catalog's groups and the kernel and quotient of
+extensions.central_quotient_data; it also picks the generators of
+Aut(g) (_automorphism_generators), closes subgroups (subgroup_closure),
+and its recorded steps give the relations of
+intlinalg.abelian_invariants.  A subgroup is its ascending member tuple.
 """
 
 from __future__ import annotations

@@ -67,6 +67,7 @@ from centext.groups import (
     conjugacy_classes,
     enumerate_automorphisms,
     enumerate_isomorphisms,
+    subgroup_closure,
     trivial_map,
     validate_group,
 )
@@ -443,6 +444,68 @@ def build_extension_by_validation(e: Cocycle2) -> ExtensionGroup:
                 raise ConditionsFailed(
                     "embedded coefficient copy failed to be central")
     return ext
+
+
+def central_quotient_data_by_tables(group: FiniteGroup, members):
+    """The earlier extensions.central_quotient_data: closure checked by
+    subgroup_closure, the kernel table read through z_index and not
+    validated, and validate_group over the hand-built coset table.
+
+    Read extension data back out of a concrete group: given a central
+    subgroup (by element indices), return the subgroup as an abstract
+    group, the quotient, and the cocycle of the minimal-representative
+    section, as (kernel, quotient, cocycle, section_reps).
+
+    The section picks the least element of each coset, so the identity
+    coset is represented by the identity and the cocycle is normalized.
+    Rebuilding the twisted product from the returned data yields a group
+    isomorphic to the input via (x, y) -> members[x] * section_reps[y].
+    """
+    members = list(members)
+    for z in members:
+        if type(z) is not int or not 0 <= z < group.order:
+            raise ValueError(f"member {z!r} is not an element index of "
+                             f"a group of order {group.order}")
+    members = sorted(set(members))
+    if not members or members[0] != 0:
+        raise ValueError("central subgroup must contain the identity")
+    mset = frozenset(members)
+    if subgroup_closure(group, members) != mset:
+        raise ValueError("members are not closed under the product")
+    for z in members:
+        if any(group.table[z][x] != group.table[x][z]
+               for x in range(group.order)):
+            raise ValueError(f"element {z} is not central")
+    z_index = {z: i for i, z in enumerate(members)}
+    kernel = FiniteGroup(
+        order=len(members),
+        table=tuple(tuple(z_index[group.table[a][b]] for b in members)
+                    for a in members),
+        name=None)
+
+    coset_of = [-1] * group.order
+    reps = []
+    for g in range(group.order):
+        if coset_of[g] >= 0:
+            continue
+        idx = len(reps)
+        reps.append(g)
+        for z in members:
+            coset_of[group.table[z][g]] = idx
+    quotient = validate_group(
+        [[coset_of[group.table[reps[i]][reps[j]]] for j in range(len(reps))]
+         for i in range(len(reps))])
+
+    inv = group.inverses
+    table = []
+    for i in range(quotient.order):
+        row = []
+        for j in range(quotient.order):
+            prod = group.table[reps[i]][reps[j]]
+            row.append(z_index[group.table[prod][inv[reps[coset_of[prod]]]]])
+        table.append(tuple(row))
+    cocycle = Cocycle2(g1=kernel, g2=quotient, table=tuple(table))
+    return kernel, quotient, cocycle, tuple(reps)
 
 
 def greedy_sequence(g: FiniteGroup) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import random
-from functools import lru_cache
+from collections import Counter
+from functools import lru_cache, partial, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from centext.catalog import (
     catalog_names,
     get_group,
     identify_group,
+    projective_special_linear_2_7,
     special_linear_2_5,
     symmetric_group,
 )
@@ -39,14 +41,17 @@ from centext.groups import (
     GroupMap,
     brute_force_isomorphism,
     center,
+    direct_product,
     enumerate_homs,
     is_simple,
+    normal_subgroups,
     trivial_map,
 )
 from centext.intlinalg import abelian_invariants
 from oracles import (
     build_extension_by_validation,
     carrier_commute_failure,
+    central_quotient_data_by_tables,
     greedy_by_pair_closure,
     greedy_sequence,
     preserves_kernel_setwise,
@@ -372,7 +377,85 @@ class TestSetwisePredicates:
             assert not preserves_kernel_setwise(src, src, swap)
 
 
+# the groups whose central subgroups central_quotient_data is compared
+# on: the catalog, two simple groups, the double cover SL(2,5), S5, and
+# three groups of order 16 with a center of order 4 or 16
+QUOTIENT_GROUPS = {
+    **{name: partial(get_group, name) for name in catalog_names()},
+    "SL25": special_linear_2_5,
+    "PSL27": projective_special_linear_2_7,
+    "A6": partial(alternating_group, 6),
+    "S5": partial(symmetric_group, 5),
+    "D4xZ2": lambda: direct_product(get_group("D4"), get_group("Z2")),
+    "Q8xZ2": lambda: direct_product(get_group("Q8"), get_group("Z2")),
+    "Z2^4": lambda: reduce(direct_product, [get_group("Z2")] * 4),
+}
+
+
+def central_subgroups(g):
+    z = set(center(g))
+    return [m for m in normal_subgroups(g) if z.issuperset(m)]
+
+
+def invalid_member_sets(g):
+    """Member sets that name no central subgroup: two without the
+    identity; the pairs {0, x}, 0 < x < 9, the identity with the
+    generators, and the normal subgroups, less the central subgroups
+    among them; and four lists with a member that is not an element
+    index."""
+    n, central = g.order, set(central_subgroups(g))
+    sets = [[], list(range(1, n)), [0, *g.generators],
+            *([0, x] for x in range(1, min(n, 9))),
+            *map(list, normal_subgroups(g))]
+    return [m for m in sets if tuple(sorted(set(m))) not in central] + [
+        [0, n], [0, -1], [0, True], [0, 1.0]]
+
+
 class TestCentralQuotientData:
+    @pytest.mark.parametrize("name", QUOTIENT_GROUPS)
+    def test_equals_the_hand_built_tables(self, name):
+        # the 140 cases: each group with each subgroup of its center
+        g = QUOTIENT_GROUPS[name]()
+        for members in central_subgroups(g):
+            got = central_quotient_data(g, members)
+            want = central_quotient_data_by_tables(g, members)
+            assert got[0].table == want[0].table
+            assert got[1].table == want[1].table
+            assert got[2].table == want[2].table
+            assert got[3] == want[3]
+
+    @pytest.mark.parametrize("name", QUOTIENT_GROUPS)
+    def test_the_promised_map_is_an_isomorphism(self, name):
+        # (x, y) -> members[x] * section_reps[y], from the rebuilt carrier
+        # onto the input group
+        g = QUOTIENT_GROUPS[name]()
+        for members in central_subgroups(g):
+            _, _, eps, reps = central_quotient_data(g, members)
+            phi = GroupMap(dom=build_extension(eps).group, cod=g,
+                           images=tuple(g.table[z][r] for z in members
+                                        for r in reps))
+            assert phi.is_homomorphism() and phi.is_bijective()
+
+    def test_invalid_member_sets_raise_as_the_hand_built_tables_do(self):
+        # the same error type, and the same message but for closure, which
+        # group_from_elements reports
+        seen = Counter()
+        for make in QUOTIENT_GROUPS.values():
+            g = make()
+            for members in invalid_member_sets(g):
+                with pytest.raises(ValueError) as want:
+                    central_quotient_data_by_tables(g, members)
+                with pytest.raises(ValueError) as got:
+                    central_quotient_data(g, members)
+                assert type(got.value) is type(want.value)
+                message = str(want.value)
+                if message == "members are not closed under the product":
+                    message = "elements not closed under op"
+                assert str(got.value) == message
+                seen[next(k for k in ("identity", "closed", "central",
+                                      "index") if k in message)] += 1
+        assert len(seen) == 4, seen
+
     def test_roundtrip_recovers_the_build_inputs(self):
         rep = reps_for("Z2", "K4")[2]
         ext = build_extension(rep)

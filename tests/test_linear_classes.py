@@ -95,7 +95,7 @@ def test_walked_residues_vanish_at_the_pivot_slots(monkeypatch):
     g1, g2 = get_group("Z2"), LARGER["Z2:Z2^4"]()
     boxes = []
 
-    def recorded(g, d, box=None):
+    def recorded(g, d, box):
         boxes.append(box)
         return _box_points(g, d, box)
     monkeypatch.setattr(cocycles, "_box_points", recorded)

@@ -19,18 +19,7 @@ def run(script, *args):
                           capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("script", ["a5_double_cover.py",
-                                    "classify_order8.py"])
+@pytest.mark.parametrize("script", ["classify_order8.py"])
 def test_script_exits_zero(script):
     proc = run(script)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_double_cover_enumerates_the_carrier_isomorphisms():
-    # every isomorphism of each order-120 carrier fixes the kernel copy,
-    # else simple_quotient_check raises and the script exits non-zero
-    proc = run("a5_double_cover.py", "--enumerate")
-    assert proc.returncode == 0, proc.stderr
-    for tag in ("direct", "twisted"):
-        assert (f"{tag}: 120 automorphisms, all kernel-preserving: True"
-                in proc.stdout.splitlines())
