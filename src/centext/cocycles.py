@@ -75,10 +75,10 @@ from .intlinalg import (
 class Cocycle2(Record):
     """A normalized 2-cocycle table epsilon(y, y') in g1, for y, y' in g2.
 
-    The constructor checks shape and normalization only; the full
+    The constructor checks shape, range and normalization; the full
     cocycle identity is the job of is_cocycle, which untrusted inputs
-    must pass through (the computed spaces construct tables that are
-    solutions by construction).
+    must pass through.  compute_cocycle_space and make_cocycle, whose
+    docstrings prove those checks, skip them (Record._unchecked).
     """
 
     g1: FiniteGroup
@@ -169,7 +169,9 @@ def _identity_failure(mul, g2, table, lasts):
 
 def make_cocycle(g1: FiniteGroup, g2: FiniteGroup, table) -> Cocycle2:
     """Validate an untrusted table, a list of rows of int (not bool)
-    entries, and wrap it; nothing is coerced."""
+    entries, and wrap it; nothing is coerced.  A table that passed
+    is_cocycle is g2.order square, in range(g1.order) and normalized, so
+    it skips Cocycle2's scans (Record._unchecked)."""
     if not isinstance(table, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) for row in table):
         raise ValueError("a cocycle table must be a list of rows")
@@ -185,7 +187,7 @@ def make_cocycle(g1: FiniteGroup, g2: FiniteGroup, table) -> Cocycle2:
         if kind == "normalization":
             raise NotNormalized(f"cocycle not normalized at index {where}")
         raise ValueError(f"cocycle identity fails at (h,g,k) = {where}")
-    e = Cocycle2(g1=g1, g2=g2, table=tab)
+    e = Cocycle2._unchecked(g1, g2, tab)
     e.__dict__["_identity"] = ok, witness   # build_extension reads it
     return e
 
@@ -821,7 +823,10 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     with g_i > 1 best turns on cur mod g_i, and at a slot that is a pivot
     of some factors only, on the other factors' forced values through
     the element order; there each box point is walked.  Equal rows of
-    the tables are one tuple."""
+    the tables are one tuple.  They skip Cocycle2's scans
+    (Record._unchecked): each slot value is an element index of g1 (the
+    walk's codes, _element_values), and the (n2 - 1)^2 of them fill the
+    rows after a zero row, each led by a zero (_table_from_values)."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
@@ -856,7 +861,7 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
                         h2_invariant_factors=_merge_invariant_factors(
                             [f for c in coords for f in c.factors]),
                         class_representatives=tuple(
-                            Cocycle2(g1=g1, g2=g2, table=t)
+                            Cocycle2._unchecked(g1, g2, t)
                             for t in rep_tables),
                         z2_order=math.prod(c.z_order for c in coords),
                         b2_order=math.prod(c.b_order for c in coords))

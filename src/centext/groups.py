@@ -6,7 +6,7 @@ Conventions used throughout the package:
   * maps between groups are stored as full image arrays and are
     normalized (they send 0 to 0).  GroupMap's constructor checks the
     length, range and normalization of the array; the maps the search
-    emits skip that scan (GroupMap._unchecked), as the search proves
+    emits skip that scan (Record._unchecked), as the search proves
     all three.
 
 Tables and maps are checked along generators.  Each group carries a
@@ -109,6 +109,14 @@ class Record:
         # None also when the body defines __eq__ but no __hash__
         if own.get("__hash__") is None:
             cls.__hash__ = Record.__hash__
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """These fields, in field order, with no __init__ or __post_init__:
+        only for callers whose docstring proves what __post_init__ checks."""
+        r = object.__new__(cls)
+        r.__dict__.update(zip(cls._fields, values))
+        return r
 
     def _misfit(self, values) -> TypeError:
         return TypeError(f"{type(self).__name__} has the fields "
@@ -629,23 +637,6 @@ class GroupMap(Record):
         if images[0] != 0:
             raise NotNormalized("map must send 0 to 0")
 
-    @staticmethod
-    def _unchecked(dom: FiniteGroup, cod: FiniteGroup,
-                   images: tuple[int, ...]) -> "GroupMap":
-        """The map with these fields, built without __post_init__'s
-        scan, for a caller that proves what the scan checks: images has
-        length dom.order, every image lies in range(cod.order), and
-        images[0] == 0.  _MapSearch proves it for every map it emits:
-        it fixes images[0] = 0, writes only candidates (indices of cod)
-        and entries of cod's table, and emits after its last layer, by
-        which time the walk of the domain has reached, and so set, every
-        element.  extensions.reconstruct_hom and extensions.decompose_hom
-        prove it for the carrier formula and the components of a carrier
-        map."""
-        m = object.__new__(GroupMap)
-        m.__dict__.update(dom=dom, cod=cod, images=images)
-        return m
-
     def __call__(self, a: int) -> int:
         return self.images[a]
 
@@ -705,7 +696,10 @@ class _MapSearch:
     (injective, if asked) of it, which is when closing the images under
     every pair of known elements finds no conflict.  So every map
     emitted is a verified homomorphism, and a well-formed map, which
-    GroupMap._unchecked builds without its constructor's scan.
+    Record._unchecked builds without GroupMap's scan: images[0] = 0 is
+    fixed, every image is a candidate (an index of cod) or an entry of
+    cod's table, and a map is emitted after the last layer, by which
+    time the walk of the domain has reached, and so set, every element.
 
     These products are the steps of the domain's _cayley_walk, recorded
     once per group (FiniteGroup._closure_layers) and replayed here: a

@@ -215,6 +215,16 @@ class TestCocycleBasics:
         assert build_extension(e).cocycle is e
         assert len(calls) == 1
 
+    def test_a_checked_cocycle_is_the_constructed_one(self):
+        # make_cocycle wraps without the constructor's scan, once
+        # is_cocycle has passed; the record is the checked one
+        g1, g2 = get_group("Z3"), get_group("S3")
+        table = compute_cocycle_space(g1, g2).class_representatives[-1].table
+        e = make_cocycle(g1, g2, [list(row) for row in table])
+        checked = Cocycle2(g1=g1, g2=g2, table=table)
+        assert e == checked and hash(e) == hash(checked)
+        assert vars(e)["_identity"] == (True, None)
+
     def test_the_zero_table_runs_no_identity_scan(self, monkeypatch):
         # the zero table passes at its screen; a nonzero one is scanned
         g1, g2 = get_group("Z2"), get_group("A5")

@@ -4,7 +4,8 @@ residues are walked once each and their sums are the lex-least tables
 over the unreduced box points kept in oracles.py, on every catalog pair
 with abelian kernel and at most 5,000 classes and on larger quotients;
 the walk counts that select the path; and the walked residues, zero at
-every pivot slot."""
+every pivot slot.  The space builds its tables without Cocycle2's scans,
+so each is also passed through the checked constructor and is_cocycle."""
 
 import functools
 
@@ -18,10 +19,12 @@ from centext.catalog import (
     symmetric_group,
 )
 from centext.cocycles import (
+    Cocycle2,
     _box_points,
     _coboundary_pivots,
     _least_values,
     compute_cocycle_space,
+    is_cocycle,
 )
 from centext.groups import cyclic_group, direct_product
 from centext.intlinalg import abelian_invariants
@@ -47,6 +50,13 @@ def fresh_tables(g1, g2):
     return [rep.table for rep in space.class_representatives]
 
 
+def assert_checked(g1, g2, tables):
+    """Every table passes the checked constructor and is_cocycle."""
+    for t in tables:
+        assert Cocycle2(g1=g1, g2=g2, table=t).table == t
+        assert is_cocycle(g1, g2, t) == (True, None)
+
+
 def test_pairs_reach_the_largest_catalog_spaces():
     # 4,096 classes each, from unit pivots and from a pivot 2
     assert {("K4", "Z2xZ2xZ2"), ("Z2xZ4", "Z2xZ2xZ2")} <= set(PAIRS)
@@ -55,13 +65,17 @@ def test_pairs_reach_the_largest_catalog_spaces():
 @pytest.mark.parametrize("pair", PAIRS, ids=":".join)
 def test_representatives_match_the_per_class_walk(pair):
     g1, g2 = map(get_group, pair)
-    assert fresh_tables(g1, g2) == representatives_by_walks(g1, g2)
+    tables = fresh_tables(g1, g2)
+    assert tables == representatives_by_walks(g1, g2)
+    assert_checked(g1, g2, tables)
 
 
 @pytest.mark.parametrize("name", LARGER)
 def test_larger_quotients_match_the_per_class_walk(name):
     g1, g2 = get_group("Z2"), LARGER[name]()
-    assert fresh_tables(g1, g2) == representatives_by_walks(g1, g2)
+    tables = fresh_tables(g1, g2)
+    assert tables == representatives_by_walks(g1, g2)
+    assert_checked(g1, g2, tables)
 
 
 def counted_walks(monkeypatch):

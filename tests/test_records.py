@@ -182,9 +182,16 @@ class TestRecordChecks:
         assert e._keys is e._keys and e._keys == {}
 
     def test_unchecked_map_is_the_checked_one(self):
-        fast = GroupMap._unchecked(Z2, Z2, (0, 1))
-        assert fast == IDENTITY and hash(fast) == hash(IDENTITY)
-        assert vars(fast) == vars(IDENTITY)
+        # Record._unchecked, on a map and on a cocycle, whose memos work
+        for cls, values in [(GroupMap, (Z2, Z2, (0, 1))),
+                            (Cocycle2, (Z2, Z2, TWIST.table))]:
+            fast, checked = cls._unchecked(*values), cls(*values)
+            assert type(fast) is cls and vars(fast) == vars(checked)
+            assert fast == checked and hash(fast) == hash(checked)
+        fast = Cocycle2._unchecked(Z2, Z2, TWIST.table)
+        assert fast._keys is fast._keys == {}
+        assert fast._memo is fast._memo == {}
+        assert fast._identity == (True, None)
 
     def test_hash_is_that_of_the_field_tuple(self):
         # as under dataclasses, so no set or dict order moves
