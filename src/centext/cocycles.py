@@ -26,11 +26,12 @@ A Cocycle2 memoizes its pushed class keys by images (_keys),
 is_cocycle's (ok, witness), run at most once (_identity, kept from
 make_cocycle, read by build_extension), and isotest's carrier and
 search states as a target (_memo).  One greedy, _least_values, picks
-the lex-least witnesses and representatives, over the pivots of Hom at
-the points or of B^2 at the pair slots, found in the n - 1 values of a
-map (_coboundary_pivots).  Where every B^2 pivot is 1 the greedy is
-linear, so it walks each residue of H^2's box once and the sums of the
-walked residues are the representatives; elsewhere it walks each class
+the values of the lex-least witnesses and representatives, over the
+pivots of Hom at the points or of B^2 at the pair slots, found in the
+n - 1 values of a map (_coboundary_pivots); _element_values alone makes
+them elements.  Where every B^2 pivot is 1 the greedy is linear, so it
+walks each residue of H^2's box once and the sums of the walked
+residues are the representatives; elsewhere it walks each class
 (compute_cocycle_space).  Pair slots appear only in tables written out,
 read by index off g2's table (_PairSlots).  The identity system, the
 dense elimination, the pair-slot B^2 lattice, the coset passes they
@@ -187,7 +188,7 @@ def make_cocycle(g1: FiniteGroup, g2: FiniteGroup, table) -> Cocycle2:
         if kind == "normalization":
             raise NotNormalized(f"cocycle not normalized at index {where}")
         raise ValueError(f"cocycle identity fails at (h,g,k) = {where}")
-    e = Cocycle2._unchecked(g1, g2, tab)
+    e = Cocycle2._unchecked(g1=g1, g2=g2, table=tab)
     e.__dict__["_identity"] = ok, witness   # build_extension reads it
     return e
 
@@ -224,8 +225,6 @@ def coboundary_from(delta: GroupMap) -> Cocycle2:
     g2, g1 = delta.dom, delta.cod
     if not g1.is_abelian:
         raise NotAbelian("coboundaries are built over abelian coefficients")
-    if delta.images[0] != 0:
-        raise NotNormalized("delta must send the identity to the identity")
     return Cocycle2(g1=g1, g2=g2, table=_coboundary_table(delta))
 
 
@@ -283,16 +282,16 @@ def _witness(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
     -> Z/d, phi(s_j) = a_j, and tau(y) = phi(t_y) (_hom_values) has
     psi_tau(y, s) = phi(t_y s t_ys^-1): z at the chords, 0 at the tree
     columns; so x0 = t + tau has psi_x0 = b at every column.  The
-    witnesses form x0 + Hom(g2, Z/d), so one walk of _least_values over
-    the pivots of Hom gives the least image array (t(1), ..., t(n-1))
-    whichever x0 was found, built unchecked, and one scan checks psi_t *
-    e1 = e2, on the tables when given, else at the columns.  Only a
-    failed scan rescans, with x0: as t - x0 lies in Hom, psi_t = psi_x0
-    unless the walk broke, so a passing x0 raises ConditionsFailed.  A
-    failing x0 means no witness: a witness w has psi_w = b at the
-    columns, so b lies in B^2 there, psi_(w - x0) vanishes there, w - x0
-    is a homomorphism and x0 a witness too; so tables scanned in full
-    that are no cocycles give None."""
+    witnesses form x0 + Hom(g2, Z/d), so one walk of _least_values over the
+    pivots of Hom gives the least (t(1), ..., t(n-1)) whichever x0 was
+    found, both made elements by _element_values, the map built unchecked,
+    and one scan checks psi_t * e1 = e2, on the tables when given, else at
+    the columns.  Only a failed scan rescans, with x0: as t - x0 lies in
+    Hom, psi_t = psi_x0 unless the walk broke, so a passing x0 raises
+    ConditionsFailed.  A failing x0 means no witness: a witness w has
+    psi_w = b at the columns, so b lies in B^2 there, psi_(w - x0)
+    vanishes there, w - x0 is a homomorphism and x0 a witness too; so
+    tables scanned in full that are no cocycles give None."""
     if tables is None and v1 == v2:
         return CoboundaryWitness(t=trivial_map(g2, g1))
     n2, mul, inv, mul2 = g2.order, g1.table, g1.inverses, g2.table
@@ -312,12 +311,12 @@ def _witness(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
         return any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][a] != c
                    for row, r1, r2, th in zip(mul2, *tables, im)
                    for g, hg, a, c in zip(range(n2), row, r1, r2))
-    im = (0, *_least_values(walk, solutions))
+    im = (0, *_element_values(walk, _least_values(walk, solutions)))
     if fails(im):
-        if fails((0, *map(pres.element_of, zip(*solutions)))):
+        if fails((0, *_element_values(walk, solutions))):
             return None
         raise ConditionsFailed("the solved map is not a coboundary witness")
-    return CoboundaryWitness(t=GroupMap._unchecked(g2, g1, im))
+    return CoboundaryWitness(t=GroupMap._unchecked(dom=g2, cod=g1, images=im))
 
 
 @lru_cache(maxsize=None)
@@ -649,16 +648,20 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
 
 def _box_points(g2: FiniteGroup, d: int, box):
     """One member of each H^2 class of _solve_coordinate(g2, d) over the
-    pair slots, the box points sum c_i res_i, 0 <= c_i < pivot_i, built one
-    residue at a time, the last fastest: over box, pairs (pivot_i, res_i),
-    such as the coordinate's own box.  compute_cocycle_space passes
-    residues moved within their classes, as any members give one point
-    of each class."""
-    points = [[0] * (g2.order - 1) ** 2]
-    for pivot, res in box:
-        points = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
-                  for vec in points for c in range(pivot)]
-    return points
+    pair slots, the box points sum c_i res_i, 0 <= c_i < pivot_i, the last
+    fastest, each yielded as it is formed: over box, pairs (pivot_i,
+    res_i), such as the coordinate's own box.  compute_cocycle_space
+    passes residues moved within their classes, as any members give one
+    point of each class."""
+    def points(vec, i):
+        if i == len(box):
+            yield vec
+            return
+        pivot, res = box[i]
+        for c in range(pivot):
+            yield from points([(x + c * y) % d for x, y in zip(vec, res)]
+                              if c else vec, i + 1)
+    return points([0] * (g2.order - 1) ** 2, 0)
 
 
 @lru_cache(maxsize=None)
@@ -752,20 +755,20 @@ def _witness_walk(g1: FiniteGroup, g2: FiniteGroup):
 
 
 def _least_values(walk, vecs):
-    """Element indices, slot by slot, of the lex-least member of a coset
-    of maps read at slots (h, g, hg) as v + t(h) + t(g) - t(hg) (walk,
-    from _walk): per invariant factor d of pres, vecs[f] gives the
+    """The values, one list per factor, of the lex-least member of a coset of
+    maps read at slots (h, g, hg) as v + t(h) + t(g) - t(hg) (walk, from
+    _walk), by element index: per factor d of pres, vecs[f] gives the
     values v and pivots[f] the pivots {slot i: (g_i, tau_i)} of the
-    lattice of the t, each tau_i zero before slot i and g_i there (a
-    pair slot of B^2, from _coboundary_pivots, or a point x of Hom, from
+    lattice of the t, each tau_i zero before slot i and g_i there (a pair
+    slot of B^2, from _coboundary_pivots, or a point x of Hom, from
     _witness_walk, read as (x, 1, 1)).  In a Howell basis the members that
-    agree before slot i take cur + <g_i> there, the freedom left lying
-    in the tau below; so each pivot slot, in order, takes its least
+    agree before slot i take cur + <g_i> there, the freedom left lying in
+    the tau below; so each pivot slot, in order, takes its least
     admissible element index (0 if admissible), fixed by t += q tau_i,
-    which keeps earlier slots, and the other slots are forced.  One map
-    t per factor is kept; the walk keeps the pivot slots' triples, and
-    each slot is read once at the end (the walk's read).  With every g_i
-    = 1 the walk is linear in vecs (compute_cocycle_space)."""
+    which keeps earlier slots, and the other slots are forced.  One map t
+    per factor is kept; the walk keeps the pivot slots' triples, and each
+    slot is read once at the end (the walk's read).  With every g_i = 1
+    the walk is linear in vecs (compute_cocycle_space)."""
     pres, n2, _, pivots, order, _, read = walk
     factors = pres.invariant_factors
     maps = [[0] * n2 for _ in factors]
@@ -780,12 +783,12 @@ def _least_values(walk, vecs):
             if x != c:
                 q = (x - c) // p[i][0]
                 t[:] = [(u + q * v) % d for u, v in zip(t, p[i][1])]
-    return _element_values(walk, list(map(read, vecs, maps, factors)))
+    return list(map(read, vecs, maps, factors))
 
 
 def _element_values(walk, vecs):
-    """The element indices at the slots of the values vecs, one list per
-    factor, each value in [0, d), by the walk's mixed-radix codes."""
+    """Element indices at the slots of vecs, _least_values' lists of
+    values in [0, d), one per factor, by the walk's mixed-radix codes."""
     codes = walk[5]
     code = vecs[0] if vecs else [0] * len(walk[2])
     for v, d in zip(vecs[1:], walk[0].invariant_factors[1:]):
@@ -822,11 +825,12 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     class's least member directly.  Elsewhere the walk is not linear:
     with g_i > 1 best turns on cur mod g_i, and at a slot that is a pivot
     of some factors only, on the other factors' forced values through
-    the element order; there each box point is walked.  Equal rows of
-    the tables are one tuple.  They skip Cocycle2's scans
-    (Record._unchecked): each slot value is an element index of g1 (the
-    walk's codes, _element_values), and the (n2 - 1)^2 of them fill the
-    rows after a zero row, each led by a zero (_table_from_values)."""
+    the element order; there each box point is walked.  Only the later
+    factors' points are held, and equal rows are one tuple.  The tables
+    skip Cocycle2's scans (Record._unchecked): each slot value is an
+    element index of g1 (the walk's codes, _element_values), and the
+    (n2 - 1)^2 of them fill the rows after a zero row, each led by a zero
+    (_table_from_values)."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
@@ -842,26 +846,24 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
             gi == 1 for gi, _ in p.values()) for p in pivots)
         if linear:
             zero = [0] * (n2 - 1) ** 2
-
-            def least(f, res):
-                vecs = [res if j == f else zero for j in range(len(factors))]
-                return [pres.coords[x][f] for x in _least_values(walk, vecs)]
-            boxes = [[(p, least(f, res)) for p, res in box]
-                     for f, box in enumerate(boxes)]
-        classes = itertools.product(*map(_box_points, [g2] * len(factors),
-                                         factors, boxes))
+            boxes = [[(p, _least_values(walk, [
+                res if j == f else zero for j in range(len(factors))])[f])
+                for p, res in box] for f, box in enumerate(boxes)]
+        first, *later = map(_box_points, [g2] * len(factors), factors, boxes)
+        later = [*map(list, later)]
         rows = {}   # one tuple per distinct row, shared by the tables
         rep_tables = sorted(tuple(map(rows.setdefault, t, t)) for t in (
-            _table_from_values(n2, _element_values(walk, vecs) if linear
-                               else _least_values(walk, vecs))
-            for vecs in classes))
+            _table_from_values(n2, _element_values(
+                walk, vecs if linear else _least_values(walk, vecs)))
+            for point in first
+            for vecs in itertools.product([point], *later)))
     if rep_tables[0] != trivial_cocycle(g1, g2).table:
         raise InternalInconsistency("the trivial class is not listed first")
     return CocycleSpace(g1=g1, g2=g2,
                         h2_invariant_factors=_merge_invariant_factors(
                             [f for c in coords for f in c.factors]),
                         class_representatives=tuple(
-                            Cocycle2._unchecked(g1, g2, t)
+                            Cocycle2._unchecked(g1=g1, g2=g2, table=t)
                             for t in rep_tables),
                         z2_order=math.prod(c.z_order for c in coords),
                         b2_order=math.prod(c.b_order for c in coords))

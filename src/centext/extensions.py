@@ -248,7 +248,7 @@ def decompose_hom(source: ExtensionGroup, target: ExtensionGroup,
         raise GroupMismatch("phi does not map between the two carriers")
     parts = _component_images(source, target, phi.images)
     return HomMatrix(source=source, target=target, **{
-        c: GroupMap._unchecked(dom, cod, parts[c])
+        c: GroupMap._unchecked(dom=dom, cod=cod, images=parts[c])
         for c, (dom, cod) in _component_groups(source, target).items()})
 
 
@@ -305,7 +305,8 @@ def reconstruct_hom(m: HomMatrix) -> GroupMap:
         row1, e2d, row2 = t1[s], e2[d], t2[d]
         images += [t1[row1[v]][e2d[r]] * n2t + row2[r]
                    for v, r in zip(eta, rho)]
-    return GroupMap._unchecked(m.source.group, target.group, tuple(images))
+    return GroupMap._unchecked(dom=m.source.group, cod=target.group,
+                               images=tuple(images))
 
 
 def is_homomorphism_direct(source: ExtensionGroup, target: ExtensionGroup,

@@ -35,7 +35,8 @@ which builds the catalog's groups and the kernel and quotient of
 extensions.central_quotient_data; it also picks the generators of
 Aut(g) (_automorphism_generators), closes subgroups (subgroup_closure),
 and its recorded steps give the relations of
-intlinalg.abelian_invariants.  A subgroup is its ascending member tuple.
+intlinalg.abelian_invariants.  subgroup_closure returns a frozenset;
+center, conjugacy_classes and normal_subgroups ascending tuples.
 """
 
 from __future__ import annotations
@@ -111,11 +112,14 @@ class Record:
             cls.__hash__ = Record.__hash__
 
     @classmethod
-    def _unchecked(cls, *values):
-        """These fields, in field order, with no __init__ or __post_init__:
-        only for callers whose docstring proves what __post_init__ checks."""
+    def _unchecked(cls, **values):
+        """These fields, by name, with no __init__ or __post_init__: only
+        for callers whose docstring proves what __post_init__ checks.  Set
+        one by one, they share the class's key table; dict.update copies it."""
         r = object.__new__(cls)
-        r.__dict__.update(zip(cls._fields, values))
+        attrs = r.__dict__
+        for name, value in values.items():
+            attrs[name] = value
         return r
 
     def _misfit(self, values) -> TypeError:
@@ -544,7 +548,8 @@ def center(g: FiniteGroup) -> tuple[int, ...]:
 
 
 def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """Classes sorted by least member; the identity class comes first."""
+    """Classes sorted by least member; the identity class comes first.
+    The scan emits them so: a member below a would have marked a seen."""
     n = g.order
     seen = [False] * n
     classes = []
@@ -555,7 +560,6 @@ def conjugacy_classes(g: FiniteGroup) -> list[tuple[int, ...]]:
         for y in orbit:
             seen[y] = True
         classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: c[0])
     return classes
 
 
@@ -590,22 +594,18 @@ def is_purely_nonabelian(g: FiniteGroup) -> bool:
     """True iff g is non-abelian and admits no internal direct
     decomposition with a nontrivial abelian factor.
 
-    Abelian groups return False by convention.  Decided by scanning pairs
-    of normal subgroups for trivial intersection, full product and
-    elementwise commutation.
+    Abelian groups return False by convention.  An abelian factor A of
+    g = A x B commutes with A and with B, so with g: it lies in the
+    center.  Conversely a central A != 1 and a normal B meeting A in 1,
+    with |A||B| = |g|, give g = A x B, A abelian.  So the pairs of normal
+    subgroups are scanned for a central A != 1 and such a B.
     """
     if g.is_abelian:
         return False
-    subs = normal_subgroups(g)
-    for a in subs:
-        if len(a) in (1, g.order) or not all(
-                g.table[x][y] == g.table[y][x] for x in a for y in a):
-            continue
-        for b in subs:
-            if len(a) * len(b) == g.order and set(a) & set(b) == {0} and all(
-                    g.table[x][y] == g.table[y][x] for x in a for y in b):
-                return False
-    return True
+    subs, z = normal_subgroups(g), set(center(g))
+    return not any(len(a) * len(b) == g.order and set(a) & set(b) == {0}
+                   for a in subs if len(a) > 1 and z.issuperset(a)
+                   for b in subs)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +752,8 @@ class _MapSearch:
 
     def _assign(self, layer, images, used):
         if layer == len(self.layers):
-            yield GroupMap._unchecked(self.dom, self.cod, tuple(images))
+            yield GroupMap._unchecked(dom=self.dom, cod=self.cod,
+                                      images=tuple(images))
             return
         x, steps, reached = self.layers[layer]
         ct, injective = self.cod.table, self.injective

@@ -404,14 +404,8 @@ class AbelianPresentation(Record):
         return {c: x for x, c in enumerate(self.coords)}
 
     def element_of(self, coords) -> int:
-        """The element with these coordinates, each taken mod its factor."""
-        x = self._elements.get(tuple(coords))
-        if x is not None:
-            return x
-        if len(coords) != len(self.invariant_factors):
-            raise DimensionMismatch("coordinate count mismatch")
-        return self._elements[tuple(
-            c % d for c, d in zip(coords, self.invariant_factors))]
+        """The element with these coordinates, each in [0, d)."""
+        return self._elements[tuple(coords)]
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ from centext.cocycles import (
     _coboundary_pivots,
     _coboundary_table,
     _column_values,
+    _element_values,
     _expand,
     _generator_columns,
     _hopf_system,
@@ -67,6 +68,7 @@ from centext.groups import (
     conjugacy_classes,
     enumerate_automorphisms,
     enumerate_isomorphisms,
+    normal_subgroups,
     subgroup_closure,
     trivial_map,
     validate_group,
@@ -314,6 +316,51 @@ def normal_subgroups_by_class_unions(g: FiniteGroup) -> list[tuple[int, ...]]:
                 out.append(tuple(sorted(members)))
     out.sort(key=lambda s: (len(s), s))
     return out
+
+
+def conjugacy_classes_by_sort(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """The earlier groups.conjugacy_classes: each class from its least
+    unseen member, then sorted by least member."""
+    seen = [False] * g.order
+    classes = []
+    for a in range(g.order):
+        if seen[a]:
+            continue
+        orbit = {g.conj(x, a) for x in range(g.order)}
+        for y in orbit:
+            seen[y] = True
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: c[0])
+    return classes
+
+
+def is_purely_nonabelian_by_commutation(g: FiniteGroup) -> bool:
+    """The earlier groups.is_purely_nonabelian: pairs of normal subgroups
+    scanned for trivial intersection, full product and elementwise
+    commutation."""
+    if g.is_abelian:
+        return False
+    subs = normal_subgroups(g)
+    for a in subs:
+        if len(a) in (1, g.order) or not all(
+                g.table[x][y] == g.table[y][x] for x in a for y in a):
+            continue
+        for b in subs:
+            if len(a) * len(b) == g.order and set(a) & set(b) == {0} and all(
+                    g.table[x][y] == g.table[y][x] for x in a for y in b):
+                return False
+    return True
+
+
+def coboundary_from_checked(delta: GroupMap) -> Cocycle2:
+    """The earlier cocycles.coboundary_from, which also checked that
+    delta sends the identity to the identity."""
+    if not delta.cod.is_abelian:
+        raise NotAbelian("coboundaries are built over abelian coefficients")
+    if delta.images[0] != 0:
+        raise NotNormalized("delta must send the identity to the identity")
+    return Cocycle2(g1=delta.cod, g2=delta.dom,
+                    table=_coboundary_table(delta))
 
 
 def abelian_invariants_by_search(g: FiniteGroup) -> AbelianPresentation:
@@ -841,7 +888,7 @@ def witness_by_b2(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
         return any(mul[mul[mul[im[g]][inv[im[hg]]]][th]][a] != c
                    for row, r1, r2, th in zip(mul2, *tables, im)
                    for g, hg, a, c in zip(range(n2), row, r1, r2))
-    im = (0, *_least_values(walk, solutions))
+    im = (0, *_element_values(walk, _least_values(walk, solutions)))
     if fails(im):
         if fails((0, *map(pres.element_of, zip(*solutions)))):
             return None
@@ -896,7 +943,8 @@ def representatives_by_walks(g1: FiniteGroup, g2: FiniteGroup):
              for g, hg in enumerate(g2.table[h]) if g]
     walk = _walk(pres, n2, slots, [_coboundary_pivots(g2, d)
                                    for d in factors])
-    return sorted(_table_from_values(n2, _least_values(walk, vecs))
+    return sorted(_table_from_values(n2, _element_values(
+                      walk, _least_values(walk, vecs)))
                   for vecs in itertools.product(*(
                       unreduced_box_points(g2, d) for d in factors)))
 
@@ -1167,7 +1215,8 @@ def space_by_b2(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
              for g, hg in enumerate(g2.table[h]) if g]
     walk = _walk(pres, n2, slots, [_coboundary_pivots(g2, d)
                                    for d in pres.invariant_factors])
-    tables = sorted(_table_from_values(n2, _least_values(walk, vecs))
+    tables = sorted(_table_from_values(n2, _element_values(
+                        walk, _least_values(walk, vecs)))
                     for vecs in itertools.product(*(c.classes
                                                     for c in coords)))
     return CocycleSpace(g1=g1, g2=g2,

@@ -180,6 +180,14 @@ class TestExtend:
         assert code == 0
         assert payload["identified_as"] == "Q8"
 
+    def test_carrier_outside_the_catalog(self, capsys):
+        # no catalog group has order 16
+        code, payload, err = run_cli(
+            ["extend", "Z2", "D4", "--class-index", "1"], capsys)
+        assert code == 0 and payload["group"]["order"] == 16
+        assert payload["identified_as"] is None
+        assert err == "classification: (not in the catalog)\n"
+
     def test_cocycle_file_forms(self, tmp_path, capsys):
         wrapped = tmp_path / "c1.json"
         wrapped.write_text(json.dumps({"table": [[0, 0], [0, 1]]}))
@@ -341,6 +349,24 @@ class TestIso:
         assert code == 4 and payload is None
         assert "exhaustive search exceeds the size limits" in err
         assert "assume" not in err
+
+    def test_plain_search_past_the_bound_exits_three(self, ext_files,
+                                                     capsys):
+        # only the lower kind turns an exhausted search into exit 4
+        argv = ["iso", "plain", ext_files["d40"], ext_files["d41"],
+                "--max-order", "8"]
+        code, payload, err = run_cli(argv, capsys)
+        assert code == 3 and payload is None
+        assert err == "error: group order 16 exceeds search bound\n"
+
+    def test_extension_file_that_is_no_object_exits_two(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(["Z2", "Z2"]))
+        code, payload, err = run_cli(["iso", "plain", str(path), str(path)],
+                                     capsys)
+        assert code == 2 and payload is None
+        assert err == f"error: {path}: extension file must be a JSON object\n"
 
     def test_unverified_lower_falls_back_to_exhaustive_search(self,
                                                               ext_files,

@@ -40,6 +40,7 @@ from centext import cocycles
 from centext.cli import main
 from centext.cocycles import (
     _coboundary_pivots,
+    _element_values,
     _expand,
     _generator_columns,
     _hopf_system,
@@ -72,6 +73,7 @@ from centext.groups import (
     enumerate_automorphisms,
     enumerate_homs,
     enumerate_isomorphisms,
+    trivial_map,
 )
 from centext.intlinalg import (
     IntLattice,
@@ -84,6 +86,7 @@ from centext.isotest import upper_isomorphic
 from oracles import (
     are_cohomologous_by_reduction,
     b2_generators,
+    coboundary_from_checked,
     coboundary_lattice,
     cocycle2_error,
     cocycle_columns,
@@ -410,6 +413,32 @@ class TestCoboundaries:
         with pytest.raises(NotNormalized):
             GroupMap(dom=g2, cod=g1, images=(1, 0))
 
+    def test_non_abelian_coefficients_are_refused(self):
+        g1, g2 = get_group("S3"), get_group("Z2")
+        e = trivial_cocycle(g1, g2)
+        with pytest.raises(NotAbelian, match="^pointwise product needs "
+                           "abelian coefficients$"):
+            cocycle_mul(e, e)
+        with pytest.raises(NotAbelian, match="^pointwise inverse needs "
+                           "abelian coefficients$"):
+            cocycle_inv(e)
+        with pytest.raises(NotAbelian, match="^coboundaries are built over "
+                           "abelian coefficients$"):
+            coboundary_from(trivial_map(g2, g1))
+
+    @pytest.mark.parametrize("pair", [("Z2", "S3"), ("Z4", "K4"),
+                                      ("K4", "D4"), ("Z6", "Q8")],
+                             ids=":".join)
+    def test_coboundaries_equal_the_checked_ones(self, pair):
+        # GroupMap's constructor checks that delta sends 0 to 0, so
+        # coboundary_from no longer does
+        g1, g2 = map(get_group, pair)
+        rng = random.Random(4301)
+        for _ in range(20):
+            delta = GroupMap(dom=g2, cod=g1, images=(0, *(
+                rng.randrange(g1.order) for _ in range(g2.order - 1))))
+            assert coboundary_from(delta) == coboundary_from_checked(delta)
+
     def test_hom_coboundary_is_trivial(self):
         g1, g2 = get_group("Z2"), get_group("Z4")
         # reduction mod 2 is a homomorphism Z4 -> Z2
@@ -503,8 +532,8 @@ class TestAreCohomologous:
 
         # the space is built, so only the witness walk is patched
         def moved(walk, vecs):
-            images = _least_values(walk, vecs)
-            return [1 - images[0], *images[1:]]
+            [values] = _least_values(walk, vecs)
+            return [[1 - values[0], *values[1:]]]
         monkeypatch.setattr(cocycles, "_least_values", moved)
         with pytest.raises(ConditionsFailed,
                            match="not a coboundary witness"):
@@ -516,7 +545,7 @@ class TestAreCohomologous:
             "from centext import ConditionsFailed, cocycles, get_group",
             "assert False",
             "e = cocycles.trivial_cocycle(get_group('Z2'), get_group('Z3'))",
-            "cocycles._least_values = lambda *args: [1, 0]",
+            "cocycles._least_values = lambda *args: [[1, 0]]",
             "try:",
             "    cocycles.are_cohomologous(e, e)",
             "except ConditionsFailed:",
@@ -975,7 +1004,7 @@ def checked_witness_walk(monkeypatch, g2):
         if slots == [(x, 0, 0) for x in range(1, n2)]:
             lattices = [coboundary_lattice(g2, d).tail(k)
                         for d in pres.invariant_factors]
-            assert got == least_in_coset_by_slot(
+            assert _element_values(walk, got) == least_in_coset_by_slot(
                 lattices, vecs, pres.element_of, n2 - 1)
             calls.append(got)
         return got

@@ -252,8 +252,8 @@ def test_a_cocycle_argument_builds_one_carrier(monkeypatch):
 def moved_walk(walk, vecs):
     """The witness walk with its first image moved: the map differs from
     a witness at one point only, never a homomorphism past order 2."""
-    images = _least_values(walk, vecs)
-    return [1 - images[0], *images[1:]]
+    [values] = _least_values(walk, vecs)
+    return [[1 - values[0], *values[1:]]]
 
 
 def walked_pair(pair):

@@ -20,6 +20,7 @@ from centext.catalog import (
     _perm_compose,
     alternating_group,
     catalog_names,
+    dihedral_group,
     get_group,
     projective_special_linear_2_7,
     special_linear_2_5,
@@ -67,12 +68,14 @@ from oracles import (
     automorphism_generators_by_closure,
     centralizer,
     compose_maps,
+    conjugacy_classes_by_sort,
     derived_subgroup,
     greedy_by_pair_closure,
     greedy_sequence,
     group_from_elements_by_products,
     group_map_error,
     identity_map,
+    is_purely_nonabelian_by_commutation,
     normal_subgroups_by_class_unions,
     pair_closure,
 )
@@ -574,6 +577,9 @@ class TestSimpleAndPurelyNonabelian:
         assert not is_purely_nonabelian(get_group("Z6"))
         z2s3 = direct_product(get_group("Z2"), get_group("S3"))
         assert not is_purely_nonabelian(z2s3)
+        # D6 = S3 x Z2; the center Z2 of D8 has no complement
+        assert [is_purely_nonabelian(structure_group(name)) for name in (
+            "A7", "D8", "S3xS3", "D6", "A4xZ2")] == [True] * 3 + [False] * 2
 
 
 def _power(g, k):
@@ -630,6 +636,49 @@ class TestWalkClosureOracles:
         assert len(subs) == 374
         assert [sum(len(s) == 2 ** k for s in subs) for k in range(6)] == \
             [1, 31, 155, 155, 31, 1]
+
+
+# the catalog and fifteen groups beyond it, with and without abelian
+# direct factors
+STRUCTURE_GROUPS = {
+    **{name: functools.partial(get_group, name) for name in catalog_names()},
+    "S5": lambda: symmetric_group(5),
+    "A6": lambda: alternating_group(6),
+    "S6": lambda: symmetric_group(6),
+    "A7": lambda: alternating_group(7),
+    "PSL27": projective_special_linear_2_7,
+    "SL25": special_linear_2_5,
+    "D6": lambda: dihedral_group(6),
+    "D8": lambda: dihedral_group(8),
+    "Z2^5": lambda: _power(cyclic_group(2), 5),
+    "D4xZ2": lambda: direct_product(get_group("D4"), cyclic_group(2)),
+    "Q8xZ2": lambda: direct_product(get_group("Q8"), cyclic_group(2)),
+    "S3xZ2": lambda: direct_product(get_group("S3"), cyclic_group(2)),
+    "S3xZ3": lambda: direct_product(get_group("S3"), cyclic_group(3)),
+    "A4xZ2": lambda: direct_product(get_group("A4"), cyclic_group(2)),
+    "S3xS3": lambda: _power(get_group("S3"), 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def structure_group(name):
+    return STRUCTURE_GROUPS[name]()
+
+
+class TestStructureOracles:
+    """The class scan and the center test against the sort and the
+    commutation scans they replaced."""
+
+    @pytest.mark.parametrize("name", list(STRUCTURE_GROUPS))
+    def test_classes_come_sorted_by_least_member(self, name):
+        g = structure_group(name)
+        assert conjugacy_classes(g) == conjugacy_classes_by_sort(g)
+
+    @pytest.mark.parametrize("name", list(STRUCTURE_GROUPS))
+    def test_purely_nonabelian_from_the_center(self, name):
+        g = structure_group(name)
+        assert is_purely_nonabelian(g) == \
+            is_purely_nonabelian_by_commutation(g)
 
 
 class TestWalkCallback:
@@ -703,6 +752,15 @@ class TestGroupMap:
         g = get_group("S3")
         assert identity_map(g).is_homomorphism()
         assert trivial_map(g, get_group("Z4")).is_homomorphism()
+
+    def test_inverse_needs_a_bijection(self):
+        g = get_group("Z2")
+        with pytest.raises(ValueError, match="^map is not bijective$"):
+            GroupMap(dom=g, cod=g, images=(0, 0)).inverse()
+
+    def test_cyclic_group_needs_a_positive_order(self):
+        with pytest.raises(ValueError, match="^order must be positive$"):
+            cyclic_group(0)
 
     def test_compose_and_inverse(self):
         g = get_group("K4")

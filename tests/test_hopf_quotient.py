@@ -246,7 +246,7 @@ def witness_cases(pair, rng):
         reps = [rep.table for rep in rng.sample(reps, min(len(reps), 4))]
     else:   # one member of each of four seeded classes, not the least
         reps = [_table_from_values(g2.order, map(pres.element_of, zip(*(
-            rng.choice(_box_points(g2, d, _solve_coordinate(g2, d).box))
+            rng.choice(list(_box_points(g2, d, _solve_coordinate(g2, d).box)))
             for d in pres.invariant_factors)))) for _ in range(4)]
     cases = list(itertools.permutations(reps, 2))
     for rep in reps:

@@ -2,6 +2,8 @@
 immutability, equality and hash, and the checks each record runs on
 itself, over every record class of the package."""
 
+import re
+
 import pytest
 
 from centext.cocycles import (
@@ -121,6 +123,11 @@ def test_record_semantics(cls, fields, change):
             cls(**{k: v for k, v in fields.items() if k != required[-1]})
     with pytest.raises(TypeError, match="'colour'"):
         cls(**fields, colour=1)
+    renamed = {**dict(list(fields.items())[1:]), "colour": values[0]}
+    with pytest.raises(TypeError, match=re.escape(
+            f"{cls.__name__} has the fields {cls._fields}, not "
+            f"{tuple(renamed)}")):
+        cls(**renamed)
     with pytest.raises(TypeError, match="once"):
         cls(values[0], **fields)
     with pytest.raises(TypeError, match="once"):
@@ -183,12 +190,12 @@ class TestRecordChecks:
 
     def test_unchecked_map_is_the_checked_one(self):
         # Record._unchecked, on a map and on a cocycle, whose memos work
-        for cls, values in [(GroupMap, (Z2, Z2, (0, 1))),
-                            (Cocycle2, (Z2, Z2, TWIST.table))]:
-            fast, checked = cls._unchecked(*values), cls(*values)
+        for cls, values in [(GroupMap, dict(dom=Z2, cod=Z2, images=(0, 1))),
+                            (Cocycle2, dict(g1=Z2, g2=Z2, table=TWIST.table))]:
+            fast, checked = cls._unchecked(**values), cls(**values)
             assert type(fast) is cls and vars(fast) == vars(checked)
             assert fast == checked and hash(fast) == hash(checked)
-        fast = Cocycle2._unchecked(Z2, Z2, TWIST.table)
+        fast = Cocycle2._unchecked(g1=Z2, g2=Z2, table=TWIST.table)
         assert fast._keys is fast._keys == {}
         assert fast._memo is fast._memo == {}
         assert fast._identity == (True, None)
