@@ -4,13 +4,14 @@ Tables are built on first request and cached.  Element 0 is the identity
 in every entry; constructions are deterministic so serialized fixtures
 stay stable across runs.
 
-The permutation, matrix, dihedral and quaternion groups are built by
-groups.group_from_elements, which calls op only for the columns of the
-greedy generators and reads every other column through them; that needs
-an associative op, which each of these is.  Every table still passes
-validate_group.  Two groups sit outside the named catalog, so that
-`centext catalog list` keeps its entries: SL(2,5), order 120, and
-PSL(2,7), order 168, a second simple group between A5 and A6.
+Every group is built by groups.group_from_elements, the cyclic groups
+and direct products through cyclic_group and direct_product; it calls op
+only for the columns of the greedy generators and reads every other
+column through them, which needs an associative op, as each of these
+is.  Every table still passes validate_group.  Two groups sit outside
+the named catalog, so that `centext catalog list` keeps its entries:
+SL(2,5), order 120, and PSL(2,7), order 168, a second simple group
+between A5 and A6.
 """
 
 from __future__ import annotations

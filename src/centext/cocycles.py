@@ -87,13 +87,8 @@ class Cocycle2(Record):
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n1, n2, table = self.g1.order, self.g2.order, self.table
-        if len(table) != n2 or any(len(r) != n2 for r in table):
-            raise DimensionMismatch("cocycle table must be g2.order square")
-        # screened at C speed; the scans name the first offender
-        if min(map(min, table)) < 0 or max(map(max, table)) >= n1:
-            v = next(v for row in table for v in row if not 0 <= v < n1)
-            raise ValueError(f"cocycle value {v} outside g1")
+        n2, table = self.g2.order, self.table
+        _check_shape(self.g1, self.g2, table)
         if any(table[0]) or any(r[0] for r in table):
             y = next(y for y in range(n2) if table[y][0] or table[0][y])
             raise NotNormalized(f"cocycle not normalized at ({y},0)/(0,{y})")
@@ -115,6 +110,18 @@ def trivial_cocycle(g1: FiniteGroup, g2: FiniteGroup) -> Cocycle2:
                                               for _ in range(g2.order)))
 
 
+def _check_shape(g1: FiniteGroup, g2: FiniteGroup, table):
+    """DimensionMismatch unless table is g2.order square, ValueError for a
+    value outside range(g1.order): screened at C speed, the scan names
+    the first offender."""
+    n1, n2 = g1.order, g2.order
+    if len(table) != n2 or any(len(r) != n2 for r in table):
+        raise DimensionMismatch("cocycle table must be g2.order square")
+    if min(map(min, table)) < 0 or max(map(max, table)) >= n1:
+        v = next(v for row in table for v in row if not 0 <= v < n1)
+        raise ValueError(f"cocycle value {v} outside g1")
+
+
 def is_cocycle(g1: FiniteGroup, g2: FiniteGroup, table):
     """Check normalization plus the identity
     e(h,g)*e(hg,k) = e(g,k)*e(h,gk); returns (ok, witness) where the
@@ -128,17 +135,11 @@ def is_cocycle(g1: FiniteGroup, g2: FiniteGroup, table):
     and none on the zero table, where both sides are 0.  Only when one
     fails, or when two values do not commute, does the scan over all
     triples run, which names the first failing triple in row-major
-    order.
+    order.  A table of the wrong shape or range raises as Cocycle2 does
+    (_check_shape).
     """
+    _check_shape(g1, g2, table)
     n2 = g2.order
-    if len(table) != n2 or any(len(r) != n2 for r in table):
-        raise DimensionMismatch("cocycle table must be g2.order square")
-    n1 = g1.order
-    for row in table:
-        for v in row:
-            if not 0 <= v < n1:
-                raise DimensionMismatch(
-                    f"cocycle entry {v} outside the coefficient range")
     for y in range(n2):
         if table[y][0] != 0 or table[0][y] != 0:
             return False, ("normalization", y)

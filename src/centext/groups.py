@@ -27,20 +27,21 @@ enumeration extends partial images along the Cayley graph of the
 generators chosen so far by replaying those steps, and emits its maps
 in lex order because the greedy sequence adjoins the least element not
 yet reached.  A full scan runs only after a generator check has failed,
-to name the first witness.  Tables that a construction proves to be
-groups (direct_product, the extension carriers) are wrapped as
-FiniteGroup without validate_group.  The same walk (_cayley_walk) tables
-group_from_elements from op at the generator columns (still validated),
-which builds the catalog's groups and the kernel and quotient of
-extensions.central_quotient_data; it also picks the generators of
-Aut(g) (_automorphism_generators), closes subgroups (subgroup_closure),
-and its recorded steps give the relations of
+to name the first witness.  Every group the package builds passes
+validate_group but an extension carrier, which build_extension's
+docstring proves a group.  The same walk (_cayley_walk) tables
+group_from_elements from op at the generator columns, which builds
+cyclic_group, direct_product, the catalog's groups and the kernel and
+quotient of extensions.central_quotient_data; it also picks the
+generators of Aut(g) (_automorphism_generators), closes subgroups
+(subgroup_closure), and its recorded steps give the relations of
 intlinalg.abelian_invariants.  subgroup_closure returns a frozenset;
 center, conjugacy_classes and normal_subgroups ascending tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 
@@ -58,10 +59,12 @@ from .errors import (
 class Record:
     """A frozen value object whose fields are the class's annotations.
 
-    It is built by keyword or by position, in annotation order, and a
-    field with a value in the class body defaults to it.  __init__ fills
-    __dict__ in one update and then calls the class's __post_init__, if
-    it has one, so a check there sees every field.  Assignment and
+    It is built by keyword only, and a field with a value in the class
+    body defaults to it.  __init__ fills __dict__ key by key in field
+    order (_fill, which _unchecked shares) and then calls the class's
+    __post_init__, if it has one, so a check there sees every field.
+    Filled in one order, the records of a class share its key table,
+    where dict.update would copy one into each.  Assignment and
     deletion raise AttributeError; cached_property writes to __dict__
     directly, so it still works.  Records of one class are equal when
     their fields are, unless the class defines its own __eq__, and hash
@@ -78,24 +81,25 @@ class Record:
         key = get if len(fields) > 1 else lambda r: (get(r),)
         cls._key = staticmethod(key)
         # closures, so the calls on every record read no class attribute
-        fits, n = frozenset(fields).issuperset, len(fields)
+        n = len(fields)
         defaults = {f: own[f] for f in fields if f in own}
         post = getattr(cls, "__post_init__", None)
 
-        def __init__(self, *args, **values):
-            if args:
-                if len(args) > n or not values.keys().isdisjoint(
-                        fields[:len(args)]):
-                    raise TypeError(f"{cls.__name__} takes each of the "
-                                    f"fields {fields} once")
-                values.update(zip(fields, args))
+        def fill(r, values):
+            attrs = r.__dict__
+            for name in fields:
+                attrs[name] = values[name]
+            return r
+
+        def __init__(self, **values):
             if len(values) != n:
                 values = {**defaults, **values}
-                if len(values) != n:
-                    raise self._misfit(values)
-            if not fits(values):
+            try:
+                fill(self, values)
+            except KeyError:
+                raise self._misfit(values) from None
+            if len(values) != n:
                 raise self._misfit(values)
-            self.__dict__.update(values)
             if post is not None:
                 post(self)
 
@@ -105,6 +109,7 @@ class Record:
             return NotImplemented
 
         cls.__init__ = __init__
+        cls._fill = staticmethod(fill)
         if "__eq__" not in own:
             cls.__eq__ = __eq__
         # None also when the body defines __eq__ but no __hash__
@@ -113,14 +118,10 @@ class Record:
 
     @classmethod
     def _unchecked(cls, **values):
-        """These fields, by name, with no __init__ or __post_init__: only
-        for callers whose docstring proves what __post_init__ checks.  Set
-        one by one, they share the class's key table; dict.update copies it."""
-        r = object.__new__(cls)
-        attrs = r.__dict__
-        for name, value in values.items():
-            attrs[name] = value
-        return r
+        """Every field, by name, with no __init__ or __post_init__: only
+        for callers whose docstring proves what __post_init__ checks.  A
+        missing field raises KeyError here, not AttributeError later."""
+        return cls._fill(object.__new__(cls), values)
 
     def _misfit(self, values) -> TypeError:
         return TypeError(f"{type(self).__name__} has the fields "
@@ -178,8 +179,8 @@ class FiniteGroup(Record):
     """A finite group given by its multiplication table.
 
     table[a][b] is the index of a*b.  The four structural axioms are
-    checked by validate_group, not by the constructor, so internal code
-    that builds tables it has already proven correct can skip the scan.
+    checked by validate_group, not by the constructor, which only
+    build_extension calls directly, for a carrier it proves a group.
     """
 
     order: int
@@ -469,23 +470,17 @@ def _raise_first_nonassociative(tab):
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
-    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup(order=n, table=table, name=name or f"Z{n}")
+    return group_from_elements(range(n), lambda a, b: (a + b) % n,
+                               name=name or f"Z{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup,
                    name: str | None = None) -> FiniteGroup:
     """Direct product with pairs indexed first-factor major: (a,b) -> a*|h|+b."""
-    n, m = g.order, h.order
-    table = []
-    for a in range(n):
-        for b in range(m):
-            row = []
-            for c in range(n):
-                for d in range(m):
-                    row.append(g.table[a][c] * m + h.table[b][d])
-            table.append(tuple(row))
-    return FiniteGroup(order=n * m, table=tuple(table), name=name)
+    gt, ht = g.table, h.table
+    return group_from_elements(
+        tuple(itertools.product(range(g.order), range(h.order))),
+        lambda x, y: (gt[x[0]][y[0]], ht[x[1]][y[1]]), name=name)
 
 
 def group_from_elements(elems, op, name: str | None = None) -> FiniteGroup:

@@ -105,6 +105,31 @@ def group_from_elements_by_products(elems, op,
     return validate_group(table, name=name)
 
 
+def cyclic_group_by_table(n: int, name: str | None = None) -> FiniteGroup:
+    """The earlier groups.cyclic_group: the addition table mod n, wrapped
+    without validate_group."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    return FiniteGroup(order=n, table=table, name=name or f"Z{n}")
+
+
+def direct_product_by_table(g: FiniteGroup, h: FiniteGroup,
+                            name: str | None = None) -> FiniteGroup:
+    """The earlier groups.direct_product: every product of pairs, indexed
+    first-factor major, (a,b) -> a*|h|+b, wrapped without validate_group."""
+    n, m = g.order, h.order
+    table = []
+    for a in range(n):
+        for b in range(m):
+            row = []
+            for c in range(n):
+                for d in range(m):
+                    row.append(g.table[a][c] * m + h.table[b][d])
+            table.append(tuple(row))
+    return FiniteGroup(order=n * m, table=tuple(table), name=name)
+
+
 def identity_matrix(n: int) -> IntMatrix:
     """The earlier IntMatrix.identity: the n x n identity matrix."""
     return IntMatrix(rows=n, cols=n, data=tuple(

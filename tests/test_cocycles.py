@@ -159,9 +159,12 @@ class TestCocycleBasics:
             Cocycle2(g1=g1, g2=g2, table=((0, 0), (0, 1)))
 
     def test_entries_outside_coefficient_range(self):
+        # as Cocycle2 raises it, a ValueError but no DimensionMismatch
         g1, g2 = get_group("Z2"), get_group("Z2")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError) as err:
             is_cocycle(g1, g2, ((0, 0), (0, 7)))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "cocycle value 7 outside g1"
 
     def test_normalization_witness(self):
         g1, g2 = get_group("Z2"), get_group("Z2")

@@ -69,7 +69,9 @@ from oracles import (
     centralizer,
     compose_maps,
     conjugacy_classes_by_sort,
+    cyclic_group_by_table,
     derived_subgroup,
+    direct_product_by_table,
     greedy_by_pair_closure,
     greedy_sequence,
     group_from_elements_by_products,
@@ -473,6 +475,24 @@ class TestGroupFromElements:
         assert g.order == 2520
         assert hashlib.sha256(repr(g.table).encode()).hexdigest() == \
             A7_TABLE_SHA256
+
+    @pytest.mark.parametrize("factors", [
+        ("D4", "Z2"), ("S3", "S3"), ("Q8", "Z2"), ("A4", "Z3"), ("A5", "Z2"),
+        ("Z2",) * 5], ids="x".join)
+    def test_direct_products_equal_the_table_builder(self, factors):
+        gs = [get_group(f) for f in factors]
+        got, ref = (build(functools.reduce(build, gs[:-1]), gs[-1],
+                          name="x".join(factors))
+                    for build in (direct_product, direct_product_by_table))
+        assert (got.order, got.table, got.name, got.generators) == \
+            (ref.order, ref.table, ref.name, ref.generators)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cyclic_groups_equal_the_table_builder(self, n):
+        for name in (None, "C"):
+            got, ref = cyclic_group(n, name), cyclic_group_by_table(n, name)
+            assert (got.order, got.table, got.name) == \
+                (ref.order, ref.table, ref.name)
 
     @pytest.mark.parametrize("elems,error", [
         (S3_ELEMENTS + [S3_ELEMENTS[3]], (ValueError, "duplicate elements")),
