@@ -28,8 +28,8 @@ make_cocycle, read by build_extension), and isotest's carrier and
 search states as a target (_memo).  One greedy, _least_values, picks
 the values of the lex-least witnesses and representatives, over the
 pivots of Hom at the points or of B^2 at the pair slots, found in the
-n - 1 values of a map (_coboundary_pivots); _element_values alone makes
-them elements.  Where every B^2 pivot is 1 the greedy is linear, so it
+n - 1 values of a map and only in the rows of g2's greedy sequence
+(_coboundary_pivots); _element_values alone makes them elements.  Where every B^2 pivot is 1 the greedy is linear, so it
 walks each residue of H^2's box once and the sums of the walked
 residues are the representatives; elsewhere it walks each class
 (compute_cocycle_space).  Pair slots appear only in tables written out,
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -516,8 +515,11 @@ def _hopf_system(g2: FiniteGroup):
         for y, i, ys in tree:
             rewrite[ys] = rewrite[y] + r.get((mul[x][y], i), ())
         for y, i in chords:
-            row = Counter(rewrite[y] + r.get((mul[x][y], i), ()))
-            row.subtract(rewrite[mul[y][gens[i]]] + r[y, i])
+            row = {}
+            for u in rewrite[y] + r.get((mul[x][y], i), ()):
+                row[u] = row.get(u, 0) + 1
+            for u in rewrite[mul[y][gens[i]]] + r[y, i]:
+                row[u] = row.get(u, 0) - 1
             if row := {u: c for u, c in row.items() if c}:
                 rows.append(row)
     return tuple(tree), tuple((y - 1) * len(gens) + i for y, i in chords), rows
@@ -679,13 +681,25 @@ def _coboundary_pivots(g2: FiniteGroup, d: int):
     c_j (kappa_j - q_j tau_i) + (sum c_j q_j) tau_i, g_i sum c_j q_j = 0
     mod d.  So |K_i| / |K_{i+1}| = d / g_i, whose product is |K_0| / |K_i|
     = |B^2| / |psi(K_i)|: it reaches |B^2| just when K_i = Hom(g2, Z/d),
-    where psi vanishes, so no later slot has a pivot."""
+    where psi vanishes, so no later slot has a pivot.  Only the rows h of
+    g2's greedy sequence (_cayley_walk over range(n)) can hold one.  Fix
+    t in K_i at the start of row h, so psi_t is zero on every row before
+    h.  The x with t(xg) = t(x) + t(g) for all g are closed under
+    products, as t(xyg) = t(x) + t(y) + t(g) and g = 1 gives t(xy) =
+    t(x) + t(y); in a finite group they form a subgroup, holding every
+    element before h and so H = <1, ..., h - 1>.  The t with psi_t zero
+    before h are thus additive on H, so a row h inside H has psi_t zero
+    throughout: it has no pivot and leaves K unchanged.  Every h that the
+    greedy sequence skips is inside H, as the sequence adjoins the least
+    element not yet reached."""
     n2, mul, target = g2.order, g2.table, _solve_coordinate(g2, d).b_order
     kernel = [[int(v == w) for v in range(n2)] for w in range(1, n2)]
     pivots, index = {}, 1
-    for i, (h, g) in enumerate(itertools.product(range(1, n2), repeat=2)):
+    rows = _cayley_walk(mul, range(n2), False)[0]
+    for h, g in itertools.product(rows, range(1, n2)):
         if index == target:
             break
+        i = (h - 1) * (n2 - 1) + g - 1
         values = [(t[h] + t[g] - t[mul[h][g]]) % d for t in kernel]
         tau, gi = [0] * n2, d
         for t, a in zip(kernel, values):

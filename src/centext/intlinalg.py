@@ -210,19 +210,30 @@ class IntLattice:
         """Insert row, a sequence of ncols entries or a sparse dict
         {column: entry}; True iff the lattice grew."""
         if isinstance(row, dict):
+            if row and (min(row) < 0 or max(row) >= self.ncols):
+                raise DimensionMismatch("column outside the lattice")
             items = row.items()
         elif len(row) == self.ncols:
             items = enumerate(row)
         else:
             raise DimensionMismatch("vector length mismatch")
         m = self.modulus
-        v = {j: x % m for j, x in items if x % m}
-        if any(not 0 <= j < self.ncols for j in v):
-            raise DimensionMismatch("column outside the lattice")
+        v = {j: y for j, x in items if (y := x % m)}
         grew = False
         while v:
             p = min(v)
-            r = self.pivot_rows.get(p, {p: m})
+            r = self.pivot_rows.get(p)
+            if r is None:
+                # column p holds only m*e_p, so the combine below, with
+                # a = m and g = gcd(m, v_p) = s*m + t*v_p, stores t*v and
+                # leaves (m/g)*v, which vanishes at p, and entirely if g = 1
+                g, _, t = xgcd(m, v[p])
+                self.pivot_rows[p] = {j: y for j, x in v.items()
+                                      if (y := t * x % m)}
+                v = {j: y for j, x in v.items()
+                     if (y := m // g * x % m)} if g > 1 else {}
+                grew = True
+                continue
             a, b = r[p], v[p]
             if b % a == 0:
                 q = b // a

@@ -9,6 +9,7 @@ raise instead.
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 from centext.cocycles import (
@@ -919,6 +920,53 @@ def witness_by_b2(g1: FiniteGroup, g2: FiniteGroup, v1, v2, tables=None):
             return None
         raise ConditionsFailed("the solved map is not a coboundary witness")
     return CoboundaryWitness(t=GroupMap(dom=g2, cod=g1, images=im))
+
+
+def coboundary_pivots_by_rows(g2: FiniteGroup, d: int):
+    """The earlier cocycles._coboundary_pivots: the same pivots of B^2 mod
+    d, sought in every row h of the pair slots up to the last pivot
+    instead of only in the rows of g2's greedy sequence."""
+    n2, mul, target = g2.order, g2.table, _solve_coordinate(g2, d).b_order
+    kernel = [[int(v == w) for v in range(n2)] for w in range(1, n2)]
+    pivots, index = {}, 1
+    for i, (h, g) in enumerate(itertools.product(range(1, n2), repeat=2)):
+        if index == target:
+            break
+        values = [(t[h] + t[g] - t[mul[h][g]]) % d for t in kernel]
+        tau, gi = [0] * n2, d
+        for t, a in zip(kernel, values):
+            if a % gi:
+                gi, x, y = xgcd(gi, a)
+                tau = [(x * u + y * v) % d for u, v in zip(tau, t)]
+        if gi < d:
+            pivots[i], index = (gi, tau), index * (d // gi)
+            fresh = [[(u - a // gi * v) % d for u, v in zip(t, tau)]
+                     for t, a in zip(kernel, values) if a]
+            kernel = [t for t, a in zip(kernel, values) if not a] + [
+                t for t in fresh + [[d // gi * v % d for v in tau]] if any(t)]
+    if index != target:
+        raise InternalInconsistency("the pivots fall short of |B^2|")
+    return pivots
+
+
+def hopf_equations_by_counter(g2: FiniteGroup):
+    """The equations of cocycles._hopf_system, each row summed as two
+    Counters, the second subtracted, as the earlier _hopf_system did."""
+    tree, columns, _ = _hopf_system(g2)
+    gens, mul, k = g2.generators, g2.table, len(g2.generators)
+    chords = [(c // k + 1, c % k) for c in columns]
+    r = {edge: (u,) for u, edge in enumerate(chords)}
+    rows = []
+    for x in gens:
+        rewrite = [()] * g2.order
+        for y, i, ys in tree:
+            rewrite[ys] = rewrite[y] + r.get((mul[x][y], i), ())
+        for y, i in chords:
+            row = Counter(rewrite[y] + r.get((mul[x][y], i), ()))
+            row.subtract(rewrite[mul[y][gens[i]]] + r[y, i])
+            if row := {u: c for u, c in row.items() if c}:
+                rows.append(row)
+    return rows
 
 
 def pair_slot_b2(g2: FiniteGroup, d: int) -> IntLattice:

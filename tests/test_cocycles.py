@@ -88,11 +88,13 @@ from oracles import (
     b2_generators,
     coboundary_from_checked,
     coboundary_lattice,
+    coboundary_pivots_by_rows,
     cocycle2_error,
     cocycle_columns,
     cocycle_compose_checks,
     dense_row_space,
     expand_forms,
+    hopf_equations_by_counter,
     least_in_coset_by_slot,
     pair_slot_b2,
     pair_slot_representatives,
@@ -994,6 +996,26 @@ ORACLE_CASES = ([(name, d) for name in SMALL_QUOTIENTS for d in (2, 3, 4, 6)]
                 + [("S4", 2)])
 
 
+# past the catalog, by name
+LARGE_QUOTIENTS = {"SL25": special_linear_2_5,
+                   "A6": lambda: alternating_group(6),
+                   "S6": lambda: symmetric_group(6)}
+
+
+def quotient(name):
+    return LARGE_QUOTIENTS[name]() if name in LARGE_QUOTIENTS else (
+        get_group(name))
+
+
+# every catalog quotient of order >= 2 for d in 2, 3, 4 and 6, SL(2,5),
+# and A6 and S6 for d in 2 and 3
+PIVOT_ORACLE_CASES = [
+    *((name, d) for name in catalog_names() if get_group(name).order >= 2
+      for d in (2, 3, 4, 6)),
+    *(("SL25", d) for d in (2, 3, 4, 6)),
+    *((name, d) for name in ("A6", "S6") for d in (2, 3))]
+
+
 def checked_witness_walk(monkeypatch, g2):
     """Route the witness walks of cocycles._least_values over g2, those
     at the points (x, 1, 1), through a check against the slot-by-slot
@@ -1066,6 +1088,14 @@ class TestSparseOracles:
         assert math.prod(d // gi for gi, _ in pivots.values()) == (
             _solve_coordinate(g2, d).b_order)
 
+    @pytest.mark.parametrize("name,d", PIVOT_ORACLE_CASES)
+    def test_pivots_match_the_every_row_loop(self, name, d):
+        # the greedy rows only against every row: the same dict, in the
+        # same slot order
+        g2 = quotient(name)
+        assert list(_coboundary_pivots(g2, d).items()) == list(
+            coboundary_pivots_by_rows(g2, d).items())
+
     @pytest.mark.parametrize("pair", WITNESS_ORACLE_PAIRS, ids=":".join)
     def test_witness_pass_matches_slot_by_slot(self, pair, monkeypatch):
         g1, g2 = map(get_group, pair)
@@ -1117,6 +1147,13 @@ class TestCocycleSystemOracle:
         tree_columns = {(y - 1) * k + i for y, i, _ in tree if y}
         assert tree_columns.isdisjoint(chords)
         assert len(tree_columns) + len(chords) == k * (n2 - 1)
+
+    @pytest.mark.parametrize("name", [*catalog_names(), "SL25", "A6"])
+    def test_equations_match_the_counter_sums(self, name):
+        # equal as dicts in the same key order, row by row
+        g2 = quotient(name)
+        assert [list(row.items()) for row in _hopf_system(g2)[2]] == [
+            list(row.items()) for row in hopf_equations_by_counter(g2)]
 
     def test_a5_system_size(self):
         _, chords, equations = _hopf_system(get_group("A5"))

@@ -241,6 +241,11 @@ class TestIntLattice:
             lat.add([1, 2])
         with pytest.raises(DimensionMismatch):
             lat.add({3: 1})
+        # entries that vanish mod the modulus are still out of range
+        with pytest.raises(DimensionMismatch):
+            lat.add({5: 4})
+        with pytest.raises(DimensionMismatch):
+            lat.add({-1: 8})
 
     def test_express_in_hnf(self):
         lat = IntLattice(3, 30)
