@@ -29,21 +29,28 @@ search states as a target (_memo).  One greedy, _least_values, picks
 the values of the lex-least witnesses and representatives, over the
 pivots of Hom at the points or of B^2 at the pair slots, found in the
 n - 1 values of a map and only in the rows of g2's greedy sequence
-(_coboundary_pivots); _element_values alone makes them elements.  Where every B^2 pivot is 1 the greedy is linear, so it
-walks each residue of H^2's box once and the sums of the walked
-residues are the representatives; elsewhere it walks each class
+(_coboundary_pivots).  Where every B^2 pivot is 1 the greedy is
+linear, so it walks each residue of H^2's box once and the sums of the
+walked residues are the representatives; elsewhere it walks each class
 (compute_cocycle_space).  Pair slots appear only in tables written out,
-read by index off g2's table (_PairSlots).  The identity system, the
-dense elimination, the pair-slot B^2 lattice, the coset passes they
-replaced, the per-class walk, the Z^2 and B^2 generator tables, and the
-solver, keys and witnesses that eliminated B^2 in generator columns
-are test oracles in tests/oracles.py.
+read by index off g2's table (_PairSlots).  A vector over the pair
+slots takes one byte a slot (_slots), as do the pivots' maps; a box
+point is one int with a digit per slot, summed digit-wise in one add
+(_box_points), and every table is cut from such an int (_Packing).
+_element_values makes the witnesses' values elements.  The identity
+system, the dense elimination, the pair-slot B^2 lattice, the coset
+passes they replaced, the per-class walk, the Z^2 and B^2 generator
+tables, the solver, keys and witnesses that eliminated B^2 in
+generator columns, and the list-valued pair-slot vectors are test
+oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -562,24 +569,38 @@ def _hom_values(g2: FiniteGroup, a):
 class _Coordinate(Record):
     """The orders of Z^2 and B^2 and the H^2 classes of one invariant
     factor d of g1 over g2: the factors, and the box (_box_points), each
-    relation's pivot with its residue over the pair slots.  A residue is
-    one member of its class, not the least: compute_cocycle_space walks
-    it to the least where B^2's pivots are units, outside this cached
-    record, since _coboundary_pivots reads b_order from it."""
+    relation's pivot with its residue over the pair slots (_slots).  A
+    residue is one member of its class, not the least:
+    compute_cocycle_space walks it to the least where B^2's pivots are
+    units, outside this cached record, since _coboundary_pivots reads
+    b_order from it."""
 
     z_order: int
     b_order: int
     factors: tuple[int, ...]
-    box: tuple[tuple[int, tuple[int, ...]], ...]
+    box: tuple[tuple[int, bytearray | array], ...]
+
+
+def _slots(d: int, values):
+    """The ints values, each in [0, d), held compactly: a bytearray where d
+    <= 256, else an array of C unsigned longs.  Every vector over the
+    pair slots (h, g), h, g != 1, row-major, takes this form, and so does
+    each tau_i of _coboundary_pivots; all are indexed, sliced and zipped
+    as lists are."""
+    return bytearray(values) if d <= 256 else array("L", values)
 
 
 def _expand(g2: FiniteGroup, d: int, vecs):
     """Per vector of values mod d at the generator columns, the values
-    mod d at the pair slots (h, g), row-major, of the cocycle it fixes:
-    down each tree edge (y, s) of _hopf_system, the identity at (x, y, s)
-    gives column ys as e(x, ys) = e(x, y) + e(xy, s) - e(y, s), and
-    column 1 is zero.  Such a table is a cocycle once the identity holds
-    for the last arguments in g2.generators (Light's argument): on
+    mod d at the pair slots (h, g), row-major (_slots), of the cocycle it
+    fixes: down each tree edge (y, s) of _hopf_system, the identity at
+    (x, y, s) gives column ys as e(x, ys) = e(x, y) + e(xy, s) - e(y, s),
+    and column 1 is zero.  Row 1 is zero by normalization, so a column
+    is its values at x != 1, written into its strided slice of the
+    row-major slots and read back from there as the tree leaves it: no
+    other copy of the table is held.  Such a table is a cocycle once the
+    identity holds for the last arguments in g2.generators (Light's
+    argument): on
     g1 x g2 put (a, h)(b, k) = (a + b + e(h, k), hk), associative exactly
     when e is a cocycle.  The z with (xy)z = x(yz) for all x, y are
     closed under the product, as (xy)(z z') = ((xy)z)z' = (x(yz))z' =
@@ -587,16 +608,19 @@ def _expand(g2: FiniteGroup, d: int, vecs):
     and every (0, s) by the identity at the generators, and these
     generate g1 x g2.  Only commuting values are needed, so this holds
     in the abelian subgroup of g1 that they generate."""
-    n2, k = g2.order, len(g2.generators)
-    by_column = list(zip(*g2.table))
+    k, m = len(g2.generators), g2.order - 1
+    by_column = [col[1:] for col in zip(*g2.table)]
+    zeros = _slots(d, [0] * m)   # column 1
     for vec in vecs:
         gen_columns = [[0, *vec[i::k]] for i in range(k)]
-        cols = [[0] * n2] * n2   # column 1; the tree replaces the rest
+        out = _slots(d, [0]) * (m * m)
         for y, i, ys in _hopf_system(g2)[0]:
             e_s = gen_columns[i]
-            cols[ys] = [(a + e_s[xy] - e_s[y]) % d
-                        for a, xy in zip(cols[y], by_column[y])]
-        yield tuple(itertools.chain(*zip(*cols[1:])))[n2 - 1:]
+            c = e_s[y]
+            out[ys - 1::m] = _slots(d, [
+                (a + e_s[xy] - c) % d
+                for a, xy in zip(out[y - 1::m] if y else zeros, by_column[y])])
+        yield out
 
 
 @lru_cache(maxsize=None)
@@ -611,7 +635,8 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     |H^2|; |H^2| |U| = |K| is checked.  A class is a box point of the
     relations' pivots, sum c_i res_i (_box_points), each res_i placed at
     the chord columns with 0 on the tree columns (the cocycle
-    _hopf_system makes of it) and written out by _expand."""
+    _hopf_system makes of it) and written out by _expand; a residue of
+    pivot 1 takes c_i = 0 only, so it is left out of the box."""
     ncols, n2 = len(_generator_columns(g2)), g2.order
     _, chords, equations = _hopf_system(g2)
     m, free = len(chords), _free_homs(g2, d)[2]
@@ -636,41 +661,121 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
         raise InternalInconsistency("|H^2| |U| disagrees with |K|")
     diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
 
-    placed = []
-    for res in residues:
-        vec = [0] * ncols
-        for c, x in zip(chords, res):
-            vec[c] = x
-        placed.append(vec)
+    pivots, placed = [], []
+    for i, res in enumerate(residues):
+        if (pivot := quot.pivot(i)) > 1:
+            vec = [0] * ncols
+            for c, x in zip(chords, res):
+                vec[c] = x
+            pivots.append(pivot)
+            placed.append(vec)
     return _Coordinate(z_order=b_order * quot.index_in_ambient(),
                        b_order=b_order,
                        factors=tuple(x for x in diag if x > 1),
-                       box=tuple(zip(map(quot.pivot, range(k)),
-                                     _expand(g2, d, placed))))
+                       box=tuple(zip(pivots, _expand(g2, d, placed))))
 
 
-def _box_points(g2: FiniteGroup, d: int, box):
+# the array item sizes, each with a typecode of that size
+_TYPECODES = {array(t).itemsize: t for t in "QLIHB"}
+
+
+class _Packing:
+    """Vectors over the pair slots packed into one int each, one w-byte
+    digit per slot, read as the bytes of an array of w-byte items in
+    slot order, in the machine's byte order: w is the least array item
+    size that holds 2d - 2 for every invariant factor d of g1, and |g1|
+    - 1.  Every class table is cut from such an int (table), and the box
+    points are formed in it (_box_points), so that a slot costs w bytes,
+    not a list entry and its int."""
+
+    def __init__(self, g1: FiniteGroup, n2: int, factors, codes):
+        self.w = w = min(size for size in _TYPECODES if 256 ** size > max(
+            2 * factors[-1] - 2, g1.order - 1))
+        self.typecode, self.factors = _TYPECODES[w], factors
+        self.nslots = (n2 - 1) ** 2
+        self.cuts = [slice(i, i + n2 - 1) for i in range(0, self.nslots,
+                                                          n2 - 1)]
+        self.codes = range(g1.order) if codes is None else codes
+        if w == 1:
+            self.codes = bytes(self.codes).ljust(256, b"\0")
+        self.zero_row, self.rows = (0,) * n2, _Rows()
+
+    def pack(self, vec) -> int:
+        """vec (_slots, or unpack's) as one int; iter() keeps array() from
+        reading a bytearray's raw bytes as items."""
+        return int.from_bytes(vec if self.w == 1 else array(
+            self.typecode, iter(vec)), sys.byteorder)
+
+    def unpack(self, point):
+        """point's digits, bytes where w = 1, else an array read from
+        them."""
+        flat = point.to_bytes(self.nslots * self.w, sys.byteorder)
+        return flat if self.w == 1 else array(self.typecode, flat)
+
+    def table(self, points):
+        """The normalized table with the packed values points, one per
+        invariant factor, at the pair slots: code = code d + point, factor
+        by factor, is each slot's mixed-radix code (_element_values), as
+        every digit stays below |g1| <= 256^w and none carries; the codes
+        become element indices (bytes.translate where w = 1), and each row
+        after the zero row is a zero and the next n2 - 1 of them, one tuple
+        per distinct row (rows)."""
+        code = points[0]
+        for point, d in zip(points[1:], self.factors[1:]):
+            code = code * d + point
+        flat = self.unpack(code)
+        flat = flat.translate(self.codes) if self.w == 1 else tuple(
+            map(self.codes.__getitem__, flat))
+        return (self.zero_row, *map(self.rows.__getitem__,
+                                    map(flat.__getitem__, self.cuts)))
+
+
+class _Rows(dict):
+    """A table row, (0, *values), by its values: one tuple per distinct
+    row, shared by the tables."""
+
+    def __missing__(self, values):
+        row = self[values] = (0, *values)
+        return row
+
+
+def _box_points(packing: _Packing, d: int, box):
     """One member of each H^2 class of _solve_coordinate(g2, d) over the
-    pair slots, the box points sum c_i res_i, 0 <= c_i < pivot_i, the last
-    fastest, each yielded as it is formed: over box, pairs (pivot_i,
-    res_i), such as the coordinate's own box.  compute_cocycle_space
-    passes residues moved within their classes, as any members give one
-    point of each class."""
+    pair slots, packed (_Packing), the box points sum c_i res_i, 0 <= c_i
+    < pivot_i, the last fastest, each yielded as it is formed: over box,
+    pairs (pivot_i, res_i), such as the coordinate's own box.
+    compute_cocycle_space passes residues moved within their classes, as
+    any members give one point of each class.  Each step adds res_i mod
+    d in every digit at once, and no digit carries into its neighbour:
+    with digits in [0, d), a sum digit lies in [0, 2d - 2], below B =
+    256^w by the choice of w, which also gives d <= H = B / 2.  Adding H
+    - d to every digit (lift) puts each in [H - d, H + d - 2], inside [0,
+    B), so its top bit (high) is set exactly where the sum digit is at
+    least d; d times those bits, shifted to the digits' units, is
+    subtracted, which leaves every digit in [0, d) and borrows from
+    none."""
+    shift, ones = 8 * packing.w - 1, packing.pack(b"\1" * packing.nslots)
+    high, lift = ones << shift, ones * ((1 << shift) - d)
+    box = [(pivot, packing.pack(res)) for pivot, res in box]
+
     def points(vec, i):
         if i == len(box):
             yield vec
             return
         pivot, res = box[i]
         for c in range(pivot):
-            yield from points([(x + c * y) % d for x, y in zip(vec, res)]
-                              if c else vec, i + 1)
-    return points([0] * (g2.order - 1) ** 2, 0)
+            if c:
+                vec += res
+                vec -= (((vec + lift) & high) >> shift) * d
+            yield from points(vec, i + 1)
+    return points(0, 0)
 
 
 @lru_cache(maxsize=None)
 def _coboundary_pivots(g2: FiniteGroup, d: int):
     """The pivots {slot i: (g_i, tau_i)} of B^2 mod d over the pair slots
-    (h, g), h, g != 1, row-major, found in the n - 1 values of a map t:
+    (h, g), h, g != 1, row-major, each tau_i held as _slots over g2,
+    found in the n - 1 values of a map t:
     K_i, the t (lists over g2, t(1) = 0) with psi_t(h, g) = t(h) + t(g) -
     t(hg) zero before slot i, is kept as a generating set, K_0 by the
     unit maps.  The value L_i at slot i maps K_i onto the ideal <g_i>
@@ -707,7 +812,7 @@ def _coboundary_pivots(g2: FiniteGroup, d: int):
                 gi, x, y = xgcd(gi, a)
                 tau = [(x * u + y * v) % d for u, v in zip(tau, t)]
         if gi < d:
-            pivots[i], index = (gi, tau), index * (d // gi)
+            pivots[i], index = (gi, _slots(d, tau)), index * (d // gi)
             fresh = [[(u - a // gi * v) % d for u, v in zip(t, tau)]
                      for t, a in zip(kernel, values) if a]
             kernel = [t for t, a in zip(kernel, values) if not a] + [
@@ -722,7 +827,8 @@ def _walk(pres, n2: int, slots, pivots):
     with its triple, the element index of each mixed-radix code over the
     factors (None when each code is its own index), and read(v, t, d),
     the values v + t(h) + t(g) - t(hg) mod d at the slots.  slots is a
-    list of the triples (h, g, hg), or _PairSlots, which keeps none."""
+    list of the triples (h, g, hg), read into a list, or _PairSlots,
+    which keeps none and reads into _slots."""
     codes = [*map(pres.element_of,
                   itertools.product(*map(range, pres.invariant_factors)))]
     return (pres, n2, slots, pivots,
@@ -747,8 +853,9 @@ class _PairSlots:
     def read(self, v, t, d):
         # zip takes from v last, so a row's end takes nothing from it
         ts, v = t[1:], iter(v)
-        return [(th + tg - t[hg] + x) % d for th, row in zip(ts, self.mul[1:])
-                for tg, hg, x in zip(ts, row[1:], v)]
+        return _slots(d, [(th + tg - t[hg] + x) % d
+                          for th, row in zip(ts, self.mul[1:])
+                          for tg, hg, x in zip(ts, row[1:], v)])
 
 
 @lru_cache(maxsize=None)
@@ -803,19 +910,13 @@ def _least_values(walk, vecs):
 
 def _element_values(walk, vecs):
     """Element indices at the slots of vecs, _least_values' lists of
-    values in [0, d), one per factor, by the walk's mixed-radix codes."""
+    values in [0, d), one per factor, by the walk's mixed-radix codes:
+    the witnesses' images (_Packing.table writes the tables' own)."""
     codes = walk[5]
     code = vecs[0] if vecs else [0] * len(walk[2])
     for v, d in zip(vecs[1:], walk[0].invariant_factors[1:]):
         code = [c * d + x for c, x in zip(code, v)]
     return code if codes is None else [codes[c] for c in code]
-
-
-def _table_from_values(n2, values):
-    """The normalized n2 x n2 table with values at the pair slots."""
-    it = iter(values)
-    return ((0,) * n2,) + tuple((0, *itertools.islice(it, n2 - 1))
-                                for _ in range(1, n2))
 
 
 @lru_cache(maxsize=None)
@@ -840,39 +941,45 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
     class's least member directly.  Elsewhere the walk is not linear:
     with g_i > 1 best turns on cur mod g_i, and at a slot that is a pivot
     of some factors only, on the other factors' forced values through
-    the element order; there each box point is walked.  Only the later
-    factors' points are held, and equal rows are one tuple.  The tables
+    the element order; there each box point is walked, unpacked and
+    packed again.  Only the later factors' points are held, each packed
+    into one int (_Packing), and one writer cuts every table from its
+    points (_Packing.table), where equal rows are one tuple.  The tables
     skip Cocycle2's scans (Record._unchecked): each slot value is an
-    element index of g1 (the walk's codes, _element_values), and the
-    (n2 - 1)^2 of them fill the rows after a zero row, each led by a zero
-    (_table_from_values)."""
+    element index of g1 (the walk's codes), and the (n2 - 1)^2 of them
+    fill the rows after a zero row, each led by a zero."""
     if not g1.is_abelian:
         raise NotAbelianCoefficients(
             "cohomology here takes abelian coefficients")
     pres = abelian_invariants(g1)
     factors = pres.invariant_factors
     coords = [_solve_coordinate(g2, d) for d in factors]
-    n2, rep_tables = g2.order, [trivial_cocycle(g1, g2).table]
+    n2 = g2.order
+    zero = ((0,) * n2,) * n2
+    rep_tables = [zero]
     boxes = [c.box for c in coords]
     if math.prod(p for box in boxes for p, _ in box) > 1:
         pivots = [_coboundary_pivots(g2, d) for d in factors]
         walk = _walk(pres, n2, _PairSlots(g2.table), pivots)
+        packing = _Packing(g1, n2, factors, walk[5])
         linear = all(p.keys() == pivots[0].keys() and all(
             gi == 1 for gi, _ in p.values()) for p in pivots)
         if linear:
-            zero = [0] * (n2 - 1) ** 2
+            zeros = bytes((n2 - 1) ** 2)
             boxes = [[(p, _least_values(walk, [
-                res if j == f else zero for j in range(len(factors))])[f])
+                res if j == f else zeros for j in range(len(factors))])[f])
                 for p, res in box] for f, box in enumerate(boxes)]
-        first, *later = map(_box_points, [g2] * len(factors), factors, boxes)
+
+        def walked(points):
+            return [*map(packing.pack, _least_values(
+                walk, [*map(packing.unpack, points)]))]
+        first, *later = map(_box_points, [packing] * len(factors), factors,
+                            boxes)
         later = [*map(list, later)]
-        rows = {}   # one tuple per distinct row, shared by the tables
-        rep_tables = sorted(tuple(map(rows.setdefault, t, t)) for t in (
-            _table_from_values(n2, _element_values(
-                walk, vecs if linear else _least_values(walk, vecs)))
-            for point in first
-            for vecs in itertools.product([point], *later)))
-    if rep_tables[0] != trivial_cocycle(g1, g2).table:
+        rep_tables = sorted(map(packing.table, (
+            points if linear else walked(points) for point in first
+            for points in itertools.product([point], *later))))
+    if rep_tables[0] != zero:
         raise InternalInconsistency("the trivial class is not listed first")
     return CocycleSpace(g1=g1, g2=g2,
                         h2_invariant_factors=_merge_invariant_factors(

@@ -61,12 +61,14 @@ class IntMatrix(Record):
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product, built unchecked (Record._unchecked): a.rows rows of
+    b.cols sums each."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    bt = b.transpose().data
+    bt = [*zip(*b.data)] or [()] * b.cols
     data = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
                  for row in a.data)
-    return IntMatrix(rows=a.rows, cols=b.cols, data=data)
+    return IntMatrix._unchecked(rows=a.rows, cols=b.cols, data=data)
 
 
 def mat_vec(a: IntMatrix, x) -> list[int]:
@@ -170,10 +172,13 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         if w[i][i] < 0:
             w[i] = [-x for x in w[i]]
 
+    # u and v are blocks of W, whose entries are ints by construction
     res = SNFResult(s=IntMatrix(rows=nr, cols=nc,
                                 data=tuple(tuple(row[:nc]) for row in w[:nr])),
-                    u=IntMatrix.from_rows(row[nc:] for row in w[:nr]),
-                    v=IntMatrix.from_rows(w[nr:]))
+                    u=IntMatrix._unchecked(rows=nr, cols=nr, data=tuple(
+                        tuple(row[nc:]) for row in w[:nr])),
+                    v=IntMatrix._unchecked(rows=nc, cols=nc,
+                                           data=tuple(map(tuple, w[nr:]))))
     if mat_mul(mat_mul(res.u, a), res.v).data != res.s.data:
         raise InternalInconsistency("u * a * v does not recompose to s")
     return res

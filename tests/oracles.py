@@ -21,7 +21,7 @@ from centext.cocycles import (
     _coboundary_table,
     _column_values,
     _element_values,
-    _expand,
+    _free_homs,
     _generator_columns,
     _hopf_system,
     _least_values,
@@ -29,7 +29,6 @@ from centext.cocycles import (
     _row_space,
     _same_groups,
     _solve_coordinate,
-    _table_from_values,
     _walk,
     are_cohomologous,
     cocycle_inv,
@@ -988,21 +987,116 @@ def pair_slot_representatives(g1: FiniteGroup, g2: FiniteGroup):
     b2 = [pair_slot_b2(g2, d) for d in factors]
     nslots = (g2.order - 1) ** 2
     return sorted(
-        _table_from_values(g2.order, least_in_coset_by_slot(
+        table_from_values(g2.order, least_in_coset_by_slot(
             b2, vecs, pres.element_of, nslots))
         for vecs in itertools.product(*(unreduced_box_points(g2, d)
                                         for d in factors)))
 
 
 def unreduced_box_points(g2: FiniteGroup, d: int):
-    """The earlier cocycles._box_points: one member of each H^2 class of
-    _solve_coordinate(g2, d) over the pair slots, sum c_i res_i over the
-    coordinate's own residues, the last fastest."""
-    points = [[0] * (g2.order - 1) ** 2]
-    for pivot, res in _solve_coordinate(g2, d).box:
-        points = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
-                  for vec in points for c in range(pivot)]
-    return points
+    """One member of each H^2 class of _solve_coordinate(g2, d) over the
+    pair slots, as lists, sum c_i res_i over the coordinate's own
+    residues, the last fastest."""
+    return list(box_points_by_lists(d, _solve_coordinate(g2, d).box,
+                                    (g2.order - 1) ** 2))
+
+
+def expand_by_lists(g2: FiniteGroup, d: int, vecs):
+    """The earlier cocycles._expand: per vector of values mod d at the
+    generator columns, the tuple of values mod d at the pair slots,
+    row-major, of the cocycle it fixes, each column written down the
+    tree of _hopf_system as a list over g2 and the columns transposed."""
+    n2, k = g2.order, len(g2.generators)
+    by_column = list(zip(*g2.table))
+    for vec in vecs:
+        gen_columns = [[0, *vec[i::k]] for i in range(k)]
+        cols = [[0] * n2] * n2   # column 1; the tree replaces the rest
+        for y, i, ys in _hopf_system(g2)[0]:
+            e_s = gen_columns[i]
+            cols[ys] = [(a + e_s[xy] - e_s[y]) % d
+                        for a, xy in zip(cols[y], by_column[y])]
+        yield tuple(itertools.chain(*zip(*cols[1:])))[n2 - 1:]
+
+
+def table_from_values(n2, values):
+    """The earlier cocycles._table_from_values: the normalized n2 x n2
+    table with values at the pair slots."""
+    it = iter(values)
+    return ((0,) * n2,) + tuple((0, *itertools.islice(it, n2 - 1))
+                                for _ in range(1, n2))
+
+
+def box_by_lists(g2: FiniteGroup, d: int):
+    """The earlier box of cocycles._solve_coordinate: each relation's
+    pivot with its residue, K's Howell rows reduced mod U and placed at
+    the chord columns, written out by expand_by_lists."""
+    ncols = len(_generator_columns(g2))
+    _, chords, equations = _hopf_system(g2)
+    m, free = len(chords), _free_homs(g2, d)[2]
+    kept, columns = _row_space(equations, m, d)
+    kernel = columns.tail(len(kept))
+    zeros = [0] * (free.ncols - m)
+    residues = [res for p in sorted(kernel.pivot_rows) if any(
+        res := free.reduce(kernel.dense_row(p) + zeros)[:m])]
+    k = len(residues)
+    rel = IntLattice(m + k, d, ({j: x for j, x in r.items() if j < m}
+                                for r in free.pivot_rows.values()))
+    for i, res in enumerate(residues):
+        rel.add(res + [int(j == i) for j in range(k)])
+    placed = []
+    for res in residues:
+        vec = [0] * ncols
+        for c, x in zip(chords, res):
+            vec[c] = x
+        placed.append(vec)
+    return tuple(zip(map(rel.tail(m).pivot, range(k)),
+                     expand_by_lists(g2, d, placed)))
+
+
+def box_points_by_lists(d: int, box, nslots: int):
+    """The earlier cocycles._box_points: the box points sum c_i res_i, 0
+    <= c_i < pivot_i, the last fastest, each a list over the pair
+    slots."""
+    def points(vec, i):
+        if i == len(box):
+            yield vec
+            return
+        pivot, res = box[i]
+        for c in range(pivot):
+            yield from points([(x + c * y) % d for x, y in zip(vec, res)]
+                              if c else vec, i + 1)
+    return points([0] * nslots, 0)
+
+
+def representatives_by_lists(g1: FiniteGroup, g2: FiniteGroup):
+    """The tables of the earlier cocycles.compute_cocycle_space, in its
+    order, from list-valued vectors over the pair slots: the boxes of
+    box_by_lists, the residues walked once each where every B^2 pivot is
+    1 at slots shared by the factors (coboundary_pivots_by_rows), else
+    each box point walked, then _element_values and table_from_values."""
+    pres = abelian_invariants(g1)
+    factors = pres.invariant_factors
+    n2 = g2.order
+    boxes = [box_by_lists(g2, d) for d in factors]
+    if math.prod(p for box in boxes for p, _ in box) == 1:
+        return [trivial_cocycle(g1, g2).table]
+    slots = [(h, g, hg) for h in range(1, n2)
+             for g, hg in enumerate(g2.table[h]) if g]
+    pivots = [coboundary_pivots_by_rows(g2, d) for d in factors]
+    walk = _walk(pres, n2, slots, pivots)
+    linear = all(p.keys() == pivots[0].keys() and all(
+        gi == 1 for gi, _ in p.values()) for p in pivots)
+    if linear:
+        zero = [0] * len(slots)
+        boxes = [[(p, _least_values(walk, [
+            res if j == f else zero for j in range(len(factors))])[f])
+            for p, res in box] for f, box in enumerate(boxes)]
+    return sorted(
+        table_from_values(n2, _element_values(
+            walk, vecs if linear else _least_values(walk, vecs)))
+        for vecs in itertools.product(*(
+            box_points_by_lists(d, box, len(slots))
+            for d, box in zip(factors, boxes))))
 
 
 def representatives_by_walks(g1: FiniteGroup, g2: FiniteGroup):
@@ -1016,7 +1110,7 @@ def representatives_by_walks(g1: FiniteGroup, g2: FiniteGroup):
              for g, hg in enumerate(g2.table[h]) if g]
     walk = _walk(pres, n2, slots, [_coboundary_pivots(g2, d)
                                    for d in factors])
-    return sorted(_table_from_values(n2, _element_values(
+    return sorted(table_from_values(n2, _element_values(
                       walk, _least_values(walk, vecs)))
                   for vecs in itertools.product(*(
                       unreduced_box_points(g2, d) for d in factors)))
@@ -1268,7 +1362,7 @@ def solve_coordinate_by_b2(g2: FiniteGroup, d: int) -> B2Coordinate:
         raise InternalInconsistency("|H^2| disagrees with |Z^2| / |B^2|")
     diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
     classes = [[0] * (g2.order - 1) ** 2]
-    for j, res in enumerate(_expand(g2, d, residues)):
+    for j, res in enumerate(expand_by_lists(g2, d, residues)):
         classes = [[(x + c * y) % d for x, y in zip(vec, res)] if c else vec
                    for vec in classes for c in range(quot.pivot(j))]
     return B2Coordinate(z_columns=tuple(map(tuple, z)),
@@ -1288,7 +1382,7 @@ def space_by_b2(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
              for g, hg in enumerate(g2.table[h]) if g]
     walk = _walk(pres, n2, slots, [_coboundary_pivots(g2, d)
                                    for d in pres.invariant_factors])
-    tables = sorted(_table_from_values(n2, _element_values(
+    tables = sorted(table_from_values(n2, _element_values(
                         walk, _least_values(walk, vecs)))
                     for vecs in itertools.product(*(c.classes
                                                     for c in coords)))
@@ -1324,7 +1418,7 @@ def z2_generators(space: CocycleSpace) -> tuple[Cocycle2, ...]:
     """The earlier CocycleSpace.z2_generators: each Z^2 row of each
     coordinate, in that coordinate, written out from the lattice that
     solve_coordinate_by_b2 builds."""
-    return _coordinate_tables(space.g1, space.g2, lambda d: _expand(
+    return _coordinate_tables(space.g1, space.g2, lambda d: expand_by_lists(
         space.g2, d, solve_coordinate_by_b2(space.g2, d).z_columns))
 
 
@@ -1349,7 +1443,7 @@ def _coordinate_tables(g1: FiniteGroup, g2: FiniteGroup, values_of):
     elements = [[pres.element_of([v * (i == ci)
                                   for i in range(len(factors))])
                  for v in range(d)] for ci, d in enumerate(factors)]
-    tables = (_table_from_values(g2.order, map(elements[ci].__getitem__,
+    tables = (table_from_values(g2.order, map(elements[ci].__getitem__,
                                                values))
               for ci, d in enumerate(factors) for values in values_of(d))
     return tuple(Cocycle2(g1=g1, g2=g2, table=t)

@@ -16,12 +16,10 @@ from centext import cocycles
 from centext.catalog import catalog_names, get_group
 from centext.cocycles import (
     Cocycle2,
-    _box_points,
     _class_key,
     _column_values,
     _keyed,
     _solve_coordinate,
-    _table_from_values,
     _witness,
     apply_coboundary,
     are_cohomologous,
@@ -39,6 +37,8 @@ from oracles import (
     class_key_mod_b2,
     solve_coordinate_by_b2,
     space_by_b2,
+    table_from_values,
+    unreduced_box_points,
     witness_by_b2,
 )
 from test_decider_memos import LABEL_PAIRS as PAIRS, h2_order
@@ -245,8 +245,8 @@ def witness_cases(pair, rng):
         reps = compute_cocycle_space(g1, g2).class_representatives
         reps = [rep.table for rep in rng.sample(reps, min(len(reps), 4))]
     else:   # one member of each of four seeded classes, not the least
-        reps = [_table_from_values(g2.order, map(pres.element_of, zip(*(
-            rng.choice(list(_box_points(g2, d, _solve_coordinate(g2, d).box)))
+        reps = [table_from_values(g2.order, map(pres.element_of, zip(*(
+            rng.choice(unreduced_box_points(g2, d))
             for d in pres.invariant_factors)))) for _ in range(4)]
     cases = list(itertools.permutations(reps, 2))
     for rep in reps:
