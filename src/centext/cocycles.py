@@ -12,7 +12,8 @@ k(n-1) generator columns e(x, s), x != 1 and s among the k generators
 of a quotient of order n, which fix a cocycle (the _expand proof).
 Hopf's formula gives H^2 = K / U with no further elimination: K, the
 kernel of one sparse equation per (generator, Schreier generator),
-eliminated in IntLattice, which keeps sparse pivot rows, and U, one row
+eliminated once in IntLattice, which keeps sparse pivot rows, and read
+off those rows by back-substitution (_row_space), and U, one row
 u_j per generator (_hopf_system, _solve_coordinate), held with Hom(g2,
 Z/d) in one lattice of the rows [u_j | e_j] (_free_homs).  A class key
 (_class_key) maps column values to the Schreier generators mod U; the
@@ -38,11 +39,11 @@ slots takes one byte a slot (_slots), as do the pivots' maps; a box
 point is one int with a digit per slot, summed digit-wise in one add
 (_box_points), and every table is cut from such an int (_Packing).
 _element_values makes the witnesses' values elements.  The identity
-system, the dense elimination, the pair-slot B^2 lattice, the coset
-passes they replaced, the per-class walk, the Z^2 and B^2 generator
-tables, the solver, keys and witnesses that eliminated B^2 in
-generator columns, and the list-valued pair-slot vectors are test
-oracles in tests/oracles.py.
+system, the dense elimination, the transposed elimination for K, the
+pair-slot B^2 lattice, the coset passes they replaced, the per-class
+walk, the Z^2 and B^2 generator tables, the solver, keys and witnesses
+that eliminated B^2 in generator columns, and the list-valued
+pair-slot vectors are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -404,22 +405,47 @@ def _keyed(e: Cocycle2, images=None):
 
 
 def _row_space(equations, ncols, d):
-    """Eliminate the sparse rows R mod d, the {unknown: coefficient}
-    equations of _hopf_system: the indexes S of the rows that grew
-    R's row lattice, added in order, and the echelon form of the rows
-    [R_S e_w | e_w], one per column w.  R_S spans R's row lattice, so it
-    has R's kernel mod d, which is columns.tail(len(S)).  A chain of
-    submodules of (Z/d)^ncols has at most ncols * Omega(d) steps (prime
-    factors with multiplicity), so no row is wider than
-    (1 + Omega(d)) * ncols.  Both eliminations feed IntLattice sparse
-    rows."""
-    rows = IntLattice(ncols, d)
-    kept = tuple(i for i, eq in enumerate(equations) if rows.add(eq))
-    transposed = [{len(kept) + w: 1} for w in range(ncols)]
-    for j, i in enumerate(kept):
-        for u, c in equations[i].items():
-            transposed[u][j] = c
-    return kept, IntLattice(len(kept) + ncols, d, transposed)
+    """R's row lattice mod d, the sparse rows R, the {unknown: coefficient}
+    equations of _hopf_system, added to an IntLattice, and generators of
+    R's kernel K mod d read off its stored rows by back-substitution: one
+    elimination in all.  Write h_j for the stored row of pivot column j,
+    g_j = h_j[j], a divisor of d, and p_c for the pivot of column c (g_c,
+    or d at a free column, where nothing is stored).  The h_j and the d
+    e_j span R's row lattice, so K is the z with h_j . z = 0 mod d for
+    every j.  Each column c with p_c > 1 gives one generator z, in column
+    order: z_c = d / p_c, zeros at every later column, and, from column
+    c - 1 down to the first, z_j = 0 at a free column and, at a stored
+    row, the least solution of g_j z_j = -sum_(l > j) h_jl z_l mod d.
+    Every step is solvable: (d / g_j) h_j vanishes up to column j, so by
+    Howell's property it lies in the span of the later rows and d
+    Z^ncols, all zero on z, which gives (d / g_j) sum_(l > j) h_jl z_l =
+    0 mod d: g_j divides the right-hand side.  So z lies in K, as h_c . z
+    = p_c d / p_c at a stored row c and the later rows see only zeros.
+    The vectors generate K: a member of K zero after column c has g_c z_c
+    = h_c . z = 0 at a stored row, so z_c is a multiple of d / p_c, as at
+    a free column; that multiple of c's generator clears column c and
+    keeps the later zeros, so clearing a member from the right, column by
+    column, uses only these generators.  The same step gives the order:
+    the members of K zero after column c take p_c values there, so |K| =
+    prod p_c = d^(#free columns) prod g_j, the lattice's
+    index_in_ambient."""
+    rows = IntLattice(ncols, d, equations)
+    stored = sorted(rows.pivot_rows, reverse=True)
+    kernel = []
+    for c in range(ncols):
+        if (p := rows.pivot(c)) == 1:
+            continue
+        z = [0] * ncols
+        z[c] = d // p
+        for j in itertools.dropwhile(c.__le__, stored):
+            # z_j is still 0, so the sum runs over l > j
+            h = rows.pivot_rows[j]
+            r = -sum(x * z[l] for l, x in h.items()) % d
+            if r % h[j]:
+                raise InternalInconsistency("a back-substitution step fails")
+            z[j] = r // h[j]
+        kernel.append(z)
+    return rows, kernel
 
 
 def apply_coboundary(t: GroupMap, e: Cocycle2) -> Cocycle2:
@@ -625,12 +651,13 @@ def _expand(g2: FiniteGroup, d: int, vecs):
 
 @lru_cache(maxsize=None)
 def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
-    """H^2 = K / U by Hopf's formula, K the invariant f of _hopf_system
-    (the _row_space kernel) and U from _free_homs(g2, d); no further
-    elimination.  Its relations are the c with sum c_i res_i in U, res_i
-    K's Howell rows reduced mod U, and their Smith form gives the
-    factors.  |U| = d^k / |Hom(g2, Z/d)|, as Hom(g2, Z/d) is the kernel
-    of restricting Hom(F, Z/d) to R, the tail of _free_homs; so |B^2| =
+    """H^2 = K / U by Hopf's formula, K the invariant f of _hopf_system,
+    read off the one elimination of its rows by back-substitution
+    (_row_space), and U from _free_homs(g2, d); no further elimination.
+    Its relations are the c with sum c_i res_i in U, res_i K's
+    generators reduced mod U, and their Smith form gives the factors.
+    |U| = d^k / |Hom(g2, Z/d)|, as Hom(g2, Z/d) is the kernel of
+    restricting Hom(F, Z/d) to R, the tail of _free_homs; so |B^2| =
     d^(n-1) / |Hom(g2, Z/d)| = d^(n-1) |U| / d^k, and |Z^2| = |B^2|
     |H^2|; |H^2| |U| = |K| is checked.  A class is a box point of the
     relations' pivots, sum c_i res_i (_box_points), each res_i placed at
@@ -640,17 +667,16 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     ncols, n2 = len(_generator_columns(g2)), g2.order
     _, chords, equations = _hopf_system(g2)
     m, free = len(chords), _free_homs(g2, d)[2]
-    kept, columns = _row_space(equations, m, d)
-    kernel = columns.tail(len(kept))
-    k_order = d ** m // kernel.index_in_ambient()
+    rows, kernel = _row_space(equations, m, d)
+    k_order = rows.index_in_ambient()
     u_order = free.tail(m).index_in_ambient()
     b_order = d ** (n2 - 1) * u_order // d ** len(g2.generators)
 
-    # H^2 = K / U is generated by the residues of K's rows mod U; its
-    # relations are the c with sum c_i res_i in U (free's rows, cut)
+    # H^2 = K / U is generated by the residues of K's generators mod U;
+    # its relations are the c with sum c_i res_i in U (free's rows, cut)
     zeros = [0] * (free.ncols - m)
-    residues = [res for p in sorted(kernel.pivot_rows) if any(
-        res := free.reduce(kernel.dense_row(p) + zeros)[:m])]
+    residues = [res for z in kernel if any(
+        res := free.reduce(z + zeros)[:m])]
     k = len(residues)
     rel = IntLattice(m + k, d, ({j: x for j, x in r.items() if j < m}
                                 for r in free.pivot_rows.values()))
@@ -889,8 +915,11 @@ def _least_values(walk, vecs):
     admissible element index (0 if admissible), fixed by t += q tau_i,
     which keeps earlier slots, and the other slots are forced.  One map t
     per factor is kept; the walk keeps the pivot slots' triples, and each
-    slot is read once at the end (the walk's read).  With every g_i = 1
-    the walk is linear in vecs (compute_cocycle_space)."""
+    slot is read once at the end (the walk's read), except in a factor
+    whose map stays 0: v + psi_0 = v is its own least member, handed back
+    unread.  With every g_i = 1 the walk is linear in vecs, and a residue
+    walked with zeros in the other factors reads its own factor only
+    (compute_cocycle_space)."""
     pres, n2, _, pivots, order, _, read = walk
     factors = pres.invariant_factors
     maps = [[0] * n2 for _ in factors]
@@ -905,7 +934,8 @@ def _least_values(walk, vecs):
             if x != c:
                 q = (x - c) // p[i][0]
                 t[:] = [(u + q * v) % d for u, v in zip(t, p[i][1])]
-    return list(map(read, vecs, maps, factors))
+    return [read(v, t, d) if any(t) else v
+            for v, t, d in zip(vecs, maps, factors)]
 
 
 def _element_values(walk, vecs):

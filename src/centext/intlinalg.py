@@ -1,7 +1,8 @@
 """Exact integer linear algebra for finite abelian groups.
 
 Smith normal form with its unimodular row and column transforms, read
-off as blocks of one working matrix [[A, I], [I, 0]], an echelon
+off as blocks of one working matrix [[A, I], [I, 0]] (an input already
+in Smith form is its own, with identity transforms), an echelon
 lattice accumulator modulo an integer (Howell form) with sparse rows,
 linear congruence systems with per-row moduli, and invariant-factor
 coordinates of abelian Cayley tables.  Everything
@@ -77,6 +78,12 @@ def mat_vec(a: IntMatrix, x) -> list[int]:
     return [sum(v * xi for v, xi in zip(row, x)) for row in a.data]
 
 
+def _identity(n: int) -> IntMatrix:
+    """The n x n identity, its entries ints by construction."""
+    return IntMatrix._unchecked(rows=n, cols=n, data=tuple(
+        tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
 class SNFResult(Record):
     """u * a * v = s with u, v unimodular and s diagonal with a
     divisibility chain."""
@@ -100,8 +107,26 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     row-major, so the reduction (and therefore every downstream fixture)
     is deterministic.  The recomposition u*a*v == s is checked before
     returning.
+
+    An input already in Smith form, diagonal with a nonnegative diagonal
+    that is a divisibility chain, zeros last, is returned as (a, I, I)
+    without the loop.  On it the loop picks the pivot at (t, t) at every
+    step, by its smallest-absolute-value, row-major rule: d_t divides
+    every later diagonal entry, so none is smaller, and (t, t) comes
+    first.  Row and column t are zero off it and d_t divides the rest,
+    so the swaps are trivial, no combine is made and no sign changes; at
+    a zero d_t all that is left is zero, and the loop stops.  So (a, I,
+    I) is exactly the loop's answer, and u * a * v = s holds as an
+    identity, unchecked, as the callers of Record._unchecked prove
+    theirs.  Every other input runs the loop and the check.
     """
     nr, nc = a.rows, a.cols
+    diag = a.diagonal
+    chain = all(x >= 0 for x in diag) and all(
+        y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
+    if chain and all(not any(row[:i]) and not any(row[i + 1:])
+                     for i, row in enumerate(a.data)):
+        return SNFResult(s=a, u=_identity(nr), v=_identity(nc))
     w = [list(row) + [int(i == j) for j in range(nr)]
          for i, row in enumerate(a.data)]
     w += [[int(i == j) for j in range(nc)] for i in range(nc)]

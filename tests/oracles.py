@@ -786,10 +786,26 @@ def dense_echelon(rows, ncols, m):
     return grew, pivot_rows
 
 
+def transposed_kernel(equations, ncols, d):
+    """The earlier cocycles._row_space, a second elimination for R's
+    kernel K mod d: the indexes S of the sparse rows R, {unknown:
+    coefficient} dicts, that grew R's row lattice, added in order, and
+    the echelon form of the rows [R_S e_w | e_w], one per column w.  R_S
+    spans R's row lattice, so it has R's kernel, which is the form's
+    tail(len(S)), a Howell basis of K."""
+    rows = IntLattice(ncols, d)
+    kept = tuple(i for i, eq in enumerate(equations) if rows.add(eq))
+    transposed = [{len(kept) + w: 1} for w in range(ncols)]
+    for j, i in enumerate(kept):
+        for u, c in equations[i].items():
+            transposed[u][j] = c
+    return kept, IntLattice(len(kept) + ncols, d, transposed)
+
+
 def dense_row_space(rows, ncols, d):
-    """The earlier cocycles._row_space, on dense rows: the indexes S of
-    the rows that grew the row lattice, and the pivot rows of the echelon
-    form of the rows [R_S e_w | e_w]."""
+    """transposed_kernel on dense rows: the indexes S of the rows that
+    grew the row lattice, and the pivot rows of the echelon form of the
+    rows [R_S e_w | e_w]."""
     rows = list(rows)
     grew, _ = dense_echelon(rows, ncols, d)
     kept = [row for row, g in zip(rows, grew) if g]
@@ -1027,17 +1043,17 @@ def table_from_values(n2, values):
 
 
 def box_by_lists(g2: FiniteGroup, d: int):
-    """The earlier box of cocycles._solve_coordinate: each relation's
-    pivot with its residue, K's Howell rows reduced mod U and placed at
-    the chord columns, written out by expand_by_lists."""
+    """The earlier box of cocycles._solve_coordinate, in lists: each
+    relation's pivot with its residue, K's generators (_row_space)
+    reduced mod U and placed at the chord columns, written out by
+    expand_by_lists."""
     ncols = len(_generator_columns(g2))
     _, chords, equations = _hopf_system(g2)
     m, free = len(chords), _free_homs(g2, d)[2]
-    kept, columns = _row_space(equations, m, d)
-    kernel = columns.tail(len(kept))
+    _, kernel = _row_space(equations, m, d)
     zeros = [0] * (free.ncols - m)
-    residues = [res for p in sorted(kernel.pivot_rows) if any(
-        res := free.reduce(kernel.dense_row(p) + zeros)[:m])]
+    residues = [res for z in kernel if any(
+        res := free.reduce(z + zeros)[:m])]
     k = len(residues)
     rel = IntLattice(m + k, d, ({j: x for j, x in r.items() if j < m}
                                 for r in free.pivot_rows.values()))
@@ -1343,7 +1359,7 @@ def solve_coordinate_by_b2(g2: FiniteGroup, d: int) -> B2Coordinate:
     residues."""
     ncols = len(_generator_columns(g2))
     _, chords, equations = _hopf_system(g2)
-    kept, columns = _row_space(equations, len(chords), d)
+    kept, columns = transposed_kernel(equations, len(chords), d)
     kernel = columns.tail(len(kept))
     b = lattice_head(coboundary_lattice(g2, d), ncols)
     z2 = IntLattice(ncols, d, [b.pivot_rows[p] for p in sorted(b.pivot_rows)]

@@ -668,8 +668,14 @@ def wrong_product(a, b):
     return IntMatrix.from_rows([[7]])
 
 
-# Z4 with the labels 1 and 2 swapped: a table no cached space is over
-RELABELED_Z4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
+# Z2xZ4 with the labels 5 and 7 swapped: a table no cached presentation
+# is over, whose relations from the greedy generators 1 (of order 4) and
+# 4 (of order 2) take the form diag(4, 2), not a divisibility chain, so
+# that its Smith form runs the loop and the self-check
+RELABELED_Z2XZ4 = [[0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 0, 7, 4, 5, 6],
+                   [2, 3, 0, 1, 6, 7, 4, 5], [3, 0, 1, 2, 5, 6, 7, 4],
+                   [4, 7, 6, 5, 0, 3, 2, 1], [5, 4, 7, 6, 3, 2, 1, 0],
+                   [6, 5, 4, 7, 2, 1, 0, 3], [7, 6, 5, 4, 1, 0, 3, 2]]
 
 INTERNAL_UNDER_O = f"""
 import json, sys, tempfile
@@ -684,8 +690,8 @@ try:
 except InternalInconsistency:
     pass
 with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-    json.dump({{"table": {RELABELED_Z4}}}, fh)
-sys.exit(main(["cohomology", "Z2", fh.name]))
+    json.dump({{"table": {RELABELED_Z2XZ4}}}, fh)
+sys.exit(main(["cohomology", fh.name, "Z2"]))
 """
 
 
@@ -697,10 +703,10 @@ class TestInternalInconsistency:
             smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
 
     def test_main_exits_5(self, monkeypatch, tmp_path, capsys):
-        gfile = tmp_path / "z4.json"
-        gfile.write_text(json.dumps({"table": RELABELED_Z4}))
+        gfile = tmp_path / "z2xz4.json"
+        gfile.write_text(json.dumps({"table": RELABELED_Z2XZ4}))
         monkeypatch.setattr(intlinalg, "mat_mul", wrong_product)
-        code, payload, err = run_cli(["cohomology", "Z2", str(gfile)], capsys)
+        code, payload, err = run_cli(["cohomology", str(gfile), "Z2"], capsys)
         assert (code, payload) == (5, None)
         assert err == "error: internal: u * a * v does not recompose to s\n"
 

@@ -92,6 +92,7 @@ from oracles import (
     cocycle2_error,
     cocycle_columns,
     cocycle_compose_checks,
+    dense_echelon,
     dense_row_space,
     expand_forms,
     hopf_equations_by_counter,
@@ -1042,14 +1043,25 @@ class TestSparseOracles:
     def test_row_space_matches_the_dense_elimination(self, name, d):
         _, chords, equations = _hopf_system(get_group(name))
         nunknowns = len(chords)
-        kept, columns = _row_space(equations, nunknowns, d)
-        dense_kept, dense_columns = dense_row_space(
-            ([eq.get(u, 0) for u in range(nunknowns)] for eq in equations),
-            nunknowns, d)
+        rows, kernel = _row_space(equations, nunknowns, d)
+        dense = [[eq.get(u, 0) for u in range(nunknowns)] for eq in equations]
+        # the one elimination: the sparse rows that grew, its pivot rows
+        lattice = IntLattice(nunknowns, d)
+        kept = tuple(i for i, eq in enumerate(equations) if lattice.add(eq))
+        dense_kept, dense_columns = dense_row_space(dense, nunknowns, d)
         assert kept == dense_kept
-        assert {p: columns.dense_row(p)
-                for p in columns.pivot_rows} == dense_columns
-        assert columns.ncols == len(dense_kept) + nunknowns
+        assert {p: rows.dense_row(p) for p in rows.pivot_rows} == (
+            dense_echelon(dense, nunknowns, d)[1])
+        # the kernel read off it spans the dense transposed form's tail
+        expected = IntLattice(nunknowns, d, (
+            row[len(kept):] for p, row in dense_columns.items()
+            if p >= len(kept)))
+        got = IntLattice(nunknowns, d, kernel)
+        assert got.index_in_ambient() == expected.index_in_ambient()
+        assert contains(got, expected) and contains(expected, got)
+        assert all(len(z) == nunknowns for z in kernel)
+        assert rows.index_in_ambient() * expected.index_in_ambient() == (
+            d ** nunknowns)
 
     @pytest.mark.parametrize("name,d", ORACLE_CASES)
     def test_coset_pass_matches_slot_by_slot(self, name, d):
@@ -1125,8 +1137,10 @@ class TestCocycleSystemOracle:
         forms, nunknowns, equations = cocycle_columns(g2)
         assert nunknowns == len(_generator_columns(g2))
         for d in (2, 3, 4, 6):
-            kept, columns = _row_space(equations, nunknowns, d)
-            expected = columns.tail(len(kept))
+            rows, kernel = _row_space(equations, nunknowns, d)
+            expected = IntLattice(nunknowns, d, kernel)
+            assert rows.index_in_ambient() * expected.index_in_ambient() == (
+                d ** nunknowns)
             z_columns = solve_coordinate_by_b2(g2, d).z_columns
             got = IntLattice(nunknowns, d, z_columns)
             assert got.index_in_ambient() == expected.index_in_ambient()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from centext import cocycles, intlinalg
 from centext.catalog import catalog_names, get_group
 from centext.errors import DimensionMismatch, NotAbelian
 from centext.groups import cyclic_group, direct_product
@@ -146,16 +147,79 @@ class TestSmithNormalForm:
     @example([[0] * 6] * 6)
     @example([[0, 4, -6, 0, 9, 0]])
     @example([[0], [4], [-6], [0], [9], [0]])
+    # inputs already in Smith form, which skip the loop: chains with
+    # trailing zeros, rectangular and 1 x 1
+    @example([[2, 0, 0], [0, 6, 0], [0, 0, 0]])
+    @example([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    @example([[1, 0, 0], [0, 3, 0]])
+    @example([[2, 0], [0, 4], [0, 0]])
+    @example([[5]])
+    @example([[0]])
+    @example([[1]])
+    # near misses, which run it: a chain out of order, a zero before a
+    # nonzero entry, a negative entry, one entry off the diagonal
+    @example([[4, 0], [0, 2]])
+    @example([[0, 0], [0, 2]])
+    @example([[-2, 0], [0, 4]])
+    @example([[2, 0], [0, -4]])
+    @example([[2, 2], [0, 4]])
+    @example([[2, 0], [0, 4], [6, 0]])
     @settings(max_examples=300, deadline=None)
     def test_same_transforms_as_three_matrices(self, rows):
         # the working-matrix reduction makes the operations of the
         # earlier one, and the pinned coordinates of abelian_invariants
-        # are read off v
+        # are read off v; an input in Smith form takes (a, I, I), which
+        # the earlier loop gives too
         a = IntMatrix.from_rows(rows)
         res = smith_normal_form(a)
         ref = smith_normal_form_by_three_matrices(a)
         assert (res.s.data, res.u.data, res.v.data) == \
             (ref.s.data, ref.u.data, ref.v.data)
+
+    @pytest.mark.parametrize("rows,loop", [
+        ([[2, 0, 0], [0, 6, 0], [0, 0, 0]], False),
+        ([[1, 0, 0], [0, 3, 0]], False), ([[2, 0], [0, 4], [0, 0]], False),
+        ([[5]], False), ([[0]], False),
+        ([[4, 0], [0, 2]], True), ([[0, 0], [0, 2]], True),
+        ([[-2, 0], [0, 4]], True), ([[2, 2], [0, 4]], True),
+        ([[2, 0], [0, 4], [6, 0]], True)])
+    def test_only_a_smith_form_skips_the_check(self, rows, loop, monkeypatch):
+        # the self-check runs on every input that is not in Smith form
+        products = []
+
+        def counted(a, b):
+            products.append((a, b))
+            return mat_mul(a, b)
+        monkeypatch.setattr(intlinalg, "mat_mul", counted)
+        res = smith_normal_form(IntMatrix.from_rows(rows))
+        assert len(products) == 2 * loop
+        if not loop:
+            assert res.s.data == tuple(map(tuple, rows))
+
+    def test_a_cold_build_never_enters_the_loop(self, monkeypatch):
+        # the relations of Z2 and those of H^2(Z2xZ2xZ2, Z2) are diagonal
+        # chains: each of the two Smith forms of the build is its input
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return smith_normal_form(a)
+
+        def refused(a, b):
+            raise RuntimeError("the Smith loop ran")
+        g1, g2 = get_group("Z2"), get_group("Z2xZ2xZ2")
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+        monkeypatch.setattr(cocycles, "smith_normal_form", counted)
+        monkeypatch.setattr(intlinalg, "mat_mul", refused)
+        abelian_invariants.cache_clear()
+        cocycles._solve_coordinate.cache_clear()
+        try:
+            space = cocycles.compute_cocycle_space.__wrapped__(g1, g2)
+        finally:
+            abelian_invariants.cache_clear()
+            cocycles._solve_coordinate.cache_clear()
+        assert space.h2_invariant_factors == (2,) * 6
+        assert len(calls) == 2
 
 
 class TestIntLattice:

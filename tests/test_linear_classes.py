@@ -28,7 +28,7 @@ from centext.cocycles import (
 )
 from centext.groups import cyclic_group, direct_product
 from centext.intlinalg import abelian_invariants
-from oracles import representatives_by_walks
+from oracles import representatives_by_lists, representatives_by_walks
 from test_decider_memos import h2_order
 
 # every catalog pair with abelian kernel and at most 5,000 classes
@@ -102,6 +102,30 @@ def test_unit_pivots_walk_the_residues_alone(kernel, quotient, classes,
     calls = counted_walks(monkeypatch)
     assert len(fresh_tables(g1, g2)) == classes
     assert len(calls) == walks
+
+
+@pytest.mark.parametrize("kernel,quotient,residues,reads", [
+    ("K4", "D4", 6, 0), ("K4", "S4", 4, 4), ("Z2xZ2xZ2", "S4", 6, 6)])
+def test_each_residue_reads_its_own_factor_only(kernel, quotient, residues,
+                                                reads, monkeypatch):
+    # each residue is walked with zeros in the other factors, whose maps
+    # stay 0, so it reads the pair slots of its own factor, and none
+    # where its map stays 0 too: K4:D4's six residues are least already,
+    # and those of K4:S4 and Z2xZ2xZ2:S4 move.  Reading every factor
+    # would take 12, 8 and 18 reads
+    g1, g2 = get_group(kernel), get_group(quotient)
+    factors = abelian_invariants(g1).invariant_factors
+    assert sum(len(cocycles._solve_coordinate(g2, d).box)
+               for d in factors) == residues
+    calls = counted_walks(monkeypatch)
+    counted, read = [], cocycles._PairSlots.read
+
+    def counted_read(slots, v, t, d):
+        counted.append(d)
+        return read(slots, v, t, d)
+    monkeypatch.setattr(cocycles._PairSlots, "read", counted_read)
+    assert fresh_tables(g1, g2) == representatives_by_lists(g1, g2)
+    assert (len(calls), len(counted)) == (residues, reads)
 
 
 def test_walked_residues_vanish_at_the_pivot_slots(monkeypatch):
