@@ -654,38 +654,42 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     """H^2 = K / U by Hopf's formula, K the invariant f of _hopf_system,
     read off the one elimination of its rows by back-substitution
     (_row_space), and U from _free_homs(g2, d); no further elimination.
-    Its relations are the c with sum c_i res_i in U, res_i K's
-    generators reduced mod U, and their Smith form gives the factors.
-    |U| = d^k / |Hom(g2, Z/d)|, as Hom(g2, Z/d) is the kernel of
-    restricting Hom(F, Z/d) to R, the tail of _free_homs; so |B^2| =
-    d^(n-1) / |Hom(g2, Z/d)| = d^(n-1) |U| / d^k, and |Z^2| = |B^2|
-    |H^2|; |H^2| |U| = |K| is checked.  A class is a box point of the
-    relations' pivots, sum c_i res_i (_box_points), each res_i placed at
-    the chord columns with 0 on the tree columns (the cocycle
-    _hopf_system makes of it) and written out by _expand; a residue of
-    pivot 1 takes c_i = 0 only, so it is left out of the box."""
+    Its relations are the c with sum c_i res_i in U, res_i the distinct
+    nonzero residues of K's generators mod U, which generate H^2, and
+    their Smith form, read off their lattice where it is a pivot-only
+    chain (IntLattice._smith_chain), gives the factors.  |U| = d^k /
+    |Hom(g2, Z/d)|, the product of _free_homs' pivots at the e_j, as
+    Hom(g2, Z/d) is the kernel of restricting Hom(F, Z/d) to R, the
+    lattice's tail; so |B^2| = d^(n-1) / |Hom(g2, Z/d)| = d^(n-1) |U| /
+    d^k, and |Z^2| = |B^2| |H^2|; |H^2| |U| = |K| is checked.  A class
+    is a box point of the relations' pivots, sum c_i res_i (_box_points),
+    each res_i placed at the chord columns with 0 on the tree columns
+    (the cocycle _hopf_system makes of it) and written out by _expand; a
+    residue of pivot 1 takes c_i = 0 only, so it is left out of the box."""
     ncols, n2 = len(_generator_columns(g2)), g2.order
     _, chords, equations = _hopf_system(g2)
     m, free = len(chords), _free_homs(g2, d)[2]
     rows, kernel = _row_space(equations, m, d)
     k_order = rows.index_in_ambient()
-    u_order = free.tail(m).index_in_ambient()
+    u_order = math.prod(map(free.pivot, range(m, free.ncols)))
     b_order = d ** (n2 - 1) * u_order // d ** len(g2.generators)
 
     # H^2 = K / U is generated by the residues of K's generators mod U;
     # its relations are the c with sum c_i res_i in U (free's rows, cut)
     zeros = [0] * (free.ncols - m)
-    residues = [res for z in kernel if any(
-        res := free.reduce(z + zeros)[:m])]
+    residues = [*dict.fromkeys(res for z in kernel if any(
+        res := tuple(free.reduce(z + zeros)[:m])))]
     k = len(residues)
     rel = IntLattice(m + k, d, ({j: x for j, x in r.items() if j < m}
                                 for r in free.pivot_rows.values()))
     for i, res in enumerate(residues):
-        rel.add(res + [int(j == i) for j in range(k)])
+        rel.add([*res, *(int(j == i) for j in range(k))])
     quot = rel.tail(m)
     if quot.index_in_ambient() * u_order != k_order:
         raise InternalInconsistency("|H^2| |U| disagrees with |K|")
-    diag = smith_normal_form(IntMatrix.from_rows(quot.hnf_rows())).s.diagonal
+    if (diag := quot._smith_chain()) is None:
+        diag = smith_normal_form(IntMatrix.from_rows(
+            quot.hnf_rows())).s.diagonal
 
     pivots, placed = [], []
     for i, res in enumerate(residues):

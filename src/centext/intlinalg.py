@@ -1,11 +1,11 @@
 """Exact integer linear algebra for finite abelian groups.
 
 Smith normal form with its unimodular row and column transforms, read
-off as blocks of one working matrix [[A, I], [I, 0]] (an input already
-in Smith form is its own, with identity transforms), an echelon
+off as blocks of one working matrix [[A, I], [I, 0]], an echelon
 lattice accumulator modulo an integer (Howell form) with sparse rows,
-linear congruence systems with per-row moduli, and invariant-factor
-coordinates of abelian Cayley tables.  Everything
+whose Smith form is read off its pivots where they are a diagonal
+divisibility chain, linear congruence systems with per-row moduli, and
+invariant-factor coordinates of abelian Cayley tables.  Everything
 runs over unbounded Python integers; no floating point anywhere.
 """
 
@@ -78,12 +78,6 @@ def mat_vec(a: IntMatrix, x) -> list[int]:
     return [sum(v * xi for v, xi in zip(row, x)) for row in a.data]
 
 
-def _identity(n: int) -> IntMatrix:
-    """The n x n identity, its entries ints by construction."""
-    return IntMatrix._unchecked(rows=n, cols=n, data=tuple(
-        tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-
 class SNFResult(Record):
     """u * a * v = s with u, v unimodular and s diagonal with a
     divisibility chain."""
@@ -106,27 +100,11 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     Pivot choice is the smallest nonzero absolute value, ties broken
     row-major, so the reduction (and therefore every downstream fixture)
     is deterministic.  The recomposition u*a*v == s is checked before
-    returning.
-
-    An input already in Smith form, diagonal with a nonnegative diagonal
-    that is a divisibility chain, zeros last, is returned as (a, I, I)
-    without the loop.  On it the loop picks the pivot at (t, t) at every
-    step, by its smallest-absolute-value, row-major rule: d_t divides
-    every later diagonal entry, so none is smaller, and (t, t) comes
-    first.  Row and column t are zero off it and d_t divides the rest,
-    so the swaps are trivial, no combine is made and no sign changes; at
-    a zero d_t all that is left is zero, and the loop stops.  So (a, I,
-    I) is exactly the loop's answer, and u * a * v = s holds as an
-    identity, unchecked, as the callers of Record._unchecked prove
-    theirs.  Every other input runs the loop and the check.
+    returning, on every input.  The library reads a lattice's Smith
+    form off its pivots where the transforms are the identity
+    (IntLattice._smith_chain), and calls this only otherwise.
     """
     nr, nc = a.rows, a.cols
-    diag = a.diagonal
-    chain = all(x >= 0 for x in diag) and all(
-        y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
-    if chain and all(not any(row[:i]) and not any(row[i + 1:])
-                     for i, row in enumerate(a.data)):
-        return SNFResult(s=a, u=_identity(nr), v=_identity(nc))
     w = [list(row) + [int(i == j) for j in range(nr)]
          for i, row in enumerate(a.data)]
     w += [[int(i == j) for j in range(nc)] for i in range(nc)]
@@ -224,7 +202,9 @@ class IntLattice:
     triangular basis of the lattice, so (Howell's property) the rows
     with pivot column >= k span exactly the lattice vectors that vanish
     before column k, and reduce() returns a canonical coset
-    representative.
+    representative.  Where every stored row is its pivot alone and the
+    pivots form a divisibility chain, the rows are their own Smith form
+    (_smith_chain).
     """
 
     def __init__(self, ncols: int, modulus: int, rows=()):
@@ -332,6 +312,24 @@ class IntLattice:
                 if q:
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[k])]
         return rows
+
+    def _smith_chain(self) -> tuple[int, ...] | None:
+        """The Smith diagonal of hnf_rows, read without building them: the
+        pivots in column order, where every stored row is its pivot alone
+        and they form a divisibility chain; else None.  Such rows are
+        the diagonal matrix a of the pivots, as hnf_rows finds nothing
+        above a pivot to reduce.  On a, smith_normal_form's loop picks
+        the pivot at (t, t) at every step, by its smallest-absolute-value,
+        row-major rule: p_t divides every later pivot, so none is
+        smaller, and (t, t) comes first.  Row and column t are zero off
+        it and p_t divides the rest, so the swaps are trivial, no combine
+        is made and no sign changes.  So the loop returns (a, I, I), and
+        a caller reads both transforms as the identity."""
+        diag = tuple(map(self.pivot, range(self.ncols)))
+        if all(len(r) == 1 for r in self.pivot_rows.values()) and all(
+                y % x == 0 for x, y in zip(diag, diag[1:])):
+            return diag
+        return None
 
     def index_in_ambient(self) -> int:
         """[Z^n : L], the product of the pivots."""
@@ -472,7 +470,10 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
     isomorphism onto the direct sum of the Z/s_ii, which is checked
     anyway: the coordinates are distinct, and coords[x * t] = coords[x]
     + coords[t] for every x and generator t, which suffices by the
-    argument of GroupMap.is_homomorphism.
+    argument of GroupMap.is_homomorphism.  Where R's lattice is a
+    pivot-only chain (IntLattice._smith_chain), v is the identity and
+    coords[x]_i is e_x mod s_ii; every other lattice runs
+    smith_normal_form on its hnf_rows.
 
     Memoized per group (groups compare by table), so the cohomology
     space and the coboundary test of one coefficient group share one
@@ -497,13 +498,15 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
     if rel.index_in_ambient() != g.order:
         raise InternalInconsistency("relation lattice index differs from |g|")
 
-    snf = smith_normal_form(IntMatrix.from_rows(rel.hnf_rows()))
-    vt = snf.v.transpose().data
-    cols = [(vt[i], d) for i, d in enumerate(snf.s.diagonal) if d > 1]
+    if (diag := rel._smith_chain()) is None:
+        snf = smith_normal_form(IntMatrix.from_rows(rel.hnf_rows()))
+        diag, vt = snf.s.diagonal, snf.v.transpose().data
+        vecs = {x: [sum(a * b for a, b in zip(e, col)) for col in vt]
+                for x, e in vecs.items()}   # e_x . v
+    cols = [(i, d) for i, d in enumerate(diag) if d > 1]
     factors = tuple(d for _, d in cols)
-    coords = tuple(
-        tuple(sum(a * b for a, b in zip(vecs[x], col)) % d for col, d in cols)
-        for x in range(g.order))
+    coords = tuple(tuple(vecs[x][i] % d for i, d in cols)
+                   for x in range(g.order))
 
     if len(set(coords)) != g.order or any(
             coords[g.table[x][gen]] != tuple(

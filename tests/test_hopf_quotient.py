@@ -2,12 +2,14 @@
 the earlier path kept in oracles.py, which eliminated B^2 in generator
 columns: the factors, orders and representatives of every space, the
 key-equality relation under pushes, pulls and coboundary shifts, the
-one lattice of the rows [u_j | e_j] against U and Hom(G2, Z/d), spaces
+one lattice of the rows [u_j | e_j] against U and Hom(G2, Z/d), a
+residue equal to an earlier one kept once (Z2:D5), spaces
 and keys built with no pivots of Hom at the points, witnesses built
 with no coboundary lattice, and every witness equal to the one the
 coboundary lattice gave."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -154,6 +156,34 @@ def test_one_lattice_holds_u_and_hom(name):
         assert free.tail(m).index_in_ambient() * homs == d ** k
         assert free.tail(m).index_in_ambient() == d ** m // (
             u_lattice.index_in_ambient())
+        # |U|, as _solve_coordinate reads it: the pivots at the e_j
+        assert math.prod(map(free.pivot, range(m, m + k))) == (
+            free.tail(m).index_in_ambient())
+
+
+def test_a_repeated_residue_is_kept_once(monkeypatch):
+    # on Z2:D5 both of K's generators reduce to one residue mod U; kept
+    # once, its relations are (2), a chain read without smith_normal_form,
+    # and the box holds that residue with pivot 2.  The tables are the
+    # earlier path's, whose box kept both, the first with pivot 1
+    g1, g2 = get_group("Z2"), get_group("D5")
+    _, chords, equations = cocycles._hopf_system(g2)
+    m, free = len(chords), cocycles._free_homs(g2, 2)[2]
+    _, kernel = cocycles._row_space(equations, m, 2)
+    residues = [free.reduce(z + [0] * (free.ncols - m))[:m] for z in kernel]
+    assert len(residues) == 2 and residues[0] == residues[1]
+    assert any(residues[0])
+
+    def refused(a):
+        raise RuntimeError("smith_normal_form ran")
+    monkeypatch.setattr(cocycles, "smith_normal_form", refused)
+    coord = _solve_coordinate.__wrapped__(g2, 2)
+    assert coord.factors == (2,)
+    assert [pivot for pivot, _ in coord.box] == [2]
+    assert [p for p, _ in oracles.box_by_lists(g2, 2)] == [1, 2]
+    space = compute_cocycle_space.__wrapped__(g1, g2)
+    assert [r.table for r in space.class_representatives] == (
+        oracles.representatives_by_lists(g1, g2))
 
 
 CACHED = ("compute_cocycle_space", "_solve_coordinate", "_class_key",

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from functools import reduce
 
 import pytest
@@ -35,6 +36,13 @@ from oracles import (
 )
 
 small_ints = st.integers(min_value=-30, max_value=30)
+
+# the pairs of the cohomology benchmark
+COHOMOLOGY_PAIRS = (
+    ("Z2", "K4"), ("Z4", "K4"), ("K4", "K4"), ("Z3", "K4"), ("Z2", "S3"),
+    ("Z3", "S3"), ("Z2", "D4"), ("Z4", "D4"), ("K4", "D4"), ("Z2", "Q8"),
+    ("Z4", "Q8"), ("Z2", "Z2xZ2xZ2"), ("Z2", "D5"), ("Z2", "Z6"),
+    ("Z2", "Z8"), ("Z4", "Z4"), ("Z2", "A4"))
 
 
 def random_matrix(draw, max_dim=4):
@@ -147,8 +155,8 @@ class TestSmithNormalForm:
     @example([[0] * 6] * 6)
     @example([[0, 4, -6, 0, 9, 0]])
     @example([[0], [4], [-6], [0], [9], [0]])
-    # inputs already in Smith form, which skip the loop: chains with
-    # trailing zeros, rectangular and 1 x 1
+    # inputs already in Smith form, which run the loop like any other:
+    # chains with trailing zeros, rectangular and 1 x 1
     @example([[2, 0, 0], [0, 6, 0], [0, 0, 0]])
     @example([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     @example([[1, 0, 0], [0, 3, 0]])
@@ -156,8 +164,8 @@ class TestSmithNormalForm:
     @example([[5]])
     @example([[0]])
     @example([[1]])
-    # near misses, which run it: a chain out of order, a zero before a
-    # nonzero entry, a negative entry, one entry off the diagonal
+    # near misses: a chain out of order, a zero before a nonzero entry, a
+    # negative entry, one entry off the diagonal
     @example([[4, 0], [0, 2]])
     @example([[0, 0], [0, 2]])
     @example([[-2, 0], [0, 4]])
@@ -168,8 +176,7 @@ class TestSmithNormalForm:
     def test_same_transforms_as_three_matrices(self, rows):
         # the working-matrix reduction makes the operations of the
         # earlier one, and the pinned coordinates of abelian_invariants
-        # are read off v; an input in Smith form takes (a, I, I), which
-        # the earlier loop gives too
+        # are read off v; an input in Smith form takes (a, I, I)
         a = IntMatrix.from_rows(rows)
         res = smith_normal_form(a)
         ref = smith_normal_form_by_three_matrices(a)
@@ -181,45 +188,186 @@ class TestSmithNormalForm:
         ([[1, 0, 0], [0, 3, 0]], False), ([[2, 0], [0, 4], [0, 0]], False),
         ([[5]], False), ([[0]], False),
         ([[4, 0], [0, 2]], True), ([[0, 0], [0, 2]], True),
-        ([[-2, 0], [0, 4]], True), ([[2, 2], [0, 4]], True),
-        ([[2, 0], [0, 4], [6, 0]], True)])
+        ([[2, 0], [0, 3]], True), ([[2, 2], [0, 4]], True),
+        ([[2, 1], [0, 4]], True)])
     def test_only_a_smith_form_skips_the_check(self, rows, loop, monkeypatch):
-        # the self-check runs on every input that is not in Smith form
+        # the rows' lattice mod 24 reads its Smith form off its pivots
+        # where they are a pivot-only chain, as the library's callers do;
+        # every other lattice runs the loop and its self-check: pivots out
+        # of order, a free column before a stored pivot, pivots that do
+        # not divide, and an entry off the pivot
         products = []
 
         def counted(a, b):
             products.append((a, b))
             return mat_mul(a, b)
         monkeypatch.setattr(intlinalg, "mat_mul", counted)
-        res = smith_normal_form(IntMatrix.from_rows(rows))
+        lat = IntLattice(len(rows[0]), 24, rows)
+        hnf = IntMatrix.from_rows(lat.hnf_rows())
+        if (diag := lat._smith_chain()) is None:
+            diag = smith_normal_form(hnf).s.diagonal
         assert len(products) == 2 * loop
         if not loop:
+            assert hnf.data == tuple(
+                tuple(x if i == j else 0 for j in range(hnf.cols))
+                for i, x in enumerate(diag))
+        assert diag == smith_normal_form(hnf).s.diagonal
+
+    def test_every_input_runs_the_check(self, monkeypatch):
+        # smith_normal_form keeps no shortcut: an input in Smith form
+        # runs the loop and its two products too
+        products = []
+
+        def counted(a, b):
+            products.append((a, b))
+            return mat_mul(a, b)
+        monkeypatch.setattr(intlinalg, "mat_mul", counted)
+        for rows in ([[2, 0, 0], [0, 6, 0], [0, 0, 0]], [[5]], [[0]]):
+            res = smith_normal_form(IntMatrix.from_rows(rows))
             assert res.s.data == tuple(map(tuple, rows))
+        assert len(products) == 6
 
     def test_a_cold_build_never_enters_the_loop(self, monkeypatch):
-        # the relations of Z2 and those of H^2(Z2xZ2xZ2, Z2) are diagonal
-        # chains: each of the two Smith forms of the build is its input
+        # on every pair of the cohomology benchmark G1's relations and
+        # each factor's H^2 relations are pivot-only chains, so no cold
+        # build calls smith_normal_form, and no product is formed
+        def refused(*args):
+            raise RuntimeError("the Smith loop ran")
+        monkeypatch.setattr(intlinalg, "smith_normal_form", refused)
+        monkeypatch.setattr(cocycles, "smith_normal_form", refused)
+        monkeypatch.setattr(intlinalg, "mat_mul", refused)
+        spaces = []
+        try:
+            for a, b in COHOMOLOGY_PAIRS:
+                abelian_invariants.cache_clear()
+                cocycles._solve_coordinate.cache_clear()
+                spaces.append(cocycles.compute_cocycle_space.__wrapped__(
+                    get_group(a), get_group(b)))
+        finally:
+            abelian_invariants.cache_clear()
+            cocycles._solve_coordinate.cache_clear()
+        assert len(spaces) == 17
+        assert spaces[COHOMOLOGY_PAIRS.index(("Z2", "Z2xZ2xZ2"))
+                      ].h2_invariant_factors == (2,) * 6
+
+
+def diagonal_lattice(rng, chain):
+    """A lattice of 1 to 5 columns mod one of 4, 8, 12, 36 and 60 whose
+    stored rows are pivot-only, and its pivots: rows p_j u e_j, u a unit,
+    shuffled with multiples of them, for pivots p_j that are a
+    divisibility chain, the modulus (a free column) allowed at its end,
+    or, where chain is false, at least two pivots that are none."""
+    m = rng.choice([4, 8, 12, 36, 60])
+    n = rng.randrange(1 if chain else 2, 6)
+    divisors = [x for x in range(1, m + 1) if m % x == 0]
+    units = [x for x in range(1, m) if math.gcd(x, m) == 1]
+    while True:
+        pivots = [rng.choice(divisors)]
+        for _ in range(n - 1):
+            pivots.append(rng.choice(
+                [x for x in divisors if not chain or x % pivots[-1] == 0]))
+        if chain == all(y % x == 0 for x, y in zip(pivots, pivots[1:])):
+            break
+    rows = [{j: p * rng.choice(units)} for j, p in enumerate(pivots)
+            if p < m]
+    rows += [{j: p * rng.randrange(m)} for j, p in enumerate(pivots)
+             if rng.random() < 0.3]
+    rng.shuffle(rows)
+    return IntLattice(n, m, rows), tuple(pivots)
+
+
+def dense_lattice(rng):
+    """A lattice of 1 to 5 columns mod one of 4, 8, 12, 36 and 60 spanned
+    by up to n + 1 rows of random entries, some stored rows then holding
+    entries off their pivots."""
+    m, n = rng.choice([4, 8, 12, 36, 60]), rng.randrange(1, 6)
+    return IntLattice(n, m, [[rng.randrange(-m, m) for _ in range(n)]
+                             for _ in range(rng.randrange(n + 2))])
+
+
+def checked_read(lat):
+    """lat._smith_chain(), checked against smith_normal_form on the
+    lattice's hnf_rows: where it reads, the loop's diagonal, with identity
+    transforms."""
+    read = lat._smith_chain()
+    if read is not None:
+        snf = smith_normal_form(IntMatrix.from_rows(lat.hnf_rows()))
+        assert read == snf.s.diagonal
+        assert snf.u.data == snf.v.data == identity_matrix(lat.ncols).data
+    return read
+
+
+# the composite groups of the CI's presentation pin, with Z2xZ2xZ2 and
+# Z1, and whether their relations run the Smith loop
+BOTH_SIDES = {
+    "Z2xZ4": (lambda: get_group("Z2xZ4"), True),
+    "Z2xZ6": (lambda: direct_product(cyclic_group(2), cyclic_group(6)), True),
+    "Z6xZ2": (lambda: direct_product(cyclic_group(6), cyclic_group(2)), False),
+    "Z4xZ4": (lambda: direct_product(cyclic_group(4), cyclic_group(4)), False),
+    "Z12": (lambda: cyclic_group(12), False),
+    "Z2xZ2xZ4": (lambda: reduce(direct_product, map(cyclic_group, (2, 2, 4))),
+                 True),
+    "Z2xZ2xZ2": (lambda: get_group("Z2xZ2xZ2"), False),
+    "Z1": (lambda: get_group("Z1"), False),
+}
+
+
+class TestSmithChain:
+    """IntLattice._smith_chain: the Smith diagonal of a lattice whose
+    stored rows are a pivot-only chain, else None, never another answer
+    than smith_normal_form's."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_the_read_is_the_loop_or_declines(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            lat, pivots = diagonal_lattice(rng, True)
+            assert checked_read(lat) == pivots
+            lat, _ = diagonal_lattice(rng, False)
+            assert checked_read(lat) is None
+            checked_read(dense_lattice(rng))
+
+    def test_dense_lattices_reach_both_answers(self):
+        # the seeds of the test above, and the free columns of its chains
+        reads, free = set(), False
+        for seed in range(20):
+            rng = random.Random(seed)
+            for _ in range(10):
+                lat, pivots = diagonal_lattice(rng, True)
+                free |= pivots[-1] == lat.modulus
+                diagonal_lattice(rng, False)
+                reads.add(dense_lattice(rng)._smith_chain() is None)
+        assert reads == {True, False} and free
+
+    @pytest.mark.parametrize("rows,modulus,read", [
+        ([[4, 0], [0, 2]], 8, None),          # diag(4, 2)
+        ([[0, 0], [0, 2]], 4, None),          # a free column first
+        ([[2, 0], [0, 0]], 4, (2, 4)),        # a free column last
+        ([[-2, 0], [0, 4]], 8, (2, 4)),       # a pivot's sign is a unit
+        ([[2, 0], [0, 4], [6, 0]], 8, (2, 4)),
+        ([[2, 2], [0, 4]], 8, None),          # an entry off the pivot
+        ([], 6, (6, 6, 6)), ([[1, 0, 0]], 1, (1, 1, 1))])
+    def test_near_misses(self, rows, modulus, read):
+        ncols = len(rows[0]) if rows else 3
+        assert checked_read(IntLattice(ncols, modulus, rows)) == read
+
+    @pytest.mark.parametrize("name", BOTH_SIDES)
+    def test_abelian_invariants_on_both_sides(self, name, monkeypatch):
+        # the relation lattices, read or sent to the loop, give the
+        # factors and coordinates of the exponent-vector search
         calls = []
 
         def counted(a):
             calls.append(a)
             return smith_normal_form(a)
-
-        def refused(a, b):
-            raise RuntimeError("the Smith loop ran")
-        g1, g2 = get_group("Z2"), get_group("Z2xZ2xZ2")
         monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
-        monkeypatch.setattr(cocycles, "smith_normal_form", counted)
-        monkeypatch.setattr(intlinalg, "mat_mul", refused)
-        abelian_invariants.cache_clear()
-        cocycles._solve_coordinate.cache_clear()
-        try:
-            space = cocycles.compute_cocycle_space.__wrapped__(g1, g2)
-        finally:
-            abelian_invariants.cache_clear()
-            cocycles._solve_coordinate.cache_clear()
-        assert space.h2_invariant_factors == (2,) * 6
-        assert len(calls) == 2
+        make, loop = BOTH_SIDES[name]
+        g = make()
+        pres = abelian_invariants.__wrapped__(g)
+        assert len(calls) == loop
+        search = abelian_invariants_by_search(g)
+        assert (pres.invariant_factors, pres.coords) == (
+            search.invariant_factors, search.coords)
 
 
 class TestIntLattice:
