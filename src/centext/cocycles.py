@@ -459,14 +459,18 @@ def is_epsilon_endomorphism(chi: GroupMap, e: Cocycle2) -> bool:
 
     chi is a set map g1 -> g1; ordinary endomorphisms pass trivially.
     """
-    g1 = e.g1
-    if chi.dom != g1 or chi.cod != g1:
+    if chi.dom != e.g1 or chi.cod != e.g1:
         raise GroupMismatch("chi must be a self-map of the coefficient group")
+    return _epsilon_endomorphic(chi.images, e)
+
+
+def _epsilon_endomorphic(im, e: Cocycle2) -> bool:
+    """is_epsilon_endomorphism on the image array im of a self-map of
+    e.g1."""
     values = {v for row in e.table for v in row}
-    mul = g1.table
-    im = chi.images
+    mul = e.g1.table
     return all(im[mul[x][v]] == mul[im[x]][im[v]]
-               for x in range(g1.order) for v in values)
+               for x in range(e.g1.order) for v in values)
 
 
 def pushforward(chi: GroupMap, e: Cocycle2) -> Cocycle2:
@@ -656,8 +660,9 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     (_row_space), and U from _free_homs(g2, d); no further elimination.
     Its relations are the c with sum c_i res_i in U, res_i the distinct
     nonzero residues of K's generators mod U, which generate H^2, and
-    their Smith form, read off their lattice where it is a pivot-only
-    chain (IntLattice._smith_chain), gives the factors.  |U| = d^k /
+    their Smith form gives the factors (_quotient_factors): where every
+    stored row of their lattice is its pivot alone, in any column order,
+    the merged pivots, with no Smith loop.  |U| = d^k /
     |Hom(g2, Z/d)|, the product of _free_homs' pivots at the e_j, as
     Hom(g2, Z/d) is the kernel of restricting Hom(F, Z/d) to R, the
     lattice's tail; so |B^2| = d^(n-1) / |Hom(g2, Z/d)| = d^(n-1) |U| /
@@ -687,9 +692,6 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     quot = rel.tail(m)
     if quot.index_in_ambient() * u_order != k_order:
         raise InternalInconsistency("|H^2| |U| disagrees with |K|")
-    if (diag := quot._smith_chain()) is None:
-        diag = smith_normal_form(IntMatrix.from_rows(
-            quot.hnf_rows())).s.diagonal
 
     pivots, placed = [], []
     for i, res in enumerate(residues):
@@ -701,8 +703,27 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
             placed.append(vec)
     return _Coordinate(z_order=b_order * quot.index_in_ambient(),
                        b_order=b_order,
-                       factors=tuple(x for x in diag if x > 1),
+                       factors=_quotient_factors(quot),
                        box=tuple(zip(pivots, _expand(g2, d, placed))))
+
+
+def _quotient_factors(lat: IntLattice) -> tuple[int, ...]:
+    """The invariant factors above 1 of Z^n / lat, the diagonal of the
+    Smith form of lat.hnf_rows() without its 1s.  Where every stored row
+    is its pivot alone, in any column order, they are
+    _merge_invariant_factors of the pivots p_i (the modulus at a free
+    column), read with no Smith loop: lat is then the sum of the p_i Z
+    e_i, so hnf_rows is diag(p), and diag(a, b) has the Smith form
+    diag(gcd(a, b), lcm(a, b)), as the gcd of its entries is gcd(a, b)
+    and its determinant ab.  Each merge step is that change on two
+    coordinates, the others fixed, so it keeps the Smith form, and the
+    merged diagonal is a divisibility chain (the merge's docstring),
+    which is its own Smith form.  Every other lattice runs
+    smith_normal_form."""
+    if all(len(r) == 1 for r in lat.pivot_rows.values()):
+        return _merge_invariant_factors(map(lat.pivot, range(lat.ncols)))
+    return tuple(x for x in smith_normal_form(IntMatrix.from_rows(
+        lat.hnf_rows())).s.diagonal if x > 1)
 
 
 # the array item sizes, each with a typecode of that size
@@ -1027,7 +1048,9 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
 
 def _merge_invariant_factors(factors) -> tuple[int, ...]:
     """The invariant factors of the sum of the Z/f: as Z/a + Z/b = Z/gcd +
-    Z/lcm, (f_i, f_j) -> (gcd, lcm), i < j, leaves f_i dividing each f_j."""
+    Z/lcm, (f_i, f_j) -> (gcd, lcm), i < j, leaves f_i dividing each f_j,
+    and the later steps replace two multiples of f_i by their gcd and
+    lcm, multiples of f_i again; so the result is a divisibility chain."""
     f = list(factors)
     for i, j in itertools.combinations(range(len(f)), 2):
         f[i], f[j] = math.gcd(f[i], f[j]), math.lcm(f[i], f[j])

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .cocycles import (
     Cocycle2,
-    _coboundary_table,
+    _epsilon_endomorphic,
     are_cohomologous,
     is_epsilon_endomorphism,
 )
@@ -30,6 +30,7 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     Record,
+    _homomorphic,
     group_from_elements,
     trivial_map,
 )
@@ -252,11 +253,13 @@ def decompose_hom(source: ExtensionGroup, target: ExtensionGroup,
         for c, (dom, cod) in _component_groups(source, target).items()})
 
 
+# the component names, in the order of HomMatrix's fields
+_COMPONENTS = ("phi11", "phi12", "phi21", "phi22")
+
 # the frozenset of the trivial components, by the four flags of
 # trivial_components
-_TRIVIAL_SETS = {flags: frozenset(itertools.compress(
-    ("phi11", "phi12", "phi21", "phi22"), flags))
-    for flags in itertools.product((False, True), repeat=4)}
+_TRIVIAL_SETS = {flags: frozenset(itertools.compress(_COMPONENTS, flags))
+                 for flags in itertools.product((False, True), repeat=4)}
 
 
 @lru_cache(maxsize=None)
@@ -284,11 +287,14 @@ def trivial_components(source: ExtensionGroup, target: ExtensionGroup,
                          copy.issuperset(kernel), copy.issuperset(section)]
 
 
+def _arrays(m: HomMatrix) -> dict:
+    """The image arrays of m's components, by name."""
+    return {c: getattr(m, c).images for c in _COMPONENTS}
+
+
 def reconstruct_hom(m: HomMatrix) -> GroupMap:
-    """The map defined by the component formula: for components phi11,
-    phi12, phi21 and phi22 with image arrays sigma, eta, delta and rho,
-    phi(x, y) = (sigma(x) eta(y) e2(delta(x), rho(y)), delta(x) rho(y)),
-    computed row by row over the image arrays.
+    """The map defined by the component formula, _product_images of m's
+    component arrays.
 
     HomMatrix has checked that the components are normalized maps
     between the right groups, so the result is built without GroupMap's
@@ -296,17 +302,24 @@ def reconstruct_hom(m: HomMatrix) -> GroupMap:
     a an entry of target.g1's table and b one of target.g2's, so it lies
     in range; and phi(1, 1) = (e2(1, 1), 1) = (1, 1), index 0, as the
     components and the cocycle are normalized."""
-    target = m.target
+    return GroupMap._unchecked(dom=m.source.group, cod=m.target.group,
+                               images=_product_images(m.target, _arrays(m)))
+
+
+def _product_images(target: ExtensionGroup, parts: dict) -> tuple:
+    """The image array of the carrier map whose components have the image
+    arrays parts, by name: for sigma, eta, delta and rho, phi(x, y) =
+    (sigma(x) eta(y) e2(delta(x), rho(y)), delta(x) rho(y)), computed row
+    by row over the arrays."""
     t1, t2 = target.g1.table, target.g2.table
     e2, n2t = target.cocycle.table, target.g2.order
-    eta, rho = m.phi12.images, m.phi22.images
+    eta, rho = parts["phi12"], parts["phi22"]
     images = []
-    for s, d in zip(m.phi11.images, m.phi21.images):
+    for s, d in zip(parts["phi11"], parts["phi21"]):
         row1, e2d, row2 = t1[s], e2[d], t2[d]
         images += [t1[row1[v]][e2d[r]] * n2t + row2[r]
                    for v, r in zip(eta, rho)]
-    return GroupMap._unchecked(dom=m.source.group, cod=target.group,
-                               images=tuple(images))
+    return tuple(images)
 
 
 def is_homomorphism_direct(source: ExtensionGroup, target: ExtensionGroup,
@@ -391,7 +404,9 @@ def hom_condition_failures(m: HomMatrix):
     in the order 1, 3, 2, 4, so all four hold exactly when nothing is
     yielded.  Evaluation is lazy, so a caller that stops at the first
     failure pays for nothing after it.  The first read raises
-    GroupMismatch unless both carriers sit over one group pair.
+    GroupMismatch unless both carriers sit over one group pair.  The
+    conditions are stated once, on m's component arrays, in
+    _condition_failures, here with a table of facts of its own.
 
     Condition 4 is screened on the generator columns.  Once condition 1
     has held, sigma.e1 is a normalized cocycle into the abelian g1, as
@@ -404,73 +419,100 @@ def hom_condition_failures(m: HomMatrix):
     The row-major scan over all pair slots runs only when the screen
     fails or condition 1 did, to name the first failing pair.
     """
-    src, tgt = m.source, m.target
+    return _condition_failures(m.source, m.target, _arrays(m), {})
+
+
+def _fact(facts: dict, key: tuple, decide):
+    """facts[key], first set to decide() where absent.  A key names one
+    fact and lists the image arrays it reads, and a facts dict serves
+    one (source, target) pair, whose tables are the fact's only other
+    input; so a lookup is what decide() computes afresh."""
+    try:
+        return facts[key]
+    except KeyError:
+        facts[key] = value = decide()
+        return value
+
+
+def _condition_failures(src, tgt, parts: dict, facts: dict):
+    """hom_condition_failures for the components with image arrays parts,
+    by name, between the carriers src and tgt, each fact decided once per
+    facts dict, which serves one (src, tgt) pair (_fact).  The facts and
+    the arrays they read: in condition 1, delta is a homomorphism
+    (delta), rho an endomorphism (rho), sigma an epsilon-endomorphism of
+    e1 (sigma), delta(G1) centralizes rho(G2) (delta, rho); in condition
+    3, delta kills e1's values (delta), e2 on delta(G1)^2 is sigma's
+    coboundary (sigma, delta); condition 2 (delta, rho); condition 4's
+    screen and scan (sigma, eta, rho).  A witness is the first failing
+    point of its fact's scan, so it is stored with the fact."""
     if src.g1 != tgt.g1 or src.g2 != tgt.g2:
         raise GroupMismatch("both carriers must sit over the same pair")
     g1, g2 = src.g1, src.g2
     n1, n2 = g1.order, g2.order
     e1, e2 = src.cocycle.table, tgt.cocycle.table
-    inv1 = g1.inverses
-    sigma, delta, rho = m.phi11.images, m.phi21.images, m.phi22.images
+    mul1, mul2, inv1 = g1.table, g2.table, g1.inverses
+    sigma, eta, delta, rho = map(parts.__getitem__, _COMPONENTS)
+
+    def uncentralized():
+        im22 = sorted(set(rho))
+        return next(((x, u) for x in range(1, n1) for u in im22
+                     if mul2[delta[x]][u] != mul2[u][delta[x]]), None)
 
     condition_1 = False
-    if not m.phi21.is_homomorphism():
+    if not _fact(facts, ("hom", delta),
+                 lambda: _homomorphic(g1, g2, delta)):
         yield (1, "delta is not a homomorphism",
                ("phi21_not_homomorphism", None))
-    elif not m.phi22.is_homomorphism():
+    elif not _fact(facts, ("endo", rho), lambda: _homomorphic(g2, g2, rho)):
         yield (1, "section component is not an endomorphism",
                ("phi22_not_endomorphism", None))
-    elif not is_epsilon_endomorphism(m.phi11, src.cocycle):
+    elif not _fact(facts, ("epsilon", sigma),
+                   lambda: _epsilon_endomorphic(sigma, src.cocycle)):
         yield (1, "kernel component is not compatible with cocycle-value "
                   "products", ("phi11_not_cocycle_endomorphism", None))
+    elif (bad := _fact(facts, ("centralizes", delta, rho),
+                       uncentralized)) is not None:
+        yield (1, "delta image does not commute with the rho image",
+               ("phi21_not_centralizing", bad))
     else:
-        im22 = sorted(set(rho))
-        bad = next(((x, u) for x in range(1, n1) for u in im22
-                    if g2.table[delta[x]][u] != g2.table[u][delta[x]]),
-                   None)
-        if bad is not None:
-            yield (1, "delta image does not commute with the rho image",
-                   ("phi21_not_centralizing", bad))
-        else:
-            condition_1 = True
+        condition_1 = True
 
-    bad = next(((y, yp) for y in range(1, n2) for yp in range(1, n2)
-                if delta[e1[y][yp]] != 0), None)
+    bad = _fact(facts, ("kills", delta), lambda: next(
+        ((y, yp) for y in range(1, n2) for yp in range(1, n2)
+         if delta[e1[y][yp]] != 0), None))
     if bad is not None:
         yield (3, "delta does not kill the source cocycle values",
                ("value_survives", bad))
-    else:
-        psi11 = _coboundary_table(m.phi11)
-        bad = next(((x, xp) for x in range(n1) for xp in range(n1)
-                    if inv1[e2[delta[x]][delta[xp]]] != psi11[x][xp]), None)
-        if bad is not None:
-            yield (3, "target cocycle times sigma's coboundary does not "
-                      "vanish on the delta image",
-                   ("coboundary_mismatch", bad))
+    # sigma's coboundary at (x, x') is sigma(x') - sigma(x x') + sigma(x)
+    # (cocycles._coboundary_table's formula)
+    elif (bad := _fact(facts, ("coboundary", sigma, delta), lambda: next(
+            ((x, xp) for x in range(n1) for xp in range(n1)
+             if inv1[e2[delta[x]][delta[xp]]] != mul1[mul1[sigma[xp]][
+                 inv1[sigma[mul1[x][xp]]]]][sigma[x]]), None))) is not None:
+        yield (3, "target cocycle times sigma's coboundary does not "
+                  "vanish on the delta image", ("coboundary_mismatch", bad))
 
     # in the target carrier (1, a)(1, b) = (e2(a, b), ab)
-    mul2 = g2.table
-    bad = next(((y, x) for y in range(1, n2) for x in range(1, n1)
-                if e2[rho[y]][delta[x]] != e2[delta[x]][rho[y]]
-                or mul2[rho[y]][delta[x]] != mul2[delta[x]][rho[y]]), None)
+    bad = _fact(facts, ("commutes", delta, rho), lambda: next(
+        ((y, x) for y in range(1, n2) for x in range(1, n1)
+         if e2[rho[y]][delta[x]] != e2[delta[x]][rho[y]]
+         or mul2[rho[y]][delta[x]] != mul2[delta[x]][rho[y]]), None))
     if bad is not None:
         yield (2, "delta image does not commute with the section copy in "
                   "the target carrier", bad)
 
     # eta's coboundary at (y, y') is eta(y') - eta(y y') + eta(y), read
-    # only at the slots compared (cocycles._coboundary_table's formula)
-    mul1, eta = g1.table, m.phi12.images
-
+    # only at the slots compared
     def transports(y, yp):
         return (mul1[sigma[e1[y][yp]]][inv1[e2[rho[y]][rho[yp]]]]
                 == mul1[mul1[eta[yp]][inv1[eta[mul2[y][yp]]]]][eta[y]])
 
-    if condition_1 and all(transports(y, s) for s in g2.generators
-                           for y in range(1, n2)):
+    if condition_1 and _fact(facts, ("screen", sigma, eta, rho), lambda: all(
+            transports(y, s) for s in g2.generators for y in range(1, n2))):
         return
-    bad = next(((y, yp) for y in range(n2) for yp in range(n2)
-                if not transports(y, yp)), None)
+    bad = _fact(facts, ("transports", sigma, eta, rho), lambda: next(
+        ((y, yp) for y in range(n2) for yp in range(n2)
+         if not transports(y, yp)), None))
     if bad is not None:
         yield (4, "sigma does not transport the source cocycle onto the "
                   "pulled-back target cocycle times eta's coboundary", bad)
-

@@ -640,16 +640,9 @@ class GroupMap(Record):
 
     @cached_property
     def _is_homomorphism(self) -> bool:
-        """f(a*s) = f(a)*f(s) for every a and every generator s of the
-        domain.  The s that pass for every a are closed under the
-        product: f(a(st)) = f((as)t) = f(as)f(t) = f(a)f(s)f(t) =
-        f(a)f(st).  They include the identity, as f is normalized, so
-        they are the whole domain and f is a homomorphism.  The map is
-        immutable, so one check answers every later call."""
-        t, s = self.dom.table, self.cod.table
-        im = self.images
-        return all(im[row[g]] == s[im[a]][im[g]]
-                   for g in self.dom.generators for a, row in enumerate(t))
+        """_homomorphic on the image array.  The map is immutable, so one
+        check answers every later call."""
+        return _homomorphic(self.dom, self.cod, self.images)
 
     def is_bijective(self) -> bool:
         return (self.dom.order == self.cod.order
@@ -665,6 +658,18 @@ class GroupMap(Record):
         for a, v in enumerate(self.images):
             inv[v] = a
         return GroupMap(dom=self.cod, cod=self.dom, images=tuple(inv))
+
+
+def _homomorphic(dom: FiniteGroup, cod: FiniteGroup, im) -> bool:
+    """Whether the normalized map dom -> cod with image array im is a
+    homomorphism: f(a*s) = f(a)*f(s) for every a and every generator s
+    of the domain.  The s that pass for every a are closed under the
+    product: f(a(st)) = f((as)t) = f(as)f(t) = f(a)f(s)f(t) = f(a)f(st).
+    They include the identity, as f is normalized, so they are the whole
+    domain and f is a homomorphism."""
+    s = cod.table
+    return all(im[row[g]] == s[im[a]][im[g]]
+               for g in dom.generators for a, row in enumerate(dom.table))
 
 
 @lru_cache(maxsize=None)

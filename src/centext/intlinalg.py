@@ -102,7 +102,9 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     is deterministic.  The recomposition u*a*v == s is checked before
     returning, on every input.  The library reads a lattice's Smith
     form off its pivots where the transforms are the identity
-    (IntLattice._smith_chain), and calls this only otherwise.
+    (IntLattice._smith_chain), and H^2's factors off the pivots of any
+    pivot-only lattice (cocycles._quotient_factors); it calls this only
+    otherwise.
     """
     nr, nc = a.rows, a.cols
     w = [list(row) + [int(i == j) for j in range(nr)]

@@ -9,9 +9,11 @@ reader, extensions.trivial_components, tests it off the carrier image
 array: for the survey, and in the one carrier-isomorphism check
 (extensions._carrier_iso_failure) that materialize and the necessity
 extractors share.  The lower, g1 and g2 necessity statements are read
-by one path, _necessary, driven by a per-kind table of requirements
-(_NECESSITY); each certificate it extracts from a known map is rebuilt
-and compared with that map.  The upper and lower searches key each
+by one path, _necessary, on the image arrays of a map's components,
+driven by a per-kind table of requirements (_NECESSITY); each fact of a
+statement is decided once per facts dict, which serves one carrier pair,
+and the map the arrays rebuild is compared with the known map.  The
+upper and lower searches key each
 automorphism once by its cocycle's generator columns, then look each
 sigma up among the rho, only for classes in one orbit of Aut(G1) x
 Aut(G2) acting on H^2 by c -> sigma . c . (rho x rho): upper
@@ -75,10 +77,14 @@ from .extensions import (
     TRIVIAL_COMPONENTS,
     ExtensionGroup,
     HomMatrix,
+    _arrays,
     _carrier_iso_failure,
     _component_groups,
+    _component_images,
+    _condition_failures,
+    _fact,
+    _product_images,
     build_extension,
-    decompose_hom,
     hom_condition_failures,
     reconstruct_hom,
     trivial_components,
@@ -198,70 +204,93 @@ class IsoCertificate(Record):
 # necessity statements: the lower, g1 and g2 kinds
 
 
+def _injective(src, images) -> bool:
+    """Whether the image array repeats no image (a test of _NECESSITY)."""
+    return len(set(images)) == len(images)
+
+
 # per kind: the error for a map not of the kind; the error for a failed
 # requirement, given the quotient (_falsified where the statement rests
 # on the quotient hypothesis); whether the kind's own requirements are
-# read before the component conditions; and those requirements on the
-# component matrix m, as (holds, reason) pairs in the order read
+# read before the component conditions; and those requirements in the
+# order read, as (reason, the component read or None, test(src, its
+# image array)).  sigma and rho map a group into itself, so injective
+# is bijective there.
 _NECESSITY = {
-    "lower": (NotLowerIso, _falsified, True, lambda m: (
-        (m.phi22.is_bijective(), "rho_not_automorphism"),
-        (m.phi11.is_bijective(), "sigma_not_automorphism"))),
-    "g1": (NotG1Iso, _falsified, False, lambda m: (
-        (len(set(m.phi21.images)) == m.source.g1.order,
-         "delta is not injective"),
-        (set(m.phi12.images) == set(range(m.source.g1.order)),
-         "eta is not surjective"),
-        (m.source.cocycle.is_trivial(), "source cocycle did not vanish"))),
-    "g2": (NotG2Iso, lambda g2: ConditionsFailed, False, lambda m: (
-        (len(set(m.phi12.images)) == m.source.g2.order,
-         "eta is not injective"),
-        (set(m.phi21.images) == set(range(m.source.g2.order)),
-         "delta is not surjective"))),
+    "lower": (NotLowerIso, _falsified, True, (
+        ("rho_not_automorphism", "phi22", _injective),
+        ("sigma_not_automorphism", "phi11", _injective))),
+    "g1": (NotG1Iso, _falsified, False, (
+        ("delta is not injective", "phi21", _injective),
+        ("eta is not surjective", "phi12",
+         lambda src, a: set(a) == set(range(src.g1.order))),
+        ("source cocycle did not vanish", None,
+         lambda src, a: src.cocycle.is_trivial()))),
+    "g2": (NotG2Iso, lambda g2: ConditionsFailed, False, (
+        ("eta is not injective", "phi12", _injective),
+        ("delta is not surjective", "phi21",
+         lambda src, a: set(a) == set(range(src.g2.order))))),
 }
 
 
-def _necessary(kind, src, tgt, m: HomMatrix,
-               phi: GroupMap | None = None) -> IsoCertificate:
-    """The certificate of the kind read off m, the component matrix of a
-    carrier map of that kind, once every requirement of _NECESSITY[kind]
-    and every component condition holds on m; else the kind's error
-    naming the first that fails.  The certificate carries the components
-    TRIVIAL_COMPONENTS[kind] leaves free, and those it forces are
-    trivial on m, so its components() is m itself.
+def _necessary(kind, src, tgt, parts: dict, facts: dict,
+               phi: GroupMap | None = None) -> None:
+    """None once every requirement of _NECESSITY[kind] and every
+    component condition (extensions._condition_failures) holds on parts,
+    the component image arrays, by name, of a carrier map of the kind;
+    else the kind's error naming the first that fails.  A requirement
+    reads one array or none, and like the conditions' facts it is
+    decided once per facts dict, which serves one (src, tgt) pair
+    (extensions._fact).
 
-    Where phi, the map m was read from, is given, the certificate's map
-    reconstruct_hom(m) is compared with phi's image array.  When they
-    are equal, no fact that _carrier_iso_failure tests can fail: phi is
-    a carrier isomorphism of the kind, checked by the caller or emitted
-    by the map search (which checks every step as a homomorphism, and is
-    injective between groups of equal order) and filtered by its
-    trivial components.  When they differ, materialize() runs in full."""
+    Where phi, the map parts were read from, is given, the map they
+    rebuild (extensions._product_images) is compared with phi's image
+    array.  When they are equal, no fact that _carrier_iso_failure tests
+    can fail: phi is a carrier isomorphism of the kind, checked by the
+    caller or emitted by the map search (which checks every step as a
+    homomorphism, and is injective between groups of equal order) and
+    filtered by its trivial components.  When they differ, the
+    certificate (_certificate) runs materialize() in full; the
+    components TRIVIAL_COMPONENTS[kind] forces are trivial on a map of
+    the kind, so its components() has the arrays parts."""
     _, falsified, own_first, own = _NECESSITY[kind]
-    conditions = (reason for _, reason, _ in hom_condition_failures(m))
-    unmet = (reason for holds, reason in own(m) if not holds)
+    conditions = (reason for _, reason, _ in
+                  _condition_failures(src, tgt, parts, facts))
+    unmet = (reason for reason, c, test in own if not _fact(
+        facts, (reason, parts.get(c)), lambda: test(src, parts.get(c))))
     reason = next(chain(unmet, conditions) if own_first
                   else chain(conditions, unmet), None)
     if reason is not None:
         raise falsified(src.g2)(reason)
-    cert = IsoCertificate(kind=kind, source=src, target=tgt, **{
-        field: getattr(m, c) for c, field in (
-            ("phi11", "sigma"), ("phi12", "eta"), ("phi21", "delta"),
-            ("phi22", "rho")) if c not in TRIVIAL_COMPONENTS[kind]})
-    if phi is not None and reconstruct_hom(m).images != phi.images:
-        cert.materialize()
-    return cert
+    if phi is not None and _product_images(tgt, parts) != phi.images:
+        _certificate(kind, src, tgt, parts).materialize()
+
+
+def _certificate(kind, src, tgt, parts: dict) -> IsoCertificate:
+    """The certificate of the kind carrying the components that
+    TRIVIAL_COMPONENTS[kind] leaves free, with the image arrays parts;
+    built without GroupMap's scan, as decompose_hom builds them."""
+    groups = _component_groups(src, tgt)
+    return IsoCertificate(kind=kind, source=src, target=tgt, **{
+        field: GroupMap._unchecked(dom=groups[c][0], cod=groups[c][1],
+                                   images=parts[c])
+        for c, field in (("phi11", "sigma"), ("phi12", "eta"),
+                         ("phi21", "delta"), ("phi22", "rho"))
+        if c not in TRIVIAL_COMPONENTS[kind]})
 
 
 def _extracted(kind, e1, e2, phi: GroupMap) -> IsoCertificate:
-    """_necessary on phi's decomposition, once _carrier_iso_failure
-    finds phi a carrier isomorphism of the kind; else the kind's error
-    for a map not of it, with _carrier_iso_failure's message."""
+    """The certificate of the kind read off phi's component arrays, once
+    _carrier_iso_failure finds phi a carrier isomorphism of the kind and
+    _necessary passes them; else the kind's error for a map not of it,
+    with _carrier_iso_failure's message, or _necessary's."""
     src, tgt = _extension_pair(e1, e2)
     failure = _carrier_iso_failure(src, tgt, phi, kind)
     if failure is not None:
         raise _NECESSITY[kind][0](failure)
-    return _necessary(kind, src, tgt, decompose_hom(src, tgt, phi), phi)
+    parts = _component_images(src, tgt, phi.images)
+    _necessary(kind, src, tgt, parts, {}, phi)
+    return _certificate(kind, src, tgt, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +421,8 @@ def lower_sufficient(cert: IsoCertificate) -> GroupMap:
     if cert.sigma is None or cert.rho is None or cert.delta is None:
         raise PreconditionViolated("certificate is missing a component map")
     try:
-        _necessary("lower", cert.source, cert.target, cert.components())
+        _necessary("lower", cert.source, cert.target,
+                   _arrays(cert.components()), {})
     except HypothesisNotVerified as exc:
         raise ConditionsFailed(str(exc)) from None
     return cert.materialize()
@@ -626,11 +656,18 @@ def verify_theorems(pairs=None, max_order: int = 16,
     necessity statements this is read off the error: ConditionsFailed
     is flagged, HypothesisNotVerified logged.  Each isomorphism of the
     lower, g2 or g1 kind goes through the one extraction path,
-    _necessary, with its decomposition, built once, and the isomorphism
-    itself, so every certificate's rebuilt map is compared with the
-    isomorphism and materialized in full only where they differ.  The
-    report is machine-readable and the discrepancy list must come back
-    empty.
+    _necessary, with its component image arrays, sliced once, and the
+    isomorphism itself, so the map they rebuild is compared with the
+    isomorphism and a certificate is built and materialized in full only
+    where they differ.  Every fact of the statements (the conditions'
+    facts, extensions._condition_failures, and each kind's requirements)
+    is decided once per class pair, in one dict kept for that (source,
+    target) pair and then dropped: a fact reads the pair's tables and at
+    most three of the arrays, and is keyed by the arrays it reads, so a
+    lookup is what the same code computes on equal arrays of the same
+    pair.  Only the comparison, and materialize() on a mismatch, run per
+    isomorphism.  The report is machine-readable and the discrepancy
+    list must come back empty.
     """
     from .catalog import get_group
     if pairs is None:
@@ -682,10 +719,12 @@ def verify_theorems(pairs=None, max_order: int = 16,
                           "oracle": None, "criteria": {},
                           "certificates": {}, "discrepancies": []}
                 # every isomorphism with its trivial components, for the
-                # oracle and the extractors, decomposed once if one needs it
+                # oracle and the extractors, its component arrays sliced
+                # once if one needs them, and the facts of the necessity
+                # statements, decided once for this pair
                 isos = _shaped_isomorphisms(src, tgt, limits)
                 oracle = _survey(isos)
-                matrices = {}
+                parts, facts = {}, {}
                 record["oracle"] = oracle
 
                 wit = are_cohomologous(tgt.cocycle, src.cocycle)
@@ -744,10 +783,11 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     for k, (phi, shape) in enumerate(isos):
                         if not shape.issuperset(TRIVIAL_COMPONENTS[kind]):
                             continue
-                        if k not in matrices:
-                            matrices[k] = decompose_hom(src, tgt, phi)
+                        if k not in parts:
+                            parts[k] = _component_images(src, tgt,
+                                                         phi.images)
                         try:
-                            _necessary(kind, src, tgt, matrices[k], phi)
+                            _necessary(kind, src, tgt, parts[k], facts, phi)
                         except ConditionsFailed as exc:
                             flag(record, f"{kind}_necessary_failed",
                                  {"error": str(exc)})

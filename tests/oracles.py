@@ -47,6 +47,9 @@ from centext.errors import (
     InternalInconsistency,
     NotAbelian,
     NotAbelianCoefficients,
+    NotG1Iso,
+    NotG2Iso,
+    NotLowerIso,
     NotNormalized,
     PreconditionViolated,
     SizeLimitExceeded,
@@ -56,7 +59,9 @@ from centext.extensions import (
     ExtensionGroup,
     HomMatrix,
     _component_images,
+    hom_condition_failures,
     is_homomorphism_direct,
+    reconstruct_hom,
 )
 from centext.groups import (
     DEFAULT_LIMITS,
@@ -1696,6 +1701,57 @@ def g1_necessary_by_require(src: ExtensionGroup, tgt: ExtensionGroup,
                            else HypothesisNotVerified))
     return IsoCertificate(kind="g1", source=src, target=tgt, rho=m.phi22,
                           eta=m.phi12, delta=m.phi21)
+
+
+def _falsified_by_quotient(g2) -> type:
+    return ConditionsFailed if sim_is_trivial(g2) else HypothesisNotVerified
+
+
+# the earlier isotest._NECESSITY: per kind, the error for a map not of
+# the kind, the error for a failed requirement given the quotient,
+# whether the kind's own requirements come first, and those
+# requirements on the component matrix m as (holds, reason) pairs
+NECESSITY_PER_MAP = {
+    "lower": (NotLowerIso, _falsified_by_quotient, True, lambda m: (
+        (m.phi22.is_bijective(), "rho_not_automorphism"),
+        (m.phi11.is_bijective(), "sigma_not_automorphism"))),
+    "g1": (NotG1Iso, _falsified_by_quotient, False, lambda m: (
+        (len(set(m.phi21.images)) == m.source.g1.order,
+         "delta is not injective"),
+        (set(m.phi12.images) == set(range(m.source.g1.order)),
+         "eta is not surjective"),
+        (m.source.cocycle.is_trivial(), "source cocycle did not vanish"))),
+    "g2": (NotG2Iso, lambda g2: ConditionsFailed, False, lambda m: (
+        (len(set(m.phi12.images)) == m.source.g2.order,
+         "eta is not injective"),
+        (set(m.phi21.images) == set(range(m.source.g2.order)),
+         "delta is not surjective"))),
+}
+
+
+def necessary_per_map(kind, src: ExtensionGroup, tgt: ExtensionGroup,
+                      m: HomMatrix, phi: GroupMap | None = None
+                      ) -> IsoCertificate:
+    """The earlier isotest._necessary, which decided every requirement
+    and every component condition afresh on each component matrix m
+    (hom_condition_failures) and built its certificate from m: the
+    kind's error naming the first failure, else the certificate, whose
+    rebuilt map is compared with phi where given and materialized in
+    full where they differ."""
+    _, falsified, own_first, own = NECESSITY_PER_MAP[kind]
+    conditions = (reason for _, reason, _ in hom_condition_failures(m))
+    unmet = (reason for holds, reason in own(m) if not holds)
+    reason = next(itertools.chain(unmet, conditions) if own_first
+                  else itertools.chain(conditions, unmet), None)
+    if reason is not None:
+        raise falsified(src.g2)(reason)
+    cert = IsoCertificate(kind=kind, source=src, target=tgt, **{
+        field: getattr(m, c) for c, field in (
+            ("phi11", "sigma"), ("phi12", "eta"), ("phi21", "delta"),
+            ("phi22", "rho")) if c not in TRIVIAL_COMPONENTS[kind]})
+    if phi is not None and reconstruct_hom(m).images != phi.images:
+        cert.materialize()
+    return cert
 
 
 def automorphism_generators_by_closure(g: FiniteGroup,

@@ -1,14 +1,17 @@
 """The per-isomorphism checks of verify_theorems against the earlier
 paths they replaced: the component conditions, whose condition 4 is now
-screened on generator columns, against the full row-major scan; the
-trivial components, read off slices of the image array, against the
-read of the carrier layout and the earlier reader of the component
-arrays; and the one extraction path of the lower, g1 and
-g2 kinds, which compares each certificate's rebuilt map with the
-isomorphism, against the earlier extractors: the lower one that ran
-materialize() in full, and the g1 and g2 ones that made no compare.  They are compared on every carrier
-isomorphism of nine catalog pairs, and the conditions and the lower
-path also on single-image mutations of the components."""
+screened on generator columns and whose facts are decided once per class
+pair on image arrays, against the full row-major scan; the trivial
+components, read off slices of the image array, against the read of the
+carrier layout and the earlier reader of the component arrays; and the
+one extraction path of the lower, g1 and g2 kinds, which compares each
+certificate's rebuilt map with the isomorphism, against the earlier
+extractors: the per-map path that built a component matrix and decided
+every fact afresh, the lower one that ran materialize() in full, and the
+g1 and g2 ones that made no compare.  They are compared on every carrier
+isomorphism of nine catalog pairs, with one facts dict per class pair as
+verify_theorems keeps it, and the conditions and the lower path also on
+single-image mutations of the components."""
 
 import inspect
 import random
@@ -23,6 +26,10 @@ from centext.cocycles import compute_cocycle_space
 from centext.errors import HypothesisNotVerified
 from centext.extensions import (
     TRIVIAL_COMPONENTS,
+    HomMatrix,
+    _arrays,
+    _component_groups,
+    _condition_failures,
     build_extension,
     decompose_hom,
     hom_condition_failures,
@@ -32,6 +39,7 @@ from centext.extensions import (
 from centext.groups import GroupMap, enumerate_isomorphisms
 from centext.isotest import (
     DEFAULT_VERIFY_PAIRS,
+    _certificate,
     _necessary,
     g1_isomorphic_necessary,
     g2_isomorphic_necessary,
@@ -41,6 +49,7 @@ from oracles import (
     g1_necessary_by_require,
     g2_necessary_by_require,
     hom_condition_failures_by_scan,
+    necessary_per_map,
     trivial_components_by_arrays,
     trivial_components_by_layout,
     lower_necessary_by_materialize,
@@ -79,6 +88,22 @@ def all_isomorphisms():
             for case in carrier_isomorphisms(pair)]
 
 
+# one facts dict per class pair, by the identities of its two carriers
+# (carrier_isomorphisms keeps them), shared by every test and mutation
+PAIR_FACTS = {}
+
+
+def facts_of(src, tgt):
+    return PAIR_FACTS.setdefault((id(src), id(tgt)), {})
+
+
+def extracted(kind, src, tgt, parts, facts, phi=None):
+    """_necessary as verify_theorems calls it, then the certificate the
+    public extractors hand back."""
+    _necessary(kind, src, tgt, parts, facts, phi)
+    return _certificate(kind, src, tgt, parts)
+
+
 def with_image(m, component, x, v):
     """m with the image of x under one component map set to v."""
     old = getattr(m, component)
@@ -108,12 +133,16 @@ def outcome(extract, *args):
 
 
 def test_conditions_equal_the_full_scan_on_every_isomorphism():
+    # the public form, with facts of its own, and the shared facts of
+    # each class pair
     cases = all_isomorphisms()
     assert len(cases) == 1824
     failing = 0
-    for _, _, _, m, _ in cases:
+    for src, tgt, _, m, _ in cases:
         got = list(hom_condition_failures(m))
         assert got == list(hom_condition_failures_by_scan(m))
+        assert list(_condition_failures(src, tgt, _arrays(m),
+                                        facts_of(src, tgt))) == got
         failing += bool(got)
     # the Z2:D4 maps on which condition 1 fails for lack of the
     # quotient hypothesis
@@ -174,22 +203,25 @@ def test_trivial_components_equal_the_component_arrays():
 
 def test_lower_extractor_equals_materialize_on_every_isomorphism():
     # the one path on every isomorphism of the lower, g1 and g2 kinds,
-    # as verify_theorems and the public extractor call it: the
-    # reference's error type and message, or a certificate whose map is
-    # the isomorphism
-    extracted, failed = Counter(), Counter()
+    # as verify_theorems calls it, on the component arrays with one facts
+    # dict per class pair, and as the public extractor calls it: the
+    # reference's and the per-map path's error type and message, or a
+    # certificate whose map is the isomorphism
+    done, failed = Counter(), Counter()
     for src, tgt, phi, m, kinds in all_isomorphisms():
         for kind in kinds:
-            got = outcome(_necessary, kind, src, tgt, m, phi)
+            got = outcome(extracted, kind, src, tgt, _arrays(m),
+                          facts_of(src, tgt), phi)
             assert got == outcome(REFERENCES[kind], src, tgt, m)
+            assert got == outcome(necessary_per_map, kind, src, tgt, m, phi)
             assert outcome(PUBLIC[kind], src, tgt, phi) == got
             if isinstance(got, tuple):
                 failed[kind, got[0]] += 1
             else:
                 assert reconstruct_hom(got.components()) == phi
                 assert got.materialize() == phi
-                extracted[kind] += 1
-    assert extracted == {"lower": 255, "g1": 86, "g2": 14}
+                done[kind] += 1
+    assert done == {"lower": 255, "g1": 86, "g2": 14}
     # the Z2:D4 maps whose condition 1 fails, each an observation for
     # lack of the quotient hypothesis
     assert failed == {("g1", HypothesisNotVerified): 64}
@@ -210,22 +242,27 @@ def test_checks_equal_the_earlier_ones_under_mutation(data):
     x = data.draw(st.integers(1, old.dom.order - 1))
     shift = data.draw(st.integers(1, old.cod.order - 1))
     mutant = with_image(m, c, x, (old.images[x] + shift) % old.cod.order)
-    assert list(hom_condition_failures(mutant)) == list(
-        hom_condition_failures_by_scan(mutant))
+    expected = list(hom_condition_failures_by_scan(mutant))
+    assert list(hom_condition_failures(mutant)) == expected
+    facts = facts_of(src, tgt)
+    assert list(_condition_failures(src, tgt, _arrays(mutant),
+                                    facts)) == expected
     if "lower" in kinds and c != "phi12":
-        assert outcome(_necessary, "lower", src, tgt, mutant, phi) == \
-            outcome(lower_necessary_by_materialize, src, tgt, mutant)
+        assert outcome(extracted, "lower", src, tgt, _arrays(mutant), facts,
+                       phi) == outcome(lower_necessary_by_materialize, src,
+                                       tgt, mutant)
 
 
 def unguarded_conditions():
-    """A copy of hom_condition_failures whose condition 4 screen runs
-    whatever condition 1 gave."""
-    source = inspect.getsource(extensions.hom_condition_failures)
-    guarded = "if condition_1 and all("
+    """hom_condition_failures on a copy of the conditions whose condition
+    4 screen runs whatever condition 1 gave."""
+    source = inspect.getsource(extensions._condition_failures)
+    guarded = "if condition_1 and _fact("
     assert source.count(guarded) == 1
     namespace = dict(vars(extensions))
-    exec(source.replace(guarded, "if all("), namespace)
-    return namespace["hom_condition_failures"]
+    exec(source.replace(guarded, "if _fact("), namespace)
+    return lambda m: namespace["_condition_failures"](
+        m.source, m.target, _arrays(m), {})
 
 
 def test_every_mutation_of_the_z2_z4_isomorphisms():
@@ -235,14 +272,42 @@ def test_every_mutation_of_the_z2_z4_isomorphisms():
     unguarded = unguarded_conditions()
     after_condition_1 = missed = 0
     for src, tgt, phi, m, kinds in carrier_isomorphisms(("Z2", "Z4")):
+        facts = facts_of(src, tgt)
         for c, mutant in single_image_mutations(m):
             expected = list(hom_condition_failures_by_scan(mutant))
             assert list(hom_condition_failures(mutant)) == expected
+            assert list(_condition_failures(src, tgt, _arrays(mutant),
+                                            facts)) == expected
             conditions = [fail[0] for fail in expected]
             after_condition_1 += conditions[:1] == [1] and 4 in conditions
             missed += list(unguarded(mutant)) != expected
             if "lower" in kinds and c != "phi12":
-                assert outcome(_necessary, "lower", src, tgt, mutant,
-                               phi) == outcome(
+                assert outcome(extracted, "lower", src, tgt, _arrays(mutant),
+                               facts, phi) == outcome(
                     lower_necessary_by_materialize, src, tgt, mutant)
     assert after_condition_1 and missed
+
+
+def test_facts_are_kept_per_class_pair():
+    # the identity's components on the Z2:Z4 carriers: the same four
+    # arrays on every class pair, whose condition 4 holds exactly where
+    # the two cocycles are equal; each pair's own facts give the full
+    # scan's answer, while one pair's facts read on another give the
+    # first pair's
+    g1, g2 = get_group("Z2"), get_group("Z4")
+    exts = [build_extension(rep) for rep in
+            compute_cocycle_space(g1, g2).class_representatives]
+    parts = {"phi11": tuple(range(2)), "phi12": (0,) * 4,
+             "phi21": (0,) * 2, "phi22": tuple(range(4))}
+    same, other = (exts[0], exts[0]), (exts[0], exts[1])
+    answers = {}
+    for src, tgt in (same, other):
+        m = HomMatrix(source=src, target=tgt, **{
+            c: GroupMap(dom=dom, cod=cod, images=parts[c])
+            for c, (dom, cod) in _component_groups(src, tgt).items()})
+        answers[src, tgt] = list(_condition_failures(src, tgt, parts, {}))
+        assert answers[src, tgt] == list(hom_condition_failures_by_scan(m))
+    assert answers[same] == [] and [c for c, _, _ in answers[other]] == [4]
+    facts = {}
+    assert list(_condition_failures(*same, parts, facts)) == []
+    assert list(_condition_failures(*other, parts, facts)) == []

@@ -3,7 +3,8 @@ the earlier path kept in oracles.py, which eliminated B^2 in generator
 columns: the factors, orders and representatives of every space, the
 key-equality relation under pushes, pulls and coboundary shifts, the
 one lattice of the rows [u_j | e_j] against U and Hom(G2, Z/d), a
-residue equal to an earlier one kept once (Z2:D5), spaces
+residue equal to an earlier one kept once (Z2:D5), the factors of H^2
+read off the pivots of every pivot-only quotient lattice, spaces
 and keys built with no pivots of Hom at the points, witnesses built
 with no coboundary lattice, and every witness equal to the one the
 coboundary lattice gave."""
@@ -19,6 +20,7 @@ from centext.catalog import catalog_names, get_group
 from centext.cocycles import (
     Cocycle2,
     _class_key,
+    _quotient_factors,
     _column_values,
     _keyed,
     _solve_coordinate,
@@ -33,7 +35,12 @@ from centext.groups import (
     enumerate_automorphisms,
     enumerate_homs,
 )
-from centext.intlinalg import IntLattice, abelian_invariants
+from centext.intlinalg import (
+    IntLattice,
+    IntMatrix,
+    abelian_invariants,
+    smith_normal_form,
+)
 import oracles
 from oracles import (
     class_key_mod_b2,
@@ -44,6 +51,7 @@ from oracles import (
     witness_by_b2,
 )
 from test_decider_memos import LABEL_PAIRS as PAIRS, h2_order
+from test_intlinalg import dense_lattice, diagonal_lattice
 
 
 def test_pairs_take_the_larger_quotients():
@@ -184,6 +192,96 @@ def test_a_repeated_residue_is_kept_once(monkeypatch):
     space = compute_cocycle_space.__wrapped__(g1, g2)
     assert [r.table for r in space.class_representatives] == (
         oracles.representatives_by_lists(g1, g2))
+
+
+def smith_factors(lat):
+    """The factors above 1 of Z^n / lat by the Smith loop."""
+    return tuple(x for x in smith_normal_form(IntMatrix.from_rows(
+        lat.hnf_rows())).s.diagonal if x > 1)
+
+
+# the catalog quotients of order <= 24 and the moduli of their H^2 builds
+SMALL_QUOTIENTS = [name for name in catalog_names()
+                   if get_group(name).order <= 24]
+MODULI = (2, 3, 4, 5, 6, 8, 9, 12)
+
+
+def test_catalog_quotients_are_read_off_their_pivots(monkeypatch):
+    # every quotient lattice of these builds is pivot-only, so its
+    # factors are merged pivots with no Smith loop, those of the loop and
+    # of the earlier B^2 path; five are no chain in column order
+    calls, lattices = [], {}
+
+    def counted(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    def recorded(lat):
+        lattices[name, d] = lat
+        return _quotient_factors(lat)
+    monkeypatch.setattr(cocycles, "smith_normal_form", counted)
+    monkeypatch.setattr(cocycles, "_quotient_factors", recorded)
+    for name in SMALL_QUOTIENTS:
+        for d in MODULI:
+            got = _solve_coordinate.__wrapped__(get_group(name), d).factors
+            assert got == solve_coordinate_by_b2(get_group(name), d).factors
+    assert not calls and len(lattices) == 136
+    assert all(len(r) == 1 for lat in lattices.values()
+               for r in lat.pivot_rows.values())
+    assert all(_quotient_factors(lat) == smith_factors(lat)
+               for lat in lattices.values())
+    assert {key for key, lat in lattices.items()
+            if lat._smith_chain() is None} == {
+        ("Z2xZ4", 4), ("Z2xZ4", 8), ("Z2xZ4", 12), ("A4", 6), ("A4", 12)}
+
+
+def pivot_only_lattice(rng):
+    """A lattice of 1 to 5 columns mod one of 12, 36 and 60 whose stored
+    rows are p_j u e_j, u a unit, for pivots p_j drawn from the divisors
+    in any order, the modulus (a free column) among them."""
+    m = rng.choice([12, 36, 60])
+    divisors = [x for x in range(1, m + 1) if m % x == 0]
+    units = [x for x in range(1, m) if math.gcd(x, m) == 1]
+    pivots = [rng.choice(divisors) for _ in range(rng.randrange(1, 6))]
+    return IntLattice(len(pivots), m, [{j: p * rng.choice(units)}
+                                       for j, p in enumerate(pivots) if p < m])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_quotient_factors_equal_the_smith_loop(seed):
+    # chains, with free columns, pivot-only lattices in any order and
+    # lattices with entries off their pivots, which run the loop
+    rng = random.Random(seed)
+    for _ in range(10):
+        for lat in (diagonal_lattice(rng, True)[0],
+                    diagonal_lattice(rng, False)[0],
+                    pivot_only_lattice(rng), dense_lattice(rng)):
+            assert _quotient_factors(lat) == smith_factors(lat)
+
+
+def test_the_seeds_reach_every_shape():
+    # permuted chains, coprime pivots, a free column before the last one,
+    # and lattices with an entry off its pivot
+    shapes = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        for _ in range(10):
+            diagonal_lattice(rng, True), diagonal_lattice(rng, False)
+            lat = pivot_only_lattice(rng)
+            pivots = [*map(lat.pivot, range(lat.ncols))]
+            chain = all(b % a == 0 for a, b in zip(pivots, pivots[1:]))
+            if not chain and all(b % a == 0 for a, b in itertools.pairwise(
+                    sorted(pivots))):
+                shapes.add("permuted chain")
+            if any(1 < a < b and math.gcd(a, b) == 1
+                   for a, b in itertools.permutations(pivots, 2)):
+                shapes.add("coprime")
+            if lat.modulus in pivots[:-1] and min(pivots) < lat.modulus:
+                shapes.add("free column")
+            if any(len(r) > 1 for r in dense_lattice(rng).pivot_rows.values()):
+                shapes.add("off the pivots")
+    assert shapes == {"permuted chain", "coprime", "free column",
+                      "off the pivots"}
 
 
 CACHED = ("compute_cocycle_space", "_solve_coordinate", "_class_key",

@@ -31,6 +31,7 @@ from centext.errors import (
 )
 from centext.extensions import (
     TRIVIAL_COMPONENTS,
+    _arrays,
     _component_images,
     _direct_failure,
     build_extension,
@@ -75,8 +76,10 @@ PINS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
 def triple_search_lower(src, tgt):
     """The earlier lower_isomorphic: every component triple (sigma, rho,
     delta) in Aut(G1) x Aut(G2) x Hom(G1, G2), sigma-major, against the
-    converse conditions, read by the lower necessity path."""
+    converse conditions, read by the lower necessity path with one facts
+    dict for the pair."""
     g1, g2 = src.g1, src.g2
+    facts = {}
     homs21 = enumerate_homs(g1, g2)
     autos2 = enumerate_automorphisms(g2)
     for sigma in enumerate_automorphisms(g1):
@@ -85,7 +88,8 @@ def triple_search_lower(src, tgt):
                 cert = IsoCertificate(kind="lower", source=src, target=tgt,
                                       sigma=sigma, rho=rho, delta=delta)
                 try:
-                    _necessary("lower", src, tgt, cert.components())
+                    _necessary("lower", src, tgt,
+                               _arrays(cert.components()), facts)
                 except (ConditionsFailed, HypothesisNotVerified):
                     continue
                 cert.materialize()
