@@ -26,12 +26,11 @@ from .groups import (DEFAULT_LIMITS, FiniteGroup, GroupMap, SearchLimits,
                      direct_product, enumerate_automorphisms,
                      enumerate_homs, enumerate_isomorphisms,
                      is_purely_nonabelian, is_simple, validate_group)
-from .isotest import (CERTIFICATE_KINDS, IsoCertificate,
-                      build_purely_nonabelian_iso, g1_isomorphic_necessary,
-                      g1g2_isomorphic, g2_isomorphic_equal_order,
-                      g2_isomorphic_necessary, lower_isomorphic,
-                      lower_necessary, lower_sufficient,
-                      oracle_iso_survey, simple_quotient_check,
-                      upper_isomorphic, verify_theorems)
+from .isotest import (CERTIFICATE_KINDS, IsoCertificate, Verdict,
+                      build_purely_nonabelian_iso, decide, g1g2_isomorphic,
+                      g2_isomorphic_equal_order, lower_isomorphic,
+                      lower_sufficient, necessary, oracle_iso_survey,
+                      simple_quotient_check, upper_isomorphic,
+                      verify_theorems)
 
 __version__ = "0.1.0"

@@ -44,11 +44,9 @@ from .cocycles import (
     make_cocycle,
     pullback,
     pushforward,
-    sim_is_trivial,
     trivial_cocycle,
 )
 from .errors import (
-    GroupMismatch,
     HypothesisNotVerified,
     InternalInconsistency,
     SizeLimitExceeded,
@@ -57,25 +55,16 @@ from .extensions import (
     TRIVIAL_COMPONENTS,
     build_extension,
     central_quotient_data,
-    trivial_components,
 )
 from .groups import (
     DEFAULT_LIMITS,
     FiniteGroup,
+    GroupMap,
     SearchLimits,
     brute_force_isomorphism,
     center,
 )
-from .isotest import (
-    DEFAULT_VERIFY_PAIRS,
-    g1_isomorphic_necessary,
-    g1g2_isomorphic,
-    g2_isomorphic_equal_order,
-    g2_isomorphic_necessary,
-    lower_isomorphic,
-    upper_isomorphic,
-    verify_theorems,
-)
+from .isotest import DEFAULT_VERIFY_PAIRS, decide, verify_theorems
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -248,83 +237,24 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def _decide_iso(mode, e1, e2, limits):
-    """Verdict, certificate dict or None, notes.
-
-    Every mode but plain compares two extensions over one group pair,
-    so a mismatched pair raises GroupMismatch before any search; a
-    carrier isomorphism needs no common pair.  A structured decider
-    answers upper, lower, g1g2, and g2 over abelian factor groups of
-    equal order.  Other modes, and a lower
-    negative that sim_is_trivial cannot settle, take the first carrier
-    isomorphism of the mode's kind from the exhaustive search (lower
-    raises HypothesisNotVerified past the limits); g1 and g2 extract
-    their certificate from it, else keep the raw map with a note when
-    the failed condition rests on the quotient hypothesis."""
-    notes = []
-    g1, g2 = e1.g1, e1.g2
-    if mode != "plain" and (g1 != e2.g1 or g2 != e2.g2):
-        raise GroupMismatch("extensions sit over different group pairs")
-    decide = {"upper": upper_isomorphic, "lower": lower_isomorphic,
-              "g1g2": g1g2_isomorphic}.get(mode)
-    if (mode == "g2" and g1.is_abelian and g2.is_abelian
-            and g1.order == g2.order):
-        decide = g2_isomorphic_equal_order
-    if decide is not None:
-        cert = decide(e1, e2, limits)
-        if cert is not None or mode != "lower":
-            return cert is not None, cert.to_dict() if cert else None, notes
-        if sim_is_trivial(g2):
-            notes.append("negative settled by the component search; the "
-                         "quotient hypothesis is verified")
-            return False, None, notes
-
-    forced = TRIVIAL_COMPONENTS[mode]
-    try:
-        phi = brute_force_isomorphism(
-            e1.group, e2.group, limits=limits,
-            constraint=lambda phi: trivial_components(
-                e1, e2, phi.images).issuperset(forced))
-    except SizeLimitExceeded as exc:
-        if mode != "lower":
-            raise
-        raise HypothesisNotVerified(
-            "the component search found nothing, its completeness "
-            "needs the quotient hypothesis, which fails for this "
-            "quotient, and exhaustive search exceeds the size "
-            "limits") from exc
-    if mode == "lower":
-        notes.append("negative settled by exhaustive search" if phi is None
-                     else "found by exhaustive search although the "
-                     "component search came up empty; the quotient "
-                     "hypothesis fails for this pair")
-    if phi is None:
-        return False, None, notes
-    extract = {"g1": g1_isomorphic_necessary,
-               "g2": g2_isomorphic_necessary}.get(mode)
-    if extract is not None:
-        try:
-            return True, extract(e1, e2, phi).to_dict(), notes
-        except HypothesisNotVerified as exc:
-            notes.append(f"certificate left as the raw map: {exc}; the "
-                         "quotient hypothesis fails here")
-    return True, {"kind": mode, "phi": list(phi.images)}, notes
-
-
 def cmd_iso(args) -> int:
     limits = (DEFAULT_LIMITS if args.max_order is None
               else SearchLimits(max_order=args.max_order))
     e1 = _load_extension(args.ext1)
     e2 = _load_extension(args.ext2)
-    verdict, certificate, notes = _decide_iso(args.mode, e1, e2, limits)
+    verdict = decide(args.mode, e1, e2, limits)
+    cert = verdict.certificate
     payload = {
         "mode": args.mode,
-        "verdict": verdict,
-        "certificate": certificate,
-        "notes": notes,
+        "verdict": verdict.holds,
+        "certificate": (
+            {"kind": args.mode, "phi": list(cert.images)}
+            if isinstance(cert, GroupMap)
+            else cert.to_dict() if cert is not None else None),
+        "notes": list(verdict.notes),
     }
     _emit(payload, args.output)
-    return 0 if verdict else 1
+    return 0 if verdict.holds else 1
 
 
 def _slow_checks(limits) -> dict:

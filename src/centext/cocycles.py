@@ -1057,6 +1057,7 @@ def _merge_invariant_factors(factors) -> tuple[int, ...]:
     return tuple(x for x in f if x > 1)
 
 
+@lru_cache(maxsize=None)
 def sim_is_trivial(g2: FiniteGroup) -> bool:
     """Whether g2 has no nontrivial self-coboundary: no normalized map
     t: g2 -> g2 whose coboundary psi_t(h, g) = t(g) t(hg)^-1 t(h) is a
@@ -1068,6 +1069,7 @@ def sim_is_trivial(g2: FiniteGroup) -> bool:
     psi_t takes central values, so it satisfies the cocycle identity,
     and psi_t(w, g) = z for any g outside {1, w}, which exists once
     g2.order >= 3.  Over an order-2 group {1, a} the only nontrivial t
-    has t(a) = a, and psi_t(a, a) = a^2 = 1.
+    has t(a) = a, and psi_t(a, a) = a^2 = 1.  Decided once per group,
+    as the necessity statements ask it on every failed condition.
     """
     return g2.order <= 2 or len(center(g2)) == 1

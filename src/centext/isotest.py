@@ -7,8 +7,8 @@ and the builder for purely non-abelian quotients.  A kind is the set of
 components it forces trivial, extensions.TRIVIAL_COMPONENTS, and one
 reader, extensions.trivial_components, tests it off the carrier image
 array: for the survey, and in the one carrier-isomorphism check
-(extensions._carrier_iso_failure) that materialize and the necessity
-extractors share.  The lower, g1 and g2 necessity statements are read
+(extensions._carrier_iso_failure) that materialize and necessary
+share.  The lower, g1 and g2 necessity statements are read
 by one path, _necessary, on the image arrays of a map's components,
 driven by a per-kind table of requirements (_NECESSITY); each fact of a
 statement is decided once per facts dict, which serves one carrier pair,
@@ -30,8 +30,10 @@ keyed and its rho listed by the hash of their keys.  Every positive
 answer carries component maps that materialize, through the carrier
 product formula on their image arrays (extensions.reconstruct_hom),
 into one image array that the direct checks verify to be a bijective
-homomorphism of the certificate's kind.  A harness cross-validates each
-criterion against brute-force isomorphism search on a small catalog.
+homomorphism of the certificate's kind.  decide turns the deciders into
+one verdict per kind, with the hypothesis a negative rests on.  A
+harness cross-validates each criterion against brute-force isomorphism
+search on a small catalog.
 """
 
 from functools import lru_cache
@@ -92,15 +94,15 @@ from .extensions import (
 
 __all__ = [
     "IsoCertificate",
+    "Verdict",
+    "decide",
+    "necessary",
     "upper_isomorphic",
-    "lower_necessary",
     "lower_sufficient",
     "lower_isomorphic",
     "simple_quotient_check",
     "build_purely_nonabelian_iso",
-    "g2_isomorphic_necessary",
     "g2_isomorphic_equal_order",
-    "g1_isomorphic_necessary",
     "g1g2_isomorphic",
     "oracle_iso_survey",
     "verify_theorems",
@@ -279,11 +281,21 @@ def _certificate(kind, src, tgt, parts: dict) -> IsoCertificate:
         if c not in TRIVIAL_COMPONENTS[kind]})
 
 
-def _extracted(kind, e1, e2, phi: GroupMap) -> IsoCertificate:
-    """The certificate of the kind read off phi's component arrays, once
-    _carrier_iso_failure finds phi a carrier isomorphism of the kind and
-    _necessary passes them; else the kind's error for a map not of it,
-    with _carrier_iso_failure's message, or _necessary's."""
+def necessary(kind, e1, e2, phi: GroupMap) -> IsoCertificate:
+    """The certificate of kind "lower", "g1" or "g2" that must exist
+    behind phi, a carrier isomorphism of that kind, read off phi's
+    component arrays and verified.
+
+    Raises the kind's error (NotLowerIso, NotG1Iso, NotG2Iso) with
+    _carrier_iso_failure's message when phi is not a carrier isomorphism
+    of the kind.  A failed requirement or component condition after that
+    (_necessary) raises ConditionsFailed where it falsifies the
+    statement, and HypothesisNotVerified with the same message where
+    the statement rests on the quotient coboundary-triviality hypothesis
+    and sim_is_trivial fails for the quotient: the lower and g1
+    statements rest on it; the g2 one does not, as with the
+    section-to-section component trivial the splitting step that
+    otherwise needs it is immediate."""
     src, tgt = _extension_pair(e1, e2)
     failure = _carrier_iso_failure(src, tgt, phi, kind)
     if failure is not None:
@@ -395,20 +407,6 @@ def upper_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
 
 # ---------------------------------------------------------------------------
 # section-preserving ("lower") isomorphisms
-
-
-def lower_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
-    """Extract and verify the certificate that must exist behind any
-    section-preserving isomorphism, a statement that rests on the
-    quotient coboundary-triviality hypothesis.
-
-    Raises NotLowerIso when phi is not a section-preserving isomorphism.
-    A failed condition after that raises ConditionsFailed when
-    sim_is_trivial holds for the quotient, since it would falsify the
-    statement, and HypothesisNotVerified with the same message when the
-    hypothesis fails.
-    """
-    return _extracted("lower", e1, e2, phi)
 
 
 def lower_sufficient(cert: IsoCertificate) -> GroupMap:
@@ -537,16 +535,6 @@ def build_purely_nonabelian_iso(sigma: GroupMap, eta: GroupMap,
 # one trivial diagonal component
 
 
-def g2_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
-    """Extract and verify the certificate behind an isomorphism whose
-    section-to-section component is trivial.
-
-    No quotient hypothesis is needed here: with that component trivial,
-    the splitting step that otherwise requires coboundary-triviality is
-    immediate.  Verification failures raise ConditionsFailed."""
-    return _extracted("g2", e1, e2, phi)
-
-
 def g2_isomorphic_equal_order(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     """Decision for equal-order abelian factor groups: the source
     cocycle must vanish and some isomorphism delta between the factors
@@ -580,17 +568,6 @@ def g2_isomorphic_equal_order(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     return cert
 
 
-def g1_isomorphic_necessary(e1, e2, phi: GroupMap) -> IsoCertificate:
-    """Extract and verify the certificate behind an isomorphism whose
-    kernel-to-kernel component is trivial: the source cocycle vanishes,
-    the target cocycle dies on the delta image, and the pulled-back
-    inverse target cocycle is eta's coboundary.  The statement rests on
-    the quotient coboundary-triviality hypothesis, so a failed condition
-    raises ConditionsFailed when sim_is_trivial holds for the quotient
-    and HypothesisNotVerified with the same message when it fails."""
-    return _extracted("g1", e1, e2, phi)
-
-
 def g1g2_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
     """Decision for both diagonal components trivial: the source cocycle
     vanishes and some isomorphism delta between the factor groups kills
@@ -613,6 +590,96 @@ def g1g2_isomorphic(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
                           eta=delta.inverse(), delta=delta)
     cert.materialize()
     return cert
+
+
+# ---------------------------------------------------------------------------
+# one decision entry point
+
+
+def _deciders(g1, g2) -> dict:
+    """kind -> (its criterion in verify_theorems' records, the structured
+    decider that answers it) over the group pair, in the order
+    verify_theorems records them: upper; g2, only over abelian factor
+    groups of equal order; g1g2; lower.  Read from the module's names
+    on each call, so a decider rebound by name (bench/tracing.py's
+    wrappers, a test's monkeypatch) is the one called."""
+    return {"upper": ("upper", upper_isomorphic),
+            **({"g2": ("g2_equal_order", g2_isomorphic_equal_order)}
+               if g1.is_abelian and g2.is_abelian and g1.order == g2.order
+               else {}),
+            "g1g2": ("g1g2", g1g2_isomorphic),
+            "lower": ("lower", lower_isomorphic)}
+
+
+class Verdict(Record):
+    """decide's answer for one kind: whether it holds; the certificate
+    of a positive, an IsoCertificate or else the raw carrier GroupMap;
+    the hypothesis a negative rests on, "sim_is_trivial" for a lower
+    negative the component search settled because the quotient passes
+    sim_is_trivial, else None; and notes on how it was reached."""
+
+    kind: str
+    holds: bool
+    certificate: IsoCertificate | GroupMap | None = None
+    rests_on: str | None = None
+    notes: tuple[str, ...] = ()
+
+
+def decide(kind, e1, e2, limits: SearchLimits = DEFAULT_LIMITS) -> Verdict:
+    """Whether the extensions e1 and e2 (ExtensionGroups) are isomorphic
+    in the kind, one of TRIVIAL_COMPONENTS but purely_nonabelian.
+
+    Every kind but plain compares two extensions over one group pair,
+    so a mismatched pair raises GroupMismatch before any search; a
+    carrier isomorphism needs no common pair.  The structured decider of
+    the kind (_deciders) answers where there is one.  Other kinds, and a
+    lower negative that sim_is_trivial cannot settle, take the first
+    carrier isomorphism of the kind from the exhaustive search (lower
+    raises HypothesisNotVerified past the limits); g1 and g2 extract
+    their certificate from it (necessary), else keep the raw map with a
+    note when the failed condition rests on the quotient hypothesis."""
+    if kind != "plain":
+        _extension_pair(e1, e2)
+    g1, g2 = e1.g1, e1.g2
+    if (entry := _deciders(g1, g2).get(kind)) is not None:
+        cert = entry[1](e1, e2, limits)
+        if cert is not None or kind != "lower":
+            return Verdict(kind=kind, holds=cert is not None,
+                           certificate=cert)
+        if sim_is_trivial(g2):
+            return Verdict(kind=kind, holds=False, rests_on="sim_is_trivial",
+                           notes=("negative settled by the component search; "
+                                  "the quotient hypothesis is verified",))
+
+    forced = TRIVIAL_COMPONENTS[kind]
+    try:
+        phi = brute_force_isomorphism(
+            e1.group, e2.group, limits=limits,
+            constraint=lambda phi: trivial_components(
+                e1, e2, phi.images).issuperset(forced))
+    except SizeLimitExceeded as exc:
+        if kind != "lower":
+            raise
+        raise HypothesisNotVerified(
+            "the component search found nothing, its completeness "
+            "needs the quotient hypothesis, which fails for this "
+            "quotient, and exhaustive search exceeds the size "
+            "limits") from exc
+    notes = () if kind != "lower" else (
+        "negative settled by exhaustive search" if phi is None
+        else "found by exhaustive search although the component search "
+        "came up empty; the quotient hypothesis fails for this pair",)
+    if phi is None:
+        return Verdict(kind=kind, holds=False, notes=notes)
+    if kind in ("g1", "g2"):
+        try:
+            return Verdict(kind=kind, holds=True,
+                           certificate=necessary(kind, e1, e2, phi),
+                           notes=notes)
+        except HypothesisNotVerified as exc:
+            notes += (f"certificate left as the raw map: {exc}; the "
+                      "quotient hypothesis fails here",)
+    return Verdict(kind=kind, holds=True, certificate=phi, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -703,13 +770,9 @@ def verify_theorems(pairs=None, max_order: int = 16,
                       "sim_trivial": sim_ok,
                       "records": []}
         # the deciders that need no hypothesis, each checked against the
-        # oracle, as (kind, criterion name, decider); g2's decider needs
-        # equal-order abelian factor groups
-        deciders = [("upper", "upper", upper_isomorphic),
-                    ("g1g2", "g1g2", g1g2_isomorphic)]
-        if g1.is_abelian and g2.is_abelian and g1.order == g2.order:
-            deciders.insert(1, ("g2", "g2_equal_order",
-                                g2_isomorphic_equal_order))
+        # oracle, and lower's, whose negatives rest on the hypothesis
+        deciders = _deciders(g1, g2)
+        lower = deciders.pop("lower")[1]
 
         for i, src in enumerate(exts):
             for j, tgt in enumerate(exts):
@@ -734,8 +797,8 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     flag(record, "class_representatives_not_distinct",
                          {"i": i, "j": j})
 
-                for kind, criterion, decide in deciders:
-                    cert = decide(src, tgt, limits)
+                for kind, (criterion, decider) in deciders.items():
+                    cert = decider(src, tgt, limits)
                     record["criteria"][criterion] = cert is not None
                     if cert is not None:
                         record["certificates"][kind] = cert.to_dict()
@@ -764,7 +827,7 @@ def verify_theorems(pairs=None, max_order: int = 16,
                     if claim != oracle["lower"]:
                         flag(record, check, {"criterion": claim,
                                              "oracle": oracle["lower"]})
-                lower_cert = lower_isomorphic(src, tgt, limits)
+                lower_cert = lower(src, tgt, limits)
                 record["criteria"]["lower"] = lower_cert is not None
                 if lower_cert is not None:
                     record["certificates"]["lower"] = lower_cert.to_dict()

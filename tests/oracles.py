@@ -62,6 +62,7 @@ from centext.extensions import (
     hom_condition_failures,
     is_homomorphism_direct,
     reconstruct_hom,
+    trivial_components,
 )
 from centext.groups import (
     DEFAULT_LIMITS,
@@ -70,6 +71,7 @@ from centext.groups import (
     Record,
     SearchLimits,
     _automorphism_generators,
+    brute_force_isomorphism,
     conjugacy_classes,
     enumerate_automorphisms,
     enumerate_isomorphisms,
@@ -88,7 +90,15 @@ from centext.intlinalg import (
     smith_normal_form,
     xgcd,
 )
-from centext.isotest import IsoCertificate, _extension_pair
+from centext.isotest import (
+    IsoCertificate,
+    _extension_pair,
+    g1g2_isomorphic,
+    g2_isomorphic_equal_order,
+    lower_isomorphic,
+    necessary,
+    upper_isomorphic,
+)
 
 
 def group_from_elements_by_products(elems, op,
@@ -1849,3 +1859,69 @@ def upper_isomorphic_by_tables(e1, e2, limits: SearchLimits = DEFAULT_LIMITS):
                           rho=rho, t_witness=w)
     cert.materialize()
     return cert
+
+
+def decide_iso_in_the_cli(mode, e1, e2, limits):
+    """The earlier cli._decide_iso, the policy isotest.decide took over,
+    with its g1 and g2 extractors called as necessary(kind, ...).
+
+    Verdict, certificate dict or None, notes.
+
+    Every mode but plain compares two extensions over one group pair,
+    so a mismatched pair raises GroupMismatch before any search; a
+    carrier isomorphism needs no common pair.  A structured decider
+    answers upper, lower, g1g2, and g2 over abelian factor groups of
+    equal order.  Other modes, and a lower
+    negative that sim_is_trivial cannot settle, take the first carrier
+    isomorphism of the mode's kind from the exhaustive search (lower
+    raises HypothesisNotVerified past the limits); g1 and g2 extract
+    their certificate from it, else keep the raw map with a note when
+    the failed condition rests on the quotient hypothesis."""
+    notes = []
+    g1, g2 = e1.g1, e1.g2
+    if mode != "plain" and (g1 != e2.g1 or g2 != e2.g2):
+        raise GroupMismatch("extensions sit over different group pairs")
+    decide = {"upper": upper_isomorphic, "lower": lower_isomorphic,
+              "g1g2": g1g2_isomorphic}.get(mode)
+    if (mode == "g2" and g1.is_abelian and g2.is_abelian
+            and g1.order == g2.order):
+        decide = g2_isomorphic_equal_order
+    if decide is not None:
+        cert = decide(e1, e2, limits)
+        if cert is not None or mode != "lower":
+            return cert is not None, cert.to_dict() if cert else None, notes
+        if sim_is_trivial(g2):
+            notes.append("negative settled by the component search; the "
+                         "quotient hypothesis is verified")
+            return False, None, notes
+
+    forced = TRIVIAL_COMPONENTS[mode]
+    try:
+        phi = brute_force_isomorphism(
+            e1.group, e2.group, limits=limits,
+            constraint=lambda phi: trivial_components(
+                e1, e2, phi.images).issuperset(forced))
+    except SizeLimitExceeded as exc:
+        if mode != "lower":
+            raise
+        raise HypothesisNotVerified(
+            "the component search found nothing, its completeness "
+            "needs the quotient hypothesis, which fails for this "
+            "quotient, and exhaustive search exceeds the size "
+            "limits") from exc
+    if mode == "lower":
+        notes.append("negative settled by exhaustive search" if phi is None
+                     else "found by exhaustive search although the "
+                     "component search came up empty; the quotient "
+                     "hypothesis fails for this pair")
+    if phi is None:
+        return False, None, notes
+    extract = {"g1": lambda *args: necessary("g1", *args),
+               "g2": lambda *args: necessary("g2", *args)}.get(mode)
+    if extract is not None:
+        try:
+            return True, extract(e1, e2, phi).to_dict(), notes
+        except HypothesisNotVerified as exc:
+            notes.append(f"certificate left as the raw map: {exc}; the "
+                         "quotient hypothesis fails here")
+    return True, {"kind": mode, "phi": list(phi.images)}, notes

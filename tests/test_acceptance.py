@@ -44,13 +44,11 @@ from centext.groups import (
 from centext.isotest import (
     IsoCertificate,
     build_purely_nonabelian_iso,
-    g1_isomorphic_necessary,
     g1g2_isomorphic,
     g2_isomorphic_equal_order,
-    g2_isomorphic_necessary,
     lower_isomorphic,
-    lower_necessary,
     lower_sufficient,
+    necessary,
     simple_quotient_check,
     upper_isomorphic,
 )
@@ -299,7 +297,7 @@ def test_05_section_preserving_isos_biject_with_certificates():
         for a, b in itertools.product(exts, repeat=2):
             found = _oracle_section_preserving(a, b)
             for phi in found:
-                cert = lower_necessary(a, b, phi)
+                cert = necessary("lower", a, b, phi)
                 assert cert.materialize().images == phi.images
             materialized = []
             for sigma in auts1:
@@ -469,11 +467,11 @@ def test_09_diagonal_trivial_criteria_match_constrained_oracle():
             assert (both is not None) == (survey["g1g2"] is not None), \
                 (n1, n2)
             if survey["g2"] is not None:
-                cert = g2_isomorphic_necessary(a, b, survey["g2"])
+                cert = necessary("g2", a, b, survey["g2"])
                 assert cert.materialize().images == survey["g2"].images
                 pos22 += 1
             if survey["g1"] is not None:
-                cert = g1_isomorphic_necessary(a, b, survey["g1"])
+                cert = necessary("g1", a, b, survey["g1"])
                 assert cert.materialize().images == survey["g1"].images
                 pos11 += 1
             posboth += survey["g1g2"] is not None

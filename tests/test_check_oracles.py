@@ -41,9 +41,7 @@ from centext.isotest import (
     DEFAULT_VERIFY_PAIRS,
     _certificate,
     _necessary,
-    g1_isomorphic_necessary,
-    g2_isomorphic_necessary,
-    lower_necessary,
+    necessary,
 )
 from oracles import (
     g1_necessary_by_require,
@@ -63,8 +61,6 @@ COMPONENTS = ("phi11", "phi12", "phi21", "phi22")
 REFERENCES = {"lower": lower_necessary_by_materialize,
               "g1": g1_necessary_by_require,
               "g2": g2_necessary_by_require}
-PUBLIC = {"lower": lower_necessary, "g1": g1_isomorphic_necessary,
-          "g2": g2_isomorphic_necessary}
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +210,7 @@ def test_lower_extractor_equals_materialize_on_every_isomorphism():
                           facts_of(src, tgt), phi)
             assert got == outcome(REFERENCES[kind], src, tgt, m)
             assert got == outcome(necessary_per_map, kind, src, tgt, m, phi)
-            assert outcome(PUBLIC[kind], src, tgt, phi) == got
+            assert outcome(necessary, kind, src, tgt, phi) == got
             if isinstance(got, tuple):
                 failed[kind, got[0]] += 1
             else:

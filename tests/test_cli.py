@@ -759,6 +759,22 @@ def private_imports(source):
             for alias in node.names if alias.name.startswith("_")]
 
 
+def decision_imports(source):
+    """Each name a from-import of a centext module brings into source
+    that decides or extracts an isomorphism kind, or tests what a
+    verdict rests on: any name holding "_isomorphic" or ending in
+    "necessary", sim_is_trivial and trivial_components; isotest.decide
+    holds that policy."""
+    tree = ast.parse(source)
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("centext"))
+            for alias in node.names
+            if "_isomorphic" in alias.name
+            or alias.name.endswith("necessary")
+            or alias.name in ("sim_is_trivial", "trivial_components")]
+
+
 def nonstandard_imports(source):
     """The modules named by each absolute import in source whose
     top-level package is not in the standard library."""
@@ -787,6 +803,24 @@ class TestImports:
     def test_cli_imports_no_private_name(self):
         with open(cli.__file__, encoding="utf-8") as fh:
             assert private_imports(fh.read()) == []
+
+    def test_cli_imports_no_decider(self):
+        with open(cli.__file__, encoding="utf-8") as fh:
+            assert decision_imports(fh.read()) == []
+        assert cli.decide is isotest.decide
+
+    def test_a_decider_import_is_found(self):
+        source = ("from .cocycles import Cocycle2, sim_is_trivial\n"
+                  "from .extensions import trivial_components\n"
+                  "from .isotest import (decide, necessary,\n"
+                  "    g2_isomorphic_equal_order, upper_isomorphic,\n"
+                  "    lower_necessary)\n"
+                  "from centext.isotest import g1g2_isomorphic\n"
+                  "from json import lower_necessary\n")
+        assert decision_imports(source) == [
+            "sim_is_trivial", "trivial_components", "necessary",
+            "g2_isomorphic_equal_order", "upper_isomorphic",
+            "lower_necessary", "g1g2_isomorphic"]
 
     def test_src_imports_only_the_standard_library(self):
         package = os.path.dirname(cli.__file__)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -54,13 +55,11 @@ from centext.isotest import (
     DEFAULT_VERIFY_PAIRS,
     IsoCertificate,
     build_purely_nonabelian_iso,
-    g1_isomorphic_necessary,
     g1g2_isomorphic,
     g2_isomorphic_equal_order,
-    g2_isomorphic_necessary,
     lower_isomorphic,
-    lower_necessary,
     lower_sufficient,
+    necessary,
     oracle_iso_survey,
     simple_quotient_check,
     upper_isomorphic,
@@ -270,7 +269,7 @@ class TestLowerNecessarySufficient:
     def test_roundtrip_on_a_verified_quotient(self, z2z2):
         e = z2z2[1]
         phi = identity_map(e.group)
-        cert = lower_necessary(e, e, phi)
+        cert = necessary("lower", e, e, phi)
         assert cert.kind == "lower"
         assert cert.rho.images == tuple(range(2))
         assert lower_sufficient(cert).images == phi.images
@@ -286,7 +285,7 @@ class TestLowerNecessarySufficient:
         assert ok and phi.is_bijective()
         # the hypothesis fails, but no condition does, so nothing raises
         assert not sim_is_trivial(z3)
-        cert = lower_necessary(e1, e2, phi)
+        cert = necessary("lower", e1, e2, phi)
         assert cert.sigma.images == (0, 2, 1)
         assert cert.delta.is_trivial()
         assert lower_sufficient(cert).images == phi.images
@@ -306,7 +305,7 @@ class TestLowerNecessarySufficient:
         assert not sim_is_trivial(d4)
         with pytest.raises(HypothesisNotVerified,
                            match="section component is not an endomorphism"):
-            lower_necessary(e, e, phi)
+            necessary("lower", e, e, phi)
         cert = lower_isomorphic(e, e)
         assert cert is not None and cert.kind == "lower"
         cert.materialize()
@@ -314,11 +313,11 @@ class TestLowerNecessarySufficient:
     def test_rejects_non_isomorphisms_and_section_movers(self, z2z2):
         e = z2z2[0]
         with pytest.raises(NotLowerIso):
-            lower_necessary(e, e, trivial_map(e.group, e.group))
+            necessary("lower", e, e, trivial_map(e.group, e.group))
         swap = carrier_map(e, e, lambda x, y: (y, x))
         assert swap.is_bijective()
         with pytest.raises(NotLowerIso):
-            lower_necessary(e, e, swap)
+            necessary("lower", e, e, swap)
 
     def test_sufficient_rejects_wrong_kind_and_missing_fields(self, z2k4):
         cert = upper_isomorphic(z2k4[2], z2k4[3])
@@ -526,7 +525,7 @@ class TestG2Isomorphic:
                        images=(0, 2, 3, 5, 4, 6, 7, 1))
         ok, _ = is_homomorphism_direct(e1, e2, phi)
         assert ok and phi.is_bijective()
-        cert = g2_isomorphic_necessary(e1, e2, phi)
+        cert = necessary("g2", e1, e2, phi)
         assert cert.kind == "g2"
         assert cert.delta.images == (0, 1, 0, 1)
         assert len(set(cert.eta.images)) == 2
@@ -535,9 +534,9 @@ class TestG2Isomorphic:
     def test_rejects_nontrivial_section_component_and_non_isos(self, z2z2):
         e = z2z2[0]
         with pytest.raises(NotG2Iso):
-            g2_isomorphic_necessary(e, e, identity_map(e.group))
+            necessary("g2", e, e, identity_map(e.group))
         with pytest.raises(NotG2Iso):
-            g2_isomorphic_necessary(e, e, trivial_map(e.group, e.group))
+            necessary("g2", e, e, trivial_map(e.group, e.group))
 
     def test_nonabelian_quotients_never_admit_one(self):
         z2, s3 = get_group("Z2"), get_group("S3")
@@ -577,7 +576,7 @@ class TestG1Isomorphic:
     def test_coordinate_swap_certificate(self, z2z2):
         e = z2z2[0]
         swap = carrier_map(e, e, lambda x, y: (y, x))
-        cert = g1_isomorphic_necessary(e, e, swap)
+        cert = necessary("g1", e, e, swap)
         assert cert.kind == "g1"
         assert cert.delta.images == (0, 1)
         assert cert.eta.images == (0, 1)
@@ -590,7 +589,7 @@ class TestG1Isomorphic:
         e = z3z3[0]
         assert not sim_is_trivial(e.g2)
         swap = carrier_map(e, e, lambda x, y: (y, x))
-        cert = g1_isomorphic_necessary(e, e, swap)
+        cert = necessary("g1", e, e, swap)
         assert cert.kind == "g1"
         assert cert.materialize().images == swap.images
 
@@ -603,14 +602,14 @@ class TestG1Isomorphic:
                    if decompose_hom(e, e, phi).phi11.is_trivial())
         with pytest.raises(HypothesisNotVerified,
                            match="section component is not an endomorphism"):
-            g1_isomorphic_necessary(e, e, phi)
+            necessary("g1", e, e, phi)
 
     def test_rejects_nontrivial_kernel_component_and_non_isos(self, z2z2):
         e = z2z2[0]
         with pytest.raises(NotG1Iso):
-            g1_isomorphic_necessary(e, e, identity_map(e.group))
+            necessary("g1", e, e, identity_map(e.group))
         with pytest.raises(NotG1Iso):
-            g1_isomorphic_necessary(e, e, trivial_map(e.group, e.group))
+            necessary("g1", e, e, trivial_map(e.group, e.group))
 
     def test_nontrivial_source_class_blocks_the_kind(self, z2k4):
         for i in (0, 1, 2):
@@ -772,9 +771,9 @@ class TestOneCarrierIsoCheck:
         return bijection, trivial_map(e.group, e.group), other
 
     @pytest.mark.parametrize("extract, error, kind", [
-        (lower_necessary, NotLowerIso, "lower"),
-        (g1_isomorphic_necessary, NotG1Iso, "g1"),
-        (g2_isomorphic_necessary, NotG2Iso, "g2")],
+        (partial(necessary, "lower"), NotLowerIso, "lower"),
+        (partial(necessary, "g1"), NotG1Iso, "g1"),
+        (partial(necessary, "g2"), NotG2Iso, "g2")],
         ids=("lower", "g1", "g2"))
     def test_extractors_name_the_failed_fact(self, z3z3, extract, error,
                                              kind):
@@ -808,12 +807,12 @@ class TestVerifyTheorems:
     @staticmethod
     def fail_on(kind, monkeypatch):
         # the one extraction path, made to fail on the kind alone
-        necessary = isotest._necessary
+        original = isotest._necessary
 
         def fail(k, *args):
             if k == kind:
                 raise ConditionsFailed("forced failure")
-            return necessary(k, *args)
+            return original(k, *args)
         monkeypatch.setattr(isotest, "_necessary", fail)
 
     def test_g2_extractor_failures_are_flagged(self, monkeypatch):
