@@ -12,13 +12,14 @@ k(n-1) generator columns e(x, s), x != 1 and s among the k generators
 of a quotient of order n, which fix a cocycle (the _expand proof).
 Hopf's formula gives H^2 = K / U with no further elimination: K, the
 kernel of one sparse equation per (generator, Schreier generator),
-eliminated once in IntLattice, which keeps sparse pivot rows, and read
-off those rows by back-substitution (_row_space), and U, one row
-u_j per generator (_hopf_system, _solve_coordinate), held with Hom(g2,
-Z/d) in one lattice of the rows [u_j | e_j] (_free_homs).  A class key
-(_class_key) maps column values to the Schreier generators mod U; the
-map sends B^2 onto U, so keys agree exactly on cohomologous cocycles,
-and unequal keys prove any two tables not cohomologous.
+eliminated once in an IntLattice and read off its rows
+(IntLattice.kernel), and U, one row u_j per generator (_hopf_system,
+_solve_coordinate), held with Hom(g2, Z/d) in one lattice of the rows
+[u_j | e_j] (_free_homs); H^2's factors are those of its relations'
+lattice (IntLattice.invariant_factors).  A class key (_class_key) maps
+column values to the Schreier generators mod U; the map sends B^2 onto
+U, so keys agree exactly on cohomologous cocycles, and unequal keys
+prove any two tables not cohomologous.
 are_cohomologous compares the keys memoized on both cocycles (_keyed),
 then reads a witness t off the same reduction (_reduced, _witness),
 checked at the columns alone when e1 and e2 are cocycles, as
@@ -73,9 +74,8 @@ from .groups import (
 )
 from .intlinalg import (
     IntLattice,
-    IntMatrix,
+    _merge_invariant_factors,
     abelian_invariants,
-    smith_normal_form,
     xgcd,
 )
 
@@ -404,50 +404,6 @@ def _keyed(e: Cocycle2, images=None):
     return key
 
 
-def _row_space(equations, ncols, d):
-    """R's row lattice mod d, the sparse rows R, the {unknown: coefficient}
-    equations of _hopf_system, added to an IntLattice, and generators of
-    R's kernel K mod d read off its stored rows by back-substitution: one
-    elimination in all.  Write h_j for the stored row of pivot column j,
-    g_j = h_j[j], a divisor of d, and p_c for the pivot of column c (g_c,
-    or d at a free column, where nothing is stored).  The h_j and the d
-    e_j span R's row lattice, so K is the z with h_j . z = 0 mod d for
-    every j.  Each column c with p_c > 1 gives one generator z, in column
-    order: z_c = d / p_c, zeros at every later column, and, from column
-    c - 1 down to the first, z_j = 0 at a free column and, at a stored
-    row, the least solution of g_j z_j = -sum_(l > j) h_jl z_l mod d.
-    Every step is solvable: (d / g_j) h_j vanishes up to column j, so by
-    Howell's property it lies in the span of the later rows and d
-    Z^ncols, all zero on z, which gives (d / g_j) sum_(l > j) h_jl z_l =
-    0 mod d: g_j divides the right-hand side.  So z lies in K, as h_c . z
-    = p_c d / p_c at a stored row c and the later rows see only zeros.
-    The vectors generate K: a member of K zero after column c has g_c z_c
-    = h_c . z = 0 at a stored row, so z_c is a multiple of d / p_c, as at
-    a free column; that multiple of c's generator clears column c and
-    keeps the later zeros, so clearing a member from the right, column by
-    column, uses only these generators.  The same step gives the order:
-    the members of K zero after column c take p_c values there, so |K| =
-    prod p_c = d^(#free columns) prod g_j, the lattice's
-    index_in_ambient."""
-    rows = IntLattice(ncols, d, equations)
-    stored = sorted(rows.pivot_rows, reverse=True)
-    kernel = []
-    for c in range(ncols):
-        if (p := rows.pivot(c)) == 1:
-            continue
-        z = [0] * ncols
-        z[c] = d // p
-        for j in itertools.dropwhile(c.__le__, stored):
-            # z_j is still 0, so the sum runs over l > j
-            h = rows.pivot_rows[j]
-            r = -sum(x * z[l] for l, x in h.items()) % d
-            if r % h[j]:
-                raise InternalInconsistency("a back-substitution step fails")
-            z[j] = r // h[j]
-        kernel.append(z)
-    return rows, kernel
-
-
 def apply_coboundary(t: GroupMap, e: Cocycle2) -> Cocycle2:
     """psi_t * e, the cohomologous cocycle with witness t."""
     psi = coboundary_from(t)
@@ -656,17 +612,16 @@ def _expand(g2: FiniteGroup, d: int, vecs):
 @lru_cache(maxsize=None)
 def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     """H^2 = K / U by Hopf's formula, K the invariant f of _hopf_system,
-    read off the one elimination of its rows by back-substitution
-    (_row_space), and U from _free_homs(g2, d); no further elimination.
-    Its relations are the c with sum c_i res_i in U, res_i the distinct
-    nonzero residues of K's generators mod U, which generate H^2, and
-    their Smith form gives the factors (_quotient_factors): where every
-    stored row of their lattice is its pivot alone, in any column order,
-    the merged pivots, with no Smith loop.  |U| = d^k /
-    |Hom(g2, Z/d)|, the product of _free_homs' pivots at the e_j, as
-    Hom(g2, Z/d) is the kernel of restricting Hom(F, Z/d) to R, the
-    lattice's tail; so |B^2| = d^(n-1) / |Hom(g2, Z/d)| = d^(n-1) |U| /
-    d^k, and |Z^2| = |B^2| |H^2|; |H^2| |U| = |K| is checked.  A class
+    read off the one elimination of its rows (IntLattice.kernel), and U
+    from _free_homs(g2, d); no further elimination.  Its relations are
+    the c with sum c_i res_i in U, res_i the distinct nonzero residues of
+    K's generators mod U, which generate H^2, and their lattice's
+    invariant factors are H^2's (IntLattice.invariant_factors, merged
+    pivots where its rows are pivot-only).  |U| = d^k / |Hom(g2, Z/d)|,
+    the product of _free_homs' pivots at the e_j, as Hom(g2, Z/d) is the
+    kernel of restricting Hom(F, Z/d) to R, the lattice's tail; so |B^2|
+    = d^(n-1) / |Hom(g2, Z/d)| = d^(n-1) |U| / d^k, and |Z^2| = |B^2|
+    |H^2|; |H^2| |U| = |K| is checked.  A class
     is a box point of the relations' pivots, sum c_i res_i (_box_points),
     each res_i placed at the chord columns with 0 on the tree columns
     (the cocycle _hopf_system makes of it) and written out by _expand; a
@@ -674,8 +629,8 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
     ncols, n2 = len(_generator_columns(g2)), g2.order
     _, chords, equations = _hopf_system(g2)
     m, free = len(chords), _free_homs(g2, d)[2]
-    rows, kernel = _row_space(equations, m, d)
-    k_order = rows.index_in_ambient()
+    rows = IntLattice(m, d, equations)
+    kernel, k_order = rows.kernel(), rows.index_in_ambient()
     u_order = math.prod(map(free.pivot, range(m, free.ncols)))
     b_order = d ** (n2 - 1) * u_order // d ** len(g2.generators)
 
@@ -703,27 +658,8 @@ def _solve_coordinate(g2: FiniteGroup, d: int) -> _Coordinate:
             placed.append(vec)
     return _Coordinate(z_order=b_order * quot.index_in_ambient(),
                        b_order=b_order,
-                       factors=_quotient_factors(quot),
+                       factors=quot.invariant_factors(),
                        box=tuple(zip(pivots, _expand(g2, d, placed))))
-
-
-def _quotient_factors(lat: IntLattice) -> tuple[int, ...]:
-    """The invariant factors above 1 of Z^n / lat, the diagonal of the
-    Smith form of lat.hnf_rows() without its 1s.  Where every stored row
-    is its pivot alone, in any column order, they are
-    _merge_invariant_factors of the pivots p_i (the modulus at a free
-    column), read with no Smith loop: lat is then the sum of the p_i Z
-    e_i, so hnf_rows is diag(p), and diag(a, b) has the Smith form
-    diag(gcd(a, b), lcm(a, b)), as the gcd of its entries is gcd(a, b)
-    and its determinant ab.  Each merge step is that change on two
-    coordinates, the others fixed, so it keeps the Smith form, and the
-    merged diagonal is a divisibility chain (the merge's docstring),
-    which is its own Smith form.  Every other lattice runs
-    smith_normal_form."""
-    if all(len(r) == 1 for r in lat.pivot_rows.values()):
-        return _merge_invariant_factors(map(lat.pivot, range(lat.ncols)))
-    return tuple(x for x in smith_normal_form(IntMatrix.from_rows(
-        lat.hnf_rows())).s.diagonal if x > 1)
 
 
 # the array item sizes, each with a typecode of that size
@@ -1044,17 +980,6 @@ def compute_cocycle_space(g1: FiniteGroup, g2: FiniteGroup) -> CocycleSpace:
                             for t in rep_tables),
                         z2_order=math.prod(c.z_order for c in coords),
                         b2_order=math.prod(c.b_order for c in coords))
-
-
-def _merge_invariant_factors(factors) -> tuple[int, ...]:
-    """The invariant factors of the sum of the Z/f: as Z/a + Z/b = Z/gcd +
-    Z/lcm, (f_i, f_j) -> (gcd, lcm), i < j, leaves f_i dividing each f_j,
-    and the later steps replace two multiples of f_i by their gcd and
-    lcm, multiples of f_i again; so the result is a divisibility chain."""
-    f = list(factors)
-    for i, j in itertools.combinations(range(len(f)), 2):
-        f[i], f[j] = math.gcd(f[i], f[j]), math.lcm(f[i], f[j])
-    return tuple(x for x in f if x > 1)
 
 
 @lru_cache(maxsize=None)

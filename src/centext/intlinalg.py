@@ -3,14 +3,16 @@
 Smith normal form with its unimodular row and column transforms, read
 off as blocks of one working matrix [[A, I], [I, 0]], an echelon
 lattice accumulator modulo an integer (Howell form) with sparse rows,
-whose Smith form is read off its pivots where they are a diagonal
-divisibility chain, linear congruence systems with per-row moduli, and
-invariant-factor coordinates of abelian Cayley tables.  Everything
-runs over unbounded Python integers; no floating point anywhere.
+its kernel read off its rows and its Smith form off its pivots where
+they are diagonal, linear congruence systems with per-row moduli, and
+invariant-factor coordinates of abelian Cayley tables.  Everything runs
+over unbounded Python integers; no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatch, InternalInconsistency, NotAbelian
@@ -100,11 +102,8 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     Pivot choice is the smallest nonzero absolute value, ties broken
     row-major, so the reduction (and therefore every downstream fixture)
     is deterministic.  The recomposition u*a*v == s is checked before
-    returning, on every input.  The library reads a lattice's Smith
-    form off its pivots where the transforms are the identity
-    (IntLattice._smith_chain), and H^2's factors off the pivots of any
-    pivot-only lattice (cocycles._quotient_factors); it calls this only
-    otherwise.
+    returning, on every input.  The library calls this only where a
+    lattice's Smith form is not read off its diagonal (IntLattice._diagonal).
     """
     nr, nc = a.rows, a.cols
     w = [list(row) + [int(i == j) for j in range(nr)]
@@ -204,9 +203,7 @@ class IntLattice:
     triangular basis of the lattice, so (Howell's property) the rows
     with pivot column >= k span exactly the lattice vectors that vanish
     before column k, and reduce() returns a canonical coset
-    representative.  Where every stored row is its pivot alone and the
-    pivots form a divisibility chain, the rows are their own Smith form
-    (_smith_chain).
+    representative.
     """
 
     def __init__(self, ncols: int, modulus: int, rows=()):
@@ -315,30 +312,92 @@ class IntLattice:
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[k])]
         return rows
 
-    def _smith_chain(self) -> tuple[int, ...] | None:
-        """The Smith diagonal of hnf_rows, read without building them: the
-        pivots in column order, where every stored row is its pivot alone
-        and they form a divisibility chain; else None.  Such rows are
-        the diagonal matrix a of the pivots, as hnf_rows finds nothing
-        above a pivot to reduce.  On a, smith_normal_form's loop picks
-        the pivot at (t, t) at every step, by its smallest-absolute-value,
-        row-major rule: p_t divides every later pivot, so none is
-        smaller, and (t, t) comes first.  Row and column t are zero off
-        it and p_t divides the rest, so the swaps are trivial, no combine
-        is made and no sign changes.  So the loop returns (a, I, I), and
-        a caller reads both transforms as the identity."""
-        diag = tuple(map(self.pivot, range(self.ncols)))
-        if all(len(r) == 1 for r in self.pivot_rows.values()) and all(
-                y % x == 0 for x, y in zip(diag, diag[1:])):
-            return diag
+    def _diagonal(self) -> tuple[int, ...] | None:
+        """The pivots in column order, the modulus at a free column, where
+        every stored row is its pivot alone; else None.  Such rows are the
+        diagonal matrix a of the pivots, as hnf_rows finds nothing above a
+        pivot to reduce.  Where they form a divisibility chain,
+        smith_normal_form's loop returns (a, I, I), and a caller reads
+        both transforms as the identity: at every step its
+        smallest-absolute-value, row-major rule picks (t, t), as p_t
+        divides every later pivot, so none is smaller, and (t, t) comes
+        first; row and column t are zero off it and p_t divides the rest,
+        so the swaps are trivial, no combine is made and no sign changes."""
+        if all(len(r) == 1 for r in self.pivot_rows.values()):
+            return tuple(map(self.pivot, range(self.ncols)))
         return None
+
+    def kernel(self) -> list[list[int]]:
+        """Generators of the kernel K of the lattice mod d = modulus, the
+        z with r . z = 0 mod d for every r in it, read off the stored rows
+        by back-substitution.  With h_j the stored row of column j, g_j =
+        h_j[j] and p_c = pivot(c), K is the z with h_j . z = 0 mod d for
+        every j.  Each column c with p_c > 1 gives one generator z, in
+        column order: z_c = d / p_c, zeros at every later column, and,
+        from column c - 1 down to the first, z_j = 0 at a free column and,
+        at a stored row, the least solution of g_j z_j = -sum_(l > j) h_jl
+        z_l mod d.  Every step is solvable: (d / g_j) h_j vanishes up to
+        column j, so by Howell's property it lies in the span of the later
+        rows and d Z^ncols, all zero on z, which gives (d / g_j) sum_(l >
+        j) h_jl z_l = 0 mod d: g_j divides the right-hand side.  So z lies
+        in K, as h_c . z = p_c d / p_c at a stored row c and the later
+        rows see only zeros.  The vectors generate K: a member of K zero
+        after column c has g_c z_c = h_c . z = 0 at a stored row, so z_c
+        is a multiple of d / p_c, as at a free column; that multiple of
+        c's generator clears column c and keeps the later zeros, so
+        clearing a member from the right, column by column, uses only
+        these generators.  The same step gives the order: the members of K
+        zero after column c take p_c values there, so |K| = prod p_c =
+        d^(#free columns) prod g_j, index_in_ambient."""
+        d = self.modulus
+        stored = sorted(self.pivot_rows, reverse=True)
+        kernel = []
+        for c in range(self.ncols):
+            if (p := self.pivot(c)) == 1:
+                continue
+            z = [0] * self.ncols
+            z[c] = d // p
+            for j in itertools.dropwhile(c.__le__, stored):
+                # z_j is still 0, so the sum runs over l > j
+                h = self.pivot_rows[j]
+                r = -sum(x * z[l] for l, x in h.items()) % d
+                if r % h[j]:
+                    raise InternalInconsistency("a back-substitution step fails")
+                z[j] = r // h[j]
+            kernel.append(z)
+        return kernel
+
+    def invariant_factors(self) -> tuple[int, ...]:
+        """The invariant factors above 1 of Z^n / L, the diagonal of the
+        Smith form of hnf_rows() without its 1s.  Where every stored row
+        is its pivot alone, in any column order, they are
+        _merge_invariant_factors of the pivots p_i (_diagonal), read with
+        no Smith loop: hnf_rows is then diag(p), and diag(a, b) has the
+        Smith form diag(gcd(a, b), lcm(a, b)), as the gcd of its entries
+        is gcd(a, b) and its determinant ab.  Each merge step is that
+        change on two coordinates, the others fixed, so it keeps the Smith
+        form, and the merged diagonal is a divisibility chain (the merge's
+        docstring), its own Smith form.  Every other lattice runs
+        smith_normal_form."""
+        if (diag := self._diagonal()) is not None:
+            return _merge_invariant_factors(diag)
+        return tuple(x for x in smith_normal_form(IntMatrix.from_rows(
+            self.hnf_rows())).s.diagonal if x > 1)
 
     def index_in_ambient(self) -> int:
         """[Z^n : L], the product of the pivots."""
-        out = self.modulus ** (self.ncols - len(self.pivot_rows))
-        for p, r in self.pivot_rows.items():
-            out *= r[p]
-        return out
+        return math.prod(map(self.pivot, range(self.ncols)))
+
+
+def _merge_invariant_factors(factors) -> tuple[int, ...]:
+    """The invariant factors of the sum of the Z/f: as Z/a + Z/b = Z/gcd +
+    Z/lcm, (f_i, f_j) -> (gcd, lcm), i < j, leaves f_i dividing each f_j,
+    and the later steps replace two multiples of f_i by their gcd and
+    lcm, multiples of f_i again; so the result is a divisibility chain."""
+    f = list(factors)
+    for i, j in itertools.combinations(range(len(f)), 2):
+        f[i], f[j] = math.gcd(f[i], f[j]), math.lcm(f[i], f[j])
+    return tuple(x for x in f if x > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +531,10 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
     isomorphism onto the direct sum of the Z/s_ii, which is checked
     anyway: the coordinates are distinct, and coords[x * t] = coords[x]
     + coords[t] for every x and generator t, which suffices by the
-    argument of GroupMap.is_homomorphism.  Where R's lattice is a
-    pivot-only chain (IntLattice._smith_chain), v is the identity and
-    coords[x]_i is e_x mod s_ii; every other lattice runs
-    smith_normal_form on its hnf_rows.
+    argument of GroupMap.is_homomorphism.  Where R's lattice is
+    diagonal (IntLattice._diagonal) and its pivots a divisibility chain
+    in column order, v is the identity and coords[x]_i is e_x mod s_ii;
+    every other lattice runs smith_normal_form on its hnf_rows.
 
     Memoized per group (groups compare by table), so the cohomology
     space and the coboundary test of one coefficient group share one
@@ -500,7 +559,8 @@ def abelian_invariants(g: FiniteGroup) -> AbelianPresentation:
     if rel.index_in_ambient() != g.order:
         raise InternalInconsistency("relation lattice index differs from |g|")
 
-    if (diag := rel._smith_chain()) is None:
+    diag = rel._diagonal()
+    if diag is None or any(y % x for x, y in zip(diag, diag[1:])):
         snf = smith_normal_form(IntMatrix.from_rows(rel.hnf_rows()))
         diag, vt = snf.s.diagonal, snf.v.transpose().data
         vecs = {x: [sum(a * b for a, b in zip(e, col)) for col in vt]

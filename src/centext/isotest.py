@@ -118,15 +118,24 @@ DEFAULT_VERIFY_PAIRS = (("Z2", "Z2"), ("Z2", "Z4"), ("Z2", "K4"),
                         ("Z2", "Q8"))
 
 
-def _extension_pair(e1, e2):
-    """The extensions, built from cocycles where given those, once per
-    cocycle (its _memo), checked to sit over one group pair."""
-    src, tgt = (e if isinstance(e, ExtensionGroup) else e._memo.get(
+def _carrier(e) -> ExtensionGroup:
+    """e, or the carrier of the cocycle e, built once (its _memo)."""
+    return e if isinstance(e, ExtensionGroup) else e._memo.get(
         "carrier") or e._memo.setdefault("carrier", build_extension(e))
-        for e in (e1, e2))
+
+
+def _extension_pair(e1, e2):
+    """_carrier of e1 and e2, checked to sit over one group pair."""
+    src, tgt = _carrier(e1), _carrier(e2)
     if (src.g1, src.g2) != (tgt.g1, tgt.g2):   # identical groups: no __eq__
         raise GroupMismatch("extensions sit over different group pairs")
     return src, tgt
+
+
+def _accepted(kind, kinds) -> None:
+    """ValueError, naming kinds, unless kind is one of them."""
+    if kind not in kinds:
+        raise ValueError(f"kind {kind!r} is not one of {', '.join(kinds)}")
 
 
 def _falsified(g2) -> type:
@@ -282,9 +291,9 @@ def _certificate(kind, src, tgt, parts: dict) -> IsoCertificate:
 
 
 def necessary(kind, e1, e2, phi: GroupMap) -> IsoCertificate:
-    """The certificate of kind "lower", "g1" or "g2" that must exist
-    behind phi, a carrier isomorphism of that kind, read off phi's
-    component arrays and verified.
+    """The certificate of kind "lower", "g1" or "g2" (any other raises
+    ValueError first) that must exist behind phi, a carrier isomorphism
+    of that kind, read off phi's component arrays and verified.
 
     Raises the kind's error (NotLowerIso, NotG1Iso, NotG2Iso) with
     _carrier_iso_failure's message when phi is not a carrier isomorphism
@@ -296,6 +305,7 @@ def necessary(kind, e1, e2, phi: GroupMap) -> IsoCertificate:
     statements rest on it; the g2 one does not, as with the
     section-to-section component trivial the splitting step that
     otherwise needs it is immediate."""
+    _accepted(kind, tuple(_NECESSITY))
     src, tgt = _extension_pair(e1, e2)
     failure = _carrier_iso_failure(src, tgt, phi, kind)
     if failure is not None:
@@ -626,8 +636,9 @@ class Verdict(Record):
 
 
 def decide(kind, e1, e2, limits: SearchLimits = DEFAULT_LIMITS) -> Verdict:
-    """Whether the extensions e1 and e2 (ExtensionGroups) are isomorphic
-    in the kind, one of TRIVIAL_COMPONENTS but purely_nonabelian.
+    """Whether e1 and e2, extensions or their cocycles (_carrier), are
+    isomorphic in the kind, one of TRIVIAL_COMPONENTS but
+    purely_nonabelian, else ValueError before a carrier is built.
 
     Every kind but plain compares two extensions over one group pair,
     so a mismatched pair raises GroupMismatch before any search; a
@@ -638,15 +649,16 @@ def decide(kind, e1, e2, limits: SearchLimits = DEFAULT_LIMITS) -> Verdict:
     raises HypothesisNotVerified past the limits); g1 and g2 extract
     their certificate from it (necessary), else keep the raw map with a
     note when the failed condition rests on the quotient hypothesis."""
-    if kind != "plain":
-        _extension_pair(e1, e2)
-    g1, g2 = e1.g1, e1.g2
-    if (entry := _deciders(g1, g2).get(kind)) is not None:
-        cert = entry[1](e1, e2, limits)
+    _accepted(kind, tuple(k for k in TRIVIAL_COMPONENTS
+                          if k != "purely_nonabelian"))
+    src, tgt = (_extension_pair(e1, e2) if kind != "plain"
+                else (_carrier(e1), _carrier(e2)))
+    if (entry := _deciders(src.g1, src.g2).get(kind)) is not None:
+        cert = entry[1](src, tgt, limits)
         if cert is not None or kind != "lower":
             return Verdict(kind=kind, holds=cert is not None,
                            certificate=cert)
-        if sim_is_trivial(g2):
+        if sim_is_trivial(src.g2):
             return Verdict(kind=kind, holds=False, rests_on="sim_is_trivial",
                            notes=("negative settled by the component search; "
                                   "the quotient hypothesis is verified",))
@@ -654,9 +666,9 @@ def decide(kind, e1, e2, limits: SearchLimits = DEFAULT_LIMITS) -> Verdict:
     forced = TRIVIAL_COMPONENTS[kind]
     try:
         phi = brute_force_isomorphism(
-            e1.group, e2.group, limits=limits,
+            src.group, tgt.group, limits=limits,
             constraint=lambda phi: trivial_components(
-                e1, e2, phi.images).issuperset(forced))
+                src, tgt, phi.images).issuperset(forced))
     except SizeLimitExceeded as exc:
         if kind != "lower":
             raise
@@ -674,7 +686,7 @@ def decide(kind, e1, e2, limits: SearchLimits = DEFAULT_LIMITS) -> Verdict:
     if kind in ("g1", "g2"):
         try:
             return Verdict(kind=kind, holds=True,
-                           certificate=necessary(kind, e1, e2, phi),
+                           certificate=necessary(kind, src, tgt, phi),
                            notes=notes)
         except HypothesisNotVerified as exc:
             notes += (f"certificate left as the raw map: {exc}; the "

@@ -25,8 +25,6 @@ from centext.cocycles import (
     _generator_columns,
     _hopf_system,
     _least_values,
-    _merge_invariant_factors,
-    _row_space,
     _same_groups,
     _solve_coordinate,
     _walk,
@@ -85,6 +83,7 @@ from centext.intlinalg import (
     IntLattice,
     IntMatrix,
     SNFResult,
+    _merge_invariant_factors,
     abelian_invariants,
     mat_mul,
     smith_normal_form,
@@ -802,12 +801,12 @@ def dense_echelon(rows, ncols, m):
 
 
 def transposed_kernel(equations, ncols, d):
-    """The earlier cocycles._row_space, a second elimination for R's
-    kernel K mod d: the indexes S of the sparse rows R, {unknown:
-    coefficient} dicts, that grew R's row lattice, added in order, and
-    the echelon form of the rows [R_S e_w | e_w], one per column w.  R_S
-    spans R's row lattice, so it has R's kernel, which is the form's
-    tail(len(S)), a Howell basis of K."""
+    """The earlier read of Hopf's kernel (now IntLattice.kernel), a
+    second elimination for R's kernel K mod d: the indexes S of the
+    sparse rows R, {unknown: coefficient} dicts, that grew R's row
+    lattice, added in order, and the echelon form of the rows [R_S e_w |
+    e_w], one per column w.  R_S spans R's row lattice, so it has R's
+    kernel, which is the form's tail(len(S)), a Howell basis of K."""
     rows = IntLattice(ncols, d)
     kept = tuple(i for i, eq in enumerate(equations) if rows.add(eq))
     transposed = [{len(kept) + w: 1} for w in range(ncols)]
@@ -1059,13 +1058,13 @@ def table_from_values(n2, values):
 
 def box_by_lists(g2: FiniteGroup, d: int):
     """The earlier box of cocycles._solve_coordinate, in lists: each
-    relation's pivot with its residue, K's generators (_row_space)
+    relation's pivot with its residue, K's generators (IntLattice.kernel)
     reduced mod U and placed at the chord columns, written out by
     expand_by_lists."""
     ncols = len(_generator_columns(g2))
     _, chords, equations = _hopf_system(g2)
     m, free = len(chords), _free_homs(g2, d)[2]
-    _, kernel = _row_space(equations, m, d)
+    kernel = IntLattice(m, d, equations).kernel()
     zeros = [0] * (free.ncols - m)
     residues = [res for z in kernel if any(
         res := free.reduce(z + zeros)[:m])]

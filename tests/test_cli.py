@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centext import cli, intlinalg, isotest
+from centext import cli, cocycles, intlinalg, isotest
 from centext.catalog import get_group
 from centext.cli import ISO_MODES, _emit, main
 from centext.cocycles import compute_cocycle_space
@@ -775,6 +775,20 @@ def decision_imports(source):
             or alias.name in ("sim_is_trivial", "trivial_components")]
 
 
+# the dense Smith path of intlinalg, which cocycles leaves to IntLattice
+DENSE_ALGEBRA = ("smith_normal_form", "IntMatrix", "mat_mul", "SNFResult")
+
+
+def dense_algebra_imports(source):
+    """Each name of DENSE_ALGEBRA that a from-import of a centext module
+    brings into source."""
+    tree = ast.parse(source)
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("centext"))
+            for alias in node.names if alias.name in DENSE_ALGEBRA]
+
+
 def nonstandard_imports(source):
     """The modules named by each absolute import in source whose
     top-level package is not in the standard library."""
@@ -821,6 +835,18 @@ class TestImports:
             "sim_is_trivial", "trivial_components", "necessary",
             "g2_isomorphic_equal_order", "upper_isomorphic",
             "lower_necessary", "g1g2_isomorphic"]
+
+    def test_cocycles_imports_no_dense_algebra(self):
+        with open(cocycles.__file__, encoding="utf-8") as fh:
+            assert dense_algebra_imports(fh.read()) == []
+
+    def test_a_dense_algebra_import_is_found(self):
+        source = ("from .intlinalg import (IntLattice, IntMatrix,\n"
+                  "    smith_normal_form as snf, xgcd)\n"
+                  "from centext.intlinalg import mat_mul, SNFResult\n"
+                  "from json import IntMatrix\n")
+        assert dense_algebra_imports(source) == [
+            "IntMatrix", "smith_normal_form", "mat_mul", "SNFResult"]
 
     def test_src_imports_only_the_standard_library(self):
         package = os.path.dirname(cli.__file__)

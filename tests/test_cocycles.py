@@ -45,8 +45,6 @@ from centext.cocycles import (
     _generator_columns,
     _hopf_system,
     _least_values,
-    _merge_invariant_factors,
-    _row_space,
     _solve_coordinate,
 )
 from centext.errors import (
@@ -78,6 +76,7 @@ from centext.groups import (
 from centext.intlinalg import (
     IntLattice,
     IntMatrix,
+    _merge_invariant_factors,
     abelian_invariants,
     smith_normal_form,
     solve_linear_mod,
@@ -1043,7 +1042,8 @@ class TestSparseOracles:
     def test_row_space_matches_the_dense_elimination(self, name, d):
         _, chords, equations = _hopf_system(get_group(name))
         nunknowns = len(chords)
-        rows, kernel = _row_space(equations, nunknowns, d)
+        rows = IntLattice(nunknowns, d, equations)
+        kernel = rows.kernel()
         dense = [[eq.get(u, 0) for u in range(nunknowns)] for eq in equations]
         # the one elimination: the sparse rows that grew, its pivot rows
         lattice = IntLattice(nunknowns, d)
@@ -1137,8 +1137,8 @@ class TestCocycleSystemOracle:
         forms, nunknowns, equations = cocycle_columns(g2)
         assert nunknowns == len(_generator_columns(g2))
         for d in (2, 3, 4, 6):
-            rows, kernel = _row_space(equations, nunknowns, d)
-            expected = IntLattice(nunknowns, d, kernel)
+            rows = IntLattice(nunknowns, d, equations)
+            expected = IntLattice(nunknowns, d, rows.kernel())
             assert rows.index_in_ambient() * expected.index_in_ambient() == (
                 d ** nunknowns)
             z_columns = solve_coordinate_by_b2(g2, d).z_columns

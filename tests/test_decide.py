@@ -1,6 +1,7 @@
 """isotest.decide, the one decision entry point: the verdicts of the
-policy it took over from the CLI, what its negatives rest on, and the
-quotient hypothesis decided once per group."""
+policy it took over from the CLI, the same verdicts on cocycles as on
+their carriers, the kinds it and necessary reject, what its negatives
+rest on, and the quotient hypothesis decided once per group."""
 
 import json
 import sys
@@ -11,11 +12,17 @@ import pytest
 from centext import cocycles, groups, isotest
 from centext.catalog import get_group
 from centext.cli import ISO_MODES, main
-from centext.cocycles import compute_cocycle_space, sim_is_trivial
+from centext.cocycles import Cocycle2, compute_cocycle_space, sim_is_trivial
 from centext.errors import GroupMismatch, HypothesisNotVerified
 from centext.extensions import build_extension
 from centext.groups import DEFAULT_LIMITS, GroupMap, SearchLimits
-from centext.isotest import IsoCertificate, Verdict, decide, verify_theorems
+from centext.isotest import (
+    IsoCertificate,
+    Verdict,
+    decide,
+    necessary,
+    verify_theorems,
+)
 from oracles import decide_iso_in_the_cli
 
 # the pairs of the CLI's pinned every-mode digest, and K4:Z2, whose one
@@ -104,6 +111,79 @@ class TestTheCliPolicy:
                 call(mode, src, tgt, DEFAULT_LIMITS)
         assert as_printed(decide("plain", src, tgt)) == \
             decide_iso_in_the_cli("plain", src, tgt, DEFAULT_LIMITS)
+
+
+class TestCocycles:
+    @pytest.mark.parametrize("a, b", [("Z2", "K4"), ("Z2", "S3")],
+                             ids=["Z2:K4", "Z2:S3"])
+    def test_cocycles_decide_as_their_carriers(self, a, b):
+        # verdict, certificate dict, notes and rests_on, or the error type
+        reps = compute_cocycle_space(get_group(a),
+                                     get_group(b)).class_representatives
+        for i, j, src, tgt in class_pairs(a, b):
+            for mode in ISO_MODES:
+                got = outcome(decide, mode, reps[i], reps[j])
+                want = outcome(decide, mode, src, tgt)
+                assert as_printed(got) == as_printed(want), (i, j, mode)
+                if isinstance(want, Verdict):
+                    assert got.rests_on == want.rests_on, (i, j, mode)
+
+    def test_plain_compares_cocycles_over_different_pairs(self):
+        # the group-pair check is the structured kinds' only
+        src = compute_cocycle_space(get_group("Z2"), get_group("K4")
+                                    ).class_representatives[0]
+        tgt = compute_cocycle_space(get_group("Z2"), get_group("Z4")
+                                    ).class_representatives[0]
+        assert as_printed(decide("plain", src, tgt)) == as_printed(decide(
+            "plain", extensions("Z2", "K4")[0], extensions("Z2", "Z4")[0]))
+        with pytest.raises(GroupMismatch):
+            decide("upper", src, tgt)
+
+
+def fresh_cocycles(a, b, i, j):
+    """Classes i and j of H^2(b, a) as new cocycles, with no carrier kept."""
+    reps = compute_cocycle_space(get_group(a),
+                                 get_group(b)).class_representatives
+    return [Cocycle2(g1=r.g1, g2=r.g2, table=r.table) for r in (reps[i],
+                                                                 reps[j])]
+
+
+def refused(*args):
+    raise AssertionError("a carrier was built")
+
+
+class TestKinds:
+    @pytest.mark.parametrize("kind", ["purely_nonabelian", "bogus", None,
+                                      "Upper"])
+    def test_decide_rejects_the_kinds_it_does_not_decide(self, kind,
+                                                         monkeypatch):
+        # before any carrier is built; the message names the accepted
+        # kinds, which are the CLI's modes
+        monkeypatch.setattr(isotest, "build_extension", refused)
+        e1, e2 = fresh_cocycles("Z2", "K4", 2, 3)
+        with pytest.raises(ValueError) as exc:
+            decide(kind, e1, e2)
+        assert str(exc.value) == (f"kind {kind!r} is not one of "
+                                  + ", ".join(ISO_MODES))
+        assert "carrier" not in e1._memo and "carrier" not in e2._memo
+
+    @pytest.mark.parametrize("kind", ["upper", "plain", "g1g2",
+                                      "purely_nonabelian", "bogus"])
+    def test_necessary_rejects_the_kinds_it_does_not_extract(self, kind,
+                                                             monkeypatch):
+        monkeypatch.setattr(isotest, "build_extension", refused)
+        e1, e2 = fresh_cocycles("Z2", "K4", 2, 3)
+        phi = GroupMap(dom=get_group("Z1"), cod=get_group("Z1"), images=(0,))
+        with pytest.raises(ValueError,
+                           match="^kind .* is not one of lower, g1, g2$"):
+            necessary(kind, e1, e2, phi)
+        assert "carrier" not in e1._memo and "carrier" not in e2._memo
+
+    def test_purely_nonabelian_is_refused_on_an_abelian_kernel(self):
+        # it answered holds=True with a raw carrier map before
+        src, tgt = extensions("Z2", "K4")[2:4]
+        with pytest.raises(ValueError, match="purely_nonabelian"):
+            decide("purely_nonabelian", src, tgt)
 
 
 class TestRestsOn:

@@ -1,18 +1,18 @@
 """Hopf's kernel K read off the one elimination of its rows by
-back-substitution (cocycles._row_space), against the second, transposed
+back-substitution (IntLattice.kernel), against the second, transposed
 elimination kept in oracles.py: every generator solves every row, |K| is
 the oracle's, and the two generate the same lattice.  On Hopf's systems
 over every catalog quotient of order <= 60, where K4, Z2xZ4, Z2xZ2xZ2,
-D4, A4, S4 and A5 keep pivots other than 1 at d = 4, 6, 8 and 12, and on
-seeded random sparse systems."""
+D4, A4, S4 and A5 keep pivots other than 1 at d = 4, 6, 8 and 12, on
+seeded random sparse systems, and on the degenerate lattices: no
+column, modulus 1, and no stored row."""
 
 import random
 
 import pytest
 
-from centext import cocycles
 from centext.catalog import catalog_names, get_group
-from centext.cocycles import _hopf_system, _row_space
+from centext.cocycles import _hopf_system
 from centext.errors import InternalInconsistency
 from centext.intlinalg import IntLattice
 from oracles import transposed_kernel
@@ -25,7 +25,8 @@ NONUNIT = ("K4", "Z2xZ4", "Z2xZ2xZ2", "D4", "A4", "S4", "A5")
 
 def assert_kernel(equations, ncols, d):
     """The checks on one system; returns its row lattice."""
-    rows, kernel = _row_space(equations, ncols, d)
+    rows = IntLattice(ncols, d, equations)
+    kernel = rows.kernel()
     for z in kernel:
         assert len(z) == ncols
         assert all(sum(c * z[u] for u, c in eq.items()) % d == 0
@@ -82,14 +83,46 @@ def test_random_systems_reach_nonunit_pivots(d):
                for p, r in IntLattice(ncols, d, equations).pivot_rows.items())
 
 
-def test_a_failed_step_raises(monkeypatch):
+def test_a_failed_step_raises():
     # rows that are no Howell basis: (2, 1) mod 4 without (0, 2), so the
     # generator of the free column 1 leaves 2 z_0 = -1, which has no
     # solution
-    class NotHowell(IntLattice):
-        def __init__(self, ncols, modulus, rows=()):
-            super().__init__(ncols, modulus)
-            self.pivot_rows = {0: {0: 2, 1: 1}}
-    monkeypatch.setattr(cocycles, "IntLattice", NotHowell)
+    not_howell = IntLattice(2, 4)
+    not_howell.pivot_rows = {0: {0: 2, 1: 1}}
     with pytest.raises(InternalInconsistency, match="back-substitution"):
-        _row_space([], 2, 4)
+        not_howell.kernel()
+
+
+def order(kernel, ncols, d):
+    """|K|, K the span of kernel in (Z/d)^ncols: d^ncols over the index of
+    its lattice with d Z^ncols."""
+    return d ** ncols // IntLattice(ncols, d, kernel).index_in_ambient()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 12])
+def test_no_column(d):
+    # Z^0 / L is trivial: no generator, and |K| = 1
+    lat = IntLattice(0, d)
+    assert lat.kernel() == []
+    assert order(lat.kernel(), 0, d) == lat.index_in_ambient() == 1
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 0, 0]], [[3, 5, 7], [2, 2, 2]]])
+def test_modulus_one(rows):
+    # mod 1 every pivot is 1, so K is trivial: no generator, index 1
+    lat = IntLattice(3, 1, rows)
+    assert lat.pivot_rows == {}
+    assert lat.kernel() == []
+    assert order(lat.kernel(), 3, 1) == lat.index_in_ambient() == 1
+
+
+@pytest.mark.parametrize("ncols,d", [(1, 2), (3, 4), (4, 6), (2, 36)])
+def test_no_stored_row(ncols, d):
+    # every column is free, so K is the whole of (Z/d)^ncols, generated
+    # by the unit vectors: |K| = d^ncols, the lattice's index
+    lat = IntLattice(ncols, d, [[0] * ncols, [d] * ncols])
+    assert lat.pivot_rows == {}
+    kernel = lat.kernel()
+    assert kernel == [[int(i == j) for j in range(ncols)]
+                      for i in range(ncols)]
+    assert order(kernel, ncols, d) == lat.index_in_ambient() == d ** ncols

@@ -15,12 +15,11 @@ import random
 
 import pytest
 
-from centext import cocycles
+from centext import cocycles, intlinalg
 from centext.catalog import catalog_names, get_group
 from centext.cocycles import (
     Cocycle2,
     _class_key,
-    _quotient_factors,
     _column_values,
     _keyed,
     _solve_coordinate,
@@ -51,7 +50,7 @@ from oracles import (
     witness_by_b2,
 )
 from test_decider_memos import LABEL_PAIRS as PAIRS, h2_order
-from test_intlinalg import dense_lattice, diagonal_lattice
+from test_intlinalg import dense_lattice, diagonal_lattice, smith_chain
 
 
 def test_pairs_take_the_larger_quotients():
@@ -177,14 +176,14 @@ def test_a_repeated_residue_is_kept_once(monkeypatch):
     g1, g2 = get_group("Z2"), get_group("D5")
     _, chords, equations = cocycles._hopf_system(g2)
     m, free = len(chords), cocycles._free_homs(g2, 2)[2]
-    _, kernel = cocycles._row_space(equations, m, 2)
+    kernel = IntLattice(m, 2, equations).kernel()
     residues = [free.reduce(z + [0] * (free.ncols - m))[:m] for z in kernel]
     assert len(residues) == 2 and residues[0] == residues[1]
     assert any(residues[0])
 
     def refused(a):
         raise RuntimeError("smith_normal_form ran")
-    monkeypatch.setattr(cocycles, "smith_normal_form", refused)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", refused)
     coord = _solve_coordinate.__wrapped__(g2, 2)
     assert coord.factors == (2,)
     assert [pivot for pivot, _ in coord.box] == [2]
@@ -211,6 +210,7 @@ def test_catalog_quotients_are_read_off_their_pivots(monkeypatch):
     # factors are merged pivots with no Smith loop, those of the loop and
     # of the earlier B^2 path; five are no chain in column order
     calls, lattices = [], {}
+    read = IntLattice.invariant_factors
 
     def counted(a):
         calls.append(a)
@@ -218,9 +218,9 @@ def test_catalog_quotients_are_read_off_their_pivots(monkeypatch):
 
     def recorded(lat):
         lattices[name, d] = lat
-        return _quotient_factors(lat)
-    monkeypatch.setattr(cocycles, "smith_normal_form", counted)
-    monkeypatch.setattr(cocycles, "_quotient_factors", recorded)
+        return read(lat)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    monkeypatch.setattr(IntLattice, "invariant_factors", recorded)
     for name in SMALL_QUOTIENTS:
         for d in MODULI:
             got = _solve_coordinate.__wrapped__(get_group(name), d).factors
@@ -228,10 +228,10 @@ def test_catalog_quotients_are_read_off_their_pivots(monkeypatch):
     assert not calls and len(lattices) == 136
     assert all(len(r) == 1 for lat in lattices.values()
                for r in lat.pivot_rows.values())
-    assert all(_quotient_factors(lat) == smith_factors(lat)
+    assert all(read(lat) == smith_factors(lat)
                for lat in lattices.values())
     assert {key for key, lat in lattices.items()
-            if lat._smith_chain() is None} == {
+            if smith_chain(lat) is None} == {
         ("Z2xZ4", 4), ("Z2xZ4", 8), ("Z2xZ4", 12), ("A4", 6), ("A4", 12)}
 
 
@@ -256,7 +256,7 @@ def test_quotient_factors_equal_the_smith_loop(seed):
         for lat in (diagonal_lattice(rng, True)[0],
                     diagonal_lattice(rng, False)[0],
                     pivot_only_lattice(rng), dense_lattice(rng)):
-            assert _quotient_factors(lat) == smith_factors(lat)
+            assert lat.invariant_factors() == smith_factors(lat)
 
 
 def test_the_seeds_reach_every_shape():
@@ -344,8 +344,7 @@ def test_a_wrong_free_hom_image_raises(pair, monkeypatch):
     g1, g2 = map(get_group, pair)
     d = abelian_invariants(g1).invariant_factors[-1]
     steps, ends, free = cocycles._free_homs(g2, d)
-    whole = cocycles.IntLattice(free.ncols, d,
-                                [{j: 1} for j in range(free.ncols)])
+    whole = IntLattice(free.ncols, d, [{j: 1} for j in range(free.ncols)])
     cocycles._solve_coordinate.cache_clear()
     monkeypatch.setattr(cocycles, "_free_homs",
                         lambda g, e: (steps, ends, whole))

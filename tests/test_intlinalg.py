@@ -204,7 +204,7 @@ class TestSmithNormalForm:
         monkeypatch.setattr(intlinalg, "mat_mul", counted)
         lat = IntLattice(len(rows[0]), 24, rows)
         hnf = IntMatrix.from_rows(lat.hnf_rows())
-        if (diag := lat._smith_chain()) is None:
+        if (diag := smith_chain(lat)) is None:
             diag = smith_normal_form(hnf).s.diagonal
         assert len(products) == 2 * loop
         if not loop:
@@ -234,7 +234,6 @@ class TestSmithNormalForm:
         def refused(*args):
             raise RuntimeError("the Smith loop ran")
         monkeypatch.setattr(intlinalg, "smith_normal_form", refused)
-        monkeypatch.setattr(cocycles, "smith_normal_form", refused)
         monkeypatch.setattr(intlinalg, "mat_mul", refused)
         spaces = []
         try:
@@ -285,11 +284,20 @@ def dense_lattice(rng):
                              for _ in range(rng.randrange(n + 2))])
 
 
+def smith_chain(lat):
+    """The diagonal abelian_invariants reads with identity transforms:
+    lat._diagonal() where it is a divisibility chain, else None."""
+    diag = lat._diagonal()
+    if diag is None or any(y % x for x, y in zip(diag, diag[1:])):
+        return None
+    return diag
+
+
 def checked_read(lat):
-    """lat._smith_chain(), checked against smith_normal_form on the
+    """smith_chain(lat), checked against smith_normal_form on the
     lattice's hnf_rows: where it reads, the loop's diagonal, with identity
     transforms."""
-    read = lat._smith_chain()
+    read = smith_chain(lat)
     if read is not None:
         snf = smith_normal_form(IntMatrix.from_rows(lat.hnf_rows()))
         assert read == snf.s.diagonal
@@ -313,9 +321,9 @@ BOTH_SIDES = {
 
 
 class TestSmithChain:
-    """IntLattice._smith_chain: the Smith diagonal of a lattice whose
-    stored rows are a pivot-only chain, else None, never another answer
-    than smith_normal_form's."""
+    """smith_chain, IntLattice._diagonal where it is a divisibility chain:
+    the Smith diagonal of a lattice whose stored rows are a pivot-only
+    chain, else None, never another answer than smith_normal_form's."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_the_read_is_the_loop_or_declines(self, seed):
@@ -336,7 +344,7 @@ class TestSmithChain:
                 lat, pivots = diagonal_lattice(rng, True)
                 free |= pivots[-1] == lat.modulus
                 diagonal_lattice(rng, False)
-                reads.add(dense_lattice(rng)._smith_chain() is None)
+                reads.add(smith_chain(dense_lattice(rng)) is None)
         assert reads == {True, False} and free
 
     @pytest.mark.parametrize("rows,modulus,read", [
@@ -350,6 +358,21 @@ class TestSmithChain:
     def test_near_misses(self, rows, modulus, read):
         ncols = len(rows[0]) if rows else 3
         assert checked_read(IntLattice(ncols, modulus, rows)) == read
+
+    @pytest.mark.parametrize("rows,modulus,diagonal", [
+        ([[4, 0], [0, 2]], 8, (4, 2)),        # no chain, still diagonal
+        ([[0, 0], [0, 2]], 4, (4, 2)),        # a free column first
+        ([[2, 0], [0, 3]], 6, (2, 3)),        # coprime pivots
+        ([[2, 2], [0, 4]], 8, None),          # an entry off the pivot
+        ([[1, 1]], 2, None), ([], 6, (6, 6, 6)),
+        ([[0, 0, 0]], 1, (1, 1, 1))])
+    def test_the_diagonal_read(self, rows, modulus, diagonal):
+        # _diagonal reads any pivot-only lattice in column order, and
+        # invariant_factors merges it into the Smith loop's factors
+        lat = IntLattice(len(rows[0]) if rows else 3, modulus, rows)
+        assert lat._diagonal() == diagonal
+        assert lat.invariant_factors() == tuple(x for x in smith_normal_form(
+            IntMatrix.from_rows(lat.hnf_rows())).s.diagonal if x > 1)
 
     @pytest.mark.parametrize("name", BOTH_SIDES)
     def test_abelian_invariants_on_both_sides(self, name, monkeypatch):
